@@ -2,15 +2,16 @@
 
 A flow request carries a traffic spec (rate, burst, max packet, deadline).
 Admission tries candidate placements — priority class descending, then
-VLAN tree ascending — and accepts the first one under which the new flow
-AND every already-admitted flow still meet their deadline and every port's
-backlog fits its buffer.  Per-hop bounds use the strict-priority calculus
-with each flow's burst propagated hop by hop; because flows sharing a port
-inflate each other's bursts, bounds are solved to a fixed point (the
-iteration is monotone, so deadline/buffer violations detected on the way
-are final).  If no candidate fits, one batch pass re-places all flows in
-ascending-deadline order; failing that, the request is rejected and the
-registry is left untouched.
+VLAN tree ascending, skipping a tree whose path repeats an earlier tree's,
+since the solve depends on (class, path) only — and accepts the first one
+under which the new flow AND every already-admitted flow still meet their
+deadline and every port's backlog fits its buffer.  Per-hop bounds use the
+strict-priority calculus with each flow's burst propagated hop by hop;
+because flows sharing a port inflate each other's bursts, bounds are solved
+to a fixed point (the iteration is monotone, so deadline/buffer violations
+detected on the way are final).  If no candidate fits, one batch pass
+re-places all flows in ascending-deadline order; failing that, the request
+is rejected and the registry is left untouched.
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ def _solve(
 
     Bursts start at each flow's spec value and only grow, so the first
     deadline or buffer violation encountered is final and aborts early.
+    Within one iteration every member of a (port, class) aggregate shares
+    one delay bound, so each port state is built once and each (port,
+    class) bound is computed once, on first use in flow order, which keeps
+    the first failure, and so its detail, the same as a per-hop evaluation.
     """
     fids = sorted(placements)
     bursts: dict[str, list[int]] = {
@@ -176,13 +181,15 @@ def _solve(
                 slot[1] += pl.spec.rate_Bps
                 slot[2] = max(slot[2], pl.spec.max_pkt_B)
                 slot[3].append(fid)
-        aggregates = {
-            port: {
+        aggregates: dict[PortId, dict[int, ClassAggregate]] = {}
+        states: dict[PortId, PortClassState] = {}
+        for port, per_cls in raw.items():
+            aggregates[port] = {
                 cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
                 for cls, (b, r, m, flows) in per_cls.items()
             }
-            for port, per_cls in raw.items()
-        }
+            states[port] = port_state(port, aggregates[port])
+        delays: dict[tuple[PortId, int], int] = {}
 
         changed = False
         hop_bounds: dict[str, tuple[int, ...]] = {}
@@ -193,8 +200,10 @@ def _solve(
                 bounds = []
                 burst = pl.spec.burst_B
                 for i, port in enumerate(pl.hops):
-                    state = port_state(port, aggregates[port])
-                    delay = hop_delay_bound(state, pl.priority)
+                    delay = delays.get((port, pl.priority))
+                    if delay is None:
+                        delay = hop_delay_bound(states[port], pl.priority)
+                        delays[port, pl.priority] = delay
                     bounds.append(delay)
                     burst = burst + ceil_div(pl.spec.rate_Bps * delay, US_PER_S)
                     if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
@@ -210,7 +219,7 @@ def _solve(
                     )
             for port, classes in aggregates.items():
                 profile = topo.profile(port.node)
-                state = port_state(port, classes)
+                state = states[port]
                 backlog = 0
                 for cls, agg in classes.items():
                     service = sp_residual_service(state, cls)
@@ -290,12 +299,6 @@ class NetworkState:
         except KeyError:
             raise UnknownFlow(flow_id) from None
 
-    def _tree_by_vlan(self, vlan_id: int) -> VlanTree:
-        for tree in self.trees:
-            if tree.vlan_id == vlan_id:
-                return tree
-        raise UnknownFlow(f"no tree for vlan {vlan_id}")
-
     def _endpoint_kind(self, node_id: str) -> str:
         if node_id in self.topology.hosts:
             return "host"
@@ -351,10 +354,27 @@ class NetworkState:
         return bound, cfg
 
     def _candidates(self, spec: FlowSpec, transit_us: int, reg_us: int, reg_cfg):
-        """Placements in fixed search order: class descending, tree ascending."""
-        for priority in range(self.class_count - 1, self.best_effort_class, -1):
+        """Placements in fixed search order: class descending, tree ascending.
+
+        The solve depends on (class, hops) only, so a tree whose path repeats
+        an earlier tree's is skipped: it would fail exactly as that one did.
+        Paths are discovered lazily while the top class walks the trees, so
+        an accept on an early tree costs only the paths walked so far.
+        """
+        distinct: list[tuple[VlanTree, tuple[PortId, ...]]] = []
+
+        def routes():
+            seen: set[tuple[PortId, ...]] = set()
             for tree in self.trees:
                 hops = tuple(path_in_tree(self.topology, tree, spec.src, spec.dst))
+                if hops not in seen:
+                    seen.add(hops)
+                    distinct.append((tree, hops))
+                    yield tree, hops
+
+        top = self.class_count - 1
+        for priority in range(top, self.best_effort_class, -1):
+            for tree, hops in routes() if priority == top else distinct:
                 yield _Placement(
                     spec=spec,
                     priority=priority,
@@ -631,7 +651,7 @@ class NetworkState:
     # ------------------------------------------------------------------ introspection
 
     def aggregates(self) -> dict:
-        """Incrementally maintained port/class cache, in canonical form."""
+        """Port/class aggregates of the last full solve, in canonical form."""
         return _canonical_aggregates(self._aggregates)
 
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:

@@ -257,6 +257,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
 
     flows: list[FlowEntry] = []
     seen_flow_ids: set[str] = set()
+    nwtt_matches: dict[tuple[str, str], str] = {}  # NW-TT matches on (src, dst) only
     uses_ue = False
     for i, fl in enumerate(_expect(obj.get("flows"), "flows", list,
                                    optional=True, default=[])):
@@ -271,6 +272,10 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         for ep, label in ((src, "src"), (dst, "dst")):
             if ep not in known:
                 _fail(f"{p}.{label}", f"unknown node {ep!r}")
+        if topo.transit is not None and src in topo.transit.ues:
+            earlier = nwtt_matches.setdefault((src, dst), fid)
+            if earlier != fid:
+                _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
         spec = FlowSpec(
             flow_id=fid,
             src=src,

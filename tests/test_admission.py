@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from detnet5g.admission import FlowSpec, NetworkState
+from detnet5g import admission
+from detnet5g.admission import FlowSpec, NetworkState, _Infeasible, _Placement, _solve
 from detnet5g.errors import MalformedRequest, NotA5GFlow, UnknownFlow
 from detnet5g.nwtt import RegulatorConfig
-from detnet5g.topology import PortId, SwitchProfile
+from detnet5g.topology import PortId, SwitchProfile, Topology, make_link, path_in_tree
 from detnet5g.transit5g import DOWNLINK, UeRecord, transit_contract
 
 from conftest import ring_topology
@@ -329,3 +330,94 @@ class TestStateInvariants:
             trail2 = [apply_op(state2, op) for op in ops]
             assert trail2 == trail
             assert state2.snapshot() == state.snapshot()
+
+
+def grid_topology(rows: int = 3, cols: int = 3) -> Topology:
+    """Switch grid, one host H<r><c> per switch; ports 1 east, 2 south, 3 host, 4 west, 5 north."""
+    topo = Topology()
+    for r in range(rows):
+        for c in range(cols):
+            topo.switches[f"S{r}{c}"] = SwitchProfile()
+            topo.hosts[f"H{r}{c}"] = PortId(f"S{r}{c}", 3)
+            if c + 1 < cols:
+                topo.links.add(make_link(PortId(f"S{r}{c}", 1), PortId(f"S{r}{c + 1}", 4)))
+            if r + 1 < rows:
+                topo.links.add(make_link(PortId(f"S{r}{c}", 2), PortId(f"S{r + 1}{c}", 5)))
+    return topo
+
+
+def full_order_search(state, spec):
+    """Undeduplicated reference: every (class desc, tree asc) candidate in turn.
+
+    Returns (first feasible placement and its solution, or None; the reasons
+    dict the search collects before that point).
+    """
+    current = state._placements()
+    reasons = {}
+    for priority in range(state.class_count - 1, state.best_effort_class, -1):
+        for tree in state.trees:
+            hops = tuple(path_in_tree(state.topology, tree, spec.src, spec.dst))
+            cand = _Placement(spec=spec, priority=priority, tree=tree, hops=hops,
+                              transit_us=0, regulator_us=0, regulator=None)
+            try:
+                solution = _solve(state.topology, {**current, spec.flow_id: cand},
+                                  lmax_floor_B=state.default_max_pkt_B)
+            except _Infeasible as exc:
+                reasons.setdefault(exc.reason, exc.detail)
+                continue
+            return (cand, solution), reasons
+    return None, reasons
+
+
+class TestDeduplicatedSearch:
+    def test_same_decisions_as_full_candidate_order(self, monkeypatch):
+        topo = grid_topology()
+        hosts = sorted(topo.hosts)
+        outcomes = set()
+        for seed in range(3):
+            rng = random.Random(seed)
+            # two classes keep the full-order reference (2 x 64 solves) cheap
+            state = NetworkState(topo, class_count=3, enable_reconfig=False)
+            assert len(state.trees) == 64
+            live = []
+            for i in range(14):
+                if live and rng.random() < 0.25:
+                    state.remove_flow(live.pop(rng.randrange(len(live))))
+                    continue
+                dst = rng.choice(["H11", "H22"])  # shared last hops make contention
+                src = rng.choice([h for h in hosts if h != dst])
+                pkt = rng.choice([300, 1_000, 1_500])
+                spec = FlowSpec(flow_id=f"f{i}", src=src, dst=dst,
+                                rate_Bps=rng.choice([5_000, 10_000, 20_000]),
+                                burst_B=pkt * rng.randrange(1, 3), max_pkt_B=pkt,
+                                deadline_us=rng.choice([30_000, 60_000, 1_000_000]))
+
+                cands = [(c.priority, c.hops) for c in state._candidates(spec, 0, 0, None)]
+                assert len(cands) == len(set(cands)) < 2 * len(state.trees)
+                expected, reasons = full_order_search(state, spec)
+
+                calls = []
+                with monkeypatch.context() as m:
+                    m.setattr(admission, "path_in_tree",
+                              lambda *args: calls.append(args) or path_in_tree(*args))
+                    next(state._candidates(spec, 0, 0, None))
+                assert len(calls) == 1
+
+                decision = state.register_flow(spec)
+                if expected is None:
+                    outcomes.add("rejected")
+                    assert not decision.accepted
+                    reason = next(r for r in ("DeadlineInfeasible", "BufferExceeded",
+                                              "Unschedulable") if r in reasons)
+                    assert (decision.reason, decision.detail) == (reason, reasons[reason])
+                    continue
+                cand, solution = expected
+                outcomes.add(("class", cand.priority))
+                a = decision.assignment
+                assert decision.accepted
+                assert (a.vlan_id, a.priority_class, a.e2e_bound_us, a.per_hop_bounds_us) == (
+                    cand.tree.vlan_id, cand.priority, solution.e2e_us[spec.flow_id],
+                    solution.hop_bounds[spec.flow_id])
+                live.append(spec.flow_id)
+        # the sequences reach rejects and the lower class, not only first picks
+        assert outcomes == {"rejected", ("class", 2), ("class", 1)}

@@ -151,6 +151,15 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "switches" in capsys.readouterr().err
 
+    def test_nwtt_match_collision_exits_one(self, tmp_path, capsys):
+        doc = canonical_scenario()
+        doc["flows"].append(dict(doc["flows"][0], flow_id="orange2"))
+        path = write_json(tmp_path / "twin.json", doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "flows[1].dst" in err and "'orange'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_rejected_critical_exits_two(self, tmp_path):
         doc = canonical_scenario()
         doc["flows"][0]["deadline_us"] = 1

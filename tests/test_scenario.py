@@ -82,6 +82,24 @@ def test_duplicate_flow_ids_rejected():
         load_scenario(doc)
 
 
+def test_nwtt_match_collision_names_earlier_flow():
+    doc = canonical_scenario()
+    twin = dict(doc["flows"][0], flow_id="orange2")
+    doc["flows"].append(twin)
+    with pytest.raises(ScenarioInvalid, match=r"flows\[1\]\.dst: .*'orange'"):
+        load_scenario(doc)
+
+
+def test_nwtt_match_only_binds_ue_sources():
+    doc = canonical_scenario()
+    host_flow = dict(doc["flows"][0], src="G", burst_B=1_500, max_pkt_B=1_500,
+                     source={"mode": "periodic", "period_us": 2_000, "pkt_B": 1_500})
+    doc["flows"] += [dict(host_flow, flow_id="h1"), dict(host_flow, flow_id="h2"),
+                     dict(doc["flows"][0], flow_id="orange2", src="UE2")]
+    assert [e.spec.flow_id for e in load_scenario(doc).flows] == [
+        "orange", "h1", "h2", "orange2"]
+
+
 def test_ue_traffic_requires_transit():
     doc = canonical_scenario()
     del doc["topology"]["transit5g"]
