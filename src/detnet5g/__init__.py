@@ -14,9 +14,7 @@ from .calculus import (
     ClassAggregate,
     PortClassState,
     RateLatency,
-    TokenBucket,
     backlog_bound,
-    e2e_delay,
     hop_delay_bound,
     propagate_burst,
     sp_residual_service,

@@ -24,7 +24,8 @@ from .calculus import (
     PortClassState,
     backlog_bound,
     hop_delay_bound,
-    sp_residual_service,
+    propagate_burst,
+    sp_residual_service,  # not called here; benchmarks/tracing.py looks this name up
 )
 from .errors import (
     InvalidSpec,
@@ -48,7 +49,7 @@ from .topology import (
     path_in_tree,
 )
 from .transit5g import DOWNLINK, UPLINK, dl_capacity, transit_contract, ul_capacity
-from .units import US_PER_S, ceil_div
+from .units import ceil_div
 
 log = logging.getLogger(__name__)
 
@@ -139,6 +140,19 @@ class _Solution:
     aggregates: dict[PortId, dict[int, ClassAggregate]]
 
 
+def _port_state(
+    topo: Topology, port: PortId, classes: dict[int, ClassAggregate], lmax_floor_B: int
+) -> PortClassState:
+    profile = topo.profile(port.node)
+    return PortClassState(
+        link_rate_Bps=profile.link_rate_Bps,
+        class_count=profile.class_count,
+        classes=classes,
+        fwd_delay_us=profile.fwd_delay_us,
+        lmax_floor_B=lmax_floor_B,
+    )
+
+
 def _solve(
     topo: Topology,
     placements: dict[str, _Placement],
@@ -160,16 +174,6 @@ def _solve(
         fid: [placements[fid].spec.burst_B] * len(placements[fid].hops) for fid in fids
     }
 
-    def port_state(port: PortId, classes: dict[int, ClassAggregate]) -> PortClassState:
-        profile = topo.profile(port.node)
-        return PortClassState(
-            link_rate_Bps=profile.link_rate_Bps,
-            class_count=profile.class_count,
-            classes=classes,
-            fwd_delay_us=profile.fwd_delay_us,
-            lmax_floor_B=lmax_floor_B,
-        )
-
     for _ in range(iter_cap):
         # aggregate the current per-hop bursts into port/class state
         raw: dict[PortId, dict[int, list]] = {}
@@ -188,7 +192,7 @@ def _solve(
                 cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
                 for cls, (b, r, m, flows) in per_cls.items()
             }
-            states[port] = port_state(port, aggregates[port])
+            states[port] = _port_state(topo, port, aggregates[port], lmax_floor_B)
         delays: dict[tuple[PortId, int], int] = {}
 
         changed = False
@@ -205,7 +209,7 @@ def _solve(
                         delay = hop_delay_bound(states[port], pl.priority)
                         delays[port, pl.priority] = delay
                     bounds.append(delay)
-                    burst = burst + ceil_div(pl.spec.rate_Bps * delay, US_PER_S)
+                    burst = propagate_burst(burst, pl.spec.rate_Bps, delay)
                     if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
                         bursts[fid][i + 1] = burst
                         changed = True
@@ -218,22 +222,12 @@ def _solve(
                         f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us",
                     )
             for port, classes in aggregates.items():
-                profile = topo.profile(port.node)
-                state = states[port]
-                backlog = 0
-                for cls, agg in classes.items():
-                    service = sp_residual_service(state, cls)
-                    if agg.rate_Bps > service.rate_Bps:
-                        raise RateOverload(
-                            f"class {cls} at {port}: {agg.rate_Bps} B/s over residual"
-                        )
-                    backlog += agg.burst_B + ceil_div(
-                        agg.rate_Bps * service.latency_us, US_PER_S
-                    )
-                if backlog > profile.port_buffer_B:
+                buffer_B = topo.profile(port.node).port_buffer_B
+                backlog = sum(backlog_bound(states[port], cls) for cls in classes)
+                if backlog > buffer_B:
                     raise _Infeasible(
                         "BufferExceeded",
-                        f"port {port}: backlog {backlog} B > buffer {profile.port_buffer_B} B",
+                        f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
                     )
         except (Unschedulable, RateOverload) as exc:
             raise _Infeasible("Unschedulable", str(exc)) from exc
@@ -308,37 +302,30 @@ class NetworkState:
 
     def _transit_terms(self, spec: FlowSpec) -> tuple[int, int]:
         """(uplink bound, downlink bound) in us; zero when not applicable."""
-        ul_us = dl_us = 0
         transit = self.topology.transit
-        if self.topology.is_ue(spec.src):
-            ue = transit.ue(spec.src)
-            peers = [
+        bounds = []
+        for end, direction, name, capacity in (
+            ("src", UPLINK, "uplink", ul_capacity),
+            ("dst", DOWNLINK, "downlink", dl_capacity),
+        ):
+            ue_id = getattr(spec, end)
+            if not self.topology.is_ue(ue_id):
+                bounds.append(0)
+                continue
+            ue = transit.ue(ue_id)
+            peers = sum(
                 rec.placement.spec.rate_Bps
                 for rec in self._flows.values()
-                if rec.placement.spec.src == spec.src
-            ]
-            if sum(peers) + spec.rate_Bps > ul_capacity(transit.tdd, ue):
+                if getattr(rec.placement.spec, end) == ue_id
+            )
+            if peers + spec.rate_Bps > capacity(transit.tdd, ue):
                 raise RateExceedsCapacity(
-                    f"aggregate uplink rate of {spec.src} exceeds TDD capacity"
+                    f"aggregate {name} rate of {ue_id} exceeds TDD capacity"
                 )
-            ul_us = transit_contract(
-                transit, spec.src, UPLINK, spec.burst_B, spec.rate_Bps
-            ).delay_bound_us
-        if self.topology.is_ue(spec.dst):
-            ue = transit.ue(spec.dst)
-            peers = [
-                rec.placement.spec.rate_Bps
-                for rec in self._flows.values()
-                if rec.placement.spec.dst == spec.dst
-            ]
-            if sum(peers) + spec.rate_Bps > dl_capacity(transit.tdd, ue):
-                raise RateExceedsCapacity(
-                    f"aggregate downlink rate of {spec.dst} exceeds TDD capacity"
-                )
-            dl_us = transit_contract(
-                transit, spec.dst, DOWNLINK, spec.burst_B, spec.rate_Bps
-            ).delay_bound_us
-        return ul_us, dl_us
+            bounds.append(transit_contract(
+                transit, ue_id, direction, spec.burst_B, spec.rate_Bps
+            ).delay_bound_us)
+        return tuple(bounds)
 
     def _regulator_terms(
         self, spec: FlowSpec, override: RegulatorConfig | None
@@ -658,14 +645,7 @@ class NetworkState:
         """Per-port, per-class backlog bounds implied by the current registry."""
         out: dict[PortId, dict[int, int]] = {}
         for port, classes in self._aggregates.items():
-            profile = self.topology.profile(port.node)
-            state = PortClassState(
-                link_rate_Bps=profile.link_rate_Bps,
-                class_count=profile.class_count,
-                classes=classes,
-                fwd_delay_us=profile.fwd_delay_us,
-                lmax_floor_B=self.default_max_pkt_B,
-            )
+            state = _port_state(self.topology, port, classes, self.default_max_pkt_B)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out
 

@@ -25,20 +25,6 @@ from .units import US_PER_S, ceil_div
 
 
 @dataclass(frozen=True)
-class TokenBucket:
-    """Arrival envelope: cumulative bytes in any window t <= burst_B + rate_Bps*t."""
-
-    burst_B: int
-    rate_Bps: int
-
-    def __post_init__(self):
-        if self.burst_B <= 0:
-            raise ValueError("token bucket burst must be positive")
-        if self.rate_Bps <= 0:
-            raise ValueError("token bucket rate must be positive")
-
-
-@dataclass(frozen=True)
 class RateLatency:
     """Service guarantee of at least rate_Bps * (t - latency_us)+ bytes."""
 
@@ -54,6 +40,11 @@ class ClassAggregate:
     rate_Bps: int = 0
     max_pkt_B: int = 0
     flows: tuple[str, ...] = ()
+
+
+# shared by every class without members; building a frozen dataclass per
+# lookup costs more than the bound it feeds
+_NO_FLOWS = ClassAggregate()
 
 
 @dataclass
@@ -83,7 +74,7 @@ class PortClassState:
             raise ValueError("forwarding delay table shorter than class count")
 
     def aggregate(self, priority: int) -> ClassAggregate:
-        return self.classes.get(priority, ClassAggregate())
+        return self.classes.get(priority, _NO_FLOWS)
 
     def blocking_pkt_B(self, priority: int) -> int:
         """Largest packet that can block `priority` non-preemptively.
@@ -120,6 +111,18 @@ def sp_residual_service(state: PortClassState, priority: int) -> RateLatency:
     return RateLatency(rate_Bps=residual, latency_us=latency_us)
 
 
+def _class_service(state: PortClassState, priority: int) -> tuple[ClassAggregate, RateLatency]:
+    """Class aggregate and its residual service; RateOverload if it cannot keep up."""
+    service = sp_residual_service(state, priority)
+    agg = state.aggregate(priority)
+    if agg.rate_Bps > service.rate_Bps:
+        raise RateOverload(
+            f"class {priority} rate {agg.rate_Bps} B/s exceeds residual "
+            f"{service.rate_Bps} B/s"
+        )
+    return agg, service
+
+
 def hop_delay_bound(state: PortClassState, priority: int) -> int:
     """Delay bound (us) for any class-`priority` packet at this port.
 
@@ -127,44 +130,19 @@ def hop_delay_bound(state: PortClassState, priority: int) -> int:
     class aggregate burst.  FIFO within the class, so every member flow
     inherits the aggregate bound.
     """
-    service = sp_residual_service(state, priority)
-    agg = state.aggregate(priority)
-    if agg.rate_Bps > service.rate_Bps:
-        raise RateOverload(
-            f"class {priority} rate {agg.rate_Bps} B/s exceeds residual "
-            f"{service.rate_Bps} B/s"
-        )
+    agg, service = _class_service(state, priority)
     queueing_us = ceil_div(agg.burst_B * US_PER_S, service.rate_Bps)
     return service.latency_us + queueing_us + state.fwd_delay_us[priority]
 
 
 def backlog_bound(state: PortClassState, priority: int) -> int:
     """Backlog bound (bytes) for class `priority`: q = b_p + r_p * T."""
-    service = sp_residual_service(state, priority)
-    agg = state.aggregate(priority)
-    if agg.rate_Bps > service.rate_Bps:
-        raise RateOverload(
-            f"class {priority} rate {agg.rate_Bps} B/s exceeds residual "
-            f"{service.rate_Bps} B/s"
-        )
+    agg, service = _class_service(state, priority)
     return agg.burst_B + ceil_div(agg.rate_Bps * service.latency_us, US_PER_S)
 
 
-def propagate_burst(tb: TokenBucket, hop_delay_us: int) -> TokenBucket:
-    """Output envelope after a hop with delay bound D: burst' = b + r*D."""
+def propagate_burst(burst_B: int, rate_Bps: int, hop_delay_us: int) -> int:
+    """Output burst after a hop with delay bound D: b' = b + r*D."""
     if hop_delay_us < 0:
         raise ValueError("hop delay must be non-negative")
-    grown = tb.burst_B + ceil_div(tb.rate_Bps * hop_delay_us, US_PER_S)
-    return TokenBucket(burst_B=grown, rate_Bps=tb.rate_Bps)
-
-
-def e2e_delay(per_hop_us, transit_us: int = 0, regulator_us: int = 0) -> int:
-    """Sum the path-ordered hop bounds with the transit and regulator terms."""
-    if transit_us < 0 or regulator_us < 0:
-        raise ValueError("delay components must be non-negative")
-    total = transit_us + regulator_us
-    for d in per_hop_us:
-        if d < 0:
-            raise ValueError("delay components must be non-negative")
-        total += d
-    return total
+    return burst_B + ceil_div(rate_Bps * hop_delay_us, US_PER_S)

@@ -21,12 +21,12 @@ from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
     dejitter_summary,
+    percentile_99,
     run,
     write_report,
     write_trace,
 )
 from .topology import enumerate_spanning_trees
-from .units import ceil_div
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,7 +172,7 @@ def cmd_report(args) -> int:
                 "min": lats[0],
                 "mean": round(sum(lats) / len(lats), 3),
                 "max": lats[-1],
-                "p99": lats[ceil_div(99 * len(lats), 100) - 1],
+                "p99": percentile_99(lats),
             }
             entry["jitter_us"] = round(lats[-1] - lats[0], 3)
         doc["flows"][fid] = entry

@@ -70,9 +70,6 @@ class NwttConfig:
             )
         self.rules[key] = rule
 
-    def remove_flow(self, flow_id: str) -> None:
-        self.rules = {k: r for k, r in self.rules.items() if r.flow_id != flow_id}
-
 
 def classify_and_tag(cfg: NwttConfig, src: str, dst: str):
     """Exact-match lookup; unmatched packets are best effort, never an error."""
@@ -84,12 +81,9 @@ class RegulatorState:
     """Mutable queue state; times are integer nanoseconds."""
 
     queue: deque = field(default_factory=deque)
-    anchor_ns: int | None = None
     next_release_ns: int | None = None
     last_release_ns: int | None = None
     drops: int = 0
-    accepted: int = 0
-    released: int = 0
 
 
 def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arrival_ns: int) -> bool:
@@ -103,9 +97,7 @@ def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arriv
         state.drops += 1
         return False
     state.queue.append((packet, t_arrival_ns))
-    state.accepted += 1
     if state.next_release_ns is None:
-        state.anchor_ns = t_arrival_ns
         release = t_arrival_ns + cfg.hold_us * NS_PER_US
         if state.last_release_ns is not None:
             release = max(release, state.last_release_ns + cfg.release_period_us * NS_PER_US)
@@ -127,6 +119,5 @@ def regulator_release(state: RegulatorState, cfg: RegulatorConfig, t_now_ns: int
         t_depart = state.next_release_ns
         out.append((packet, t_depart))
         state.last_release_ns = t_depart
-        state.released += 1
         state.next_release_ns = t_depart + period_ns if state.queue else None
     return out

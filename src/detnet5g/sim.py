@@ -491,9 +491,9 @@ class _Engine:
             handlers[kind](payload)
 
 
-def _percentile_99(sorted_ns: list[int]) -> float:
-    idx = ceil_div(99 * len(sorted_ns), 100) - 1
-    return sorted_ns[idx] / NS_PER_US
+def percentile_99(sorted_values: list):
+    """Nearest-rank 99th percentile of a non-empty ascending list."""
+    return sorted_values[ceil_div(99 * len(sorted_values), 100) - 1]
 
 
 def _flow_report(ctx: _FlowCtx) -> dict:
@@ -521,7 +521,7 @@ def _flow_report(ctx: _FlowCtx) -> dict:
             "min": lats[0] / NS_PER_US,
             "mean": round(sum(lats) / len(lats) / NS_PER_US, 3),
             "max": lats[-1] / NS_PER_US,
-            "p99": _percentile_99(lats),
+            "p99": percentile_99(lats) / NS_PER_US,
         }
         entry["jitter_us"] = (lats[-1] - lats[0]) / NS_PER_US
     return entry

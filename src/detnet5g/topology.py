@@ -83,7 +83,6 @@ class TopologySnapshot:
     """Neighbor records as polled from devices: (node, port, peer, peer_port)."""
 
     records: list[tuple[str, int, str, int]]
-    timestamp: float = 0.0
     polled: set[str] | None = None
 
     def polled_nodes(self) -> set[str]:

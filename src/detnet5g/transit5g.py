@@ -141,10 +141,9 @@ def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple
     found by counting through the per-period usable slot list; the burst
     completes at that slot's end boundary.  Worst case measures from the
     slot start (supremum within the slot), best case from the slot end.
+    The direction must have at least one usable slot.
     """
     usable = tdd.usable_slots(direction)
-    if not usable:
-        raise NoUplinkSlots(tdd.pattern) if direction == UPLINK else NoDownlinkSlots(tdd.pattern)
     n = ceil_div(burst_B, tbs_B)
     period = len(tdd.pattern)
     per_period = len(usable)
@@ -163,30 +162,35 @@ def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple
     return worst, best
 
 
-def worst_case_ul_latency(tdd: TddConfig, ue: UeRecord, burst_B: int, rate_Bps: int) -> int:
-    """Worst-case uplink latency (us) for a (burst, rate) flow of this UE."""
+def _contract(
+    tdd: TddConfig, ue: UeRecord, direction: str, burst_B: int, rate_Bps: int
+) -> TransitContract:
+    """Validate the flow against the direction's capacity, then sweep once."""
     if burst_B <= 0:
         raise ValueError("burst must be positive")
-    cap = ul_capacity(tdd, ue)
+    uplink = direction == UPLINK
+    tbs = ue.tbs_ul_B if uplink else ue.tbs_dl_B
+    cap = _capacity_Bps(tdd, tbs, direction)
     if cap == 0:
-        raise NoUplinkSlots(tdd.pattern)
+        raise NoUplinkSlots(tdd.pattern) if uplink else NoDownlinkSlots(tdd.pattern)
     if rate_Bps > cap:
-        raise RateExceedsCapacity(f"rate {rate_Bps} B/s > uplink capacity {cap} B/s")
-    worst, _ = _sweep_ns(tdd, UPLINK, ue.tbs_ul_B, burst_B)
-    return ns_to_us_ceil(worst)
+        name = "uplink" if uplink else "downlink"
+        raise RateExceedsCapacity(f"rate {rate_Bps} B/s > {name} capacity {cap} B/s")
+    worst_ns, best_ns = _sweep_ns(tdd, direction, tbs, burst_B)
+    worst_us, best_us = ns_to_us_ceil(worst_ns), ns_to_us_floor(best_ns)
+    return TransitContract(
+        delay_bound_us=worst_us, best_case_us=best_us, jitter_us=worst_us - best_us
+    )
+
+
+def worst_case_ul_latency(tdd: TddConfig, ue: UeRecord, burst_B: int, rate_Bps: int) -> int:
+    """Worst-case uplink latency (us) for a (burst, rate) flow of this UE."""
+    return _contract(tdd, ue, UPLINK, burst_B, rate_Bps).delay_bound_us
 
 
 def worst_case_dl_latency(tdd: TddConfig, ue: UeRecord, burst_B: int, rate_Bps: int) -> int:
     """Worst-case downlink latency (us); mirror of the uplink model."""
-    if burst_B <= 0:
-        raise ValueError("burst must be positive")
-    cap = dl_capacity(tdd, ue)
-    if cap == 0:
-        raise NoDownlinkSlots(tdd.pattern)
-    if rate_Bps > cap:
-        raise RateExceedsCapacity(f"rate {rate_Bps} B/s > downlink capacity {cap} B/s")
-    worst, _ = _sweep_ns(tdd, DOWNLINK, ue.tbs_dl_B, burst_B)
-    return ns_to_us_ceil(worst)
+    return _contract(tdd, ue, DOWNLINK, burst_B, rate_Bps).delay_bound_us
 
 
 def transit_contract(
@@ -199,18 +203,6 @@ def transit_contract(
     [best_case_us, delay_bound_us].
     """
     ue = node.ue(ue_id)
-    if direction == UPLINK:
-        delay_us = worst_case_ul_latency(node.tdd, ue, burst_B, rate_Bps)
-        tbs = ue.tbs_ul_B
-    elif direction == DOWNLINK:
-        delay_us = worst_case_dl_latency(node.tdd, ue, burst_B, rate_Bps)
-        tbs = ue.tbs_dl_B
-    else:
+    if direction not in (UPLINK, DOWNLINK):
         raise ValueError(f"direction must be '{UPLINK}' or '{DOWNLINK}'")
-    _, best_ns = _sweep_ns(node.tdd, direction, tbs, burst_B)
-    best_us = ns_to_us_floor(best_ns)
-    return TransitContract(
-        delay_bound_us=delay_us,
-        best_case_us=best_us,
-        jitter_us=delay_us - best_us,
-    )
+    return _contract(node.tdd, ue, direction, burst_B, rate_Bps)

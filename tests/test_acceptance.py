@@ -19,7 +19,9 @@ from detnet5g.transit5g import (
     DOWNLINK,
     UPLINK,
     TddConfig,
+    TransitNode5G,
     UeRecord,
+    transit_contract,
     worst_case_dl_latency,
     worst_case_ul_latency,
 )
@@ -181,6 +183,7 @@ def test_criterion_3_tdd_oracle_equivalence():
         burst = (n - 1) * tbs + 1
         tdd = TddConfig(pattern, numerology_mu=1, grant_delay_slots=gd)
         ue = UeRecord("u", tbs_ul_B=tbs, tbs_dl_B=tbs)
+        node = TransitNode5G(tdd, {"u": ue})
         for direction, fn, err in (
             (UPLINK, worst_case_ul_latency, NoUplinkSlots),
             (DOWNLINK, worst_case_dl_latency, NoDownlinkSlots),
@@ -189,9 +192,14 @@ def test_criterion_3_tdd_oracle_equivalence():
             if expected is None:
                 with pytest.raises(err):
                     fn(tdd, ue, burst, 1)
+                with pytest.raises(err):
+                    transit_contract(node, "u", direction, burst, 1)
             else:
-                assert fn(tdd, ue, burst, 1) == ceil_div(expected[0], 1_000), (
-                    pattern, gd, n, direction)
+                case = (pattern, gd, n, direction)
+                assert fn(tdd, ue, burst, 1) == ceil_div(expected[0], 1_000), case
+                contract = transit_contract(node, "u", direction, burst, 1)
+                assert contract.delay_bound_us == ceil_div(expected[0], 1_000), case
+                assert contract.best_case_us == expected[1] // 1_000, case
             cases += 1
 
     for length in range(1, 6):
@@ -208,8 +216,9 @@ def test_criterion_3_tdd_oracle_equivalence():
                     check(pattern, gd, n)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
-    print(f"\nPASS criterion 3: worst-case UL/DL latency matched the brute-force "
-          f"sweep oracle exactly in {cases} cases ({elapsed:.1f}s)")
+    print(f"\nPASS criterion 3: worst-case UL/DL latency and the transit contract's "
+          f"worst and best case matched the brute-force sweep oracle exactly in "
+          f"{cases} cases ({elapsed:.1f}s)")
 
 
 def _canonical(mutate=None):
