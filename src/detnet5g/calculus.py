@@ -19,14 +19,18 @@ division rounds up, so computed bounds never undercut the true worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import RateOverload, Unschedulable
 from .units import US_PER_S, ceil_div
 
 
-@dataclass(frozen=True)
-class RateLatency:
-    """Service guarantee of at least rate_Bps * (t - latency_us)+ bytes."""
+class RateLatency(NamedTuple):
+    """Service guarantee of at least rate_Bps * (t - latency_us)+ bytes.
+
+    A named tuple, not a frozen dataclass: one is built per residual-service
+    query, and a tuple builds in about half the time.
+    """
 
     rate_Bps: int
     latency_us: int
@@ -108,7 +112,7 @@ def sp_residual_service(state: PortClassState, priority: int) -> RateLatency:
     residual = state.link_rate_Bps - rate_hi
     lmax = state.blocking_pkt_B(priority)
     latency_us = ceil_div((burst_hi + lmax) * US_PER_S, residual)
-    return RateLatency(rate_Bps=residual, latency_us=latency_us)
+    return RateLatency(residual, latency_us)
 
 
 def _class_service(state: PortClassState, priority: int) -> tuple[ClassAggregate, RateLatency]:

@@ -174,8 +174,6 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
                     ue_id=uid,
                     tbs_ul_B=_positive_int(ue.get("tbs_ul_B"), f"{q}.tbs_ul_B"),
                     tbs_dl_B=_positive_int(ue.get("tbs_dl_B"), f"{q}.tbs_dl_B"),
-                    mcs_index=_expect(ue.get("mcs_index"), f"{q}.mcs_index", int,
-                                      optional=True, default=0),
                 )
             except ValueError as exc:
                 _fail(q, str(exc))

@@ -180,10 +180,22 @@ class _Engine:
         self.regulators: dict = {}
         self.nwtt_cfg: NwttConfig = state.nwtt_rules()
         self.polls = {"fixed": 0, "5g": 0}
+        # what a slot tick does depends only on its index: the UE rotation
+        # repeats every len(UEs) slots and the usable flags every pattern
+        self.rotations: list[list[tuple]] = []
+        self.ul_usable: list[bool] = []
+        self.dl_usable: list[bool] = []
         if self.transit is not None:
             for ue in self.transit.ues:
                 self.ue_ul[ue] = deque()
                 self.ue_dl[ue] = deque()
+            queues = [(self.ue_ul[ue], self.transit.ues[ue].tbs_ul_B,
+                       self.ue_dl[ue], self.transit.ues[ue].tbs_dl_B)
+                      for ue in sorted(self.ue_ul)]
+            self.rotations = [queues[k:] + queues[:k] for k in range(len(queues))]
+            tdd = self.transit.tdd
+            self.ul_usable = [tdd.slot_usable(k, UPLINK) for k in range(len(tdd.pattern))]
+            self.dl_usable = [tdd.slot_usable(k, DOWNLINK) for k in range(len(tdd.pattern))]
 
     # ------------------------------------------------------------- scheduling
 
@@ -272,22 +284,15 @@ class _Engine:
     # ------------------------------------------------------------- 5G segment
 
     def _handle_slot(self, slot_index: int):
-        tdd = self.transit.tdd
-        ues = sorted(self.ue_ul)
-        if ues:
-            pivot = slot_index % len(ues)
-            order = ues[pivot:] + ues[:pivot]
-        else:
-            order = []
-        if tdd.slot_usable(slot_index, UPLINK):
-            for ue in order:
-                self._drain_ue(self.ue_ul[ue], self.transit.ues[ue].tbs_ul_B,
-                               slot_index, uplink=True)
-        if tdd.slot_usable(slot_index, DOWNLINK):
-            for ue in order:
-                self._drain_ue(self.ue_dl[ue], self.transit.ues[ue].tbs_dl_B,
-                               slot_index, uplink=False)
-        nxt = (slot_index + 2) * tdd.slot_ns
+        order = self.rotations[slot_index % len(self.rotations)]
+        phase = slot_index % len(self.ul_usable)
+        if self.ul_usable[phase]:
+            for ul_queue, tbs_ul_B, _, _ in order:
+                self._drain_ue(ul_queue, tbs_ul_B, slot_index, uplink=True)
+        if self.dl_usable[phase]:
+            for _, _, dl_queue, tbs_dl_B in order:
+                self._drain_ue(dl_queue, tbs_dl_B, slot_index, uplink=False)
+        nxt = (slot_index + 2) * self.transit.tdd.slot_ns
         if nxt <= self.end_ns:
             self._push(nxt, "slot", slot_index + 1)
 

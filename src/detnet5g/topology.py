@@ -10,7 +10,6 @@ switches, expressed as the ordered egress ports it queues at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import ConflictingPort, Disconnected, NoTransitNode, Unreachable
@@ -196,34 +195,17 @@ def merge_5g_snapshot(topo: Topology, ues: list[UeRecord]) -> Topology:
     return merged
 
 
-def _spans(edge_subset: tuple[Link, ...], nodes: list[str]) -> bool:
-    """Union-find acyclicity + coverage check for a candidate edge set."""
-    parent = {n: n for n in nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edge_subset:
-        ra, rb = find(a.node), find(b.node)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    root = find(nodes[0])
-    return all(find(n) == root for n in nodes)
-
-
 def enumerate_spanning_trees(
     topo: Topology, *, base_vlan: int = 100, cap: int = 64
 ) -> tuple[list[VlanTree], bool]:
     """All spanning trees of the switch fabric, in deterministic order.
 
-    Trees are emitted lexicographically by their sorted edge lists and
-    assigned vlan_id = base_vlan + tree_index.  At most `cap` trees are
-    returned; the second element reports whether the enumeration was
-    truncated.
+    A depth-first search over edge indices in `switch_links()` order emits
+    trees lexicographically by edge index, with vlan_id = base_vlan +
+    tree_index.  An edge that would close a cycle cuts off every extension
+    of its prefix, so the cost grows with the trees emitted, not with
+    C(links, switches - 1).  At most `cap` trees are returned; the second
+    element reports whether a further tree exists (truncation).
     """
     nodes = sorted(topo.switches)
     if not nodes:
@@ -244,18 +226,38 @@ def enumerate_spanning_trees(
         raise Disconnected(f"switch graph not connected: reached {sorted(reach)}")
 
     want = len(nodes) - 1
+    # union-find without path compression, so backtracking undoes a union in one step
+    parent = {n: n for n in nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     trees: list[VlanTree] = []
-    truncated = False
-    for subset in combinations(edges, want):
-        if not _spans(subset, nodes):
+    chosen: list[int] = []  # edge indices of the acyclic prefix, ascending
+    joined: list[str] = []  # root each chosen edge attached, detached on backtrack
+    i = 0
+    while True:
+        if len(chosen) == want:
+            if len(trees) >= cap:
+                return trees, True
+            trees.append(VlanTree(vlan_id=base_vlan + len(trees), tree_index=len(trees),
+                                  edges=tuple(edges[k] for k in chosen)))
+        elif i <= len(edges) - (want - len(chosen)):
+            ra, rb = find(edges[i][0].node), find(edges[i][1].node)
+            if ra != rb:
+                parent[ra] = rb
+                chosen.append(i)
+                joined.append(ra)
+            i += 1
             continue
-        if len(trees) >= cap:
-            truncated = True
-            break
-        trees.append(
-            VlanTree(vlan_id=base_vlan + len(trees), tree_index=len(trees), edges=subset)
-        )
-    return trees, truncated
+        # backtrack: drop the last chosen edge and go on after its index
+        if not chosen:
+            return trees, False
+        root = joined.pop()
+        parent[root] = root
+        i = chosen.pop() + 1
 
 
 def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[PortId]:

@@ -86,7 +86,6 @@ class UeRecord:
     ue_id: str
     tbs_ul_B: int
     tbs_dl_B: int
-    mcs_index: int = 0
 
     def __post_init__(self):
         if self.tbs_ul_B <= 0 or self.tbs_dl_B <= 0:

@@ -41,6 +41,20 @@ def line_topology() -> Topology:
     return topo
 
 
+def grid_topology(rows: int = 3, cols: int = 3) -> Topology:
+    """Switch grid, one host H<r><c> per switch; ports 1 east, 2 south, 3 host, 4 west, 5 north."""
+    topo = Topology()
+    for r in range(rows):
+        for c in range(cols):
+            topo.switches[f"S{r}{c}"] = SwitchProfile()
+            topo.hosts[f"H{r}{c}"] = PortId(f"S{r}{c}", 3)
+            if c + 1 < cols:
+                topo.links.add(make_link(PortId(f"S{r}{c}", 1), PortId(f"S{r}{c + 1}", 4)))
+            if r + 1 < rows:
+                topo.links.add(make_link(PortId(f"S{r}{c}", 2), PortId(f"S{r + 1}{c}", 5)))
+    return topo
+
+
 @pytest.fixture
 def ring():
     return ring_topology()

@@ -6,10 +6,10 @@ from detnet5g import admission
 from detnet5g.admission import FlowSpec, NetworkState, _Infeasible, _Placement, _solve
 from detnet5g.errors import MalformedRequest, NotA5GFlow, UnknownFlow
 from detnet5g.nwtt import RegulatorConfig
-from detnet5g.topology import PortId, SwitchProfile, Topology, make_link, path_in_tree
+from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, UeRecord, transit_contract
 
-from conftest import ring_topology
+from conftest import grid_topology, ring_topology
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -330,20 +330,6 @@ class TestStateInvariants:
             trail2 = [apply_op(state2, op) for op in ops]
             assert trail2 == trail
             assert state2.snapshot() == state.snapshot()
-
-
-def grid_topology(rows: int = 3, cols: int = 3) -> Topology:
-    """Switch grid, one host H<r><c> per switch; ports 1 east, 2 south, 3 host, 4 west, 5 north."""
-    topo = Topology()
-    for r in range(rows):
-        for c in range(cols):
-            topo.switches[f"S{r}{c}"] = SwitchProfile()
-            topo.hosts[f"H{r}{c}"] = PortId(f"S{r}{c}", 3)
-            if c + 1 < cols:
-                topo.links.add(make_link(PortId(f"S{r}{c}", 1), PortId(f"S{r}{c + 1}", 4)))
-            if r + 1 < rows:
-                topo.links.add(make_link(PortId(f"S{r}{c}", 2), PortId(f"S{r + 1}{c}", 5)))
-    return topo
 
 
 def full_order_search(state, spec):

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,7 @@ from detnet5g.topology import (
     SwitchProfile,
     Topology,
     TopologySnapshot,
+    VlanTree,
     enumerate_spanning_trees,
     make_link,
     merge_5g_snapshot,
@@ -16,7 +19,7 @@ from detnet5g.topology import (
 )
 from detnet5g.transit5g import UeRecord
 
-from conftest import ring_topology
+from conftest import grid_topology, ring_topology
 
 
 def count_spanning_trees_oracle(nodes, edges) -> int:
@@ -50,6 +53,58 @@ def count_spanning_trees_oracle(nodes, edges) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[size - 1][size - 1]
+
+
+def reference_spanning_trees(topo, *, base_vlan=100, cap=64):
+    """The earlier enumerator, kept as the reference: every
+    (switches - 1)-subset of the links in `combinations` order, kept when a
+    union-find finds it acyclic and spanning."""
+    nodes = sorted(topo.switches)
+
+    def spans(subset):
+        parent = {n: n for n in nodes}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in subset:
+            ra, rb = find(a.node), find(b.node)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+        root = find(nodes[0])
+        return all(find(n) == root for n in nodes)
+
+    trees = []
+    for subset in combinations(topo.switch_links(), len(nodes) - 1):
+        if not spans(subset):
+            continue
+        if len(trees) >= cap:
+            return trees, True
+        trees.append(VlanTree(vlan_id=base_vlan + len(trees), tree_index=len(trees), edges=subset))
+    return trees, False
+
+
+def random_multigraph(rng) -> Topology:
+    """2-7 switches: a random spanning tree plus extra links, some parallel, rare self-links."""
+    n = rng.randrange(2, 8)
+    topo = Topology(switches={f"S{i}": SwitchProfile() for i in range(n)})
+    next_port = dict.fromkeys(topo.switches, 0)
+
+    def link(a, b):
+        pa = next_port[a] = next_port[a] + 1
+        pb = next_port[b] = next_port[b] + 1
+        topo.links.add(make_link(PortId(a, pa), PortId(b, pb)))
+
+    for i in range(1, n):
+        link(f"S{i}", f"S{rng.randrange(i)}")
+    for _ in range(rng.randrange(0, n + 3)):
+        a, b = rng.sample(sorted(topo.switches), 2) if rng.random() < 0.9 else ["S0", "S0"]
+        link(a, b)
+    return topo
 
 
 def switch_graph(topo):
@@ -207,6 +262,50 @@ class TestSpanningTrees:
         topo = Topology(switches={"S1": SwitchProfile(), "S2": SwitchProfile()})
         with pytest.raises(Disconnected):
             enumerate_spanning_trees(topo)
+
+    def test_matches_reference_enumerator_on_random_multigraphs(self):
+        rng = random.Random(7)
+        parallel = 0
+        for _ in range(40):
+            topo = random_multigraph(rng)
+            pairs = [tuple(sorted((a.node, b.node))) for a, b in topo.switch_links()]
+            parallel += len(pairs) - len(set(pairs))
+            for cap in (0, 1, 5, 10_000):
+                assert enumerate_spanning_trees(topo, cap=cap) == \
+                    reference_spanning_trees(topo, cap=cap)
+        assert parallel > 0
+
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_matches_reference_enumerator_on_grids(self, rows):
+        topo = grid_topology(rows, rows)
+        for cap in (1, 63, 64, 65, 256):
+            assert enumerate_spanning_trees(topo, cap=cap) == \
+                reference_spanning_trees(topo, cap=cap)
+
+    @pytest.mark.parametrize("rows", [5, 6])
+    def test_large_grid_stops_at_cap(self, rows):
+        topo = grid_topology(rows, rows)
+        start = time.perf_counter()
+        trees, truncated = enumerate_spanning_trees(topo)
+        assert time.perf_counter() - start < 2.0
+        assert len(trees) == 64 and truncated
+        # the first tree keeps each link, in order, that closes no cycle
+        parent = {n: n for n in topo.switches}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        greedy = []
+        for a, b in topo.switch_links():
+            ra, rb = find(a.node), find(b.node)
+            if ra != rb:
+                parent[ra] = rb
+                greedy.append((a, b))
+        assert trees[0].edges == tuple(greedy)
+        edge_lists = [t.edges for t in trees]
+        assert edge_lists == sorted(set(edge_lists))
 
     def test_deterministic_order(self, ring):
         a, _ = enumerate_spanning_trees(ring)
