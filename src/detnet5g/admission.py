@@ -39,7 +39,7 @@ from .errors import (
     UnknownFlow,
     Unschedulable,
 )
-from .nwtt import NwttConfig, NwttRule, RegulatorConfig
+from .nwtt import NwttConfig, NwttRule, RegulatorConfig, regulator_delay_bound
 from .topology import (
     PortId,
     Topology,
@@ -49,11 +49,10 @@ from .topology import (
     path_in_tree,
 )
 from .transit5g import DOWNLINK, UPLINK, dl_capacity, transit_contract, ul_capacity
-from .units import ceil_div
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_PKT_B = 1500
+DEFAULT_MAX_PKT_B = 1500  # largest unannounced frame that can block a higher class
 SOLVER_ITER_CAP = 100
 
 
@@ -141,7 +140,7 @@ class _Solution:
 
 
 def _port_state(
-    topo: Topology, port: PortId, classes: dict[int, ClassAggregate], lmax_floor_B: int
+    topo: Topology, port: PortId, classes: dict[int, ClassAggregate]
 ) -> PortClassState:
     profile = topo.profile(port.node)
     return PortClassState(
@@ -149,17 +148,11 @@ def _port_state(
         class_count=profile.class_count,
         classes=classes,
         fwd_delay_us=profile.fwd_delay_us,
-        lmax_floor_B=lmax_floor_B,
+        lmax_floor_B=DEFAULT_MAX_PKT_B,
     )
 
 
-def _solve(
-    topo: Topology,
-    placements: dict[str, _Placement],
-    *,
-    lmax_floor_B: int,
-    iter_cap: int = SOLVER_ITER_CAP,
-) -> _Solution:
+def _solve(topo: Topology, placements: dict[str, _Placement]) -> _Solution:
     """Fixed point of hop bounds and propagated bursts over all flows.
 
     Bursts start at each flow's spec value and only grow, so the first
@@ -174,7 +167,7 @@ def _solve(
         fid: [placements[fid].spec.burst_B] * len(placements[fid].hops) for fid in fids
     }
 
-    for _ in range(iter_cap):
+    for _ in range(SOLVER_ITER_CAP):
         # aggregate the current per-hop bursts into port/class state
         raw: dict[PortId, dict[int, list]] = {}
         for fid in fids:
@@ -192,7 +185,7 @@ def _solve(
                 cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
                 for cls, (b, r, m, flows) in per_cls.items()
             }
-            states[port] = _port_state(topo, port, aggregates[port], lmax_floor_B)
+            states[port] = _port_state(topo, port, aggregates[port])
         delays: dict[tuple[PortId, int], int] = {}
 
         changed = False
@@ -245,20 +238,15 @@ class NetworkState:
         topology: Topology,
         *,
         trees: list[VlanTree] | None = None,
-        tree_cap: int = 64,
-        base_vlan: int = 100,
         class_count: int | None = None,
         best_effort_class: int = 0,
-        default_max_pkt_B: int = DEFAULT_MAX_PKT_B,
         enable_reconfig: bool = True,
         default_regulator: RegulatorConfig | None = None,
     ):
         self.topology = topology
         self.trees_truncated = False
         if trees is None:
-            trees, self.trees_truncated = enumerate_spanning_trees(
-                topology, base_vlan=base_vlan, cap=tree_cap
-            )
+            trees, self.trees_truncated = enumerate_spanning_trees(topology)
         self.trees = list(trees)
         if not self.trees:
             raise Unreachable("topology yields no VLAN trees")
@@ -267,7 +255,6 @@ class NetworkState:
             class_count, profile_classes
         )
         self.best_effort_class = best_effort_class
-        self.default_max_pkt_B = default_max_pkt_B
         self.enable_reconfig = enable_reconfig
         self.default_regulator = default_regulator
         self._flows: dict[str, _FlowRecord] = {}
@@ -337,17 +324,19 @@ class NetworkState:
         cfg = override or self.default_regulator
         if cfg is None:
             raise InvalidSpec("dejitter requested but no regulator configured")
-        bound = cfg.hold_us + (ceil_div(spec.burst_B, spec.max_pkt_B) - 1) * cfg.release_period_us
-        return bound, cfg
+        return regulator_delay_bound(cfg, spec.burst_B, spec.max_pkt_B), cfg
 
-    def _candidates(self, spec: FlowSpec, transit_us: int, reg_us: int, reg_cfg):
-        """Placements in fixed search order: class descending, tree ascending.
+    def _candidates(self, terms: _Placement):
+        """Placements of a flow in fixed search order: class descending, tree ascending.
 
-        The solve depends on (class, hops) only, so a tree whose path repeats
-        an earlier tree's is skipped: it would fail exactly as that one did.
-        Paths are discovered lazily while the top class walks the trees, so
-        an accept on an early tree costs only the paths walked so far.
+        Only the spec and the transit and regulator terms of `terms` are read;
+        its own class and tree are not.  The solve depends on (class, hops)
+        only, so a tree whose path repeats an earlier tree's is skipped: it
+        would fail exactly as that one did.  Paths are discovered lazily while
+        the top class walks the trees, so an accept on an early tree costs
+        only the paths walked so far.
         """
+        spec = terms.spec
         distinct: list[tuple[VlanTree, tuple[PortId, ...]]] = []
 
         def routes():
@@ -367,9 +356,9 @@ class NetworkState:
                     priority=priority,
                     tree=tree,
                     hops=hops,
-                    transit_us=transit_us,
-                    regulator_us=reg_us,
-                    regulator=reg_cfg,
+                    transit_us=terms.transit_us,
+                    regulator_us=terms.regulator_us,
+                    regulator=terms.regulator,
                 )
 
     def _placements(self) -> dict[str, _Placement]:
@@ -417,17 +406,16 @@ class NetworkState:
             return Decision(False, reason="Unschedulable", detail=str(exc))
         except InvalidSpec as exc:
             return Decision(False, reason="InvalidSpec", detail=str(exc))
-        transit_us = ul_us + dl_us
+        # the flow's terms; _candidates supplies class, tree and hops
+        request = _Placement(spec, None, None, (), ul_us + dl_us, reg_us, reg_cfg)
 
         current = self._placements()
         reasons: dict[str, str] = {}
-        for cand in self._candidates(spec, transit_us, reg_us, reg_cfg):
+        for cand in self._candidates(request):
             trial = dict(current)
             trial[spec.flow_id] = cand
             try:
-                solution = _solve(
-                    self.topology, trial, lmax_floor_B=self.default_max_pkt_B
-                )
+                solution = _solve(self.topology, trial)
             except _Infeasible as exc:
                 reasons.setdefault(exc.reason, exc.detail)
                 continue
@@ -444,7 +432,7 @@ class NetworkState:
             )
 
         if self.enable_reconfig and self._flows:
-            batch = self._batch_reassign(spec, transit_us, reg_us, reg_cfg)
+            batch = self._batch_reassign(request)
             if batch is not None:
                 placements, solution = batch
                 before = {
@@ -473,31 +461,26 @@ class NetworkState:
                 return Decision(False, reason=reason, detail=reasons[reason])
         return Decision(False, reason="Unschedulable", detail="no feasible candidate")
 
-    def _batch_reassign(self, new_spec, transit_us, reg_us, reg_cfg):
-        """Re-place every flow in ascending deadline order; None if that fails."""
-        entries = [
-            (rec.placement.spec, rec.placement.transit_us, rec.placement.regulator_us,
-             rec.placement.regulator)
-            for rec in self._flows.values()
-        ]
-        entries.append((new_spec, transit_us, reg_us, reg_cfg))
-        entries.sort(key=lambda e: (e[0].deadline_us, e[0].flow_id))
+    def _batch_reassign(self, request: _Placement):
+        """Re-place every flow in ascending deadline order; None if that fails.
+
+        Returns the placements with the solve of the last trial, which is
+        the solve of the full set.
+        """
+        pending = [rec.placement for rec in self._flows.values()] + [request]
+        pending.sort(key=lambda pl: (pl.spec.deadline_us, pl.spec.flow_id))
         placed: dict[str, _Placement] = {}
-        for spec, t_us, r_us, r_cfg in entries:
-            chosen = None
-            for cand in self._candidates(spec, t_us, r_us, r_cfg):
-                trial = dict(placed)
-                trial[spec.flow_id] = cand
+        for terms in pending:
+            for cand in self._candidates(terms):
+                trial = {**placed, terms.spec.flow_id: cand}
                 try:
-                    _solve(self.topology, trial, lmax_floor_B=self.default_max_pkt_B)
+                    solution = _solve(self.topology, trial)
                 except _Infeasible:
                     continue
-                chosen = cand
+                placed = trial
                 break
-            if chosen is None:
+            else:
                 return None
-            placed[spec.flow_id] = chosen
-        solution = _solve(self.topology, placed, lmax_floor_B=self.default_max_pkt_B)
         return placed, solution
 
     def remove_flow(self, flow_id: str) -> None:
@@ -506,7 +489,7 @@ class NetworkState:
         remaining = {
             fid: rec.placement for fid, rec in self._flows.items() if fid != flow_id
         }
-        solution = _solve(self.topology, remaining, lmax_floor_B=self.default_max_pkt_B)
+        solution = _solve(self.topology, remaining)
         self._commit(remaining, solution)
         log.info("flow %s removed", flow_id)
 
@@ -645,7 +628,7 @@ class NetworkState:
         """Per-port, per-class backlog bounds implied by the current registry."""
         out: dict[PortId, dict[int, int]] = {}
         for port, classes in self._aggregates.items():
-            state = _port_state(self.topology, port, classes, self.default_max_pkt_B)
+            state = _port_state(self.topology, port, classes)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out
 
@@ -653,9 +636,7 @@ class NetworkState:
         """Rebuild the cache from the registry alone (coherence oracle)."""
         if not self._flows:
             return {}
-        solution = _solve(
-            self.topology, self._placements(), lmax_floor_B=self.default_max_pkt_B
-        )
+        solution = _solve(self.topology, self._placements())
         return _canonical_aggregates(solution.aggregates)
 
     def snapshot(self) -> dict:

@@ -21,7 +21,8 @@ from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
     dejitter_summary,
-    percentile_99,
+    latency_summary,
+    parse_us,
     run,
     write_report,
     write_trace,
@@ -156,26 +157,20 @@ def cmd_report(args) -> int:
             if row["dropped"] == "1":
                 stats["dropped"] += 1
             elif row["latency_us"]:
-                stats["lat"].append(float(row["latency_us"]))
+                try:
+                    stats["lat"].append(parse_us(row["latency_us"]))
+                except ValueError as exc:
+                    raise ScenarioInvalid(
+                        f"{args.trace}: line {reader.line_num} column latency_us: {exc}"
+                    ) from None
     doc = {"schema_version": 1, "flows": {}}
     for fid, stats in sorted(flows.items()):
-        lats = sorted(stats["lat"])
-        entry = {
+        doc["flows"][fid] = {
             "sent": stats["sent"],
-            "received": len(lats),
+            "received": len(stats["lat"]),
             "dropped": stats["dropped"],
-            "latency_us": None,
-            "jitter_us": None,
+            **latency_summary(stats["lat"]),
         }
-        if lats:
-            entry["latency_us"] = {
-                "min": lats[0],
-                "mean": round(sum(lats) / len(lats), 3),
-                "max": lats[-1],
-                "p99": percentile_99(lats),
-            }
-            entry["jitter_us"] = round(lats[-1] - lats[0], 3)
-        doc["flows"][fid] = entry
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

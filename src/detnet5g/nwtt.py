@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .topology import PortId
-from .units import NS_PER_US
+from .units import NS_PER_US, ceil_div
 
 
 class BestEffort:
@@ -42,6 +42,15 @@ class RegulatorConfig:
             raise ValueError("queue capacity must be at least one packet")
         if self.hold_us < 0:
             raise ValueError("hold time must be non-negative")
+
+
+def regulator_delay_bound(cfg: RegulatorConfig, burst_B: int, max_pkt_B: int) -> int:
+    """Worst regulator delay in us of a (burst_B, max_pkt_B) flow alone in its queue.
+
+    The first packet of a busy period waits the hold time; a burst of
+    ceil(b/L) packets leaves one release period apart behind it.
+    """
+    return cfg.hold_us + (ceil_div(burst_B, max_pkt_B) - 1) * cfg.release_period_us
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ path so a broken file points at its own problem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .admission import FlowSpec
@@ -50,7 +50,6 @@ class Scenario:
     dejitter: RegulatorConfig | None = None
     duration_ms: int = 1000
     seed: int = 1
-    snapshot_schedule: list[dict] = field(default_factory=list)
     name: str = "scenario"
 
 
@@ -178,13 +177,6 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             except ValueError as exc:
                 _fail(q, str(exc))
         topo.transit = TransitNode5G(tdd=tdd, ues=ues, attach=attach)
-
-    topo.fixed_poll_interval_s = _expect(obj.get("fixed_poll_interval_s"),
-                                         f"{path}.fixed_poll_interval_s", int,
-                                         optional=True, default=200)
-    topo.fiveg_poll_interval_s = _expect(obj.get("fiveg_poll_interval_s"),
-                                         f"{path}.fiveg_poll_interval_s", int,
-                                         optional=True, default=5)
     return topo
 
 
@@ -315,14 +307,6 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     if uses_ue and topo.transit is None:
         _fail("topology.transit5g", "UE traffic declared but no transit node present")
 
-    schedule = _expect(sim.get("snapshot_schedule"), "sim.snapshot_schedule", list,
-                       optional=True, default=[])
-    for i, item in enumerate(schedule):
-        p = f"sim.snapshot_schedule[{i}]"
-        _expect(item, p, dict)
-        _positive_int(item.get("t_ms"), f"{p}.t_ms")
-        if item.get("kind") not in ("fixed", "5g"):
-            _fail(f"{p}.kind", "must be 'fixed' or '5g'")
     return Scenario(
         topology=topo,
         flows=flows,
@@ -332,7 +316,6 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         dejitter=dejitter,
         duration_ms=_positive_int(sim.get("duration_ms", 1000), "sim.duration_ms"),
         seed=_expect(sim.get("seed"), "sim.seed", int, optional=True, default=1),
-        snapshot_schedule=schedule,
         name=name,
     )
 

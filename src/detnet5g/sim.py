@@ -179,7 +179,6 @@ class _Engine:
         self.ue_dl: dict[str, deque] = {}
         self.regulators: dict = {}
         self.nwtt_cfg: NwttConfig = state.nwtt_rules()
-        self.polls = {"fixed": 0, "5g": 0}
         # what a slot tick does depends only on its index: the UE rotation
         # repeats every len(UEs) slots and the usable flags every pattern
         self.rotations: list[list[tuple]] = []
@@ -272,7 +271,7 @@ class _Engine:
         self.packets.append(pkt)
         if self.transit is not None and ctx.src in self.transit.ues:
             tdd = self.transit.tdd
-            pkt.eligible_slot = self.t // tdd.slot_ns + 1 + tdd.grant_delay_slots
+            pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
             pkt.transit_in = self.t
             self.ue_ul[ctx.src].append(pkt)
         else:
@@ -397,7 +396,7 @@ class _Engine:
             tdd = self.transit.tdd
             pkt.dl_in = self.t
             pkt.remaining_B = pkt.size_B
-            pkt.eligible_slot = self.t // tdd.slot_ns + 1 + tdd.grant_delay_slots
+            pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
             self.ue_dl[pkt.dst].append(pkt)
         else:
             self._deliver(pkt)
@@ -446,28 +445,6 @@ class _Engine:
             if transit < ctx.dl_best_us * NS_PER_US:
                 v["transit_best"] += 1
 
-    # ------------------------------------------------------------- polls
-
-    def _init_polls(self):
-        topo = self.state.topology
-        fixed_ns = topo.fixed_poll_interval_s * NS_PER_S
-        if fixed_ns <= self.end_ns:
-            self._push(fixed_ns, "poll", ("fixed", fixed_ns))
-        if self.transit is not None:
-            fg_ns = topo.fiveg_poll_interval_s * NS_PER_S
-            if fg_ns <= self.end_ns:
-                self._push(fg_ns, "poll", ("5g", fg_ns))
-        for item in self.scn.snapshot_schedule:
-            t_ns = item["t_ms"] * 1_000_000
-            if t_ns <= self.end_ns:
-                self._push(t_ns, "poll", (item["kind"], None))
-
-    def _handle_poll(self, payload):
-        kind, interval = payload
-        self.polls[kind] += 1
-        if interval is not None and self.t + interval <= self.end_ns:
-            self._push(self.t + interval, "poll", payload)
-
     # ------------------------------------------------------------- main loop
 
     def run(self):
@@ -475,7 +452,6 @@ class _Engine:
                    if entry.spec.flow_id in self.flows]
         sources += list(self.scn.extra_sources)
         self._init_sources(sources)
-        self._init_polls()
         if self.transit is not None and (self.ue_ul or self.ue_dl):
             if self.transit.tdd.slot_ns <= self.end_ns:
                 self._push(self.transit.tdd.slot_ns, "slot", 0)
@@ -486,7 +462,6 @@ class _Engine:
             "portin": self._handle_portin,
             "txdone": self._handle_txdone,
             "regrel": self._handle_regrel,
-            "poll": self._handle_poll,
         }
         while self.heap:
             t, _, kind, payload = heapq.heappop(self.heap)
@@ -496,14 +471,29 @@ class _Engine:
             handlers[kind](payload)
 
 
-def percentile_99(sorted_values: list):
-    """Nearest-rank 99th percentile of a non-empty ascending list."""
-    return sorted_values[ceil_div(99 * len(sorted_values), 100) - 1]
+def latency_summary(latencies_ns: list[int]) -> dict:
+    """The `latency_us` and `jitter_us` fields of a flow's report entry.
+
+    Works on exact integer nanoseconds, so a summary of a run and one
+    re-parsed from its trace agree to the byte.  The p99 is nearest-rank.
+    """
+    if not latencies_ns:
+        return {"latency_us": None, "jitter_us": None}
+    lats = sorted(latencies_ns)
+    return {
+        "latency_us": {
+            "min": lats[0] / NS_PER_US,
+            "mean": round(sum(lats) / len(lats) / NS_PER_US, 3),
+            "max": lats[-1] / NS_PER_US,
+            "p99": lats[ceil_div(99 * len(lats), 100) - 1] / NS_PER_US,
+        },
+        "jitter_us": (lats[-1] - lats[0]) / NS_PER_US,
+    }
 
 
 def _flow_report(ctx: _FlowCtx) -> dict:
     dropped = sum(ctx.drops.values())
-    entry = {
+    return {
         "admitted": ctx.registered,
         "critical": ctx.critical,
         "pcp": ctx.pcp,
@@ -515,27 +505,24 @@ def _flow_report(ctx: _FlowCtx) -> dict:
         "in_flight": ctx.sent - ctx.received - dropped,
         "drops": dict(sorted(ctx.drops.items())),
         "reorders": ctx.reorders,
-        "latency_us": None,
-        "jitter_us": None,
+        **latency_summary(ctx.latencies),
         "bound_violations": sum(ctx.violations.values()),
         "violations": dict(ctx.violations),
     }
-    if ctx.latencies:
-        lats = sorted(ctx.latencies)
-        entry["latency_us"] = {
-            "min": lats[0] / NS_PER_US,
-            "mean": round(sum(lats) / len(lats) / NS_PER_US, 3),
-            "max": lats[-1] / NS_PER_US,
-            "p99": percentile_99(lats) / NS_PER_US,
-        }
-        entry["jitter_us"] = (lats[-1] - lats[0]) / NS_PER_US
-    return entry
 
 
 def _format_us(ns) -> str:
     if ns is None:
         return ""
     return f"{ns // NS_PER_US}.{ns % NS_PER_US:03d}"
+
+
+def parse_us(text: str) -> int:
+    """Inverse of the trace's microsecond format: '12.345' -> 12345 ns."""
+    whole, dot, frac = text.partition(".")
+    if not (dot and whole.isdigit() and len(frac) == 3 and frac.isdigit()):
+        raise ValueError(f"expected microseconds with three decimals, got {text!r}")
+    return int(whole) * NS_PER_US + int(frac)
 
 
 def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
@@ -572,7 +559,6 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
         "flows": flow_reports,
         "ports": port_reports,
         "violations": {**total, "total": sum(total.values())},
-        "polls": dict(engine.polls),
     }
 
     rows = []

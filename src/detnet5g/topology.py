@@ -96,9 +96,6 @@ class Topology:
     links: set[Link] = field(default_factory=set)
     hosts: dict[str, PortId] = field(default_factory=dict)
     transit: TransitNode5G | None = None
-    fixed_poll_interval_s: int = 200
-    fiveg_poll_interval_s: int = 5
-    default_profile: SwitchProfile = DEFAULT_PROFILE
 
     def copy(self) -> "Topology":
         clone = Topology(
@@ -106,9 +103,6 @@ class Topology:
             links=set(self.links),
             hosts=dict(self.hosts),
             transit=None,
-            fixed_poll_interval_s=self.fixed_poll_interval_s,
-            fiveg_poll_interval_s=self.fiveg_poll_interval_s,
-            default_profile=self.default_profile,
         )
         if self.transit is not None:
             clone.transit = TransitNode5G(
@@ -155,9 +149,8 @@ def merge_snapshot(topo: Topology, snap: TopologySnapshot) -> Topology:
     """Fold one poll round into the topology.
 
     Reported links are unioned in; links touching a polled device that the
-    snapshot no longer reports are pruned.  Unknown switch ids get the
-    topology's default profile.  Applying the same snapshot twice is a
-    no-op.
+    snapshot no longer reports are pruned.  Unknown switch ids get
+    `DEFAULT_PROFILE`.  Applying the same snapshot twice is a no-op.
     """
     reported: set[Link] = set()
     ports_seen: dict[PortId, Link] = {}
@@ -182,7 +175,7 @@ def merge_snapshot(topo: Topology, snap: TopologySnapshot) -> Topology:
     for link in reported:
         for end in link:
             if end.node not in merged.switches and end.node not in merged.hosts:
-                merged.switches[end.node] = merged.default_profile
+                merged.switches[end.node] = DEFAULT_PROFILE
     return merged
 
 

@@ -78,6 +78,10 @@ class TddConfig:
     def slot_usable(self, index: int, direction: str) -> bool:
         return self.usable(self.pattern[index % len(self.pattern)], direction)
 
+    def first_grant_slot(self, arrival_slot: int) -> int:
+        """Earliest slot that may carry a packet arriving during `arrival_slot`."""
+        return arrival_slot + 1 + self.grant_delay_slots
+
 
 @dataclass(frozen=True)
 class UeRecord:
@@ -136,7 +140,7 @@ def dl_capacity(tdd: TddConfig, ue: UeRecord) -> int:
 def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple[int, int]:
     """(worst, best) latency in ns over all arrival slot offsets.
 
-    For arrival slot k the n-th usable slot at index >= k+1+grant_delay is
+    For arrival slot k the n-th usable slot at index >= first_grant_slot(k) is
     found by counting through the per-period usable slot list; the burst
     completes at that slot's end boundary.  Worst case measures from the
     slot start (supremum within the slot), best case from the slot end.
@@ -149,8 +153,7 @@ def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple
     worst = 0
     best = None
     for k in range(period):
-        grant_from = k + 1 + tdd.grant_delay_slots
-        wraps, offset = divmod(grant_from, period)
+        wraps, offset = divmod(tdd.first_grant_slot(k), period)
         pos = bisect_left(usable, offset)
         nth = pos + n - 1
         extra_wraps, within = divmod(nth, per_period)

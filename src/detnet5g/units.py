@@ -14,10 +14,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def us_to_ns(us: int) -> int:
-    return us * NS_PER_US
-
-
 def ns_to_us_ceil(ns: int) -> int:
     return ceil_div(ns, NS_PER_US)
 

@@ -296,7 +296,7 @@ def test_criterion_6_admission_atomicity_and_determinism():
 
 def test_criterion_7_regulator_algebra():
     from test_nwtt import drive_regulator
-    from detnet5g.nwtt import RegulatorConfig
+    from detnet5g.nwtt import RegulatorConfig, regulator_delay_bound
 
     rng = random.Random(707)
     us = 1_000
@@ -349,6 +349,7 @@ def test_criterion_7_regulator_algebra():
                 last_dep = t_ev
                 backlogged_since_last_dep = occupancy > 0
         bound = (hold + (ceil_div(burst, max_pkt) - 1) * period) * us
+        assert regulator_delay_bound(cfg, burst, max_pkt) * us == bound
         arrival_of = dict((pkt, t) for t, pkt in arrivals)
         for pkt, t_out in departures:
             assert t_out - arrival_of[pkt] <= bound

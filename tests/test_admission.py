@@ -346,8 +346,7 @@ def full_order_search(state, spec):
             cand = _Placement(spec=spec, priority=priority, tree=tree, hops=hops,
                               transit_us=0, regulator_us=0, regulator=None)
             try:
-                solution = _solve(state.topology, {**current, spec.flow_id: cand},
-                                  lmax_floor_B=state.default_max_pkt_B)
+                solution = _solve(state.topology, {**current, spec.flow_id: cand})
             except _Infeasible as exc:
                 reasons.setdefault(exc.reason, exc.detail)
                 continue
@@ -378,7 +377,8 @@ class TestDeduplicatedSearch:
                                 burst_B=pkt * rng.randrange(1, 3), max_pkt_B=pkt,
                                 deadline_us=rng.choice([30_000, 60_000, 1_000_000]))
 
-                cands = [(c.priority, c.hops) for c in state._candidates(spec, 0, 0, None)]
+                terms = _Placement(spec, None, None, (), 0, 0, None)  # no transit, no regulator
+                cands = [(c.priority, c.hops) for c in state._candidates(terms)]
                 assert len(cands) == len(set(cands)) < 2 * len(state.trees)
                 expected, reasons = full_order_search(state, spec)
 
@@ -386,7 +386,7 @@ class TestDeduplicatedSearch:
                 with monkeypatch.context() as m:
                     m.setattr(admission, "path_in_tree",
                               lambda *args: calls.append(args) or path_in_tree(*args))
-                    next(state._candidates(spec, 0, 0, None))
+                    next(state._candidates(terms))
                 assert len(calls) == 1
 
                 decision = state.register_flow(spec)

@@ -5,6 +5,7 @@ import pytest
 
 from detnet5g.cli import main
 from detnet5g.scenario import canonical_scenario, canonical_topology
+from test_golden import ue_transit_doc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -184,18 +185,34 @@ class TestRun:
 
 
 class TestReport:
-    def test_resummarize_trace(self, scenario_file, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, dejitter", [
+        (canonical_scenario(), "off"),
+        (canonical_scenario(), "on"),
+        (ue_transit_doc(), "scenario"),
+    ], ids=["canonical-off", "canonical-on", "ue-transit"])
+    def test_resummarize_trace(self, doc, dejitter, tmp_path, capsys):
+        path = write_json(tmp_path / "scn.json", doc)
         out = tmp_path / "out"
-        main(["run", scenario_file, "--out", str(out), "--seed", "4"])
+        assert main(["run", path, "--out", str(out), "--seed", "4",
+                     "--dejitter", dejitter]) == 0
         capsys.readouterr()
-        trace = out / "scenario_scenario_seed4_trace.csv"
-        assert main(["report", str(trace)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "orange" in doc["flows"]
-        report = json.loads((out / "scenario_scenario_seed4_report.json").read_text())
-        assert doc["flows"]["orange"]["received"] == report["flows"]["orange"]["received"]
-        assert (doc["flows"]["orange"]["latency_us"]["max"]
-                == report["flows"]["orange"]["latency_us"]["max"])
+        assert main(["report", str(out / f"scn_{dejitter}_seed4_trace.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)["flows"]
+        report = json.loads((out / f"scn_{dejitter}_seed4_report.json").read_text())["flows"]
+        assert sorted(summary) == sorted(report)
+        keys = ("sent", "received", "dropped", "latency_us", "jitter_us")
+        for fid, flow in report.items():
+            assert {k: summary[fid][k] for k in keys} == {k: flow[k] for k in keys}, fid
+
+    def test_malformed_latency_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,dropped\n"
+                         "orange,0,25,1.000,2.500,1.500,0\n"
+                         "orange,1,25,3.000,4.000,abc,0\n")
+        assert main(["report", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert "trace.csv: line 3 column latency_us" in err and "'abc'" in err
+        assert "Traceback" not in err
 
     def test_missing_file_exits_one(self):
         assert main(["report", "/nonexistent/trace.csv"]) == 1

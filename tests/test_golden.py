@@ -9,6 +9,9 @@ uplink-to-downlink (UE1 -> UE2) and downlink only (G -> UE2), and the
 
 A change whose purpose is to change a bound updates these digests and
 records the old and new values, with the bounds that moved, in CHANGES.md.
+So does a change that adds or removes a report field: it updates the report
+digests, records old and new values, and checks that each new report equals
+the old one with only that field changed.
 On a mismatch the assertion message lists every current digest.
 """
 
@@ -25,15 +28,15 @@ GOLDEN = {
     "canonical-off.trace":
         "25ff53f96826fb562453a92c6d9e562aea32743a0176b95ce68baafe7d62f15f",
     "canonical-off.report":
-        "420803d0e41a7c218eec17b514ee71f5a93e4f0d3a67d80f06933a0796019c31",
+        "24787ed8a51d5c4c4ed8d9b8e8ddfe25f13cac4eb5c96564b3e1758436050e97",
     "canonical-on.trace":
         "97ec2f7714e6b89f975bb83d070b2b03d388c9662cd0e4054f9ac077411b419f",
     "canonical-on.report":
-        "650d24b0bc3784566ee09b8e3f1991e9c42bc4d5888f48f3244d023c43e0ff45",
+        "f622fb40d8d6ad33734191912e2fdff225edf150d8411b81aa671139c011a15a",
     "ue-transit.trace":
         "c5c91eda7c177bb162ab6a7fd61f21d6eb002a8fab15f5a5a5732796bdeb9c69",
     "ue-transit.report":
-        "463ed006a6f5d8eb6d6210d45cbe47f97d0bb0496120c2f590b7f34ddb62f912",
+        "480bed720038f411e02540898e58996fd01e84bb47dc6668b13b923bdac68208",
     "admit.json":
         "0c720818ba1378d905761727092cb7d9418a32494d288a1f3dcbfd8a1ce76f89",
 }

@@ -114,13 +114,6 @@ def test_bad_source_mode():
         load_scenario(doc)
 
 
-def test_snapshot_schedule_validated():
-    doc = canonical_scenario()
-    doc["sim"]["snapshot_schedule"] = [{"t_ms": 10, "kind": "carrier-pigeon"}]
-    with pytest.raises(ScenarioInvalid, match="kind"):
-        load_scenario(doc)
-
-
 def test_json_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{\n  \"schema_version\": 1,\n")
