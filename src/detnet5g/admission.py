@@ -12,12 +12,24 @@ to a fixed point (the iteration is monotone, so deadline/buffer violations
 detected on the way are final).  If no candidate fits, one batch pass
 re-places all flows in ascending-deadline order; failing that, the request
 is rejected and the registry is left untouched.
+
+The registry keeps the least fixed point of its flows as solver state.
+Rounds of monotone (Kleene) iteration started anywhere below a least fixed
+point reach that same point, so a trial never starts from scratch.  Adding
+a flow only raises aggregates: the trial starts from the committed point
+with the new flow's hops dirty.  Removing one only lowers them: the ports
+that can depend on it are re-solved, with the flows through them restarting
+from their spec burst after their first such hop.  Each round re-bounds the
+dirty ports only, and a cold solve is the same rounds from an empty state
+with every port dirty.  Trials work on a copy, so a reject leaves the
+committed state alone.  A warm trial may meet a different violation first
+than a cold solve, so a reject's reason and detail come from cold solves.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .calculus import (
     ClassAggregate,
@@ -133,10 +145,30 @@ class _Infeasible(Exception):
 
 
 @dataclass
-class _Solution:
-    hop_bounds: dict[str, tuple[int, ...]]
-    e2e_us: dict[str, int]
-    aggregates: dict[PortId, dict[int, ClassAggregate]]
+class _SolverState:
+    """Least fixed point of bursts and bounds for one set of placements.
+
+    Per flow: its placement, its input burst at each hop, its hop bounds and
+    its e2e bound.  Per port: the flows that cross it (with their hop index)
+    and, per class, the aggregate and its delay bound.  Trials copy the outer
+    dicts and replace, never mutate, the values they change, so the state a
+    trial starts from is left as it was whether the trial succeeds or not.
+    """
+
+    placements: dict[str, _Placement] = field(default_factory=dict)
+    bursts: dict[str, list[int]] = field(default_factory=dict)
+    hop_bounds: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    e2e_us: dict[str, int] = field(default_factory=dict)
+    members: dict[PortId, dict[str, int]] = field(default_factory=dict)
+    aggregates: dict[PortId, dict[int, ClassAggregate]] = field(default_factory=dict)
+    delays: dict[PortId, dict[int, int]] = field(default_factory=dict)
+
+    def copy(self) -> _SolverState:
+        return _SolverState(
+            dict(self.placements), dict(self.bursts), dict(self.hop_bounds),
+            dict(self.e2e_us), dict(self.members), dict(self.aggregates),
+            dict(self.delays),
+        )
 
 
 def _port_state(
@@ -152,71 +184,91 @@ def _port_state(
     )
 
 
-def _solve(topo: Topology, placements: dict[str, _Placement]) -> _Solution:
-    """Fixed point of hop bounds and propagated bursts over all flows.
+def _settle(topo: Topology, st: _SolverState, dirty: set[PortId], fresh: set[str]) -> None:
+    """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
 
-    Bursts start at each flow's spec value and only grow, so the first
-    deadline or buffer violation encountered is final and aborts early.
-    Within one iteration every member of a (port, class) aggregate shares
-    one delay bound, so each port state is built once and each (port,
-    class) bound is computed once, on first use in flow order, which keeps
-    the first failure, and so its detail, the same as a per-hop evaluation.
+    `st` must lie below its least fixed point: every port outside `dirty`
+    holds the aggregates and delays of its flows' current bursts, and every
+    flow outside `fresh` holds the bursts its hop bounds propagate.  Each
+    round rebuilds the dirty ports' aggregates, bounds their classes lazily
+    in sorted-flow order, re-propagates the flows whose hop bounds moved (and
+    the fresh ones), checks those flows' deadlines, then the dirty ports'
+    buffers in first-appearance order, and marks dirty the ports where a
+    burst moved.  That is a from-scratch round restricted to what can
+    change, so the first violation, the round count and the cap are those of
+    a from-scratch solve started from the same bursts.  Bounds only grow, so
+    a violation met on the way is final.
     """
-    fids = sorted(placements)
-    bursts: dict[str, list[int]] = {
-        fid: [placements[fid].spec.burst_B] * len(placements[fid].hops) for fid in fids
-    }
-
+    placements, bursts, hop_bounds, e2e = st.placements, st.bursts, st.hop_bounds, st.e2e_us
+    members, aggregates, delays = st.members, st.aggregates, st.delays
     for _ in range(SOLVER_ITER_CAP):
-        # aggregate the current per-hop bursts into port/class state
-        raw: dict[PortId, dict[int, list]] = {}
-        for fid in fids:
-            pl = placements[fid]
-            for i, port in enumerate(pl.hops):
-                slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0, []])
+        states: dict[PortId, PortClassState] = {}
+        for port in dirty:
+            crossing = members.get(port)
+            if not crossing:
+                members.pop(port, None)
+                aggregates.pop(port, None)
+                delays.pop(port, None)
+                continue
+            raw: dict[int, list] = {}
+            for fid, i in crossing.items():
+                pl = placements[fid]
+                slot = raw.get(pl.priority)
+                if slot is None:
+                    slot = raw[pl.priority] = [0, 0, 0, []]
                 slot[0] += bursts[fid][i]
                 slot[1] += pl.spec.rate_Bps
                 slot[2] = max(slot[2], pl.spec.max_pkt_B)
                 slot[3].append(fid)
-        aggregates: dict[PortId, dict[int, ClassAggregate]] = {}
-        states: dict[PortId, PortClassState] = {}
-        for port, per_cls in raw.items():
-            aggregates[port] = {
+            classes = {
                 cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
-                for cls, (b, r, m, flows) in per_cls.items()
+                for cls, (b, r, m, flows) in raw.items()
             }
-            states[port] = _port_state(topo, port, aggregates[port])
-        delays: dict[tuple[PortId, int], int] = {}
+            aggregates[port] = classes
+            states[port] = _port_state(topo, port, classes)
+            delays[port] = {}
 
-        changed = False
-        hop_bounds: dict[str, tuple[int, ...]] = {}
-        e2e: dict[str, int] = {}
+        moved: set[PortId] = set()
+        order: list[PortId] = []  # dirty ports in first-appearance order
         try:
-            for fid in fids:
+            for fid in sorted({fid for port in states for fid in members[port]}):
                 pl = placements[fid]
                 bounds = []
-                burst = pl.spec.burst_B
-                for i, port in enumerate(pl.hops):
-                    delay = delays.get((port, pl.priority))
+                for port in pl.hops:
+                    per_cls = delays[port]
+                    delay = per_cls.get(pl.priority)
                     if delay is None:
+                        if not per_cls:  # a dirty port's first bound: its first appearance
+                            order.append(port)
                         delay = hop_delay_bound(states[port], pl.priority)
-                        delays[port, pl.priority] = delay
+                        per_cls[pl.priority] = delay
                     bounds.append(delay)
-                    burst = propagate_burst(burst, pl.spec.rate_Bps, delay)
-                    if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
-                        bursts[fid][i + 1] = burst
-                        changed = True
-                hop_bounds[fid] = tuple(bounds)
+                bounds = tuple(bounds)
+                if fid not in fresh and bounds == hop_bounds[fid]:
+                    continue
+                spec = pl.spec
+                burst = spec.burst_B
+                propagated = [burst]
+                for delay in bounds[:-1]:
+                    burst = propagate_burst(burst, spec.rate_Bps, delay)
+                    propagated.append(burst)
+                old = bursts[fid]
+                if propagated != old:
+                    bursts[fid] = propagated
+                    moved.update(
+                        port for port, b, a in zip(pl.hops, old, propagated) if b != a
+                    )
+                hop_bounds[fid] = bounds
                 total = sum(bounds) + pl.transit_us + pl.regulator_us
                 e2e[fid] = total
-                if total > pl.spec.deadline_us:
+                if total > spec.deadline_us:
                     raise _Infeasible(
                         "DeadlineInfeasible",
-                        f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us",
+                        f"flow {fid!r}: bound {total} us > deadline {spec.deadline_us} us",
                     )
-            for port, classes in aggregates.items():
+            for port in order:
                 buffer_B = topo.profile(port.node).port_buffer_B
-                backlog = sum(backlog_bound(states[port], cls) for cls in classes)
+                backlog = sum(backlog_bound(states[port], cls) for cls in aggregates[port])
                 if backlog > buffer_B:
                     raise _Infeasible(
                         "BufferExceeded",
@@ -225,9 +277,73 @@ def _solve(topo: Topology, placements: dict[str, _Placement]) -> _Solution:
         except (Unschedulable, RateOverload) as exc:
             raise _Infeasible("Unschedulable", str(exc)) from exc
 
-        if not changed:
-            return _Solution(hop_bounds=hop_bounds, e2e_us=e2e, aggregates=aggregates)
+        if not moved:
+            return
+        dirty, fresh = moved, set()
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
+
+
+def _solve(topo: Topology, placements: dict[str, _Placement]) -> _SolverState:
+    """Cold solve: every flow starts at its spec burst and every port is dirty."""
+    st = _SolverState()
+    for fid, pl in placements.items():
+        st.placements[fid] = pl
+        st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
+        for i, port in enumerate(pl.hops):
+            st.members.setdefault(port, {})[fid] = i
+    _settle(topo, st, set(st.members), set(placements))
+    return st
+
+
+def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
+    """`base` plus one flow, solved warm from `base`'s fixed point.
+
+    Adding a flow only raises aggregates, so `base`'s bursts lie below the
+    new fixed point; only the new flow's hops start dirty.
+    """
+    st = base.copy()
+    fid = pl.spec.flow_id
+    st.placements[fid] = pl
+    st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
+    for i, port in enumerate(pl.hops):
+        st.members[port] = {**st.members.get(port, {}), fid: i}
+    _settle(topo, st, set(pl.hops), {fid})
+    return st
+
+
+def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState:
+    """`base` minus one flow, solved from what the removal cannot affect.
+
+    The affected ports are the removed flow's hops, then, transitively, every
+    later hop of a flow that crosses an affected port.  Ports outside that
+    closure keep their bounds.  Each flow through the closure keeps its
+    bursts up to its first affected hop and restarts from its spec burst
+    after it, which lies below the new fixed point, so the rounds climb to
+    the least fixed point a cold solve reaches.
+    """
+    st = base.copy()
+    gone = st.placements.pop(flow_id)
+    del st.bursts[flow_id], st.hop_bounds[flow_id], st.e2e_us[flow_id]
+    for port in gone.hops:
+        st.members[port] = {f: i for f, i in st.members[port].items() if f != flow_id}
+    first: dict[str, int] = {}  # flow -> index of its first affected hop
+    dirty = set(gone.hops)
+    work = list(gone.hops)
+    while work:
+        for fid, i in st.members[work.pop()].items():
+            j = first.get(fid)
+            if j is not None and j <= i:
+                continue
+            first[fid] = i
+            for port in st.placements[fid].hops[i + 1 : j]:
+                if port not in dirty:
+                    dirty.add(port)
+                    work.append(port)
+    for fid, i in first.items():
+        pl = st.placements[fid]
+        st.bursts[fid] = st.bursts[fid][: i + 1] + [pl.spec.burst_B] * (len(pl.hops) - i - 1)
+    _settle(topo, st, dirty, set(first))
+    return st
 
 
 class NetworkState:
@@ -258,7 +374,7 @@ class NetworkState:
         self.enable_reconfig = enable_reconfig
         self.default_regulator = default_regulator
         self._flows: dict[str, _FlowRecord] = {}
-        self._aggregates: dict[PortId, dict[int, ClassAggregate]] = {}
+        self._solver = _SolverState()
 
     # ------------------------------------------------------------------ helpers
 
@@ -364,23 +480,30 @@ class NetworkState:
     def _placements(self) -> dict[str, _Placement]:
         return {fid: rec.placement for fid, rec in self._flows.items()}
 
-    def _commit(self, placements: dict[str, _Placement], solution: _Solution) -> None:
+    def _commit(self, solver: _SolverState) -> None:
+        """Adopt a solved state; records of flows it did not re-bound are kept."""
         flows: dict[str, _FlowRecord] = {}
-        for fid, pl in placements.items():
+        for fid, pl in solver.placements.items():
+            bounds = solver.hop_bounds[fid]
+            rec = self._flows.get(fid)
+            # the very same tuple means the solver never re-bounded the flow
+            if rec is not None and rec.assignment.per_hop_bounds_us is bounds:
+                flows[fid] = rec
+                continue
             assignment = FlowAssignment(
                 flow_id=fid,
                 vlan_id=pl.tree.vlan_id,
                 priority_class=pl.priority,
                 hop_ports=pl.hops,
-                per_hop_bounds_us=solution.hop_bounds[fid],
+                per_hop_bounds_us=bounds,
                 transit_bound_us=pl.transit_us,
                 regulator_bound_us=pl.regulator_us,
-                e2e_bound_us=solution.e2e_us[fid],
+                e2e_bound_us=solver.e2e_us[fid],
             )
-            orphaned = fid in self._flows and self._flows[fid].orphaned
+            orphaned = rec is not None and rec.orphaned
             flows[fid] = _FlowRecord(placement=pl, assignment=assignment, orphaned=orphaned)
         self._flows = flows
-        self._aggregates = solution.aggregates
+        self._solver = solver
 
     # ------------------------------------------------------------------ operations
 
@@ -409,37 +532,34 @@ class NetworkState:
         # the flow's terms; _candidates supplies class, tree and hops
         request = _Placement(spec, None, None, (), ul_us + dl_us, reg_us, reg_cfg)
 
-        current = self._placements()
-        reasons: dict[str, str] = {}
+        tried: list[_Placement] = []
         for cand in self._candidates(request):
-            trial = dict(current)
-            trial[spec.flow_id] = cand
             try:
-                solution = _solve(self.topology, trial)
-            except _Infeasible as exc:
-                reasons.setdefault(exc.reason, exc.detail)
+                solver = _add_flow(self.topology, self._solver, cand)
+            except _Infeasible:
+                tried.append(cand)
                 continue
-            self._commit(trial, solution)
+            self._commit(solver)
             log.info(
                 "flow %s accepted: vlan %d class %d e2e %d us",
                 spec.flow_id,
                 cand.tree.vlan_id,
                 cand.priority,
-                solution.e2e_us[spec.flow_id],
+                solver.e2e_us[spec.flow_id],
             )
             return Decision(
                 True, assignment=self._flows[spec.flow_id].assignment, reconfigured=()
             )
 
         if self.enable_reconfig and self._flows:
-            batch = self._batch_reassign(request)
-            if batch is not None:
-                placements, solution = batch
+            solver = self._batch_reassign(request)
+            if solver is not None:
                 before = {
                     fid: (rec.placement.priority, rec.placement.tree.vlan_id)
                     for fid, rec in self._flows.items()
                 }
-                self._commit(placements, solution)
+                self._commit(solver)
+                placements = solver.placements
                 moved = tuple(
                     sorted(
                         fid
@@ -455,42 +575,64 @@ class NetworkState:
                     reconfigured=moved,
                 )
 
+        reason, detail = self._reject_reason(tried)
+        log.info("flow %s rejected: %s", spec.flow_id, reason)
+        return Decision(False, reason=reason, detail=detail)
+
+    def _reject_reason(self, tried: list[_Placement]) -> tuple[str, str]:
+        """Reason and detail of a reject, as cold solves of the candidates report them.
+
+        A warm trial can meet a different violation first than a cold solve
+        does, so the failed candidates are solved again cold, in search
+        order.  A `DeadlineInfeasible` outranks the other reasons, so the
+        first one ends the search.
+        """
+        current = self._placements()
+        reasons: dict[str, str] = {}
+        for cand in tried:
+            try:
+                _solve(self.topology, {**current, cand.spec.flow_id: cand})
+            except _Infeasible as exc:
+                reasons.setdefault(exc.reason, exc.detail)
+                if exc.reason == "DeadlineInfeasible":
+                    break
         for reason in ("DeadlineInfeasible", "BufferExceeded", "Unschedulable"):
             if reason in reasons:
-                log.info("flow %s rejected: %s", spec.flow_id, reason)
-                return Decision(False, reason=reason, detail=reasons[reason])
-        return Decision(False, reason="Unschedulable", detail="no feasible candidate")
+                return reason, reasons[reason]
+        return "Unschedulable", "no feasible candidate"
 
-    def _batch_reassign(self, request: _Placement):
+    def _batch_reassign(self, request: _Placement) -> _SolverState | None:
         """Re-place every flow in ascending deadline order; None if that fails.
 
-        Returns the placements with the solve of the last trial, which is
-        the solve of the full set.
+        The flows enter one at a time into a state of their own, each trial
+        solved warm from the flows placed before it.
         """
         pending = [rec.placement for rec in self._flows.values()] + [request]
         pending.sort(key=lambda pl: (pl.spec.deadline_us, pl.spec.flow_id))
-        placed: dict[str, _Placement] = {}
+        solver = _SolverState()
         for terms in pending:
             for cand in self._candidates(terms):
-                trial = {**placed, terms.spec.flow_id: cand}
                 try:
-                    solution = _solve(self.topology, trial)
+                    solver = _add_flow(self.topology, solver, cand)
                 except _Infeasible:
                     continue
-                placed = trial
                 break
             else:
                 return None
-        return placed, solution
+        return solver
 
     def remove_flow(self, flow_id: str) -> None:
-        """Drop a flow; the survivors' bounds can only improve."""
+        """Drop a flow; the survivors' bounds can only improve.
+
+        Only what the flow's removal can affect is re-solved (see
+        `_drop_flow`); removing the last flow just empties the state.
+        """
         self._record(flow_id)
-        remaining = {
-            fid: rec.placement for fid, rec in self._flows.items() if fid != flow_id
-        }
-        solution = _solve(self.topology, remaining)
-        self._commit(remaining, solution)
+        if len(self._flows) == 1:
+            solver = _SolverState()
+        else:
+            solver = _drop_flow(self.topology, self._solver, flow_id)
+        self._commit(solver)
         log.info("flow %s removed", flow_id)
 
     def apply_5g_snapshot(self, ues) -> list[str]:
@@ -621,13 +763,13 @@ class NetworkState:
     # ------------------------------------------------------------------ introspection
 
     def aggregates(self) -> dict:
-        """Port/class aggregates of the last full solve, in canonical form."""
-        return _canonical_aggregates(self._aggregates)
+        """Port/class aggregates of the committed fixed point, in canonical form."""
+        return _canonical_aggregates(self._solver.aggregates)
 
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:
         """Per-port, per-class backlog bounds implied by the current registry."""
         out: dict[PortId, dict[int, int]] = {}
-        for port, classes in self._aggregates.items():
+        for port, classes in self._solver.aggregates.items():
             state = _port_state(self.topology, port, classes)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out

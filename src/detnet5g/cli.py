@@ -152,6 +152,17 @@ def cmd_report(args) -> int:
         if reader.fieldnames != list(TRACE_COLUMNS):
             raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
         for row in reader:
+            where = f"{args.trace}: line {reader.line_num}"
+            # a short row fills the missing columns with None, a long one
+            # puts the surplus under the key None
+            if None in row or None in row.values():
+                raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
+            if not row["flow_id"]:
+                raise ScenarioInvalid(f"{where} column flow_id: empty")
+            if row["dropped"] not in ("0", "1"):
+                raise ScenarioInvalid(
+                    f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
+                )
             stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
             stats["sent"] += 1
             if row["dropped"] == "1":
@@ -160,9 +171,7 @@ def cmd_report(args) -> int:
                 try:
                     stats["lat"].append(parse_us(row["latency_us"]))
                 except ValueError as exc:
-                    raise ScenarioInvalid(
-                        f"{args.trace}: line {reader.line_num} column latency_us: {exc}"
-                    ) from None
+                    raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
     doc = {"schema_version": 1, "flows": {}}
     for fid, stats in sorted(flows.items()):
         doc["flows"][fid] = {

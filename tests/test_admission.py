@@ -3,13 +3,22 @@ import random
 import pytest
 
 from detnet5g import admission
-from detnet5g.admission import FlowSpec, NetworkState, _Infeasible, _Placement, _solve
-from detnet5g.errors import MalformedRequest, NotA5GFlow, UnknownFlow
+from detnet5g.admission import (
+    FlowSpec,
+    NetworkState,
+    _Infeasible,
+    _Placement,
+    _port_state,
+    _solve,
+    _SolverState,
+)
+from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
+from detnet5g.errors import MalformedRequest, NotA5GFlow, RateOverload, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, UeRecord, transit_contract
 
-from conftest import grid_topology, ring_topology
+from conftest import grid_topology, line_topology, ring_topology
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -346,7 +355,7 @@ def full_order_search(state, spec):
             cand = _Placement(spec=spec, priority=priority, tree=tree, hops=hops,
                               transit_us=0, regulator_us=0, regulator=None)
             try:
-                solution = _solve(state.topology, {**current, spec.flow_id: cand})
+                solution = reference_solve(state.topology, {**current, spec.flow_id: cand})
             except _Infeasible as exc:
                 reasons.setdefault(exc.reason, exc.detail)
                 continue
@@ -407,3 +416,191 @@ class TestDeduplicatedSearch:
                 live.append(spec.flow_id)
         # the sequences reach rejects and the lower class, not only first picks
         assert outcomes == {"rejected", ("class", 2), ("class", 1)}
+
+
+def reference_solve(topo, placements):
+    """The solve the incremental engine replaced, kept as the reference.
+
+    Every round rebuilds every (port, class) aggregate from every flow's
+    current bursts and bounds every flow from scratch.  Returns a
+    `_SolverState` with the final bursts, delays, bounds and aggregates.
+    """
+    fids = sorted(placements)
+    bursts = {
+        fid: [placements[fid].spec.burst_B] * len(placements[fid].hops) for fid in fids
+    }
+
+    for _ in range(admission.SOLVER_ITER_CAP):
+        raw = {}
+        for fid in fids:
+            pl = placements[fid]
+            for i, port in enumerate(pl.hops):
+                slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0, []])
+                slot[0] += bursts[fid][i]
+                slot[1] += pl.spec.rate_Bps
+                slot[2] = max(slot[2], pl.spec.max_pkt_B)
+                slot[3].append(fid)
+        aggregates = {}
+        states = {}
+        for port, per_cls in raw.items():
+            aggregates[port] = {
+                cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
+                for cls, (b, r, m, flows) in per_cls.items()
+            }
+            states[port] = _port_state(topo, port, aggregates[port])
+        delays = {}
+
+        changed = False
+        hop_bounds = {}
+        e2e = {}
+        try:
+            for fid in fids:
+                pl = placements[fid]
+                bounds = []
+                burst = pl.spec.burst_B
+                for i, port in enumerate(pl.hops):
+                    delay = delays.get((port, pl.priority))
+                    if delay is None:
+                        delay = hop_delay_bound(states[port], pl.priority)
+                        delays[port, pl.priority] = delay
+                    bounds.append(delay)
+                    burst = propagate_burst(burst, pl.spec.rate_Bps, delay)
+                    if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
+                        bursts[fid][i + 1] = burst
+                        changed = True
+                hop_bounds[fid] = tuple(bounds)
+                total = sum(bounds) + pl.transit_us + pl.regulator_us
+                e2e[fid] = total
+                if total > pl.spec.deadline_us:
+                    raise _Infeasible(
+                        "DeadlineInfeasible",
+                        f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us",
+                    )
+            for port, classes in aggregates.items():
+                buffer_B = topo.profile(port.node).port_buffer_B
+                backlog = sum(backlog_bound(states[port], cls) for cls in classes)
+                if backlog > buffer_B:
+                    raise _Infeasible(
+                        "BufferExceeded",
+                        f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
+                    )
+        except (Unschedulable, RateOverload) as exc:
+            raise _Infeasible("Unschedulable", str(exc)) from exc
+
+        if not changed:
+            per_port = {}
+            for (port, cls), delay in delays.items():
+                per_port.setdefault(port, {})[cls] = delay
+            return _SolverState(placements=dict(placements), bursts=bursts,
+                                hop_bounds=hop_bounds, e2e_us=e2e,
+                                aggregates=aggregates, delays=per_port)
+    raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
+
+
+def use_reference_solver(m):
+    """Route every solve of a registry through `reference_solve`."""
+    m.setattr(admission, "_solve", reference_solve)
+    m.setattr(admission, "_add_flow", lambda topo, base, pl: reference_solve(
+        topo, {**base.placements, pl.spec.flow_id: pl}))
+    m.setattr(admission, "_drop_flow", lambda topo, base, flow_id: reference_solve(
+        topo, {fid: pl for fid, pl in base.placements.items() if fid != flow_id}))
+
+
+def oracle_spec(rng, fid, endpoints):
+    """A request that is usually placeable, sometimes buffer- or rate-bound."""
+    src, dst = rng.sample(endpoints, 2)
+    kind = rng.random()
+    if kind < 0.06:  # beyond every link's rate
+        return FlowSpec(fid, src, dst, 200_000, 1_500, 1_500, 10_000_000)
+    if kind < 0.12:  # a backlog beyond every port's buffer, any deadline met
+        return FlowSpec(fid, src, dst, 2_000, 9_000, 1_500, 10_000_000)
+    pkt = rng.choice([300, 1_000, 1_500])
+    return FlowSpec(fid, src, dst, rng.choice([2_000, 5_000, 12_500, 25_000]),
+                    pkt * rng.randrange(1, 4), pkt,
+                    rng.choice([30_000, 60_000, 150_000, 1_000_000]))
+
+
+class TestIncrementalSolver:
+    def test_cap_hits_match_reference(self, monkeypatch):
+        """Three hops in a line: bursts settle in round 3, f1 misses in round 2."""
+        topo = line_topology()
+        tree = NetworkState(topo).trees[0]
+        hops = tuple(path_in_tree(topo, tree, "A", "B"))
+        assert len(hops) == 3
+        placements = {
+            fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, deadline),
+                            prio, tree, hops, 0, 0, None)
+            for fid, prio, rate, burst, deadline in (
+                ("f1", 7, 12_500, 3_000, 216_000),
+                ("f2", 7, 25_000, 4_500, 10**9),
+                ("f3", 6, 5_000, 1_500, 10**9),
+            )
+        }
+        seen = []
+        for cap in (1, 2):
+            monkeypatch.setattr(admission, "SOLVER_ITER_CAP", cap)
+            with pytest.raises(_Infeasible) as engine:
+                _solve(topo, placements)
+            with pytest.raises(_Infeasible) as reference:
+                reference_solve(topo, placements)
+            got = (engine.value.reason, engine.value.detail)
+            assert got == (reference.value.reason, reference.value.detail)
+            seen.append(got)
+        assert seen == [
+            ("Unschedulable", "burst propagation found no fixed point"),
+            ("DeadlineInfeasible", "flow 'f1': bound 280800 us > deadline 216000 us"),
+        ]
+        monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 3)
+        placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
+                                      7, tree, hops, 0, 0, None)
+        engine, reference = _solve(topo, placements), reference_solve(topo, placements)
+        assert (engine.bursts, engine.delays, engine.e2e_us) == (
+            reference.bursts, reference.delays, reference.e2e_us)
+
+    @pytest.mark.parametrize("fabric", ["ring", "grid"])
+    def test_registry_matches_reference_solver(self, fabric, monkeypatch):
+        small_buffers = SwitchProfile(port_buffer_B=8_000)
+        if fabric == "ring":
+            topo = ring_topology(profile=small_buffers)
+            topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))  # sharing S1 and S3
+            endpoints, kwargs, count = ["UE1", "UE2", "A", "D", "E", "G"], {}, 16
+        else:
+            topo = grid_topology()
+            topo.switches = {sid: small_buffers for sid in topo.switches}
+            endpoints, kwargs, count = sorted(topo.hosts), {"class_count": 3}, 16
+        outcomes = set()
+        for seed in range(10):
+            rng = random.Random(seed)
+            reconfig = seed % 2 == 0
+            state = NetworkState(topo, enable_reconfig=reconfig, **kwargs)
+            ref = NetworkState(topo, trees=state.trees, enable_reconfig=reconfig, **kwargs)
+            live = []
+            for i in range(count):
+                if live and rng.random() < 0.3:
+                    fid = live.pop(rng.randrange(len(live)))
+                    state.remove_flow(fid)
+                    with monkeypatch.context() as m:
+                        use_reference_solver(m)
+                        ref.remove_flow(fid)
+                else:
+                    spec = oracle_spec(rng, f"f{i}", endpoints)
+                    decision = state.register_flow(spec)
+                    with monkeypatch.context() as m:
+                        use_reference_solver(m)
+                        expected = ref.register_flow(spec)
+                    assert decision == expected, (fabric, seed, i)
+                    if decision.accepted:
+                        live.append(spec.flow_id)
+                        outcomes.add(("class", decision.assignment.priority_class))
+                        outcomes.add("moved" if decision.reconfigured else "placed")
+                        outcomes.add(("endpoint", spec.src[:2]))
+                    else:
+                        outcomes.add(decision.reason)
+                assert state.snapshot() == ref.snapshot()
+                assert state._solver.bursts == ref._solver.bursts
+                assert state._solver.delays == ref._solver.delays
+        assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable",
+                "placed", "moved"} <= outcomes
+        assert len({o for o in outcomes if o[0] == "class"}) >= 2
+        if fabric == "ring":
+            assert ("endpoint", "UE") in outcomes

@@ -214,5 +214,20 @@ class TestReport:
         assert "trace.csv: line 3 column latency_us" in err and "'abc'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("orange,1", "line 3: expected 7 fields"),
+        ("orange,1,25,3.000,4.000,1.000,0,extra", "line 3: expected 7 fields"),
+        (",,,,,,", "line 3 column flow_id: empty"),
+        ("x,0,100,0.000,1.000,1.000,7", "line 3 column dropped: expected 0 or 1, got '7'"),
+    ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped"])
+    def test_malformed_row_exits_one(self, row, message, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,dropped\n"
+                         f"orange,0,25,1.000,2.500,1.500,0\n{row}\n")
+        assert main(["report", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert f"trace.csv: {message}" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exits_one(self):
         assert main(["report", "/nonexistent/trace.csv"]) == 1
