@@ -35,11 +35,8 @@ from .topology import (
     PortId,
     SwitchProfile,
     Topology,
-    TopologySnapshot,
     VlanTree,
     enumerate_spanning_trees,
-    merge_5g_snapshot,
-    merge_snapshot,
     path_in_tree,
 )
 from .transit5g import (

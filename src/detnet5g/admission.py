@@ -13,17 +13,19 @@ detected on the way are final).  If no candidate fits, one batch pass
 re-places all flows in ascending-deadline order; failing that, the request
 is rejected and the registry is left untouched.
 
-The registry keeps the least fixed point of its flows as solver state.
-Rounds of monotone (Kleene) iteration started anywhere below a least fixed
-point reach that same point, so a trial never starts from scratch.  Adding
-a flow only raises aggregates: the trial starts from the committed point
-with the new flow's hops dirty.  Removing one only lowers them: the ports
-that can depend on it are re-solved, with the flows through them restarting
-from their spec burst after their first such hop.  Each round re-bounds the
-dirty ports only, and a cold solve is the same rounds from an empty state
-with every port dirty.  Trials work on a copy, so a reject leaves the
-committed state alone.  A warm trial may meet a different violation first
-than a cold solve, so a reject's reason and detail come from cold solves.
+The solver state is the registry: it holds the least fixed point of the
+admitted flows (placements, hop bounds, e2e bounds), and the assignments
+handed out are built from it on read.  Rounds of monotone (Kleene)
+iteration started anywhere below a least fixed point reach that same point,
+so a trial never starts from scratch.  Adding a flow only raises
+aggregates: the trial starts from the committed point with the new flow's
+hops dirty.  Removing one only lowers them: the ports that can depend on it
+are re-solved, with the flows through them restarting from their spec burst
+after their first such hop.  Each round re-bounds the dirty ports only, and
+a cold solve is the same rounds from an empty state with every port dirty.
+Trials work on a copy, so a reject leaves the committed state alone.  A
+warm trial may meet a different violation first than a cold solve, so a
+reject's reason and detail come from cold solves.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .topology import (
     Topology,
     VlanTree,
     enumerate_spanning_trees,
-    merge_5g_snapshot,
     path_in_tree,
 )
 from .transit5g import DOWNLINK, UPLINK, dl_capacity, transit_contract, ul_capacity
@@ -128,13 +129,6 @@ class _Placement:
     transit_us: int
     regulator_us: int
     regulator: RegulatorConfig | None
-
-
-@dataclass
-class _FlowRecord:
-    placement: _Placement
-    assignment: FlowAssignment
-    orphaned: bool = False
 
 
 class _Infeasible(Exception):
@@ -347,7 +341,7 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
 
 
 class NetworkState:
-    """Flow registry plus the admission pipeline over one topology."""
+    """Flow registry (the committed `_SolverState`) plus the admission pipeline."""
 
     def __init__(
         self,
@@ -373,28 +367,38 @@ class NetworkState:
         self.best_effort_class = best_effort_class
         self.enable_reconfig = enable_reconfig
         self.default_regulator = default_regulator
-        self._flows: dict[str, _FlowRecord] = {}
         self._solver = _SolverState()
 
     # ------------------------------------------------------------------ helpers
 
     def flows(self) -> dict[str, FlowAssignment]:
-        return {fid: rec.assignment for fid, rec in sorted(self._flows.items())}
+        return {fid: self._assignment(fid) for fid in sorted(self._solver.placements)}
 
     def spec_of(self, flow_id: str) -> FlowSpec:
-        return self._record(flow_id).placement.spec
+        return self._placement(flow_id).spec
 
     def regulator_of(self, flow_id: str) -> RegulatorConfig | None:
-        return self._record(flow_id).placement.regulator
+        return self._placement(flow_id).regulator
 
-    def orphaned_flows(self) -> list[str]:
-        return sorted(fid for fid, rec in self._flows.items() if rec.orphaned)
-
-    def _record(self, flow_id: str) -> _FlowRecord:
+    def _placement(self, flow_id: str) -> _Placement:
         try:
-            return self._flows[flow_id]
+            return self._solver.placements[flow_id]
         except KeyError:
             raise UnknownFlow(flow_id) from None
+
+    def _assignment(self, flow_id: str) -> FlowAssignment:
+        st = self._solver
+        pl = st.placements[flow_id]
+        return FlowAssignment(
+            flow_id=flow_id,
+            vlan_id=pl.tree.vlan_id,
+            priority_class=pl.priority,
+            hop_ports=pl.hops,
+            per_hop_bounds_us=st.hop_bounds[flow_id],
+            transit_bound_us=pl.transit_us,
+            regulator_bound_us=pl.regulator_us,
+            e2e_bound_us=st.e2e_us[flow_id],
+        )
 
     def _endpoint_kind(self, node_id: str) -> str:
         if node_id in self.topology.hosts:
@@ -417,9 +421,9 @@ class NetworkState:
                 continue
             ue = transit.ue(ue_id)
             peers = sum(
-                rec.placement.spec.rate_Bps
-                for rec in self._flows.values()
-                if getattr(rec.placement.spec, end) == ue_id
+                pl.spec.rate_Bps
+                for pl in self._solver.placements.values()
+                if getattr(pl.spec, end) == ue_id
             )
             if peers + spec.rate_Bps > capacity(transit.tdd, ue):
                 raise RateExceedsCapacity(
@@ -478,32 +482,7 @@ class NetworkState:
                 )
 
     def _placements(self) -> dict[str, _Placement]:
-        return {fid: rec.placement for fid, rec in self._flows.items()}
-
-    def _commit(self, solver: _SolverState) -> None:
-        """Adopt a solved state; records of flows it did not re-bound are kept."""
-        flows: dict[str, _FlowRecord] = {}
-        for fid, pl in solver.placements.items():
-            bounds = solver.hop_bounds[fid]
-            rec = self._flows.get(fid)
-            # the very same tuple means the solver never re-bounded the flow
-            if rec is not None and rec.assignment.per_hop_bounds_us is bounds:
-                flows[fid] = rec
-                continue
-            assignment = FlowAssignment(
-                flow_id=fid,
-                vlan_id=pl.tree.vlan_id,
-                priority_class=pl.priority,
-                hop_ports=pl.hops,
-                per_hop_bounds_us=bounds,
-                transit_bound_us=pl.transit_us,
-                regulator_bound_us=pl.regulator_us,
-                e2e_bound_us=solver.e2e_us[fid],
-            )
-            orphaned = rec is not None and rec.orphaned
-            flows[fid] = _FlowRecord(placement=pl, assignment=assignment, orphaned=orphaned)
-        self._flows = flows
-        self._solver = solver
+        return dict(self._solver.placements)
 
     # ------------------------------------------------------------------ operations
 
@@ -513,7 +492,7 @@ class NetworkState:
         """Admit a flow or reject it, leaving the registry untouched on reject."""
         try:
             spec.validate()
-            if spec.flow_id in self._flows:
+            if spec.flow_id in self._solver.placements:
                 raise InvalidSpec(f"flow id {spec.flow_id!r} already registered")
             self._endpoint_kind(spec.src)
             self._endpoint_kind(spec.dst)
@@ -539,7 +518,7 @@ class NetworkState:
             except _Infeasible:
                 tried.append(cand)
                 continue
-            self._commit(solver)
+            self._solver = solver
             log.info(
                 "flow %s accepted: vlan %d class %d e2e %d us",
                 spec.flow_id,
@@ -547,32 +526,25 @@ class NetworkState:
                 cand.priority,
                 solver.e2e_us[spec.flow_id],
             )
-            return Decision(
-                True, assignment=self._flows[spec.flow_id].assignment, reconfigured=()
-            )
+            return Decision(True, assignment=self._assignment(spec.flow_id), reconfigured=())
 
-        if self.enable_reconfig and self._flows:
+        if self.enable_reconfig and self._solver.placements:
             solver = self._batch_reassign(request)
             if solver is not None:
-                before = {
-                    fid: (rec.placement.priority, rec.placement.tree.vlan_id)
-                    for fid, rec in self._flows.items()
-                }
-                self._commit(solver)
+                before = self._solver.placements
                 placements = solver.placements
                 moved = tuple(
                     sorted(
                         fid
-                        for fid, (prio, vlan) in before.items()
+                        for fid, pl in before.items()
                         if (placements[fid].priority, placements[fid].tree.vlan_id)
-                        != (prio, vlan)
+                        != (pl.priority, pl.tree.vlan_id)
                     )
                 )
+                self._solver = solver
                 log.info("flow %s accepted after reconfiguring %s", spec.flow_id, moved)
                 return Decision(
-                    True,
-                    assignment=self._flows[spec.flow_id].assignment,
-                    reconfigured=moved,
+                    True, assignment=self._assignment(spec.flow_id), reconfigured=moved
                 )
 
         reason, detail = self._reject_reason(tried)
@@ -607,7 +579,7 @@ class NetworkState:
         The flows enter one at a time into a state of their own, each trial
         solved warm from the flows placed before it.
         """
-        pending = [rec.placement for rec in self._flows.values()] + [request]
+        pending = [*self._solver.placements.values(), request]
         pending.sort(key=lambda pl: (pl.spec.deadline_us, pl.spec.flow_id))
         solver = _SolverState()
         for terms in pending:
@@ -627,29 +599,12 @@ class NetworkState:
         Only what the flow's removal can affect is re-solved (see
         `_drop_flow`); removing the last flow just empties the state.
         """
-        self._record(flow_id)
-        if len(self._flows) == 1:
-            solver = _SolverState()
+        self._placement(flow_id)
+        if len(self._solver.placements) == 1:
+            self._solver = _SolverState()
         else:
-            solver = _drop_flow(self.topology, self._solver, flow_id)
-        self._commit(solver)
+            self._solver = _drop_flow(self.topology, self._solver, flow_id)
         log.info("flow %s removed", flow_id)
-
-    def apply_5g_snapshot(self, ues) -> list[str]:
-        """Replace the UE set and flag flows whose UE endpoint disappeared."""
-        self.topology = merge_5g_snapshot(self.topology, ues)
-        present = set(self.topology.transit.ues)
-        orphaned = []
-        for fid, rec in sorted(self._flows.items()):
-            spec = rec.placement.spec
-            lost = (
-                (spec.src not in self.topology.hosts and spec.src not in present)
-                or (spec.dst not in self.topology.hosts and spec.dst not in present)
-            )
-            rec.orphaned = lost
-            if lost:
-                orphaned.append(fid)
-        return orphaned
 
     # ------------------------------------------------------------------ wire surface
 
@@ -703,8 +658,8 @@ class NetworkState:
 
     def config_for_nwtt(self, flow_id: str) -> dict:
         """Route + tag (+ regulator) entry the translator needs for one flow."""
-        rec = self._record(flow_id)
-        spec = rec.placement.spec
+        pl = self._placement(flow_id)
+        spec = pl.spec
         if not self.topology.is_ue(spec.src):
             raise NotA5GFlow(flow_id)
         attach = self.topology.transit.attach
@@ -712,11 +667,11 @@ class NetworkState:
             "flow_id": flow_id,
             "match": {"src": spec.src, "dst": spec.dst},
             "egress": str(attach),
-            "vlan_id": rec.assignment.vlan_id,
-            "pcp": rec.assignment.priority_class,
+            "vlan_id": pl.tree.vlan_id,
+            "pcp": pl.priority,
             "regulator": None,
         }
-        reg = rec.placement.regulator
+        reg = pl.regulator
         if spec.dejitter and reg is not None:
             cfg["regulator"] = {
                 "hold_us": reg.hold_us,
@@ -728,23 +683,23 @@ class NetworkState:
 
     def config_for_host(self, flow_id: str) -> dict:
         """Tagging + policing entry for the source host's middleware."""
-        rec = self._record(flow_id)
-        spec = rec.placement.spec
+        pl = self._placement(flow_id)
+        spec = pl.spec
         if self.topology.is_ue(spec.src):
             raise NotA5GFlow(f"{flow_id}: source is a UE, configure the NW-TT instead")
         return {
             "flow_id": flow_id,
             "match": {"src": spec.src, "dst": spec.dst},
-            "vlan_id": rec.assignment.vlan_id,
-            "pcp": rec.assignment.priority_class,
+            "vlan_id": pl.tree.vlan_id,
+            "pcp": pl.priority,
             "policer": {"burst_B": spec.burst_B, "rate_Bps": spec.rate_Bps},
         }
 
     def nwtt_rules(self) -> NwttConfig:
         """Aggregate NW-TT ruleset over all admitted 5G-sourced flows."""
         cfg = NwttConfig()
-        for fid, rec in sorted(self._flows.items()):
-            spec = rec.placement.spec
+        for fid, pl in sorted(self._solver.placements.items()):
+            spec = pl.spec
             if not self.topology.is_ue(spec.src):
                 continue
             cfg.add_rule(
@@ -753,9 +708,9 @@ class NetworkState:
                     src=spec.src,
                     dst=spec.dst,
                     egress=self.topology.transit.attach,
-                    vlan_id=rec.assignment.vlan_id,
-                    pcp=rec.assignment.priority_class,
-                    regulator=rec.placement.regulator if spec.dejitter else None,
+                    vlan_id=pl.tree.vlan_id,
+                    pcp=pl.priority,
+                    regulator=pl.regulator if spec.dejitter else None,
                 )
             )
         return cfg
@@ -776,7 +731,7 @@ class NetworkState:
 
     def recompute_aggregates(self) -> dict:
         """Rebuild the cache from the registry alone (coherence oracle)."""
-        if not self._flows:
+        if not self._solver.placements:
             return {}
         solution = _solve(self.topology, self._placements())
         return _canonical_aggregates(solution.aggregates)
@@ -784,10 +739,9 @@ class NetworkState:
     def snapshot(self) -> dict:
         """Deep, comparable image of registry + cache for atomicity checks."""
         flows = {}
-        for fid, rec in sorted(self._flows.items()):
-            a = rec.assignment
+        for fid, a in self.flows().items():
             flows[fid] = {
-                "spec": rec.placement.spec,
+                "spec": self._solver.placements[fid].spec,
                 "vlan_id": a.vlan_id,
                 "priority_class": a.priority_class,
                 "hop_ports": a.hop_ports,
@@ -795,7 +749,6 @@ class NetworkState:
                 "transit_bound_us": a.transit_bound_us,
                 "regulator_bound_us": a.regulator_bound_us,
                 "e2e_bound_us": a.e2e_bound_us,
-                "orphaned": rec.orphaned,
             }
         return {"flows": flows, "aggregates": self.aggregates()}
 

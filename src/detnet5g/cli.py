@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, DetnetError, MalformedRequest, ScenarioInvalid
-from .scenario import load_scenario_file, load_topology_file
+from .scenario import load_scenario_file, load_topology_file, read_input, read_json
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -65,7 +66,7 @@ def cmd_trees(args) -> int:
 
 def cmd_admit(args) -> int:
     topo = load_topology_file(args.topology)
-    doc = json.loads(Path(args.flows).read_text())
+    doc = read_json(args.flows)
     if not isinstance(doc, dict) or not isinstance(doc.get("flows"), list):
         raise ScenarioInvalid(f"{args.flows}: expected an object with a 'flows' list")
     state = NetworkState(topo)
@@ -147,31 +148,30 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     flows: dict[str, dict] = {}
-    with open(args.trace, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(TRACE_COLUMNS):
-            raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            where = f"{args.trace}: line {reader.line_num}"
-            # a short row fills the missing columns with None, a long one
-            # puts the surplus under the key None
-            if None in row or None in row.values():
-                raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
-            if not row["flow_id"]:
-                raise ScenarioInvalid(f"{where} column flow_id: empty")
-            if row["dropped"] not in ("0", "1"):
-                raise ScenarioInvalid(
-                    f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
-                )
-            stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
-            stats["sent"] += 1
-            if row["dropped"] == "1":
-                stats["dropped"] += 1
-            elif row["latency_us"]:
-                try:
-                    stats["lat"].append(parse_us(row["latency_us"]))
-                except ValueError as exc:
-                    raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_input(args.trace)))
+    if reader.fieldnames != list(TRACE_COLUMNS):
+        raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
+    for row in reader:
+        where = f"{args.trace}: line {reader.line_num}"
+        # a short row fills the missing columns with None, a long one
+        # puts the surplus under the key None
+        if None in row or None in row.values():
+            raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
+        if not row["flow_id"]:
+            raise ScenarioInvalid(f"{where} column flow_id: empty")
+        if row["dropped"] not in ("0", "1"):
+            raise ScenarioInvalid(
+                f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
+            )
+        stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
+        stats["sent"] += 1
+        if row["dropped"] == "1":
+            stats["dropped"] += 1
+        elif row["latency_us"]:
+            try:
+                stats["lat"].append(parse_us(row["latency_us"]))
+            except ValueError as exc:
+                raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
     doc = {"schema_version": 1, "flows": {}}
     for fid, stats in sorted(flows.items()):
         doc["flows"][fid] = {
@@ -184,8 +184,27 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_USAGE; argparse's own code 2 is EXIT_REJECTED here.
+
+    `add_subparsers` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an int of at least 1; argparse reports a ValueError as usage."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detnet5g",
         description="Latency-guaranteed flow admission over a 5G-attached fabric",
     )
@@ -193,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trees = sub.add_parser("trees", help="list the VLAN spanning trees of a topology")
     p_trees.add_argument("topology", help="topology JSON file")
-    p_trees.add_argument("--cap", type=int, default=64, help="max trees to enumerate")
+    p_trees.add_argument("--cap", type=positive_int, default=64, help="max trees to enumerate")
     p_trees.add_argument("--json", action="store_true", help="machine-readable output")
     p_trees.set_defaults(func=cmd_trees)
 
@@ -226,7 +245,7 @@ def main(argv=None) -> int:
     except AdmissionMissing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (ScenarioInvalid, MalformedRequest, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ScenarioInvalid, MalformedRequest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DetnetError as exc:

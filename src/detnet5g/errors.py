@@ -5,14 +5,6 @@ class DetnetError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConflictingPort(DetnetError):
-    """A port appears in two different links within one snapshot."""
-
-
-class NoTransitNode(DetnetError):
-    """Operation needs a 5G segment but the topology has none."""
-
-
 class Disconnected(DetnetError):
     """The switch graph is not connected."""
 

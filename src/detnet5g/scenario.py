@@ -320,28 +320,28 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario_file(path) -> Scenario:
-    path = Path(path)
+def read_input(path) -> str:
+    """Text of an input file; one that cannot be read or decoded raises ScenarioInvalid."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    """Parsed JSON input file; an unreadable or malformed one raises ScenarioInvalid."""
     try:
-        obj = json.loads(text)
+        return json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return load_scenario(obj, name=path.stem)
+
+
+def load_scenario_file(path) -> Scenario:
+    return load_scenario(read_json(path), name=Path(path).stem)
 
 
 def load_topology_file(path) -> Topology:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioInvalid(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioInvalid(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return load_topology(obj)
+    return load_topology(read_json(path))
 
 
 def canonical_topology() -> dict:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConflictingPort, Disconnected, NoTransitNode, Unreachable
-from .transit5g import TransitNode5G, UeRecord
+from .errors import Disconnected, Unreachable
+from .transit5g import TransitNode5G
 
 
 class PortId(NamedTuple):
@@ -61,9 +61,6 @@ class SwitchProfile:
             raise ValueError("forwarding delays must be non-negative")
 
 
-DEFAULT_PROFILE = SwitchProfile()
-
-
 @dataclass(frozen=True)
 class VlanTree:
     """One spanning tree of the switch fabric, bound to a VLAN id."""
@@ -75,19 +72,6 @@ class VlanTree:
     def __post_init__(self):
         if not 1 <= self.vlan_id <= 4094:
             raise ValueError("VLAN id must be in 1..4094")
-
-
-@dataclass
-class TopologySnapshot:
-    """Neighbor records as polled from devices: (node, port, peer, peer_port)."""
-
-    records: list[tuple[str, int, str, int]]
-    polled: set[str] | None = None
-
-    def polled_nodes(self) -> set[str]:
-        if self.polled is not None:
-            return set(self.polled)
-        return {rec[0] for rec in self.records}
 
 
 @dataclass
@@ -143,49 +127,6 @@ class Topology:
 
     def is_ue(self, node_id: str) -> bool:
         return self.transit is not None and node_id in self.transit.ues
-
-
-def merge_snapshot(topo: Topology, snap: TopologySnapshot) -> Topology:
-    """Fold one poll round into the topology.
-
-    Reported links are unioned in; links touching a polled device that the
-    snapshot no longer reports are pruned.  Unknown switch ids get
-    `DEFAULT_PROFILE`.  Applying the same snapshot twice is a no-op.
-    """
-    reported: set[Link] = set()
-    ports_seen: dict[PortId, Link] = {}
-    for node, port, peer, peer_port in snap.records:
-        link = make_link(PortId(node, port), PortId(peer, peer_port))
-        for end in link:
-            prior = ports_seen.get(end)
-            if prior is not None and prior != link:
-                raise ConflictingPort(f"port {end} reported in {prior} and {link}")
-            ports_seen[end] = link
-        reported.add(link)
-
-    merged = topo.copy()
-    polled = snap.polled_nodes()
-    kept = {
-        link
-        for link in merged.links
-        if (link[0].node not in polled and link[1].node not in polled)
-        or link in reported
-    }
-    merged.links = kept | reported
-    for link in reported:
-        for end in link:
-            if end.node not in merged.switches and end.node not in merged.hosts:
-                merged.switches[end.node] = DEFAULT_PROFILE
-    return merged
-
-
-def merge_5g_snapshot(topo: Topology, ues: list[UeRecord]) -> Topology:
-    """Replace the transit node's UE set with the reported one."""
-    if topo.transit is None:
-        raise NoTransitNode("topology has no 5G segment")
-    merged = topo.copy()
-    merged.transit.ues = {ue.ue_id: ue for ue in ues}
-    return merged
 
 
 def enumerate_spanning_trees(

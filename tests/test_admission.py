@@ -16,7 +16,7 @@ from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, pr
 from detnet5g.errors import MalformedRequest, NotA5GFlow, RateOverload, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
-from detnet5g.transit5g import DOWNLINK, UeRecord, transit_contract
+from detnet5g.transit5g import DOWNLINK, transit_contract
 
 from conftest import grid_topology, line_topology, ring_topology
 
@@ -263,25 +263,6 @@ class TestNwttConfig:
         state.register_flow(spec(fid="f2", src="UE2", dst="G"))
         rules = state.nwtt_rules().rules
         assert set(rules) == {("UE1", "D"), ("UE2", "G")}
-
-
-class TestUeSnapshots:
-    def test_orphaned_flow_flagged(self, ring):
-        state = NetworkState(ring)
-        state.register_flow(spec())
-        orphans = state.apply_5g_snapshot([UeRecord("UE2", 1_500, 3_000)])
-        assert orphans == ["f1"]
-        assert state.orphaned_flows() == ["f1"]
-        assert set(state.topology.transit.ues) == {"UE2"}
-
-    def test_reappearing_ue_clears_flag(self, ring):
-        state = NetworkState(ring)
-        state.register_flow(spec())
-        state.apply_5g_snapshot([])
-        orphans = state.apply_5g_snapshot(
-            [UeRecord("UE1", 1_500, 3_000), UeRecord("UE2", 1_500, 3_000)])
-        assert orphans == []
-        assert state.orphaned_flows() == []
 
 
 def make_ops(seed: int, count: int):

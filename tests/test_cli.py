@@ -231,3 +231,41 @@ class TestReport:
 
     def test_missing_file_exits_one(self):
         assert main(["report", "/nonexistent/trace.csv"]) == 1
+
+
+class TestUsageAndInput:
+    @pytest.mark.parametrize("argv, code", [
+        (["bogus"], 1),
+        (["trees"], 1),
+        (["trees", "TOPO", "--cap", "x"], 1),
+        (["trees", "TOPO", "--cap", "0"], 1),
+        (["trees", "TOPO", "--cap", "-1"], 1),
+        (["--help"], 0),
+        (["trees", "--help"], 0),
+    ], ids=["unknown-command", "missing-positional", "non-int-cap", "zero-cap",
+            "negative-cap", "help", "subcommand-help"])
+    def test_usage_exit_code(self, argv, code, topo_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([topo_file if arg == "TOPO" else arg for arg in argv])
+        assert exc.value.code == code
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "DIR"],
+        ["admit", "TOPO", "DIR"],
+        ["report", "BINARY"],
+        ["trees", "BINARY"],
+        ["run", "BINARY"],
+        ["admit", "TOPO", "BINARY"],
+    ], ids=["report-dir", "admit-dir", "report-binary", "trees-binary", "run-binary",
+            "admit-binary"])
+    def test_unreadable_input_exits_one(self, argv, topo_file, tmp_path, capsys):
+        paths = {"TOPO": topo_file, "DIR": tmp_path / "inputs",
+                 "BINARY": tmp_path / "latin1.json"}
+        paths["DIR"].mkdir()
+        paths["BINARY"].write_bytes(b'{"name": "caf\xe9"}')
+        bad = str(paths[argv[-1]])
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert bad in err
+        assert "Traceback" not in err

@@ -4,21 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from detnet5g.errors import ConflictingPort, Disconnected, NoTransitNode, Unreachable
+from detnet5g.errors import Disconnected, Unreachable
 from detnet5g.topology import (
     PortId,
     SwitchProfile,
     Topology,
-    TopologySnapshot,
     VlanTree,
     enumerate_spanning_trees,
     make_link,
-    merge_5g_snapshot,
-    merge_snapshot,
     path_in_tree,
 )
-from detnet5g.transit5g import UeRecord
-
 from conftest import grid_topology, ring_topology
 
 
@@ -111,82 +106,6 @@ def switch_graph(topo):
     nodes = sorted(topo.switches)
     edges = [(a.node, b.node) for a, b in topo.switch_links()]
     return nodes, edges
-
-
-class TestMergeSnapshot:
-    def test_union_with_empty(self):
-        topo = Topology(switches={"S1": SwitchProfile(), "S2": SwitchProfile()})
-        snap = TopologySnapshot(records=[("S1", 1, "S2", 1)])
-        merged = merge_snapshot(topo, snap)
-        assert merged.links == {make_link(PortId("S1", 1), PortId("S2", 1))}
-
-    def test_idempotent(self):
-        topo = Topology(switches={"S1": SwitchProfile(), "S2": SwitchProfile()})
-        snap = TopologySnapshot(records=[("S1", 1, "S2", 1)])
-        once = merge_snapshot(topo, snap)
-        twice = merge_snapshot(once, snap)
-        assert once.links == twice.links
-        assert once.switches == twice.switches
-
-    def test_triangle_snapshot_builds_ring(self):
-        topo = Topology(switches={s: SwitchProfile() for s in ("S1", "S2", "S3")})
-        snap = TopologySnapshot(
-            records=[("S1", 1, "S2", 1), ("S2", 2, "S3", 2), ("S1", 2, "S3", 1)]
-        )
-        merged = merge_snapshot(topo, snap)
-        assert len(merged.links) == 3
-        trees, _ = enumerate_spanning_trees(merged)
-        assert len(trees) == 3
-
-    def test_symmetric_records_merge_once(self):
-        topo = Topology(switches={"S1": SwitchProfile(), "S2": SwitchProfile()})
-        snap = TopologySnapshot(records=[("S1", 1, "S2", 1), ("S2", 1, "S1", 1)])
-        assert len(merge_snapshot(topo, snap).links) == 1
-
-    def test_pruning_of_disappeared_neighbor(self):
-        topo = ring_topology(with_transit=False)
-        # S1 re-reports only its link to S2; S1-S3 must go, S2-S3 stays
-        snap = TopologySnapshot(records=[("S1", 1, "S2", 1)], polled={"S1"})
-        merged = merge_snapshot(topo, snap)
-        assert make_link(PortId("S1", 2), PortId("S3", 1)) not in merged.links
-        assert make_link(PortId("S2", 2), PortId("S3", 2)) in merged.links
-
-    def test_order_insensitive_for_disjoint_snapshots(self):
-        topo = Topology(switches={s: SwitchProfile() for s in ("S1", "S2", "S3", "S4")})
-        snap_a = TopologySnapshot(records=[("S1", 1, "S2", 1)])
-        snap_b = TopologySnapshot(records=[("S3", 1, "S4", 1)])
-        ab = merge_snapshot(merge_snapshot(topo, snap_a), snap_b)
-        ba = merge_snapshot(merge_snapshot(topo, snap_b), snap_a)
-        assert ab.links == ba.links
-
-    def test_conflicting_port(self):
-        topo = Topology(switches={s: SwitchProfile() for s in ("S1", "S2", "S3")})
-        snap = TopologySnapshot(records=[("S1", 1, "S2", 1), ("S1", 1, "S3", 1)])
-        with pytest.raises(ConflictingPort):
-            merge_snapshot(topo, snap)
-
-    def test_new_switch_gets_default_profile(self):
-        topo = Topology(switches={"S1": SwitchProfile()})
-        snap = TopologySnapshot(records=[("S1", 1, "S9", 1)])
-        merged = merge_snapshot(topo, snap)
-        assert "S9" in merged.switches
-
-
-class TestMerge5g:
-    def test_empty_report_clears_ues(self, ring):
-        merged = merge_5g_snapshot(ring, [])
-        assert merged.transit.ues == {}
-
-    def test_reported_ues_attached(self, ring):
-        merged = merge_5g_snapshot(
-            ring, [UeRecord("UE1", 1500, 3000), UeRecord("UE2", 1500, 3000)]
-        )
-        assert set(merged.transit.ues) == {"UE1", "UE2"}
-
-    def test_no_transit_node(self):
-        topo = ring_topology(with_transit=False)
-        with pytest.raises(NoTransitNode):
-            merge_5g_snapshot(topo, [])
 
 
 class TestSpanningTrees:
