@@ -38,7 +38,10 @@ EXIT_VIOLATION = 3
 
 def _out_dir(arg: str | None) -> Path:
     path = Path(arg or os.environ.get("DETNET5G_OUT", "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioInvalid(f"cannot create output directory {path}: {exc}") from None
     return path
 
 
@@ -72,9 +75,10 @@ def cmd_admit(args) -> int:
     state = NetworkState(topo)
     responses = []
     critical_rejected = False
-    for item in doc["flows"]:
+    for i, item in enumerate(doc["flows"]):
+        where = f"{args.flows}: flows[{i}]"
         if not isinstance(item, dict):
-            raise MalformedRequest("flow entries must be objects")
+            raise MalformedRequest(f"{where}: flow entries must be objects")
         critical = bool(item.get("critical", False))
         request = {k: v for k, v in item.items() if k != "critical"}
         if not args.json:
@@ -82,7 +86,10 @@ def cmd_admit(args) -> int:
                   f"{request.get('src')} -> {request.get('dst')} "
                   f"rate={request.get('rate_Bps')}B/s burst={request.get('burst_B')}B "
                   f"deadline={request.get('deadline_us')}us")
-        response = state.handle_flow_request(request)
+        try:
+            response = state.handle_flow_request(request)
+        except MalformedRequest as exc:
+            raise MalformedRequest(f"{where}: {exc}") from None
         response["critical"] = critical
         responses.append(response)
         if response["accepted"]:

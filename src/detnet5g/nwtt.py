@@ -92,18 +92,16 @@ class RegulatorState:
     queue: deque = field(default_factory=deque)
     next_release_ns: int | None = None
     last_release_ns: int | None = None
-    drops: int = 0
 
 
 def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arrival_ns: int) -> bool:
-    """Enqueue a packet; returns False (and counts a drop) when full.
+    """Enqueue a packet; returns False when full.
 
     The first packet of a busy period anchors the release schedule at
     arrival + hold; spacing to the previous busy period's last departure
     is still kept >= the release period.
     """
     if len(state.queue) >= cfg.queue_cap_pkts:
-        state.drops += 1
         return False
     state.queue.append((packet, t_arrival_ns))
     if state.next_release_ns is None:

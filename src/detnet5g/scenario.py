@@ -299,6 +299,10 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         for ep, label in ((src, "src"), (dst, "dst")):
             if ep not in known:
                 _fail(f"{p}.{label}", f"unknown node {ep!r}")
+        # an unregistered source on a flow's match would be tagged into its class
+        earlier = nwtt_matches.get((src, dst))
+        if earlier is not None:
+            _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
         body = {k: v for k, v in src_obj.items() if k not in ("flow_id", "src", "dst")}
         extra_sources.append(_load_source(body, p, flow_id=fid, src=src, dst=dst))
         if topo.transit is not None and (src in topo.transit.ues or dst in topo.transit.ues):

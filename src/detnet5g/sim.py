@@ -46,27 +46,23 @@ TRACE_COLUMNS = ("flow_id", "seq", "size_B", "t_send_us", "t_recv_us", "latency_
 
 class _Packet:
     __slots__ = (
-        "flow_id", "seq", "size_B", "src", "dst", "pcp", "vlan_id", "route",
-        "hop_idx", "t_send", "t_recv", "hop_log", "remaining_B", "eligible_slot",
-        "transit_in", "transit_out", "reg_out", "dl_in", "dropped",
+        "ctx", "seq", "size_B", "pcp", "hop_idx", "hop_in", "hop_overruns",
+        "t_send", "t_recv", "remaining_B", "eligible_slot",
+        "transit_out", "reg_out", "dl_in", "dropped",
     )
 
-    def __init__(self, flow_id, seq, size_B, src, dst, pcp, vlan_id, route, t_send):
-        self.flow_id = flow_id
-        self.seq = seq
+    def __init__(self, ctx, size_B, t_send):
+        self.ctx = ctx
+        self.seq = ctx.seq
         self.size_B = size_B
-        self.src = src
-        self.dst = dst
-        self.pcp = pcp
-        self.vlan_id = vlan_id
-        self.route = route
+        self.pcp = ctx.pcp
         self.hop_idx = 0
+        self.hop_in = 0
+        self.hop_overruns = 0  # hops over their bound, counted at delivery
         self.t_send = t_send
         self.t_recv = None
-        self.hop_log = []
         self.remaining_B = size_B
         self.eligible_slot = None
-        self.transit_in = None
         self.transit_out = None
         self.reg_out = None
         self.dl_in = None
@@ -74,10 +70,9 @@ class _Packet:
 
 
 class _Port:
-    __slots__ = ("port", "profile", "queues", "occupancy", "max_occupancy", "busy")
+    __slots__ = ("profile", "queues", "occupancy", "max_occupancy", "busy")
 
-    def __init__(self, port, profile):
-        self.port = port
+    def __init__(self, profile):
         self.profile = profile
         self.queues = [deque() for _ in range(profile.class_count)]
         self.occupancy = [0] * profile.class_count
@@ -88,8 +83,7 @@ class _Port:
 class _FlowCtx:
     __slots__ = (
         "flow_id", "src", "dst", "critical", "registered", "pcp", "vlan_id",
-        "route", "per_hop_us", "e2e_us", "ul_bound_us", "ul_best_us",
-        "dl_bound_us", "dl_best_us", "reg_bound_us", "regulator", "policer",
+        "route", "per_hop_us", "e2e_us", "ul", "dl", "reg_bound_us", "regulator", "policer",
         "sent", "received", "seq", "drops", "latencies", "last_recv", "reorders",
         "violations",
     )
@@ -105,10 +99,8 @@ class _FlowCtx:
         self.route = ()
         self.per_hop_us = ()
         self.e2e_us = None
-        self.ul_bound_us = None
-        self.ul_best_us = None
-        self.dl_bound_us = None
-        self.dl_best_us = None
+        self.ul = None  # TransitContract of a UE source
+        self.dl = None  # TransitContract of a UE destination
         self.reg_bound_us = 0
         self.regulator = None
         self.policer = None
@@ -198,14 +190,14 @@ class _Engine:
 
     # ------------------------------------------------------------- scheduling
 
-    def _push(self, t_ns: int, kind: str, payload=None):
+    def _push(self, t_ns: int, handler, payload):
         self.counter += 1
-        heapq.heappush(self.heap, (t_ns, self.counter, kind, payload))
+        heapq.heappush(self.heap, (t_ns, self.counter, handler, payload))
 
     def _port(self, port: PortId) -> _Port:
         sim_port = self.ports.get(port)
         if sim_port is None:
-            sim_port = _Port(port, self.state.topology.profile(port.node))
+            sim_port = _Port(self.state.topology.profile(port.node))
             self.ports[port] = sim_port
         return sim_port
 
@@ -245,7 +237,7 @@ class _Engine:
                 st["window_end"] = first_on + on_ns
                 st["next"] = first_on
             if st["next"] <= self.end_ns:
-                self._push(st["next"], "emit", st)
+                self._push(st["next"], self._handle_emit, st)
 
     def _handle_emit(self, st):
         ctx = st["ctx"]
@@ -259,26 +251,21 @@ class _Engine:
             st["window_end"] = st["window_start"] + st["on_ns"]
             nxt = st["window_start"]
         if nxt <= self.end_ns:
-            self._push(nxt, "emit", st)
+            self._push(nxt, self._handle_emit, st)
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
-        pkt = _Packet(
-            ctx.flow_id, ctx.seq, size_B, ctx.src, ctx.dst,
-            ctx.pcp, ctx.vlan_id, ctx.route, self.t,
-        )
+        pkt = _Packet(ctx, size_B, self.t)
         ctx.seq += 1
         ctx.sent += 1
         self.packets.append(pkt)
         if self.transit is not None and ctx.src in self.transit.ues:
             tdd = self.transit.tdd
             pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
-            pkt.transit_in = self.t
             self.ue_ul[ctx.src].append(pkt)
+        elif ctx.policer is not None and not ctx.policer.allow(size_B, self.t):
+            self._drop(pkt, "policer")
         else:
-            if ctx.policer is not None and not ctx.policer.allow(size_B, self.t):
-                self._drop(pkt, "policer")
-                return
-            self._fabric_in(pkt)
+            self._arrive_hop(pkt)
 
     # ------------------------------------------------------------- 5G segment
 
@@ -293,7 +280,7 @@ class _Engine:
                 self._drain_ue(dl_queue, tbs_dl_B, slot_index, uplink=False)
         nxt = (slot_index + 2) * self.transit.tdd.slot_ns
         if nxt <= self.end_ns:
-            self._push(nxt, "slot", slot_index + 1)
+            self._push(nxt, self._handle_slot, slot_index + 1)
 
     def _drain_ue(self, queue: deque, tbs_B: int, slot_index: int, *, uplink: bool):
         budget = tbs_B
@@ -314,14 +301,13 @@ class _Engine:
                 self._deliver(pkt)
 
     def _nwtt_ingress(self, pkt: _Packet):
-        ctx = self.flows[pkt.flow_id]
-        rule = classify_and_tag(self.nwtt_cfg, pkt.src, pkt.dst)
+        ctx = pkt.ctx
+        rule = classify_and_tag(self.nwtt_cfg, ctx.src, ctx.dst)
         if rule is not BEST_EFFORT:
             pkt.pcp = rule.pcp
-            pkt.vlan_id = rule.vlan_id
         if ctx.regulator is not None:
             cfg = ctx.regulator
-            key = f"pcp:{pkt.pcp}" if cfg.per_class else f"flow:{pkt.flow_id}"
+            key = f"pcp:{pkt.pcp}" if cfg.per_class else f"flow:{ctx.flow_id}"
             entry = self.regulators.get(key)
             if entry is None:
                 entry = (RegulatorState(), cfg)
@@ -330,36 +316,32 @@ class _Engine:
             was_idle = reg.next_release_ns is None
             if regulator_offer(reg, cfg, pkt, self.t):
                 if was_idle:
-                    self._push(reg.next_release_ns, "regrel", key)
+                    self._push(reg.next_release_ns, self._handle_regrel, key)
             else:
                 self._drop(pkt, "regulator")
             return
-        self._fabric_in(pkt)
+        self._arrive_hop(pkt)
 
     def _handle_regrel(self, key):
         reg, cfg = self.regulators[key]
         for pkt, t_depart in regulator_release(reg, cfg, self.t):
             pkt.reg_out = t_depart
-            self._fabric_in(pkt)
+            self._arrive_hop(pkt)
         if reg.next_release_ns is not None:
-            self._push(reg.next_release_ns, "regrel", key)
+            self._push(reg.next_release_ns, self._handle_regrel, key)
 
     # ------------------------------------------------------------- fabric
 
-    def _fabric_in(self, pkt: _Packet):
-        pkt.hop_idx = 0
-        self._arrive_hop(pkt)
-
     def _arrive_hop(self, pkt: _Packet):
-        port = pkt.route[pkt.hop_idx]
+        port = pkt.ctx.route[pkt.hop_idx]
         profile = self.state.topology.profile(port.node)
-        pkt.hop_log.append([port, self.t, None])
+        pkt.hop_in = self.t
         # per-class forwarding delay happens before the egress queue
         delay = profile.fwd_delay_us[pkt.pcp] * NS_PER_US
-        self._push(self.t + delay, "portin", pkt)
+        self._push(self.t + delay, self._handle_portin, pkt)
 
     def _handle_portin(self, pkt: _Packet):
-        port = pkt.route[pkt.hop_idx]
+        port = pkt.ctx.route[pkt.hop_idx]
         sim_port = self._port(port)
         cls = pkt.pcp
         if sim_port.occupancy[cls] + pkt.size_B > sim_port.profile.port_buffer_B:
@@ -380,24 +362,25 @@ class _Engine:
                 pkt = queue.popleft()
                 sim_port.busy = pkt
                 tx = ceil_div(pkt.size_B * NS_PER_S, sim_port.profile.link_rate_Bps)
-                self._push(self.t + tx, "txdone", sim_port.port)
+                self._push(self.t + tx, self._handle_txdone, sim_port)
                 return
 
-    def _handle_txdone(self, port: PortId):
-        sim_port = self.ports[port]
+    def _handle_txdone(self, sim_port: _Port):
         pkt = sim_port.busy
         sim_port.busy = None
         sim_port.occupancy[pkt.pcp] -= pkt.size_B
-        pkt.hop_log[-1][2] = self.t
+        ctx = pkt.ctx
+        if ctx.registered and self.t - pkt.hop_in > ctx.per_hop_us[pkt.hop_idx] * NS_PER_US:
+            pkt.hop_overruns += 1
         pkt.hop_idx += 1
-        if pkt.hop_idx < len(pkt.route):
+        if pkt.hop_idx < len(ctx.route):
             self._arrive_hop(pkt)
-        elif self.transit is not None and pkt.dst in self.transit.ues:
+        elif self.transit is not None and ctx.dst in self.transit.ues:
             tdd = self.transit.tdd
             pkt.dl_in = self.t
             pkt.remaining_B = pkt.size_B
             pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
-            self.ue_dl[pkt.dst].append(pkt)
+            self.ue_dl[ctx.dst].append(pkt)
         else:
             self._deliver(pkt)
         if any(sim_port.queues):
@@ -407,12 +390,12 @@ class _Engine:
 
     def _drop(self, pkt: _Packet, stage: str):
         pkt.dropped = stage
-        ctx = self.flows[pkt.flow_id]
+        ctx = pkt.ctx
         ctx.drops[stage] = ctx.drops.get(stage, 0) + 1
 
     def _deliver(self, pkt: _Packet):
         pkt.t_recv = self.t
-        ctx = self.flows[pkt.flow_id]
+        ctx = pkt.ctx
         ctx.received += 1
         ctx.latencies.append(pkt.t_recv - pkt.t_send)
         if pkt.t_recv < ctx.last_recv:
@@ -425,24 +408,22 @@ class _Engine:
         v = ctx.violations
         if pkt.t_recv - pkt.t_send > ctx.e2e_us * NS_PER_US:
             v["e2e"] += 1
-        for (port, t_arr, t_done), bound_us in zip(pkt.hop_log, ctx.per_hop_us):
-            if t_done - t_arr > bound_us * NS_PER_US:
-                v["per_hop"] += 1
+        v["per_hop"] += pkt.hop_overruns
         if pkt.transit_out is not None:
-            transit = pkt.transit_out - pkt.transit_in
-            if transit > ctx.ul_bound_us * NS_PER_US:
+            transit = pkt.transit_out - pkt.t_send
+            if transit > ctx.ul.delay_bound_us * NS_PER_US:
                 v["transit"] += 1
-            if transit < ctx.ul_best_us * NS_PER_US:
+            if transit < ctx.ul.best_case_us * NS_PER_US:
                 v["transit_best"] += 1
             if pkt.reg_out is not None:
-                combined = pkt.reg_out - pkt.transit_in
-                if combined > (ctx.ul_bound_us + ctx.reg_bound_us) * NS_PER_US:
+                combined = pkt.reg_out - pkt.t_send
+                if combined > (ctx.ul.delay_bound_us + ctx.reg_bound_us) * NS_PER_US:
                     v["transit_regulator"] += 1
-        if pkt.dl_in is not None and pkt.t_recv is not None:
+        if pkt.dl_in is not None:
             transit = pkt.t_recv - pkt.dl_in
-            if transit > ctx.dl_bound_us * NS_PER_US:
+            if transit > ctx.dl.delay_bound_us * NS_PER_US:
                 v["transit"] += 1
-            if transit < ctx.dl_best_us * NS_PER_US:
+            if transit < ctx.dl.best_case_us * NS_PER_US:
                 v["transit_best"] += 1
 
     # ------------------------------------------------------------- main loop
@@ -454,21 +435,14 @@ class _Engine:
         self._init_sources(sources)
         if self.transit is not None and (self.ue_ul or self.ue_dl):
             if self.transit.tdd.slot_ns <= self.end_ns:
-                self._push(self.transit.tdd.slot_ns, "slot", 0)
+                self._push(self.transit.tdd.slot_ns, self._handle_slot, 0)
 
-        handlers = {
-            "emit": self._handle_emit,
-            "slot": self._handle_slot,
-            "portin": self._handle_portin,
-            "txdone": self._handle_txdone,
-            "regrel": self._handle_regrel,
-        }
         while self.heap:
-            t, _, kind, payload = heapq.heappop(self.heap)
+            t, _, handler, payload = heapq.heappop(self.heap)
             if t > self.end_ns:
                 break
             self.t = t
-            handlers[kind](payload)
+            handler(payload)
 
 
 def latency_summary(latencies_ns: list[int]) -> dict:
@@ -562,10 +536,10 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
     }
 
     rows = []
-    for pkt in sorted(engine.packets, key=lambda p: (p.t_send, p.flow_id, p.seq)):
+    for pkt in sorted(engine.packets, key=lambda p: (p.t_send, p.ctx.flow_id, p.seq)):
         latency = None if pkt.t_recv is None else pkt.t_recv - pkt.t_send
         rows.append((
-            pkt.flow_id,
+            pkt.ctx.flow_id,
             pkt.seq,
             pkt.size_B,
             _format_us(pkt.t_send),
@@ -636,19 +610,15 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         ctx.e2e_us = assignment.e2e_bound_us
         ctx.reg_bound_us = assignment.regulator_bound_us
         if topo.is_ue(spec.src):
-            contract = transit_contract(topo.transit, spec.src, UPLINK,
-                                        spec.burst_B, spec.rate_Bps)
-            ctx.ul_bound_us = contract.delay_bound_us
-            ctx.ul_best_us = contract.best_case_us
+            ctx.ul = transit_contract(topo.transit, spec.src, UPLINK,
+                                      spec.burst_B, spec.rate_Bps)
             if spec.dejitter:
                 ctx.regulator = state.regulator_of(fid)
         else:
             ctx.policer = _Policer(spec.burst_B, spec.rate_Bps)
         if topo.is_ue(spec.dst):
-            contract = transit_contract(topo.transit, spec.dst, DOWNLINK,
-                                        spec.burst_B, spec.rate_Bps)
-            ctx.dl_bound_us = contract.delay_bound_us
-            ctx.dl_best_us = contract.best_case_us
+            ctx.dl = transit_contract(topo.transit, spec.dst, DOWNLINK,
+                                      spec.burst_B, spec.rate_Bps)
         flows[fid] = ctx
 
     trees = state.trees

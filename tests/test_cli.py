@@ -106,6 +106,16 @@ class TestAdmit:
         flows = write_json(tmp_path / "flows.json", flows_doc([bad]))
         assert main(["admit", topo_file, flows]) == 1
 
+    @pytest.mark.parametrize("entry, message", [
+        (1, "flow entries must be objects"),
+        ({"flow_id": "x"}, "missing field 'src'"),
+    ], ids=["not-an-object", "missing-field"])
+    def test_flow_entry_error_names_file_and_index(self, entry, message, topo_file,
+                                                   tmp_path, capsys):
+        flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
+        assert main(["admit", topo_file, flows, "--json"]) == 1
+        assert capsys.readouterr().err == f"error: {flows}: flows[1]: {message}\n"
+
 
 class TestRun:
     def test_writes_trace_and_report(self, scenario_file, tmp_path, capsys):
@@ -269,3 +279,18 @@ class TestUsageAndInput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert bad in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("env", [False, True], ids=["option", "environment"])
+    def test_out_naming_a_file_exits_one(self, env, scenario_file, tmp_path, monkeypatch,
+                                         capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["run", scenario_file]
+        if env:
+            monkeypatch.setenv("DETNET5G_OUT", str(taken))
+        else:
+            argv += ["--out", str(taken)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {taken}: ")
+        assert err.count("\n") == 1

@@ -90,6 +90,20 @@ def test_nwtt_match_collision_names_earlier_flow():
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("dst, collides", [("D", True), ("G", False)])
+def test_sim_source_on_flow_nwtt_match_rejected(dst, collides):
+    # the NW-TT would tag an unregistered source on orange's match as orange
+    doc = canonical_scenario()
+    doc["sim"]["sources"].append({"flow_id": "extra", "src": "UE1", "dst": dst,
+                                  "mode": "periodic", "period_us": 2_000, "pkt_B": 100})
+    if collides:
+        with pytest.raises(ScenarioInvalid, match=r"^sim\.sources\[2\]\.dst: NW-TT match "
+                                                  r"\(UE1, D\) already used by flow 'orange'$"):
+            load_scenario(doc)
+    else:
+        assert load_scenario(doc).extra_sources[2].dst == "G"
+
+
 def test_nwtt_match_only_binds_ue_sources():
     doc = canonical_scenario()
     host_flow = dict(doc["flows"][0], src="G", burst_B=1_500, max_pkt_B=1_500,

@@ -2,7 +2,14 @@ import pytest
 
 from detnet5g.errors import AdmissionMissing
 from detnet5g.scenario import canonical_scenario, load_scenario
-from detnet5g.sim import compare_dejitter, dejitter_summary, run
+from detnet5g.sim import (
+    _admit_flows,
+    _build_flow_ctxs,
+    _Engine,
+    compare_dejitter,
+    dejitter_summary,
+    run,
+)
 
 
 def scenario(mutate=None):
@@ -89,6 +96,22 @@ class TestCanonical:
         for fid, stats in result.report["flows"].items():
             assert stats["sent"] == stats["received"] + stats["dropped"] + stats["in_flight"]
             assert stats["reorders"] == 0
+
+    def test_per_hop_counts_every_hop_of_delivered_packets_only(self):
+        # with zero per-hop bounds every finished hop overruns; only the
+        # delivered packets of admitted flows count, so packets still in
+        # flight at the end (the default duration leaves some) add nothing
+        scn = scenario()
+        state, _ = _admit_flows(scn, "scenario")
+        flows = _build_flow_ctxs(scn, state)
+        for ctx in flows.values():
+            if ctx.registered:
+                ctx.per_hop_us = (0,) * len(ctx.route)
+        _Engine(scn, state, flows, scn.seed).run()
+        assert any(ctx.registered and ctx.sent > ctx.received for ctx in flows.values())
+        for fid, ctx in flows.items():
+            expected = ctx.received * len(ctx.route) if ctx.registered else 0
+            assert ctx.violations["per_hop"] == expected, fid
 
     def test_critical_rejection_raises(self):
         def impossible(doc):
