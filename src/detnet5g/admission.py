@@ -99,9 +99,11 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Resolved placement of an admitted flow, with all bound components."""
+    """Resolved placement of an admitted flow: its spec, regulator and bound components."""
 
     flow_id: str
+    spec: FlowSpec
+    regulator: RegulatorConfig | None
     vlan_id: int
     priority_class: int
     hop_ports: tuple[PortId, ...]
@@ -374,12 +376,6 @@ class NetworkState:
     def flows(self) -> dict[str, FlowAssignment]:
         return {fid: self._assignment(fid) for fid in sorted(self._solver.placements)}
 
-    def spec_of(self, flow_id: str) -> FlowSpec:
-        return self._placement(flow_id).spec
-
-    def regulator_of(self, flow_id: str) -> RegulatorConfig | None:
-        return self._placement(flow_id).regulator
-
     def _placement(self, flow_id: str) -> _Placement:
         try:
             return self._solver.placements[flow_id]
@@ -391,6 +387,8 @@ class NetworkState:
         pl = st.placements[flow_id]
         return FlowAssignment(
             flow_id=flow_id,
+            spec=pl.spec,
+            regulator=pl.regulator,
             vlan_id=pl.tree.vlan_id,
             priority_class=pl.priority,
             hop_ports=pl.hops,
@@ -434,14 +432,12 @@ class NetworkState:
             ).delay_bound_us)
         return tuple(bounds)
 
-    def _regulator_terms(
-        self, spec: FlowSpec, override: RegulatorConfig | None
-    ) -> tuple[int, RegulatorConfig | None]:
+    def _regulator_terms(self, spec: FlowSpec) -> tuple[int, RegulatorConfig | None]:
         if not spec.dejitter:
             return 0, None
         if not self.topology.is_ue(spec.src):
             raise InvalidSpec("de-jittering applies to 5G-sourced flows only")
-        cfg = override or self.default_regulator
+        cfg = self.default_regulator
         if cfg is None:
             raise InvalidSpec("dejitter requested but no regulator configured")
         return regulator_delay_bound(cfg, spec.burst_B, spec.max_pkt_B), cfg
@@ -486,9 +482,7 @@ class NetworkState:
 
     # ------------------------------------------------------------------ operations
 
-    def register_flow(
-        self, spec: FlowSpec, regulator: RegulatorConfig | None = None
-    ) -> Decision:
+    def register_flow(self, spec: FlowSpec) -> Decision:
         """Admit a flow or reject it, leaving the registry untouched on reject."""
         try:
             spec.validate()
@@ -503,7 +497,7 @@ class NetworkState:
 
         try:
             ul_us, dl_us = self._transit_terms(spec)
-            reg_us, reg_cfg = self._regulator_terms(spec, regulator)
+            reg_us, reg_cfg = self._regulator_terms(spec)
         except (RateExceedsCapacity, NoUplinkSlots, NoDownlinkSlots) as exc:
             return Decision(False, reason="Unschedulable", detail=str(exc))
         except InvalidSpec as exc:
@@ -672,7 +666,7 @@ class NetworkState:
             "regulator": None,
         }
         reg = pl.regulator
-        if spec.dejitter and reg is not None:
+        if reg is not None:
             cfg["regulator"] = {
                 "hold_us": reg.hold_us,
                 "release_period_us": reg.release_period_us,
@@ -710,7 +704,7 @@ class NetworkState:
                     egress=self.topology.transit.attach,
                     vlan_id=pl.tree.vlan_id,
                     pcp=pl.priority,
-                    regulator=pl.regulator if spec.dejitter else None,
+                    regulator=pl.regulator,
                 )
             )
         return cfg
@@ -738,19 +732,7 @@ class NetworkState:
 
     def snapshot(self) -> dict:
         """Deep, comparable image of registry + cache for atomicity checks."""
-        flows = {}
-        for fid, a in self.flows().items():
-            flows[fid] = {
-                "spec": self._solver.placements[fid].spec,
-                "vlan_id": a.vlan_id,
-                "priority_class": a.priority_class,
-                "hop_ports": a.hop_ports,
-                "per_hop_bounds_us": a.per_hop_bounds_us,
-                "transit_bound_us": a.transit_bound_us,
-                "regulator_bound_us": a.regulator_bound_us,
-                "e2e_bound_us": a.e2e_bound_us,
-            }
-        return {"flows": flows, "aggregates": self.aggregates()}
+        return {"flows": self.flows(), "aggregates": self.aggregates()}
 
 
 def _canonical_aggregates(aggregates) -> dict:

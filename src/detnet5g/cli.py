@@ -81,15 +81,14 @@ def cmd_admit(args) -> int:
             raise MalformedRequest(f"{where}: flow entries must be objects")
         critical = bool(item.get("critical", False))
         request = {k: v for k, v in item.items() if k != "critical"}
-        if not args.json:
-            print(f"request {request.get('flow_id')}: "
-                  f"{request.get('src')} -> {request.get('dst')} "
-                  f"rate={request.get('rate_Bps')}B/s burst={request.get('burst_B')}B "
-                  f"deadline={request.get('deadline_us')}us")
         try:
             response = state.handle_flow_request(request)
         except MalformedRequest as exc:
             raise MalformedRequest(f"{where}: {exc}") from None
+        if not args.json:
+            print(f"request {request['flow_id']}: {request['src']} -> {request['dst']} "
+                  f"rate={request['rate_Bps']}B/s burst={request['burst_B']}B "
+                  f"deadline={request['deadline_us']}us")
         response["critical"] = critical
         responses.append(response)
         if response["accepted"]:

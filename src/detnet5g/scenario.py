@@ -244,25 +244,29 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     known = set(topo.hosts) | set(topo.switches)
     if topo.transit is not None:
         known |= set(topo.transit.ues)
-
-    flows: list[FlowEntry] = []
     seen_flow_ids: set[str] = set()
-    nwtt_matches: dict[tuple[str, str], str] = {}  # NW-TT matches on (src, dst) only
-    uses_ue = False
-    for i, fl in enumerate(_expect(obj.get("flows"), "flows", list,
-                                   optional=True, default=[])):
-        p = f"flows[{i}]"
-        _expect(fl, p, dict)
-        fid = _expect(fl.get("flow_id"), f"{p}.flow_id", str)
+
+    def endpoints(entry, p: str) -> tuple[str, str, str]:
+        """(flow_id, src, dst) of a flow or source entry with a new id and known nodes."""
+        _expect(entry, p, dict)
+        fid = _expect(entry.get("flow_id"), f"{p}.flow_id", str)
         if fid in seen_flow_ids:
             _fail(f"{p}.flow_id", f"duplicate flow id {fid!r}")
         seen_flow_ids.add(fid)
-        src = _expect(fl.get("src"), f"{p}.src", str)
-        dst = _expect(fl.get("dst"), f"{p}.dst", str)
+        src = _expect(entry.get("src"), f"{p}.src", str)
+        dst = _expect(entry.get("dst"), f"{p}.dst", str)
         for ep, label in ((src, "src"), (dst, "dst")):
             if ep not in known:
                 _fail(f"{p}.{label}", f"unknown node {ep!r}")
-        if topo.transit is not None and src in topo.transit.ues:
+        return fid, src, dst
+
+    flows: list[FlowEntry] = []
+    nwtt_matches: dict[tuple[str, str], str] = {}  # NW-TT matches on (src, dst) only
+    for i, fl in enumerate(_expect(obj.get("flows"), "flows", list,
+                                   optional=True, default=[])):
+        p = f"flows[{i}]"
+        fid, src, dst = endpoints(fl, p)
+        if topo.is_ue(src):
             earlier = nwtt_matches.setdefault((src, dst), fid)
             if earlier != fid:
                 _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
@@ -280,8 +284,6 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
                               f"{p}.source", flow_id=fid, src=src, dst=dst)
         flows.append(FlowEntry(spec=spec, critical=bool(fl.get("critical", False)),
                                source=source))
-        if topo.transit is not None and (src in topo.transit.ues or dst in topo.transit.ues):
-            uses_ue = True
 
     sim = obj.get("sim", {})
     _expect(sim, "sim", dict)
@@ -289,27 +291,13 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     for i, src_obj in enumerate(_expect(sim.get("sources"), "sim.sources", list,
                                         optional=True, default=[])):
         p = f"sim.sources[{i}]"
-        _expect(src_obj, p, dict)
-        fid = _expect(src_obj.get("flow_id"), f"{p}.flow_id", str)
-        if fid in seen_flow_ids:
-            _fail(f"{p}.flow_id", f"duplicate flow id {fid!r}")
-        seen_flow_ids.add(fid)
-        src = _expect(src_obj.get("src"), f"{p}.src", str)
-        dst = _expect(src_obj.get("dst"), f"{p}.dst", str)
-        for ep, label in ((src, "src"), (dst, "dst")):
-            if ep not in known:
-                _fail(f"{p}.{label}", f"unknown node {ep!r}")
+        fid, src, dst = endpoints(src_obj, p)
         # an unregistered source on a flow's match would be tagged into its class
         earlier = nwtt_matches.get((src, dst))
         if earlier is not None:
             _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
         body = {k: v for k, v in src_obj.items() if k not in ("flow_id", "src", "dst")}
         extra_sources.append(_load_source(body, p, flow_id=fid, src=src, dst=dst))
-        if topo.transit is not None and (src in topo.transit.ues or dst in topo.transit.ues):
-            uses_ue = True
-
-    if uses_ue and topo.transit is None:
-        _fail("topology.transit5g", "UE traffic declared but no transit node present")
 
     return Scenario(
         topology=topo,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import json
 import logging
 import random
@@ -82,16 +83,17 @@ class _Port:
 
 class _FlowCtx:
     __slots__ = (
-        "flow_id", "src", "dst", "critical", "registered", "pcp", "vlan_id",
+        "source", "flow_id", "src", "dst", "critical", "registered", "pcp", "vlan_id",
         "route", "per_hop_us", "e2e_us", "ul", "dl", "reg_bound_us", "regulator", "policer",
         "sent", "received", "seq", "drops", "latencies", "last_recv", "reorders",
         "violations",
     )
 
-    def __init__(self, flow_id, src, dst):
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
+    def __init__(self, source: SourceModel):
+        self.source = source
+        self.flow_id = source.flow_id
+        self.src = source.src
+        self.dst = source.dst
         self.critical = False
         self.registered = False
         self.pcp = 0
@@ -145,7 +147,6 @@ class _Policer:
 
 @dataclass
 class RunResult:
-    scenario_name: str
     seed: int
     dejitter_mode: str
     decisions: list
@@ -154,9 +155,34 @@ class RunResult:
     state: NetworkState
 
 
+def _schedule(model: SourceModel, rng: random.Random):
+    """Yield `(t_ns, packet_count)` for each emission of a source, in time order."""
+    params = model.params
+    if model.mode in ("periodic", "burst_periodic"):
+        offset = params.get("offset_us")
+        start = rng.randrange(params["period_us"]) if offset is None else offset
+        count = params.get("count", 1)
+        for t in itertools.count(start * NS_PER_US, params["period_us"] * NS_PER_US):
+            yield t, count
+    interval = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
+    if model.mode == "greedy_token_bucket":
+        start = params.get("offset_us", 0) * NS_PER_US
+        yield start, max(1, params["burst_B"] // params["pkt_B"])
+        for t in itertools.count(start + interval, interval):
+            yield t, 1
+    # onoff_background: paced emissions inside each on-window; one that
+    # would fall at or past a window's end moves to the next window's start
+    on_ns = params["on_ms"] * 1_000_000
+    off_ns = params["off_ms"] * 1_000_000
+    start = 0 if params.get("start", "on") == "on" else off_ns
+    while True:
+        for t in range(start, start + on_ns, interval):
+            yield t, 1
+        start += on_ns + off_ns
+
+
 class _Engine:
     def __init__(self, scenario: Scenario, state: NetworkState, flows: dict, seed: int):
-        self.scn = scenario
         self.state = state
         self.flows = flows
         self.seed = seed
@@ -203,55 +229,16 @@ class _Engine:
 
     # ------------------------------------------------------------- sources
 
-    def _source_rng(self, flow_id: str, source_seed) -> random.Random:
-        key = f"{self.seed}:{flow_id}" if source_seed is None else f"{source_seed}:{flow_id}"
-        return random.Random(key)
+    def _next_emission(self, ctx: _FlowCtx, schedule):
+        t_ns, count = next(schedule)
+        if t_ns <= self.end_ns:
+            self._push(t_ns, self._handle_emit, (ctx, schedule, count))
 
-    def _init_sources(self, sources: list[SourceModel]):
-        for model in sources:
-            ctx = self.flows[model.flow_id]
-            rng = self._source_rng(model.flow_id, model.seed)
-            params = model.params
-            st = {"ctx": ctx, "mode": model.mode, "pkt_B": params["pkt_B"]}
-            if model.mode in ("periodic", "burst_periodic"):
-                st["interval"] = params["period_us"] * NS_PER_US
-                st["count"] = params.get("count", 1)
-                offset = params.get("offset_us")
-                start = (rng.randrange(params["period_us"]) if offset is None else offset)
-                st["next"] = start * NS_PER_US
-            elif model.mode == "greedy_token_bucket":
-                st["interval"] = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
-                st["initial"] = max(1, params["burst_B"] // params["pkt_B"])
-                st["count"] = 1
-                st["next"] = params.get("offset_us", 0) * NS_PER_US
-                st["first"] = True
-            elif model.mode == "onoff_background":
-                st["interval"] = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
-                st["count"] = 1
-                on_ns = params["on_ms"] * 1_000_000
-                off_ns = params["off_ms"] * 1_000_000
-                st["on_ns"] = on_ns
-                st["off_ns"] = off_ns
-                first_on = 0 if params.get("start", "on") == "on" else off_ns
-                st["window_start"] = first_on
-                st["window_end"] = first_on + on_ns
-                st["next"] = first_on
-            if st["next"] <= self.end_ns:
-                self._push(st["next"], self._handle_emit, st)
-
-    def _handle_emit(self, st):
-        ctx = st["ctx"]
-        burst = st["initial"] if st.get("first") else st["count"]
-        st["first"] = False
-        for _ in range(burst):
-            self._emit_packet(ctx, st["pkt_B"])
-        nxt = self.t + st["interval"]
-        if st["mode"] == "onoff_background" and nxt >= st["window_end"]:
-            st["window_start"] = st["window_end"] + st["off_ns"]
-            st["window_end"] = st["window_start"] + st["on_ns"]
-            nxt = st["window_start"]
-        if nxt <= self.end_ns:
-            self._push(nxt, self._handle_emit, st)
+    def _handle_emit(self, emission):
+        ctx, schedule, count = emission
+        for _ in range(count):
+            self._emit_packet(ctx, ctx.source.params["pkt_B"])
+        self._next_emission(ctx, schedule)
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
         pkt = _Packet(ctx, size_B, self.t)
@@ -429,10 +416,10 @@ class _Engine:
     # ------------------------------------------------------------- main loop
 
     def run(self):
-        sources = [entry.source for entry in self.scn.flows
-                   if entry.spec.flow_id in self.flows]
-        sources += list(self.scn.extra_sources)
-        self._init_sources(sources)
+        for ctx in self.flows.values():
+            model = ctx.source
+            seed = self.seed if model.seed is None else model.seed
+            self._next_emission(ctx, _schedule(model, random.Random(f"{seed}:{model.flow_id}")))
         if self.transit is not None and (self.ue_ul or self.ue_dl):
             if self.transit.tdd.slot_ns <= self.end_ns:
                 self._push(self.transit.tdd.slot_ns, self._handle_slot, 0)
@@ -548,7 +535,6 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
             1 if pkt.dropped else 0,
         ))
     return RunResult(
-        scenario_name=scenario.name,
         seed=seed,
         dejitter_mode=dejitter_mode,
         decisions=decisions,
@@ -595,12 +581,11 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
     flows: dict[str, _FlowCtx] = {}
     admitted = state.flows()
     for entry in scenario.flows:
-        fid = entry.spec.flow_id
-        if fid not in admitted:
+        assignment = admitted.get(entry.spec.flow_id)
+        if assignment is None:
             continue
-        assignment = admitted[fid]
-        spec = state.spec_of(fid)
-        ctx = _FlowCtx(fid, spec.src, spec.dst)
+        spec = assignment.spec
+        ctx = _FlowCtx(entry.source)
         ctx.critical = entry.critical
         ctx.registered = True
         ctx.pcp = assignment.priority_class
@@ -612,18 +597,17 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         if topo.is_ue(spec.src):
             ctx.ul = transit_contract(topo.transit, spec.src, UPLINK,
                                       spec.burst_B, spec.rate_Bps)
-            if spec.dejitter:
-                ctx.regulator = state.regulator_of(fid)
+            ctx.regulator = assignment.regulator
         else:
             ctx.policer = _Policer(spec.burst_B, spec.rate_Bps)
         if topo.is_ue(spec.dst):
             ctx.dl = transit_contract(topo.transit, spec.dst, DOWNLINK,
                                       spec.burst_B, spec.rate_Bps)
-        flows[fid] = ctx
+        flows[ctx.flow_id] = ctx
 
     trees = state.trees
     for model in scenario.extra_sources:
-        ctx = _FlowCtx(model.flow_id, model.src, model.dst)
+        ctx = _FlowCtx(model)
         ctx.pcp = 0
         ctx.vlan_id = trees[0].vlan_id
         ctx.route = tuple(path_in_tree(topo, trees[0], model.src, model.dst))
@@ -670,13 +654,14 @@ def compare_dejitter(scenario: Scenario, *, seed: int | None = None) -> tuple[Ru
 def dejitter_summary(off: RunResult, on: RunResult) -> dict:
     """Per-regulated-flow jitter/latency comparison of a paired run."""
     summary = {"schema_version": 1, "seed": off.seed, "flows": {}}
+    admitted = on.state.flows()
     for fid, report_on in on.report["flows"].items():
         report_off = off.report["flows"][fid]
         if not report_on["admitted"] or report_on["latency_us"] is None:
             continue
         if report_off["latency_us"] is None:
             continue
-        if on.state.topology.is_ue(on.state.spec_of(fid).src):
+        if on.state.topology.is_ue(admitted[fid].spec.src):
             summary["flows"][fid] = {
                 "jitter_off_us": report_off["jitter_us"],
                 "jitter_on_us": report_on["jitter_us"],

@@ -313,7 +313,7 @@ class TestStateInvariants:
                     assert state.snapshot() == snap  # reject is atomic
                 assert state.aggregates() == state.recompute_aggregates()
                 for assignment in state.flows().values():
-                    spec_d = state.spec_of(assignment.flow_id)
+                    spec_d = assignment.spec
                     assert assignment.e2e_bound_us <= spec_d.deadline_us
             # replay from scratch: identical decisions and final state
             state2 = NetworkState(ring_topology())

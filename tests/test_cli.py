@@ -106,15 +106,22 @@ class TestAdmit:
         flows = write_json(tmp_path / "flows.json", flows_doc([bad]))
         assert main(["admit", topo_file, flows]) == 1
 
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
     @pytest.mark.parametrize("entry, message", [
         (1, "flow entries must be objects"),
         ({"flow_id": "x"}, "missing field 'src'"),
     ], ids=["not-an-object", "missing-field"])
-    def test_flow_entry_error_names_file_and_index(self, entry, message, topo_file,
+    def test_flow_entry_error_names_file_and_index(self, entry, message, mode, topo_file,
                                                    tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
-        assert main(["admit", topo_file, flows, "--json"]) == 1
-        assert capsys.readouterr().err == f"error: {flows}: flows[1]: {message}\n"
+        assert main(["admit", topo_file, flows, *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flows}: flows[1]: {message}\n"
+        # nothing of the bad entry reaches stdout, only the request before it
+        assert captured.out == ("" if mode else
+                                "request orange: UE1 -> D rate=12500B/s burst=1250B "
+                                "deadline=100000us\n"
+                                "  ACCEPTED vlan=100 pcp=7 e2e_bound_us=49200\n")
 
 
 class TestRun:

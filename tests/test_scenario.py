@@ -117,7 +117,7 @@ def test_nwtt_match_only_binds_ue_sources():
 def test_ue_traffic_requires_transit():
     doc = canonical_scenario()
     del doc["topology"]["transit5g"]
-    with pytest.raises(ScenarioInvalid):
+    with pytest.raises(ScenarioInvalid, match=r"^flows\[0\]\.src: unknown node 'UE1'$"):
         load_scenario(doc)
 
 

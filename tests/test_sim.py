@@ -225,3 +225,42 @@ class TestWorkConservation:
         moved = stats["received"] * 1_000
         # the 125 kB/s link must be busy essentially the whole second
         assert moved >= 125_000 * 0.95
+
+
+def send_times_us(source: dict) -> list[float]:
+    """`t_send_us` of every packet one unregistered source emits from A to B."""
+    doc = single_switch_doc()
+    doc["topology"]["switches"][0].update(link_rate_Bps=125_000_000, port_buffer_B=1_000_000)
+    doc["flows"] = []
+    doc["sim"] = {"duration_ms": 12, "sources": [
+        {"flow_id": "src", "src": "A", "dst": "B", "pkt_B": 1_000, **source},
+    ]}
+    return [float(row[3]) for row in run(load_scenario(doc)).trace_rows]
+
+
+class TestSourceSchedules:
+    ONOFF = {"mode": "onoff_background", "rate_Bps": 1_000_000, "on_ms": 3, "off_ms": 2}
+    PERIODIC = {"period_us": 5_000, "offset_us": 1_000}
+
+    def test_onoff_moves_a_window_end_emission_to_the_next_window(self):
+        assert send_times_us(self.ONOFF) == [
+            0, 1_000, 2_000, 5_000, 6_000, 7_000, 10_000, 11_000, 12_000,
+        ]
+
+    def test_onoff_starting_off(self):
+        assert send_times_us({**self.ONOFF, "start": "off"}) == [
+            2_000, 3_000, 4_000, 7_000, 8_000, 9_000, 12_000,
+        ]
+
+    def test_greedy_sends_its_burst_then_paces_at_rate(self):
+        greedy = {"mode": "greedy_token_bucket", "burst_B": 3_000, "rate_Bps": 200_000,
+                  "offset_us": 500}
+        assert send_times_us(greedy) == [500] * 3 + [5_500, 10_500]
+
+    def test_burst_periodic(self):
+        burst = {"mode": "burst_periodic", "count": 2, **self.PERIODIC}
+        assert send_times_us(burst) == [1_000] * 2 + [6_000] * 2 + [11_000] * 2
+
+    def test_periodic_with_count(self):
+        periodic = {"mode": "periodic", "count": 3, **self.PERIODIC}
+        assert send_times_us(periodic) == [1_000] * 3 + [6_000] * 3 + [11_000] * 3
