@@ -5,13 +5,15 @@ Admission tries candidate placements — priority class descending, then
 VLAN tree ascending, skipping a tree whose path repeats an earlier tree's,
 since the solve depends on (class, path) only — and accepts the first one
 under which the new flow AND every already-admitted flow still meet their
-deadline and every port's backlog fits its buffer.  Per-hop bounds use the
-strict-priority calculus with each flow's burst propagated hop by hop;
-because flows sharing a port inflate each other's bursts, bounds are solved
-to a fixed point (the iteration is monotone, so deadline/buffer violations
-detected on the way are final).  If no candidate fits, one batch pass
-re-places all flows in ascending-deadline order; failing that, the request
-is rejected and the registry is left untouched.
+deadline and every port's backlog fits its buffer.  Each (src, dst) pair's
+trees are walked once per registry, lazily, and its distinct paths kept.
+Per-hop bounds use the strict-priority calculus with each flow's burst
+propagated hop by hop; because flows sharing a port inflate each other's
+bursts, bounds are solved to a fixed point (the iteration is monotone, so
+deadline/buffer violations detected on the way are final).  If no
+candidate fits, one batch pass re-places all flows in ascending-deadline
+order; failing that, the request is rejected and the registry is left
+untouched.
 
 The solver state is the registry: it holds the least fixed point of the
 admitted flows (placements, hop bounds, e2e bounds), and the assignments
@@ -19,13 +21,18 @@ handed out are built from it on read.  Rounds of monotone (Kleene)
 iteration started anywhere below a least fixed point reach that same point,
 so a trial never starts from scratch.  Adding a flow only raises
 aggregates: the trial starts from the committed point with the new flow's
-hops dirty.  Removing one only lowers them: the ports that can depend on it
-are re-solved, with the flows through them restarting from their spec burst
-after their first such hop.  Each round re-bounds the dirty ports only, and
-a cold solve is the same rounds from an empty state with every port dirty.
-Trials work on a copy, so a reject leaves the committed state alone.  A
-warm trial may meet a different violation first than a cold solve, so a
-reject's reason and detail come from cold solves.
+hops dirty.  Its first round is built up front, from the committed
+aggregates plus the new flow at its spec burst, and screens the trial:
+bounds are monotone in the aggregates (Le Boudec & Thiran, *Network
+Calculus*), so if the new flow's own bound there already misses its
+deadline, the trial fails before the state is copied.  Removing a flow only
+lowers aggregates: the ports that can depend on it are re-solved, with the
+flows through them restarting from their spec burst after their first such
+hop.  Each round re-bounds the dirty ports only, and a cold solve is the
+same rounds from an empty state with every port dirty.  Trials work on a
+copy, so a reject leaves the committed state alone.  A warm trial may meet
+a different violation first than a cold solve, so a reject's reason and
+detail come from cold solves.
 """
 
 from __future__ import annotations
@@ -180,7 +187,13 @@ def _port_state(
     )
 
 
-def _settle(topo: Topology, st: _SolverState, dirty: set[PortId], fresh: set[str]) -> None:
+def _settle(
+    topo: Topology,
+    st: _SolverState,
+    dirty: set[PortId],
+    fresh: set[str],
+    first_round: tuple[dict[PortId, PortClassState], dict[tuple[PortId, int], int]] | None = None,
+) -> None:
     """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
 
     `st` must lie below its least fixed point: every port outside `dirty`
@@ -194,35 +207,42 @@ def _settle(topo: Topology, st: _SolverState, dirty: set[PortId], fresh: set[str
     change, so the first violation, the round count and the cap are those of
     a from-scratch solve started from the same bursts.  Bounds only grow, so
     a violation met on the way is final.
+
+    A caller that has built round one already passes it as `first_round`:
+    the dirty ports' states, with `st.aggregates` set to match and
+    `st.delays` emptied, and the delays it bounded there by (port, class).
+    Round one then rebuilds and re-bounds none of them.
     """
     placements, bursts, hop_bounds, e2e = st.placements, st.bursts, st.hop_bounds, st.e2e_us
     members, aggregates, delays = st.members, st.aggregates, st.delays
+    states, known = first_round or (None, {})
     for _ in range(SOLVER_ITER_CAP):
-        states: dict[PortId, PortClassState] = {}
-        for port in dirty:
-            crossing = members.get(port)
-            if not crossing:
-                members.pop(port, None)
-                aggregates.pop(port, None)
-                delays.pop(port, None)
-                continue
-            raw: dict[int, list] = {}
-            for fid, i in crossing.items():
-                pl = placements[fid]
-                slot = raw.get(pl.priority)
-                if slot is None:
-                    slot = raw[pl.priority] = [0, 0, 0, []]
-                slot[0] += bursts[fid][i]
-                slot[1] += pl.spec.rate_Bps
-                slot[2] = max(slot[2], pl.spec.max_pkt_B)
-                slot[3].append(fid)
-            classes = {
-                cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
-                for cls, (b, r, m, flows) in raw.items()
-            }
-            aggregates[port] = classes
-            states[port] = _port_state(topo, port, classes)
-            delays[port] = {}
+        if states is None:
+            states = {}
+            for port in dirty:
+                crossing = members.get(port)
+                if not crossing:
+                    members.pop(port, None)
+                    aggregates.pop(port, None)
+                    delays.pop(port, None)
+                    continue
+                raw: dict[int, list] = {}
+                for fid, i in crossing.items():
+                    pl = placements[fid]
+                    slot = raw.get(pl.priority)
+                    if slot is None:
+                        slot = raw[pl.priority] = [0, 0, 0, []]
+                    slot[0] += bursts[fid][i]
+                    slot[1] += pl.spec.rate_Bps
+                    slot[2] = max(slot[2], pl.spec.max_pkt_B)
+                    slot[3].append(fid)
+                classes = {
+                    cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
+                    for cls, (b, r, m, flows) in raw.items()
+                }
+                aggregates[port] = classes
+                states[port] = _port_state(topo, port, classes)
+                delays[port] = {}
 
         moved: set[PortId] = set()
         order: list[PortId] = []  # dirty ports in first-appearance order
@@ -236,7 +256,9 @@ def _settle(topo: Topology, st: _SolverState, dirty: set[PortId], fresh: set[str
                     if delay is None:
                         if not per_cls:  # a dirty port's first bound: its first appearance
                             order.append(port)
-                        delay = hop_delay_bound(states[port], pl.priority)
+                        delay = known.get((port, pl.priority))
+                        if delay is None:
+                            delay = hop_delay_bound(states[port], pl.priority)
                         per_cls[pl.priority] = delay
                     bounds.append(delay)
                 bounds = tuple(bounds)
@@ -275,7 +297,7 @@ def _settle(topo: Topology, st: _SolverState, dirty: set[PortId], fresh: set[str
 
         if not moved:
             return
-        dirty, fresh = moved, set()
+        dirty, fresh, states, known = moved, set(), None, {}
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
 
 
@@ -295,15 +317,51 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     """`base` plus one flow, solved warm from `base`'s fixed point.
 
     Adding a flow only raises aggregates, so `base`'s bursts lie below the
-    new fixed point; only the new flow's hops start dirty.
+    new fixed point; only the new flow's hops start dirty.  Round one's
+    states for those hops are `base`'s aggregates plus the new flow at its
+    spec burst.  The new flow's own bounds over them are screened first:
+    bounds only grow with the aggregates, so if they already miss its
+    deadline (or leave no service) the trial fails without copying `base`.
+    Otherwise the states and bounds become round one's, so `_settle`
+    evaluates none of them again.
     """
+    spec, cls = pl.spec, pl.priority
+    fid = spec.flow_id
+    states: dict[PortId, PortClassState] = {}
+    known: dict[tuple[PortId, int], int] = {}
+    total = pl.transit_us + pl.regulator_us
+    try:
+        for port in pl.hops:
+            classes = dict(base.aggregates.get(port, ()))
+            agg = classes.get(cls)
+            if agg is None:
+                classes[cls] = ClassAggregate(spec.burst_B, spec.rate_Bps, spec.max_pkt_B, (fid,))
+            else:
+                classes[cls] = ClassAggregate(
+                    agg.burst_B + spec.burst_B,
+                    agg.rate_Bps + spec.rate_Bps,
+                    max(agg.max_pkt_B, spec.max_pkt_B),
+                    tuple(sorted((*agg.flows, fid))),
+                )
+            state = states[port] = _port_state(topo, port, classes)
+            delay = known[port, cls] = hop_delay_bound(state, cls)
+            total += delay
+            if total > spec.deadline_us:
+                raise _Infeasible(
+                    "DeadlineInfeasible",
+                    f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us",
+                )
+    except (Unschedulable, RateOverload) as exc:
+        raise _Infeasible("Unschedulable", str(exc)) from exc
+
     st = base.copy()
-    fid = pl.spec.flow_id
     st.placements[fid] = pl
-    st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
+    st.bursts[fid] = [spec.burst_B] * len(pl.hops)
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
-    _settle(topo, st, set(pl.hops), {fid})
+        st.aggregates[port] = states[port].classes
+        st.delays[port] = {}
+    _settle(topo, st, set(pl.hops), {fid}, (states, known))
     return st
 
 
@@ -342,6 +400,38 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
     return st
 
 
+class _Routes:
+    """The distinct routes of one (src, dst) pair, in tree order.
+
+    Iterating replays the routes found so far, then resumes the tree walk
+    where it stopped, so each tree is walked at most once for the pair.
+    """
+
+    def __init__(self, topo: Topology, trees: list[VlanTree], src: str, dst: str):
+        self._topo, self._trees, self._src, self._dst = topo, trees, src, dst
+        self._walked = 0  # trees walked so far
+        self._seen: set[tuple[PortId, ...]] = set()
+        self._found: list[tuple[VlanTree, tuple[PortId, ...]]] = []
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._found) or self._walk_to_next():
+            yield self._found[i]
+            i += 1
+
+    def _walk_to_next(self) -> bool:
+        """Walk trees until a new route turns up; False once every tree is walked."""
+        while self._walked < len(self._trees):
+            tree = self._trees[self._walked]
+            hops = tuple(path_in_tree(self._topo, tree, self._src, self._dst))
+            self._walked += 1
+            if hops not in self._seen:
+                self._seen.add(hops)
+                self._found.append((tree, hops))
+                return True
+        return False
+
+
 class NetworkState:
     """Flow registry (the committed `_SolverState`) plus the admission pipeline."""
 
@@ -370,6 +460,7 @@ class NetworkState:
         self.enable_reconfig = enable_reconfig
         self.default_regulator = default_regulator
         self._solver = _SolverState()
+        self._routes: dict[tuple[str, str], _Routes] = {}  # filled as pairs are requested
 
     # ------------------------------------------------------------------ helpers
 
@@ -448,25 +539,18 @@ class NetworkState:
         Only the spec and the transit and regulator terms of `terms` are read;
         its own class and tree are not.  The solve depends on (class, hops)
         only, so a tree whose path repeats an earlier tree's is skipped: it
-        would fail exactly as that one did.  Paths are discovered lazily while
-        the top class walks the trees, so an accept on an early tree costs
-        only the paths walked so far.
+        would fail exactly as that one did.  Each (src, dst) pair's trees are
+        walked once per `NetworkState` and lazily (see `_Routes`), so an
+        accept on an early tree costs only the paths walked so far, and later
+        requests and batch steps for the pair walk no tree again.
         """
         spec = terms.spec
-        distinct: list[tuple[VlanTree, tuple[PortId, ...]]] = []
-
-        def routes():
-            seen: set[tuple[PortId, ...]] = set()
-            for tree in self.trees:
-                hops = tuple(path_in_tree(self.topology, tree, spec.src, spec.dst))
-                if hops not in seen:
-                    seen.add(hops)
-                    distinct.append((tree, hops))
-                    yield tree, hops
-
-        top = self.class_count - 1
-        for priority in range(top, self.best_effort_class, -1):
-            for tree, hops in routes() if priority == top else distinct:
+        pair = (spec.src, spec.dst)
+        routes = self._routes.get(pair)
+        if routes is None:
+            routes = self._routes[pair] = _Routes(self.topology, self.trees, *pair)
+        for priority in range(self.class_count - 1, self.best_effort_class, -1):
+            for tree, hops in routes:
                 yield _Placement(
                     spec=spec,
                     priority=priority,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, DetnetError, MalformedRequest, ScenarioInvalid
-from .scenario import load_scenario_file, load_topology_file, read_input, read_json
+from .scenario import _expect, load_scenario_file, load_topology_file, read_input, read_json
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -73,13 +73,17 @@ def cmd_admit(args) -> int:
     if not isinstance(doc, dict) or not isinstance(doc.get("flows"), list):
         raise ScenarioInvalid(f"{args.flows}: expected an object with a 'flows' list")
     state = NetworkState(topo)
+    if state.trees_truncated:
+        print(f"note: VLAN tree enumeration stopped at its cap of {len(state.trees)} trees; "
+              "placements use only those", file=sys.stderr)
     responses = []
     critical_rejected = False
     for i, item in enumerate(doc["flows"]):
         where = f"{args.flows}: flows[{i}]"
         if not isinstance(item, dict):
             raise MalformedRequest(f"{where}: flow entries must be objects")
-        critical = bool(item.get("critical", False))
+        critical = _expect(item.get("critical"), f"{where}.critical", bool,
+                           optional=True, default=False)
         request = {k: v for k, v in item.items() if k != "critical"}
         try:
             response = state.handle_flow_request(request)

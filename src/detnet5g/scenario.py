@@ -153,8 +153,10 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
                 grant_delay_slots=_expect(t5g.get("grant_delay_slots"),
                                           f"{p}.grant_delay_slots", int,
                                           optional=True, default=0),
-                s_slot_usable_ul=bool(t5g.get("s_slot_usable_ul", False)),
-                s_slot_usable_dl=bool(t5g.get("s_slot_usable_dl", True)),
+                s_slot_usable_ul=_expect(t5g.get("s_slot_usable_ul"), f"{p}.s_slot_usable_ul",
+                                         bool, optional=True, default=False),
+                s_slot_usable_dl=_expect(t5g.get("s_slot_usable_dl"), f"{p}.s_slot_usable_dl",
+                                         bool, optional=True, default=True),
             )
         except ValueError as exc:
             _fail(p, str(exc))
@@ -189,7 +191,8 @@ def _load_regulator(obj, path: str) -> RegulatorConfig:
                                             f"{path}.release_period_us"),
             queue_cap_pkts=_expect(obj.get("queue_cap_pkts"), f"{path}.queue_cap_pkts",
                                    int, optional=True, default=64),
-            per_class=bool(obj.get("per_class", False)),
+            per_class=_expect(obj.get("per_class"), f"{path}.per_class", bool,
+                              optional=True, default=False),
         )
     except ValueError as exc:
         _fail(path, str(exc))
@@ -278,12 +281,14 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
             burst_B=_positive_int(fl.get("burst_B"), f"{p}.burst_B"),
             max_pkt_B=_positive_int(fl.get("max_pkt_B"), f"{p}.max_pkt_B"),
             deadline_us=_positive_int(fl.get("deadline_us"), f"{p}.deadline_us"),
-            dejitter=bool(fl.get("dejitter", False)),
+            dejitter=_expect(fl.get("dejitter"), f"{p}.dejitter", bool,
+                             optional=True, default=False),
         )
         source = _load_source(_expect(fl.get("source"), f"{p}.source", dict),
                               f"{p}.source", flow_id=fid, src=src, dst=dst)
-        flows.append(FlowEntry(spec=spec, critical=bool(fl.get("critical", False)),
-                               source=source))
+        critical = _expect(fl.get("critical"), f"{p}.critical", bool,
+                           optional=True, default=False)
+        flows.append(FlowEntry(spec=spec, critical=critical, source=source))
 
     sim = obj.get("sim", {})
     _expect(sim, "sim", dict)

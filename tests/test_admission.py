@@ -368,16 +368,20 @@ class TestDeduplicatedSearch:
                                 deadline_us=rng.choice([30_000, 60_000, 1_000_000]))
 
                 terms = _Placement(spec, None, None, (), 0, 0, None)  # no transit, no regulator
-                cands = [(c.priority, c.hops) for c in state._candidates(terms)]
-                assert len(cands) == len(set(cands)) < 2 * len(state.trees)
-                expected, reasons = full_order_search(state, spec)
-
                 calls = []
                 with monkeypatch.context() as m:
                     m.setattr(admission, "path_in_tree",
                               lambda *args: calls.append(args) or path_in_tree(*args))
-                    next(state._candidates(terms))
-                assert len(calls) == 1
+                    # a pair's first candidate walks one tree; its walk is kept
+                    fresh = NetworkState(topo, trees=state.trees, class_count=3)
+                    next(fresh._candidates(terms))
+                    assert len(calls) == 1
+                    cands = [(c.priority, c.hops) for c in state._candidates(terms)]
+                    calls.clear()
+                    assert [(c.priority, c.hops) for c in state._candidates(terms)] == cands
+                    assert calls == []
+                assert len(cands) == len(set(cands)) < 2 * len(state.trees)
+                expected, reasons = full_order_search(state, spec)
 
                 decision = state.register_flow(spec)
                 if expected is None:
@@ -537,6 +541,75 @@ class TestIncrementalSolver:
         engine, reference = _solve(topo, placements), reference_solve(topo, placements)
         assert (engine.bursts, engine.delays, engine.e2e_us) == (
             reference.bursts, reference.delays, reference.e2e_us)
+
+    def test_accepted_add_bounds_nothing_twice(self, monkeypatch):
+        """The round-one screen's bounds are round one's: an accept costs no more calls."""
+        topo = line_topology()
+        tree = NetworkState(topo).trees[0]
+        hops = tuple(path_in_tree(topo, tree, "A", "B"))
+        placements = {
+            fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, 10**9),
+                            prio, tree, hops, 0, 0, None)
+            for fid, prio, rate, burst in (
+                ("f1", 7, 12_500, 3_000),
+                ("f2", 7, 25_000, 4_500),
+                ("f3", 6, 5_000, 1_500),
+            )
+        }
+        new = placements.pop("f1")
+        base = _solve(topo, placements)
+        calls = []
+        monkeypatch.setattr(admission, "hop_delay_bound",
+                            lambda *args: calls.append(args) or hop_delay_bound(*args))
+        st = admission._add_flow(topo, base, new)
+        reference = reference_solve(topo, {**placements, "f1": new})
+        assert (st.bursts, st.e2e_us) == (reference.bursts, reference.e2e_us)
+        # the count of the solve without the screen: 3 rounds over 3 hops, 2 classes
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("fabric", ["ring", "grid"])
+    def test_screened_rejects_fail_reference_solve(self, fabric, monkeypatch):
+        """Every trial `_add_flow` rejects before any fixpoint round is infeasible."""
+        if fabric == "ring":
+            topo = ring_topology()
+            topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))
+            endpoints, kwargs = ["UE1", "UE2", "A", "D", "E", "G"], {}
+        else:
+            topo = grid_topology()
+            endpoints, kwargs = sorted(topo.hosts), {"class_count": 3}
+        settles, screened = [], []
+        settle, add_flow = admission._settle, admission._add_flow
+
+        def counted_settle(*args):
+            settles.append(None)
+            return settle(*args)
+
+        def recording_add_flow(topo, base, pl):
+            before = len(settles)
+            try:
+                return add_flow(topo, base, pl)
+            except _Infeasible:
+                if len(settles) == before:
+                    screened.append({**base.placements, pl.spec.flow_id: pl})
+                raise
+
+        monkeypatch.setattr(admission, "_settle", counted_settle)
+        monkeypatch.setattr(admission, "_add_flow", recording_add_flow)
+        for seed in range(6):
+            rng = random.Random(seed)
+            state = NetworkState(topo, enable_reconfig=seed % 2 == 0, **kwargs)
+            live = []
+            for i in range(16):
+                if live and rng.random() < 0.3:
+                    state.remove_flow(live.pop(rng.randrange(len(live))))
+                    continue
+                spec = oracle_spec(rng, f"f{i}", endpoints)
+                if state.register_flow(spec).accepted:
+                    live.append(spec.flow_id)
+        assert screened  # the screen fired, so the check below is not vacuous
+        for placements in screened:
+            with pytest.raises(_Infeasible):
+                reference_solve(topo, placements)
 
     @pytest.mark.parametrize("fabric", ["ring", "grid"])
     def test_registry_matches_reference_solver(self, fabric, monkeypatch):

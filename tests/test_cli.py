@@ -123,6 +123,44 @@ class TestAdmit:
                                 "deadline=100000us\n"
                                 "  ACCEPTED vlan=100 pcp=7 e2e_bound_us=49200\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("critical", "false", "flows[0].critical: must be bool"),
+        ("critical", 0, "flows[0].critical: must be bool"),
+        ("dejitter", "no", "flows[0]: field 'dejitter' must be a boolean"),
+    ], ids=["critical-str", "critical-int", "dejitter-str"])
+    def test_non_boolean_flag_exits_one(self, flag, value, message, topo_file, tmp_path,
+                                        capsys):
+        flows = write_json(tmp_path / "flows.json",
+                           flows_doc([orange_request(**{flag: value})]))
+        assert main(["admit", topo_file, flows]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flows}: {message}\n"
+        assert captured.out == ""
+
+    def test_tree_truncation_noted_on_stderr(self, tmp_path, capsys):
+        # a 4x4 grid has far more spanning trees than the default cap of 64
+        switches = [f"S{r}{c}" for r in range(4) for c in range(4)]
+        doc = {
+            "switches": [{"id": s, "link_rate_Bps": 125_000, "port_buffer_B": 64_000}
+                         for s in switches],
+            "links": [[f"S{r}{c}.1", f"S{r}{c + 1}.3"] for r in range(4) for c in range(3)]
+                     + [[f"S{r}{c}.2", f"S{r + 1}{c}.4"] for r in range(3) for c in range(4)],
+            "hosts": [{"id": "A", "attach": "S00.5"}, {"id": "B", "attach": "S33.5"}],
+        }
+        topo = write_json(tmp_path / "grid.json", doc)
+        flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(
+            src="A", dst="B", burst_B=1_500, max_pkt_B=1_500, deadline_us=1_000_000)]))
+        assert main(["admit", topo, flows]) == 0
+        captured = capsys.readouterr()
+        notes = captured.err.splitlines()
+        assert len(notes) == 1 and notes[0].startswith("note: ") and "cap of 64" in notes[0]
+        assert "ACCEPTED" in captured.out and "note" not in captured.out
+
+    def test_untruncated_trees_no_note(self, topo_file, tmp_path, capsys):
+        flows = write_json(tmp_path / "flows.json", flows_doc([orange_request()]))
+        assert main(["admit", topo_file, flows]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestRun:
     def test_writes_trace_and_report(self, scenario_file, tmp_path, capsys):

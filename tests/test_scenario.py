@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,22 @@ def test_json_parse_error_reports_position(tmp_path):
     path.write_text("{\n  \"schema_version\": 1,\n")
     with pytest.raises(ScenarioInvalid, match="line"):
         load_scenario_file(path)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("flows", 0, "critical"), "false"),
+    (("flows", 0, "dejitter"), "no"),
+    (("flows", 0, "dejitter"), 0),
+    (("nwtt", "dejitter", "per_class"), "false"),
+    (("topology", "transit5g", "s_slot_usable_ul"), 1),
+    (("topology", "transit5g", "s_slot_usable_dl"), "true"),
+], ids=["critical", "dejitter", "dejitter-int", "per-class", "s-slot-ul", "s-slot-dl"])
+def test_flag_must_be_boolean(where, value):
+    doc = canonical_scenario()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = ".".join(str(k) for k in where).replace(".0.", "[0].")
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: must be bool$"):
+        load_scenario(doc)
