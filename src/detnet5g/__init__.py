@@ -47,6 +47,4 @@ from .transit5g import (
     dl_capacity,
     transit_contract,
     ul_capacity,
-    worst_case_dl_latency,
-    worst_case_ul_latency,
 )

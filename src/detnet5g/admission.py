@@ -51,8 +51,6 @@ from .calculus import (
 from .errors import (
     InvalidSpec,
     MalformedRequest,
-    NoDownlinkSlots,
-    NoUplinkSlots,
     NotA5GFlow,
     RateExceedsCapacity,
     RateOverload,
@@ -68,7 +66,7 @@ from .topology import (
     enumerate_spanning_trees,
     path_in_tree,
 )
-from .transit5g import DOWNLINK, UPLINK, dl_capacity, transit_contract, ul_capacity
+from .transit5g import DOWNLINK, UPLINK, TransitContract, dl_capacity, transit_contract, ul_capacity
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +104,12 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Resolved placement of an admitted flow: its spec, regulator and bound components."""
+    """Resolved placement of an admitted flow: its spec, regulator and bound components.
+
+    `ul` and `dl` are the 5G contracts of a UE source and a UE destination
+    (None for a host end); the e2e bound is the hop bounds plus their delay
+    bounds plus the regulator bound.
+    """
 
     flow_id: str
     spec: FlowSpec
@@ -115,7 +118,8 @@ class FlowAssignment:
     priority_class: int
     hop_ports: tuple[PortId, ...]
     per_hop_bounds_us: tuple[int, ...]
-    transit_bound_us: int
+    ul: TransitContract | None
+    dl: TransitContract | None
     regulator_bound_us: int
     e2e_bound_us: int
 
@@ -130,14 +134,23 @@ class Decision:
 
 
 @dataclass(frozen=True)
+class _Terms:
+    """A flow's bound terms that no peer changes, computed once per request."""
+
+    ul: TransitContract | None = None
+    dl: TransitContract | None = None
+    regulator: RegulatorConfig | None = None
+    regulator_us: int = 0
+    fixed_us: int = 0  # UL + DL delay bounds + regulator bound
+
+
+@dataclass(frozen=True)
 class _Placement:
     spec: FlowSpec
     priority: int
     tree: VlanTree
     hops: tuple[PortId, ...]
-    transit_us: int
-    regulator_us: int
-    regulator: RegulatorConfig | None
+    terms: _Terms
 
 
 class _Infeasible(Exception):
@@ -277,7 +290,7 @@ def _settle(
                         port for port, b, a in zip(pl.hops, old, propagated) if b != a
                     )
                 hop_bounds[fid] = bounds
-                total = sum(bounds) + pl.transit_us + pl.regulator_us
+                total = sum(bounds) + pl.terms.fixed_us
                 e2e[fid] = total
                 if total > spec.deadline_us:
                     raise _Infeasible(
@@ -329,7 +342,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     fid = spec.flow_id
     states: dict[PortId, PortClassState] = {}
     known: dict[tuple[PortId, int], int] = {}
-    total = pl.transit_us + pl.regulator_us
+    total = pl.terms.fixed_us
     try:
         for port in pl.hops:
             classes = dict(base.aggregates.get(port, ()))
@@ -476,16 +489,18 @@ class NetworkState:
     def _assignment(self, flow_id: str) -> FlowAssignment:
         st = self._solver
         pl = st.placements[flow_id]
+        terms = pl.terms
         return FlowAssignment(
             flow_id=flow_id,
             spec=pl.spec,
-            regulator=pl.regulator,
+            regulator=terms.regulator,
             vlan_id=pl.tree.vlan_id,
             priority_class=pl.priority,
             hop_ports=pl.hops,
             per_hop_bounds_us=st.hop_bounds[flow_id],
-            transit_bound_us=pl.transit_us,
-            regulator_bound_us=pl.regulator_us,
+            ul=terms.ul,
+            dl=terms.dl,
+            regulator_bound_us=terms.regulator_us,
             e2e_bound_us=st.e2e_us[flow_id],
         )
 
@@ -496,73 +511,68 @@ class NetworkState:
             return "ue"
         raise Unreachable(f"endpoint {node_id!r} is not a host or UE")
 
-    def _transit_terms(self, spec: FlowSpec) -> tuple[int, int]:
-        """(uplink bound, downlink bound) in us; zero when not applicable."""
+    def _terms(self, spec: FlowSpec) -> _Terms:
+        """The UL and DL contracts of the flow's UE ends, and its regulator and bound.
+
+        A UE direction must have a usable TDD slot and room for the flow next
+        to the UE's admitted flows in that direction.
+        """
         transit = self.topology.transit
-        bounds = []
+        contracts = []
         for end, direction, name, capacity in (
             ("src", UPLINK, "uplink", ul_capacity),
             ("dst", DOWNLINK, "downlink", dl_capacity),
         ):
             ue_id = getattr(spec, end)
             if not self.topology.is_ue(ue_id):
-                bounds.append(0)
+                contracts.append(None)
                 continue
-            ue = transit.ue(ue_id)
+            cap = capacity(transit.tdd, transit.ue(ue_id))
+            if cap == 0:
+                raise RateExceedsCapacity(
+                    f"TDD pattern {transit.tdd.pattern!r} has no usable {name} slot for {ue_id}"
+                )
             peers = sum(
                 pl.spec.rate_Bps
                 for pl in self._solver.placements.values()
                 if getattr(pl.spec, end) == ue_id
             )
-            if peers + spec.rate_Bps > capacity(transit.tdd, ue):
+            if peers + spec.rate_Bps > cap:
                 raise RateExceedsCapacity(
                     f"aggregate {name} rate of {ue_id} exceeds TDD capacity"
                 )
-            bounds.append(transit_contract(
+            contracts.append(transit_contract(
                 transit, ue_id, direction, spec.burst_B, spec.rate_Bps
-            ).delay_bound_us)
-        return tuple(bounds)
+            ))
+        ul, dl = contracts
+        regulator, regulator_us = None, 0
+        if spec.dejitter:
+            if not self.topology.is_ue(spec.src):
+                raise InvalidSpec("de-jittering applies to 5G-sourced flows only")
+            regulator = self.default_regulator
+            if regulator is None:
+                raise InvalidSpec("dejitter requested but no regulator configured")
+            regulator_us = regulator_delay_bound(regulator, spec.burst_B, spec.max_pkt_B)
+        fixed_us = regulator_us + sum(c.delay_bound_us for c in contracts if c is not None)
+        return _Terms(ul, dl, regulator, regulator_us, fixed_us)
 
-    def _regulator_terms(self, spec: FlowSpec) -> tuple[int, RegulatorConfig | None]:
-        if not spec.dejitter:
-            return 0, None
-        if not self.topology.is_ue(spec.src):
-            raise InvalidSpec("de-jittering applies to 5G-sourced flows only")
-        cfg = self.default_regulator
-        if cfg is None:
-            raise InvalidSpec("dejitter requested but no regulator configured")
-        return regulator_delay_bound(cfg, spec.burst_B, spec.max_pkt_B), cfg
-
-    def _candidates(self, terms: _Placement):
+    def _candidates(self, spec: FlowSpec, terms: _Terms):
         """Placements of a flow in fixed search order: class descending, tree ascending.
 
-        Only the spec and the transit and regulator terms of `terms` are read;
-        its own class and tree are not.  The solve depends on (class, hops)
-        only, so a tree whose path repeats an earlier tree's is skipped: it
-        would fail exactly as that one did.  Each (src, dst) pair's trees are
-        walked once per `NetworkState` and lazily (see `_Routes`), so an
-        accept on an early tree costs only the paths walked so far, and later
-        requests and batch steps for the pair walk no tree again.
+        The solve depends on (class, hops) only, so a tree whose path repeats
+        an earlier tree's is skipped: it would fail exactly as that one did.
+        Each (src, dst) pair's trees are walked once per `NetworkState` and
+        lazily (see `_Routes`), so an accept on an early tree costs only the
+        paths walked so far, and later requests and batch steps for the pair
+        walk no tree again.
         """
-        spec = terms.spec
         pair = (spec.src, spec.dst)
         routes = self._routes.get(pair)
         if routes is None:
             routes = self._routes[pair] = _Routes(self.topology, self.trees, *pair)
         for priority in range(self.class_count - 1, self.best_effort_class, -1):
             for tree, hops in routes:
-                yield _Placement(
-                    spec=spec,
-                    priority=priority,
-                    tree=tree,
-                    hops=hops,
-                    transit_us=terms.transit_us,
-                    regulator_us=terms.regulator_us,
-                    regulator=terms.regulator,
-                )
-
-    def _placements(self) -> dict[str, _Placement]:
-        return dict(self._solver.placements)
+                yield _Placement(spec, priority, tree, hops, terms)
 
     # ------------------------------------------------------------------ operations
 
@@ -580,17 +590,14 @@ class NetworkState:
             return Decision(False, reason="Unreachable", detail=str(exc))
 
         try:
-            ul_us, dl_us = self._transit_terms(spec)
-            reg_us, reg_cfg = self._regulator_terms(spec)
-        except (RateExceedsCapacity, NoUplinkSlots, NoDownlinkSlots) as exc:
+            terms = self._terms(spec)
+        except RateExceedsCapacity as exc:
             return Decision(False, reason="Unschedulable", detail=str(exc))
         except InvalidSpec as exc:
             return Decision(False, reason="InvalidSpec", detail=str(exc))
-        # the flow's terms; _candidates supplies class, tree and hops
-        request = _Placement(spec, None, None, (), ul_us + dl_us, reg_us, reg_cfg)
 
         tried: list[_Placement] = []
-        for cand in self._candidates(request):
+        for cand in self._candidates(spec, terms):
             try:
                 solver = _add_flow(self.topology, self._solver, cand)
             except _Infeasible:
@@ -607,7 +614,7 @@ class NetworkState:
             return Decision(True, assignment=self._assignment(spec.flow_id), reconfigured=())
 
         if self.enable_reconfig and self._solver.placements:
-            solver = self._batch_reassign(request)
+            solver = self._batch_reassign(spec, terms)
             if solver is not None:
                 before = self._solver.placements
                 placements = solver.placements
@@ -637,7 +644,7 @@ class NetworkState:
         order.  A `DeadlineInfeasible` outranks the other reasons, so the
         first one ends the search.
         """
-        current = self._placements()
+        current = self._solver.placements
         reasons: dict[str, str] = {}
         for cand in tried:
             try:
@@ -651,17 +658,18 @@ class NetworkState:
                 return reason, reasons[reason]
         return "Unschedulable", "no feasible candidate"
 
-    def _batch_reassign(self, request: _Placement) -> _SolverState | None:
-        """Re-place every flow in ascending deadline order; None if that fails.
+    def _batch_reassign(self, spec: FlowSpec, terms: _Terms) -> _SolverState | None:
+        """Re-place every flow, the new one included, in ascending deadline order.
 
-        The flows enter one at a time into a state of their own, each trial
-        solved warm from the flows placed before it.
+        None if that fails.  The flows enter one at a time into a state of
+        their own, each trial solved warm from the flows placed before it.
         """
-        pending = [*self._solver.placements.values(), request]
-        pending.sort(key=lambda pl: (pl.spec.deadline_us, pl.spec.flow_id))
+        pending = [(pl.spec, pl.terms) for pl in self._solver.placements.values()]
+        pending.append((spec, terms))
+        pending.sort(key=lambda entry: (entry[0].deadline_us, entry[0].flow_id))
         solver = _SolverState()
-        for terms in pending:
-            for cand in self._candidates(terms):
+        for entry in pending:
+            for cand in self._candidates(*entry):
                 try:
                     solver = _add_flow(self.topology, solver, cand)
                 except _Infeasible:
@@ -749,7 +757,7 @@ class NetworkState:
             "pcp": pl.priority,
             "regulator": None,
         }
-        reg = pl.regulator
+        reg = pl.terms.regulator
         if reg is not None:
             cfg["regulator"] = {
                 "hold_us": reg.hold_us,
@@ -788,7 +796,7 @@ class NetworkState:
                     egress=self.topology.transit.attach,
                     vlan_id=pl.tree.vlan_id,
                     pcp=pl.priority,
-                    regulator=pl.regulator,
+                    regulator=pl.terms.regulator,
                 )
             )
         return cfg
@@ -806,13 +814,6 @@ class NetworkState:
             state = _port_state(self.topology, port, classes)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out
-
-    def recompute_aggregates(self) -> dict:
-        """Rebuild the cache from the registry alone (coherence oracle)."""
-        if not self._solver.placements:
-            return {}
-        solution = _solve(self.topology, self._placements())
-        return _canonical_aggregates(solution.aggregates)
 
     def snapshot(self) -> dict:
         """Deep, comparable image of registry + cache for atomicity checks."""

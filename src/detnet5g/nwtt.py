@@ -103,7 +103,7 @@ def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arriv
     """
     if len(state.queue) >= cfg.queue_cap_pkts:
         return False
-    state.queue.append((packet, t_arrival_ns))
+    state.queue.append(packet)
     if state.next_release_ns is None:
         release = t_arrival_ns + cfg.hold_us * NS_PER_US
         if state.last_release_ns is not None:
@@ -122,7 +122,7 @@ def regulator_release(state: RegulatorState, cfg: RegulatorConfig, t_now_ns: int
     out = []
     period_ns = cfg.release_period_us * NS_PER_US
     while state.queue and state.next_release_ns is not None and state.next_release_ns <= t_now_ns:
-        packet, _ = state.queue.popleft()
+        packet = state.queue.popleft()
         t_depart = state.next_release_ns
         out.append((packet, t_depart))
         state.last_release_ns = t_depart

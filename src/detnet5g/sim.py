@@ -5,9 +5,10 @@ per-flow policers, switches with non-preemptive strict-priority egress
 ports, the TDD-gated 5G segment draining per-UE queues one transport
 block per usable slot, and the NW-TT with tagging and the optional
 hold-and-forward regulator.  Every packet of an admitted flow is checked
-against its end-to-end, per-hop and transit bounds, and per-class queue
-occupancy is checked against the backlog bounds; the run report carries
-the violation counts (all zero for a sound pipeline).
+against the `FlowAssignment` admission handed out for it: its end-to-end
+and per-hop bounds, its UL and DL contracts and its regulator bound.
+Per-class queue occupancy is checked against the backlog bounds; the run
+report carries the violation counts (all zero for a sound pipeline).
 
 Internal time is integer nanoseconds.  Simultaneous events are ordered by
 a global sequence number assigned at scheduling time, so a (scenario,
@@ -37,7 +38,11 @@ from .nwtt import (
 )
 from .scenario import Scenario, SourceModel
 from .topology import PortId, path_in_tree
-from .transit5g import DOWNLINK, UPLINK, transit_contract
+from .transit5g import (
+    DOWNLINK,
+    UPLINK,
+    transit_contract,  # not called here; benchmarks/tracing.py looks this name up
+)
 from .units import NS_PER_S, NS_PER_US, ceil_div
 
 log = logging.getLogger(__name__)
@@ -83,10 +88,9 @@ class _Port:
 
 class _FlowCtx:
     __slots__ = (
-        "source", "flow_id", "src", "dst", "critical", "registered", "pcp", "vlan_id",
-        "route", "per_hop_us", "e2e_us", "ul", "dl", "reg_bound_us", "regulator", "policer",
-        "sent", "received", "seq", "drops", "latencies", "last_recv", "reorders",
-        "violations",
+        "source", "flow_id", "src", "dst", "critical", "assignment", "pcp", "vlan_id",
+        "route", "policer", "sent", "received", "seq", "drops", "latencies", "max_seq",
+        "reorders", "violations",
     )
 
     def __init__(self, source: SourceModel):
@@ -95,23 +99,17 @@ class _FlowCtx:
         self.src = source.src
         self.dst = source.dst
         self.critical = False
-        self.registered = False
+        self.assignment = None  # the admitted flow's FlowAssignment; None if unregistered
         self.pcp = 0
         self.vlan_id = None
         self.route = ()
-        self.per_hop_us = ()
-        self.e2e_us = None
-        self.ul = None  # TransitContract of a UE source
-        self.dl = None  # TransitContract of a UE destination
-        self.reg_bound_us = 0
-        self.regulator = None
         self.policer = None
         self.sent = 0
         self.received = 0
         self.seq = 0
         self.drops = {}
         self.latencies = []
-        self.last_recv = -1
+        self.max_seq = -1  # highest seq delivered so far
         self.reorders = 0
         self.violations = {
             "e2e": 0, "per_hop": 0, "transit": 0,
@@ -292,8 +290,8 @@ class _Engine:
         rule = classify_and_tag(self.nwtt_cfg, ctx.src, ctx.dst)
         if rule is not BEST_EFFORT:
             pkt.pcp = rule.pcp
-        if ctx.regulator is not None:
-            cfg = ctx.regulator
+        cfg = None if ctx.assignment is None else ctx.assignment.regulator
+        if cfg is not None:
             key = f"pcp:{pkt.pcp}" if cfg.per_class else f"flow:{ctx.flow_id}"
             entry = self.regulators.get(key)
             if entry is None:
@@ -357,7 +355,8 @@ class _Engine:
         sim_port.busy = None
         sim_port.occupancy[pkt.pcp] -= pkt.size_B
         ctx = pkt.ctx
-        if ctx.registered and self.t - pkt.hop_in > ctx.per_hop_us[pkt.hop_idx] * NS_PER_US:
+        a = ctx.assignment
+        if a is not None and self.t - pkt.hop_in > a.per_hop_bounds_us[pkt.hop_idx] * NS_PER_US:
             pkt.hop_overruns += 1
         pkt.hop_idx += 1
         if pkt.hop_idx < len(ctx.route):
@@ -385,32 +384,34 @@ class _Engine:
         ctx = pkt.ctx
         ctx.received += 1
         ctx.latencies.append(pkt.t_recv - pkt.t_send)
-        if pkt.t_recv < ctx.last_recv:
+        if pkt.seq < ctx.max_seq:
             ctx.reorders += 1
-        ctx.last_recv = pkt.t_recv
-        if ctx.registered:
+        else:
+            ctx.max_seq = pkt.seq
+        if ctx.assignment is not None:
             self._check_bounds(pkt, ctx)
 
     def _check_bounds(self, pkt: _Packet, ctx: _FlowCtx):
+        a = ctx.assignment
         v = ctx.violations
-        if pkt.t_recv - pkt.t_send > ctx.e2e_us * NS_PER_US:
+        if pkt.t_recv - pkt.t_send > a.e2e_bound_us * NS_PER_US:
             v["e2e"] += 1
         v["per_hop"] += pkt.hop_overruns
         if pkt.transit_out is not None:
             transit = pkt.transit_out - pkt.t_send
-            if transit > ctx.ul.delay_bound_us * NS_PER_US:
+            if transit > a.ul.delay_bound_us * NS_PER_US:
                 v["transit"] += 1
-            if transit < ctx.ul.best_case_us * NS_PER_US:
+            if transit < a.ul.best_case_us * NS_PER_US:
                 v["transit_best"] += 1
             if pkt.reg_out is not None:
                 combined = pkt.reg_out - pkt.t_send
-                if combined > (ctx.ul.delay_bound_us + ctx.reg_bound_us) * NS_PER_US:
+                if combined > (a.ul.delay_bound_us + a.regulator_bound_us) * NS_PER_US:
                     v["transit_regulator"] += 1
         if pkt.dl_in is not None:
             transit = pkt.t_recv - pkt.dl_in
-            if transit > ctx.dl.delay_bound_us * NS_PER_US:
+            if transit > a.dl.delay_bound_us * NS_PER_US:
                 v["transit"] += 1
-            if transit < ctx.dl.best_case_us * NS_PER_US:
+            if transit < a.dl.best_case_us * NS_PER_US:
                 v["transit_best"] += 1
 
     # ------------------------------------------------------------- main loop
@@ -454,12 +455,13 @@ def latency_summary(latencies_ns: list[int]) -> dict:
 
 def _flow_report(ctx: _FlowCtx) -> dict:
     dropped = sum(ctx.drops.values())
+    a = ctx.assignment
     return {
-        "admitted": ctx.registered,
+        "admitted": a is not None,
         "critical": ctx.critical,
         "pcp": ctx.pcp,
         "vlan_id": ctx.vlan_id,
-        "e2e_bound_us": ctx.e2e_us,
+        "e2e_bound_us": None if a is None else a.e2e_bound_us,
         "sent": ctx.sent,
         "received": ctx.received,
         "dropped": dropped,
@@ -587,22 +589,12 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         spec = assignment.spec
         ctx = _FlowCtx(entry.source)
         ctx.critical = entry.critical
-        ctx.registered = True
+        ctx.assignment = assignment
         ctx.pcp = assignment.priority_class
         ctx.vlan_id = assignment.vlan_id
         ctx.route = assignment.hop_ports
-        ctx.per_hop_us = assignment.per_hop_bounds_us
-        ctx.e2e_us = assignment.e2e_bound_us
-        ctx.reg_bound_us = assignment.regulator_bound_us
-        if topo.is_ue(spec.src):
-            ctx.ul = transit_contract(topo.transit, spec.src, UPLINK,
-                                      spec.burst_B, spec.rate_Bps)
-            ctx.regulator = assignment.regulator
-        else:
+        if not topo.is_ue(spec.src):
             ctx.policer = _Policer(spec.burst_B, spec.rate_Bps)
-        if topo.is_ue(spec.dst):
-            ctx.dl = transit_contract(topo.transit, spec.dst, DOWNLINK,
-                                      spec.burst_B, spec.rate_Bps)
         flows[ctx.flow_id] = ctx
 
     trees = state.trees

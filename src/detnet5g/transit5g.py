@@ -164,12 +164,22 @@ def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple
     return worst, best
 
 
-def _contract(
-    tdd: TddConfig, ue: UeRecord, direction: str, burst_B: int, rate_Bps: int
+def transit_contract(
+    node: TransitNode5G, ue_id: str, direction: str, burst_B: int, rate_Bps: int
 ) -> TransitContract:
-    """Validate the flow against the direction's capacity, then sweep once."""
+    """Delay bound and jitter the 5G segment reports for one flow.
+
+    The flow is validated against the direction's capacity, then one arrival
+    sweep gives both cases.  The jitter is worst minus best case of that
+    sweep; the best case is the infimum, so simulated latencies always fall
+    inside [best_case_us, delay_bound_us].
+    """
+    ue = node.ue(ue_id)
+    if direction not in (UPLINK, DOWNLINK):
+        raise ValueError(f"direction must be '{UPLINK}' or '{DOWNLINK}'")
     if burst_B <= 0:
         raise ValueError("burst must be positive")
+    tdd = node.tdd
     uplink = direction == UPLINK
     tbs = ue.tbs_ul_B if uplink else ue.tbs_dl_B
     cap = _capacity_Bps(tdd, tbs, direction)
@@ -183,28 +193,3 @@ def _contract(
     return TransitContract(
         delay_bound_us=worst_us, best_case_us=best_us, jitter_us=worst_us - best_us
     )
-
-
-def worst_case_ul_latency(tdd: TddConfig, ue: UeRecord, burst_B: int, rate_Bps: int) -> int:
-    """Worst-case uplink latency (us) for a (burst, rate) flow of this UE."""
-    return _contract(tdd, ue, UPLINK, burst_B, rate_Bps).delay_bound_us
-
-
-def worst_case_dl_latency(tdd: TddConfig, ue: UeRecord, burst_B: int, rate_Bps: int) -> int:
-    """Worst-case downlink latency (us); mirror of the uplink model."""
-    return _contract(tdd, ue, DOWNLINK, burst_B, rate_Bps).delay_bound_us
-
-
-def transit_contract(
-    node: TransitNode5G, ue_id: str, direction: str, burst_B: int, rate_Bps: int
-) -> TransitContract:
-    """Delay bound and jitter the 5G segment reports for one flow.
-
-    The jitter is worst minus best case of the same arrival sweep; the
-    best case is the infimum, so simulated latencies always fall inside
-    [best_case_us, delay_bound_us].
-    """
-    ue = node.ue(ue_id)
-    if direction not in (UPLINK, DOWNLINK):
-        raise ValueError(f"direction must be '{UPLINK}' or '{DOWNLINK}'")
-    return _contract(node.tdd, ue, direction, burst_B, rate_Bps)

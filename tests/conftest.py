@@ -1,7 +1,19 @@
 import pytest
 
+from detnet5g.admission import _canonical_aggregates, _solve
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
-from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord
+from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
+
+
+def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
+    """`transit_contract`'s delay bound for one flow of `ue` alone under `tdd`."""
+    node = TransitNode5G(tdd, {ue.ue_id: ue})
+    return transit_contract(node, ue.ue_id, direction, burst_B, rate_Bps).delay_bound_us
+
+
+def cold_aggregates(state) -> dict:
+    """A registry's aggregates rebuilt by a cold solve of its placements (coherence oracle)."""
+    return _canonical_aggregates(_solve(state.topology, state._solver.placements).aggregates)
 
 
 def ring_topology(*, with_transit=True, profile=None) -> Topology:

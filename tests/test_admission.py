@@ -11,14 +11,15 @@ from detnet5g.admission import (
     _port_state,
     _solve,
     _SolverState,
+    _Terms,
 )
 from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
 from detnet5g.errors import MalformedRequest, NotA5GFlow, RateOverload, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
-from detnet5g.transit5g import DOWNLINK, transit_contract
+from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
-from conftest import grid_topology, line_topology, ring_topology
+from conftest import cold_aggregates, grid_topology, line_topology, ring_topology
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -49,7 +50,8 @@ class TestRegisterFlow:
         assert a.vlan_id == 100
         assert a.hop_ports == (PortId("S1", 2), PortId("S3", 3))
         assert a.per_hop_bounds_us == (22_000, 24_200)
-        assert a.transit_bound_us == 3_000
+        assert a.ul.delay_bound_us == 3_000
+        assert a.dl is None
         assert a.regulator_bound_us == 0
         assert a.e2e_bound_us == 49_200
 
@@ -86,6 +88,19 @@ class TestRegisterFlow:
         assert not over.accepted
         assert over.reason == "Unschedulable"
 
+    @pytest.mark.parametrize("pattern, src, dst, name, ue", [
+        ("DDDDD", "UE1", "D", "uplink", "UE1"),
+        ("UUUUU", "G", "UE2", "downlink", "UE2"),
+    ])
+    def test_direction_without_usable_slot_named(self, ring, pattern, src, dst, name, ue):
+        ring.transit.tdd = TddConfig(pattern, numerology_mu=1)
+        state = NetworkState(ring)
+        before = state.snapshot()
+        decision = state.register_flow(spec(src=src, dst=dst))
+        assert (decision.accepted, decision.reason) == (False, "Unschedulable")
+        assert decision.detail == f"TDD pattern {pattern!r} has no usable {name} slot for {ue}"
+        assert state.snapshot() == before
+
     def test_downlink_flow_uses_dl_transit_as_last_hop(self, ring):
         state = NetworkState(ring)
         decision = state.register_flow(spec(fid="dl", src="G", dst="UE2",
@@ -94,8 +109,8 @@ class TestRegisterFlow:
         a = decision.assignment
         assert a.hop_ports[-1] == PortId("S1", 3)  # egress toward the NW-TT
         expected = transit_contract(ring.transit, "UE2", DOWNLINK, 1_500, 12_500)
-        assert a.transit_bound_us == expected.delay_bound_us
-        assert a.e2e_bound_us == sum(a.per_hop_bounds_us) + a.transit_bound_us
+        assert (a.ul, a.dl) == (None, expected)
+        assert a.e2e_bound_us == sum(a.per_hop_bounds_us) + expected.delay_bound_us
 
     def test_contender_lands_on_disjoint_tree(self):
         topo = reconfig_topology()
@@ -311,7 +326,7 @@ class TestStateInvariants:
                 trail.append(outcome)
                 if outcome[0] == "register" and not outcome[2]:
                     assert state.snapshot() == snap  # reject is atomic
-                assert state.aggregates() == state.recompute_aggregates()
+                assert state.aggregates() == cold_aggregates(state)
                 for assignment in state.flows().values():
                     spec_d = assignment.spec
                     assert assignment.e2e_bound_us <= spec_d.deadline_us
@@ -328,13 +343,12 @@ def full_order_search(state, spec):
     Returns (first feasible placement and its solution, or None; the reasons
     dict the search collects before that point).
     """
-    current = state._placements()
+    current = state._solver.placements
     reasons = {}
     for priority in range(state.class_count - 1, state.best_effort_class, -1):
         for tree in state.trees:
             hops = tuple(path_in_tree(state.topology, tree, spec.src, spec.dst))
-            cand = _Placement(spec=spec, priority=priority, tree=tree, hops=hops,
-                              transit_us=0, regulator_us=0, regulator=None)
+            cand = _Placement(spec, priority, tree, hops, _Terms())
             try:
                 solution = reference_solve(state.topology, {**current, spec.flow_id: cand})
             except _Infeasible as exc:
@@ -367,18 +381,18 @@ class TestDeduplicatedSearch:
                                 burst_B=pkt * rng.randrange(1, 3), max_pkt_B=pkt,
                                 deadline_us=rng.choice([30_000, 60_000, 1_000_000]))
 
-                terms = _Placement(spec, None, None, (), 0, 0, None)  # no transit, no regulator
+                terms = _Terms()  # no transit, no regulator
                 calls = []
                 with monkeypatch.context() as m:
                     m.setattr(admission, "path_in_tree",
                               lambda *args: calls.append(args) or path_in_tree(*args))
                     # a pair's first candidate walks one tree; its walk is kept
                     fresh = NetworkState(topo, trees=state.trees, class_count=3)
-                    next(fresh._candidates(terms))
+                    next(fresh._candidates(spec, terms))
                     assert len(calls) == 1
-                    cands = [(c.priority, c.hops) for c in state._candidates(terms)]
+                    cands = [(c.priority, c.hops) for c in state._candidates(spec, terms)]
                     calls.clear()
-                    assert [(c.priority, c.hops) for c in state._candidates(terms)] == cands
+                    assert [(c.priority, c.hops) for c in state._candidates(spec, terms)] == cands
                     assert calls == []
                 assert len(cands) == len(set(cands)) < 2 * len(state.trees)
                 expected, reasons = full_order_search(state, spec)
@@ -454,7 +468,7 @@ def reference_solve(topo, placements):
                         bursts[fid][i + 1] = burst
                         changed = True
                 hop_bounds[fid] = tuple(bounds)
-                total = sum(bounds) + pl.transit_us + pl.regulator_us
+                total = sum(bounds) + pl.terms.fixed_us
                 e2e[fid] = total
                 if total > pl.spec.deadline_us:
                     raise _Infeasible(
@@ -514,7 +528,7 @@ class TestIncrementalSolver:
         assert len(hops) == 3
         placements = {
             fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, deadline),
-                            prio, tree, hops, 0, 0, None)
+                            prio, tree, hops, _Terms())
             for fid, prio, rate, burst, deadline in (
                 ("f1", 7, 12_500, 3_000, 216_000),
                 ("f2", 7, 25_000, 4_500, 10**9),
@@ -537,7 +551,7 @@ class TestIncrementalSolver:
         ]
         monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 3)
         placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
-                                      7, tree, hops, 0, 0, None)
+                                      7, tree, hops, _Terms())
         engine, reference = _solve(topo, placements), reference_solve(topo, placements)
         assert (engine.bursts, engine.delays, engine.e2e_us) == (
             reference.bursts, reference.delays, reference.e2e_us)
@@ -549,7 +563,7 @@ class TestIncrementalSolver:
         hops = tuple(path_in_tree(topo, tree, "A", "B"))
         placements = {
             fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, 10**9),
-                            prio, tree, hops, 0, 0, None)
+                            prio, tree, hops, _Terms())
             for fid, prio, rate, burst in (
                 ("f1", 7, 12_500, 3_000),
                 ("f2", 7, 25_000, 4_500),

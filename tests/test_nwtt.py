@@ -62,7 +62,7 @@ class TestRegulatorOffer:
         assert regulator_offer(st, cfg, "p0", 0)
         assert regulator_offer(st, cfg, "p1", 1)
         assert not regulator_offer(st, cfg, "p2", 2)
-        assert [packet for packet, _ in st.queue] == ["p0", "p1"]
+        assert list(st.queue) == ["p0", "p1"]
 
     def test_busy_period_arrival_keeps_schedule(self):
         cfg = RegulatorConfig(hold_us=10_000, release_period_us=1_000)

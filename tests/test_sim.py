@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from detnet5g.errors import AdmissionMissing
@@ -6,6 +8,7 @@ from detnet5g.sim import (
     _admit_flows,
     _build_flow_ctxs,
     _Engine,
+    _Packet,
     compare_dejitter,
     dejitter_summary,
     run,
@@ -105,13 +108,42 @@ class TestCanonical:
         state, _ = _admit_flows(scn, "scenario")
         flows = _build_flow_ctxs(scn, state)
         for ctx in flows.values():
-            if ctx.registered:
-                ctx.per_hop_us = (0,) * len(ctx.route)
+            if ctx.assignment is not None:
+                ctx.assignment = replace(ctx.assignment, per_hop_bounds_us=(0,) * len(ctx.route))
         _Engine(scn, state, flows, scn.seed).run()
-        assert any(ctx.registered and ctx.sent > ctx.received for ctx in flows.values())
+        assert any(ctx.assignment and ctx.sent > ctx.received for ctx in flows.values())
         for fid, ctx in flows.items():
-            expected = ctx.received * len(ctx.route) if ctx.registered else 0
+            expected = ctx.received * len(ctx.route) if ctx.assignment else 0
             assert ctx.violations["per_hop"] == expected, fid
+
+    def test_transit_checked_against_the_assignments_own_contract(self):
+        # the engine reads the UL contract admission handed out: with a zero
+        # delay bound there, every delivered packet of the UE flow overruns it
+        scn = scenario()
+        state, _ = _admit_flows(scn, "scenario")
+        flows = _build_flow_ctxs(scn, state)
+        orange = flows["orange"]
+        assert orange.assignment.ul.delay_bound_us > 0
+        orange.assignment = replace(
+            orange.assignment, ul=replace(orange.assignment.ul, delay_bound_us=0))
+        _Engine(scn, state, flows, scn.seed).run()
+        assert orange.received > 0
+        assert orange.violations["transit"] == orange.received
+
+    def test_reorder_is_a_lower_seq_delivered_after_a_higher_one(self):
+        scn = scenario()
+        state, _ = _admit_flows(scn, "scenario")
+        flows = _build_flow_ctxs(scn, state)
+        engine = _Engine(scn, state, flows, scn.seed)
+        ctx = flows["orange"]
+        packets = []
+        for _ in range(2):
+            packets.append(_Packet(ctx, 100, 0))
+            ctx.seq += 1
+        engine.t = 5_000
+        for pkt in reversed(packets):  # same instant, seq 1 before seq 0
+            engine._deliver(pkt)
+        assert ctx.reorders == 1
 
     def test_critical_rejection_raises(self):
         def impossible(doc):

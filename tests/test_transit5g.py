@@ -18,10 +18,10 @@ from detnet5g.transit5g import (
     dl_capacity,
     transit_contract,
     ul_capacity,
-    worst_case_dl_latency,
-    worst_case_ul_latency,
 )
 from detnet5g.units import ceil_div
+
+from conftest import worst_case_us
 
 
 def sweep_oracle(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int):
@@ -59,21 +59,21 @@ def ue(tbs_ul=1500, tbs_dl=3000):
 class TestUplink:
     def test_all_uplink_pattern_two_slots(self):
         tdd = TddConfig("UUUUU", numerology_mu=1)
-        assert worst_case_ul_latency(tdd, ue(), 1250, 12_500) == 1_000
+        assert worst_case_us(tdd, ue(), UPLINK, 1250, 12_500) == 1_000
 
     def test_demo_pattern_worst_arrival_after_u_slot(self):
         tdd = TddConfig("DDDSU", numerology_mu=1)
-        assert worst_case_ul_latency(tdd, ue(), 1250, 12_500) == 3_000
+        assert worst_case_us(tdd, ue(), UPLINK, 1250, 12_500) == 3_000
 
     def test_rate_above_capacity(self):
         tdd = TddConfig("DDDSU", numerology_mu=1)
         with pytest.raises(RateExceedsCapacity):
-            worst_case_ul_latency(tdd, ue(), 1250, 700_000)
+            worst_case_us(tdd, ue(), UPLINK, 1250, 700_000)
 
     def test_no_uplink_slots(self):
         tdd = TddConfig("DDDD", numerology_mu=1)
         with pytest.raises(NoUplinkSlots):
-            worst_case_ul_latency(tdd, ue(), 1250, 1)
+            worst_case_us(tdd, ue(), UPLINK, 1250)
 
 
 class TestCapacity:
@@ -94,19 +94,19 @@ class TestCapacity:
 class TestDownlink:
     def test_all_downlink_two_slots(self):
         tdd = TddConfig("DDDDD", numerology_mu=1)
-        assert worst_case_dl_latency(tdd, ue(), 2500, 1) == 1_000
+        assert worst_case_us(tdd, ue(), DOWNLINK, 2500) == 1_000
 
     def test_demo_pattern_s_unusable_two_blocks(self):
         tdd = TddConfig("DDDSU", numerology_mu=1, s_slot_usable_dl=False)
         oracle = sweep_oracle(tdd, DOWNLINK, 3000, 6000)
         assert oracle is not None
-        assert worst_case_dl_latency(tdd, ue(), 6000, 1) == ceil_div(oracle[0], 1000)
-        assert worst_case_dl_latency(tdd, ue(), 6000, 1) == 2_500
+        assert worst_case_us(tdd, ue(), DOWNLINK, 6000) == ceil_div(oracle[0], 1000)
+        assert worst_case_us(tdd, ue(), DOWNLINK, 6000) == 2_500
 
     def test_no_downlink_slots(self):
         tdd = TddConfig("UUUU", numerology_mu=1, s_slot_usable_dl=False)
         with pytest.raises(NoDownlinkSlots):
-            worst_case_dl_latency(tdd, ue(), 1250, 1)
+            worst_case_us(tdd, ue(), DOWNLINK, 1250)
 
 
 class TestContract:
@@ -143,9 +143,9 @@ class TestOracleEquivalence:
                     expected = sweep_oracle(tdd, UPLINK, tbs, burst)
                     if expected is None:
                         with pytest.raises(NoUplinkSlots):
-                            worst_case_ul_latency(tdd, ue(tbs_ul=tbs), burst, 1)
+                            worst_case_us(tdd, ue(tbs_ul=tbs), UPLINK, burst)
                     else:
-                        got = worst_case_ul_latency(tdd, ue(tbs_ul=tbs), burst, 1)
+                        got = worst_case_us(tdd, ue(tbs_ul=tbs), UPLINK, burst)
                         assert got == ceil_div(expected[0], 1000)
 
     def test_sampled_long_patterns_both_directions_and_delays(self):
@@ -158,14 +158,11 @@ class TestOracleEquivalence:
                     tdd = TddConfig(pattern, numerology_mu=1, grant_delay_slots=gd)
                     n = rng.randrange(1, 9)
                     burst = (n - 1) * tbs + rng.randrange(1, tbs + 1)
-                    for direction, fn in (
-                        (UPLINK, worst_case_ul_latency),
-                        (DOWNLINK, worst_case_dl_latency),
-                    ):
+                    for direction in (UPLINK, DOWNLINK):
                         expected = sweep_oracle(tdd, direction, tbs, burst)
                         if expected is None:
                             continue
-                        got = fn(tdd, ue(tbs_ul=tbs, tbs_dl=tbs), burst, 1)
+                        got = worst_case_us(tdd, ue(tbs_ul=tbs, tbs_dl=tbs), direction, burst)
                         assert got == ceil_div(expected[0], 1000), (pattern, gd, n, direction)
 
 
@@ -180,9 +177,9 @@ class TestProperties:
             tdd0 = TddConfig(pattern, numerology_mu=1)
             tdd2 = TddConfig(pattern, numerology_mu=1, grant_delay_slots=2)
             burst = rng.randrange(1, 5000)
-            a = worst_case_ul_latency(tdd0, ue(), burst, 1)
-            b = worst_case_ul_latency(tdd0, ue(), burst + rng.randrange(1, 3000), 1)
-            c = worst_case_ul_latency(tdd2, ue(), burst, 1)
+            a = worst_case_us(tdd0, ue(), UPLINK, burst)
+            b = worst_case_us(tdd0, ue(), UPLINK, burst + rng.randrange(1, 3000))
+            c = worst_case_us(tdd2, ue(), UPLINK, burst)
             assert b >= a
             assert c >= a
 
@@ -196,18 +193,18 @@ class TestProperties:
             shift = rng.randrange(length)
             rotated = pattern[shift:] + pattern[:shift]
             burst = rng.randrange(1, 4000)
-            a = worst_case_ul_latency(TddConfig(pattern, numerology_mu=1), ue(), burst, 1)
-            b = worst_case_ul_latency(TddConfig(rotated, numerology_mu=1), ue(), burst, 1)
+            a = worst_case_us(TddConfig(pattern, numerology_mu=1), ue(), UPLINK, burst)
+            b = worst_case_us(TddConfig(rotated, numerology_mu=1), ue(), UPLINK, burst)
             assert a == b
 
     def test_mu4_slot_is_exact_in_ns(self):
         tdd = TddConfig("U", numerology_mu=4)
         assert tdd.slot_ns == 62_500
         # two 62.5 us slots -> 125 us exactly
-        assert worst_case_ul_latency(tdd, ue(), 100, 1) == 125
+        assert worst_case_us(tdd, ue(), UPLINK, 100) == 125
 
     def test_f_slots_carry_no_traffic(self):
         tdd = TddConfig("FFU", numerology_mu=1)
         assert ul_capacity(tdd, ue()) == ul_capacity(TddConfig("DDU", numerology_mu=1), ue())
         with pytest.raises(NoDownlinkSlots):
-            worst_case_dl_latency(TddConfig("FFF", numerology_mu=1), ue(), 100, 1)
+            worst_case_us(TddConfig("FFF", numerology_mu=1), ue(), DOWNLINK, 100)
