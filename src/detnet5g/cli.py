@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, DetnetError, MalformedRequest, ScenarioInvalid
-from .scenario import _expect, load_scenario_file, load_topology_file, read_input, read_json
+from .scenario import _expect, load_scenario_file, load_topology_file, open_input, read_json
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -158,30 +157,31 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     flows: dict[str, dict] = {}
-    reader = csv.DictReader(io.StringIO(read_input(args.trace)))
-    if reader.fieldnames != list(TRACE_COLUMNS):
-        raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
-    for row in reader:
-        where = f"{args.trace}: line {reader.line_num}"
-        # a short row fills the missing columns with None, a long one
-        # puts the surplus under the key None
-        if None in row or None in row.values():
-            raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
-        if not row["flow_id"]:
-            raise ScenarioInvalid(f"{where} column flow_id: empty")
-        if row["dropped"] not in ("0", "1"):
-            raise ScenarioInvalid(
-                f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
-            )
-        stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
-        stats["sent"] += 1
-        if row["dropped"] == "1":
-            stats["dropped"] += 1
-        elif row["latency_us"]:
-            try:
-                stats["lat"].append(parse_us(row["latency_us"]))
-            except ValueError as exc:
-                raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
+    with open_input(args.trace) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != list(TRACE_COLUMNS):
+            raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
+        for row in reader:
+            where = f"{args.trace}: line {reader.line_num}"
+            # a short row fills the missing columns with None, a long one
+            # puts the surplus under the key None
+            if None in row or None in row.values():
+                raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
+            if not row["flow_id"]:
+                raise ScenarioInvalid(f"{where} column flow_id: empty")
+            if row["dropped"] not in ("0", "1"):
+                raise ScenarioInvalid(
+                    f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
+                )
+            stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
+            stats["sent"] += 1
+            if row["dropped"] == "1":
+                stats["dropped"] += 1
+            elif row["latency_us"]:
+                try:
+                    stats["lat"].append(parse_us(row["latency_us"]))
+                except ValueError as exc:
+                    raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
     doc = {"schema_version": 1, "flows": {}}
     for fid, stats in sorted(flows.items()):
         doc["flows"][fid] = {

@@ -7,6 +7,7 @@ path so a broken file points at its own problem.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -317,18 +318,26 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     )
 
 
-def read_input(path) -> str:
-    """Text of an input file; one that cannot be read or decoded raises ScenarioInvalid."""
+@contextmanager
+def open_input(path):
+    """An input file open for reading text.
+
+    A file that cannot be opened, read or decoded raises ScenarioInvalid,
+    also when the error comes while the caller is reading it.
+    """
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path):
     """Parsed JSON input file; an unreadable or malformed one raises ScenarioInvalid."""
+    with open_input(path) as fh:
+        text = fh.read()
     try:
-        return json.loads(read_input(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 

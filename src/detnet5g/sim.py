@@ -23,6 +23,7 @@ import itertools
 import json
 import logging
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -49,30 +50,31 @@ log = logging.getLogger(__name__)
 
 TRACE_COLUMNS = ("flow_id", "seq", "size_B", "t_send_us", "t_recv_us", "latency_us", "dropped")
 
+# the `t_recv` trace entry of a packet not delivered (yet): no time is negative
+IN_FLIGHT = -1
+DROPPED = -2
+
 
 class _Packet:
     __slots__ = (
         "ctx", "seq", "size_B", "pcp", "hop_idx", "hop_in", "hop_overruns",
-        "t_send", "t_recv", "remaining_B", "eligible_slot",
-        "transit_out", "reg_out", "dl_in", "dropped",
+        "t_send", "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
     )
 
     def __init__(self, ctx, size_B, t_send):
         self.ctx = ctx
-        self.seq = ctx.seq
+        self.seq = len(ctx.t_send)  # the packet's index into its flow's trace columns
         self.size_B = size_B
         self.pcp = ctx.pcp
         self.hop_idx = 0
         self.hop_in = 0
         self.hop_overruns = 0  # hops over their bound, counted at delivery
         self.t_send = t_send
-        self.t_recv = None
         self.remaining_B = size_B
         self.eligible_slot = None
         self.transit_out = None
         self.reg_out = None
         self.dl_in = None
-        self.dropped = None
 
 
 class _Port:
@@ -89,7 +91,7 @@ class _Port:
 class _FlowCtx:
     __slots__ = (
         "source", "flow_id", "src", "dst", "critical", "assignment", "pcp", "vlan_id",
-        "route", "policer", "sent", "received", "seq", "drops", "latencies", "max_seq",
+        "route", "policer", "t_send", "t_recv", "received", "drops", "max_seq",
         "reorders", "violations",
     )
 
@@ -104,17 +106,22 @@ class _FlowCtx:
         self.vlan_id = None
         self.route = ()
         self.policer = None
-        self.sent = 0
+        # the flow's trace, indexed by seq: send time, and delivery time,
+        # IN_FLIGHT or DROPPED (ns)
+        self.t_send = array("q")
+        self.t_recv = array("q")
         self.received = 0
-        self.seq = 0
         self.drops = {}
-        self.latencies = []
         self.max_seq = -1  # highest seq delivered so far
         self.reorders = 0
         self.violations = {
             "e2e": 0, "per_hop": 0, "transit": 0,
             "transit_best": 0, "transit_regulator": 0,
         }
+
+    @property
+    def sent(self) -> int:
+        return len(self.t_send)
 
 
 class _Policer:
@@ -149,7 +156,7 @@ class RunResult:
     dejitter_mode: str
     decisions: list
     report: dict
-    trace_rows: list
+    trace_rows: _TraceRows
     state: NetworkState
 
 
@@ -188,7 +195,6 @@ class _Engine:
         self.t = 0
         self.heap = []
         self.counter = 0
-        self.packets: list[_Packet] = []
         self.ports: dict[PortId, _Port] = {}
         self.transit = state.topology.transit
         self.ue_ul: dict[str, deque] = {}
@@ -240,9 +246,8 @@ class _Engine:
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
         pkt = _Packet(ctx, size_B, self.t)
-        ctx.seq += 1
-        ctx.sent += 1
-        self.packets.append(pkt)
+        ctx.t_send.append(self.t)
+        ctx.t_recv.append(IN_FLIGHT)
         if self.transit is not None and ctx.src in self.transit.ues:
             tdd = self.transit.tdd
             pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
@@ -375,15 +380,14 @@ class _Engine:
     # ------------------------------------------------------------- bookkeeping
 
     def _drop(self, pkt: _Packet, stage: str):
-        pkt.dropped = stage
         ctx = pkt.ctx
+        ctx.t_recv[pkt.seq] = DROPPED
         ctx.drops[stage] = ctx.drops.get(stage, 0) + 1
 
     def _deliver(self, pkt: _Packet):
-        pkt.t_recv = self.t
         ctx = pkt.ctx
+        ctx.t_recv[pkt.seq] = self.t
         ctx.received += 1
-        ctx.latencies.append(pkt.t_recv - pkt.t_send)
         if pkt.seq < ctx.max_seq:
             ctx.reorders += 1
         else:
@@ -394,7 +398,7 @@ class _Engine:
     def _check_bounds(self, pkt: _Packet, ctx: _FlowCtx):
         a = ctx.assignment
         v = ctx.violations
-        if pkt.t_recv - pkt.t_send > a.e2e_bound_us * NS_PER_US:
+        if self.t - pkt.t_send > a.e2e_bound_us * NS_PER_US:
             v["e2e"] += 1
         v["per_hop"] += pkt.hop_overruns
         if pkt.transit_out is not None:
@@ -408,7 +412,7 @@ class _Engine:
                 if combined > (a.ul.delay_bound_us + a.regulator_bound_us) * NS_PER_US:
                     v["transit_regulator"] += 1
         if pkt.dl_in is not None:
-            transit = pkt.t_recv - pkt.dl_in
+            transit = self.t - pkt.dl_in
             if transit > a.dl.delay_bound_us * NS_PER_US:
                 v["transit"] += 1
             if transit < a.dl.best_case_us * NS_PER_US:
@@ -431,6 +435,9 @@ class _Engine:
                 break
             self.t = t
             handler(payload)
+        # heap entries hold bound methods of self: clear them so that the
+        # engine is freed by refcount, not later by the cycle collector
+        self.heap.clear()
 
 
 def latency_summary(latencies_ns: list[int]) -> dict:
@@ -468,15 +475,13 @@ def _flow_report(ctx: _FlowCtx) -> dict:
         "in_flight": ctx.sent - ctx.received - dropped,
         "drops": dict(sorted(ctx.drops.items())),
         "reorders": ctx.reorders,
-        **latency_summary(ctx.latencies),
+        **latency_summary([r - s for s, r in zip(ctx.t_send, ctx.t_recv) if r >= 0]),
         "bound_violations": sum(ctx.violations.values()),
         "violations": dict(ctx.violations),
     }
 
 
-def _format_us(ns) -> str:
-    if ns is None:
-        return ""
+def _format_us(ns: int) -> str:
     return f"{ns // NS_PER_US}.{ns % NS_PER_US:03d}"
 
 
@@ -486,6 +491,34 @@ def parse_us(text: str) -> int:
     if not (dot and whole.isdigit() and len(frac) == 3 and frac.isdigit()):
         raise ValueError(f"expected microseconds with three decimals, got {text!r}")
     return int(whole) * NS_PER_US + int(frac)
+
+
+def _flow_rows(ctx: _FlowCtx):
+    """Yield `(t_send, flow_id, seq, size_B, t_recv)` for each packet of a flow, in seq order."""
+    fid = ctx.flow_id
+    size_B = ctx.source.params["pkt_B"]  # every packet of a source has its pkt_B
+    for seq, (t_send, t_recv) in enumerate(zip(ctx.t_send, ctx.t_recv)):
+        yield t_send, fid, seq, size_B, t_recv
+
+
+class _TraceRows:
+    """The trace's CSV rows in (t_send, flow_id, seq) order, formatted as they are read.
+
+    Iterating merges the flows' trace columns, each already in that order
+    because a flow's send times never decrease with its seq; it can be
+    iterated any number of times.
+    """
+
+    def __init__(self, ctxs: list):
+        self.ctxs = ctxs  # in flow_id order
+
+    def __iter__(self):
+        for t_send, fid, seq, size_B, t_recv in heapq.merge(*map(_flow_rows, self.ctxs)):
+            if t_recv >= 0:
+                recv, latency = _format_us(t_recv), _format_us(t_recv - t_send)
+            else:
+                recv = latency = ""
+            yield fid, seq, size_B, _format_us(t_send), recv, latency, int(t_recv == DROPPED)
 
 
 def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
@@ -524,24 +557,12 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
         "violations": {**total, "total": sum(total.values())},
     }
 
-    rows = []
-    for pkt in sorted(engine.packets, key=lambda p: (p.t_send, p.ctx.flow_id, p.seq)):
-        latency = None if pkt.t_recv is None else pkt.t_recv - pkt.t_send
-        rows.append((
-            pkt.ctx.flow_id,
-            pkt.seq,
-            pkt.size_B,
-            _format_us(pkt.t_send),
-            _format_us(pkt.t_recv),
-            _format_us(latency),
-            1 if pkt.dropped else 0,
-        ))
     return RunResult(
         seed=seed,
         dejitter_mode=dejitter_mode,
         decisions=decisions,
         report=report,
-        trace_rows=rows,
+        trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())]),
         state=state,
     )
 

@@ -284,6 +284,15 @@ class TestReport:
         assert f"trace.csv: {message}" in err
         assert "Traceback" not in err
 
+    def test_undecodable_row_past_the_first_read_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        rows = "".join(f"orange,{seq},25,1.000,2.500,1.500,0\n" for seq in range(2_000))
+        trace.write_bytes(b"flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,dropped\n"
+                          + rows.encode() + b"caf\xe9,0,25,1.000,2.500,1.500,0\n")
+        assert main(["report", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {trace}: ") and err.count("\n") == 1
+
     def test_missing_file_exits_one(self):
         assert main(["report", "/nonexistent/trace.csv"]) == 1
 

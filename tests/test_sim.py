@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -5,12 +7,14 @@ import pytest
 from detnet5g.errors import AdmissionMissing
 from detnet5g.scenario import canonical_scenario, load_scenario
 from detnet5g.sim import (
+    IN_FLIGHT,
     _admit_flows,
     _build_flow_ctxs,
     _Engine,
     _Packet,
     compare_dejitter,
     dejitter_summary,
+    parse_us,
     run,
 )
 
@@ -139,7 +143,8 @@ class TestCanonical:
         packets = []
         for _ in range(2):
             packets.append(_Packet(ctx, 100, 0))
-            ctx.seq += 1
+            ctx.t_send.append(0)
+            ctx.t_recv.append(IN_FLIGHT)
         engine.t = 5_000
         for pkt in reversed(packets):  # same instant, seq 1 before seq 0
             engine._deliver(pkt)
@@ -164,19 +169,50 @@ class TestDeterminism:
         a = run(scenario(), seed=7)
         for mutate in (None, with_retired_poll_keys):
             b = run(scenario(mutate), seed=7)
-            assert a.trace_rows == b.trace_rows
+            assert list(a.trace_rows) == list(b.trace_rows)
             assert a.report == b.report
 
     def test_different_seed_changes_phases(self):
         a = run(scenario(), seed=1)
         b = run(scenario(), seed=2)
-        assert a.trace_rows != b.trace_rows
+        assert list(a.trace_rows) != list(b.trace_rows)
 
     def test_disabled_regulator_equals_off_run(self):
         # 'scenario' mode with dejitter flags false is the off-run identity
         a = run(scenario(without_background), dejitter="scenario")
         b = run(scenario(without_background), dejitter="off")
-        assert a.trace_rows == b.trace_rows
+        assert list(a.trace_rows) == list(b.trace_rows)
+
+    def test_rows_tied_on_send_time_are_ordered_by_flow_then_seq(self):
+        doc = single_switch_doc()
+        doc["topology"]["switches"][0].update(link_rate_Bps=125_000_000, port_buffer_B=1_000_000)
+        timing = {"period_us": 2_000, "offset_us": 500, "pkt_B": 100}
+        doc["sim"]["sources"] = [
+            {"flow_id": "p2", "src": "A", "dst": "B", "mode": "periodic", **timing},
+            {"flow_id": "burst", "src": "B", "dst": "A", "mode": "burst_periodic",
+             "count": 3, **timing},
+            {"flow_id": "p1", "src": "A", "dst": "B", "mode": "periodic", **timing},
+        ]
+        rows = list(run(load_scenario(doc)).trace_rows)
+        assert rows == sorted(rows, key=lambda row: (parse_us(row[3]), row[0], row[1]))
+        senders = {}
+        for row in rows:
+            senders.setdefault(row[3], set()).add(row[0])
+        assert any(len(flows) > 1 for flows in senders.values())
+
+    def test_engine_is_freed_without_the_cycle_collector(self):
+        scn = scenario()
+        state, _ = _admit_flows(scn, "scenario")
+        flows = _build_flow_ctxs(scn, state)
+        gc.disable()
+        try:
+            engine = _Engine(scn, state, flows, scn.seed)
+            engine.run()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDejitter:
