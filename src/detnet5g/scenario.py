@@ -213,6 +213,10 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
     }[mode]
     for key in required:
         _positive_int(obj.get(key), f"{path}.{key}")
+    if "offset_us" in obj:
+        # a source never sends before the run starts at t = 0
+        if _expect(obj["offset_us"], f"{path}.offset_us", int) < 0:
+            _fail(f"{path}.offset_us", "must be non-negative")
     if mode == "onoff_background" and obj.get("start", "on") not in ("on", "off"):
         _fail(f"{path}.start", "must be 'on' or 'off'")
     seed = _expect(obj.get("seed"), f"{path}.seed", int, optional=True)

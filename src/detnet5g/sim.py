@@ -10,9 +10,16 @@ and per-hop bounds, its UL and DL contracts and its regulator bound.
 Per-class queue occupancy is checked against the backlog bounds; the run
 report carries the violation counts (all zero for a sound pipeline).
 
-Internal time is integer nanoseconds.  Simultaneous events are ordered by
-a global sequence number assigned at scheduling time, so a (scenario,
-seed) pair always produces byte-identical traces.
+Internal time is integer nanoseconds, and a (scenario, seed) pair always
+produces byte-identical traces.  Events run in time order; simultaneous
+ones run in the order of a slot clock that ticks at every slot boundary
+and schedules each next tick at the end of the current one: an event
+scheduled before that moment runs before the tick, one scheduled after it
+runs after the tick, and events on the same side run in scheduling order.
+An event scheduled for the time it is scheduled at joins a FIFO that runs
+after every other event of that time.  The clock itself is lazy: a slot is
+ticked only when a UE queue can drain in it, which leaves the order
+unchanged because a tick that drains nothing does nothing.
 """
 
 from __future__ import annotations
@@ -78,21 +85,43 @@ class _Packet:
 
 
 class _Port:
-    __slots__ = ("profile", "queues", "occupancy", "max_occupancy", "busy")
+    __slots__ = (
+        "profile", "fwd_ns", "buffer_B", "drop_stage", "queues", "by_priority", "queued",
+        "occupancy", "max_occupancy", "busy", "reached",
+    )
 
-    def __init__(self, profile):
+    def __init__(self, port_id: PortId, profile):
         self.profile = profile
+        self.fwd_ns = tuple(d * NS_PER_US for d in profile.fwd_delay_us)  # per class
+        self.buffer_B = profile.port_buffer_B
+        self.drop_stage = f"queue:{port_id}"
         self.queues = [deque() for _ in range(profile.class_count)]
+        self.by_priority = self.queues[::-1]  # highest class first
+        self.queued = 0  # packets in the queues, not counting the one on the wire
         self.occupancy = [0] * profile.class_count
         self.max_occupancy = [0] * profile.class_count
         self.busy = None
+        self.reached = False  # has a packet arrived here
+
+
+class _Hop:
+    """One hop of a flow's route, resolved once per run: the egress port, the
+    transmission time of the flow's packets there and the flow's bound for
+    the hop (None for an unregistered flow)."""
+
+    __slots__ = ("port", "tx_ns", "bound_ns")
+
+    def __init__(self, port: _Port, pkt_B: int, bound_us):
+        self.port = port
+        self.tx_ns = ceil_div(pkt_B * NS_PER_S, port.profile.link_rate_Bps)
+        self.bound_ns = None if bound_us is None else bound_us * NS_PER_US
 
 
 class _FlowCtx:
     __slots__ = (
         "source", "flow_id", "src", "dst", "critical", "assignment", "pcp", "vlan_id",
         "route", "policer", "t_send", "t_recv", "received", "drops", "max_seq",
-        "reorders", "violations",
+        "reorders", "violations", "hops", "ul_queue", "dl_queue",
     )
 
     def __init__(self, source: SourceModel):
@@ -106,6 +135,11 @@ class _FlowCtx:
         self.vlan_id = None
         self.route = ()
         self.policer = None
+        # set by the engine for the length of a run: the route's `_Hop`s and
+        # the UE queues the flow's packets enter (None if not a UE)
+        self.hops = ()
+        self.ul_queue = None
+        self.dl_queue = None
         # the flow's trace, indexed by seq: send time, and delivery time,
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
@@ -186,50 +220,103 @@ def _schedule(model: SourceModel, rng: random.Random):
         start += on_ns + off_ns
 
 
+def _slots_to_usable(usable: list[bool]) -> list:
+    """Slots from each pattern phase to the first usable slot at or after it (None: never)."""
+    n = len(usable)
+    if not any(usable):
+        return [None] * n
+    return [next(d for d in range(n) if usable[(phase + d) % n]) for phase in range(n)]
+
+
 class _Engine:
+    """The event loop.  Heap entries are `(t, rank, seq, handler, payload)`.
+
+    `rank` places an event against the slot tick at its time (rank 1) as
+    if the clock ticked every slot and pushed each next tick at the end of
+    its handler: 0 for an event pushed before that moment, 2 for one pushed
+    after it.  An event pushed more than one slot ahead of its time is 0,
+    one pushed less than a slot ahead is 2, and one pushed exactly one slot
+    ahead takes the rank of the event pushing it; a tick and run
+    initialisation push as 0, a same-time FIFO item as 2.  Without a 5G
+    segment there are no ticks and every rank is 0.  Pushes for the current
+    time go to `fifo`, which runs after every heap entry of that time.
+    """
+
     def __init__(self, scenario: Scenario, state: NetworkState, flows: dict, seed: int):
         self.state = state
         self.flows = flows
         self.seed = seed
         self.end_ns = scenario.duration_ms * 1_000_000
         self.t = 0
+        self.rank = 0  # of the event running now
         self.heap = []
+        self.fifo = deque()
         self.counter = 0
-        self.ports: dict[PortId, _Port] = {}
+        self.ports: dict[PortId, _Port] = {}  # the ports a packet reached
         self.transit = state.topology.transit
-        self.ue_ul: dict[str, deque] = {}
-        self.ue_dl: dict[str, deque] = {}
         self.regulators: dict = {}
         self.nwtt_cfg: NwttConfig = state.nwtt_rules()
+        self.slot_ns = 0
+        self.armed: set[int] = set()  # slots whose tick is on the heap
         # what a slot tick does depends only on its index: the UE rotation
         # repeats every len(UEs) slots and the usable flags every pattern
         self.rotations: list[list[tuple]] = []
         self.ul_usable: list[bool] = []
         self.dl_usable: list[bool] = []
+        self.ul_wait: list = []
+        self.dl_wait: list = []
+        ue_ul, ue_dl = {}, {}
         if self.transit is not None:
-            for ue in self.transit.ues:
-                self.ue_ul[ue] = deque()
-                self.ue_dl[ue] = deque()
-            queues = [(self.ue_ul[ue], self.transit.ues[ue].tbs_ul_B,
-                       self.ue_dl[ue], self.transit.ues[ue].tbs_dl_B)
-                      for ue in sorted(self.ue_ul)]
+            ues = self.transit.ues
+            queues = []
+            for ue in sorted(ues):
+                ue_ul[ue], ue_dl[ue] = deque(), deque()
+                queues.append((ue_ul[ue], ues[ue].tbs_ul_B, ue_dl[ue], ues[ue].tbs_dl_B))
             self.rotations = [queues[k:] + queues[:k] for k in range(len(queues))]
             tdd = self.transit.tdd
+            self.slot_ns = tdd.slot_ns
             self.ul_usable = [tdd.slot_usable(k, UPLINK) for k in range(len(tdd.pattern))]
             self.dl_usable = [tdd.slot_usable(k, DOWNLINK) for k in range(len(tdd.pattern))]
+            self.ul_wait = _slots_to_usable(self.ul_usable)
+            self.dl_wait = _slots_to_usable(self.dl_usable)
+        topo = state.topology
+        self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route
+        for ctx in flows.values():
+            pkt_B = ctx.source.params["pkt_B"]
+            bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
+            hops = []
+            for i, port_id in enumerate(ctx.route):
+                port = self.all_ports.get(port_id)
+                if port is None:
+                    port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
+                hops.append(_Hop(port, pkt_B, None if bounds is None else bounds[i]))
+            ctx.hops = tuple(hops)
+            ctx.ul_queue = ue_ul.get(ctx.src)
+            ctx.dl_queue = ue_dl.get(ctx.dst)
 
     # ------------------------------------------------------------- scheduling
 
     def _push(self, t_ns: int, handler, payload):
+        ahead = t_ns - self.t
+        if not ahead:
+            self.fifo.append((handler, payload))
+            return
+        slot_ns = self.slot_ns
         self.counter += 1
-        heapq.heappush(self.heap, (t_ns, self.counter, handler, payload))
+        rank = 0 if ahead > slot_ns else 2 if ahead < slot_ns else self.rank
+        heapq.heappush(self.heap, (t_ns, rank, self.counter, handler, payload))
 
-    def _port(self, port: PortId) -> _Port:
-        sim_port = self.ports.get(port)
-        if sim_port is None:
-            sim_port = _Port(self.state.topology.profile(port.node))
-            self.ports[port] = sim_port
-        return sim_port
+    def _arm(self, wait: list, slot_index: int):
+        """Tick the first slot at or after `slot_index` usable in `wait`'s direction."""
+        slots_ahead = wait[slot_index % len(wait)]
+        if slots_ahead is None:
+            return
+        slot_index += slots_ahead
+        t_ns = (slot_index + 1) * self.slot_ns  # a slot's tick is at its end
+        if t_ns <= self.end_ns and slot_index not in self.armed:
+            self.armed.add(slot_index)
+            self.counter += 1
+            heapq.heappush(self.heap, (t_ns, 1, self.counter, self._handle_slot, slot_index))
 
     # ------------------------------------------------------------- sources
 
@@ -240,19 +327,23 @@ class _Engine:
 
     def _handle_emit(self, emission):
         ctx, schedule, count = emission
+        size_B = ctx.source.params["pkt_B"]
         for _ in range(count):
-            self._emit_packet(ctx, ctx.source.params["pkt_B"])
+            self._emit_packet(ctx, size_B)
         self._next_emission(ctx, schedule)
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
-        pkt = _Packet(ctx, size_B, self.t)
-        ctx.t_send.append(self.t)
+        t = self.t
+        pkt = _Packet(ctx, size_B, t)
+        ctx.t_send.append(t)
         ctx.t_recv.append(IN_FLIGHT)
-        if self.transit is not None and ctx.src in self.transit.ues:
-            tdd = self.transit.tdd
-            pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
-            self.ue_ul[ctx.src].append(pkt)
-        elif ctx.policer is not None and not ctx.policer.allow(size_B, self.t):
+        queue = ctx.ul_queue
+        if queue is not None:
+            pkt.eligible_slot = self.transit.tdd.first_grant_slot(t // self.slot_ns)
+            queue.append(pkt)
+            if len(queue) == 1:
+                self._arm(self.ul_wait, pkt.eligible_slot)
+        elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
             self._drop(pkt, "policer")
         else:
             self._arrive_hop(pkt)
@@ -260,17 +351,18 @@ class _Engine:
     # ------------------------------------------------------------- 5G segment
 
     def _handle_slot(self, slot_index: int):
+        self.rank = 0
+        self.armed.discard(slot_index)
         order = self.rotations[slot_index % len(self.rotations)]
         phase = slot_index % len(self.ul_usable)
         if self.ul_usable[phase]:
             for ul_queue, tbs_ul_B, _, _ in order:
-                self._drain_ue(ul_queue, tbs_ul_B, slot_index, uplink=True)
+                if ul_queue:
+                    self._drain_ue(ul_queue, tbs_ul_B, slot_index, uplink=True)
         if self.dl_usable[phase]:
             for _, _, dl_queue, tbs_dl_B in order:
-                self._drain_ue(dl_queue, tbs_dl_B, slot_index, uplink=False)
-        nxt = (slot_index + 2) * self.transit.tdd.slot_ns
-        if nxt <= self.end_ns:
-            self._push(nxt, self._handle_slot, slot_index + 1)
+                if dl_queue:
+                    self._drain_ue(dl_queue, tbs_dl_B, slot_index, uplink=False)
 
     def _drain_ue(self, queue: deque, tbs_B: int, slot_index: int, *, uplink: bool):
         budget = tbs_B
@@ -289,6 +381,9 @@ class _Engine:
                 self._nwtt_ingress(pkt)
             else:
                 self._deliver(pkt)
+        if queue and budget < tbs_B:  # a drain left a head behind
+            self._arm(self.ul_wait if uplink else self.dl_wait,
+                      max(slot_index + 1, queue[0].eligible_slot))
 
     def _nwtt_ingress(self, pkt: _Packet):
         ctx = pkt.ctx
@@ -323,59 +418,60 @@ class _Engine:
     # ------------------------------------------------------------- fabric
 
     def _arrive_hop(self, pkt: _Packet):
-        port = pkt.ctx.route[pkt.hop_idx]
-        profile = self.state.topology.profile(port.node)
-        pkt.hop_in = self.t
         # per-class forwarding delay happens before the egress queue
-        delay = profile.fwd_delay_us[pkt.pcp] * NS_PER_US
-        self._push(self.t + delay, self._handle_portin, pkt)
+        pkt.hop_in = self.t
+        self._push(self.t + pkt.ctx.hops[pkt.hop_idx].port.fwd_ns[pkt.pcp],
+                   self._handle_portin, pkt)
 
     def _handle_portin(self, pkt: _Packet):
-        port = pkt.ctx.route[pkt.hop_idx]
-        sim_port = self._port(port)
+        port = pkt.ctx.hops[pkt.hop_idx].port
+        port.reached = True
         cls = pkt.pcp
-        if sim_port.occupancy[cls] + pkt.size_B > sim_port.profile.port_buffer_B:
-            self._drop(pkt, f"queue:{port}")
+        occupancy = port.occupancy[cls] + pkt.size_B
+        if occupancy > port.buffer_B:
+            self._drop(pkt, port.drop_stage)
             return
-        sim_port.occupancy[cls] += pkt.size_B
-        if sim_port.occupancy[cls] > sim_port.max_occupancy[cls]:
-            sim_port.max_occupancy[cls] = sim_port.occupancy[cls]
-        sim_port.queues[cls].append(pkt)
-        if sim_port.busy is None:
-            self._start_tx(sim_port)
+        port.occupancy[cls] = occupancy
+        if occupancy > port.max_occupancy[cls]:
+            port.max_occupancy[cls] = occupancy
+        port.queues[cls].append(pkt)
+        port.queued += 1
+        if port.busy is None:
+            self._start_tx(port)
 
-    def _start_tx(self, sim_port: _Port):
+    def _start_tx(self, port: _Port):
         # non-preemptive strict priority: highest non-empty class next
-        for cls in range(sim_port.profile.class_count - 1, -1, -1):
-            queue = sim_port.queues[cls]
+        for queue in port.by_priority:
             if queue:
                 pkt = queue.popleft()
-                sim_port.busy = pkt
-                tx = ceil_div(pkt.size_B * NS_PER_S, sim_port.profile.link_rate_Bps)
-                self._push(self.t + tx, self._handle_txdone, sim_port)
+                port.queued -= 1
+                port.busy = pkt
+                self._push(self.t + pkt.ctx.hops[pkt.hop_idx].tx_ns, self._handle_txdone, port)
                 return
 
-    def _handle_txdone(self, sim_port: _Port):
-        pkt = sim_port.busy
-        sim_port.busy = None
-        sim_port.occupancy[pkt.pcp] -= pkt.size_B
+    def _handle_txdone(self, port: _Port):
+        pkt = port.busy
+        port.busy = None
+        port.occupancy[pkt.pcp] -= pkt.size_B
         ctx = pkt.ctx
-        a = ctx.assignment
-        if a is not None and self.t - pkt.hop_in > a.per_hop_bounds_us[pkt.hop_idx] * NS_PER_US:
+        bound_ns = ctx.hops[pkt.hop_idx].bound_ns
+        if bound_ns is not None and self.t - pkt.hop_in > bound_ns:
             pkt.hop_overruns += 1
         pkt.hop_idx += 1
-        if pkt.hop_idx < len(ctx.route):
+        if pkt.hop_idx < len(ctx.hops):
             self._arrive_hop(pkt)
-        elif self.transit is not None and ctx.dst in self.transit.ues:
-            tdd = self.transit.tdd
+        elif ctx.dl_queue is not None:
+            queue = ctx.dl_queue
             pkt.dl_in = self.t
             pkt.remaining_B = pkt.size_B
-            pkt.eligible_slot = tdd.first_grant_slot(self.t // tdd.slot_ns)
-            self.ue_dl[ctx.dst].append(pkt)
+            pkt.eligible_slot = self.transit.tdd.first_grant_slot(self.t // self.slot_ns)
+            queue.append(pkt)
+            if len(queue) == 1:
+                self._arm(self.dl_wait, pkt.eligible_slot)
         else:
             self._deliver(pkt)
-        if any(sim_port.queues):
-            self._start_tx(sim_port)
+        if port.queued:
+            self._start_tx(port)
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -425,19 +521,31 @@ class _Engine:
             model = ctx.source
             seed = self.seed if model.seed is None else model.seed
             self._next_emission(ctx, _schedule(model, random.Random(f"{seed}:{model.flow_id}")))
-        if self.transit is not None and (self.ue_ul or self.ue_dl):
-            if self.transit.tdd.slot_ns <= self.end_ns:
-                self._push(self.transit.tdd.slot_ns, self._handle_slot, 0)
 
-        while self.heap:
-            t, _, handler, payload = heapq.heappop(self.heap)
-            if t > self.end_ns:
+        heap, fifo, end_ns = self.heap, self.fifo, self.end_ns
+        while True:
+            if fifo and not (heap and heap[0][0] == self.t):
+                self.rank = 2
+                while fifo:
+                    handler, payload = fifo.popleft()
+                    handler(payload)
+            if not heap:
+                break
+            t, self.rank, _, handler, payload = heapq.heappop(heap)
+            if t > end_ns:
                 break
             self.t = t
             handler(payload)
         # heap entries hold bound methods of self: clear them so that the
-        # engine is freed by refcount, not later by the cycle collector
-        self.heap.clear()
+        # engine is freed by refcount, not later by the cycle collector (the
+        # FIFO is empty here).  The flows outlive the run in its result: drop
+        # their hops and UE queues, which lead to the packets still queued
+        # and from them back to the flows.
+        heap.clear()
+        for ctx in self.flows.values():
+            ctx.hops = ()
+            ctx.ul_queue = ctx.dl_queue = None
+        self.ports = {port_id: port for port_id, port in self.all_ports.items() if port.reached}
 
 
 def latency_summary(latencies_ns: list[int]) -> dict:
@@ -482,7 +590,7 @@ def _flow_report(ctx: _FlowCtx) -> dict:
 
 
 def _format_us(ns: int) -> str:
-    return f"{ns // NS_PER_US}.{ns % NS_PER_US:03d}"
+    return "%d.%03d" % divmod(ns, NS_PER_US)
 
 
 def parse_us(text: str) -> int:

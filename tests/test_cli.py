@@ -207,6 +207,16 @@ class TestRun:
         assert main(["run", path]) == 1
         assert "switches" in capsys.readouterr().err
 
+    def test_negative_source_offset_exits_one(self, tmp_path, capsys):
+        doc = canonical_scenario()
+        doc["sim"]["sources"][0]["offset_us"] = -700
+        path = write_json(tmp_path / "early.json", doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sim.sources[0].offset_us: must be non-negative" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_nwtt_match_collision_exits_one(self, tmp_path, capsys):
         doc = canonical_scenario()
         doc["flows"].append(dict(doc["flows"][0], flow_id="orange2"))

@@ -153,3 +153,27 @@ def test_flag_must_be_boolean(where, value):
     path = ".".join(str(k) for k in where).replace(".0.", "[0].")
     with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: must be bool$"):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "must be an integer"),
+    (1.5, "must be an integer"),
+    (True, "must be an integer"),
+    (None, "must be an integer"),
+    (-700, "must be non-negative"),
+], ids=["string", "float", "bool", "null", "negative"])
+@pytest.mark.parametrize("where, path", [
+    (lambda doc: doc["sim"]["sources"][0], "sim.sources[0].offset_us"),
+    (lambda doc: doc["flows"][0]["source"], "flows[0].source.offset_us"),
+], ids=["sim-source", "flow-source"])
+def test_bad_offset_rejected(where, path, value, message):
+    doc = canonical_scenario()
+    where(doc)["offset_us"] = value
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: {message}$"):
+        load_scenario(doc)
+
+
+def test_zero_offset_accepted():
+    doc = canonical_scenario()
+    doc["sim"]["sources"][0]["offset_us"] = 0
+    assert load_scenario(doc).extra_sources[0].params["offset_us"] == 0

@@ -1,0 +1,204 @@
+"""Same-time event order and the lazy slot clock.
+
+The tie family is a grid of small scenarios built so that many events fall
+on the same nanosecond, most of them on slot boundaries: a 100 B packet
+takes exactly one slot on the wire (two at numerology 4), and every source
+starts at offset 0 with a period of about half, one, two or three such
+units.  Their trace and report digests were recorded before the simulator
+scheduled slot ticks lazily; any change to the order of simultaneous
+events shows up as a changed digest.
+"""
+
+import gc
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from detnet5g.scenario import canonical_scenario, load_scenario
+from detnet5g.sim import (
+    _admit_flows,
+    _build_flow_ctxs,
+    _build_result,
+    _Engine,
+    _Hop,
+    _Packet,
+    _Port,
+    run,
+    write_report,
+    write_trace,
+)
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "same_time_order.json").read_text())
+
+# a 100 B packet's transmission time: one slot, two at mu=4 (62.5 us is not whole)
+UNIT_US = {0: 1_000, 1: 500, 4: 125}
+DURATION_MS = {0: 40, 1: 20, 4: 5}
+
+TIE_CASES = [
+    (mu, grant, s_ul, pattern, fwd, hold)
+    for mu, grant, s_ul, pattern, fwd, hold in itertools.product(
+        (0, 1, 4), (0, 1), (False, True), ("DDDSU", "DSUUD", "UUUUU"), (0, 1), (0, 1))
+]
+
+
+def case_id(case) -> str:
+    mu, grant, s_ul, pattern, fwd, hold = case
+    return f"mu{mu}-g{grant}-s{int(s_ul)}-{pattern}-fwd{fwd}-hold{hold}"
+
+
+def tie_doc(mu, grant, s_ul, pattern, fwd, hold) -> dict:
+    """One switch, hosts A and B, three UEs; `fwd` and `hold` are in units."""
+    unit = UNIT_US[mu]
+
+    def periodic(period_us, pkt_B=100):
+        return {"mode": "periodic", "period_us": period_us, "pkt_B": pkt_B, "offset_us": 0}
+
+    def source(fid, src, dst, period_us, pkt_B=100):
+        return {"flow_id": fid, "src": src, "dst": dst, **periodic(period_us, pkt_B)}
+
+    return {
+        "schema_version": 1,
+        "topology": {
+            "switches": [{"id": "S1", "link_rate_Bps": 100 * 1_000_000 // unit,
+                          "fwd_delay_us": [fwd * unit] * 8, "port_buffer_B": 2_000}],
+            "links": [],
+            "hosts": [{"id": "A", "attach": "S1.1"}, {"id": "B", "attach": "S1.2"}],
+            "transit5g": {
+                "tdd_pattern": pattern, "numerology": mu, "grant_delay_slots": grant,
+                "s_slot_usable_ul": s_ul, "attach": "S1.3",
+                "ues": [{"id": f"UE{i}", "tbs_ul_B": tbs_ul_B, "tbs_dl_B": 150}
+                        for i, tbs_ul_B in ((1, 200), (2, 150), (3, 150))],
+            },
+        },
+        "flows": [{
+            "flow_id": "reg", "src": "UE1", "dst": "B", "rate_Bps": 100 * 1_000_000 // (3 * unit),
+            "burst_B": 100, "max_pkt_B": 100, "deadline_us": 1_000_000, "dejitter": True,
+            "source": periodic(3 * unit),
+        }],
+        "nwtt": {"dejitter": {"hold_us": hold * unit, "release_period_us": unit}},
+        "sim": {"duration_ms": DURATION_MS[mu], "seed": 1, "sources": [
+            source("half", "A", "B", unit // 2, 25),
+            source("one", "UE2", "B", unit),
+            source("two", "UE3", "B", 2 * unit),
+            source("three", "A", "B", 3 * unit),
+            source("down", "A", "UE3", 2 * unit),
+        ]},
+    }
+
+
+def result_digest(result, out_dir: Path) -> str:
+    """sha256 of a run's trace file followed by its report file."""
+    write_trace(out_dir / "trace.csv", result.trace_rows)
+    write_report(out_dir / "report.json", result.report)
+    data = (out_dir / "trace.csv").read_bytes() + (out_dir / "report.json").read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", TIE_CASES, ids=case_id)
+def test_same_time_order_is_unchanged(case, tmp_path):
+    assert result_digest(run(load_scenario(tie_doc(*case))), tmp_path) == DIGESTS[case_id(case)]
+
+
+class CountingEngine(_Engine):
+    """Counts slot ticks; with `eager`, ticks every slot as a non-lazy clock would."""
+
+    eager = False
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ticks = 0
+
+    def run(self):
+        if self.eager and self.transit is not None and self.transit.ues:
+            self._arm([0], 0)
+        super().run()
+
+    def _handle_slot(self, slot_index):
+        self.ticks += 1
+        super()._handle_slot(slot_index)
+        if self.eager:
+            self._arm([0], slot_index + 1)
+
+
+class EagerEngine(CountingEngine):
+    eager = True
+
+
+def engine_run(scn, engine_cls):
+    """`sim.run` with its engine swapped for `engine_cls`; returns (result, ticks)."""
+    state, decisions = _admit_flows(scn, "scenario")
+    engine = engine_cls(scn, state, _build_flow_ctxs(scn, state), scn.seed)
+    engine.run()
+    return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine.ticks
+
+
+def dense_ue_doc() -> dict:
+    """A line of three switches with six UEs on S1: UE uplinks, half of them
+    through the NW-TT regulator, host downlinks to the UEs, greedy host flows
+    and an on/off background source."""
+    ues = [f"UE{i}" for i in range(6)]
+    hosts = [f"H{s}{k}" for s in range(3) for k in range(2)]
+    ue_spec = {"rate_Bps": 100_000, "burst_B": 200, "max_pkt_B": 200, "deadline_us": 40_000}
+    flows = []
+    for i, ue in enumerate(ues):
+        flows.append({"flow_id": f"{ue}-ul", "src": ue, "dst": hosts[-1 - i], **ue_spec,
+                      "dejitter": i % 2 == 0, "source": {"mode": "periodic",
+                                                         "period_us": 2_000, "pkt_B": 200}})
+        flows.append({"flow_id": f"{ue}-dl", "src": hosts[i], "dst": ue, **ue_spec,
+                      "source": {"mode": "periodic", "period_us": 2_000, "pkt_B": 200}})
+    for i, (src, dst) in enumerate((("H00", "H20"), ("H21", "H01"), ("H10", "H11"))):
+        flows.append({"flow_id": f"h{i}", "src": src, "dst": dst, "rate_Bps": 50_000,
+                      "burst_B": 1_500, "max_pkt_B": 500, "deadline_us": 20_000,
+                      "source": {"mode": "greedy_token_bucket", "pkt_B": 500,
+                                 "burst_B": 1_500, "rate_Bps": 50_000}})
+    return {
+        "schema_version": 1,
+        "topology": {
+            "switches": [{"id": f"S{s}", "link_rate_Bps": 12_500_000, "fwd_delay_us": [0] * 8,
+                          "port_buffer_B": 65_536} for s in range(3)],
+            "links": [["S0.1", "S1.2"], ["S1.1", "S2.2"]],
+            "hosts": [{"id": h, "attach": f"S{h[1]}.{3 + int(h[2])}"} for h in hosts],
+            "transit5g": {"tdd_pattern": "DDDSU", "numerology": 1, "attach": "S1.5",
+                          "ues": [{"id": ue, "tbs_ul_B": 1_500, "tbs_dl_B": 3_000}
+                                  for ue in ues]},
+        },
+        "flows": flows,
+        "nwtt": {"dejitter": {"hold_us": 3_000, "release_period_us": 1_000}},
+        "sim": {"duration_ms": 2_000, "seed": 1, "sources": [
+            {"flow_id": "bg", "src": "H01", "dst": "H21", "mode": "onoff_background",
+             "pkt_B": 1_500, "rate_Bps": 2_000_000, "on_ms": 20, "off_ms": 80},
+        ]},
+    }
+
+
+class TestLazySlotClock:
+    def test_canonical_ticks_only_its_uplink_slots(self):
+        # 4 s of DDDSU at 0.5 ms slots: 8,000 slots, 1,600 of them U slots,
+        # and the UE queues are rarely empty at one
+        result, ticks = engine_run(load_scenario(canonical_scenario()), CountingEngine)
+        assert ticks == 1_600
+        assert result.report == run(load_scenario(canonical_scenario())).report
+
+    @pytest.mark.parametrize("doc", [canonical_scenario, dense_ue_doc], ids=["canonical", "dense-ue"])
+    def test_ticking_every_slot_changes_nothing(self, doc, tmp_path):
+        scn = load_scenario(doc())
+        lazy, lazy_ticks = engine_run(scn, CountingEngine)
+        eager, eager_ticks = engine_run(scn, EagerEngine)
+        assert eager_ticks == scn.duration_ms * 2 > lazy_ticks  # numerology 1: 2 slots per ms
+        assert result_digest(lazy, tmp_path) == result_digest(eager, tmp_path)
+
+    def test_run_frees_its_hops_ports_and_packets_by_refcount(self):
+        # the result keeps the flows; they must not lead back into the run
+        scn = load_scenario(canonical_scenario())
+        gc.collect()
+        gc.disable()
+        try:
+            result = run(scn)
+            left = [obj for obj in gc.get_objects() if isinstance(obj, (_Hop, _Port, _Packet))]
+        finally:
+            gc.enable()
+        assert any(flow["in_flight"] for flow in result.report["flows"].values())
+        assert left == []
