@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -271,6 +272,30 @@ class TestNwttConfig:
         state.register_flow(spec(fid="h", src="G", burst=1_500, pkt=1_500))
         with pytest.raises(NotA5GFlow):
             state.config_for_nwtt("h")
+
+    def test_dejittered_flow_config_is_its_nwtt_rule(self, ring):
+        reg = RegulatorConfig(hold_us=5_000, release_period_us=2_000, per_class=True)
+        state = NetworkState(ring, default_regulator=reg)
+        state.register_flow(spec(dejitter=True))
+        cfg = state.config_for_nwtt("f1")
+        assert cfg == {
+            "flow_id": "f1",
+            "match": {"src": "UE1", "dst": "D"},
+            "egress": "S1.3",
+            "vlan_id": 100,
+            "pcp": 7,
+            "regulator": {"hold_us": 5_000, "release_period_us": 2_000,
+                          "queue_cap_pkts": 64, "per_class": True},
+        }
+        rule = state.nwtt_rules().rules[("UE1", "D")]
+        assert cfg == {
+            "flow_id": rule.flow_id,
+            "match": {"src": rule.src, "dst": rule.dst},
+            "egress": str(rule.egress),
+            "vlan_id": rule.vlan_id,
+            "pcp": rule.pcp,
+            "regulator": asdict(rule.regulator),
+        }
 
     def test_two_ue_flows_two_rules(self, ring):
         state = NetworkState(ring)
