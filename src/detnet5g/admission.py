@@ -104,16 +104,16 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Resolved placement of an admitted flow: its spec, regulator and bound components.
+    """Resolved placement of an admitted flow: its spec and bound components.
 
     `ul` and `dl` are the 5G contracts of a UE source and a UE destination
     (None for a host end); the e2e bound is the hop bounds plus their delay
-    bounds plus the regulator bound.
+    bounds plus the regulator bound.  The regulator itself is configured in
+    the flow's NW-TT rule (`NetworkState.nwtt_rules`).
     """
 
     flow_id: str
     spec: FlowSpec
-    regulator: RegulatorConfig | None
     vlan_id: int
     priority_class: int
     hop_ports: tuple[PortId, ...]
@@ -493,7 +493,6 @@ class NetworkState:
         return FlowAssignment(
             flow_id=flow_id,
             spec=pl.spec,
-            regulator=terms.regulator,
             vlan_id=pl.tree.vlan_id,
             priority_class=pl.priority,
             hop_ports=pl.hops,
@@ -743,29 +742,11 @@ class NetworkState:
         return response
 
     def config_for_nwtt(self, flow_id: str) -> dict:
-        """Route + tag (+ regulator) entry the translator needs for one flow."""
+        """The flow's NW-TT rule (route + tag + regulator) as sent to the translator."""
         pl = self._placement(flow_id)
-        spec = pl.spec
-        if not self.topology.is_ue(spec.src):
+        if not self.topology.is_ue(pl.spec.src):
             raise NotA5GFlow(flow_id)
-        attach = self.topology.transit.attach
-        cfg = {
-            "flow_id": flow_id,
-            "match": {"src": spec.src, "dst": spec.dst},
-            "egress": str(attach),
-            "vlan_id": pl.tree.vlan_id,
-            "pcp": pl.priority,
-            "regulator": None,
-        }
-        reg = pl.terms.regulator
-        if reg is not None:
-            cfg["regulator"] = {
-                "hold_us": reg.hold_us,
-                "release_period_us": reg.release_period_us,
-                "queue_cap_pkts": reg.queue_cap_pkts,
-                "per_class": reg.per_class,
-            }
-        return cfg
+        return self._nwtt_rule(flow_id, pl).wire()
 
     def config_for_host(self, flow_id: str) -> dict:
         """Tagging + policing entry for the source host's middleware."""
@@ -785,21 +766,21 @@ class NetworkState:
         """Aggregate NW-TT ruleset over all admitted 5G-sourced flows."""
         cfg = NwttConfig()
         for fid, pl in sorted(self._solver.placements.items()):
-            spec = pl.spec
-            if not self.topology.is_ue(spec.src):
-                continue
-            cfg.add_rule(
-                NwttRule(
-                    flow_id=fid,
-                    src=spec.src,
-                    dst=spec.dst,
-                    egress=self.topology.transit.attach,
-                    vlan_id=pl.tree.vlan_id,
-                    pcp=pl.priority,
-                    regulator=pl.terms.regulator,
-                )
-            )
+            if self.topology.is_ue(pl.spec.src):
+                cfg.add_rule(self._nwtt_rule(fid, pl))
         return cfg
+
+    def _nwtt_rule(self, flow_id: str, pl: _Placement) -> NwttRule:
+        spec = pl.spec
+        return NwttRule(
+            flow_id=flow_id,
+            src=spec.src,
+            dst=spec.dst,
+            egress=self.topology.transit.attach,
+            vlan_id=pl.tree.vlan_id,
+            pcp=pl.priority,
+            regulator=pl.terms.regulator,
+        )
 
     # ------------------------------------------------------------------ introspection
 

@@ -12,7 +12,7 @@ latency.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .topology import PortId
 from .units import NS_PER_US, ceil_div
@@ -20,6 +20,9 @@ from .units import NS_PER_US, ceil_div
 
 class BestEffort:
     """Sentinel decision for unmatched packets: class 0 on the default route."""
+
+    pcp = 0
+    regulator = None
 
     def __repr__(self) -> str:
         return "BestEffort"
@@ -64,6 +67,17 @@ class NwttRule:
     vlan_id: int
     pcp: int
     regulator: RegulatorConfig | None = None
+
+    def wire(self) -> dict:
+        """The rule as the translator's configuration entry (JSON-ready)."""
+        return {
+            "flow_id": self.flow_id,
+            "match": {"src": self.src, "dst": self.dst},
+            "egress": str(self.egress),
+            "vlan_id": self.vlan_id,
+            "pcp": self.pcp,
+            "regulator": None if self.regulator is None else asdict(self.regulator),
+        }
 
 
 @dataclass

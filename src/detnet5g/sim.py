@@ -3,12 +3,15 @@
 Models the pieces the admission math makes promises about: hosts with
 per-flow policers, switches with non-preemptive strict-priority egress
 ports, the TDD-gated 5G segment draining per-UE queues one transport
-block per usable slot, and the NW-TT with tagging and the optional
-hold-and-forward regulator.  Every packet of an admitted flow is checked
-against the `FlowAssignment` admission handed out for it: its end-to-end
-and per-hop bounds, its UL and DL contracts and its regulator bound.
-Per-class queue occupancy is checked against the backlog bounds; the run
-report carries the violation counts (all zero for a sound pipeline).
+block per usable slot, and the NW-TT, whose rule for a UE-sourced flow is
+applied once per run: it fixes the flow's class (0 if no rule matches) and
+its hold-and-forward regulator queue, if any, the flow's own or, with
+`per_class`, one its class shares.  Every packet of an admitted flow is
+checked against the `FlowAssignment` admission handed out for it: its
+end-to-end and per-hop bounds, its UL and DL contracts and its regulator
+bound.  Per-class queue occupancy is checked against the backlog bounds;
+the run report carries the violation counts (all zero for a sound
+pipeline).
 
 Internal time is integer nanoseconds, and a (scenario, seed) pair always
 produces byte-identical traces.  Events run in time order; simultaneous
@@ -36,14 +39,7 @@ from dataclasses import dataclass, replace
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
-from .nwtt import (
-    BEST_EFFORT,
-    NwttConfig,
-    RegulatorState,
-    classify_and_tag,
-    regulator_offer,
-    regulator_release,
-)
+from .nwtt import RegulatorState, classify_and_tag, regulator_offer, regulator_release
 from .scenario import Scenario, SourceModel
 from .topology import PortId, path_in_tree
 from .transit5g import (
@@ -64,7 +60,7 @@ DROPPED = -2
 
 class _Packet:
     __slots__ = (
-        "ctx", "seq", "size_B", "pcp", "hop_idx", "hop_in", "hop_overruns",
+        "ctx", "seq", "size_B", "hop_idx", "hop_in", "hop_overruns",
         "t_send", "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
     )
 
@@ -72,7 +68,6 @@ class _Packet:
         self.ctx = ctx
         self.seq = len(ctx.t_send)  # the packet's index into its flow's trace columns
         self.size_B = size_B
-        self.pcp = ctx.pcp
         self.hop_idx = 0
         self.hop_in = 0
         self.hop_overruns = 0  # hops over their bound, counted at delivery
@@ -86,13 +81,12 @@ class _Packet:
 
 class _Port:
     __slots__ = (
-        "profile", "fwd_ns", "buffer_B", "drop_stage", "queues", "by_priority", "queued",
+        "profile", "buffer_B", "drop_stage", "queues", "by_priority", "queued",
         "occupancy", "max_occupancy", "busy", "reached",
     )
 
     def __init__(self, port_id: PortId, profile):
         self.profile = profile
-        self.fwd_ns = tuple(d * NS_PER_US for d in profile.fwd_delay_us)  # per class
         self.buffer_B = profile.port_buffer_B
         self.drop_stage = f"queue:{port_id}"
         self.queues = [deque() for _ in range(profile.class_count)]
@@ -106,13 +100,15 @@ class _Port:
 
 class _Hop:
     """One hop of a flow's route, resolved once per run: the egress port, the
+    flow's forwarding delay before it (that of the flow's class), the
     transmission time of the flow's packets there and the flow's bound for
     the hop (None for an unregistered flow)."""
 
-    __slots__ = ("port", "tx_ns", "bound_ns")
+    __slots__ = ("port", "fwd_ns", "tx_ns", "bound_ns")
 
-    def __init__(self, port: _Port, pkt_B: int, bound_us):
+    def __init__(self, port: _Port, cls: int, pkt_B: int, bound_us):
         self.port = port
+        self.fwd_ns = port.profile.fwd_delay_us[cls] * NS_PER_US
         self.tx_ns = ceil_div(pkt_B * NS_PER_S, port.profile.link_rate_Bps)
         self.bound_ns = None if bound_us is None else bound_us * NS_PER_US
 
@@ -121,7 +117,7 @@ class _FlowCtx:
     __slots__ = (
         "source", "flow_id", "src", "dst", "critical", "assignment", "pcp", "vlan_id",
         "route", "policer", "t_send", "t_recv", "received", "drops", "max_seq",
-        "reorders", "violations", "hops", "ul_queue", "dl_queue",
+        "reorders", "violations", "hops", "ul_queue", "dl_queue", "regulator",
     )
 
     def __init__(self, source: SourceModel):
@@ -131,15 +127,18 @@ class _FlowCtx:
         self.dst = source.dst
         self.critical = False
         self.assignment = None  # the admitted flow's FlowAssignment; None if unregistered
-        self.pcp = 0
+        self.pcp = 0  # the flow's class; a UE source's comes from its NW-TT rule
         self.vlan_id = None
         self.route = ()
         self.policer = None
-        # set by the engine for the length of a run: the route's `_Hop`s and
-        # the UE queues the flow's packets enter (None if not a UE)
+        # set by the engine for the length of a run: the route's `_Hop`s, the
+        # UE queues the flow's packets enter (None if not a UE) and its
+        # regulator queue, a `(RegulatorState, RegulatorConfig)` pair (None
+        # if not de-jittered)
         self.hops = ()
         self.ul_queue = None
         self.dl_queue = None
+        self.regulator = None
         # the flow's trace, indexed by seq: send time, and delivery time,
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
@@ -197,23 +196,25 @@ class RunResult:
 def _schedule(model: SourceModel, rng: random.Random):
     """Yield `(t_ns, packet_count)` for each emission of a source, in time order."""
     params = model.params
+    offset = params.get("offset_us")
     if model.mode in ("periodic", "burst_periodic"):
-        offset = params.get("offset_us")
         start = rng.randrange(params["period_us"]) if offset is None else offset
         count = params.get("count", 1)
         for t in itertools.count(start * NS_PER_US, params["period_us"] * NS_PER_US):
             yield t, count
+    start = (offset or 0) * NS_PER_US
     interval = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
     if model.mode == "greedy_token_bucket":
-        start = params.get("offset_us", 0) * NS_PER_US
         yield start, max(1, params["burst_B"] // params["pkt_B"])
         for t in itertools.count(start + interval, interval):
             yield t, 1
-    # onoff_background: paced emissions inside each on-window; one that
-    # would fall at or past a window's end moves to the next window's start
+    # onoff_background: paced emissions inside each on-window, all windows
+    # shifted by the offset; one that would fall at or past a window's end
+    # moves to the next window's start
     on_ns = params["on_ms"] * 1_000_000
     off_ns = params["off_ms"] * 1_000_000
-    start = 0 if params.get("start", "on") == "on" else off_ns
+    if params.get("start", "on") == "off":
+        start += off_ns
     while True:
         for t in range(start, start + on_ns, interval):
             yield t, 1
@@ -254,8 +255,6 @@ class _Engine:
         self.counter = 0
         self.ports: dict[PortId, _Port] = {}  # the ports a packet reached
         self.transit = state.topology.transit
-        self.regulators: dict = {}
-        self.nwtt_cfg: NwttConfig = state.nwtt_rules()
         self.slot_ns = 0
         self.armed: set[int] = set()  # slots whose tick is on the heap
         # what a slot tick does depends only on its index: the UE rotation
@@ -280,8 +279,19 @@ class _Engine:
             self.ul_wait = _slots_to_usable(self.ul_usable)
             self.dl_wait = _slots_to_usable(self.dl_usable)
         topo = state.topology
+        nwtt = state.nwtt_rules()
+        class_regulators = {}  # the per-class regulator queues, by class
         self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route
         for ctx in flows.values():
+            ctx.ul_queue = ue_ul.get(ctx.src)
+            ctx.dl_queue = ue_dl.get(ctx.dst)
+            if ctx.ul_queue is not None:  # the NW-TT tags the flow's packets
+                rule = classify_and_tag(nwtt, ctx.src, ctx.dst)
+                ctx.pcp, cfg = rule.pcp, rule.regulator
+                if cfg is not None and cfg.per_class:
+                    ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
+                elif cfg is not None:
+                    ctx.regulator = (RegulatorState(), cfg)
             pkt_B = ctx.source.params["pkt_B"]
             bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
             hops = []
@@ -289,10 +299,8 @@ class _Engine:
                 port = self.all_ports.get(port_id)
                 if port is None:
                     port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
-                hops.append(_Hop(port, pkt_B, None if bounds is None else bounds[i]))
+                hops.append(_Hop(port, ctx.pcp, pkt_B, None if bounds is None else bounds[i]))
             ctx.hops = tuple(hops)
-            ctx.ul_queue = ue_ul.get(ctx.src)
-            ctx.dl_queue = ue_dl.get(ctx.dst)
 
     # ------------------------------------------------------------- scheduling
 
@@ -386,47 +394,38 @@ class _Engine:
                       max(slot_index + 1, queue[0].eligible_slot))
 
     def _nwtt_ingress(self, pkt: _Packet):
-        ctx = pkt.ctx
-        rule = classify_and_tag(self.nwtt_cfg, ctx.src, ctx.dst)
-        if rule is not BEST_EFFORT:
-            pkt.pcp = rule.pcp
-        cfg = None if ctx.assignment is None else ctx.assignment.regulator
-        if cfg is not None:
-            key = f"pcp:{pkt.pcp}" if cfg.per_class else f"flow:{ctx.flow_id}"
-            entry = self.regulators.get(key)
-            if entry is None:
-                entry = (RegulatorState(), cfg)
-                self.regulators[key] = entry
-            reg, cfg = entry
-            was_idle = reg.next_release_ns is None
-            if regulator_offer(reg, cfg, pkt, self.t):
-                if was_idle:
-                    self._push(reg.next_release_ns, self._handle_regrel, key)
-            else:
-                self._drop(pkt, "regulator")
+        regulator = pkt.ctx.regulator
+        if regulator is None:
+            self._arrive_hop(pkt)
             return
-        self._arrive_hop(pkt)
+        reg, cfg = regulator
+        was_idle = reg.next_release_ns is None
+        if regulator_offer(reg, cfg, pkt, self.t):
+            if was_idle:
+                self._push(reg.next_release_ns, self._handle_regrel, regulator)
+        else:
+            self._drop(pkt, "regulator")
 
-    def _handle_regrel(self, key):
-        reg, cfg = self.regulators[key]
+    def _handle_regrel(self, regulator):
+        reg, cfg = regulator
         for pkt, t_depart in regulator_release(reg, cfg, self.t):
             pkt.reg_out = t_depart
             self._arrive_hop(pkt)
         if reg.next_release_ns is not None:
-            self._push(reg.next_release_ns, self._handle_regrel, key)
+            self._push(reg.next_release_ns, self._handle_regrel, regulator)
 
     # ------------------------------------------------------------- fabric
 
     def _arrive_hop(self, pkt: _Packet):
         # per-class forwarding delay happens before the egress queue
         pkt.hop_in = self.t
-        self._push(self.t + pkt.ctx.hops[pkt.hop_idx].port.fwd_ns[pkt.pcp],
-                   self._handle_portin, pkt)
+        self._push(self.t + pkt.ctx.hops[pkt.hop_idx].fwd_ns, self._handle_portin, pkt)
 
     def _handle_portin(self, pkt: _Packet):
-        port = pkt.ctx.hops[pkt.hop_idx].port
+        ctx = pkt.ctx
+        port = ctx.hops[pkt.hop_idx].port
         port.reached = True
-        cls = pkt.pcp
+        cls = ctx.pcp
         occupancy = port.occupancy[cls] + pkt.size_B
         if occupancy > port.buffer_B:
             self._drop(pkt, port.drop_stage)
@@ -452,8 +451,8 @@ class _Engine:
     def _handle_txdone(self, port: _Port):
         pkt = port.busy
         port.busy = None
-        port.occupancy[pkt.pcp] -= pkt.size_B
         ctx = pkt.ctx
+        port.occupancy[ctx.pcp] -= pkt.size_B
         bound_ns = ctx.hops[pkt.hop_idx].bound_ns
         if bound_ns is not None and self.t - pkt.hop_in > bound_ns:
             pkt.hop_overruns += 1
@@ -539,12 +538,12 @@ class _Engine:
         # heap entries hold bound methods of self: clear them so that the
         # engine is freed by refcount, not later by the cycle collector (the
         # FIFO is empty here).  The flows outlive the run in its result: drop
-        # their hops and UE queues, which lead to the packets still queued
-        # and from them back to the flows.
+        # their hops, UE queues and regulator queues, which lead to the
+        # packets still queued and from them back to the flows.
         heap.clear()
         for ctx in self.flows.values():
             ctx.hops = ()
-            ctx.ul_queue = ctx.dl_queue = None
+            ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
         self.ports = {port_id: port for port_id, port in self.all_ports.items() if port.reached}
 
 
@@ -719,17 +718,16 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         ctx = _FlowCtx(entry.source)
         ctx.critical = entry.critical
         ctx.assignment = assignment
-        ctx.pcp = assignment.priority_class
         ctx.vlan_id = assignment.vlan_id
         ctx.route = assignment.hop_ports
-        if not topo.is_ue(spec.src):
+        if not topo.is_ue(spec.src):  # the source host tags and polices the flow
+            ctx.pcp = assignment.priority_class
             ctx.policer = _Policer(spec.burst_B, spec.rate_Bps)
         flows[ctx.flow_id] = ctx
 
     trees = state.trees
     for model in scenario.extra_sources:
         ctx = _FlowCtx(model)
-        ctx.pcp = 0
         ctx.vlan_id = trees[0].vlan_id
         ctx.route = tuple(path_in_tree(topo, trees[0], model.src, model.dst))
         flows[model.flow_id] = ctx

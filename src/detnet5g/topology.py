@@ -15,6 +15,8 @@ from typing import NamedTuple
 from .errors import Disconnected, Unreachable
 from .transit5g import TransitNode5G
 
+BASE_VLAN = 100  # the VLAN id of the first tree
+
 
 class PortId(NamedTuple):
     node: str
@@ -129,13 +131,11 @@ class Topology:
         return self.transit is not None and node_id in self.transit.ues
 
 
-def enumerate_spanning_trees(
-    topo: Topology, *, base_vlan: int = 100, cap: int = 64
-) -> tuple[list[VlanTree], bool]:
+def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[VlanTree], bool]:
     """All spanning trees of the switch fabric, in deterministic order.
 
     A depth-first search over edge indices in `switch_links()` order emits
-    trees lexicographically by edge index, with vlan_id = base_vlan +
+    trees lexicographically by edge index, with vlan_id = BASE_VLAN +
     tree_index.  An edge that would close a cycle cuts off every extension
     of its prefix, so the cost grows with the trees emitted, not with
     C(links, switches - 1).  At most `cap` trees are returned; the second
@@ -176,7 +176,7 @@ def enumerate_spanning_trees(
         if len(chosen) == want:
             if len(trees) >= cap:
                 return trees, True
-            trees.append(VlanTree(vlan_id=base_vlan + len(trees), tree_index=len(trees),
+            trees.append(VlanTree(vlan_id=BASE_VLAN + len(trees), tree_index=len(trees),
                                   edges=tuple(edges[k] for k in chosen)))
         elif i <= len(edges) - (want - len(chosen)):
             ra, rb = find(edges[i][0].node), find(edges[i][1].node)

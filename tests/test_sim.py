@@ -320,6 +320,14 @@ class TestSourceSchedules:
             2_000, 3_000, 4_000, 7_000, 8_000, 9_000, 12_000,
         ]
 
+    def test_onoff_windows_shift_by_the_offset(self):
+        assert send_times_us({**self.ONOFF, "offset_us": 500}) == [
+            500, 1_500, 2_500, 5_500, 6_500, 7_500, 10_500, 11_500,
+        ]
+        assert send_times_us({**self.ONOFF, "start": "off", "offset_us": 500}) == [
+            2_500, 3_500, 4_500, 7_500, 8_500, 9_500,
+        ]
+
     def test_greedy_sends_its_burst_then_paces_at_rate(self):
         greedy = {"mode": "greedy_token_bucket", "burst_B": 3_000, "rate_Bps": 200_000,
                   "offset_us": 500}

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from detnet5g import sim
 from detnet5g.scenario import canonical_scenario, load_scenario
 from detnet5g.sim import (
     _admit_flows,
@@ -190,15 +191,27 @@ class TestLazySlotClock:
         assert eager_ticks == scn.duration_ms * 2 > lazy_ticks  # numerology 1: 2 slots per ms
         assert result_digest(lazy, tmp_path) == result_digest(eager, tmp_path)
 
-    def test_run_frees_its_hops_ports_and_packets_by_refcount(self):
-        # the result keeps the flows; they must not lead back into the run
+    @pytest.mark.parametrize("dejitter", ["scenario", "on"])
+    def test_run_frees_its_hops_ports_and_packets_by_refcount(self, dejitter, monkeypatch):
+        # the result keeps the flows; they must not lead back into the run,
+        # also not through a regulator queue that still holds packets
+        regulated = []
+
+        class RegulatorProbe(_Engine):
+            def run(self):
+                regs = [ctx.regulator[0] for ctx in self.flows.values() if ctx.regulator]
+                super().run()
+                regulated.append(sum(len(reg.queue) for reg in regs))
+
+        monkeypatch.setattr(sim, "_Engine", RegulatorProbe)
         scn = load_scenario(canonical_scenario())
         gc.collect()
         gc.disable()
         try:
-            result = run(scn)
+            result = run(scn, dejitter=dejitter)
             left = [obj for obj in gc.get_objects() if isinstance(obj, (_Hop, _Port, _Packet))]
         finally:
             gc.enable()
         assert any(flow["in_flight"] for flow in result.report["flows"].values())
+        assert (regulated[0] > 0) == (dejitter == "on")
         assert left == []
