@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,8 @@ from detnet5g.sim import (
     parse_us,
     run,
 )
+from detnet5g.topology import path_in_tree
+from test_golden import per_class_doc, ue_transit_doc
 
 
 def scenario(mutate=None):
@@ -213,6 +216,62 @@ class TestDeterminism:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def treatment(doc, dejitter="scenario"):
+    """The admitted state and the flow contexts a run of `doc` would simulate."""
+    scn = load_scenario(doc)
+    state, _ = _admit_flows(scn, dejitter)
+    flows = _build_flow_ctxs(scn, state)
+    _Engine(scn, state, flows, scn.seed)
+    return state, flows
+
+
+class TestFlowTreatment:
+    """Class, VLAN, route, policer and regulator of each kind of simulated flow."""
+
+    @pytest.mark.parametrize("dejitter", ["off", "on"])
+    def test_admitted_ue_flow_follows_its_nwtt_rule(self, dejitter):
+        state, flows = treatment(canonical_scenario(), dejitter)
+        orange, assignment = flows["orange"], state.flows()["orange"]
+        rule = state.nwtt_rules().rules[("UE1", "D")]
+        assert orange.assignment == assignment
+        assert orange.pcp == rule.pcp == assignment.priority_class > 0
+        assert (orange.vlan_id, orange.route) == (assignment.vlan_id, assignment.hop_ports)
+        assert orange.policer is None
+        if dejitter == "on":
+            assert orange.regulator[1] == rule.regulator is not None
+            assert orange.regulator[0].queue == deque()
+        else:
+            assert orange.regulator is None
+
+    def test_extras_take_class_0_on_the_first_tree(self):
+        state, flows = treatment(canonical_scenario(), "on")
+        tree = state.trees[0]
+        for fid in ("green", "bg"):  # a UE source, then a host source
+            ctx = flows[fid]
+            route = tuple(path_in_tree(state.topology, tree, ctx.source.src, ctx.source.dst))
+            assert ctx.assignment is None and not ctx.critical
+            assert (ctx.pcp, ctx.vlan_id, ctx.route) == (0, tree.vlan_id, route), fid
+            assert ctx.policer is None and ctx.regulator is None, fid
+
+    def test_admitted_host_flow_takes_its_class_and_a_policer(self):
+        state, flows = treatment(ue_transit_doc())
+        down, assignment = flows["down"], state.flows()["down"]
+        assert down.critical
+        assert down.pcp == assignment.priority_class > 0
+        assert (down.vlan_id, down.route) == (assignment.vlan_id, assignment.hop_ports)
+        policer = down.policer
+        assert (policer.burst_B, policer.rate_Bps) == (1_500, 12_500)
+        assert down.regulator is None
+
+    def test_per_class_flows_share_one_regulator(self):
+        _, flows = treatment(per_class_doc(), "on")
+        orange, orange2 = flows["orange"], flows["orange2"]
+        assert orange.pcp == orange2.pcp > 0
+        assert orange.regulator is orange2.regulator is not None
+        assert orange.regulator[1].per_class
+        assert flows["green"].regulator is None
 
 
 class TestDejitter:
