@@ -100,14 +100,17 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
                               optional=True, default=8)
         fwd = sw.get("fwd_delay_us", [0] * class_count)
         _expect(fwd, f"{p}.fwd_delay_us", list)
+        for k, delay in enumerate(fwd):
+            if _expect(delay, f"{p}.fwd_delay_us[{k}]", int) < 0:
+                _fail(f"{p}.fwd_delay_us[{k}]", "must be non-negative")
         try:
             topo.switches[sid] = SwitchProfile(
                 link_rate_Bps=_positive_int(sw.get("link_rate_Bps"), f"{p}.link_rate_Bps"),
-                fwd_delay_us=tuple(int(d) for d in fwd),
+                fwd_delay_us=tuple(fwd),
                 port_buffer_B=_positive_int(sw.get("port_buffer_B"), f"{p}.port_buffer_B"),
                 class_count=class_count,
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             _fail(p, str(exc))
 
     used_ports: dict = {}
@@ -171,6 +174,8 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             q = f"{p}.ues[{i}]"
             _expect(ue, q, dict)
             uid = _expect(ue.get("id"), f"{q}.id", str)
+            if uid in ues or uid in topo.hosts or uid in topo.switches:
+                _fail(f"{q}.id", f"duplicate node id {uid!r}")
             try:
                 ues[uid] = UeRecord(
                     ue_id=uid,
@@ -213,6 +218,8 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
     }[mode]
     for key in required:
         _positive_int(obj.get(key), f"{path}.{key}")
+    if "count" in obj:  # `periodic` reads it too, as packets per period
+        _positive_int(obj["count"], f"{path}.count")
     if "offset_us" in obj:
         # a source never sends before the run starts at t = 0
         if _expect(obj["offset_us"], f"{path}.offset_us", int) < 0:

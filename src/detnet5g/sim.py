@@ -3,11 +3,11 @@
 Models the pieces the admission math makes promises about: hosts with
 per-flow policers, switches with non-preemptive strict-priority egress
 ports, the TDD-gated 5G segment draining per-UE queues one transport
-block per usable slot, and the NW-TT, whose rule for a UE-sourced flow is
-applied once per run: it fixes the flow's class (0 if no rule matches) and
-its hold-and-forward regulator queue, if any, the flow's own or, with
-`per_class`, one its class shares.  Every packet of an admitted flow is
-checked against the `FlowAssignment` admission handed out for it: its
+block per usable slot, and the NW-TT with its hold-and-forward regulator
+queues.  `_build_flow_ctxs` fixes each flow's treatment once per run, as
+the edge devices are configured (class, VLAN, route, policer, regulator),
+and the event loop `_Engine` applies it.  Every packet of an admitted flow
+is checked against the `FlowAssignment` admission handed out for it: its
 end-to-end and per-hop bounds, its UL and DL contracts and its regulator
 bound.  Per-class queue occupancy is checked against the backlog bounds;
 the run report carries the violation counts (all zero for a sound
@@ -41,7 +41,7 @@ from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
 from .nwtt import RegulatorState, classify_and_tag, regulator_offer, regulator_release
 from .scenario import Scenario, SourceModel
-from .topology import PortId, path_in_tree
+from .topology import PortId, Topology, path_in_tree
 from .transit5g import (
     DOWNLINK,
     UPLINK,
@@ -56,6 +56,9 @@ TRACE_COLUMNS = ("flow_id", "seq", "size_B", "t_send_us", "t_recv_us", "latency_
 # the `t_recv` trace entry of a packet not delivered (yet): no time is negative
 IN_FLIGHT = -1
 DROPPED = -2
+
+# the bound checks a delivered packet of an admitted flow can fail
+_VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regulator")
 
 
 class _Packet:
@@ -115,30 +118,27 @@ class _Hop:
 
 class _FlowCtx:
     __slots__ = (
-        "source", "flow_id", "src", "dst", "critical", "assignment", "pcp", "vlan_id",
-        "route", "policer", "t_send", "t_recv", "received", "drops", "max_seq",
-        "reorders", "violations", "hops", "ul_queue", "dl_queue", "regulator",
+        "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
+        "regulator", "t_send", "t_recv", "received", "drops", "max_seq", "reorders",
+        "violations", "hops", "ul_queue", "dl_queue",
     )
 
-    def __init__(self, source: SourceModel):
+    def __init__(self, source: SourceModel, assignment=None, critical=False):
         self.source = source
-        self.flow_id = source.flow_id
-        self.src = source.src
-        self.dst = source.dst
-        self.critical = False
-        self.assignment = None  # the admitted flow's FlowAssignment; None if unregistered
-        self.pcp = 0  # the flow's class; a UE source's comes from its NW-TT rule
+        self.assignment = assignment  # the admitted flow's FlowAssignment; None if unregistered
+        self.critical = critical
+        # the flow's treatment, fixed by `_build_flow_ctxs` (None: no policer,
+        # no regulator queue)
+        self.pcp = 0
         self.vlan_id = None
         self.route = ()
         self.policer = None
-        # set by the engine for the length of a run: the route's `_Hop`s, the
-        # UE queues the flow's packets enter (None if not a UE) and its
-        # regulator queue, a `(RegulatorState, RegulatorConfig)` pair (None
-        # if not de-jittered)
+        self.regulator = None
+        # set by the engine for the length of a run: the route's `_Hop`s and
+        # the UE queues the flow's packets enter (None if not a UE)
         self.hops = ()
         self.ul_queue = None
         self.dl_queue = None
-        self.regulator = None
         # the flow's trace, indexed by seq: send time, and delivery time,
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
@@ -147,10 +147,7 @@ class _FlowCtx:
         self.drops = {}
         self.max_seq = -1  # highest seq delivered so far
         self.reorders = 0
-        self.violations = {
-            "e2e": 0, "per_hop": 0, "transit": 0,
-            "transit_best": 0, "transit_regulator": 0,
-        }
+        self.violations = dict.fromkeys(_VIOLATION_KINDS, 0)
 
     @property
     def sent(self) -> int:
@@ -221,9 +218,11 @@ def _schedule(model: SourceModel, rng: random.Random):
         start += on_ns + off_ns
 
 
-def _slots_to_usable(usable: list[bool]) -> list:
-    """Slots from each pattern phase to the first usable slot at or after it (None: never)."""
-    n = len(usable)
+def _slots_to_usable(tdd, direction) -> list:
+    """Slots from each pattern phase to the first slot at or after it usable
+    in `direction` (0: the slot itself; None: never)."""
+    n = len(tdd.pattern)
+    usable = [tdd.slot_usable(k, direction) for k in range(n)]
     if not any(usable):
         return [None] * n
     return [next(d for d in range(n) if usable[(phase + d) % n]) for phase in range(n)]
@@ -243,25 +242,22 @@ class _Engine:
     time go to `fifo`, which runs after every heap entry of that time.
     """
 
-    def __init__(self, scenario: Scenario, state: NetworkState, flows: dict, seed: int):
-        self.state = state
+    def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
         self.flows = flows
         self.seed = seed
-        self.end_ns = scenario.duration_ms * 1_000_000
+        self.end_ns = duration_ms * 1_000_000
         self.t = 0
         self.rank = 0  # of the event running now
         self.heap = []
         self.fifo = deque()
         self.counter = 0
         self.ports: dict[PortId, _Port] = {}  # the ports a packet reached
-        self.transit = state.topology.transit
+        self.transit = topo.transit
         self.slot_ns = 0
         self.armed: set[int] = set()  # slots whose tick is on the heap
         # what a slot tick does depends only on its index: the UE rotation
-        # repeats every len(UEs) slots and the usable flags every pattern
+        # repeats every len(UEs) slots and the waits for a usable slot every pattern
         self.rotations: list[list[tuple]] = []
-        self.ul_usable: list[bool] = []
-        self.dl_usable: list[bool] = []
         self.ul_wait: list = []
         self.dl_wait: list = []
         ue_ul, ue_dl = {}, {}
@@ -274,24 +270,12 @@ class _Engine:
             self.rotations = [queues[k:] + queues[:k] for k in range(len(queues))]
             tdd = self.transit.tdd
             self.slot_ns = tdd.slot_ns
-            self.ul_usable = [tdd.slot_usable(k, UPLINK) for k in range(len(tdd.pattern))]
-            self.dl_usable = [tdd.slot_usable(k, DOWNLINK) for k in range(len(tdd.pattern))]
-            self.ul_wait = _slots_to_usable(self.ul_usable)
-            self.dl_wait = _slots_to_usable(self.dl_usable)
-        topo = state.topology
-        nwtt = state.nwtt_rules()
-        class_regulators = {}  # the per-class regulator queues, by class
+            self.ul_wait = _slots_to_usable(tdd, UPLINK)
+            self.dl_wait = _slots_to_usable(tdd, DOWNLINK)
         self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route
         for ctx in flows.values():
-            ctx.ul_queue = ue_ul.get(ctx.src)
-            ctx.dl_queue = ue_dl.get(ctx.dst)
-            if ctx.ul_queue is not None:  # the NW-TT tags the flow's packets
-                rule = classify_and_tag(nwtt, ctx.src, ctx.dst)
-                ctx.pcp, cfg = rule.pcp, rule.regulator
-                if cfg is not None and cfg.per_class:
-                    ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
-                elif cfg is not None:
-                    ctx.regulator = (RegulatorState(), cfg)
+            ctx.ul_queue = ue_ul.get(ctx.source.src)
+            ctx.dl_queue = ue_dl.get(ctx.source.dst)
             pkt_B = ctx.source.params["pkt_B"]
             bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
             hops = []
@@ -345,12 +329,8 @@ class _Engine:
         pkt = _Packet(ctx, size_B, t)
         ctx.t_send.append(t)
         ctx.t_recv.append(IN_FLIGHT)
-        queue = ctx.ul_queue
-        if queue is not None:
-            pkt.eligible_slot = self.transit.tdd.first_grant_slot(t // self.slot_ns)
-            queue.append(pkt)
-            if len(queue) == 1:
-                self._arm(self.ul_wait, pkt.eligible_slot)
+        if ctx.ul_queue is not None:
+            self._enqueue_ue(pkt, ctx.ul_queue, self.ul_wait)
         elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
             self._drop(pkt, "policer")
         else:
@@ -358,16 +338,23 @@ class _Engine:
 
     # ------------------------------------------------------------- 5G segment
 
+    def _enqueue_ue(self, pkt: _Packet, queue: deque, wait: list):
+        """Queue a packet at a UE for its first grant slot in `wait`'s direction."""
+        pkt.eligible_slot = self.transit.tdd.first_grant_slot(self.t // self.slot_ns)
+        queue.append(pkt)
+        if len(queue) == 1:
+            self._arm(wait, pkt.eligible_slot)
+
     def _handle_slot(self, slot_index: int):
         self.rank = 0
         self.armed.discard(slot_index)
         order = self.rotations[slot_index % len(self.rotations)]
-        phase = slot_index % len(self.ul_usable)
-        if self.ul_usable[phase]:
+        phase = slot_index % len(self.ul_wait)
+        if self.ul_wait[phase] == 0:
             for ul_queue, tbs_ul_B, _, _ in order:
                 if ul_queue:
                     self._drain_ue(ul_queue, tbs_ul_B, slot_index, uplink=True)
-        if self.dl_usable[phase]:
+        if self.dl_wait[phase] == 0:
             for _, _, dl_queue, tbs_dl_B in order:
                 if dl_queue:
                     self._drain_ue(dl_queue, tbs_dl_B, slot_index, uplink=False)
@@ -460,13 +447,9 @@ class _Engine:
         if pkt.hop_idx < len(ctx.hops):
             self._arrive_hop(pkt)
         elif ctx.dl_queue is not None:
-            queue = ctx.dl_queue
             pkt.dl_in = self.t
             pkt.remaining_B = pkt.size_B
-            pkt.eligible_slot = self.transit.tdd.first_grant_slot(self.t // self.slot_ns)
-            queue.append(pkt)
-            if len(queue) == 1:
-                self._arm(self.dl_wait, pkt.eligible_slot)
+            self._enqueue_ue(pkt, ctx.dl_queue, self.dl_wait)
         else:
             self._deliver(pkt)
         if port.queued:
@@ -602,7 +585,7 @@ def parse_us(text: str) -> int:
 
 def _flow_rows(ctx: _FlowCtx):
     """Yield `(t_send, flow_id, seq, size_B, t_recv)` for each packet of a flow, in seq order."""
-    fid = ctx.flow_id
+    fid = ctx.source.flow_id
     size_B = ctx.source.params["pkt_B"]  # every packet of a source has its pkt_B
     for seq, (t_send, t_recv) in enumerate(zip(ctx.t_send, ctx.t_recv)):
         yield t_send, fid, seq, size_B, t_recv
@@ -630,8 +613,7 @@ class _TraceRows:
 
 def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
     flow_reports = {}
-    total = {"e2e": 0, "per_hop": 0, "transit": 0, "transit_best": 0,
-             "transit_regulator": 0, "backlog": 0}
+    total = dict.fromkeys(_VIOLATION_KINDS + ("backlog",), 0)
     for fid, ctx in sorted(engine.flows.items()):
         flow_reports[fid] = _flow_report(ctx)
         for key, count in ctx.violations.items():
@@ -707,30 +689,47 @@ def _admit_flows(scenario: Scenario, dejitter_mode: str) -> tuple[NetworkState, 
 
 
 def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
-    topo = state.topology
-    flows: dict[str, _FlowCtx] = {}
-    admitted = state.flows()
-    for entry in scenario.flows:
-        assignment = admitted.get(entry.spec.flow_id)
-        if assignment is None:
-            continue
-        spec = assignment.spec
-        ctx = _FlowCtx(entry.source)
-        ctx.critical = entry.critical
-        ctx.assignment = assignment
-        ctx.vlan_id = assignment.vlan_id
-        ctx.route = assignment.hop_ports
-        if not topo.is_ue(spec.src):  # the source host tags and polices the flow
-            ctx.pcp = assignment.priority_class
-            ctx.policer = _Policer(spec.burst_B, spec.rate_Bps)
-        flows[ctx.flow_id] = ctx
+    """The simulated flows by id, each treated as its edge devices are configured.
 
-    trees = state.trees
-    for model in scenario.extra_sources:
-        ctx = _FlowCtx(model)
-        ctx.vlan_id = trees[0].vlan_id
-        ctx.route = tuple(path_in_tree(topo, trees[0], model.src, model.dst))
-        flows[model.flow_id] = ctx
+    Admitted flows come first, in scenario order, then the `sim.sources`
+    extras.  An admitted flow keeps its assignment's VLAN and route, an
+    extra takes the first tree's; the rest depends on the kind of flow:
+
+        kind               class                     policer  regulator
+        admitted, from UE  its NW-TT rule's          -        its rule's, if any
+        admitted, host     its priority_class        TSpec    -
+        extra, from UE     0 (no NW-TT rule matches) -        -
+        extra, host        0                         -        -
+
+    A regulator is a `(RegulatorState, RegulatorConfig)` pair, one per class
+    under `per_class` and one per flow otherwise.
+    """
+    topo = state.topology
+    admitted = state.flows()
+    nwtt = state.nwtt_rules()
+    class_regulators = {}  # the per-class regulator queues, by class
+    entries = [(entry.source, admitted[entry.spec.flow_id], entry.critical)
+               for entry in scenario.flows if entry.spec.flow_id in admitted]
+    entries += [(model, None, False) for model in scenario.extra_sources]
+    flows: dict[str, _FlowCtx] = {}
+    for source, assignment, critical in entries:
+        src, dst = source.src, source.dst
+        ctx = flows[source.flow_id] = _FlowCtx(source, assignment, critical)
+        if assignment is not None:
+            ctx.vlan_id, ctx.route = assignment.vlan_id, assignment.hop_ports
+        else:
+            tree = state.trees[0]
+            ctx.vlan_id, ctx.route = tree.vlan_id, tuple(path_in_tree(topo, tree, src, dst))
+        if topo.is_ue(src):  # the NW-TT tags the flow's packets
+            rule = classify_and_tag(nwtt, src, dst)
+            ctx.pcp, cfg = rule.pcp, rule.regulator
+            if cfg is not None and cfg.per_class:
+                ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
+            elif cfg is not None:
+                ctx.regulator = (RegulatorState(), cfg)
+        elif assignment is not None:  # the source host tags and polices the flow
+            ctx.pcp = assignment.priority_class
+            ctx.policer = _Policer(assignment.spec.burst_B, assignment.spec.rate_Bps)
     return flows
 
 
@@ -748,7 +747,7 @@ def run(scenario: Scenario, *, seed: int | None = None, dejitter: str = "scenari
     run_seed = scenario.seed if seed is None else seed
     state, decisions = _admit_flows(scenario, dejitter)
     flows = _build_flow_ctxs(scenario, state)
-    engine = _Engine(scenario, state, flows, run_seed)
+    engine = _Engine(state.topology, flows, scenario.duration_ms, run_seed)
     engine.run()
     result = _build_result(scenario, state, engine, decisions, run_seed, dejitter)
     for fid, ctx in sorted(flows.items()):

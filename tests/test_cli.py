@@ -217,6 +217,24 @@ class TestRun:
         assert "sim.sources[0].offset_us: must be non-negative" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["sim"]["sources"][0].update(count="3"),
+         "sim.sources[0].count: must be an integer"),
+        # a second UE1 used to replace the first's TBS, so orange was rejected (exit 2)
+        (lambda doc: doc["topology"]["transit5g"]["ues"].append(
+            {"id": "UE1", "tbs_ul_B": 10, "tbs_dl_B": 3_000}),
+         "topology.transit5g.ues[2].id: duplicate node id 'UE1'"),
+    ], ids=["string-count", "duplicate-ue"])
+    def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
+        doc = canonical_scenario()
+        mutate(doc)
+        path = write_json(tmp_path / "bad.json", doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_nwtt_match_collision_exits_one(self, tmp_path, capsys):
         doc = canonical_scenario()
         doc["flows"].append(dict(doc["flows"][0], flow_id="orange2"))

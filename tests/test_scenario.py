@@ -177,3 +177,53 @@ def test_zero_offset_accepted():
     doc = canonical_scenario()
     doc["sim"]["sources"][0]["offset_us"] = 0
     assert load_scenario(doc).extra_sources[0].params["offset_us"] == 0
+
+
+@pytest.mark.parametrize("value, message", [
+    ("3", "must be an integer"),
+    (0, "must be positive"),
+    (True, "must be an integer"),
+    (2.0, "must be an integer"),
+], ids=["string", "zero", "bool", "float"])
+@pytest.mark.parametrize("where, path", [
+    (lambda doc: doc["sim"]["sources"][0], "sim.sources[0].count"),
+    (lambda doc: doc["flows"][0]["source"], "flows[0].source.count"),
+], ids=["sim-source", "flow-source"])
+def test_bad_periodic_count_rejected(where, path, value, message):
+    # `count` is optional on a periodic source, but read when present
+    doc = canonical_scenario()
+    assert where(doc)["mode"] == "periodic"
+    where(doc)["count"] = value
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: {message}$"):
+        load_scenario(doc)
+
+
+def test_positive_periodic_count_accepted():
+    doc = canonical_scenario()
+    doc["sim"]["sources"][0]["count"] = 2
+    assert load_scenario(doc).extra_sources[0].params["count"] == 2
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.7, "must be an integer"),
+    (True, "must be an integer"),
+    ("5", "must be an integer"),
+    (-1, "must be non-negative"),
+], ids=["float", "bool", "string", "negative"])
+def test_bad_fwd_delay_entry_rejected(value, message):
+    doc = canonical_topology()
+    doc["switches"][1]["fwd_delay_us"][3] = value
+    path = "topology.switches[1].fwd_delay_us[3]"
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: {message}$"):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("ue_id", ["UE1", "G", "S2"], ids=["ue", "host", "switch"])
+def test_ue_id_must_be_a_new_node_id(ue_id):
+    # a second UE1 would silently replace the first one's TBS
+    doc = canonical_topology()
+    doc["transit5g"]["ues"].append({"id": ue_id, "tbs_ul_B": 10, "tbs_dl_B": 10})
+    path = "topology.transit5g.ues[2].id"
+    with pytest.raises(ScenarioInvalid,
+                       match=rf"^{re.escape(path)}: duplicate node id '{ue_id}'$"):
+        load_topology(doc)

@@ -117,7 +117,7 @@ class TestCanonical:
         for ctx in flows.values():
             if ctx.assignment is not None:
                 ctx.assignment = replace(ctx.assignment, per_hop_bounds_us=(0,) * len(ctx.route))
-        _Engine(scn, state, flows, scn.seed).run()
+        _Engine(state.topology, flows, scn.duration_ms, scn.seed).run()
         assert any(ctx.assignment and ctx.sent > ctx.received for ctx in flows.values())
         for fid, ctx in flows.items():
             expected = ctx.received * len(ctx.route) if ctx.assignment else 0
@@ -133,7 +133,7 @@ class TestCanonical:
         assert orange.assignment.ul.delay_bound_us > 0
         orange.assignment = replace(
             orange.assignment, ul=replace(orange.assignment.ul, delay_bound_us=0))
-        _Engine(scn, state, flows, scn.seed).run()
+        _Engine(state.topology, flows, scn.duration_ms, scn.seed).run()
         assert orange.received > 0
         assert orange.violations["transit"] == orange.received
 
@@ -141,7 +141,7 @@ class TestCanonical:
         scn = scenario()
         state, _ = _admit_flows(scn, "scenario")
         flows = _build_flow_ctxs(scn, state)
-        engine = _Engine(scn, state, flows, scn.seed)
+        engine = _Engine(state.topology, flows, scn.duration_ms, scn.seed)
         ctx = flows["orange"]
         packets = []
         for _ in range(2):
@@ -209,7 +209,7 @@ class TestDeterminism:
         flows = _build_flow_ctxs(scn, state)
         gc.disable()
         try:
-            engine = _Engine(scn, state, flows, scn.seed)
+            engine = _Engine(state.topology, flows, scn.duration_ms, scn.seed)
             engine.run()
             ref = weakref.ref(engine)
             del engine
@@ -222,9 +222,7 @@ def treatment(doc, dejitter="scenario"):
     """The admitted state and the flow contexts a run of `doc` would simulate."""
     scn = load_scenario(doc)
     state, _ = _admit_flows(scn, dejitter)
-    flows = _build_flow_ctxs(scn, state)
-    _Engine(scn, state, flows, scn.seed)
-    return state, flows
+    return state, _build_flow_ctxs(scn, state)
 
 
 class TestFlowTreatment:

@@ -131,7 +131,7 @@ class EagerEngine(CountingEngine):
 def engine_run(scn, engine_cls):
     """`sim.run` with its engine swapped for `engine_cls`; returns (result, ticks)."""
     state, decisions = _admit_flows(scn, "scenario")
-    engine = engine_cls(scn, state, _build_flow_ctxs(scn, state), scn.seed)
+    engine = engine_cls(state.topology, _build_flow_ctxs(scn, state), scn.duration_ms, scn.seed)
     engine.run()
     return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine.ticks
 
