@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .admission import FlowSpec
+from .admission import DEFAULT_MAX_PKT_B, FlowSpec
 from .errors import ScenarioInvalid
 from .nwtt import RegulatorConfig
 from .topology import PortId, SwitchProfile, Topology, make_link
@@ -298,6 +298,9 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         )
         source = _load_source(_expect(fl.get("source"), f"{p}.source", dict),
                               f"{p}.source", flow_id=fid, src=src, dst=dst)
+        # the blocking term and per-hop transmission times assume this limit
+        if source.params["pkt_B"] > spec.max_pkt_B:
+            _fail(f"{p}.source.pkt_B", f"must not exceed max_pkt_B ({spec.max_pkt_B})")
         critical = _expect(fl.get("critical"), f"{p}.critical", bool,
                            optional=True, default=False)
         flows.append(FlowEntry(spec=spec, critical=critical, source=source))
@@ -314,7 +317,11 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         if earlier is not None:
             _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
         body = {k: v for k, v in src_obj.items() if k not in ("flow_id", "src", "dst")}
-        extra_sources.append(_load_source(body, p, flow_id=fid, src=src, dst=dst))
+        source = _load_source(body, p, flow_id=fid, src=src, dst=dst)
+        # admission budgets this size as the largest unannounced blocking frame
+        if source.params["pkt_B"] > DEFAULT_MAX_PKT_B:
+            _fail(f"{p}.pkt_B", f"must be at most {DEFAULT_MAX_PKT_B}")
+        extra_sources.append(source)
 
     return Scenario(
         topology=topo,

@@ -5,6 +5,12 @@ ports as leaves.  VLAN trees partition the switch fabric for source
 routing: every spanning tree of the switch graph gets a VLAN id, and a
 flow's path is the unique tree path between its endpoints' attachment
 switches, expressed as the ordered egress ports it queues at.
+
+Each tree answers path queries from its route table: every switch's parent,
+the egress port on each side of the link to that parent, and its depth.  A
+path is the climb from both attachment switches to their lowest common
+ancestor.  The table is built by the tree's first path query, not when the
+tree is enumerated, and trees shared between callers share it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,43 @@ class SwitchProfile:
             raise ValueError("forwarding delays must be non-negative")
 
 
+# A switch's route table entry: (parent, up, down, depth), where `up` is the
+# switch's egress port toward its parent and `down` the parent's egress port
+# toward it.  A root has (None, None, None, 0).
+_TreeHop = tuple[str | None, PortId | None, PortId | None, int]
+
+
+def _build_routes(edges: tuple[Link, ...]) -> dict[str, _TreeHop]:
+    """Route table of an acyclic edge set: one rooted tree per component.
+
+    Each sweep over the pending edges attaches every edge with one end
+    already in the table, so edges in `switch_links()` order (as
+    `enumerate_spanning_trees` emits them) mostly land in the first sweep;
+    an order that lists a chain from its far end takes one sweep per hop.
+    It runs on a tree's first path query, so it keeps to one tuple per
+    switch and builds no adjacency lists.
+    """
+    table: dict[str, _TreeHop] = {}
+    pending = list(edges)
+    while pending:
+        # no pending edge touches the table: root a new component
+        table[pending[0][0].node] = (None, None, None, 0)
+        attached = True
+        while attached:
+            rest = []
+            for edge in pending:
+                a, b = edge
+                if a.node in table:
+                    table[b.node] = (a.node, b, a, table[a.node][3] + 1)
+                elif b.node in table:
+                    table[a.node] = (b.node, a, b, table[b.node][3] + 1)
+                else:
+                    rest.append(edge)
+            attached = len(rest) < len(pending)
+            pending = rest
+    return table
+
+
 @dataclass(frozen=True)
 class VlanTree:
     """One spanning tree of the switch fabric, bound to a VLAN id."""
@@ -70,10 +113,22 @@ class VlanTree:
     vlan_id: int
     tree_index: int
     edges: tuple[Link, ...]
+    # the route table, built by the first path query; outside eq, hash and repr
+    _routes: dict[str, _TreeHop] | None = field(default=None, init=False, compare=False,
+                                                 repr=False)
 
     def __post_init__(self):
         if not 1 <= self.vlan_id <= 4094:
             raise ValueError("VLAN id must be in 1..4094")
+
+    @property
+    def routes(self) -> dict[str, _TreeHop]:
+        """Route table by switch, built on first use and kept on the tree."""
+        routes = self._routes
+        if routes is None:
+            routes = _build_routes(self.edges)
+            object.__setattr__(self, "_routes", routes)  # a cache, not a field value
+        return routes
 
 
 @dataclass
@@ -199,7 +254,11 @@ def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[Por
 
     One entry per switch-to-switch hop (the upstream switch's port), plus
     the destination's attachment port as the final hop.  An empty list
-    means src and dst are the same endpoint.
+    means src and dst are the same endpoint.  The hops come from the tree's
+    route table (built by its first query): the source side climbs to the
+    lowest common ancestor through each switch's port toward its parent,
+    and the destination side's climb gives the parents' ports toward it,
+    taken in reverse.
     """
     if src == dst:
         return []
@@ -210,30 +269,30 @@ def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[Por
 
     hops: list[PortId] = []
     if src_switch != dst_switch:
-        adj: dict[str, list[tuple[str, PortId]]] = {}
-        for a, b in tree.edges:
-            adj.setdefault(a.node, []).append((b.node, a))
-            adj.setdefault(b.node, []).append((a.node, b))
-        # BFS parent pointers; the path is unique in a tree
-        parent: dict[str, tuple[str, PortId | None]] = {src_switch: (src_switch, None)}
-        frontier = [src_switch]
-        while frontier and dst_switch not in parent:
-            nxt_frontier = []
-            for node in frontier:
-                for peer, egress in sorted(adj.get(node, [])):
-                    if peer not in parent:
-                        parent[peer] = (node, egress)
-                        nxt_frontier.append(peer)
-            frontier = nxt_frontier
-        if dst_switch not in parent:
+        routes = tree.routes
+        if src_switch not in routes or dst_switch not in routes:
             raise Unreachable(f"{dst!r} not reachable from {src!r} in tree {tree.vlan_id}")
-        rev: list[PortId] = []
-        node = dst_switch
-        while node != src_switch:
-            prev, egress = parent[node]
-            rev.append(egress)
-            node = prev
-        hops.extend(reversed(rev))
+        a, b = src_switch, dst_switch
+        a_parent, a_up, _, a_depth = routes[a]
+        b_parent, _, b_down, b_depth = routes[b]
+        down: list[PortId] = []
+        while a_depth > b_depth:
+            hops.append(a_up)
+            a = a_parent
+            a_parent, a_up, _, a_depth = routes[a]
+        while b_depth > a_depth:
+            down.append(b_down)
+            b = b_parent
+            b_parent, _, b_down, b_depth = routes[b]
+        while a != b:
+            if a_parent is None:  # two roots: the edges leave the pair apart
+                raise Unreachable(f"{dst!r} not reachable from {src!r} in tree {tree.vlan_id}")
+            hops.append(a_up)
+            down.append(b_down)
+            a, b = a_parent, b_parent
+            a_parent, a_up, _, a_depth = routes[a]
+            b_parent, _, b_down, b_depth = routes[b]
+        hops.extend(reversed(down))
     if dst_port is not None:
         hops.append(dst_port)
     return hops

@@ -1,6 +1,7 @@
 import pytest
 
 from detnet5g.admission import _canonical_aggregates, _solve
+from detnet5g.errors import Unreachable
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
 from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
 
@@ -14,6 +15,47 @@ def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
 def cold_aggregates(state) -> dict:
     """A registry's aggregates rebuilt by a cold solve of its placements (coherence oracle)."""
     return _canonical_aggregates(_solve(state.topology, state._solver.placements).aggregates)
+
+
+def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:
+    """The earlier `path_in_tree`, kept as the oracle: a BFS from the source
+    switch over the tree's adjacency, rebuilt on every call."""
+    if src == dst:
+        return []
+    src_switch, _ = topo.attachment(src)
+    dst_switch, dst_port = topo.attachment(dst)
+    if src_switch not in topo.switches or dst_switch not in topo.switches:
+        raise Unreachable(f"attachment switch missing for {src!r} or {dst!r}")
+
+    hops: list[PortId] = []
+    if src_switch != dst_switch:
+        adj: dict[str, list[tuple[str, PortId]]] = {}
+        for a, b in tree.edges:
+            adj.setdefault(a.node, []).append((b.node, a))
+            adj.setdefault(b.node, []).append((a.node, b))
+        # BFS parent pointers; the path is unique in a tree
+        parent: dict[str, tuple[str, PortId | None]] = {src_switch: (src_switch, None)}
+        frontier = [src_switch]
+        while frontier and dst_switch not in parent:
+            nxt_frontier = []
+            for node in frontier:
+                for peer, egress in sorted(adj.get(node, [])):
+                    if peer not in parent:
+                        parent[peer] = (node, egress)
+                        nxt_frontier.append(peer)
+            frontier = nxt_frontier
+        if dst_switch not in parent:
+            raise Unreachable(f"{dst!r} not reachable from {src!r} in tree {tree.vlan_id}")
+        rev: list[PortId] = []
+        node = dst_switch
+        while node != src_switch:
+            prev, egress = parent[node]
+            rev.append(egress)
+            node = prev
+        hops.extend(reversed(rev))
+    if dst_port is not None:
+        hops.append(dst_port)
+    return hops
 
 
 def ring_topology(*, with_transit=True, profile=None) -> Topology:

@@ -224,7 +224,13 @@ class TestRun:
         (lambda doc: doc["topology"]["transit5g"]["ues"].append(
             {"id": "UE1", "tbs_ul_B": 10, "tbs_dl_B": 3_000}),
          "topology.transit5g.ues[2].id: duplicate node id 'UE1'"),
-    ], ids=["string-count", "duplicate-ue"])
+        # a source frame above its flow's max_pkt_B used to load and deliver nothing
+        (lambda doc: doc["flows"][0]["source"].update(pkt_B=99_999),
+         "flows[0].source.pkt_B: must not exceed max_pkt_B (25)"),
+        # an unregistered 9 kB frame blocks admitted flows beyond their bounds
+        (lambda doc: doc["sim"]["sources"][1].update(pkt_B=9_000),
+         "sim.sources[1].pkt_B: must be at most 1500"),
+    ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         mutate(doc)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from detnet5g.admission import DEFAULT_MAX_PKT_B
 from detnet5g.errors import ScenarioInvalid
 from detnet5g.scenario import (
     canonical_scenario,
@@ -202,6 +203,28 @@ def test_positive_periodic_count_accepted():
     doc = canonical_scenario()
     doc["sim"]["sources"][0]["count"] = 2
     assert load_scenario(doc).extra_sources[0].params["count"] == 2
+
+
+def test_flow_source_packet_above_max_pkt_rejected():
+    # the blocking term and the per-hop transmission times assume max_pkt_B
+    doc = canonical_scenario()
+    doc["flows"][0]["source"]["pkt_B"] = 26
+    with pytest.raises(ScenarioInvalid,
+                       match=r"^flows\[0\]\.source\.pkt_B: must not exceed max_pkt_B \(25\)$"):
+        load_scenario(doc)
+    doc["flows"][0]["source"]["pkt_B"] = 25
+    assert load_scenario(doc).flows[0].source.params["pkt_B"] == 25
+
+
+def test_unregistered_source_packet_above_default_max_rejected():
+    # admission budgets DEFAULT_MAX_PKT_B as the largest unannounced blocking frame
+    doc = canonical_scenario()
+    doc["sim"]["sources"][1]["pkt_B"] = DEFAULT_MAX_PKT_B + 1
+    with pytest.raises(ScenarioInvalid,
+                       match=rf"^sim\.sources\[1\]\.pkt_B: must be at most {DEFAULT_MAX_PKT_B}$"):
+        load_scenario(doc)
+    doc["sim"]["sources"][1]["pkt_B"] = DEFAULT_MAX_PKT_B
+    assert load_scenario(doc).extra_sources[1].params["pkt_B"] == DEFAULT_MAX_PKT_B
 
 
 @pytest.mark.parametrize("value, message", [

@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from detnet5g import topology
 from detnet5g.errors import Disconnected, Unreachable
+from detnet5g.scenario import canonical_topology, load_topology
 from detnet5g.topology import (
     PortId,
     SwitchProfile,
@@ -14,7 +16,7 @@ from detnet5g.topology import (
     make_link,
     path_in_tree,
 )
-from conftest import grid_topology, ring_topology
+from conftest import grid_topology, reference_path_in_tree, ring_topology
 
 
 def count_spanning_trees_oracle(nodes, edges) -> int:
@@ -262,6 +264,24 @@ class TestPathInTree:
         trees, _ = enumerate_spanning_trees(ring)
         with pytest.raises(Unreachable):
             path_in_tree(ring, trees[0], "nope", "D")
+        with pytest.raises(Unreachable):
+            path_in_tree(ring, trees[0], "D", "nope")
+
+    def test_switch_endpoint_has_no_final_hop(self, ring):
+        trees, _ = enumerate_spanning_trees(ring)
+        assert path_in_tree(ring, trees[0], "S1", "S3") == [PortId("S1", 2)]
+        assert path_in_tree(ring, trees[0], "D", "S3") == []
+        assert path_in_tree(ring, trees[1], "S3", "S1") == [PortId("S3", 2), PortId("S2", 1)]
+
+    @pytest.mark.parametrize("edges", [
+        (),
+        ((PortId("S1", 1), PortId("S2", 1)),),
+    ], ids=["no-edges", "misses-S3"])
+    def test_tree_missing_a_switch_is_unreachable(self, ring, edges):
+        tree = VlanTree(vlan_id=100, tree_index=0, edges=edges)
+        for src, dst in (("D", "G"), ("G", "D"), ("UE1", "D"), ("S3", "S1")):
+            with pytest.raises(Unreachable):
+                path_in_tree(ring, tree, src, dst)
 
     def test_unique_simple_path_property(self):
         rng = random.Random(11)
@@ -274,3 +294,112 @@ class TestPathInTree:
             hops = path_in_tree(topo, tree, src, dst)
             nodes = [h.node for h in hops]
             assert len(set(nodes)) == len(nodes)  # no switch repeats
+
+
+def endpoints(topo):
+    ues = sorted(topo.transit.ues) if topo.transit is not None else []
+    return sorted(topo.hosts) + ues + sorted(topo.switches)
+
+
+class TestPathOracle:
+    """`path_in_tree` against the BFS it replaced, on every tree."""
+
+    @pytest.mark.parametrize("make", [
+        ring_topology,
+        lambda: load_topology(canonical_topology()),
+        lambda: grid_topology(4, 4),
+    ], ids=["ring", "canonical", "grid4x4"])
+    def test_every_ordered_endpoint_pair(self, make):
+        topo = make()
+        trees, _ = enumerate_spanning_trees(topo)
+        nodes = endpoints(topo)
+        checks = 0
+        for tree in trees:
+            for src in nodes:
+                for dst in nodes:
+                    assert path_in_tree(topo, tree, src, dst) == \
+                        reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
+                    checks += 1
+        assert checks == len(trees) * len(nodes) ** 2
+
+    def test_large_grid_at_tree_cap(self):
+        topo = grid_topology(8, 8)
+        trees, truncated = enumerate_spanning_trees(topo)
+        assert len(trees) == 64 and truncated
+        nodes = endpoints(topo)
+        rng = random.Random(8)
+        checks = 0
+        for tree in trees:
+            for _ in range(300):
+                src, dst = rng.choice(nodes), rng.choice(nodes)
+                assert path_in_tree(topo, tree, src, dst) == \
+                    reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
+                checks += 1
+        assert checks >= 19_200
+
+    def test_any_edge_order_and_forests(self):
+        # the table must not depend on the edge order enumeration happens to
+        # emit; a forest (edges dropped) answers or raises like the BFS did
+        rng = random.Random(5)
+        apart = 0
+        for _ in range(60):
+            topo = random_multigraph(rng)
+            trees, _ = enumerate_spanning_trees(topo, cap=8)
+            for tree in trees:
+                edges = list(tree.edges)
+                rng.shuffle(edges)
+                if rng.random() < 0.5:
+                    k = rng.randrange(len(edges))
+                    del edges[k:k + rng.randrange(1, 3)]
+                shuffled = VlanTree(tree.vlan_id, tree.tree_index, tuple(edges))
+                for src in topo.switches:
+                    for dst in topo.switches:
+                        try:
+                            want = reference_path_in_tree(topo, shuffled, src, dst)
+                        except Unreachable:
+                            apart += 1
+                            with pytest.raises(Unreachable):
+                                path_in_tree(topo, shuffled, src, dst)
+                        else:
+                            assert path_in_tree(topo, shuffled, src, dst) == want
+        assert apart > 0
+
+    def test_fresh_list_each_call(self, ring):
+        trees, _ = enumerate_spanning_trees(ring)
+        first = path_in_tree(ring, trees[1], "UE1", "D")
+        first.append(PortId("S9", 9))
+        assert path_in_tree(ring, trees[1], "UE1", "D") == \
+            [PortId("S1", 1), PortId("S2", 2), PortId("S3", 3)]
+
+
+class TestRouteTableLaziness:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = topology._build_routes
+        monkeypatch.setattr(topology, "_build_routes",
+                            lambda edges: built.append(edges) or real(edges))
+        return built
+
+    def test_enumeration_builds_no_table(self, builds):
+        trees, _ = enumerate_spanning_trees(grid_topology(4, 4))
+        assert len(trees) == 64 and builds == []
+
+    def test_repeated_queries_build_once_per_tree(self, builds):
+        topo = grid_topology(4, 4)
+        trees, _ = enumerate_spanning_trees(topo)
+        for _ in range(3):
+            for src, dst in (("H00", "H33"), ("H33", "H00"), ("S12", "H21")):
+                path_in_tree(topo, trees[5], src, dst)
+        assert builds == [trees[5].edges]
+        path_in_tree(topo, trees[6], "H00", "H33")
+        assert builds == [trees[5].edges, trees[6].edges]
+
+    def test_table_is_outside_eq_and_hash(self):
+        topo = grid_topology(3, 3)
+        trees, _ = enumerate_spanning_trees(topo)
+        path_in_tree(topo, trees[2], "H00", "H22")
+        twin = VlanTree(trees[2].vlan_id, trees[2].tree_index, trees[2].edges)
+        assert twin == trees[2] and hash(twin) == hash(trees[2])
+        assert trees[2]._routes is not None and twin._routes is None
+        assert repr(twin) == repr(trees[2])
