@@ -290,8 +290,8 @@ def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[Por
             hops.append(a_up)
             down.append(b_down)
             a, b = a_parent, b_parent
-            a_parent, a_up, _, a_depth = routes[a]
-            b_parent, _, b_down, b_depth = routes[b]
+            a_parent, a_up, _, _ = routes[a]
+            b_parent, _, b_down, _ = routes[b]
         hops.extend(reversed(down))
     if dst_port is not None:
         hops.append(dst_port)

@@ -313,14 +313,11 @@ class TestPathOracle:
         topo = make()
         trees, _ = enumerate_spanning_trees(topo)
         nodes = endpoints(topo)
-        checks = 0
         for tree in trees:
             for src in nodes:
                 for dst in nodes:
                     assert path_in_tree(topo, tree, src, dst) == \
                         reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
-                    checks += 1
-        assert checks == len(trees) * len(nodes) ** 2
 
     def test_large_grid_at_tree_cap(self):
         topo = grid_topology(8, 8)
@@ -328,14 +325,11 @@ class TestPathOracle:
         assert len(trees) == 64 and truncated
         nodes = endpoints(topo)
         rng = random.Random(8)
-        checks = 0
         for tree in trees:
-            for _ in range(300):
+            for _ in range(300):  # 19,200 checks in all
                 src, dst = rng.choice(nodes), rng.choice(nodes)
                 assert path_in_tree(topo, tree, src, dst) == \
                     reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
-                checks += 1
-        assert checks >= 19_200
 
     def test_any_edge_order_and_forests(self):
         # the table must not depend on the edge order enumeration happens to
