@@ -296,6 +296,8 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
             dejitter=_expect(fl.get("dejitter"), f"{p}.dejitter", bool,
                              optional=True, default=False),
         )
+        if spec.burst_B < spec.max_pkt_B:
+            _fail(f"{p}.burst_B", f"must be at least max_pkt_B ({spec.max_pkt_B})")
         source = _load_source(_expect(fl.get("source"), f"{p}.source", dict),
                               f"{p}.source", flow_id=fid, src=src, dst=dst)
         # the blocking term and per-hop transmission times assume this limit

@@ -117,7 +117,6 @@ class TransitContract:
 
     delay_bound_us: int
     best_case_us: int
-    jitter_us: int
 
 
 def _capacity_Bps(tdd: TddConfig, tbs_B: int, direction: str) -> int:
@@ -189,7 +188,6 @@ def transit_contract(
         name = "uplink" if uplink else "downlink"
         raise RateExceedsCapacity(f"rate {rate_Bps} B/s > {name} capacity {cap} B/s")
     worst_ns, best_ns = _sweep_ns(tdd, direction, tbs, burst_B)
-    worst_us, best_us = ns_to_us_ceil(worst_ns), ns_to_us_floor(best_ns)
     return TransitContract(
-        delay_bound_us=worst_us, best_case_us=best_us, jitter_us=worst_us - best_us
+        delay_bound_us=ns_to_us_ceil(worst_ns), best_case_us=ns_to_us_floor(best_ns)
     )

@@ -251,6 +251,15 @@ class TestFlowRequests:
         with pytest.raises(MalformedRequest):
             state.handle_flow_request(self.request(rate_Bps="fast"))
 
+    def test_unknown_field_is_malformed(self, ring):
+        state = NetworkState(ring, default_regulator=RegulatorConfig(5_000, 2_000))
+        before = state.snapshot()
+        request = self.request(dejiter=True)  # a misspelled flag must not go unread
+        del request["dejitter"]
+        with pytest.raises(MalformedRequest, match=r"^unknown field 'dejiter'$"):
+            state.handle_flow_request(request)
+        assert state.snapshot() == before
+
     def test_unknown_destination_is_reject_not_error(self, ring):
         state = NetworkState(ring)
         response = state.handle_flow_request(self.request(dst="Z"))
@@ -368,14 +377,13 @@ def full_order_search(state, spec):
     Returns (first feasible placement and its solution, or None; the reasons
     dict the search collects before that point).
     """
-    current = state._solver.placements
     reasons = {}
     for priority in range(state.class_count - 1, state.best_effort_class, -1):
         for tree in state.trees:
             hops = tuple(path_in_tree(state.topology, tree, spec.src, spec.dst))
             cand = _Placement(spec, priority, tree, hops, _Terms())
             try:
-                solution = reference_solve(state.topology, {**current, spec.flow_id: cand})
+                solution = reference_trial(state.topology, state._solver, cand)
             except _Infeasible as exc:
                 reasons.setdefault(exc.reason, exc.detail)
                 continue
@@ -442,36 +450,45 @@ class TestDeduplicatedSearch:
         assert outcomes == {"rejected", ("class", 2), ("class", 1)}
 
 
-def reference_solve(topo, placements):
+def reference_round(topo, placements, bursts):
+    """Every port's aggregates and `PortClassState`s, rebuilt from `bursts`."""
+    raw = {}
+    for fid in sorted(placements):
+        pl = placements[fid]
+        for i, port in enumerate(pl.hops):
+            slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0, []])
+            slot[0] += bursts[fid][i]
+            slot[1] += pl.spec.rate_Bps
+            slot[2] = max(slot[2], pl.spec.max_pkt_B)
+            slot[3].append(fid)
+    aggregates = {}
+    states = {}
+    for port, per_cls in raw.items():
+        aggregates[port] = {
+            cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
+            for cls, (b, r, m, flows) in per_cls.items()
+        }
+        states[port] = _port_state(topo, port, aggregates[port])
+    return aggregates, states
+
+
+def reference_solve(topo, placements, start=None):
     """The solve the incremental engine replaced, kept as the reference.
 
     Every round rebuilds every (port, class) aggregate from every flow's
-    current bursts and bounds every flow from scratch.  Returns a
+    current bursts and bounds every flow from scratch.  The bursts start at
+    `start` where it has the flow, else at the flow's spec burst.  Returns a
     `_SolverState` with the final bursts, delays, bounds and aggregates.
     """
     fids = sorted(placements)
+    start = start or {}
     bursts = {
-        fid: [placements[fid].spec.burst_B] * len(placements[fid].hops) for fid in fids
+        fid: list(start.get(fid, [placements[fid].spec.burst_B] * len(placements[fid].hops)))
+        for fid in fids
     }
 
     for _ in range(admission.SOLVER_ITER_CAP):
-        raw = {}
-        for fid in fids:
-            pl = placements[fid]
-            for i, port in enumerate(pl.hops):
-                slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0, []])
-                slot[0] += bursts[fid][i]
-                slot[1] += pl.spec.rate_Bps
-                slot[2] = max(slot[2], pl.spec.max_pkt_B)
-                slot[3].append(fid)
-        aggregates = {}
-        states = {}
-        for port, per_cls in raw.items():
-            aggregates[port] = {
-                cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
-                for cls, (b, r, m, flows) in per_cls.items()
-            }
-            states[port] = _port_state(topo, port, aggregates[port])
+        aggregates, states = reference_round(topo, placements, bursts)
         delays = {}
 
         changed = False
@@ -521,11 +538,36 @@ def reference_solve(topo, placements):
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
 
 
+def reference_trial(topo, base, pl):
+    """The trial of adding `pl` to the solved `base`, rebuilt on `reference_solve`.
+
+    First the round-one screen: the new flow's bound, hop by hop, over
+    `base`'s aggregates plus the new flow at its spec burst, failing at the
+    first hop where it passes the deadline.  Then `reference_solve` started
+    from `base`'s bursts.
+    """
+    spec = pl.spec
+    placements = {**base.placements, spec.flow_id: pl}
+    start = {**base.bursts, spec.flow_id: [spec.burst_B] * len(pl.hops)}
+    _, states = reference_round(topo, placements, start)
+    total = pl.terms.fixed_us
+    try:
+        for port in pl.hops:
+            total += hop_delay_bound(states[port], pl.priority)
+            if total > spec.deadline_us:
+                raise _Infeasible(
+                    "DeadlineInfeasible",
+                    f"flow {spec.flow_id!r}: bound at least {total} us "
+                    f"> deadline {spec.deadline_us} us",
+                )
+    except (Unschedulable, RateOverload) as exc:
+        raise _Infeasible("Unschedulable", str(exc)) from exc
+    return reference_solve(topo, placements, start)
+
+
 def use_reference_solver(m):
-    """Route every solve of a registry through `reference_solve`."""
-    m.setattr(admission, "_solve", reference_solve)
-    m.setattr(admission, "_add_flow", lambda topo, base, pl: reference_solve(
-        topo, {**base.placements, pl.spec.flow_id: pl}))
+    """Route every trial and removal of a registry through the reference."""
+    m.setattr(admission, "_add_flow", reference_trial)
     m.setattr(admission, "_drop_flow", lambda topo, base, flow_id: reference_solve(
         topo, {fid: pl for fid, pl in base.placements.items() if fid != flow_id}))
 
@@ -697,3 +739,36 @@ class TestIncrementalSolver:
         assert len({o for o in outcomes if o[0] == "class"}) >= 2
         if fabric == "ring":
             assert ("endpoint", "UE") in outcomes
+
+
+class TestRejectsFromTrials:
+    @pytest.mark.parametrize("reconfig", [True, False])
+    def test_reject_solves_nothing_cold(self, reconfig, monkeypatch):
+        """A reject's reason and detail come from the trials the search ran.
+
+        Nothing on the request path may re-solve a registry from scratch, so
+        `_solve` fails here while register/remove sequences reach every reason.
+        """
+        def no_cold_solve(*args):
+            raise AssertionError("a request solved a registry from scratch")
+
+        monkeypatch.setattr(admission, "_solve", no_cold_solve)
+        topo = ring_topology(profile=SwitchProfile(port_buffer_B=8_000))
+        topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))
+        endpoints = ["UE1", "UE2", "A", "D", "E", "G"]
+        reasons = set()
+        for seed in range(4):
+            rng = random.Random(seed)
+            state = NetworkState(topo, enable_reconfig=reconfig)
+            live = []
+            for i in range(24):
+                if live and rng.random() < 0.2:
+                    state.remove_flow(live.pop(rng.randrange(len(live))))
+                    continue
+                spec = oracle_spec(rng, f"f{i}", endpoints)
+                decision = state.register_flow(spec)
+                if decision.accepted:
+                    live.append(spec.flow_id)
+                else:
+                    reasons.add(decision.reason)
+        assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable"} <= reasons

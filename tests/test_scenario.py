@@ -216,6 +216,18 @@ def test_flow_source_packet_above_max_pkt_rejected():
     assert load_scenario(doc).flows[0].source.params["pkt_B"] == 25
 
 
+@pytest.mark.parametrize("critical", [False, True])
+def test_flow_burst_below_max_pkt_rejected(critical):
+    # admission would reject the spec, and a non-critical flow's source would vanish
+    doc = canonical_scenario()
+    doc["flows"][0].update(burst_B=24, critical=critical)
+    with pytest.raises(ScenarioInvalid,
+                       match=r"^flows\[0\]\.burst_B: must be at least max_pkt_B \(25\)$"):
+        load_scenario(doc)
+    doc["flows"][0]["burst_B"] = 25
+    assert load_scenario(doc).flows[0].spec.burst_B == 25
+
+
 def test_unregistered_source_packet_above_default_max_rejected():
     # admission budgets DEFAULT_MAX_PKT_B as the largest unannounced blocking frame
     doc = canonical_scenario()
