@@ -29,7 +29,7 @@ from .nwtt import (
     regulator_offer,
     regulator_release,
 )
-from .scenario import Scenario, canonical_scenario, load_scenario, load_scenario_file
+from .scenario import Scenario, load_scenario, load_scenario_file
 from .sim import RunResult, compare_dejitter, dejitter_summary, run
 from .topology import (
     PortId,

@@ -165,17 +165,17 @@ class _Infeasible(Exception):
 class _SolverState:
     """Least fixed point of bursts and bounds for one set of placements.
 
-    Per flow: its placement, its input burst at each hop, its hop bounds and
-    its e2e bound.  Per port: the flows that cross it (with their hop index)
-    and, per class, the aggregate and its delay bound.  Trials copy the outer
-    dicts and replace, never mutate, the values they change, so the state a
-    trial starts from is left as it was whether the trial succeeds or not.
+    Per flow: its placement, its input burst at each hop and its hop bounds,
+    whose sum plus `terms.fixed_us` is its e2e bound.  Per port: the flows
+    that cross it (with their hop index) and, per class, the aggregate and
+    its delay bound.  Trials copy the outer dicts and replace, never mutate,
+    the values they change, so the state a trial starts from is left as it
+    was whether the trial succeeds or not.
     """
 
     placements: dict[str, _Placement] = field(default_factory=dict)
     bursts: dict[str, list[int]] = field(default_factory=dict)
     hop_bounds: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    e2e_us: dict[str, int] = field(default_factory=dict)
     members: dict[PortId, dict[str, int]] = field(default_factory=dict)
     aggregates: dict[PortId, dict[int, ClassAggregate]] = field(default_factory=dict)
     delays: dict[PortId, dict[int, int]] = field(default_factory=dict)
@@ -183,8 +183,7 @@ class _SolverState:
     def copy(self) -> _SolverState:
         return _SolverState(
             dict(self.placements), dict(self.bursts), dict(self.hop_bounds),
-            dict(self.e2e_us), dict(self.members), dict(self.aggregates),
-            dict(self.delays),
+            dict(self.members), dict(self.aggregates), dict(self.delays),
         )
 
 
@@ -227,7 +226,7 @@ def _settle(
     `st.delays` emptied, and the delays it bounded there by (port, class).
     Round one then rebuilds and re-bounds none of them.
     """
-    placements, bursts, hop_bounds, e2e = st.placements, st.bursts, st.hop_bounds, st.e2e_us
+    placements, bursts, hop_bounds = st.placements, st.bursts, st.hop_bounds
     members, aggregates, delays = st.members, st.aggregates, st.delays
     states, known = first_round or (None, {})
     for _ in range(SOLVER_ITER_CAP):
@@ -292,7 +291,6 @@ def _settle(
                     )
                 hop_bounds[fid] = bounds
                 total = sum(bounds) + pl.terms.fixed_us
-                e2e[fid] = total
                 if total > spec.deadline_us:
                     raise _Infeasible(
                         "DeadlineInfeasible",
@@ -394,7 +392,7 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
     """
     st = base.copy()
     gone = st.placements.pop(flow_id)
-    del st.bursts[flow_id], st.hop_bounds[flow_id], st.e2e_us[flow_id]
+    del st.bursts[flow_id], st.hop_bounds[flow_id]
     for port in gone.hops:
         st.members[port] = {f: i for f, i in st.members[port].items() if f != flow_id}
     first: dict[str, int] = {}  # flow -> index of its first affected hop
@@ -494,17 +492,18 @@ class NetworkState:
         st = self._solver
         pl = st.placements[flow_id]
         terms = pl.terms
+        hop_bounds = st.hop_bounds[flow_id]
         return FlowAssignment(
             flow_id=flow_id,
             spec=pl.spec,
             vlan_id=pl.tree.vlan_id,
             priority_class=pl.priority,
             hop_ports=pl.hops,
-            per_hop_bounds_us=st.hop_bounds[flow_id],
+            per_hop_bounds_us=hop_bounds,
             ul=terms.ul,
             dl=terms.dl,
             regulator_bound_us=terms.regulator_us,
-            e2e_bound_us=st.e2e_us[flow_id],
+            e2e_bound_us=sum(hop_bounds) + terms.fixed_us,
         )
 
     def _endpoint_kind(self, node_id: str) -> str:
@@ -607,14 +606,15 @@ class NetworkState:
                 reasons.setdefault(exc.reason, exc.detail)
                 continue
             self._solver = solver
+            assignment = self._assignment(spec.flow_id)
             log.info(
                 "flow %s accepted: vlan %d class %d e2e %d us",
                 spec.flow_id,
                 cand.tree.vlan_id,
                 cand.priority,
-                solver.e2e_us[spec.flow_id],
+                assignment.e2e_bound_us,
             )
-            return Decision(True, assignment=self._assignment(spec.flow_id), reconfigured=())
+            return Decision(True, assignment=assignment, reconfigured=())
 
         if self.enable_reconfig and self._solver.placements:
             solver = self._batch_reassign(spec, terms)

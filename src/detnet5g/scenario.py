@@ -1,7 +1,8 @@
-"""Scenario and topology file schemas, plus the bundled demo scenario.
+"""Scenario and topology file schemas and their loaders.
 
 Everything is plain JSON.  Validation errors carry the offending field
-path so a broken file points at its own problem.
+path so a broken file points at its own problem.  The demo network lives
+only in `scenarios/canonical.json` and `scenarios/canonical_topology.json`.
 """
 
 from __future__ import annotations
@@ -256,13 +257,14 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     if nwtt.get("dejitter") is not None:
         dejitter = _load_regulator(nwtt["dejitter"], "nwtt.dejitter")
 
-    known = set(topo.hosts) | set(topo.switches)
+    # traffic starts and ends at a host or a UE, never at a switch
+    known = set(topo.hosts)
     if topo.transit is not None:
         known |= set(topo.transit.ues)
     seen_flow_ids: set[str] = set()
 
     def endpoints(entry, p: str) -> tuple[str, str, str]:
-        """(flow_id, src, dst) of a flow or source entry with a new id and known nodes."""
+        """(flow_id, src, dst) of a flow or source entry with a new id and two endpoints."""
         _expect(entry, p, dict)
         fid = _expect(entry.get("flow_id"), f"{p}.flow_id", str)
         if fid in seen_flow_ids:
@@ -272,7 +274,9 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         dst = _expect(entry.get("dst"), f"{p}.dst", str)
         for ep, label in ((src, "src"), (dst, "dst")):
             if ep not in known:
-                _fail(f"{p}.{label}", f"unknown node {ep!r}")
+                _fail(f"{p}.{label}", f"{ep!r} is not a host or a UE")
+        if dst == src:
+            _fail(f"{p}.dst", "must differ from src")
         return fid, src, dst
 
     flows: list[FlowEntry] = []
@@ -296,6 +300,11 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
             dejitter=_expect(fl.get("dejitter"), f"{p}.dejitter", bool,
                              optional=True, default=False),
         )
+        # admission would reject these specs, and a non-critical flow's source would vanish
+        if spec.dejitter and not topo.is_ue(src):
+            _fail(f"{p}.dejitter", "needs a UE source")
+        if spec.dejitter and dejitter is None:
+            _fail(f"{p}.dejitter", "needs an nwtt.dejitter block")
         if spec.burst_B < spec.max_pkt_B:
             _fail(f"{p}.burst_B", f"must be at least max_pkt_B ({spec.max_pkt_B})")
         source = _load_source(_expect(fl.get("source"), f"{p}.source", dict),
@@ -368,83 +377,3 @@ def load_scenario_file(path) -> Scenario:
 
 def load_topology_file(path) -> Topology:
     return load_topology(read_json(path))
-
-
-def canonical_topology() -> dict:
-    """Demo fabric: 3-switch ring, two hosts, 5G segment with two UEs."""
-    return {
-        "switches": [
-            {"id": sid, "link_rate_Bps": 125_000,
-             "fwd_delay_us": [0] * 8, "port_buffer_B": 32_768}
-            for sid in ("S1", "S2", "S3")
-        ],
-        "links": [["S1.1", "S2.1"], ["S1.2", "S3.1"], ["S2.2", "S3.2"]],
-        "hosts": [{"id": "D", "attach": "S3.3"}, {"id": "G", "attach": "S2.3"}],
-        "transit5g": {
-            "tdd_pattern": "DDDSU",
-            "numerology": 1,
-            "grant_delay_slots": 0,
-            "ues": [
-                {"id": "UE1", "tbs_ul_B": 1500, "tbs_dl_B": 3000},
-                {"id": "UE2", "tbs_ul_B": 1500, "tbs_dl_B": 3000},
-            ],
-            "attach": "S1.3",
-        },
-    }
-
-
-def canonical_scenario() -> dict:
-    """The demo scenario: one critical UE flow, one best-effort UE flow,
-    and on/off background traffic crossing the best-effort path."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "topology": canonical_topology(),
-        "classes": {"count": 8, "best_effort_class": 0},
-        "flows": [
-            {
-                "flow_id": "orange",
-                "src": "UE1",
-                "dst": "D",
-                "rate_Bps": 12_500,
-                "burst_B": 25,
-                "max_pkt_B": 25,
-                "deadline_us": 100_000,
-                "critical": True,
-                "dejitter": False,
-                "source": {"mode": "periodic", "period_us": 2_000, "pkt_B": 25},
-            }
-        ],
-        "nwtt": {
-            "dejitter": {
-                "hold_us": 5_000,
-                "release_period_us": 2_000,
-                "queue_cap_pkts": 64,
-                "per_class": False,
-            }
-        },
-        "sim": {
-            "duration_ms": 4_000,
-            "seed": 1,
-            "sources": [
-                {
-                    "flow_id": "green",
-                    "src": "UE2",
-                    "dst": "G",
-                    "mode": "periodic",
-                    "period_us": 9_900,
-                    "pkt_B": 250,
-                },
-                {
-                    "flow_id": "bg",
-                    "src": "D",
-                    "dst": "G",
-                    "mode": "onoff_background",
-                    "pkt_B": 1_500,
-                    "rate_Bps": 150_000,
-                    "on_ms": 1_000,
-                    "off_ms": 1_000,
-                    "start": "off",
-                },
-            ],
-        },
-    }

@@ -1,9 +1,24 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from detnet5g.admission import _canonical_aggregates, _solve
 from detnet5g.errors import Unreachable
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
 from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def canonical_scenario() -> dict:
+    """The bundled demo scenario, a fresh copy that the caller may change."""
+    return json.loads((SCENARIOS / "canonical.json").read_text())
+
+
+def canonical_topology() -> dict:
+    """The bundled demo topology, a fresh copy that the caller may change."""
+    return json.loads((SCENARIOS / "canonical_topology.json").read_text())
 
 
 def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:

@@ -12,7 +12,7 @@ import pytest
 from detnet5g.admission import NetworkState
 from detnet5g.cli import main
 from detnet5g.errors import NoDownlinkSlots, NoUplinkSlots
-from detnet5g.scenario import canonical_scenario, load_scenario
+from detnet5g.scenario import load_scenario
 from detnet5g.sim import compare_dejitter, dejitter_summary, run
 from detnet5g.topology import PortId, SwitchProfile, Topology, enumerate_spanning_trees, make_link
 from detnet5g.transit5g import (
@@ -25,7 +25,7 @@ from detnet5g.transit5g import (
 )
 from detnet5g.units import ceil_div
 
-from conftest import cold_aggregates, ring_topology
+from conftest import canonical_scenario, cold_aggregates, ring_topology
 from test_admission import apply_op, make_ops
 from test_topology import count_spanning_trees_oracle, switch_graph
 from test_transit5g import sweep_oracle

@@ -443,11 +443,17 @@ class TestDeduplicatedSearch:
                 a = decision.assignment
                 assert decision.accepted
                 assert (a.vlan_id, a.priority_class, a.e2e_bound_us, a.per_hop_bounds_us) == (
-                    cand.tree.vlan_id, cand.priority, solution.e2e_us[spec.flow_id],
+                    cand.tree.vlan_id, cand.priority, e2e_bounds(solution)[spec.flow_id],
                     solution.hop_bounds[spec.flow_id])
                 live.append(spec.flow_id)
         # the sequences reach rejects and the lower class, not only first picks
         assert outcomes == {"rejected", ("class", 2), ("class", 1)}
+
+
+def e2e_bounds(st):
+    """Each flow's e2e bound in a solved state: its hop bounds plus its fixed terms."""
+    return {fid: sum(bounds) + st.placements[fid].terms.fixed_us
+            for fid, bounds in st.hop_bounds.items()}
 
 
 def reference_round(topo, placements, bursts):
@@ -493,7 +499,6 @@ def reference_solve(topo, placements, start=None):
 
         changed = False
         hop_bounds = {}
-        e2e = {}
         try:
             for fid in fids:
                 pl = placements[fid]
@@ -511,7 +516,6 @@ def reference_solve(topo, placements, start=None):
                         changed = True
                 hop_bounds[fid] = tuple(bounds)
                 total = sum(bounds) + pl.terms.fixed_us
-                e2e[fid] = total
                 if total > pl.spec.deadline_us:
                     raise _Infeasible(
                         "DeadlineInfeasible",
@@ -533,7 +537,7 @@ def reference_solve(topo, placements, start=None):
             for (port, cls), delay in delays.items():
                 per_port.setdefault(port, {})[cls] = delay
             return _SolverState(placements=dict(placements), bursts=bursts,
-                                hop_bounds=hop_bounds, e2e_us=e2e,
+                                hop_bounds=hop_bounds,
                                 aggregates=aggregates, delays=per_port)
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
 
@@ -620,8 +624,8 @@ class TestIncrementalSolver:
         placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
                                       7, tree, hops, _Terms())
         engine, reference = _solve(topo, placements), reference_solve(topo, placements)
-        assert (engine.bursts, engine.delays, engine.e2e_us) == (
-            reference.bursts, reference.delays, reference.e2e_us)
+        assert (engine.bursts, engine.delays, e2e_bounds(engine)) == (
+            reference.bursts, reference.delays, e2e_bounds(reference))
 
     def test_accepted_add_bounds_nothing_twice(self, monkeypatch):
         """The round-one screen's bounds are round one's: an accept costs no more calls."""
@@ -644,7 +648,7 @@ class TestIncrementalSolver:
                             lambda *args: calls.append(args) or hop_delay_bound(*args))
         st = admission._add_flow(topo, base, new)
         reference = reference_solve(topo, {**placements, "f1": new})
-        assert (st.bursts, st.e2e_us) == (reference.bursts, reference.e2e_us)
+        assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
         # the count of the solve without the screen: 3 rounds over 3 hops, 2 classes
         assert len(calls) == 12
 

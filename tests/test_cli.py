@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from detnet5g.cli import main
-from detnet5g.scenario import canonical_scenario, canonical_topology
+from conftest import canonical_scenario, canonical_topology
 from test_golden import ue_transit_doc
 
 REPO = Path(__file__).resolve().parents[1]
@@ -230,7 +230,14 @@ class TestRun:
         # an unregistered 9 kB frame blocks admitted flows beyond their bounds
         (lambda doc: doc["sim"]["sources"][1].update(pkt_B=9_000),
          "sim.sources[1].pkt_B: must be at most 1500"),
-    ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet"])
+        # a source that loops back to its host used to crash the simulator
+        (lambda doc: doc["sim"]["sources"][0].update(src="G", dst="G"),
+         "sim.sources[0].dst: must differ from src"),
+        # a non-critical flow that admission rejects used to vanish from the run
+        (lambda doc: doc["flows"][0].update(critical=False, dejitter=True, src="G"),
+         "flows[0].dejitter: needs a UE source"),
+    ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
+            "source-loop", "host-dejitter"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         mutate(doc)

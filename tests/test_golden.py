@@ -20,8 +20,9 @@ import hashlib
 from pathlib import Path
 
 from detnet5g.cli import main
-from detnet5g.scenario import canonical_scenario, load_scenario
+from detnet5g.scenario import load_scenario
 from detnet5g.sim import run, write_report, write_trace
+from conftest import canonical_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -1,20 +1,11 @@
-import json
 import re
-from pathlib import Path
 
 import pytest
 
 from detnet5g.admission import DEFAULT_MAX_PKT_B
 from detnet5g.errors import ScenarioInvalid
-from detnet5g.scenario import (
-    canonical_scenario,
-    canonical_topology,
-    load_scenario,
-    load_scenario_file,
-    load_topology,
-)
-
-REPO = Path(__file__).resolve().parents[1]
+from detnet5g.scenario import load_scenario, load_scenario_file, load_topology
+from conftest import canonical_scenario, canonical_topology
 
 
 def test_canonical_scenario_parses():
@@ -25,9 +16,11 @@ def test_canonical_scenario_parses():
     assert scn.duration_ms == 4_000
 
 
-def test_bundled_file_matches_builder():
-    with open(REPO / "scenarios" / "canonical.json") as fh:
-        assert json.load(fh) == canonical_scenario()
+def test_bundled_files_carry_one_topology():
+    # `run` reads the scenario file and `admit` the topology file
+    topo = canonical_topology()
+    del topo["schema_version"]
+    assert canonical_scenario()["topology"] == topo
 
 
 def test_canonical_topology_block():
@@ -119,7 +112,42 @@ def test_nwtt_match_only_binds_ue_sources():
 def test_ue_traffic_requires_transit():
     doc = canonical_scenario()
     del doc["topology"]["transit5g"]
-    with pytest.raises(ScenarioInvalid, match=r"^flows\[0\]\.src: unknown node 'UE1'$"):
+    with pytest.raises(ScenarioInvalid, match=r"^flows\[0\]\.src: 'UE1' is not a host or a UE$"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("where, src, dst, message", [
+    (("sim", "sources", 0), "G", "G", "sim.sources[0].dst: must differ from src"),
+    (("sim", "sources", 0), "UE2", "UE2", "sim.sources[0].dst: must differ from src"),
+    (("sim", "sources", 0), "G", "S2", "sim.sources[0].dst: 'S2' is not a host or a UE"),
+    (("sim", "sources", 0), "G", "S1", "sim.sources[0].dst: 'S1' is not a host or a UE"),
+    (("sim", "sources", 1), "S3", "G", "sim.sources[1].src: 'S3' is not a host or a UE"),
+    (("flows", 0), "UE1", "UE1", "flows[0].dst: must differ from src"),
+], ids=["host-loop", "ue-loop", "to-switch", "to-attach-switch", "from-switch", "flow-loop"])
+def test_endpoints_are_two_hosts_or_ues(where, src, dst, message):
+    # a loop or a switch endpoint used to crash the simulator, deliver to a
+    # switch, or (a non-critical flow) be rejected and vanish from the run
+    doc = canonical_scenario()
+    doc["flows"][0]["critical"] = False
+    entry = doc
+    for key in where:
+        entry = entry[key]
+    entry.update(src=src, dst=dst)
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(message)}$"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["flows"][0].update(src="G"), "needs a UE source"),
+    (lambda doc: doc.pop("nwtt"), "needs an nwtt.dejitter block"),
+], ids=["host-source", "no-regulator"])
+def test_dejitter_needs_ue_source_and_regulator(mutate, message):
+    # admission would reject the flow, and a non-critical one would vanish from the run
+    doc = canonical_scenario()
+    doc["flows"][0].update(critical=False, dejitter=True)
+    assert load_scenario(doc).flows[0].spec.dejitter
+    mutate(doc)
+    with pytest.raises(ScenarioInvalid, match=rf"^flows\[0\]\.dejitter: {message}$"):
         load_scenario(doc)
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from detnet5g.errors import AdmissionMissing
-from detnet5g.scenario import canonical_scenario, load_scenario
+from detnet5g.scenario import load_scenario
 from detnet5g.sim import (
     IN_FLIGHT,
     _admit_flows,
@@ -19,6 +19,7 @@ from detnet5g.sim import (
     run,
 )
 from detnet5g.topology import path_in_tree
+from conftest import canonical_scenario
 from test_golden import per_class_doc, ue_transit_doc
 
 

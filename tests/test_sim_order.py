@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from detnet5g import sim
-from detnet5g.scenario import canonical_scenario, load_scenario
+from detnet5g.scenario import load_scenario
 from detnet5g.sim import (
     _admit_flows,
     _build_flow_ctxs,
@@ -31,6 +31,7 @@ from detnet5g.sim import (
     write_report,
     write_trace,
 )
+from conftest import canonical_scenario
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "same_time_order.json").read_text())
 

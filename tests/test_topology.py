@@ -6,7 +6,7 @@ import pytest
 
 from detnet5g import topology
 from detnet5g.errors import Disconnected, Unreachable
-from detnet5g.scenario import canonical_topology, load_topology
+from detnet5g.scenario import load_topology
 from detnet5g.topology import (
     PortId,
     SwitchProfile,
@@ -16,7 +16,7 @@ from detnet5g.topology import (
     make_link,
     path_in_tree,
 )
-from conftest import grid_topology, reference_path_in_tree, ring_topology
+from conftest import canonical_topology, grid_topology, reference_path_in_tree, ring_topology
 
 
 def count_spanning_trees_oracle(nodes, edges) -> int:
