@@ -73,6 +73,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_PKT_B = 1500  # largest unannounced frame that can block a higher class
 SOLVER_ITER_CAP = 100
+# a flow request's required fields and their types; `dejitter` is optional
+WIRE_FIELDS = {"flow_id": str, "src": str, "dst": str, "rate_Bps": int, "burst_B": int,
+               "max_pkt_B": int, "deadline_us": int}
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,12 @@ class _SolverState:
     """Least fixed point of bursts and bounds for one set of placements.
 
     Per flow: its placement, its input burst at each hop and its hop bounds,
-    whose sum plus `terms.fixed_us` is its e2e bound.  Per port: the flows
-    that cross it (with their hop index) and, per class, the aggregate and
-    its delay bound.  Trials copy the outer dicts and replace, never mutate,
-    the values they change, so the state a trial starts from is left as it
-    was whether the trial succeeds or not.
+    whose sum plus `terms.fixed_us` is its e2e bound; a flow's hop bounds
+    are the only record of a port's bounds.  Per port: the flows that cross
+    it (with their hop index) and the aggregate of each class.  Trials copy
+    the outer dicts and replace, never mutate, the values they change, so
+    the state a trial starts from is left as it was whether the trial
+    succeeds or not.
     """
 
     placements: dict[str, _Placement] = field(default_factory=dict)
@@ -178,12 +182,11 @@ class _SolverState:
     hop_bounds: dict[str, tuple[int, ...]] = field(default_factory=dict)
     members: dict[PortId, dict[str, int]] = field(default_factory=dict)
     aggregates: dict[PortId, dict[int, ClassAggregate]] = field(default_factory=dict)
-    delays: dict[PortId, dict[int, int]] = field(default_factory=dict)
 
     def copy(self) -> _SolverState:
         return _SolverState(
             dict(self.placements), dict(self.bursts), dict(self.hop_bounds),
-            dict(self.members), dict(self.aggregates), dict(self.delays),
+            dict(self.members), dict(self.aggregates),
         )
 
 
@@ -191,13 +194,7 @@ def _port_state(
     topo: Topology, port: PortId, classes: dict[int, ClassAggregate]
 ) -> PortClassState:
     profile = topo.profile(port.node)
-    return PortClassState(
-        link_rate_Bps=profile.link_rate_Bps,
-        class_count=profile.class_count,
-        classes=classes,
-        fwd_delay_us=profile.fwd_delay_us,
-        lmax_floor_B=DEFAULT_MAX_PKT_B,
-    )
+    return PortClassState(profile.link_rate_Bps, classes, profile.fwd_delay_us, DEFAULT_MAX_PKT_B)
 
 
 def _settle(
@@ -210,25 +207,26 @@ def _settle(
     """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
 
     `st` must lie below its least fixed point: every port outside `dirty`
-    holds the aggregates and delays of its flows' current bursts, and every
-    flow outside `fresh` holds the bursts its hop bounds propagate.  Each
-    round rebuilds the dirty ports' aggregates, bounds their classes lazily
-    in sorted-flow order, re-propagates the flows whose hop bounds moved (and
-    the fresh ones), checks those flows' deadlines, then the dirty ports'
-    buffers in first-appearance order, and marks dirty the ports where a
-    burst moved.  That is a from-scratch round restricted to what can
-    change, so the first violation, the round count and the cap are those of
-    a from-scratch solve started from the same bursts.  Bounds only grow, so
-    a violation met on the way is final.
+    holds the aggregates of its flows' current bursts, and every flow
+    outside `fresh` holds the bursts its hop bounds propagate.  Each round
+    rebuilds the dirty ports' aggregates, bounds their classes lazily in
+    sorted-flow order into a map of that round's own, re-propagates the
+    flows whose hop bounds moved (and the fresh ones), checks those flows'
+    deadlines, then the dirty ports' buffers in first-appearance order, and
+    marks dirty the ports where a burst moved.  A clean port's bound is the
+    one in the flow's own hop bounds.  That is a from-scratch round
+    restricted to what can change, so the first violation, the round count
+    and the cap are those of a from-scratch solve started from the same
+    bursts.  Bounds only grow, so a violation met on the way is final.
 
     A caller that has built round one already passes it as `first_round`:
-    the dirty ports' states, with `st.aggregates` set to match and
-    `st.delays` emptied, and the delays it bounded there by (port, class).
-    Round one then rebuilds and re-bounds none of them.
+    the dirty ports' states, with `st.aggregates` set to match, and a seed
+    of that round's bound map, by (port, class).  Round one then rebuilds
+    none of those states and re-bounds none of those classes.
     """
     placements, bursts, hop_bounds = st.placements, st.bursts, st.hop_bounds
-    members, aggregates, delays = st.members, st.aggregates, st.delays
-    states, known = first_round or (None, {})
+    members, aggregates = st.members, st.aggregates
+    states, delays = first_round or (None, {})
     for _ in range(SOLVER_ITER_CAP):
         if states is None:
             states = {}
@@ -237,45 +235,40 @@ def _settle(
                 if not crossing:
                     members.pop(port, None)
                     aggregates.pop(port, None)
-                    delays.pop(port, None)
                     continue
-                raw: dict[int, list] = {}
+                raw: dict[int, list[int]] = {}
                 for fid, i in crossing.items():
                     pl = placements[fid]
                     slot = raw.get(pl.priority)
                     if slot is None:
-                        slot = raw[pl.priority] = [0, 0, 0, []]
+                        slot = raw[pl.priority] = [0, 0, 0]
                     slot[0] += bursts[fid][i]
                     slot[1] += pl.spec.rate_Bps
                     slot[2] = max(slot[2], pl.spec.max_pkt_B)
-                    slot[3].append(fid)
-                classes = {
-                    cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
-                    for cls, (b, r, m, flows) in raw.items()
-                }
+                classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
                 aggregates[port] = classes
                 states[port] = _port_state(topo, port, classes)
-                delays[port] = {}
 
         moved: set[PortId] = set()
-        order: list[PortId] = []  # dirty ports in first-appearance order
+        order: dict[PortId, None] = {}  # dirty ports in first-appearance order
         try:
             for fid in sorted({fid for port in states for fid in members[port]}):
                 pl = placements[fid]
+                cls = pl.priority
+                last = hop_bounds.get(fid)  # None only for a new flow, whose hops are all dirty
                 bounds = []
-                for port in pl.hops:
-                    per_cls = delays[port]
-                    delay = per_cls.get(pl.priority)
+                for i, port in enumerate(pl.hops):
+                    state = states.get(port)
+                    if state is None:
+                        bounds.append(last[i])
+                        continue
+                    order[port] = None
+                    delay = delays.get((port, cls))
                     if delay is None:
-                        if not per_cls:  # a dirty port's first bound: its first appearance
-                            order.append(port)
-                        delay = known.get((port, pl.priority))
-                        if delay is None:
-                            delay = hop_delay_bound(states[port], pl.priority)
-                        per_cls[pl.priority] = delay
+                        delay = delays[port, cls] = hop_delay_bound(state, cls)
                     bounds.append(delay)
                 bounds = tuple(bounds)
-                if fid not in fresh and bounds == hop_bounds[fid]:
+                if fid not in fresh and bounds == last:
                     continue
                 spec = pl.spec
                 burst = spec.burst_B
@@ -309,7 +302,7 @@ def _settle(
 
         if not moved:
             return
-        dirty, fresh, states, known = moved, set(), None, {}
+        dirty, fresh, states, delays = moved, set(), None, {}
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
 
 
@@ -337,29 +330,23 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     spec burst.  The new flow's own bounds over them are screened first:
     bounds only grow with the aggregates, so if they already miss its
     deadline (or leave no service) the trial fails without copying `base`.
-    Otherwise the states and bounds become round one's, so `_settle`
-    evaluates none of them again.
+    Otherwise the states become round one's, and the bounds seed round
+    one's bound map, so `_settle` evaluates none of them again.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
     states: dict[PortId, PortClassState] = {}
-    known: dict[tuple[PortId, int], int] = {}
+    delays: dict[tuple[PortId, int], int] = {}
     total = pl.terms.fixed_us
     try:
         for port in pl.hops:
             classes = dict(base.aggregates.get(port, ()))
-            agg = classes.get(cls)
-            if agg is None:
-                classes[cls] = ClassAggregate(spec.burst_B, spec.rate_Bps, spec.max_pkt_B, (fid,))
-            else:
-                classes[cls] = ClassAggregate(
-                    agg.burst_B + spec.burst_B,
-                    agg.rate_Bps + spec.rate_Bps,
-                    max(agg.max_pkt_B, spec.max_pkt_B),
-                    tuple(sorted((*agg.flows, fid))),
-                )
+            b, r, m = classes.get(cls, (0, 0, 0))
+            classes[cls] = ClassAggregate(
+                b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
+            )
             state = states[port] = _port_state(topo, port, classes)
-            delay = known[port, cls] = hop_delay_bound(state, cls)
+            delay = delays[port, cls] = hop_delay_bound(state, cls)
             total += delay
             if total > spec.deadline_us:
                 raise _Infeasible(
@@ -375,8 +362,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
         st.aggregates[port] = states[port].classes
-        st.delays[port] = {}
-    _settle(topo, st, set(pl.hops), {fid}, (states, known))
+    _settle(topo, st, set(pl.hops), {fid}, (states, delays))
     return st
 
 
@@ -683,20 +669,11 @@ class NetworkState:
         """Validate a wire-format request, run admission, shape the response."""
         if not isinstance(request, dict):
             raise MalformedRequest("request must be an object")
-        fields = {
-            "flow_id": str,
-            "src": str,
-            "dst": str,
-            "rate_Bps": int,
-            "burst_B": int,
-            "max_pkt_B": int,
-            "deadline_us": int,
-        }
-        unknown = [repr(name) for name in request if name not in fields and name != "dejitter"]
+        unknown = [repr(name) for name in request if name not in WIRE_FIELDS and name != "dejitter"]
         if unknown:
             raise MalformedRequest(f"unknown field {', '.join(unknown)}")
         values = {}
-        for name, kind in fields.items():
+        for name, kind in WIRE_FIELDS.items():
             if name not in request:
                 raise MalformedRequest(f"missing field {name!r}")
             value = request[name]
@@ -775,7 +752,7 @@ class NetworkState:
 
     def aggregates(self) -> dict:
         """Port/class aggregates of the committed fixed point, in canonical form."""
-        return _canonical_aggregates(self._solver.aggregates)
+        return _canonical_aggregates(self._solver)
 
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:
         """Per-port, per-class backlog bounds implied by the current registry."""
@@ -790,11 +767,16 @@ class NetworkState:
         return {"flows": self.flows(), "aggregates": self.aggregates()}
 
 
-def _canonical_aggregates(aggregates) -> dict:
+def _canonical_aggregates(st: _SolverState) -> dict:
+    """Each port's class aggregates with the class's member flows, sorted."""
+    members: dict[tuple[PortId, int], list[str]] = {}
+    for fid, pl in st.placements.items():
+        for port in pl.hops:
+            members.setdefault((port, pl.priority), []).append(fid)
     return {
         str(port): {
-            cls: (agg.burst_B, agg.rate_Bps, agg.max_pkt_B, agg.flows)
+            cls: (agg.burst_B, agg.rate_Bps, agg.max_pkt_B, tuple(sorted(members[port, cls])))
             for cls, agg in sorted(per_cls.items())
         }
-        for port, per_cls in sorted(aggregates.items())
+        for port, per_cls in sorted(st.aggregates.items())
     }

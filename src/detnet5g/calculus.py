@@ -10,7 +10,9 @@ envelope and receives a residual rate-latency service curve
 where ``l_max`` is the largest packet of equal-or-lower priority that can
 block the link non-preemptively.  From (R, T) follow the per-hop delay
 bound T + b/R + d_proc, the backlog bound b + r*T, and the output burst
-b + r*D used to propagate a flow's envelope to the next hop.
+b + r*D used to propagate a flow's envelope to the next hop.  A class
+enters the bounds only through its aggregate (burst, rate, largest
+packet), never through the list of flows that make it up.
 
 All quantities are integers (bytes, bytes/second, microseconds) and every
 division rounds up, so computed bounds never undercut the true worst case.
@@ -18,7 +20,6 @@ division rounds up, so computed bounds never undercut the true worst case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import RateOverload, Unschedulable
@@ -36,46 +37,34 @@ class RateLatency(NamedTuple):
     latency_us: int
 
 
-@dataclass(frozen=True)
-class ClassAggregate:
+class ClassAggregate(NamedTuple):
     """Sum of the member flows' envelopes for one class at one port."""
 
-    burst_B: int = 0
-    rate_Bps: int = 0
-    max_pkt_B: int = 0
-    flows: tuple[str, ...] = ()
+    burst_B: int
+    rate_Bps: int
+    max_pkt_B: int
 
 
-# shared by every class without members; building a frozen dataclass per
-# lookup costs more than the bound it feeds
-_NO_FLOWS = ClassAggregate()
+# shared by every class without members
+_NO_FLOWS = ClassAggregate(0, 0, 0)
 
 
-@dataclass
-class PortClassState:
+class PortClassState(NamedTuple):
     """Aggregate arrival state of one egress port, per priority class.
 
     Higher class index means higher priority; class 0 is best effort and
     never carries registered flows.  ``lmax_floor_B`` accounts for
     unannounced lower-priority traffic (e.g. background frames) that can
-    occupy the link when a higher-class packet arrives.
+    occupy the link when a higher-class packet arrives.  The rate and the
+    forwarding delay table come from a `SwitchProfile`, which checked them
+    when the topology was loaded.  A named tuple, like `RateLatency`: one
+    is built per dirty port of every solver round.
     """
 
     link_rate_Bps: int
-    class_count: int = 8
-    classes: dict[int, ClassAggregate] = field(default_factory=dict)
-    fwd_delay_us: tuple[int, ...] | None = None
-    lmax_floor_B: int = 0
-
-    def __post_init__(self):
-        if self.fwd_delay_us is None:
-            self.fwd_delay_us = (0,) * self.class_count
-        if self.link_rate_Bps <= 0:
-            raise ValueError("link rate must be positive")
-        if self.class_count < 2:
-            raise ValueError("need at least two classes (best effort + one)")
-        if len(self.fwd_delay_us) < self.class_count:
-            raise ValueError("forwarding delay table shorter than class count")
+    classes: dict[int, ClassAggregate]
+    fwd_delay_us: tuple[int, ...]
+    lmax_floor_B: int
 
     def aggregate(self, priority: int) -> ClassAggregate:
         return self.classes.get(priority, _NO_FLOWS)

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .admission import DEFAULT_MAX_PKT_B, FlowSpec
+from .admission import DEFAULT_MAX_PKT_B, WIRE_FIELDS, FlowSpec
 from .errors import ScenarioInvalid
 from .nwtt import RegulatorConfig
 from .topology import PortId, SwitchProfile, Topology, make_link
@@ -20,7 +20,18 @@ from .transit5g import TddConfig, TransitNode5G, UeRecord
 
 SCHEMA_VERSION = 1
 
-SOURCE_MODES = ("periodic", "burst_periodic", "greedy_token_bucket", "onoff_background")
+FLOW_KEYS = frozenset((*WIRE_FIELDS, "dejitter", "critical", "source"))
+# per source mode: the keys it requires, and every key it may carry
+SOURCE_KEYS = {
+    mode: (required, frozenset((*required, *optional, "mode", "offset_us", "seed")))
+    for mode, required, optional in (
+        ("periodic", ("period_us", "pkt_B"), ("count",)),
+        ("burst_periodic", ("period_us", "pkt_B", "count"), ()),
+        ("greedy_token_bucket", ("pkt_B", "burst_B", "rate_Bps"), ()),
+        ("onoff_background", ("pkt_B", "rate_Bps", "on_ms", "off_ms"), ("start",)),
+    )
+}
+SOURCE_MODES = tuple(SOURCE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,11 @@ def _positive_int(obj, path: str) -> int:
     if value <= 0:
         _fail(path, "must be positive")
     return value
+
+
+def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
+    if not obj.keys() <= keys:
+        _fail(f"{path}.{next(key for key in obj if key not in keys)}", "unknown field")
 
 
 def _port(text, path: str) -> PortId:
@@ -211,12 +227,8 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
     if mode not in SOURCE_MODES:
         _fail(f"{path}.mode", f"must be one of {SOURCE_MODES}")
     params = {k: v for k, v in obj.items() if k not in ("mode", "seed")}
-    required = {
-        "periodic": ("period_us", "pkt_B"),
-        "burst_periodic": ("period_us", "pkt_B", "count"),
-        "greedy_token_bucket": ("pkt_B", "burst_B", "rate_Bps"),
-        "onoff_background": ("pkt_B", "rate_Bps", "on_ms", "off_ms"),
-    }[mode]
+    required, known = SOURCE_KEYS[mode]
+    _known_keys(obj, path, known)
     for key in required:
         _positive_int(obj.get(key), f"{path}.{key}")
     if "count" in obj:  # `periodic` reads it too, as packets per period
@@ -267,6 +279,8 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         """(flow_id, src, dst) of a flow or source entry with a new id and two endpoints."""
         _expect(entry, p, dict)
         fid = _expect(entry.get("flow_id"), f"{p}.flow_id", str)
+        if not fid:
+            _fail(f"{p}.flow_id", "must be non-empty")
         if fid in seen_flow_ids:
             _fail(f"{p}.flow_id", f"duplicate flow id {fid!r}")
         seen_flow_ids.add(fid)
@@ -285,6 +299,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
                                    optional=True, default=[])):
         p = f"flows[{i}]"
         fid, src, dst = endpoints(fl, p)
+        _known_keys(fl, p, FLOW_KEYS)
         if topo.is_ue(src):
             earlier = nwtt_matches.setdefault((src, dst), fid)
             if earlier != fid:

@@ -22,6 +22,7 @@ from .errors import Disconnected, Unreachable
 from .transit5g import TransitNode5G
 
 BASE_VLAN = 100  # the VLAN id of the first tree
+MAX_VLAN = 4094  # the last usable 802.1Q VLAN id
 
 
 class PortId(NamedTuple):
@@ -118,8 +119,8 @@ class VlanTree:
                                                  repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.vlan_id <= 4094:
-            raise ValueError("VLAN id must be in 1..4094")
+        if not 1 <= self.vlan_id <= MAX_VLAN:
+            raise ValueError(f"VLAN id must be in 1..{MAX_VLAN}")
 
     @property
     def routes(self) -> dict[str, _TreeHop]:
@@ -193,9 +194,11 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
     trees lexicographically by edge index, with vlan_id = BASE_VLAN +
     tree_index.  An edge that would close a cycle cuts off every extension
     of its prefix, so the cost grows with the trees emitted, not with
-    C(links, switches - 1).  At most `cap` trees are returned; the second
-    element reports whether a further tree exists (truncation).
+    C(links, switches - 1).  At most `cap` trees are returned, and never
+    more than the VLAN ids from BASE_VLAN to MAX_VLAN; the second element
+    reports whether a further tree exists (truncation).
     """
+    cap = min(cap, MAX_VLAN - BASE_VLAN + 1)
     nodes = sorted(topo.switches)
     if not nodes:
         raise Disconnected("no switches")

@@ -29,7 +29,7 @@ def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
 
 def cold_aggregates(state) -> dict:
     """A registry's aggregates rebuilt by a cold solve of its placements (coherence oracle)."""
-    return _canonical_aggregates(_solve(state.topology, state._solver.placements).aggregates)
+    return _canonical_aggregates(_solve(state.topology, state._solver.placements))
 
 
 def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:

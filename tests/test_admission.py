@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import asdict
 
@@ -462,18 +463,14 @@ def reference_round(topo, placements, bursts):
     for fid in sorted(placements):
         pl = placements[fid]
         for i, port in enumerate(pl.hops):
-            slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0, []])
+            slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0])
             slot[0] += bursts[fid][i]
             slot[1] += pl.spec.rate_Bps
             slot[2] = max(slot[2], pl.spec.max_pkt_B)
-            slot[3].append(fid)
     aggregates = {}
     states = {}
     for port, per_cls in raw.items():
-        aggregates[port] = {
-            cls: ClassAggregate(b, r, m, tuple(sorted(flows)))
-            for cls, (b, r, m, flows) in per_cls.items()
-        }
+        aggregates[port] = {cls: ClassAggregate(*slot) for cls, slot in per_cls.items()}
         states[port] = _port_state(topo, port, aggregates[port])
     return aggregates, states
 
@@ -484,7 +481,7 @@ def reference_solve(topo, placements, start=None):
     Every round rebuilds every (port, class) aggregate from every flow's
     current bursts and bounds every flow from scratch.  The bursts start at
     `start` where it has the flow, else at the flow's spec burst.  Returns a
-    `_SolverState` with the final bursts, delays, bounds and aggregates.
+    `_SolverState` with the final bursts, bounds and aggregates.
     """
     fids = sorted(placements)
     start = start or {}
@@ -533,12 +530,8 @@ def reference_solve(topo, placements, start=None):
             raise _Infeasible("Unschedulable", str(exc)) from exc
 
         if not changed:
-            per_port = {}
-            for (port, cls), delay in delays.items():
-                per_port.setdefault(port, {})[cls] = delay
             return _SolverState(placements=dict(placements), bursts=bursts,
-                                hop_bounds=hop_bounds,
-                                aggregates=aggregates, delays=per_port)
+                                hop_bounds=hop_bounds, aggregates=aggregates)
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
 
 
@@ -624,8 +617,8 @@ class TestIncrementalSolver:
         placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
                                       7, tree, hops, _Terms())
         engine, reference = _solve(topo, placements), reference_solve(topo, placements)
-        assert (engine.bursts, engine.delays, e2e_bounds(engine)) == (
-            reference.bursts, reference.delays, e2e_bounds(reference))
+        assert (engine.bursts, engine.hop_bounds, e2e_bounds(engine)) == (
+            reference.bursts, reference.hop_bounds, e2e_bounds(reference))
 
     def test_accepted_add_bounds_nothing_twice(self, monkeypatch):
         """The round-one screen's bounds are round one's: an accept costs no more calls."""
@@ -651,6 +644,23 @@ class TestIncrementalSolver:
         assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
         # the count of the solve without the screen: 3 rounds over 3 hops, 2 classes
         assert len(calls) == 12
+
+    def test_rate_overload_in_a_round_is_unschedulable(self):
+        """The new flow passes the screen, then starves a lower class in round one."""
+        topo = line_topology()
+        tree = NetworkState(topo).trees[0]
+        hops = tuple(path_in_tree(topo, tree, "A", "B"))
+        low = FlowSpec("low", "A", "B", 100_000, 1_500, 1_500, 10**9)
+        base = _solve(topo, {"low": _Placement(low, 6, tree, hops, _Terms())})
+        before = copy.deepcopy(base)
+        new = _Placement(FlowSpec("high", "A", "B", 50_000, 1_500, 1_500, 10**9),
+                         7, tree, hops, _Terms())
+        for trial in (admission._add_flow, reference_trial):
+            with pytest.raises(_Infeasible) as exc:
+                trial(topo, base, new)
+            assert (exc.value.reason, exc.value.detail) == (
+                "Unschedulable", "class 6 rate 100000 B/s exceeds residual 75000 B/s")
+        assert base == before
 
     @pytest.mark.parametrize("fabric", ["ring", "grid"])
     def test_screened_rejects_fail_reference_solve(self, fabric, monkeypatch):
@@ -737,7 +747,7 @@ class TestIncrementalSolver:
                         outcomes.add(decision.reason)
                 assert state.snapshot() == ref.snapshot()
                 assert state._solver.bursts == ref._solver.bursts
-                assert state._solver.delays == ref._solver.delays
+                assert state._solver.hop_bounds == ref._solver.hop_bounds
         assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable",
                 "placed", "moved"} <= outcomes
         assert len({o for o in outcomes if o[0] == "class"}) >= 2

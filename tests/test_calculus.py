@@ -13,10 +13,9 @@ from detnet5g.calculus import (
 from detnet5g.errors import RateOverload, Unschedulable
 
 
-def state(classes=None, *, rate=125_000, lmax=0, fwd=None, count=8):
+def state(classes=None, *, rate=125_000, lmax=0, fwd=(0,) * 8):
     return PortClassState(
         link_rate_Bps=rate,
-        class_count=count,
         classes=classes or {},
         fwd_delay_us=fwd,
         lmax_floor_B=lmax,

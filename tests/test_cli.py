@@ -29,6 +29,18 @@ def flows_doc(entries):
     return {"schema_version": 1, "flows": entries}
 
 
+def grid_doc():
+    """A 4x4 switch grid with hosts A and B at opposite corners: 100,352 spanning trees."""
+    switches = [f"S{r}{c}" for r in range(4) for c in range(4)]
+    return {
+        "switches": [{"id": s, "link_rate_Bps": 125_000, "port_buffer_B": 64_000}
+                     for s in switches],
+        "links": [[f"S{r}{c}.1", f"S{r}{c + 1}.3"] for r in range(4) for c in range(3)]
+                 + [[f"S{r}{c}.2", f"S{r + 1}{c}.4"] for r in range(3) for c in range(4)],
+        "hosts": [{"id": "A", "attach": "S00.5"}, {"id": "B", "attach": "S33.5"}],
+    }
+
+
 def orange_request(**overrides):
     req = {"flow_id": "orange", "src": "UE1", "dst": "D", "rate_Bps": 12_500,
            "burst_B": 1_250, "max_pkt_B": 1_250, "deadline_us": 100_000,
@@ -65,6 +77,14 @@ class TestTrees:
         path = write_json(tmp_path / "disc.json", doc)
         assert main(["trees", path]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_cap_past_vlan_space_stops_at_vlan_4094(self, tmp_path, capsys):
+        # tree 3,996 would get VLAN 4095; it used to end in a ValueError traceback
+        topo = write_json(tmp_path / "grid.json", grid_doc())
+        assert main(["trees", topo, "--cap", "5000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("vlan 4094 tree 3994: ")
+        assert lines[-1] == "3995 spanning tree(s) [truncated]"
 
     def test_json_output(self, topo_file, capsys):
         assert main(["trees", topo_file, "--json"]) == 0
@@ -139,15 +159,7 @@ class TestAdmit:
 
     def test_tree_truncation_noted_on_stderr(self, tmp_path, capsys):
         # a 4x4 grid has far more spanning trees than the default cap of 64
-        switches = [f"S{r}{c}" for r in range(4) for c in range(4)]
-        doc = {
-            "switches": [{"id": s, "link_rate_Bps": 125_000, "port_buffer_B": 64_000}
-                         for s in switches],
-            "links": [[f"S{r}{c}.1", f"S{r}{c + 1}.3"] for r in range(4) for c in range(3)]
-                     + [[f"S{r}{c}.2", f"S{r + 1}{c}.4"] for r in range(3) for c in range(4)],
-            "hosts": [{"id": "A", "attach": "S00.5"}, {"id": "B", "attach": "S33.5"}],
-        }
-        topo = write_json(tmp_path / "grid.json", doc)
+        topo = write_json(tmp_path / "grid.json", grid_doc())
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(
             src="A", dst="B", burst_B=1_500, max_pkt_B=1_500, deadline_us=1_000_000)]))
         assert main(["admit", topo, flows]) == 0
@@ -236,8 +248,19 @@ class TestRun:
         # a non-critical flow that admission rejects used to vanish from the run
         (lambda doc: doc["flows"][0].update(critical=False, dejitter=True, src="G"),
          "flows[0].dejitter: needs a UE source"),
+        # a misspelled field used to load and be ignored: here, dejitter stayed off
+        (lambda doc: doc["flows"][0].update(dejiter=True), "flows[0].dejiter: unknown field"),
+        (lambda doc: doc["sim"]["sources"][0].update(ofset_us=5),
+         "sim.sources[0].ofset_us: unknown field"),
+        # a source wrote a trace that `report` refused
+        (lambda doc: doc["sim"]["sources"][0].update(flow_id=""),
+         "sim.sources[0].flow_id: must be non-empty"),
+        # admission rejected it as an invalid spec, so a non-critical flow vanished
+        (lambda doc: doc["flows"][0].update(critical=False, flow_id=""),
+         "flows[0].flow_id: must be non-empty"),
     ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
-            "source-loop", "host-dejitter"])
+            "source-loop", "host-dejitter", "misspelled-flow-field", "misspelled-source-field",
+            "empty-source-id", "empty-flow-id"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         mutate(doc)

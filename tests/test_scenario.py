@@ -4,7 +4,7 @@ import pytest
 
 from detnet5g.admission import DEFAULT_MAX_PKT_B
 from detnet5g.errors import ScenarioInvalid
-from detnet5g.scenario import load_scenario, load_scenario_file, load_topology
+from detnet5g.scenario import SOURCE_MODES, load_scenario, load_scenario_file, load_topology
 from conftest import canonical_scenario, canonical_topology
 
 
@@ -290,3 +290,76 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
     with pytest.raises(ScenarioInvalid,
                        match=rf"^{re.escape(path)}: duplicate node id '{ue_id}'$"):
         load_topology(doc)
+
+
+@pytest.mark.parametrize("mutate, path, message", [
+    (lambda doc: doc["topology"]["switches"][0].update(class_count=1, fwd_delay_us=[0]),
+     "topology.switches[0]", "switch needs at least two priority classes"),
+    (lambda doc: doc["topology"]["switches"][0].update(fwd_delay_us=[0] * 3),
+     "topology.switches[0]", "forwarding delay table shorter than class count"),
+    (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern="DX"),
+     "topology.transit5g", "unknown slot kinds ['X'] in pattern"),
+    (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern=""),
+     "topology.transit5g", "TDD pattern must be non-empty"),
+    (lambda doc: doc["topology"]["transit5g"].update(numerology=5),
+     "topology.transit5g", "numerology must be in 0..4"),
+    (lambda doc: doc["topology"]["transit5g"].update(grant_delay_slots=-1),
+     "topology.transit5g", "grant delay must be non-negative"),
+    (lambda doc: doc["nwtt"]["dejitter"].update(hold_us=-1),
+     "nwtt.dejitter", "hold time must be non-negative"),
+    (lambda doc: doc["nwtt"]["dejitter"].update(queue_cap_pkts=0),
+     "nwtt.dejitter", "queue capacity must be at least one packet"),
+], ids=["one-class", "short-fwd-table", "slot-kind", "empty-pattern", "numerology",
+        "grant-delay", "hold", "queue-cap"])
+def test_record_check_names_its_block(mutate, path, message):
+    # SwitchProfile, TddConfig and RegulatorConfig check these; the loader adds the path
+    doc = canonical_scenario()
+    mutate(doc)
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(f'{path}: {message}')}$"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("mutate, path", [
+    (lambda doc: doc["flows"][0].update(dejiter=True), "flows[0].dejiter"),
+    (lambda doc: doc["flows"][0].update(critcal=True), "flows[0].critcal"),
+    (lambda doc: doc["flows"][0]["source"].update(ofset_us=5), "flows[0].source.ofset_us"),
+    # `start` is read by on/off sources only, `burst_B` by greedy ones only
+    (lambda doc: doc["flows"][0]["source"].update(start="off"), "flows[0].source.start"),
+    (lambda doc: doc["sim"]["sources"][1].update(burst_B=1500), "sim.sources[1].burst_B"),
+    (lambda doc: doc["sim"]["sources"][1].update(count=2), "sim.sources[1].count"),
+    (lambda doc: doc["sim"]["sources"][0].update(ofset_us=5), "sim.sources[0].ofset_us"),
+], ids=["dejiter", "critcal", "flow-source-ofset", "periodic-start", "onoff-burst",
+        "onoff-count", "sim-source-ofset"])
+def test_unknown_field_rejected(mutate, path):
+    doc = canonical_scenario()
+    mutate(doc)
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: unknown field$"):
+        load_scenario(doc)
+
+
+def test_every_source_mode_accepts_its_own_fields():
+    doc = canonical_scenario()
+    doc["sim"]["sources"] = [
+        {"flow_id": "p", "src": "D", "dst": "G", "mode": "periodic", "period_us": 1_000,
+         "pkt_B": 100, "count": 2, "offset_us": 0, "seed": 1},
+        {"flow_id": "b", "src": "G", "dst": "D", "mode": "burst_periodic", "period_us": 1_000,
+         "pkt_B": 100, "count": 2, "offset_us": 0, "seed": 1},
+        {"flow_id": "g", "src": "UE2", "dst": "D", "mode": "greedy_token_bucket",
+         "pkt_B": 100, "burst_B": 300, "rate_Bps": 1_000, "offset_us": 0, "seed": 1},
+        {"flow_id": "o", "src": "D", "dst": "UE2", "mode": "onoff_background", "pkt_B": 100,
+         "rate_Bps": 1_000, "on_ms": 1, "off_ms": 1, "start": "off", "offset_us": 0, "seed": 1},
+    ]
+    assert [s.mode for s in load_scenario(doc).extra_sources] == list(SOURCE_MODES)
+
+
+@pytest.mark.parametrize("where, path", [
+    (lambda doc: doc["flows"][0], "flows[0].flow_id"),
+    (lambda doc: doc["sim"]["sources"][0], "sim.sources[0].flow_id"),
+], ids=["flow", "sim-source"])
+def test_empty_flow_id_rejected(where, path):
+    # a source wrote a trace that `report` refused; a non-critical flow vanished from the run
+    doc = canonical_scenario()
+    where(doc)["flow_id"] = ""
+    doc["flows"][0]["critical"] = False
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: must be non-empty$"):
+        load_scenario(doc)
