@@ -20,6 +20,21 @@ from .transit5g import TddConfig, TransitNode5G, UeRecord
 
 SCHEMA_VERSION = 1
 
+# the keys each block may carry; any other key is an error, so that a
+# misspelled optional key cannot silently keep its default.  The keys of the
+# retired poll events are still accepted, and ignored, so older files load.
+SCENARIO_KEYS = frozenset(("schema_version", "topology", "classes", "flows", "nwtt", "sim"))
+TOPOLOGY_KEYS = frozenset(("schema_version", "switches", "links", "hosts", "transit5g",
+                           "fixed_poll_interval_s", "fiveg_poll_interval_s"))
+SWITCH_KEYS = frozenset(("id", "link_rate_Bps", "fwd_delay_us", "port_buffer_B", "class_count"))
+HOST_KEYS = frozenset(("id", "attach"))
+TRANSIT5G_KEYS = frozenset(("tdd_pattern", "numerology", "grant_delay_slots", "s_slot_usable_ul",
+                            "s_slot_usable_dl", "attach", "ues"))
+UE_KEYS = frozenset(("id", "tbs_ul_B", "tbs_dl_B"))
+CLASSES_KEYS = frozenset(("count", "best_effort_class"))
+NWTT_KEYS = frozenset(("dejitter",))
+REGULATOR_KEYS = frozenset(("hold_us", "release_period_us", "queue_cap_pkts", "per_class"))
+SIM_KEYS = frozenset(("duration_ms", "seed", "sources", "snapshot_schedule"))
 FLOW_KEYS = frozenset((*WIRE_FIELDS, "dejitter", "critical", "source"))
 # per source mode: the keys it requires, and every key it may carry
 SOURCE_KEYS = {
@@ -88,8 +103,10 @@ def _positive_int(obj, path: str) -> int:
 
 
 def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
-    if not obj.keys() <= keys:
-        _fail(f"{path}.{next(key for key in obj if key not in keys)}", "unknown field")
+    """Fail on the first key of `obj` not in `keys`; `path` is "" at the top level."""
+    if not keys.issuperset(obj):
+        key = next(key for key in obj if key not in keys)
+        _fail(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _port(text, path: str) -> PortId:
@@ -103,6 +120,7 @@ def _port(text, path: str) -> PortId:
 def load_topology(obj: dict, path: str = "topology") -> Topology:
     """Build a Topology from its file schema block."""
     _expect(obj, path, dict)
+    _known_keys(obj, path, TOPOLOGY_KEYS)
     topo = Topology()
     switches = _expect(obj.get("switches"), f"{path}.switches", list)
     if not switches:
@@ -110,6 +128,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
     for i, sw in enumerate(switches):
         p = f"{path}.switches[{i}]"
         _expect(sw, p, dict)
+        _known_keys(sw, p, SWITCH_KEYS)
         sid = _expect(sw.get("id"), f"{p}.id", str)
         if sid in topo.switches:
             _fail(f"{p}.id", f"duplicate switch id {sid!r}")
@@ -152,6 +171,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
                                      optional=True, default=[])):
         p = f"{path}.hosts[{i}]"
         _expect(host, p, dict)
+        _known_keys(host, p, HOST_KEYS)
         hid = _expect(host.get("id"), f"{p}.id", str)
         attach = _port(host.get("attach"), f"{p}.attach")
         if attach.node not in topo.switches:
@@ -165,6 +185,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
     if t5g is not None:
         p = f"{path}.transit5g"
         _expect(t5g, p, dict)
+        _known_keys(t5g, p, TRANSIT5G_KEYS)
         pattern = _expect(t5g.get("tdd_pattern"), f"{p}.tdd_pattern", str)
         try:
             tdd = TddConfig(
@@ -190,6 +211,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
                                        optional=True, default=[])):
             q = f"{p}.ues[{i}]"
             _expect(ue, q, dict)
+            _known_keys(ue, q, UE_KEYS)
             uid = _expect(ue.get("id"), f"{q}.id", str)
             if uid in ues or uid in topo.hosts or uid in topo.switches:
                 _fail(f"{q}.id", f"duplicate node id {uid!r}")
@@ -207,6 +229,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
 
 def _load_regulator(obj, path: str) -> RegulatorConfig:
     _expect(obj, path, dict)
+    _known_keys(obj, path, REGULATOR_KEYS)
     try:
         return RegulatorConfig(
             hold_us=_expect(obj.get("hold_us"), f"{path}.hold_us", int),
@@ -247,6 +270,7 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
 def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document."""
     _expect(obj, "scenario", dict)
+    _known_keys(obj, "", SCENARIO_KEYS)
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"unsupported version {version!r}")
@@ -254,6 +278,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
 
     classes = obj.get("classes", {})
     _expect(classes, "classes", dict)
+    _known_keys(classes, "classes", CLASSES_KEYS)
     class_count = _expect(classes.get("count"), "classes.count", int,
                           optional=True, default=8)
     best_effort = _expect(classes.get("best_effort_class"), "classes.best_effort_class",
@@ -266,6 +291,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     dejitter = None
     nwtt = obj.get("nwtt", {})
     _expect(nwtt, "nwtt", dict)
+    _known_keys(nwtt, "nwtt", NWTT_KEYS)
     if nwtt.get("dejitter") is not None:
         dejitter = _load_regulator(nwtt["dejitter"], "nwtt.dejitter")
 
@@ -333,6 +359,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
 
     sim = obj.get("sim", {})
     _expect(sim, "sim", dict)
+    _known_keys(sim, "sim", SIM_KEYS)
     extra_sources: list[SourceModel] = []
     for i, src_obj in enumerate(_expect(sim.get("sources"), "sim.sources", list,
                                         optional=True, default=[])):

@@ -22,20 +22,31 @@ runs after the tick, and events on the same side run in scheduling order.
 An event scheduled for the time it is scheduled at joins a FIFO that runs
 after every other event of that time.  The clock itself is lazy: a slot is
 ticked only when a UE queue can drain in it, which leaves the order
-unchanged because a tick that drains nothing does nothing.
+unchanged because a tick that drains nothing does nothing.  A packet that
+reaches an idle egress port goes on the wire at once, without passing
+through its class queue: an idle port's queues are empty, because the end
+of a transmission starts the port's next packet before its handler returns.
+
+The trace keeps two integer columns per flow, send and receive times.
+Its rows are ordered and formatted in windows of about `WINDOW_ROWS` rows
+sent in a range of time (see `_TraceRows`), so writing it holds one
+window, never the whole trace.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
+import io
 import itertools
 import json
 import logging
 import random
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from operator import add, floordiv, mod, mul, sub
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
@@ -56,6 +67,9 @@ TRACE_COLUMNS = ("flow_id", "seq", "size_B", "t_send_us", "t_recv_us", "latency_
 # the `t_recv` trace entry of a packet not delivered (yet): no time is negative
 IN_FLIGHT = -1
 DROPPED = -2
+
+# the trace's rows per window, about: `write_trace` holds one window at a time
+WINDOW_ROWS = 512
 
 # the bound checks a delivered packet of an admitted flow can fail
 _VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regulator")
@@ -120,7 +134,7 @@ class _FlowCtx:
     __slots__ = (
         "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
         "regulator", "t_send", "t_recv", "received", "drops", "max_seq", "reorders",
-        "violations", "hops", "ul_queue", "dl_queue",
+        "violations", "hops", "ul_queue", "dl_queue", "limits_ns",
     )
 
     def __init__(self, source: SourceModel, assignment=None, critical=False):
@@ -139,6 +153,8 @@ class _FlowCtx:
         self.hops = ()
         self.ul_queue = None
         self.dl_queue = None
+        # the assignment's bounds in ns, set by the engine (None: unregistered)
+        self.limits_ns = None
         # the flow's trace, indexed by seq: send time, and delivery time,
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
@@ -228,6 +244,17 @@ def _slots_to_usable(tdd, direction) -> list:
     return [next(d for d in range(n) if usable[(phase + d) % n]) for phase in range(n)]
 
 
+def _limits_ns(a) -> tuple:
+    """An assignment's bounds in ns: (e2e, UL delay, UL best case, UL delay plus
+    regulator, DL delay, DL best case); a missing contract's entries are None."""
+    ul = (None, None, None) if a.ul is None else (
+        a.ul.delay_bound_us * NS_PER_US, a.ul.best_case_us * NS_PER_US,
+        (a.ul.delay_bound_us + a.regulator_bound_us) * NS_PER_US)
+    dl = (None, None) if a.dl is None else (
+        a.dl.delay_bound_us * NS_PER_US, a.dl.best_case_us * NS_PER_US)
+    return (a.e2e_bound_us * NS_PER_US, *ul, *dl)
+
+
 class _Engine:
     """The event loop.  Heap entries are `(t, rank, seq, handler, payload)`.
 
@@ -285,6 +312,8 @@ class _Engine:
                     port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
                 hops.append(_Hop(port, ctx.pcp, pkt_B, None if bounds is None else bounds[i]))
             ctx.hops = tuple(hops)
+            if ctx.assignment is not None:
+                ctx.limits_ns = _limits_ns(ctx.assignment)
 
     # ------------------------------------------------------------- scheduling
 
@@ -296,7 +325,7 @@ class _Engine:
         slot_ns = self.slot_ns
         self.counter += 1
         rank = 0 if ahead > slot_ns else 2 if ahead < slot_ns else self.rank
-        heapq.heappush(self.heap, (t_ns, rank, self.counter, handler, payload))
+        heappush(self.heap, (t_ns, rank, self.counter, handler, payload))
 
     def _arm(self, wait: list, slot_index: int):
         """Tick the first slot at or after `slot_index` usable in `wait`'s direction."""
@@ -308,21 +337,18 @@ class _Engine:
         if t_ns <= self.end_ns and slot_index not in self.armed:
             self.armed.add(slot_index)
             self.counter += 1
-            heapq.heappush(self.heap, (t_ns, 1, self.counter, self._handle_slot, slot_index))
+            heappush(self.heap, (t_ns, 1, self.counter, self._handle_slot, slot_index))
 
     # ------------------------------------------------------------- sources
-
-    def _next_emission(self, ctx: _FlowCtx, schedule):
-        t_ns, count = next(schedule)
-        if t_ns <= self.end_ns:
-            self._push(t_ns, self._handle_emit, (ctx, schedule, count))
 
     def _handle_emit(self, emission):
         ctx, schedule, count = emission
         size_B = ctx.source.params["pkt_B"]
         for _ in range(count):
             self._emit_packet(ctx, size_B)
-        self._next_emission(ctx, schedule)
+        t_ns, count = next(schedule)
+        if t_ns <= self.end_ns:
+            self._push(t_ns, self._handle_emit, (ctx, schedule, count))
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
         t = self.t
@@ -410,7 +436,8 @@ class _Engine:
 
     def _handle_portin(self, pkt: _Packet):
         ctx = pkt.ctx
-        port = ctx.hops[pkt.hop_idx].port
+        hop = ctx.hops[pkt.hop_idx]
+        port = hop.port
         port.reached = True
         cls = ctx.pcp
         occupancy = port.occupancy[cls] + pkt.size_B
@@ -420,40 +447,46 @@ class _Engine:
         port.occupancy[cls] = occupancy
         if occupancy > port.max_occupancy[cls]:
             port.max_occupancy[cls] = occupancy
-        port.queues[cls].append(pkt)
-        port.queued += 1
         if port.busy is None:
-            self._start_tx(port)
-
-    def _start_tx(self, port: _Port):
-        # non-preemptive strict priority: highest non-empty class next
-        for queue in port.by_priority:
-            if queue:
-                pkt = queue.popleft()
-                port.queued -= 1
-                port.busy = pkt
-                self._push(self.t + pkt.ctx.hops[pkt.hop_idx].tx_ns, self._handle_txdone, port)
-                return
+            # an idle port's queues are empty (`_handle_txdone` starts the
+            # next packet before it returns): send at once
+            port.busy = pkt
+            self._push(self.t + hop.tx_ns, self._handle_txdone, port)
+        else:
+            port.queues[cls].append(pkt)
+            port.queued += 1
 
     def _handle_txdone(self, port: _Port):
         pkt = port.busy
-        port.busy = None
         ctx = pkt.ctx
+        t = self.t
+        hops = ctx.hops
+        hop = hops[pkt.hop_idx]
         port.occupancy[ctx.pcp] -= pkt.size_B
-        bound_ns = ctx.hops[pkt.hop_idx].bound_ns
-        if bound_ns is not None and self.t - pkt.hop_in > bound_ns:
+        if hop.bound_ns is not None and t - pkt.hop_in > hop.bound_ns:
             pkt.hop_overruns += 1
         pkt.hop_idx += 1
-        if pkt.hop_idx < len(ctx.hops):
-            self._arrive_hop(pkt)
+        if pkt.hop_idx < len(hops):
+            # the next hop's per-class forwarding delay, before its egress queue
+            pkt.hop_in = t
+            self._push(t + hops[pkt.hop_idx].fwd_ns, self._handle_portin, pkt)
         elif ctx.dl_queue is not None:
-            pkt.dl_in = self.t
+            pkt.dl_in = t
             pkt.remaining_B = pkt.size_B
             self._enqueue_ue(pkt, ctx.dl_queue, self.dl_wait)
         else:
             self._deliver(pkt)
-        if port.queued:
-            self._start_tx(port)
+        if not port.queued:
+            port.busy = None
+            return
+        # non-preemptive strict priority: highest non-empty class next
+        for queue in port.by_priority:
+            if queue:
+                pkt = queue.popleft()
+                break
+        port.queued -= 1
+        port.busy = pkt
+        self._push(t + pkt.ctx.hops[pkt.hop_idx].tx_ns, self._handle_txdone, port)
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -470,30 +503,28 @@ class _Engine:
             ctx.reorders += 1
         else:
             ctx.max_seq = pkt.seq
-        if ctx.assignment is not None:
+        if ctx.limits_ns is not None:
             self._check_bounds(pkt, ctx)
 
     def _check_bounds(self, pkt: _Packet, ctx: _FlowCtx):
-        a = ctx.assignment
+        e2e, ul_delay, ul_best, ul_regulated, dl_delay, dl_best = ctx.limits_ns
         v = ctx.violations
-        if self.t - pkt.t_send > a.e2e_bound_us * NS_PER_US:
+        if self.t - pkt.t_send > e2e:
             v["e2e"] += 1
         v["per_hop"] += pkt.hop_overruns
         if pkt.transit_out is not None:
             transit = pkt.transit_out - pkt.t_send
-            if transit > a.ul.delay_bound_us * NS_PER_US:
+            if transit > ul_delay:
                 v["transit"] += 1
-            if transit < a.ul.best_case_us * NS_PER_US:
+            if transit < ul_best:
                 v["transit_best"] += 1
-            if pkt.reg_out is not None:
-                combined = pkt.reg_out - pkt.t_send
-                if combined > (a.ul.delay_bound_us + a.regulator_bound_us) * NS_PER_US:
-                    v["transit_regulator"] += 1
+            if pkt.reg_out is not None and pkt.reg_out - pkt.t_send > ul_regulated:
+                v["transit_regulator"] += 1
         if pkt.dl_in is not None:
             transit = self.t - pkt.dl_in
-            if transit > a.dl.delay_bound_us * NS_PER_US:
+            if transit > dl_delay:
                 v["transit"] += 1
-            if transit < a.dl.best_case_us * NS_PER_US:
+            if transit < dl_best:
                 v["transit_best"] += 1
 
     # ------------------------------------------------------------- main loop
@@ -502,7 +533,10 @@ class _Engine:
         for ctx in self.flows.values():
             model = ctx.source
             seed = self.seed if model.seed is None else model.seed
-            self._next_emission(ctx, _schedule(model, random.Random(f"{seed}:{model.flow_id}")))
+            schedule = _schedule(model, random.Random(f"{seed}:{model.flow_id}"))
+            t_ns, count = next(schedule)
+            if t_ns <= self.end_ns:
+                self._push(t_ns, self._handle_emit, (ctx, schedule, count))
 
         heap, fifo, end_ns = self.heap, self.fifo, self.end_ns
         while True:
@@ -513,7 +547,7 @@ class _Engine:
                     handler(payload)
             if not heap:
                 break
-            t, self.rank, _, handler, payload = heapq.heappop(heap)
+            t, self.rank, _, handler, payload = heappop(heap)
             if t > end_ns:
                 break
             self.t = t
@@ -583,32 +617,114 @@ def parse_us(text: str) -> int:
     return int(whole) * NS_PER_US + int(frac)
 
 
-def _flow_rows(ctx: _FlowCtx):
-    """Yield `(t_send, flow_id, seq, size_B, t_recv)` for each packet of a flow, in seq order."""
-    fid = ctx.source.flow_id
-    size_B = ctx.source.params["pkt_B"]  # every packet of a source has its pkt_B
-    for seq, (t_send, t_recv) in enumerate(zip(ctx.t_send, ctx.t_recv)):
-        yield t_send, fid, seq, size_B, t_recv
+def _row_tuples(source: SourceModel, lo: int, t_send, t_recv) -> list:
+    """The trace rows of a flow's packets from seq `lo` on, sent at `t_send`
+    and received at `t_recv` (ns), formatted a value at a time."""
+    fid, size_B = source.flow_id, source.params["pkt_B"]
+    return [
+        (fid, seq, size_B, _format_us(s),
+         *((_format_us(r), _format_us(r - s)) if r >= 0 else ("", "")), int(r == DROPPED))
+        for seq, s, r in zip(itertools.count(lo), t_send, t_recv)
+    ]
+
+
+def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
+    """The CSV lines of `_row_tuples`, `fid_csv` being the flow id as a CSV
+    field with `%` escaped.  While every packet of the slice is delivered,
+    they are formatted a column at a time with one %-format per line, and
+    each distinct latency is formatted once."""
+    if min(t_recv) < 0:  # dropped or in flight: no receive time, no latency
+        fmt = fid_csv + ",%d,%d,%s,%s,%s,%d\r\n"
+        return [fmt % row[1:] for row in _row_tuples(source, lo, t_send, t_recv)]
+    latencies = list(map(sub, t_recv, t_send))
+    distinct = set(latencies)
+    latency_text = dict(zip(distinct, map(_format_us, distinct)))
+    fmt = f"{fid_csv},%d,{source.params['pkt_B']},%d.%03d,%d.%03d,%s,0\r\n"
+    us = itertools.repeat(NS_PER_US)
+    return map(fmt.__mod__, zip(
+        itertools.count(lo),
+        map(floordiv, t_send, us), map(mod, t_send, us),
+        map(floordiv, t_recv, us), map(mod, t_recv, us),
+        map(latency_text.__getitem__, latencies),
+    ))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it in a row: quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow((text, ""))
+    return buf.getvalue()[:-1]
 
 
 class _TraceRows:
     """The trace's CSV rows in (t_send, flow_id, seq) order, formatted as they are read.
 
-    Iterating merges the flows' trace columns, each already in that order
-    because a flow's send times never decrease with its seq; it can be
-    iterated any number of times.
+    Rows are ordered and formatted one window at a time.  A window holds
+    the packets sent in a range of time: each flow's slice of it is a
+    `bisect` on the flow's send times, which never decrease with seq, and
+    the range adapts so that a window holds about `WINDOW_ROWS` rows.
+    Each slice is formatted column by column, then the window's rows are
+    put in order by a stable sort on `t_send * n_flows + flow_index`, the
+    flows being in flow_id order.  Iterating yields the rows as tuples and
+    `text` yields them as CSV, so neither holds more than a window of rows.
+    Both can be repeated any number of times.
     """
 
     def __init__(self, ctxs: list):
         self.ctxs = ctxs  # in flow_id order
 
+    def _windows(self):
+        """Yield each window as `(k, ctx, lo, hi)` slices: packets lo..hi-1 of
+        the k-th flow are the ones it sent in the window."""
+        ctxs = self.ctxs
+        total = sum(ctx.sent for ctx in ctxs)
+        if not total:
+            return
+        end = max(ctx.t_send[-1] for ctx in ctxs if ctx.sent) + 1
+        width = max(1, end * WINDOW_ROWS // total)  # ns
+        starts = [0] * len(ctxs)
+        t = 0
+        while t < end:
+            while True:
+                stop = t + width
+                stops = [bisect_left(ctx.t_send, stop, lo) for ctx, lo in zip(ctxs, starts)]
+                rows = sum(stops) - sum(starts)
+                if rows <= 2 * WINDOW_ROWS or width == 1:
+                    break
+                width //= 2
+            if rows:
+                yield [(k, ctx, lo, hi) for k, (ctx, lo, hi)
+                       in enumerate(zip(ctxs, starts, stops)) if hi > lo]
+            if 2 * rows < WINDOW_ROWS:
+                width *= 2
+            starts, t = stops, stop
+
+    def _in_order(self, window: list, rows_of) -> list:
+        """A window's rows in trace order, `rows_of(k, lo, t_send, t_recv)`
+        making those of the k-th flow's slice; the sort keys are freed on
+        return, before the rows are used."""
+        keys, rows = [], []
+        for k, ctx, lo, hi in window:
+            t_send = ctx.t_send[lo:hi]
+            if len(window) > 1:
+                keys += map(add, map(mul, t_send, itertools.repeat(len(self.ctxs))),
+                            itertools.repeat(k))
+            rows += rows_of(k, lo, t_send, ctx.t_recv[lo:hi])
+        if len(window) == 1:  # one flow's slice is in order already
+            return rows
+        return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+
     def __iter__(self):
-        for t_send, fid, seq, size_B, t_recv in heapq.merge(*map(_flow_rows, self.ctxs)):
-            if t_recv >= 0:
-                recv, latency = _format_us(t_recv), _format_us(t_recv - t_send)
-            else:
-                recv = latency = ""
-            yield fid, seq, size_B, _format_us(t_send), recv, latency, int(t_recv == DROPPED)
+        sources = [ctx.source for ctx in self.ctxs]
+        for window in self._windows():
+            yield from self._in_order(window, lambda k, *slice_: _row_tuples(sources[k], *slice_))
+
+    def text(self):
+        """Yield the CSV text of the rows, without the header, a window at a time."""
+        heads = [(ctx.source, _csv_field(ctx.source.flow_id).replace("%", "%%"))
+                 for ctx in self.ctxs]
+        for window in self._windows():
+            yield "".join(self._in_order(window, lambda k, *slice_: _row_lines(*heads[k], *slice_)))
 
 
 def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
@@ -792,11 +908,12 @@ def dejitter_summary(off: RunResult, on: RunResult) -> dict:
     return summary
 
 
-def write_trace(path, rows) -> None:
+def write_trace(path, rows: _TraceRows) -> None:
+    """Write a run's trace rows as CSV, one window of rows at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(rows)
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for text in rows.text():
+            fh.write(text)
 
 
 def write_report(path, report: dict) -> None:

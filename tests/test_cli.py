@@ -252,6 +252,11 @@ class TestRun:
         (lambda doc: doc["flows"][0].update(dejiter=True), "flows[0].dejiter: unknown field"),
         (lambda doc: doc["sim"]["sources"][0].update(ofset_us=5),
          "sim.sources[0].ofset_us: unknown field"),
+        # these loaded with numerology 1 and with 8 classes
+        (lambda doc: doc["topology"]["transit5g"].update(numerolgy=0),
+         "topology.transit5g.numerolgy: unknown field"),
+        (lambda doc: doc["topology"]["switches"][0].update(clas_count=4),
+         "topology.switches[0].clas_count: unknown field"),
         # a source wrote a trace that `report` refused
         (lambda doc: doc["sim"]["sources"][0].update(flow_id=""),
          "sim.sources[0].flow_id: must be non-empty"),
@@ -260,7 +265,7 @@ class TestRun:
          "flows[0].flow_id: must be non-empty"),
     ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
             "source-loop", "host-dejitter", "misspelled-flow-field", "misspelled-source-field",
-            "empty-source-id", "empty-flow-id"])
+            "misspelled-numerology", "misspelled-class-count", "empty-source-id", "empty-flow-id"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         mutate(doc)

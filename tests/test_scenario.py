@@ -328,8 +328,24 @@ def test_record_check_names_its_block(mutate, path, message):
     (lambda doc: doc["sim"]["sources"][1].update(burst_B=1500), "sim.sources[1].burst_B"),
     (lambda doc: doc["sim"]["sources"][1].update(count=2), "sim.sources[1].count"),
     (lambda doc: doc["sim"]["sources"][0].update(ofset_us=5), "sim.sources[0].ofset_us"),
+    # a misspelled optional key used to keep its default: numerology 1, 8 classes
+    (lambda doc: doc["topology"]["transit5g"].update(numerolgy=0),
+     "topology.transit5g.numerolgy"),
+    (lambda doc: doc["topology"]["switches"][0].update(clas_count=4),
+     "topology.switches[0].clas_count"),
+    (lambda doc: doc["topology"].update(link=[]), "topology.link"),
+    (lambda doc: doc["topology"]["hosts"][1].update(attatch="S2.9"), "topology.hosts[1].attatch"),
+    (lambda doc: doc["topology"]["transit5g"]["ues"][1].update(tbs_B=1),
+     "topology.transit5g.ues[1].tbs_B"),
+    (lambda doc: doc["classes"].update(cout=4), "classes.cout"),
+    (lambda doc: doc["nwtt"].update(dejitte={}), "nwtt.dejitte"),
+    (lambda doc: doc["nwtt"]["dejitter"].update(hold=1), "nwtt.dejitter.hold"),
+    (lambda doc: doc["sim"].update(duration=5), "sim.duration"),
+    (lambda doc: doc.update(flow=[]), "flow"),
 ], ids=["dejiter", "critcal", "flow-source-ofset", "periodic-start", "onoff-burst",
-        "onoff-count", "sim-source-ofset"])
+        "onoff-count", "sim-source-ofset", "numerolgy", "clas-count", "topology-link",
+        "host-attatch", "ue-tbs", "classes-cout", "nwtt-dejitte", "regulator-hold",
+        "sim-duration", "scenario-flow"])
 def test_unknown_field_rejected(mutate, path):
     doc = canonical_scenario()
     mutate(doc)

@@ -1,14 +1,18 @@
+import csv
 import gc
+import tracemalloc
 import weakref
 from collections import deque
 from dataclasses import replace
 
 import pytest
 
+from detnet5g import sim
 from detnet5g.errors import AdmissionMissing
 from detnet5g.scenario import load_scenario
 from detnet5g.sim import (
     IN_FLIGHT,
+    TRACE_COLUMNS,
     _admit_flows,
     _build_flow_ctxs,
     _Engine,
@@ -17,10 +21,12 @@ from detnet5g.sim import (
     dejitter_summary,
     parse_us,
     run,
+    write_trace,
 )
 from detnet5g.topology import path_in_tree
 from conftest import canonical_scenario
 from test_golden import per_class_doc, ue_transit_doc
+from test_sim_order import hops_doc
 
 
 def scenario(mutate=None):
@@ -162,7 +168,7 @@ class TestCanonical:
 
 
 def with_retired_poll_keys(doc):
-    # keys of removed poll events: ignored on load like any unknown key
+    # keys of removed poll events: accepted and ignored on load
     doc["topology"]["fiveg_poll_interval_s"] = 1
     doc["topology"]["fixed_poll_interval_s"] = 2
     doc["sim"]["snapshot_schedule"] = [{"t_ms": 10, "kind": "5g"}]
@@ -398,3 +404,99 @@ class TestSourceSchedules:
     def test_periodic_with_count(self):
         periodic = {"mode": "periodic", "count": 3, **self.PERIODIC}
         assert send_times_us(periodic) == [1_000] * 3 + [6_000] * 3 + [11_000] * 3
+
+
+def odd_ids(doc):
+    """Flow ids the CSV must quote (`,` and `"`), that carry `%` or are not ASCII."""
+    doc["flows"][0]["flow_id"] = "o,range"
+    doc["sim"]["sources"][0]["flow_id"] = 'q"x'
+    doc["sim"]["sources"][1]["flow_id"] = "p%d"
+    doc["sim"]["sources"].append(dict(doc["sim"]["sources"][0], flow_id="grün %s", src="G",
+                                      dst="UE2"))
+
+
+def tiny_regulator_queue(doc):
+    doc["nwtt"]["dejitter"].update(queue_cap_pkts=1, hold_us=50_000)
+
+
+def same_ns_senders(doc):
+    """Twelve sources that each send at t = 0 and every 1 ms after: 401 packets
+    each, every 12 of them in the same ns."""
+    doc["sim"]["duration_ms"] = 400
+    doc["sim"]["sources"] += [
+        {"flow_id": f"tick{i:02d}", "src": "G" if i % 2 else "D", "dst": "D" if i % 2 else "G",
+         "mode": "periodic", "period_us": 1_000, "pkt_B": 100, "offset_us": 0}
+        for i in range(12)]
+
+
+def silent_source(doc):
+    doc["sim"]["sources"].append({"flow_id": "late", "src": "G", "dst": "D", "mode": "periodic",
+                                  "period_us": 1_000, "pkt_B": 100, "offset_us": 10**9})
+
+
+def no_packets(doc):
+    for source in [doc["flows"][0]["source"], *doc["sim"]["sources"]]:
+        source["offset_us"] = 10**9
+
+
+def canonical_with(mutate):
+    def make() -> dict:
+        doc = canonical_scenario()
+        mutate(doc)
+        return doc
+    return make
+
+
+class TestTraceWriter:
+    """`write_trace` formats whole columns a window at a time; its bytes must be
+    what the csv module writes for the rows that iterating the trace yields."""
+
+    @staticmethod
+    def reference_trace(path, rows: list):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(TRACE_COLUMNS)
+            writer.writerows(rows)
+
+    @pytest.mark.parametrize("window_rows", [1, 5, sim.WINDOW_ROWS])
+    @pytest.mark.parametrize("make_doc, dejitter, check", [
+        (canonical_with(odd_ids), "scenario",
+         lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r["flows"])),
+        (lambda: hops_doc(3, 1, "DSUUD", True), "scenario",
+         lambda r: r["flows"]["lo"]["drops"]["policer"] and r["flows"]["bulk"]["drops"]),
+        (canonical_with(tiny_regulator_queue), "on",
+         lambda r: r["flows"]["orange"]["drops"]["regulator"] > 0),
+        (canonical_scenario, "scenario",
+         lambda r: any(f["in_flight"] for f in r["flows"].values())),
+        (canonical_with(same_ns_senders), "scenario",
+         lambda r: r["flows"]["tick00"]["sent"] == 401),
+        (canonical_with(silent_source), "scenario", lambda r: r["flows"]["late"]["sent"] == 0),
+        (canonical_with(no_packets), "scenario",
+         lambda r: not any(f["sent"] for f in r["flows"].values())),
+    ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
+            "same-ns-senders", "silent-flow", "no-packets"])
+    def test_bytes_equal_csv_module_rows(self, make_doc, dejitter, check, window_rows,
+                                         tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "WINDOW_ROWS", window_rows)
+        result = run(load_scenario(make_doc()), dejitter=dejitter)
+        assert check(result.report)
+        rows = list(result.trace_rows)
+        assert rows == sorted(rows, key=lambda row: (parse_us(row[3]), row[0], row[1]))
+        assert len(rows) == sum(flow["sent"] for flow in result.report["flows"].values())
+        write_trace(tmp_path / "trace.csv", result.trace_rows)
+        self.reference_trace(tmp_path / "reference.csv", rows)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_write_trace_holds_a_window_not_the_trace(self, tmp_path):
+        # 60 s of canonical: about 39k rows and 2 MB of CSV
+        result = run(scenario(lambda doc: doc["sim"].update(duration_ms=60_000)))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace(path, result.trace_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 4

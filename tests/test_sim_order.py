@@ -7,6 +7,12 @@ starts at offset 0 with a period of about half, one, two or three such
 units.  Their trace and report digests were recorded before the simulator
 scheduled slot ticks lazily; any change to the order of simultaneous
 events shows up as a changed digest.
+
+The hop family crosses two or three switches with three contending
+classes: a busy inter-switch egress whose best-effort buffer overflows, a
+policed host flow and UE traffic both ways.  Its digests were recorded
+before the engine sent packets on idle ports without queueing them, so they
+pin the order of next-hop arrivals and strict-priority picks across hops.
 """
 
 import gc
@@ -33,7 +39,9 @@ from detnet5g.sim import (
 )
 from conftest import canonical_scenario
 
-DIGESTS = json.loads((Path(__file__).parent / "data" / "same_time_order.json").read_text())
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "same_time_order.json").read_text())
+HOP_DIGESTS = json.loads((DATA / "engine_hops_order.json").read_text())
 
 # a 100 B packet's transmission time: one slot, two at mu=4 (62.5 us is not whole)
 UNIT_US = {0: 1_000, 1: 500, 4: 125}
@@ -102,6 +110,76 @@ def result_digest(result, out_dir: Path) -> str:
 @pytest.mark.parametrize("case", TIE_CASES, ids=case_id)
 def test_same_time_order_is_unchanged(case, tmp_path):
     assert result_digest(run(load_scenario(tie_doc(*case))), tmp_path) == DIGESTS[case_id(case)]
+
+
+HOP_CASES = list(itertools.product((2, 3), (0, 1), ("DDDSU", "DSUUD"), (False, True)))
+
+
+def hop_case_id(case) -> str:
+    switches, fwd, pattern, dejitter = case
+    return f"sw{switches}-fwd{fwd}-{pattern}-dejitter{int(dejitter)}"
+
+
+def hops_doc(switches, fwd, pattern, dejitter) -> dict:
+    """A line of switches S0..S{n-1}, hosts A and B on S0, C and D on the last
+    switch and two UEs attached at S0; `fwd` is in slots (0.5 ms).
+
+    Admission puts `hi` in class 2, `lo` in class 1 (class 2 would break
+    `hi`'s deadline) and `ue` in class 2 on two switches and class 1 on
+    three; the extras are class 0.  Every source starts at offset 0, and a
+    100 B packet takes one slot on the wire.  `bulk` sends twice the line
+    rate through S0.1, whose class-0 buffer overflows, and `lo` sends bursts
+    its policer cuts.
+    """
+    unit = 500
+    rate = 100 * 1_000_000 // unit
+    sws = [f"S{i}" for i in range(switches)]
+
+    def periodic(period_us, count=1):
+        return {"mode": "periodic", "period_us": period_us, "pkt_B": 100, "offset_us": 0,
+                "count": count}
+
+    def flow(fid, src, dst, burst_B, deadline_us, source, **extra):
+        return {"flow_id": fid, "src": src, "dst": dst, "rate_Bps": rate // 8,
+                "burst_B": burst_B, "max_pkt_B": 100, "deadline_us": deadline_us,
+                "source": source, **extra}
+
+    return {
+        "schema_version": 1,
+        "topology": {
+            "switches": [{"id": s, "link_rate_Bps": rate, "fwd_delay_us": [fwd * unit] * 8,
+                          "port_buffer_B": 4_000} for s in sws],
+            "links": [[f"{a}.1", f"{b}.2"] for a, b in zip(sws, sws[1:])],
+            "hosts": [{"id": "A", "attach": "S0.3"}, {"id": "B", "attach": "S0.4"},
+                      {"id": "C", "attach": f"{sws[-1]}.3"},
+                      {"id": "D", "attach": f"{sws[-1]}.4"}],
+            "transit5g": {"tdd_pattern": pattern, "numerology": 1, "attach": "S0.5",
+                          "ues": [{"id": "UE1", "tbs_ul_B": 200, "tbs_dl_B": 200},
+                                  {"id": "UE2", "tbs_ul_B": 100, "tbs_dl_B": 200}]},
+        },
+        "classes": {"count": 3},
+        "flows": [
+            flow("hi", "A", "C", 100, 20 * switches * unit, periodic(8 * unit)),
+            flow("lo", "B", "C", 300, 400 * unit, periodic(8 * unit, count=3)),
+            flow("ue", "UE1", "D", 200, 400 * unit, periodic(8 * unit, count=2),
+                 dejitter=dejitter),
+        ],
+        "nwtt": {"dejitter": {"hold_us": unit, "release_period_us": unit}},
+        "sim": {"duration_ms": 100, "seed": 1, "sources": [
+            {"flow_id": "bulk", "src": "A", "dst": "D", **periodic(unit, count=2)},
+            {"flow_id": "ue-bg", "src": "UE2", "dst": "C", **periodic(2 * unit)},
+            {"flow_id": "down", "src": "B", "dst": "UE2", **periodic(2 * unit)},
+        ]},
+    }
+
+
+@pytest.mark.parametrize("case", HOP_CASES, ids=hop_case_id)
+def test_order_across_hops_is_unchanged(case, tmp_path):
+    result = run(load_scenario(hops_doc(*case)))
+    assert [d["pcp"] for d in result.decisions] == [2, 1, 2 if case[0] == 2 else 1]
+    drops = result.report["flows"]["bulk"]["drops"]
+    assert drops["queue:S0.1"] > 0 and result.report["flows"]["lo"]["drops"]["policer"] > 0
+    assert result_digest(result, tmp_path) == HOP_DIGESTS[hop_case_id(case)]
 
 
 class CountingEngine(_Engine):
