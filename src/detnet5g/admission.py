@@ -54,7 +54,6 @@ from .errors import (
     MalformedRequest,
     NotA5GFlow,
     RateExceedsCapacity,
-    RateOverload,
     Unreachable,
     UnknownFlow,
     Unschedulable,
@@ -297,28 +296,13 @@ def _settle(
                         "BufferExceeded",
                         f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
                     )
-        except (Unschedulable, RateOverload) as exc:
+        except Unschedulable as exc:
             raise _Infeasible("Unschedulable", str(exc)) from exc
 
         if not moved:
             return
         dirty, fresh, states, delays = moved, set(), None, {}
     raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
-
-
-def _solve(topo: Topology, placements: dict[str, _Placement]) -> _SolverState:
-    """Cold solve: every flow starts at its spec burst and every port is dirty.
-
-    No admission path calls it; the tests use it as the cold solve.
-    """
-    st = _SolverState()
-    for fid, pl in placements.items():
-        st.placements[fid] = pl
-        st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
-        for i, port in enumerate(pl.hops):
-            st.members.setdefault(port, {})[fid] = i
-    _settle(topo, st, set(st.members), set(placements))
-    return st
 
 
 def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
@@ -353,7 +337,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
                     "DeadlineInfeasible",
                     f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us",
                 )
-    except (Unschedulable, RateOverload) as exc:
+    except Unschedulable as exc:
         raise _Infeasible("Unschedulable", str(exc)) from exc
 
     st = base.copy()

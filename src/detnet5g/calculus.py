@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import RateOverload, Unschedulable
+from .errors import Unschedulable
 from .units import US_PER_S, ceil_div
 
 
@@ -105,11 +105,11 @@ def sp_residual_service(state: PortClassState, priority: int) -> RateLatency:
 
 
 def _class_service(state: PortClassState, priority: int) -> tuple[ClassAggregate, RateLatency]:
-    """Class aggregate and its residual service; RateOverload if it cannot keep up."""
+    """Class aggregate and its residual service; Unschedulable if it cannot keep up."""
     service = sp_residual_service(state, priority)
     agg = state.aggregate(priority)
     if agg.rate_Bps > service.rate_Bps:
-        raise RateOverload(
+        raise Unschedulable(
             f"class {priority} rate {agg.rate_Bps} B/s exceeds residual "
             f"{service.rate_Bps} B/s"
         )

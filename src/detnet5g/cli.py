@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, DetnetError, MalformedRequest, ScenarioInvalid
-from .scenario import _expect, load_scenario_file, load_topology_file, open_input, read_json
+from .scenario import (FLOWS_FILE_KEYS, _expect, _known_keys, load_scenario_file,
+                       load_topology_file, open_input, read_json)
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -71,6 +72,10 @@ def cmd_admit(args) -> int:
     doc = read_json(args.flows)
     if not isinstance(doc, dict) or not isinstance(doc.get("flows"), list):
         raise ScenarioInvalid(f"{args.flows}: expected an object with a 'flows' list")
+    try:
+        _known_keys(doc, "", FLOWS_FILE_KEYS)
+    except ScenarioInvalid as exc:
+        raise ScenarioInvalid(f"{args.flows}: {exc}") from None
     state = NetworkState(topo)
     if state.trees_truncated:
         print(f"note: VLAN tree enumeration stopped at its cap of {len(state.trees)} trees; "

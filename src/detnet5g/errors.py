@@ -14,11 +14,7 @@ class Unreachable(DetnetError):
 
 
 class Unschedulable(DetnetError):
-    """Higher-priority load leaves no residual rate, or no fixed point exists."""
-
-
-class RateOverload(DetnetError):
-    """A class aggregate rate exceeds the residual service rate."""
+    """A class gets less residual rate than it needs, or no fixed point exists."""
 
 
 class NoUplinkSlots(DetnetError):

@@ -24,6 +24,7 @@ SCHEMA_VERSION = 1
 # misspelled optional key cannot silently keep its default.  The keys of the
 # retired poll events are still accepted, and ignored, so older files load.
 SCENARIO_KEYS = frozenset(("schema_version", "topology", "classes", "flows", "nwtt", "sim"))
+FLOWS_FILE_KEYS = frozenset(("schema_version", "flows"))  # `detnet5g admit`'s input
 TOPOLOGY_KEYS = frozenset(("schema_version", "switches", "links", "hosts", "transit5g",
                            "fixed_poll_interval_s", "fiveg_poll_interval_s"))
 SWITCH_KEYS = frozenset(("id", "link_rate_Bps", "fwd_delay_us", "port_buffer_B", "class_count"))
@@ -103,10 +104,13 @@ def _positive_int(obj, path: str) -> int:
 
 
 def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
-    """Fail on the first key of `obj` not in `keys`; `path` is "" at the top level."""
-    if not keys.issuperset(obj):
-        key = next(key for key in obj if key not in keys)
-        _fail(f"{path}.{key}" if path else key, "unknown field")
+    """Fail on a key not in `keys` or an unsupported `schema_version`; `path` is "" at the top."""
+    if not keys.issuperset(obj) or obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        at = f"{path}." if path else ""
+        for key in obj:
+            if key not in keys:
+                _fail(at + key, "unknown field")
+        _fail(at + "schema_version", f"unsupported version {obj['schema_version']!r}")
 
 
 def _port(text, path: str) -> PortId:
@@ -271,9 +275,6 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document."""
     _expect(obj, "scenario", dict)
     _known_keys(obj, "", SCENARIO_KEYS)
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {version!r}")
     topo = load_topology(_expect(obj.get("topology"), "topology", dict))
 
     classes = obj.get("classes", {})

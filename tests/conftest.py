@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from detnet5g.admission import _canonical_aggregates, _solve
+from detnet5g import admission
+from detnet5g.admission import _canonical_aggregates, _SolverState
 from detnet5g.errors import Unreachable
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
 from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
@@ -27,9 +28,25 @@ def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
     return transit_contract(node, ue.ue_id, direction, burst_B, rate_Bps).delay_bound_us
 
 
+def cold_solve(topo, placements) -> _SolverState:
+    """Cold solve: every flow starts at its spec burst and every port is dirty.
+
+    No admission path solves from scratch; the tests use this as the oracle
+    that the warm trials and removals must agree with.
+    """
+    st = _SolverState()
+    for fid, pl in placements.items():
+        st.placements[fid] = pl
+        st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
+        for i, port in enumerate(pl.hops):
+            st.members.setdefault(port, {})[fid] = i
+    admission._settle(topo, st, set(st.members), set(placements))
+    return st
+
+
 def cold_aggregates(state) -> dict:
     """A registry's aggregates rebuilt by a cold solve of its placements (coherence oracle)."""
-    return _canonical_aggregates(_solve(state.topology, state._solver.placements))
+    return _canonical_aggregates(cold_solve(state.topology, state._solver.placements))
 
 
 def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:

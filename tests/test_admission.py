@@ -11,17 +11,16 @@ from detnet5g.admission import (
     _Infeasible,
     _Placement,
     _port_state,
-    _solve,
     _SolverState,
     _Terms,
 )
 from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
-from detnet5g.errors import MalformedRequest, NotA5GFlow, RateOverload, UnknownFlow, Unschedulable
+from detnet5g.errors import MalformedRequest, NotA5GFlow, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
-from conftest import cold_aggregates, grid_topology, line_topology, ring_topology
+from conftest import cold_aggregates, cold_solve, grid_topology, line_topology, ring_topology
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -526,7 +525,7 @@ def reference_solve(topo, placements, start=None):
                         "BufferExceeded",
                         f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
                     )
-        except (Unschedulable, RateOverload) as exc:
+        except Unschedulable as exc:
             raise _Infeasible("Unschedulable", str(exc)) from exc
 
         if not changed:
@@ -557,7 +556,7 @@ def reference_trial(topo, base, pl):
                     f"flow {spec.flow_id!r}: bound at least {total} us "
                     f"> deadline {spec.deadline_us} us",
                 )
-    except (Unschedulable, RateOverload) as exc:
+    except Unschedulable as exc:
         raise _Infeasible("Unschedulable", str(exc)) from exc
     return reference_solve(topo, placements, start)
 
@@ -603,7 +602,7 @@ class TestIncrementalSolver:
         for cap in (1, 2):
             monkeypatch.setattr(admission, "SOLVER_ITER_CAP", cap)
             with pytest.raises(_Infeasible) as engine:
-                _solve(topo, placements)
+                cold_solve(topo, placements)
             with pytest.raises(_Infeasible) as reference:
                 reference_solve(topo, placements)
             got = (engine.value.reason, engine.value.detail)
@@ -616,7 +615,7 @@ class TestIncrementalSolver:
         monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 3)
         placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
                                       7, tree, hops, _Terms())
-        engine, reference = _solve(topo, placements), reference_solve(topo, placements)
+        engine, reference = cold_solve(topo, placements), reference_solve(topo, placements)
         assert (engine.bursts, engine.hop_bounds, e2e_bounds(engine)) == (
             reference.bursts, reference.hop_bounds, e2e_bounds(reference))
 
@@ -635,7 +634,7 @@ class TestIncrementalSolver:
             )
         }
         new = placements.pop("f1")
-        base = _solve(topo, placements)
+        base = cold_solve(topo, placements)
         calls = []
         monkeypatch.setattr(admission, "hop_delay_bound",
                             lambda *args: calls.append(args) or hop_delay_bound(*args))
@@ -651,7 +650,7 @@ class TestIncrementalSolver:
         tree = NetworkState(topo).trees[0]
         hops = tuple(path_in_tree(topo, tree, "A", "B"))
         low = FlowSpec("low", "A", "B", 100_000, 1_500, 1_500, 10**9)
-        base = _solve(topo, {"low": _Placement(low, 6, tree, hops, _Terms())})
+        base = cold_solve(topo, {"low": _Placement(low, 6, tree, hops, _Terms())})
         before = copy.deepcopy(base)
         new = _Placement(FlowSpec("high", "A", "B", 50_000, 1_500, 1_500, 10**9),
                          7, tree, hops, _Terms())
@@ -757,16 +756,12 @@ class TestIncrementalSolver:
 
 class TestRejectsFromTrials:
     @pytest.mark.parametrize("reconfig", [True, False])
-    def test_reject_solves_nothing_cold(self, reconfig, monkeypatch):
+    def test_reject_solves_nothing_cold(self, reconfig):
         """A reject's reason and detail come from the trials the search ran.
 
-        Nothing on the request path may re-solve a registry from scratch, so
-        `_solve` fails here while register/remove sequences reach every reason.
+        The program has no cold solve to fall back on (the tests' `cold_solve`
+        lives in conftest), yet register/remove sequences reach every reason.
         """
-        def no_cold_solve(*args):
-            raise AssertionError("a request solved a registry from scratch")
-
-        monkeypatch.setattr(admission, "_solve", no_cold_solve)
         topo = ring_topology(profile=SwitchProfile(port_buffer_B=8_000))
         topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))
         endpoints = ["UE1", "UE2", "A", "D", "E", "G"]

@@ -10,7 +10,7 @@ from detnet5g.calculus import (
     propagate_burst,
     sp_residual_service,
 )
-from detnet5g.errors import RateOverload, Unschedulable
+from detnet5g.errors import Unschedulable
 
 
 def state(classes=None, *, rate=125_000, lmax=0, fwd=(0,) * 8):
@@ -74,7 +74,7 @@ class TestHopDelay:
 
     def test_rate_overload(self):
         s = state({2: ClassAggregate(10, 100_000, 100), 1: ClassAggregate(10, 30_000, 10)})
-        with pytest.raises(RateOverload):
+        with pytest.raises(Unschedulable):
             hop_delay_bound(s, 1)
 
     def test_monotone_in_competitor_burst_and_rate(self):

@@ -157,6 +157,32 @@ class TestAdmit:
         assert captured.err == f"error: {flows}: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"schema_versoin": 2, "flows": [], "flowz": [{"flow_id": "x"}]},
+         "schema_versoin: unknown field"),
+        ({"flows": [], "flowz": []}, "flowz: unknown field"),
+        ({"schema_version": 99, "flows": [orange_request()]},
+         "schema_version: unsupported version 99"),
+    ], ids=["misspelled-version", "unknown-key", "version-99"])
+    def test_flows_file_header_exits_one(self, doc, message, topo_file, tmp_path, capsys):
+        flows = write_json(tmp_path / "flows.json", doc)
+        assert main(["admit", topo_file, flows]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flows}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["trees", "admit"])
+    def test_topology_version_99_exits_one(self, command, tmp_path, capsys):
+        topo = canonical_topology()
+        topo["schema_version"] = 99
+        argv = [command, write_json(tmp_path / "topo.json", topo)]
+        if command == "admit":
+            argv.append(write_json(tmp_path / "flows.json", flows_doc([orange_request()])))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: topology.schema_version: unsupported version 99\n"
+        assert captured.out == ""
+
     def test_tree_truncation_noted_on_stderr(self, tmp_path, capsys):
         # a 4x4 grid has far more spanning trees than the default cap of 64
         topo = write_json(tmp_path / "grid.json", grid_doc())

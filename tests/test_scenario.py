@@ -66,8 +66,16 @@ def test_port_reuse_rejected():
 def test_bad_schema_version():
     doc = canonical_scenario()
     doc["schema_version"] = 99
-    with pytest.raises(ScenarioInvalid, match="schema_version"):
+    with pytest.raises(ScenarioInvalid, match="^schema_version: unsupported version 99$"):
         load_scenario(doc)
+    doc = canonical_scenario()
+    doc["topology"]["schema_version"] = 2
+    with pytest.raises(ScenarioInvalid, match=r"^topology\.schema_version: unsupported version 2$"):
+        load_scenario(doc)
+    doc = canonical_topology()
+    doc["schema_version"] = 99
+    with pytest.raises(ScenarioInvalid, match=r"^topology\.schema_version: unsupported version 99$"):
+        load_topology(doc)
 
 
 def test_duplicate_flow_ids_rejected():

@@ -341,6 +341,36 @@ class TestFiveGsegment:
         assert stats["violations"]["transit"] == 0
         assert stats["violations"]["transit_best"] == 0
 
+    def test_dl_delay_and_both_best_cases_are_checked(self, monkeypatch):
+        # a zero DL delay bound makes every delivered DL packet overrun it, and
+        # best cases past any latency of the run make every delivered packet
+        # of a UE flow beat its UL or DL best case
+        def with_downlink(doc):
+            doc["sim"]["duration_ms"] = 1_000
+            doc["flows"].append({
+                "flow_id": "down", "src": "G", "dst": "UE2", "rate_Bps": 12_500,
+                "burst_B": 1_500, "max_pkt_B": 1_500, "deadline_us": 200_000,
+                "critical": True,
+                "source": {"mode": "periodic", "period_us": 20_000, "pkt_B": 1_500},
+            })
+
+        limits_ns = sim._limits_ns
+        late = 10**15
+
+        def tightened(a):
+            e2e, ul_delay, ul_best, ul_regulated, dl_delay, dl_best = limits_ns(a)
+            return (e2e, ul_delay, ul_best if ul_best is None else late, ul_regulated,
+                    dl_delay if dl_delay is None else 0, dl_best if dl_best is None else late)
+
+        monkeypatch.setattr(sim, "_limits_ns", tightened)
+        flows = run(scenario(with_downlink)).report["flows"]
+        orange, down = flows["orange"], flows["down"]
+        assert orange["received"] > 0 and down["received"] > 0
+        assert orange["violations"]["transit"] == 0
+        assert down["violations"]["transit"] == down["received"]
+        assert orange["violations"]["transit_best"] == orange["received"]
+        assert down["violations"]["transit_best"] == down["received"]
+
 
 class TestWorkConservation:
     def test_saturated_port_moves_line_rate(self):
