@@ -53,7 +53,6 @@ from .errors import (
     InvalidSpec,
     MalformedRequest,
     NotA5GFlow,
-    RateExceedsCapacity,
     Unreachable,
     UnknownFlow,
     Unschedulable,
@@ -487,7 +486,8 @@ class NetworkState:
         """The UL and DL contracts of the flow's UE ends, and its regulator and bound.
 
         A UE direction must have a usable TDD slot and room for the flow next
-        to the UE's admitted flows in that direction.
+        to the UE's admitted flows in that direction; this is the only check
+        of a UE's capacity, and `transit_contract` relies on it.
         """
         transit = self.topology.transit
         contracts = []
@@ -499,9 +499,9 @@ class NetworkState:
             if not self.topology.is_ue(ue_id):
                 contracts.append(None)
                 continue
-            cap = capacity(transit.tdd, transit.ue(ue_id))
+            cap = capacity(transit.tdd, transit.ues[ue_id])
             if cap == 0:
-                raise RateExceedsCapacity(
+                raise Unschedulable(
                     f"TDD pattern {transit.tdd.pattern!r} has no usable {name} slot for {ue_id}"
                 )
             peers = sum(
@@ -510,7 +510,7 @@ class NetworkState:
                 if getattr(pl.spec, end) == ue_id
             )
             if peers + spec.rate_Bps > cap:
-                raise RateExceedsCapacity(
+                raise Unschedulable(
                     f"aggregate {name} rate of {ue_id} exceeds TDD capacity"
                 )
             contracts.append(transit_contract(
@@ -563,7 +563,7 @@ class NetworkState:
 
         try:
             terms = self._terms(spec)
-        except RateExceedsCapacity as exc:
+        except Unschedulable as exc:
             return Decision(False, reason="Unschedulable", detail=str(exc))
         except InvalidSpec as exc:
             return Decision(False, reason="InvalidSpec", detail=str(exc))

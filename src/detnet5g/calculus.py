@@ -136,6 +136,4 @@ def backlog_bound(state: PortClassState, priority: int) -> int:
 
 def propagate_burst(burst_B: int, rate_Bps: int, hop_delay_us: int) -> int:
     """Output burst after a hop with delay bound D: b' = b + r*D."""
-    if hop_delay_us < 0:
-        raise ValueError("hop delay must be non-negative")
     return burst_B + ceil_div(rate_Bps * hop_delay_us, US_PER_S)

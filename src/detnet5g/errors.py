@@ -14,23 +14,7 @@ class Unreachable(DetnetError):
 
 
 class Unschedulable(DetnetError):
-    """A class gets less residual rate than it needs, or no fixed point exists."""
-
-
-class NoUplinkSlots(DetnetError):
-    """The TDD pattern has no usable uplink slot."""
-
-
-class NoDownlinkSlots(DetnetError):
-    """The TDD pattern has no usable downlink slot."""
-
-
-class RateExceedsCapacity(DetnetError):
-    """A flow's rate exceeds the UE's TDD-limited capacity."""
-
-
-class UnknownUe(DetnetError):
-    """UE id not present in the transit node registry."""
+    """A class or a UE direction lacks the rate a flow needs, or no fixed point exists."""
 
 
 class UnknownFlow(DetnetError):

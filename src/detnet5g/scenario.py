@@ -105,7 +105,8 @@ def _positive_int(obj, path: str) -> int:
 
 def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
     """Fail on a key not in `keys` or an unsupported `schema_version`; `path` is "" at the top."""
-    if not keys.issuperset(obj) or obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    version = obj.get("schema_version", SCHEMA_VERSION)  # `true` and `1.0` equal 1, yet fail
+    if not keys.issuperset(obj) or type(version) is not int or version != SCHEMA_VERSION:
         at = f"{path}." if path else ""
         for key in obj:
             if key not in keys:

@@ -45,8 +45,6 @@ Link = tuple[PortId, PortId]
 
 def make_link(a: PortId, b: PortId) -> Link:
     """Canonical undirected link: endpoints in sorted order."""
-    if a == b:
-        raise ValueError(f"link endpoints must differ, got {a}")
     return (a, b) if a <= b else (b, a)
 
 
@@ -165,22 +163,12 @@ class Topology:
     def profile(self, node: str) -> SwitchProfile:
         return self.switches[node]
 
-    def attachment(self, node_id: str) -> tuple[str, PortId | None]:
-        """Resolve an endpoint to (attachment switch, final egress port).
-
-        Hosts and UEs attach via a switch port; a switch resolves to
-        itself with no final hop.
-        """
+    def attachment(self, node_id: str) -> PortId:
+        """The switch port a host or UE hangs off; a packet for it leaves there."""
         if node_id in self.hosts:
-            port = self.hosts[node_id]
-            return port.node, port
-        if self.transit is not None and node_id in self.transit.ues:
-            port = self.transit.attach
-            if port is None or port.node not in self.switches:
-                raise Unreachable(f"transit node attachment missing for {node_id}")
-            return port.node, port
-        if node_id in self.switches:
-            return node_id, None
+            return self.hosts[node_id]
+        if self.is_ue(node_id):
+            return self.transit.attach
         raise Unreachable(f"unknown endpoint {node_id!r}")
 
     def is_ue(self, node_id: str) -> bool:
@@ -255,20 +243,17 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
 def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[PortId]:
     """Ordered egress ports a packet queues at along the unique tree path.
 
-    One entry per switch-to-switch hop (the upstream switch's port), plus
-    the destination's attachment port as the final hop.  An empty list
-    means src and dst are the same endpoint.  The hops come from the tree's
-    route table (built by its first query): the source side climbs to the
-    lowest common ancestor through each switch's port toward its parent,
+    `src` and `dst` are two different hosts or UEs.  One entry per
+    switch-to-switch hop (the upstream switch's port), plus the
+    destination's attachment port as the final hop.  The hops come from the
+    tree's route table (built by its first query): the source side climbs to
+    the lowest common ancestor through each switch's port toward its parent,
     and the destination side's climb gives the parents' ports toward it,
     taken in reverse.
     """
-    if src == dst:
-        return []
-    src_switch, _ = topo.attachment(src)
-    dst_switch, dst_port = topo.attachment(dst)
-    if src_switch not in topo.switches or dst_switch not in topo.switches:
-        raise Unreachable(f"attachment switch missing for {src!r} or {dst!r}")
+    src_switch = topo.attachment(src).node
+    dst_port = topo.attachment(dst)
+    dst_switch = dst_port.node
 
     hops: list[PortId] = []
     if src_switch != dst_switch:
@@ -296,6 +281,5 @@ def path_in_tree(topo: Topology, tree: VlanTree, src: str, dst: str) -> list[Por
             a_parent, a_up, _, _ = routes[a]
             b_parent, _, b_down, _ = routes[b]
         hops.extend(reversed(down))
-    if dst_port is not None:
-        hops.append(dst_port)
+    hops.append(dst_port)
     return hops

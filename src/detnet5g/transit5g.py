@@ -8,6 +8,10 @@ case latencies come from sweeping the arrival slot over one pattern
 period: the worst case takes the arrival just after a slot start, the
 best case just before the slot ends.
 
+This module holds the arithmetic, capacity and sweep; admission
+(`NetworkState._terms`) checks a flow against the capacity before it asks
+for the flow's contract.
+
 Internally everything is integer nanoseconds (a mu=4 slot is 62.5 us);
 reported bounds are microseconds, rounded up for the worst case and down
 for the best case so both stay conservative.
@@ -18,12 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import (
-    NoDownlinkSlots,
-    NoUplinkSlots,
-    RateExceedsCapacity,
-    UnknownUe,
-)
 from .units import NS_PER_S, ceil_div, ns_to_us_ceil, ns_to_us_floor
 
 SLOT_KINDS = "DUSF"
@@ -104,12 +102,6 @@ class TransitNode5G:
     ues: dict[str, UeRecord] = field(default_factory=dict)
     attach: tuple | None = None  # PortId of the switch port the NW-TT feeds
 
-    def ue(self, ue_id: str) -> UeRecord:
-        try:
-            return self.ues[ue_id]
-        except KeyError:
-            raise UnknownUe(ue_id) from None
-
 
 @dataclass(frozen=True)
 class TransitContract:
@@ -166,28 +158,16 @@ def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple
 def transit_contract(
     node: TransitNode5G, ue_id: str, direction: str, burst_B: int, rate_Bps: int
 ) -> TransitContract:
-    """Delay bound and jitter the 5G segment reports for one flow.
+    """Delay bound and best case the 5G segment reports for one flow.
 
-    The flow is validated against the direction's capacity, then one arrival
-    sweep gives both cases.  The jitter is worst minus best case of that
-    sweep; the best case is the infimum, so simulated latencies always fall
-    inside [best_case_us, delay_bound_us].
+    One arrival sweep gives both cases; the best case is the infimum, so
+    simulated latencies always fall inside [best_case_us, delay_bound_us].
+    The flow must fit: a known UE, a positive burst, and a direction with a
+    usable slot and room for `rate_Bps`, which the sweep does not read.
     """
-    ue = node.ue(ue_id)
-    if direction not in (UPLINK, DOWNLINK):
-        raise ValueError(f"direction must be '{UPLINK}' or '{DOWNLINK}'")
-    if burst_B <= 0:
-        raise ValueError("burst must be positive")
-    tdd = node.tdd
-    uplink = direction == UPLINK
-    tbs = ue.tbs_ul_B if uplink else ue.tbs_dl_B
-    cap = _capacity_Bps(tdd, tbs, direction)
-    if cap == 0:
-        raise NoUplinkSlots(tdd.pattern) if uplink else NoDownlinkSlots(tdd.pattern)
-    if rate_Bps > cap:
-        name = "uplink" if uplink else "downlink"
-        raise RateExceedsCapacity(f"rate {rate_Bps} B/s > {name} capacity {cap} B/s")
-    worst_ns, best_ns = _sweep_ns(tdd, direction, tbs, burst_B)
+    ue = node.ues[ue_id]
+    tbs = ue.tbs_ul_B if direction == UPLINK else ue.tbs_dl_B
+    worst_ns, best_ns = _sweep_ns(node.tdd, direction, tbs, burst_B)
     return TransitContract(
         delay_bound_us=ns_to_us_ceil(worst_ns), best_case_us=ns_to_us_floor(best_ns)
     )

@@ -52,12 +52,9 @@ def cold_aggregates(state) -> dict:
 def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:
     """The earlier `path_in_tree`, kept as the oracle: a BFS from the source
     switch over the tree's adjacency, rebuilt on every call."""
-    if src == dst:
-        return []
-    src_switch, _ = topo.attachment(src)
-    dst_switch, dst_port = topo.attachment(dst)
-    if src_switch not in topo.switches or dst_switch not in topo.switches:
-        raise Unreachable(f"attachment switch missing for {src!r} or {dst!r}")
+    src_switch = topo.attachment(src).node
+    dst_port = topo.attachment(dst)
+    dst_switch = dst_port.node
 
     hops: list[PortId] = []
     if src_switch != dst_switch:
@@ -85,8 +82,7 @@ def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:
             rev.append(egress)
             node = prev
         hops.extend(reversed(rev))
-    if dst_port is not None:
-        hops.append(dst_port)
+    hops.append(dst_port)
     return hops
 
 

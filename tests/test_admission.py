@@ -80,14 +80,41 @@ class TestRegisterFlow:
         dup = state.register_flow(spec())
         assert (dup.accepted, dup.reason) == (False, "InvalidSpec")
 
-    def test_uplink_capacity_aggregated_per_ue(self):
+    # admission is the only check of a UE's TDD capacity: under DDDSU at mu=1
+    # UE1's uplink carries 600,000 B/s and UE2's downlink 4,800,000 B/s
+    UE_DIRECTIONS = [("UE1", "D", "uplink", "UE1", 600_000),
+                     ("G", "UE2", "downlink", "UE2", 4_800_000)]
+
+    @pytest.mark.parametrize("src, dst, name, ue, capacity", UE_DIRECTIONS,
+                             ids=["uplink", "downlink"])
+    def test_capacity_aggregated_per_ue(self, src, dst, name, ue, capacity):
         topo = ring_topology(profile=SwitchProfile(link_rate_Bps=10_000_000))
         state = NetworkState(topo)
-        ok = state.register_flow(spec(fid="f1", rate=350_000, burst=1_500, pkt=1_500))
+        rate = capacity * 7 // 12  # one fits, two do not
+        ok = state.register_flow(spec(fid="f1", src=src, dst=dst, rate=rate, burst=1_500,
+                                      pkt=1_500))
         assert ok.accepted
-        over = state.register_flow(spec(fid="f2", rate=350_000, burst=1_500, pkt=1_500))
-        assert not over.accepted
-        assert over.reason == "Unschedulable"
+        before = state.snapshot()
+        over = state.register_flow(spec(fid="f2", src=src, dst=dst, rate=rate, burst=1_500,
+                                        pkt=1_500))
+        assert (over.accepted, over.reason, over.detail) == (
+            False, "Unschedulable", f"aggregate {name} rate of {ue} exceeds TDD capacity")
+        assert state.snapshot() == before
+
+    @pytest.mark.parametrize("src, dst, name, ue, capacity", UE_DIRECTIONS,
+                             ids=["uplink", "downlink"])
+    def test_flow_alone_above_capacity(self, src, dst, name, ue, capacity):
+        state = NetworkState(ring_topology(profile=SwitchProfile(link_rate_Bps=10_000_000)))
+        at = state.register_flow(spec(fid="at", src=src, dst=dst, rate=capacity, burst=1_500,
+                                      pkt=1_500))
+        assert at.accepted
+        state.remove_flow("at")
+        before = state.snapshot()
+        over = state.register_flow(spec(fid="over", src=src, dst=dst, rate=capacity + 1,
+                                        burst=1_500, pkt=1_500))
+        assert (over.accepted, over.reason, over.detail) == (
+            False, "Unschedulable", f"aggregate {name} rate of {ue} exceeds TDD capacity")
+        assert state.snapshot() == before
 
     @pytest.mark.parametrize("pattern, src, dst, name, ue", [
         ("DDDDD", "UE1", "D", "uplink", "UE1"),

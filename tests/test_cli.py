@@ -163,7 +163,12 @@ class TestAdmit:
         ({"flows": [], "flowz": []}, "flowz: unknown field"),
         ({"schema_version": 99, "flows": [orange_request()]},
          "schema_version: unsupported version 99"),
-    ], ids=["misspelled-version", "unknown-key", "version-99"])
+        # JSON `true` and `1.0` compare equal to 1 in Python, but are not version 1
+        ({"schema_version": True, "flows": [orange_request()]},
+         "schema_version: unsupported version True"),
+        ({"schema_version": 1.0, "flows": [orange_request()]},
+         "schema_version: unsupported version 1.0"),
+    ], ids=["misspelled-version", "unknown-key", "version-99", "version-true", "version-1.0"])
     def test_flows_file_header_exits_one(self, doc, message, topo_file, tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", doc)
         assert main(["admit", topo_file, flows]) == 1

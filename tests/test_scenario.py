@@ -52,6 +52,15 @@ def test_unknown_switch_in_link():
         load_topology(doc)
 
 
+def test_self_link_rejected_by_port_claim():
+    # `make_link` takes the loader's word that a link's two ends differ
+    doc = canonical_topology()
+    doc["links"].append(["S1.4", "S1.4"])
+    with pytest.raises(ScenarioInvalid,
+                       match=r"^topology\.links\[3\]: port S1\.4 already used by topology\.links\[3\]$"):
+        load_topology(doc)
+
+
 def test_port_reuse_rejected():
     doc = canonical_topology()
     doc["links"].append(["S1.1", "S3.4"])  # S1.1 already linked to S2.1
@@ -76,6 +85,21 @@ def test_bad_schema_version():
     doc["schema_version"] = 99
     with pytest.raises(ScenarioInvalid, match=r"^topology\.schema_version: unsupported version 99$"):
         load_topology(doc)
+    # JSON `true` and `1.0` compare equal to 1 in Python, but are not version 1
+    for version in (True, 1.0):
+        text = f"unsupported version {version!r}$"
+        doc = canonical_scenario()
+        doc["schema_version"] = version
+        with pytest.raises(ScenarioInvalid, match="^schema_version: " + text):
+            load_scenario(doc)
+        doc = canonical_scenario()
+        doc["topology"]["schema_version"] = version
+        with pytest.raises(ScenarioInvalid, match=r"^topology\.schema_version: " + text):
+            load_scenario(doc)
+        doc = canonical_topology()
+        doc["schema_version"] = version
+        with pytest.raises(ScenarioInvalid, match=r"^topology\.schema_version: " + text):
+            load_topology(doc)
 
 
 def test_duplicate_flow_ids_rejected():

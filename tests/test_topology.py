@@ -86,7 +86,10 @@ def reference_spanning_trees(topo, *, base_vlan=100, cap=64):
 
 
 def random_multigraph(rng) -> Topology:
-    """2-7 switches: a random spanning tree plus extra links, some parallel, rare self-links."""
+    """2-7 switches: a random spanning tree plus extra links, some parallel, rare self-links.
+
+    Host H<i> hangs off switch S<i>, so host pairs walk every switch pair.
+    """
     n = rng.randrange(2, 8)
     topo = Topology(switches={f"S{i}": SwitchProfile() for i in range(n)})
     next_port = dict.fromkeys(topo.switches, 0)
@@ -101,6 +104,8 @@ def random_multigraph(rng) -> Topology:
     for _ in range(rng.randrange(0, n + 3)):
         a, b = rng.sample(sorted(topo.switches), 2) if rng.random() < 0.9 else ["S0", "S0"]
         link(a, b)
+    for sid, port in next_port.items():
+        topo.hosts["H" + sid[1:]] = PortId(sid, port + 1)
     return topo
 
 
@@ -256,10 +261,6 @@ class TestPathInTree:
         hops = path_in_tree(ring, trees[0], "UE1", "D")
         assert hops == [PortId("S1", 2), PortId("S3", 3)]
 
-    def test_src_equals_dst_empty(self, ring):
-        trees, _ = enumerate_spanning_trees(ring)
-        assert path_in_tree(ring, trees[0], "D", "D") == []
-
     def test_unknown_endpoint(self, ring):
         trees, _ = enumerate_spanning_trees(ring)
         with pytest.raises(Unreachable):
@@ -267,19 +268,13 @@ class TestPathInTree:
         with pytest.raises(Unreachable):
             path_in_tree(ring, trees[0], "D", "nope")
 
-    def test_switch_endpoint_has_no_final_hop(self, ring):
-        trees, _ = enumerate_spanning_trees(ring)
-        assert path_in_tree(ring, trees[0], "S1", "S3") == [PortId("S1", 2)]
-        assert path_in_tree(ring, trees[0], "D", "S3") == []
-        assert path_in_tree(ring, trees[1], "S3", "S1") == [PortId("S3", 2), PortId("S2", 1)]
-
     @pytest.mark.parametrize("edges", [
         (),
         ((PortId("S1", 1), PortId("S2", 1)),),
     ], ids=["no-edges", "misses-S3"])
     def test_tree_missing_a_switch_is_unreachable(self, ring, edges):
         tree = VlanTree(vlan_id=100, tree_index=0, edges=edges)
-        for src, dst in (("D", "G"), ("G", "D"), ("UE1", "D"), ("S3", "S1")):
+        for src, dst in (("D", "G"), ("G", "D"), ("UE1", "D"), ("D", "UE2")):
             with pytest.raises(Unreachable):
                 path_in_tree(ring, tree, src, dst)
 
@@ -297,8 +292,19 @@ class TestPathInTree:
 
 
 def endpoints(topo):
+    """The hosts and UEs: the only endpoints a flow may have."""
     ues = sorted(topo.transit.ues) if topo.transit is not None else []
-    return sorted(topo.hosts) + ues + sorted(topo.switches)
+    return sorted(topo.hosts) + ues
+
+
+def switch_pairs(topo, pairs) -> set[tuple[str, str]]:
+    """The ordered pairs of different switches that endpoint `pairs` walk between."""
+    walked = {(topo.attachment(src).node, topo.attachment(dst).node) for src, dst in pairs}
+    return {(a, b) for a, b in walked if a != b}
+
+
+def all_switch_pairs(topo) -> set[tuple[str, str]]:
+    return {(a, b) for a in topo.switches for b in topo.switches if a != b}
 
 
 class TestPathOracle:
@@ -313,11 +319,12 @@ class TestPathOracle:
         topo = make()
         trees, _ = enumerate_spanning_trees(topo)
         nodes = endpoints(topo)
+        pairs = [(src, dst) for src in nodes for dst in nodes if src != dst]
+        assert switch_pairs(topo, pairs) == all_switch_pairs(topo)
         for tree in trees:
-            for src in nodes:
-                for dst in nodes:
-                    assert path_in_tree(topo, tree, src, dst) == \
-                        reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
+            for src, dst in pairs:
+                assert path_in_tree(topo, tree, src, dst) == \
+                    reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
 
     def test_large_grid_at_tree_cap(self):
         topo = grid_topology(8, 8)
@@ -327,7 +334,7 @@ class TestPathOracle:
         rng = random.Random(8)
         for tree in trees:
             for _ in range(300):  # 19,200 checks in all
-                src, dst = rng.choice(nodes), rng.choice(nodes)
+                src, dst = rng.sample(nodes, 2)
                 assert path_in_tree(topo, tree, src, dst) == \
                     reference_path_in_tree(topo, tree, src, dst), (tree.vlan_id, src, dst)
 
@@ -339,6 +346,8 @@ class TestPathOracle:
         for _ in range(60):
             topo = random_multigraph(rng)
             trees, _ = enumerate_spanning_trees(topo, cap=8)
+            pairs = [(src, dst) for src in topo.hosts for dst in topo.hosts if src != dst]
+            assert switch_pairs(topo, pairs) == all_switch_pairs(topo)
             for tree in trees:
                 edges = list(tree.edges)
                 rng.shuffle(edges)
@@ -346,16 +355,15 @@ class TestPathOracle:
                     k = rng.randrange(len(edges))
                     del edges[k:k + rng.randrange(1, 3)]
                 shuffled = VlanTree(tree.vlan_id, tree.tree_index, tuple(edges))
-                for src in topo.switches:
-                    for dst in topo.switches:
-                        try:
-                            want = reference_path_in_tree(topo, shuffled, src, dst)
-                        except Unreachable:
-                            apart += 1
-                            with pytest.raises(Unreachable):
-                                path_in_tree(topo, shuffled, src, dst)
-                        else:
-                            assert path_in_tree(topo, shuffled, src, dst) == want
+                for src, dst in pairs:
+                    try:
+                        want = reference_path_in_tree(topo, shuffled, src, dst)
+                    except Unreachable:
+                        apart += 1
+                        with pytest.raises(Unreachable):
+                            path_in_tree(topo, shuffled, src, dst)
+                    else:
+                        assert path_in_tree(topo, shuffled, src, dst) == want
         assert apart > 0
 
     def test_fresh_list_each_call(self, ring):
@@ -383,7 +391,7 @@ class TestRouteTableLaziness:
         topo = grid_topology(4, 4)
         trees, _ = enumerate_spanning_trees(topo)
         for _ in range(3):
-            for src, dst in (("H00", "H33"), ("H33", "H00"), ("S12", "H21")):
+            for src, dst in (("H00", "H33"), ("H33", "H00"), ("H12", "H21")):
                 path_in_tree(topo, trees[5], src, dst)
         assert builds == [trees[5].edges]
         path_in_tree(topo, trees[6], "H00", "H33")
