@@ -52,7 +52,6 @@ from .calculus import (
 from .errors import (
     InvalidSpec,
     MalformedRequest,
-    NotA5GFlow,
     Unreachable,
     UnknownFlow,
     Unschedulable,
@@ -475,13 +474,6 @@ class NetworkState:
             e2e_bound_us=sum(hop_bounds) + terms.fixed_us,
         )
 
-    def _endpoint_kind(self, node_id: str) -> str:
-        if node_id in self.topology.hosts:
-            return "host"
-        if self.topology.is_ue(node_id):
-            return "ue"
-        raise Unreachable(f"endpoint {node_id!r} is not a host or UE")
-
     def _terms(self, spec: FlowSpec) -> _Terms:
         """The UL and DL contracts of the flow's UE ends, and its regulator and bound.
 
@@ -554,19 +546,11 @@ class NetworkState:
             spec.validate()
             if spec.flow_id in self._solver.placements:
                 raise InvalidSpec(f"flow id {spec.flow_id!r} already registered")
-            self._endpoint_kind(spec.src)
-            self._endpoint_kind(spec.dst)
-        except InvalidSpec as exc:
-            return Decision(False, reason="InvalidSpec", detail=str(exc))
-        except Unreachable as exc:
-            return Decision(False, reason="Unreachable", detail=str(exc))
-
-        try:
+            self.topology.attachment(spec.src)
+            self.topology.attachment(spec.dst)
             terms = self._terms(spec)
-        except Unschedulable as exc:
-            return Decision(False, reason="Unschedulable", detail=str(exc))
-        except InvalidSpec as exc:
-            return Decision(False, reason="InvalidSpec", detail=str(exc))
+        except (InvalidSpec, Unreachable, Unschedulable) as exc:
+            return Decision(False, reason=type(exc).__name__, detail=str(exc))
 
         reasons: dict[str, str] = {}  # reason -> detail of its first failed trial
         for cand in self._candidates(spec, terms):
@@ -681,36 +665,22 @@ class NetworkState:
             response.update(
                 vlan_id=a.vlan_id, pcp=a.priority_class, e2e_bound_us=a.e2e_bound_us
             )
+            pl = self._solver.placements[spec.flow_id]
             if self.topology.is_ue(spec.src):
-                response["nwtt_config"] = self.config_for_nwtt(spec.flow_id)
-            else:
-                response["host_config"] = self.config_for_host(spec.flow_id)
+                response["nwtt_config"] = self._nwtt_rule(spec.flow_id, pl).wire()
+            else:  # tagging and policing entry for the source host's middleware
+                response["host_config"] = {
+                    "flow_id": spec.flow_id,
+                    "match": {"src": spec.src, "dst": spec.dst},
+                    "vlan_id": pl.tree.vlan_id,
+                    "pcp": pl.priority,
+                    "policer": {"burst_B": spec.burst_B, "rate_Bps": spec.rate_Bps},
+                }
         else:
             response["reason"] = decision.reason
             if decision.detail:
                 response["detail"] = decision.detail
         return response
-
-    def config_for_nwtt(self, flow_id: str) -> dict:
-        """The flow's NW-TT rule (route + tag + regulator) as sent to the translator."""
-        pl = self._placement(flow_id)
-        if not self.topology.is_ue(pl.spec.src):
-            raise NotA5GFlow(flow_id)
-        return self._nwtt_rule(flow_id, pl).wire()
-
-    def config_for_host(self, flow_id: str) -> dict:
-        """Tagging + policing entry for the source host's middleware."""
-        pl = self._placement(flow_id)
-        spec = pl.spec
-        if self.topology.is_ue(spec.src):
-            raise NotA5GFlow(f"{flow_id}: source is a UE, configure the NW-TT instead")
-        return {
-            "flow_id": flow_id,
-            "match": {"src": spec.src, "dst": spec.dst},
-            "vlan_id": pl.tree.vlan_id,
-            "pcp": pl.priority,
-            "policer": {"burst_B": spec.burst_B, "rate_Bps": spec.rate_Bps},
-        }
 
     def nwtt_rules(self) -> NwttConfig:
         """Aggregate NW-TT ruleset over all admitted 5G-sourced flows."""

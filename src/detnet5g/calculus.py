@@ -56,9 +56,9 @@ class PortClassState(NamedTuple):
     never carries registered flows.  ``lmax_floor_B`` accounts for
     unannounced lower-priority traffic (e.g. background frames) that can
     occupy the link when a higher-class packet arrives.  The rate and the
-    forwarding delay table come from a `SwitchProfile`, which checked them
-    when the topology was loaded.  A named tuple, like `RateLatency`: one
-    is built per dirty port of every solver round.
+    forwarding delay table come from a `SwitchProfile`, whose fields the
+    topology loader checked.  A named tuple, like `RateLatency`: one is
+    built per dirty port of every solver round.
     """
 
     link_rate_Bps: int

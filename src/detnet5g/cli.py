@@ -118,7 +118,7 @@ def cmd_admit(args) -> int:
 
 
 def _write_run(result, out: Path, scenario_name: str) -> tuple[Path, Path]:
-    stem = f"{scenario_name}_{result.dejitter_mode}_seed{result.seed}"
+    stem = f"{scenario_name}_{result.report['dejitter']}_seed{result.report['seed']}"
     trace_path = out / f"{stem}_trace.csv"
     report_path = out / f"{stem}_report.json"
     write_trace(trace_path, result.trace_rows)
@@ -134,8 +134,7 @@ def cmd_run(args) -> int:
         off, on = compare_dejitter(scenario, seed=args.seed)
         results = [off, on]
         summary = dejitter_summary(off, on)
-        seed = off.seed
-        summary_path = out / f"{scenario.name}_seed{seed}_dejitter_summary.json"
+        summary_path = out / f"{scenario.name}_seed{summary['seed']}_dejitter_summary.json"
         write_report(summary_path, summary)
         print(f"wrote {summary_path}")
     else:
@@ -145,6 +144,7 @@ def cmd_run(args) -> int:
     for result in results:
         trace_path, report_path = _write_run(result, out, scenario.name)
         violations = result.report["violations"]["total"]
+        mode = result.report["dejitter"]
         violation_total += violations
         print(f"wrote {trace_path}")
         print(f"wrote {report_path}")
@@ -153,10 +153,10 @@ def cmd_run(args) -> int:
             shown = f"max={lat['max']}us jitter={flow['jitter_us']}us" if lat else "no packets received"
             bound = flow["e2e_bound_us"]
             bound_txt = f" bound={bound}us" if bound is not None else ""
-            print(f"  [{result.dejitter_mode}] {fid}: sent={flow['sent']} "
+            print(f"  [{mode}] {fid}: sent={flow['sent']} "
                   f"received={flow['received']} dropped={flow['dropped']} "
                   f"{shown}{bound_txt} violations={flow['bound_violations']}")
-        print(f"  [{result.dejitter_mode}] total bound violations: {violations}")
+        print(f"  [{mode}] total bound violations: {violations}")
     return EXIT_VIOLATION if violation_total else EXIT_OK
 
 

@@ -21,10 +21,6 @@ class UnknownFlow(DetnetError):
     """Flow id not present in the flow registry."""
 
 
-class NotA5GFlow(DetnetError):
-    """The flow does not traverse the 5G segment."""
-
-
 class InvalidSpec(DetnetError):
     """A flow spec violates its own invariants."""
 

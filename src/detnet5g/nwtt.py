@@ -33,18 +33,12 @@ BEST_EFFORT = BestEffort()
 
 @dataclass(frozen=True)
 class RegulatorConfig:
+    """As loaded: a non-negative hold, a positive release period and capacity."""
+
     hold_us: int
     release_period_us: int
     queue_cap_pkts: int = 64
     per_class: bool = False
-
-    def __post_init__(self):
-        if self.release_period_us <= 0:
-            raise ValueError("release period must be positive")
-        if self.queue_cap_pkts < 1:
-            raise ValueError("queue capacity must be at least one packet")
-        if self.hold_us < 0:
-            raise ValueError("hold time must be non-negative")
 
 
 def regulator_delay_bound(cfg: RegulatorConfig, burst_B: int, max_pkt_B: int) -> int:

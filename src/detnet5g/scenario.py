@@ -16,7 +16,7 @@ from .admission import DEFAULT_MAX_PKT_B, WIRE_FIELDS, FlowSpec
 from .errors import ScenarioInvalid
 from .nwtt import RegulatorConfig
 from .topology import PortId, SwitchProfile, Topology, make_link
-from .transit5g import TddConfig, TransitNode5G, UeRecord
+from .transit5g import SLOT_KINDS, TddConfig, TransitNode5G, UeRecord
 
 SCHEMA_VERSION = 1
 
@@ -103,6 +103,13 @@ def _positive_int(obj, path: str) -> int:
     return value
 
 
+def _non_negative_int(obj, path: str) -> int:
+    value = _expect(obj, path, int)
+    if value < 0:
+        _fail(path, "must be non-negative")
+    return value
+
+
 def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
     """Fail on a key not in `keys` or an unsupported `schema_version`; `path` is "" at the top."""
     version = obj.get("schema_version", SCHEMA_VERSION)  # `true` and `1.0` equal 1, yet fail
@@ -139,20 +146,20 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             _fail(f"{p}.id", f"duplicate switch id {sid!r}")
         class_count = _expect(sw.get("class_count"), f"{p}.class_count", int,
                               optional=True, default=8)
+        if class_count < 2:
+            _fail(f"{p}.class_count", "must be at least 2")
         fwd = sw.get("fwd_delay_us", [0] * class_count)
         _expect(fwd, f"{p}.fwd_delay_us", list)
         for k, delay in enumerate(fwd):
-            if _expect(delay, f"{p}.fwd_delay_us[{k}]", int) < 0:
-                _fail(f"{p}.fwd_delay_us[{k}]", "must be non-negative")
-        try:
-            topo.switches[sid] = SwitchProfile(
-                link_rate_Bps=_positive_int(sw.get("link_rate_Bps"), f"{p}.link_rate_Bps"),
-                fwd_delay_us=tuple(fwd),
-                port_buffer_B=_positive_int(sw.get("port_buffer_B"), f"{p}.port_buffer_B"),
-                class_count=class_count,
-            )
-        except ValueError as exc:
-            _fail(p, str(exc))
+            _non_negative_int(delay, f"{p}.fwd_delay_us[{k}]")
+        if len(fwd) < class_count:
+            _fail(f"{p}.fwd_delay_us", f"must have an entry for each of the {class_count} classes")
+        topo.switches[sid] = SwitchProfile(
+            link_rate_Bps=_positive_int(sw.get("link_rate_Bps"), f"{p}.link_rate_Bps"),
+            fwd_delay_us=tuple(fwd),
+            port_buffer_B=_positive_int(sw.get("port_buffer_B"), f"{p}.port_buffer_B"),
+            class_count=class_count,
+        )
 
     used_ports: dict = {}
 
@@ -192,21 +199,28 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         _expect(t5g, p, dict)
         _known_keys(t5g, p, TRANSIT5G_KEYS)
         pattern = _expect(t5g.get("tdd_pattern"), f"{p}.tdd_pattern", str)
-        try:
-            tdd = TddConfig(
-                pattern=pattern,
-                numerology_mu=_expect(t5g.get("numerology"), f"{p}.numerology", int,
-                                      optional=True, default=1),
-                grant_delay_slots=_expect(t5g.get("grant_delay_slots"),
-                                          f"{p}.grant_delay_slots", int,
-                                          optional=True, default=0),
-                s_slot_usable_ul=_expect(t5g.get("s_slot_usable_ul"), f"{p}.s_slot_usable_ul",
-                                         bool, optional=True, default=False),
-                s_slot_usable_dl=_expect(t5g.get("s_slot_usable_dl"), f"{p}.s_slot_usable_dl",
-                                         bool, optional=True, default=True),
-            )
-        except ValueError as exc:
-            _fail(p, str(exc))
+        if not pattern:
+            _fail(f"{p}.tdd_pattern", "must be non-empty")
+        bad = sorted(set(pattern) - set(SLOT_KINDS))
+        if bad:
+            _fail(f"{p}.tdd_pattern", f"unknown slot kinds {bad}")
+        numerology = _expect(t5g.get("numerology"), f"{p}.numerology", int,
+                             optional=True, default=1)
+        if not 0 <= numerology <= 4:
+            _fail(f"{p}.numerology", "must be in 0..4")
+        grant_delay = _expect(t5g.get("grant_delay_slots"), f"{p}.grant_delay_slots", int,
+                              optional=True, default=0)
+        if grant_delay < 0:
+            _fail(f"{p}.grant_delay_slots", "must be non-negative")
+        tdd = TddConfig(
+            pattern=pattern,
+            numerology_mu=numerology,
+            grant_delay_slots=grant_delay,
+            s_slot_usable_ul=_expect(t5g.get("s_slot_usable_ul"), f"{p}.s_slot_usable_ul",
+                                     bool, optional=True, default=False),
+            s_slot_usable_dl=_expect(t5g.get("s_slot_usable_dl"), f"{p}.s_slot_usable_dl",
+                                     bool, optional=True, default=True),
+        )
         attach = _port(t5g.get("attach"), f"{p}.attach")
         if attach.node not in topo.switches:
             _fail(f"{p}.attach", f"unknown switch {attach.node!r}")
@@ -220,14 +234,11 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             uid = _expect(ue.get("id"), f"{q}.id", str)
             if uid in ues or uid in topo.hosts or uid in topo.switches:
                 _fail(f"{q}.id", f"duplicate node id {uid!r}")
-            try:
-                ues[uid] = UeRecord(
-                    ue_id=uid,
-                    tbs_ul_B=_positive_int(ue.get("tbs_ul_B"), f"{q}.tbs_ul_B"),
-                    tbs_dl_B=_positive_int(ue.get("tbs_dl_B"), f"{q}.tbs_dl_B"),
-                )
-            except ValueError as exc:
-                _fail(q, str(exc))
+            ues[uid] = UeRecord(
+                ue_id=uid,
+                tbs_ul_B=_positive_int(ue.get("tbs_ul_B"), f"{q}.tbs_ul_B"),
+                tbs_dl_B=_positive_int(ue.get("tbs_dl_B"), f"{q}.tbs_dl_B"),
+            )
         topo.transit = TransitNode5G(tdd=tdd, ues=ues, attach=attach)
     return topo
 
@@ -235,18 +246,19 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
 def _load_regulator(obj, path: str) -> RegulatorConfig:
     _expect(obj, path, dict)
     _known_keys(obj, path, REGULATOR_KEYS)
-    try:
-        return RegulatorConfig(
-            hold_us=_expect(obj.get("hold_us"), f"{path}.hold_us", int),
-            release_period_us=_positive_int(obj.get("release_period_us"),
-                                            f"{path}.release_period_us"),
-            queue_cap_pkts=_expect(obj.get("queue_cap_pkts"), f"{path}.queue_cap_pkts",
-                                   int, optional=True, default=64),
-            per_class=_expect(obj.get("per_class"), f"{path}.per_class", bool,
-                              optional=True, default=False),
-        )
-    except ValueError as exc:
-        _fail(path, str(exc))
+    hold_us = _non_negative_int(obj.get("hold_us"), f"{path}.hold_us")
+    release_period_us = _positive_int(obj.get("release_period_us"), f"{path}.release_period_us")
+    queue_cap = _expect(obj.get("queue_cap_pkts"), f"{path}.queue_cap_pkts", int,
+                        optional=True, default=64)
+    if queue_cap <= 0:
+        _fail(f"{path}.queue_cap_pkts", "must be positive")
+    return RegulatorConfig(
+        hold_us=hold_us,
+        release_period_us=release_period_us,
+        queue_cap_pkts=queue_cap,
+        per_class=_expect(obj.get("per_class"), f"{path}.per_class", bool,
+                          optional=True, default=False),
+    )
 
 
 def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceModel:
@@ -261,10 +273,8 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
         _positive_int(obj.get(key), f"{path}.{key}")
     if "count" in obj:  # `periodic` reads it too, as packets per period
         _positive_int(obj["count"], f"{path}.count")
-    if "offset_us" in obj:
-        # a source never sends before the run starts at t = 0
-        if _expect(obj["offset_us"], f"{path}.offset_us", int) < 0:
-            _fail(f"{path}.offset_us", "must be non-negative")
+    if "offset_us" in obj:  # a source never sends before the run starts at t = 0
+        _non_negative_int(obj["offset_us"], f"{path}.offset_us")
     if mode == "onoff_background" and obj.get("start", "on") not in ("on", "off"):
         _fail(f"{path}.start", "must be 'on' or 'off'")
     seed = _expect(obj.get("seed"), f"{path}.seed", int, optional=True)

@@ -198,8 +198,6 @@ class _Policer:
 
 @dataclass
 class RunResult:
-    seed: int
-    dejitter_mode: str
     decisions: list
     report: dict
     trace_rows: _TraceRows
@@ -763,8 +761,6 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
     }
 
     return RunResult(
-        seed=seed,
-        dejitter_mode=dejitter_mode,
         decisions=decisions,
         report=report,
         trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())]),
@@ -887,7 +883,7 @@ def compare_dejitter(scenario: Scenario, *, seed: int | None = None) -> tuple[Ru
 
 def dejitter_summary(off: RunResult, on: RunResult) -> dict:
     """Per-regulated-flow jitter/latency comparison of a paired run."""
-    summary = {"schema_version": 1, "seed": off.seed, "flows": {}}
+    summary = {"schema_version": 1, "seed": off.report["seed"], "flows": {}}
     admitted = on.state.flows()
     for fid, report_on in on.report["flows"].items():
         report_off = off.report["flows"][fid]

@@ -50,22 +50,16 @@ def make_link(a: PortId, b: PortId) -> Link:
 
 @dataclass(frozen=True)
 class SwitchProfile:
-    """Known per-device properties the controller relies on."""
+    """Known per-device properties the controller relies on.
+
+    As loaded: a positive rate and buffer, at least two classes, and a
+    non-negative forwarding delay for each class.
+    """
 
     link_rate_Bps: int = 125_000
     fwd_delay_us: tuple[int, ...] = (0,) * 8
     port_buffer_B: int = 32_768
     class_count: int = 8
-
-    def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError("switch needs at least two priority classes")
-        if self.link_rate_Bps <= 0 or self.port_buffer_B <= 0:
-            raise ValueError("link rate and buffer must be positive")
-        if len(self.fwd_delay_us) < self.class_count:
-            raise ValueError("forwarding delay table shorter than class count")
-        if any(d < 0 for d in self.fwd_delay_us):
-            raise ValueError("forwarding delays must be non-negative")
 
 
 # A switch's route table entry: (parent, up, down, depth), where `up` is the
@@ -107,7 +101,7 @@ def _build_routes(edges: tuple[Link, ...]) -> dict[str, _TreeHop]:
 
 @dataclass(frozen=True)
 class VlanTree:
-    """One spanning tree of the switch fabric, bound to a VLAN id."""
+    """One spanning tree of the switch fabric, bound to a VLAN id up to MAX_VLAN."""
 
     vlan_id: int
     tree_index: int
@@ -115,10 +109,6 @@ class VlanTree:
     # the route table, built by the first path query; outside eq, hash and repr
     _routes: dict[str, _TreeHop] | None = field(default=None, init=False, compare=False,
                                                  repr=False)
-
-    def __post_init__(self):
-        if not 1 <= self.vlan_id <= MAX_VLAN:
-            raise ValueError(f"VLAN id must be in 1..{MAX_VLAN}")
 
     @property
     def routes(self) -> dict[str, _TreeHop]:
@@ -169,7 +159,7 @@ class Topology:
             return self.hosts[node_id]
         if self.is_ue(node_id):
             return self.transit.attach
-        raise Unreachable(f"unknown endpoint {node_id!r}")
+        raise Unreachable(f"endpoint {node_id!r} is not a host or UE")
 
     def is_ue(self, node_id: str) -> bool:
         return self.transit is not None and node_id in self.transit.ues

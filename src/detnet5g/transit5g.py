@@ -20,9 +20,13 @@ for the best case so both stay conservative.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .units import NS_PER_S, ceil_div, ns_to_us_ceil, ns_to_us_floor
+
+if TYPE_CHECKING:  # topology imports this module
+    from .topology import PortId
 
 SLOT_KINDS = "DUSF"
 UPLINK = "ul"
@@ -34,7 +38,9 @@ class TddConfig:
     """Periodic slot pattern plus the knobs that shape latency.
 
     ``grant_delay_slots`` models the scheduling-request round trip; the
-    S-slot usability flags decide whether special slots carry payload.
+    S-slot usability flags decide whether special slots carry payload.  As
+    loaded: a non-empty pattern of SLOT_KINDS, numerology 0..4 and a
+    non-negative grant delay.
     """
 
     pattern: str
@@ -42,17 +48,6 @@ class TddConfig:
     grant_delay_slots: int = 0
     s_slot_usable_ul: bool = False
     s_slot_usable_dl: bool = True
-
-    def __post_init__(self):
-        if not self.pattern:
-            raise ValueError("TDD pattern must be non-empty")
-        bad = set(self.pattern) - set(SLOT_KINDS)
-        if bad:
-            raise ValueError(f"unknown slot kinds {sorted(bad)} in pattern")
-        if not 0 <= self.numerology_mu <= 4:
-            raise ValueError("numerology must be in 0..4")
-        if self.grant_delay_slots < 0:
-            raise ValueError("grant delay must be non-negative")
 
     @property
     def slot_ns(self) -> int:
@@ -83,15 +78,11 @@ class TddConfig:
 
 @dataclass(frozen=True)
 class UeRecord:
-    """Reported state of one attached UE; TBS values come from live MCS."""
+    """Reported state of one attached UE; positive TBS values from live MCS."""
 
     ue_id: str
     tbs_ul_B: int
     tbs_dl_B: int
-
-    def __post_init__(self):
-        if self.tbs_ul_B <= 0 or self.tbs_dl_B <= 0:
-            raise ValueError("TBS must be positive")
 
 
 @dataclass
@@ -99,8 +90,8 @@ class TransitNode5G:
     """The whole 5G system folded into one forwarding device."""
 
     tdd: TddConfig
-    ues: dict[str, UeRecord] = field(default_factory=dict)
-    attach: tuple | None = None  # PortId of the switch port the NW-TT feeds
+    ues: dict[str, UeRecord]
+    attach: PortId  # the switch port the NW-TT feeds
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def canonical_topology() -> dict:
 
 def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
     """`transit_contract`'s delay bound for one flow of `ue` alone under `tdd`."""
-    node = TransitNode5G(tdd, {ue.ue_id: ue})
+    node = TransitNode5G(tdd, {ue.ue_id: ue}, attach=PortId("S1", 3))
     return transit_contract(node, ue.ue_id, direction, burst_B, rate_Bps).delay_bound_us
 
 

@@ -180,7 +180,7 @@ def test_criterion_3_tdd_oracle_equivalence():
         burst = (n - 1) * tbs + 1
         tdd = TddConfig(pattern, numerology_mu=1, grant_delay_slots=gd)
         ue = UeRecord("u", tbs_ul_B=tbs, tbs_dl_B=tbs)
-        node = TransitNode5G(tdd, {"u": ue})
+        node = TransitNode5G(tdd, {"u": ue}, attach=PortId("S1", 3))
         for direction, capacity in ((UPLINK, ul_capacity), (DOWNLINK, dl_capacity)):
             expected = sweep_oracle(tdd, direction, tbs, burst)
             if expected is None:

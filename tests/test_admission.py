@@ -15,7 +15,7 @@ from detnet5g.admission import (
     _Terms,
 )
 from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
-from detnet5g.errors import MalformedRequest, NotA5GFlow, UnknownFlow, Unschedulable
+from detnet5g.errors import MalformedRequest, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
@@ -264,7 +264,13 @@ class TestFlowRequests:
         response = state.handle_flow_request(
             self.request(src="G", burst_B=1_500, max_pkt_B=1_500))
         assert response["accepted"] is True
-        assert response["host_config"]["policer"] == {"burst_B": 1_500, "rate_Bps": 12_500}
+        assert response["host_config"] == {
+            "flow_id": "f1",
+            "match": {"src": "G", "dst": "D"},
+            "vlan_id": 100,
+            "pcp": 7,
+            "policer": {"burst_B": 1_500, "rate_Bps": 12_500},
+        }
 
     def test_missing_burst_is_malformed(self, ring):
         state = NetworkState(ring)
@@ -297,23 +303,15 @@ class TestFlowRequests:
 class TestNwttConfig:
     def test_admitted_ue_flow(self, ring):
         state = NetworkState(ring)
-        state.register_flow(spec())
-        cfg = state.config_for_nwtt("f1")
+        cfg = state.handle_flow_request(asdict(spec()))["nwtt_config"]
         assert cfg["egress"] == "S1.3"
         assert cfg["vlan_id"] == 100
         assert cfg["pcp"] == 7
 
-    def test_host_flow_is_not_5g(self, ring):
-        state = NetworkState(ring)
-        state.register_flow(spec(fid="h", src="G", burst=1_500, pkt=1_500))
-        with pytest.raises(NotA5GFlow):
-            state.config_for_nwtt("h")
-
     def test_dejittered_flow_config_is_its_nwtt_rule(self, ring):
         reg = RegulatorConfig(hold_us=5_000, release_period_us=2_000, per_class=True)
         state = NetworkState(ring, default_regulator=reg)
-        state.register_flow(spec(dejitter=True))
-        cfg = state.config_for_nwtt("f1")
+        cfg = state.handle_flow_request(asdict(spec(dejitter=True)))["nwtt_config"]
         assert cfg == {
             "flow_id": "f1",
             "match": {"src": "UE1", "dst": "D"},

@@ -326,25 +326,25 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
 
 @pytest.mark.parametrize("mutate, path, message", [
     (lambda doc: doc["topology"]["switches"][0].update(class_count=1, fwd_delay_us=[0]),
-     "topology.switches[0]", "switch needs at least two priority classes"),
+     "topology.switches[0].class_count", "must be at least 2"),
     (lambda doc: doc["topology"]["switches"][0].update(fwd_delay_us=[0] * 3),
-     "topology.switches[0]", "forwarding delay table shorter than class count"),
+     "topology.switches[0].fwd_delay_us", "must have an entry for each of the 8 classes"),
     (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern="DX"),
-     "topology.transit5g", "unknown slot kinds ['X'] in pattern"),
+     "topology.transit5g.tdd_pattern", "unknown slot kinds ['X']"),
     (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern=""),
-     "topology.transit5g", "TDD pattern must be non-empty"),
+     "topology.transit5g.tdd_pattern", "must be non-empty"),
     (lambda doc: doc["topology"]["transit5g"].update(numerology=5),
-     "topology.transit5g", "numerology must be in 0..4"),
+     "topology.transit5g.numerology", "must be in 0..4"),
     (lambda doc: doc["topology"]["transit5g"].update(grant_delay_slots=-1),
-     "topology.transit5g", "grant delay must be non-negative"),
+     "topology.transit5g.grant_delay_slots", "must be non-negative"),
     (lambda doc: doc["nwtt"]["dejitter"].update(hold_us=-1),
-     "nwtt.dejitter", "hold time must be non-negative"),
+     "nwtt.dejitter.hold_us", "must be non-negative"),
     (lambda doc: doc["nwtt"]["dejitter"].update(queue_cap_pkts=0),
-     "nwtt.dejitter", "queue capacity must be at least one packet"),
+     "nwtt.dejitter.queue_cap_pkts", "must be positive"),
 ], ids=["one-class", "short-fwd-table", "slot-kind", "empty-pattern", "numerology",
         "grant-delay", "hold", "queue-cap"])
 def test_record_check_names_its_block(mutate, path, message):
-    # SwitchProfile, TddConfig and RegulatorConfig check these; the loader adds the path
+    # the records check nothing: the loader checks each field at its own path
     doc = canonical_scenario()
     mutate(doc)
     with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(f'{path}: {message}')}$"):

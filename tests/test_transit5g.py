@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+from detnet5g.topology import PortId
 from detnet5g.transit5g import (
     DOWNLINK,
     UPLINK,
@@ -96,7 +97,7 @@ class TestDownlink:
 
 class TestContract:
     def test_demo_pattern_min_max_of_sweep(self):
-        node = TransitNode5G(TddConfig("DDDSU", numerology_mu=1), {"UE1": ue()})
+        node = TransitNode5G(TddConfig("DDDSU", numerology_mu=1), {"UE1": ue()}, attach=PortId("S1", 3))
         contract = transit_contract(node, "UE1", UPLINK, 1250, 12_500)
         assert contract.delay_bound_us == 3_000
         assert contract.best_case_us == 500
@@ -105,7 +106,7 @@ class TestContract:
     def test_uniform_pattern_slot_granular_spread(self):
         # every arrival slot behaves identically; the remaining spread is the
         # in-slot arrival position, exactly one slot
-        node = TransitNode5G(TddConfig("UUUUU", numerology_mu=1), {"UE1": ue()})
+        node = TransitNode5G(TddConfig("UUUUU", numerology_mu=1), {"UE1": ue()}, attach=PortId("S1", 3))
         contract = transit_contract(node, "UE1", UPLINK, 1250, 12_500)
         assert contract.delay_bound_us == 1_000
         assert contract.best_case_us == 500
