@@ -51,10 +51,13 @@ from .calculus import (
 )
 from .errors import (
     InvalidSpec,
-    MalformedRequest,
     Unreachable,
     UnknownFlow,
     Unschedulable,
+    _expect,
+    _fail,
+    _known_keys,
+    _positive_int,
 )
 from .nwtt import NwttConfig, NwttRule, RegulatorConfig, regulator_delay_bound
 from .topology import (
@@ -70,14 +73,18 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_PKT_B = 1500  # largest unannounced frame that can block a higher class
 SOLVER_ITER_CAP = 100
-# a flow request's required fields and their types; `dejitter` is optional
-WIRE_FIELDS = {"flow_id": str, "src": str, "dst": str, "rate_Bps": int, "burst_B": int,
-               "max_pkt_B": int, "deadline_us": int}
+# the keys a flow request may carry; all but `dejitter` are required
+WIRE_KEYS = frozenset(("flow_id", "src", "dst", "rate_Bps", "burst_B", "max_pkt_B",
+                       "deadline_us", "dejitter"))
 
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Traffic specification of an admission request."""
+    """Traffic specification of an admission request.
+
+    As read by `read_flow_spec`: a non-empty id, two distinct ends, positive
+    sizes, rate and deadline, and a burst of at least one packet.
+    """
 
     flow_id: str
     src: str
@@ -88,19 +95,40 @@ class FlowSpec:
     deadline_us: int
     dejitter: bool = False
 
-    def validate(self) -> None:
-        if not self.flow_id:
-            raise InvalidSpec("flow_id must be non-empty")
-        if self.src == self.dst:
-            raise InvalidSpec("source and destination must differ")
-        if self.rate_Bps <= 0:
-            raise InvalidSpec("rate_Bps must be positive")
-        if self.max_pkt_B <= 0:
-            raise InvalidSpec("max_pkt_B must be positive")
-        if self.burst_B < self.max_pkt_B:
-            raise InvalidSpec("burst_B must be at least max_pkt_B")
-        if self.deadline_us <= 0:
-            raise InvalidSpec("deadline_us must be positive")
+
+def read_endpoints(obj: dict, path: str) -> tuple[str, str, str]:
+    """(flow_id, src, dst) of a flow request or source entry: a non-empty id, two distinct ends."""
+    fid = _expect(obj.get("flow_id"), f"{path}.flow_id", str)
+    if not fid:
+        _fail(f"{path}.flow_id", "must be non-empty")
+    src = _expect(obj.get("src"), f"{path}.src", str)
+    dst = _expect(obj.get("dst"), f"{path}.dst", str)
+    if dst == src:
+        _fail(f"{path}.dst", "must differ from src")
+    return fid, src, dst
+
+
+def read_flow_spec(obj: dict, path: str) -> FlowSpec:
+    """The FlowSpec of a flow request, each field checked at its own path under `path`.
+
+    The one reader of a request's fields: the scenario loader's flow entries
+    and `NetworkState.handle_flow_request` both call it.  Whether the ends
+    exist and the id is new is the caller's to check.
+    """
+    fid, src, dst = read_endpoints(obj, path)
+    spec = FlowSpec(
+        flow_id=fid,
+        src=src,
+        dst=dst,
+        rate_Bps=_positive_int(obj.get("rate_Bps"), f"{path}.rate_Bps"),
+        burst_B=_positive_int(obj.get("burst_B"), f"{path}.burst_B"),
+        max_pkt_B=_positive_int(obj.get("max_pkt_B"), f"{path}.max_pkt_B"),
+        deadline_us=_positive_int(obj.get("deadline_us"), f"{path}.deadline_us"),
+        dejitter=_expect(obj.get("dejitter", False), f"{path}.dejitter", bool),
+    )
+    if spec.burst_B < spec.max_pkt_B:
+        _fail(f"{path}.burst_B", f"must be at least max_pkt_B ({spec.max_pkt_B})")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -543,7 +571,6 @@ class NetworkState:
     def register_flow(self, spec: FlowSpec) -> Decision:
         """Admit a flow or reject it, leaving the registry untouched on reject."""
         try:
-            spec.validate()
             if spec.flow_id in self._solver.placements:
                 raise InvalidSpec(f"flow id {spec.flow_id!r} already registered")
             self.topology.attachment(spec.src)
@@ -633,26 +660,14 @@ class NetworkState:
 
     # ------------------------------------------------------------------ wire surface
 
-    def handle_flow_request(self, request: dict) -> dict:
-        """Validate a wire-format request, run admission, shape the response."""
-        if not isinstance(request, dict):
-            raise MalformedRequest("request must be an object")
-        unknown = [repr(name) for name in request if name not in WIRE_FIELDS and name != "dejitter"]
-        if unknown:
-            raise MalformedRequest(f"unknown field {', '.join(unknown)}")
-        values = {}
-        for name, kind in WIRE_FIELDS.items():
-            if name not in request:
-                raise MalformedRequest(f"missing field {name!r}")
-            value = request[name]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise MalformedRequest(f"field {name!r} must be {kind.__name__}")
-            values[name] = value
-        dejitter = request.get("dejitter", False)
-        if not isinstance(dejitter, bool):
-            raise MalformedRequest("field 'dejitter' must be a boolean")
+    def handle_flow_request(self, request: dict, path: str = "request") -> dict:
+        """Check a wire-format request, run admission, shape the response.
 
-        spec = FlowSpec(dejitter=dejitter, **values)
+        A malformed field raises ScenarioInvalid at its path under `path`;
+        a request that conflicts with the registry or the network is a reject.
+        """
+        _known_keys(_expect(request, path, dict), path, WIRE_KEYS)
+        spec = read_flow_spec(request, path)
         decision = self.register_flow(spec)
         response: dict = {
             "schema_version": 1,
@@ -704,10 +719,6 @@ class NetworkState:
 
     # ------------------------------------------------------------------ introspection
 
-    def aggregates(self) -> dict:
-        """Port/class aggregates of the committed fixed point, in canonical form."""
-        return _canonical_aggregates(self._solver)
-
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:
         """Per-port, per-class backlog bounds implied by the current registry."""
         out: dict[PortId, dict[int, int]] = {}
@@ -715,22 +726,3 @@ class NetworkState:
             state = _port_state(self.topology, port, classes)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out
-
-    def snapshot(self) -> dict:
-        """Deep, comparable image of registry + cache for atomicity checks."""
-        return {"flows": self.flows(), "aggregates": self.aggregates()}
-
-
-def _canonical_aggregates(st: _SolverState) -> dict:
-    """Each port's class aggregates with the class's member flows, sorted."""
-    members: dict[tuple[PortId, int], list[str]] = {}
-    for fid, pl in st.placements.items():
-        for port in pl.hops:
-            members.setdefault((port, pl.priority), []).append(fid)
-    return {
-        str(port): {
-            cls: (agg.burst_B, agg.rate_Bps, agg.max_pkt_B, tuple(sorted(members[port, cls])))
-            for cls, agg in sorted(per_cls.items())
-        }
-        for port, per_cls in sorted(st.aggregates.items())
-    }

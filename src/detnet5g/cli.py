@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .admission import NetworkState
-from .errors import AdmissionMissing, DetnetError, MalformedRequest, ScenarioInvalid
-from .scenario import (FLOWS_FILE_KEYS, _expect, _known_keys, load_scenario_file,
-                       load_topology_file, open_input, read_json)
+from .errors import AdmissionMissing, DetnetError, ScenarioInvalid, _expect, _known_keys
+from .scenario import (FLOWS_FILE_KEYS, load_scenario_file, load_topology_file, open_input,
+                       read_json)
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -69,30 +69,24 @@ def cmd_trees(args) -> int:
 
 def cmd_admit(args) -> int:
     topo = load_topology_file(args.topology)
-    doc = read_json(args.flows)
-    if not isinstance(doc, dict) or not isinstance(doc.get("flows"), list):
-        raise ScenarioInvalid(f"{args.flows}: expected an object with a 'flows' list")
+    doc = _expect(read_json(args.flows), args.flows, dict)
     try:
         _known_keys(doc, "", FLOWS_FILE_KEYS)
     except ScenarioInvalid as exc:
         raise ScenarioInvalid(f"{args.flows}: {exc}") from None
+    flows = _expect(doc.get("flows"), f"{args.flows}: flows", list)
     state = NetworkState(topo)
     if state.trees_truncated:
         print(f"note: VLAN tree enumeration stopped at its cap of {len(state.trees)} trees; "
               "placements use only those", file=sys.stderr)
     responses = []
     critical_rejected = False
-    for i, item in enumerate(doc["flows"]):
+    for i, item in enumerate(flows):
         where = f"{args.flows}: flows[{i}]"
-        if not isinstance(item, dict):
-            raise MalformedRequest(f"{where}: flow entries must be objects")
-        critical = _expect(item.get("critical"), f"{where}.critical", bool,
-                           optional=True, default=False)
+        _expect(item, where, dict)
+        critical = _expect(item.get("critical", False), f"{where}.critical", bool)
         request = {k: v for k, v in item.items() if k != "critical"}
-        try:
-            response = state.handle_flow_request(request)
-        except MalformedRequest as exc:
-            raise MalformedRequest(f"{where}: {exc}") from None
+        response = state.handle_flow_request(request, where)
         if not args.json:
             print(f"request {request['flow_id']}: {request['src']} -> {request['dst']} "
                   f"rate={request['rate_Bps']}B/s burst={request['burst_B']}B "
@@ -260,7 +254,7 @@ def main(argv=None) -> int:
     except AdmissionMissing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (ScenarioInvalid, MalformedRequest) as exc:
+    except ScenarioInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DetnetError as exc:

@@ -12,13 +12,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .admission import DEFAULT_MAX_PKT_B, WIRE_FIELDS, FlowSpec
-from .errors import ScenarioInvalid
+from .admission import DEFAULT_MAX_PKT_B, WIRE_KEYS, FlowSpec, read_endpoints, read_flow_spec
+from .errors import (ScenarioInvalid, _expect, _fail, _known_keys, _non_negative_int,
+                     _positive_int)
 from .nwtt import RegulatorConfig
 from .topology import PortId, SwitchProfile, Topology, make_link
 from .transit5g import SLOT_KINDS, TddConfig, TransitNode5G, UeRecord
-
-SCHEMA_VERSION = 1
 
 # the keys each block may carry; any other key is an error, so that a
 # misspelled optional key cannot silently keep its default.  The keys of the
@@ -36,7 +35,7 @@ CLASSES_KEYS = frozenset(("count", "best_effort_class"))
 NWTT_KEYS = frozenset(("dejitter",))
 REGULATOR_KEYS = frozenset(("hold_us", "release_period_us", "queue_cap_pkts", "per_class"))
 SIM_KEYS = frozenset(("duration_ms", "seed", "sources", "snapshot_schedule"))
-FLOW_KEYS = frozenset((*WIRE_FIELDS, "dejitter", "critical", "source"))
+FLOW_KEYS = WIRE_KEYS | {"critical", "source"}
 # per source mode: the keys it requires, and every key it may carry
 SOURCE_KEYS = {
     mode: (required, frozenset((*required, *optional, "mode", "offset_us", "seed")))
@@ -82,45 +81,6 @@ class Scenario:
     name: str = "scenario"
 
 
-def _fail(path: str, message: str):
-    raise ScenarioInvalid(f"{path}: {message}")
-
-
-def _expect(obj, path: str, kind, *, optional=False, default=None):
-    if obj is None and optional:
-        return default
-    if kind is int and (not isinstance(obj, int) or isinstance(obj, bool)):
-        _fail(path, "must be an integer")
-    elif kind is not int and not isinstance(obj, kind):
-        _fail(path, f"must be {kind.__name__}")
-    return obj
-
-
-def _positive_int(obj, path: str) -> int:
-    value = _expect(obj, path, int)
-    if value <= 0:
-        _fail(path, "must be positive")
-    return value
-
-
-def _non_negative_int(obj, path: str) -> int:
-    value = _expect(obj, path, int)
-    if value < 0:
-        _fail(path, "must be non-negative")
-    return value
-
-
-def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
-    """Fail on a key not in `keys` or an unsupported `schema_version`; `path` is "" at the top."""
-    version = obj.get("schema_version", SCHEMA_VERSION)  # `true` and `1.0` equal 1, yet fail
-    if not keys.issuperset(obj) or type(version) is not int or version != SCHEMA_VERSION:
-        at = f"{path}." if path else ""
-        for key in obj:
-            if key not in keys:
-                _fail(at + key, "unknown field")
-        _fail(at + "schema_version", f"unsupported version {obj['schema_version']!r}")
-
-
 def _port(text, path: str) -> PortId:
     _expect(text, path, str)
     try:
@@ -144,8 +104,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         sid = _expect(sw.get("id"), f"{p}.id", str)
         if sid in topo.switches:
             _fail(f"{p}.id", f"duplicate switch id {sid!r}")
-        class_count = _expect(sw.get("class_count"), f"{p}.class_count", int,
-                              optional=True, default=8)
+        class_count = _expect(sw.get("class_count", 8), f"{p}.class_count", int)
         if class_count < 2:
             _fail(f"{p}.class_count", "must be at least 2")
         fwd = sw.get("fwd_delay_us", [0] * class_count)
@@ -179,8 +138,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             claim(end, p)
         topo.links.add(make_link(a, b))
 
-    for i, host in enumerate(_expect(obj.get("hosts"), f"{path}.hosts", list,
-                                     optional=True, default=[])):
+    for i, host in enumerate(_expect(obj.get("hosts", []), f"{path}.hosts", list)):
         p = f"{path}.hosts[{i}]"
         _expect(host, p, dict)
         _known_keys(host, p, HOST_KEYS)
@@ -193,8 +151,8 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         claim(attach, f"{p}.attach")
         topo.hosts[hid] = attach
 
-    t5g = obj.get("transit5g")
-    if t5g is not None:
+    if "transit5g" in obj:
+        t5g = obj["transit5g"]
         p = f"{path}.transit5g"
         _expect(t5g, p, dict)
         _known_keys(t5g, p, TRANSIT5G_KEYS)
@@ -204,30 +162,25 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         bad = sorted(set(pattern) - set(SLOT_KINDS))
         if bad:
             _fail(f"{p}.tdd_pattern", f"unknown slot kinds {bad}")
-        numerology = _expect(t5g.get("numerology"), f"{p}.numerology", int,
-                             optional=True, default=1)
+        numerology = _expect(t5g.get("numerology", 1), f"{p}.numerology", int)
         if not 0 <= numerology <= 4:
             _fail(f"{p}.numerology", "must be in 0..4")
-        grant_delay = _expect(t5g.get("grant_delay_slots"), f"{p}.grant_delay_slots", int,
-                              optional=True, default=0)
-        if grant_delay < 0:
-            _fail(f"{p}.grant_delay_slots", "must be non-negative")
+        grant_delay = _non_negative_int(t5g.get("grant_delay_slots", 0), f"{p}.grant_delay_slots")
         tdd = TddConfig(
             pattern=pattern,
             numerology_mu=numerology,
             grant_delay_slots=grant_delay,
-            s_slot_usable_ul=_expect(t5g.get("s_slot_usable_ul"), f"{p}.s_slot_usable_ul",
-                                     bool, optional=True, default=False),
-            s_slot_usable_dl=_expect(t5g.get("s_slot_usable_dl"), f"{p}.s_slot_usable_dl",
-                                     bool, optional=True, default=True),
+            s_slot_usable_ul=_expect(t5g.get("s_slot_usable_ul", False),
+                                     f"{p}.s_slot_usable_ul", bool),
+            s_slot_usable_dl=_expect(t5g.get("s_slot_usable_dl", True),
+                                     f"{p}.s_slot_usable_dl", bool),
         )
         attach = _port(t5g.get("attach"), f"{p}.attach")
         if attach.node not in topo.switches:
             _fail(f"{p}.attach", f"unknown switch {attach.node!r}")
         claim(attach, f"{p}.attach")
         ues = {}
-        for i, ue in enumerate(_expect(t5g.get("ues"), f"{p}.ues", list,
-                                       optional=True, default=[])):
+        for i, ue in enumerate(_expect(t5g.get("ues", []), f"{p}.ues", list)):
             q = f"{p}.ues[{i}]"
             _expect(ue, q, dict)
             _known_keys(ue, q, UE_KEYS)
@@ -248,16 +201,11 @@ def _load_regulator(obj, path: str) -> RegulatorConfig:
     _known_keys(obj, path, REGULATOR_KEYS)
     hold_us = _non_negative_int(obj.get("hold_us"), f"{path}.hold_us")
     release_period_us = _positive_int(obj.get("release_period_us"), f"{path}.release_period_us")
-    queue_cap = _expect(obj.get("queue_cap_pkts"), f"{path}.queue_cap_pkts", int,
-                        optional=True, default=64)
-    if queue_cap <= 0:
-        _fail(f"{path}.queue_cap_pkts", "must be positive")
     return RegulatorConfig(
         hold_us=hold_us,
         release_period_us=release_period_us,
-        queue_cap_pkts=queue_cap,
-        per_class=_expect(obj.get("per_class"), f"{path}.per_class", bool,
-                          optional=True, default=False),
+        queue_cap_pkts=_positive_int(obj.get("queue_cap_pkts", 64), f"{path}.queue_cap_pkts"),
+        per_class=_expect(obj.get("per_class", False), f"{path}.per_class", bool),
     )
 
 
@@ -277,7 +225,7 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
         _non_negative_int(obj["offset_us"], f"{path}.offset_us")
     if mode == "onoff_background" and obj.get("start", "on") not in ("on", "off"):
         _fail(f"{path}.start", "must be 'on' or 'off'")
-    seed = _expect(obj.get("seed"), f"{path}.seed", int, optional=True)
+    seed = _expect(obj["seed"], f"{path}.seed", int) if "seed" in obj else None
     return SourceModel(flow_id=flow_id, src=src, dst=dst, mode=mode,
                        params=params, seed=seed)
 
@@ -291,10 +239,8 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     classes = obj.get("classes", {})
     _expect(classes, "classes", dict)
     _known_keys(classes, "classes", CLASSES_KEYS)
-    class_count = _expect(classes.get("count"), "classes.count", int,
-                          optional=True, default=8)
-    best_effort = _expect(classes.get("best_effort_class"), "classes.best_effort_class",
-                          int, optional=True, default=0)
+    class_count = _expect(classes.get("count", 8), "classes.count", int)
+    best_effort = _expect(classes.get("best_effort_class", 0), "classes.best_effort_class", int)
     if class_count < 2:
         _fail("classes.count", "need at least two classes")
     if best_effort != 0:
@@ -304,7 +250,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     nwtt = obj.get("nwtt", {})
     _expect(nwtt, "nwtt", dict)
     _known_keys(nwtt, "nwtt", NWTT_KEYS)
-    if nwtt.get("dejitter") is not None:
+    if "dejitter" in nwtt:
         dejitter = _load_regulator(nwtt["dejitter"], "nwtt.dejitter")
 
     # traffic starts and ends at a host or a UE, never at a switch
@@ -313,70 +259,48 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         known |= set(topo.transit.ues)
     seen_flow_ids: set[str] = set()
 
-    def endpoints(entry, p: str) -> tuple[str, str, str]:
-        """(flow_id, src, dst) of a flow or source entry with a new id and two endpoints."""
-        _expect(entry, p, dict)
-        fid = _expect(entry.get("flow_id"), f"{p}.flow_id", str)
-        if not fid:
-            _fail(f"{p}.flow_id", "must be non-empty")
+    def check_ends(fid: str, src: str, dst: str, p: str) -> None:
+        """Fail unless a flow or source entry's id is new and its two ends are known."""
         if fid in seen_flow_ids:
             _fail(f"{p}.flow_id", f"duplicate flow id {fid!r}")
         seen_flow_ids.add(fid)
-        src = _expect(entry.get("src"), f"{p}.src", str)
-        dst = _expect(entry.get("dst"), f"{p}.dst", str)
         for ep, label in ((src, "src"), (dst, "dst")):
             if ep not in known:
                 _fail(f"{p}.{label}", f"{ep!r} is not a host or a UE")
-        if dst == src:
-            _fail(f"{p}.dst", "must differ from src")
-        return fid, src, dst
 
     flows: list[FlowEntry] = []
     nwtt_matches: dict[tuple[str, str], str] = {}  # NW-TT matches on (src, dst) only
-    for i, fl in enumerate(_expect(obj.get("flows"), "flows", list,
-                                   optional=True, default=[])):
+    for i, fl in enumerate(_expect(obj.get("flows", []), "flows", list)):
         p = f"flows[{i}]"
-        fid, src, dst = endpoints(fl, p)
-        _known_keys(fl, p, FLOW_KEYS)
+        _known_keys(_expect(fl, p, dict), p, FLOW_KEYS)
+        spec = read_flow_spec(fl, p)
+        fid, src, dst = spec.flow_id, spec.src, spec.dst
+        check_ends(fid, src, dst, p)
         if topo.is_ue(src):
             earlier = nwtt_matches.setdefault((src, dst), fid)
             if earlier != fid:
                 _fail(f"{p}.dst", f"NW-TT match ({src}, {dst}) already used by flow {earlier!r}")
-        spec = FlowSpec(
-            flow_id=fid,
-            src=src,
-            dst=dst,
-            rate_Bps=_positive_int(fl.get("rate_Bps"), f"{p}.rate_Bps"),
-            burst_B=_positive_int(fl.get("burst_B"), f"{p}.burst_B"),
-            max_pkt_B=_positive_int(fl.get("max_pkt_B"), f"{p}.max_pkt_B"),
-            deadline_us=_positive_int(fl.get("deadline_us"), f"{p}.deadline_us"),
-            dejitter=_expect(fl.get("dejitter"), f"{p}.dejitter", bool,
-                             optional=True, default=False),
-        )
         # admission would reject these specs, and a non-critical flow's source would vanish
         if spec.dejitter and not topo.is_ue(src):
             _fail(f"{p}.dejitter", "needs a UE source")
         if spec.dejitter and dejitter is None:
             _fail(f"{p}.dejitter", "needs an nwtt.dejitter block")
-        if spec.burst_B < spec.max_pkt_B:
-            _fail(f"{p}.burst_B", f"must be at least max_pkt_B ({spec.max_pkt_B})")
         source = _load_source(_expect(fl.get("source"), f"{p}.source", dict),
                               f"{p}.source", flow_id=fid, src=src, dst=dst)
         # the blocking term and per-hop transmission times assume this limit
         if source.params["pkt_B"] > spec.max_pkt_B:
             _fail(f"{p}.source.pkt_B", f"must not exceed max_pkt_B ({spec.max_pkt_B})")
-        critical = _expect(fl.get("critical"), f"{p}.critical", bool,
-                           optional=True, default=False)
+        critical = _expect(fl.get("critical", False), f"{p}.critical", bool)
         flows.append(FlowEntry(spec=spec, critical=critical, source=source))
 
     sim = obj.get("sim", {})
     _expect(sim, "sim", dict)
     _known_keys(sim, "sim", SIM_KEYS)
     extra_sources: list[SourceModel] = []
-    for i, src_obj in enumerate(_expect(sim.get("sources"), "sim.sources", list,
-                                        optional=True, default=[])):
+    for i, src_obj in enumerate(_expect(sim.get("sources", []), "sim.sources", list)):
         p = f"sim.sources[{i}]"
-        fid, src, dst = endpoints(src_obj, p)
+        fid, src, dst = read_endpoints(_expect(src_obj, p, dict), p)
+        check_ends(fid, src, dst, p)
         # an unregistered source on a flow's match would be tagged into its class
         earlier = nwtt_matches.get((src, dst))
         if earlier is not None:
@@ -396,7 +320,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         best_effort_class=best_effort,
         dejitter=dejitter,
         duration_ms=_positive_int(sim.get("duration_ms", 1000), "sim.duration_ms"),
-        seed=_expect(sim.get("seed"), "sim.seed", int, optional=True, default=1),
+        seed=_expect(sim.get("seed", 1), "sim.seed", int),
         name=name,
     )
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from detnet5g import admission
-from detnet5g.admission import _canonical_aggregates, _SolverState
+from detnet5g.admission import _SolverState
 from detnet5g.errors import Unreachable
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
 from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
@@ -44,9 +44,34 @@ def cold_solve(topo, placements) -> _SolverState:
     return st
 
 
+def canonical_aggregates(st: _SolverState) -> dict:
+    """Each port's class aggregates with the class's member flows, sorted."""
+    members: dict[tuple[PortId, int], list[str]] = {}
+    for fid, pl in st.placements.items():
+        for port in pl.hops:
+            members.setdefault((port, pl.priority), []).append(fid)
+    return {
+        str(port): {
+            cls: (agg.burst_B, agg.rate_Bps, agg.max_pkt_B, tuple(sorted(members[port, cls])))
+            for cls, agg in sorted(per_cls.items())
+        }
+        for port, per_cls in sorted(st.aggregates.items())
+    }
+
+
+def aggregates(state) -> dict:
+    """Port/class aggregates of a registry's committed fixed point, in canonical form."""
+    return canonical_aggregates(state._solver)
+
+
 def cold_aggregates(state) -> dict:
     """A registry's aggregates rebuilt by a cold solve of its placements (coherence oracle)."""
-    return _canonical_aggregates(cold_solve(state.topology, state._solver.placements))
+    return canonical_aggregates(cold_solve(state.topology, state._solver.placements))
+
+
+def snapshot(state) -> dict:
+    """Deep, comparable image of a registry's flows and aggregates, for atomicity checks."""
+    return {"flows": state.flows(), "aggregates": aggregates(state)}
 
 
 def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:

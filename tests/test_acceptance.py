@@ -24,7 +24,7 @@ from detnet5g.transit5g import (
 )
 from detnet5g.units import ceil_div
 
-from conftest import canonical_scenario, cold_aggregates, ring_topology
+from conftest import aggregates, canonical_scenario, cold_aggregates, ring_topology, snapshot
 from test_admission import apply_op, make_ops
 from test_topology import count_spanning_trees_oracle, switch_graph
 from test_transit5g import sweep_oracle
@@ -269,17 +269,17 @@ def test_criterion_6_admission_atomicity_and_determinism():
         state = NetworkState(ring_topology())
         trail = []
         for op in ops:
-            before = state.snapshot()
+            before = snapshot(state)
             outcome = apply_op(state, op)
             trail.append(outcome)
             if outcome[0] == "register" and not outcome[2]:
                 rejects += 1
-                assert state.snapshot() == before
-            assert state.aggregates() == cold_aggregates(state)
+                assert snapshot(state) == before
+            assert aggregates(state) == cold_aggregates(state)
         replay_state = NetworkState(ring_topology())
         replay = [apply_op(replay_state, op) for op in ops]
         assert replay == trail
-        assert replay_state.snapshot() == state.snapshot()
+        assert snapshot(replay_state) == snapshot(state)
     elapsed = time.monotonic() - started
     print(f"\nPASS criterion 6: 1000 random op sequences; {rejects} rejects all "
           f"atomic, replays bit-identical, cache equals recomputation "

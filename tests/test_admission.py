@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -15,12 +16,13 @@ from detnet5g.admission import (
     _Terms,
 )
 from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
-from detnet5g.errors import MalformedRequest, UnknownFlow, Unschedulable
+from detnet5g.errors import ScenarioInvalid, UnknownFlow, Unschedulable
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
-from conftest import cold_aggregates, cold_solve, grid_topology, line_topology, ring_topology
+from conftest import (aggregates, cold_aggregates, cold_solve, grid_topology, line_topology,
+                      ring_topology, snapshot)
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -58,16 +60,11 @@ class TestRegisterFlow:
 
     def test_impossible_deadline_rejected_atomically(self, ring):
         state = NetworkState(ring)
-        before = state.snapshot()
+        before = snapshot(state)
         decision = state.register_flow(spec(deadline=1))
         assert not decision.accepted
         assert decision.reason == "DeadlineInfeasible"
-        assert state.snapshot() == before
-
-    def test_invalid_spec(self, ring):
-        state = NetworkState(ring)
-        decision = state.register_flow(spec(burst=100, pkt=1_250))
-        assert (decision.accepted, decision.reason) == (False, "InvalidSpec")
+        assert snapshot(state) == before
 
     def test_unknown_endpoint_unreachable(self, ring):
         state = NetworkState(ring)
@@ -94,12 +91,12 @@ class TestRegisterFlow:
         ok = state.register_flow(spec(fid="f1", src=src, dst=dst, rate=rate, burst=1_500,
                                       pkt=1_500))
         assert ok.accepted
-        before = state.snapshot()
+        before = snapshot(state)
         over = state.register_flow(spec(fid="f2", src=src, dst=dst, rate=rate, burst=1_500,
                                         pkt=1_500))
         assert (over.accepted, over.reason, over.detail) == (
             False, "Unschedulable", f"aggregate {name} rate of {ue} exceeds TDD capacity")
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     @pytest.mark.parametrize("src, dst, name, ue, capacity", UE_DIRECTIONS,
                              ids=["uplink", "downlink"])
@@ -109,12 +106,12 @@ class TestRegisterFlow:
                                       pkt=1_500))
         assert at.accepted
         state.remove_flow("at")
-        before = state.snapshot()
+        before = snapshot(state)
         over = state.register_flow(spec(fid="over", src=src, dst=dst, rate=capacity + 1,
                                         burst=1_500, pkt=1_500))
         assert (over.accepted, over.reason, over.detail) == (
             False, "Unschedulable", f"aggregate {name} rate of {ue} exceeds TDD capacity")
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     @pytest.mark.parametrize("pattern, src, dst, name, ue", [
         ("DDDDD", "UE1", "D", "uplink", "UE1"),
@@ -123,11 +120,11 @@ class TestRegisterFlow:
     def test_direction_without_usable_slot_named(self, ring, pattern, src, dst, name, ue):
         ring.transit.tdd = TddConfig(pattern, numerology_mu=1)
         state = NetworkState(ring)
-        before = state.snapshot()
+        before = snapshot(state)
         decision = state.register_flow(spec(src=src, dst=dst))
         assert (decision.accepted, decision.reason) == (False, "Unschedulable")
         assert decision.detail == f"TDD pattern {pattern!r} has no usable {name} slot for {ue}"
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_downlink_flow_uses_dl_transit_as_last_hop(self, ring):
         state = NetworkState(ring)
@@ -181,12 +178,12 @@ class TestRegisterFlow:
         state = NetworkState(topo, enable_reconfig=False)
         state.register_flow(spec(fid="A", src="A_src", dst="E", rate=25_000,
                                  burst=5_000, pkt=1_500, deadline=500_000))
-        before = state.snapshot()
+        before = snapshot(state)
         b = state.register_flow(spec(fid="B", src="B_src", dst="D", rate=12_500,
                                      burst=1_250, pkt=1_250, deadline=50_000))
         assert not b.accepted
         assert b.reason == "DeadlineInfeasible"
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_buffer_exceeded_reason(self):
         topo = ring_topology(
@@ -220,10 +217,10 @@ class TestRegisterFlow:
 class TestRemoveFlow:
     def test_add_remove_roundtrip(self, ring):
         state = NetworkState(ring)
-        before = state.snapshot()
+        before = snapshot(state)
         state.register_flow(spec())
         state.remove_flow("f1")
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_survivor_bound_shrinks(self, ring):
         state = NetworkState(ring)
@@ -272,26 +269,28 @@ class TestFlowRequests:
             "policer": {"burst_B": 1_500, "rate_Bps": 12_500},
         }
 
-    def test_missing_burst_is_malformed(self, ring):
-        state = NetworkState(ring)
-        request = self.request()
-        del request["burst_B"]
-        with pytest.raises(MalformedRequest):
-            state.handle_flow_request(request)
-
-    def test_wrong_type_is_malformed(self, ring):
-        state = NetworkState(ring)
-        with pytest.raises(MalformedRequest):
-            state.handle_flow_request(self.request(rate_Bps="fast"))
-
-    def test_unknown_field_is_malformed(self, ring):
+    @pytest.mark.parametrize("overrides, message", [
+        ({"flow_id": ""}, "request.flow_id: must be non-empty"),
+        ({"dst": "UE1"}, "request.dst: must differ from src"),
+        ({"rate_Bps": 0}, "request.rate_Bps: must be positive"),
+        ({"max_pkt_B": 0}, "request.max_pkt_B: must be positive"),
+        ({"burst_B": 100}, "request.burst_B: must be at least max_pkt_B (1250)"),
+        ({"deadline_us": 0}, "request.deadline_us: must be positive"),
+        ({"burst_B": None}, "request.burst_B: must be an integer"),  # None: key deleted
+        ({"rate_Bps": "fast"}, "request.rate_Bps: must be an integer"),
+        # a misspelled flag must not go unread
+        ({"dejitter": None, "dejiter": True}, "request.dejiter: unknown field"),
+    ], ids=["empty-id", "same-ends", "zero-rate", "zero-max-pkt", "burst-below-max-pkt",
+            "zero-deadline", "missing", "wrong-type", "unknown"])
+    def test_bad_field_raises_at_its_path(self, ring, overrides, message):
+        # a malformed request is an input error at its field path, never a reject
         state = NetworkState(ring, default_regulator=RegulatorConfig(5_000, 2_000))
-        before = state.snapshot()
-        request = self.request(dejiter=True)  # a misspelled flag must not go unread
-        del request["dejitter"]
-        with pytest.raises(MalformedRequest, match=r"^unknown field 'dejiter'$"):
+        assert state.handle_flow_request(self.request(flow_id="f0"))["accepted"]
+        before = snapshot(state)
+        request = {k: v for k, v in self.request(**overrides).items() if v is not None}
+        with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(message)}$"):
             state.handle_flow_request(request)
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_unknown_destination_is_reject_not_error(self, ring):
         state = NetworkState(ring)
@@ -380,12 +379,12 @@ class TestStateInvariants:
             state = NetworkState(ring_topology())
             trail = []
             for op in ops:
-                snap = state.snapshot()
+                snap = snapshot(state)
                 outcome = apply_op(state, op)
                 trail.append(outcome)
                 if outcome[0] == "register" and not outcome[2]:
-                    assert state.snapshot() == snap  # reject is atomic
-                assert state.aggregates() == cold_aggregates(state)
+                    assert snapshot(state) == snap  # reject is atomic
+                assert aggregates(state) == cold_aggregates(state)
                 for assignment in state.flows().values():
                     spec_d = assignment.spec
                     assert assignment.e2e_bound_us <= spec_d.deadline_us
@@ -393,7 +392,7 @@ class TestStateInvariants:
             state2 = NetworkState(ring_topology())
             trail2 = [apply_op(state2, op) for op in ops]
             assert trail2 == trail
-            assert state2.snapshot() == state.snapshot()
+            assert snapshot(state2) == snapshot(state)
 
 
 def full_order_search(state, spec):
@@ -769,7 +768,7 @@ class TestIncrementalSolver:
                         outcomes.add(("endpoint", spec.src[:2]))
                     else:
                         outcomes.add(decision.reason)
-                assert state.snapshot() == ref.snapshot()
+                assert snapshot(state) == snapshot(ref)
                 assert state._solver.bursts == ref._solver.bursts
                 assert state._solver.hop_bounds == ref._solver.hop_bounds
         assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable",

@@ -128,15 +128,18 @@ class TestAdmit:
 
     @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
     @pytest.mark.parametrize("entry, message", [
-        (1, "flow entries must be objects"),
-        ({"flow_id": "x"}, "missing field 'src'"),
-    ], ids=["not-an-object", "missing-field"])
+        (1, "flows[1]: must be dict"),
+        ({"flow_id": "x"}, "flows[1].src: must be str"),
+        # a bad field of a critical entry exits 1, never 2 as a rejected critical flow
+        (orange_request(flow_id="o2", burst_B=10),
+         "flows[1].burst_B: must be at least max_pkt_B (1250)"),
+    ], ids=["not-an-object", "missing-field", "critical-bad-value"])
     def test_flow_entry_error_names_file_and_index(self, entry, message, mode, topo_file,
                                                    tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
         assert main(["admit", topo_file, flows, *mode]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {flows}: flows[1]: {message}\n"
+        assert captured.err == f"error: {flows}: {message}\n"
         # nothing of the bad entry reaches stdout, only the request before it
         assert captured.out == ("" if mode else
                                 "request orange: UE1 -> D rate=12500B/s burst=1250B "
@@ -146,8 +149,11 @@ class TestAdmit:
     @pytest.mark.parametrize("flag, value, message", [
         ("critical", "false", "flows[0].critical: must be bool"),
         ("critical", 0, "flows[0].critical: must be bool"),
-        ("dejitter", "no", "flows[0]: field 'dejitter' must be a boolean"),
-    ], ids=["critical-str", "critical-int", "dejitter-str"])
+        ("dejitter", "no", "flows[0].dejitter: must be bool"),
+        # an explicit null is a wrong type, not the default
+        ("critical", None, "flows[0].critical: must be bool"),
+        ("dejitter", None, "flows[0].dejitter: must be bool"),
+    ], ids=["critical-str", "critical-int", "dejitter-str", "critical-null", "dejitter-null"])
     def test_non_boolean_flag_exits_one(self, flag, value, message, topo_file, tmp_path,
                                         capsys):
         flows = write_json(tmp_path / "flows.json",

@@ -197,22 +197,52 @@ def test_json_parse_error_reports_position(tmp_path):
         load_scenario_file(path)
 
 
-@pytest.mark.parametrize("where, value", [
-    (("flows", 0, "critical"), "false"),
-    (("flows", 0, "dejitter"), "no"),
-    (("flows", 0, "dejitter"), 0),
-    (("nwtt", "dejitter", "per_class"), "false"),
-    (("topology", "transit5g", "s_slot_usable_ul"), 1),
-    (("topology", "transit5g", "s_slot_usable_dl"), "true"),
-], ids=["critical", "dejitter", "dejitter-int", "per-class", "s-slot-ul", "s-slot-dl"])
-def test_flag_must_be_boolean(where, value):
+BOOL, INT, DICT, LIST = "must be bool", "must be an integer", "must be dict", "must be list"
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("flows", 0, "critical"), "false", BOOL),
+    (("flows", 0, "dejitter"), "no", BOOL),
+    (("flows", 0, "dejitter"), 0, BOOL),
+    (("nwtt", "dejitter", "per_class"), "false", BOOL),
+    (("topology", "transit5g", "s_slot_usable_ul"), 1, BOOL),
+    (("topology", "transit5g", "s_slot_usable_dl"), "true", BOOL),
+    # an explicit null is a wrong type too, never the optional field's default
+    (("flows", 0, "critical"), None, BOOL),
+    (("flows", 0, "dejitter"), None, BOOL),
+    (("nwtt", "dejitter", "per_class"), None, BOOL),
+    (("topology", "transit5g", "s_slot_usable_ul"), None, BOOL),
+    (("topology", "transit5g", "s_slot_usable_dl"), None, BOOL),
+    (("topology", "transit5g", "numerology"), None, INT),
+    (("topology", "transit5g", "grant_delay_slots"), None, INT),
+    (("topology", "switches", 0, "class_count"), None, INT),
+    (("nwtt", "dejitter", "queue_cap_pkts"), None, INT),
+    (("classes", "count"), None, INT),
+    (("classes", "best_effort_class"), None, INT),
+    (("sim", "seed"), None, INT),
+    (("sim", "sources", 0, "seed"), None, INT),
+    (("flows", 0, "source", "seed"), None, INT),
+    (("nwtt", "dejitter"), None, DICT),
+    (("topology", "transit5g"), None, DICT),
+    (("topology", "hosts"), None, LIST),
+    (("topology", "transit5g", "ues"), None, LIST),
+    (("flows",), None, LIST),
+    (("sim", "sources"), None, LIST),
+], ids=["critical", "dejitter", "dejitter-int", "per-class", "s-slot-ul", "s-slot-dl",
+        "critical-null", "dejitter-null", "per-class-null", "s-slot-ul-null", "s-slot-dl-null",
+        "numerology-null", "grant-delay-null", "class-count-null", "queue-cap-null",
+        "classes-count-null", "best-effort-null", "sim-seed-null", "source-seed-null",
+        "flow-source-seed-null", "regulator-null", "transit-null", "hosts-null", "ues-null",
+        "flows-null", "sources-null"])
+def test_flag_must_be_boolean(where, value, message):
+    # a flag, or an optional field whose value has the wrong type
     doc = canonical_scenario()
     parent = doc
     for key in where[:-1]:
         parent = parent[key]
     parent[where[-1]] = value
     path = ".".join(str(k) for k in where).replace(".0.", "[0].")
-    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: must be bool$"):
+    with pytest.raises(ScenarioInvalid, match=rf"^{re.escape(path)}: {message}$"):
         load_scenario(doc)
 
 
