@@ -141,7 +141,6 @@ class FlowAssignment:
     the flow's NW-TT rule (`NetworkState.nwtt_rules`).
     """
 
-    flow_id: str
     spec: FlowSpec
     vlan_id: int
     priority_class: int
@@ -490,7 +489,6 @@ class NetworkState:
         terms = pl.terms
         hop_bounds = st.hop_bounds[flow_id]
         return FlowAssignment(
-            flow_id=flow_id,
             spec=pl.spec,
             vlan_id=pl.tree.vlan_id,
             priority_class=pl.priority,
@@ -661,14 +659,23 @@ class NetworkState:
     # ------------------------------------------------------------------ wire surface
 
     def handle_flow_request(self, request: dict, path: str = "request") -> dict:
-        """Check a wire-format request, run admission, shape the response.
+        """Check a wire-format request, run admission, return its `response`.
 
         A malformed field raises ScenarioInvalid at its path under `path`;
         a request that conflicts with the registry or the network is a reject.
         """
         _known_keys(_expect(request, path, dict), path, WIRE_KEYS)
         spec = read_flow_spec(request, path)
-        decision = self.register_flow(spec)
+        return self.response(spec, self.register_flow(spec))
+
+    def response(self, spec: FlowSpec, decision: Decision) -> dict:
+        """The record of `register_flow(spec)`'s `decision`, as the wire hands it out.
+
+        An accepted flow's record carries the configuration its edge applies:
+        the NW-TT rule of a UE source, or the source host's tagging and
+        policing entry; a rejected one carries the reason and its detail.
+        Call it before the registry changes again: it reads the placement.
+        """
         response: dict = {
             "schema_version": 1,
             "flow_id": spec.flow_id,

@@ -14,10 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .admission import NetworkState
+from .admission import NetworkState, read_endpoints
 from .errors import AdmissionMissing, DetnetError, ScenarioInvalid, _expect, _known_keys
-from .scenario import (FLOWS_FILE_KEYS, load_scenario_file, load_topology_file, open_input,
-                       read_json)
+from .scenario import (FLOWS_FILE_KEYS, check_ends, load_scenario_file, load_topology_file,
+                       open_input, read_json)
 from .sim import (
     TRACE_COLUMNS,
     compare_dejitter,
@@ -80,12 +80,15 @@ def cmd_admit(args) -> int:
         print(f"note: VLAN tree enumeration stopped at its cap of {len(state.trees)} trees; "
               "placements use only those", file=sys.stderr)
     responses = []
+    seen: set[str] = set()
     critical_rejected = False
     for i, item in enumerate(flows):
         where = f"{args.flows}: flows[{i}]"
         _expect(item, where, dict)
         critical = _expect(item.get("critical", False), f"{where}.critical", bool)
         request = {k: v for k, v in item.items() if k != "critical"}
+        # a repeated id or an unknown end is a fault of the file, not a reject
+        check_ends(topo, seen, *read_endpoints(request, where), where)
         response = state.handle_flow_request(request, where)
         if not args.json:
             print(f"request {request['flow_id']}: {request['src']} -> {request['dst']} "
@@ -122,17 +125,16 @@ def _write_run(result, out: Path, scenario_name: str) -> tuple[Path, Path]:
 
 def cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    out = _out_dir(args.out)
-    results = []
     if args.dejitter == "both":
-        off, on = compare_dejitter(scenario, seed=args.seed)
-        results = [off, on]
-        summary = dejitter_summary(off, on)
+        results = list(compare_dejitter(scenario, seed=args.seed))
+    else:
+        results = [run(scenario, seed=args.seed, dejitter=args.dejitter)]
+    out = _out_dir(args.out)  # a run that fails leaves no directory behind
+    if args.dejitter == "both":
+        summary = dejitter_summary(*results)
         summary_path = out / f"{scenario.name}_seed{summary['seed']}_dejitter_summary.json"
         write_report(summary_path, summary)
         print(f"wrote {summary_path}")
-    else:
-        results = [run(scenario, seed=args.seed, dejitter=args.dejitter)]
 
     violation_total = 0
     for result in results:

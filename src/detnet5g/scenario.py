@@ -20,12 +20,10 @@ from .topology import PortId, SwitchProfile, Topology, make_link
 from .transit5g import SLOT_KINDS, TddConfig, TransitNode5G, UeRecord
 
 # the keys each block may carry; any other key is an error, so that a
-# misspelled optional key cannot silently keep its default.  The keys of the
-# retired poll events are still accepted, and ignored, so older files load.
+# misspelled optional key cannot silently keep its default
 SCENARIO_KEYS = frozenset(("schema_version", "topology", "classes", "flows", "nwtt", "sim"))
 FLOWS_FILE_KEYS = frozenset(("schema_version", "flows"))  # `detnet5g admit`'s input
-TOPOLOGY_KEYS = frozenset(("schema_version", "switches", "links", "hosts", "transit5g",
-                           "fixed_poll_interval_s", "fiveg_poll_interval_s"))
+TOPOLOGY_KEYS = frozenset(("schema_version", "switches", "links", "hosts", "transit5g"))
 SWITCH_KEYS = frozenset(("id", "link_rate_Bps", "fwd_delay_us", "port_buffer_B", "class_count"))
 HOST_KEYS = frozenset(("id", "attach"))
 TRANSIT5G_KEYS = frozenset(("tdd_pattern", "numerology", "grant_delay_slots", "s_slot_usable_ul",
@@ -34,7 +32,7 @@ UE_KEYS = frozenset(("id", "tbs_ul_B", "tbs_dl_B"))
 CLASSES_KEYS = frozenset(("count", "best_effort_class"))
 NWTT_KEYS = frozenset(("dejitter",))
 REGULATOR_KEYS = frozenset(("hold_us", "release_period_us", "queue_cap_pkts", "per_class"))
-SIM_KEYS = frozenset(("duration_ms", "seed", "sources", "snapshot_schedule"))
+SIM_KEYS = frozenset(("duration_ms", "seed", "sources"))
 FLOW_KEYS = WIRE_KEYS | {"critical", "source"}
 # per source mode: the keys it requires, and every key it may carry
 SOURCE_KEYS = {
@@ -230,6 +228,17 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
                        params=params, seed=seed)
 
 
+def check_ends(topo: Topology, seen: set[str], fid: str, src: str, dst: str, path: str) -> None:
+    """Fail unless a flow or source entry's id is not in `seen` (it is added) and its
+    two ends are hosts or UEs: traffic never starts or ends at a switch."""
+    if fid in seen:
+        _fail(f"{path}.flow_id", f"duplicate flow id {fid!r}")
+    seen.add(fid)
+    for ep, label in ((src, "src"), (dst, "dst")):
+        if ep not in topo.hosts and not topo.is_ue(ep):
+            _fail(f"{path}.{label}", f"{ep!r} is not a host or a UE")
+
+
 def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document."""
     _expect(obj, "scenario", dict)
@@ -253,21 +262,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     if "dejitter" in nwtt:
         dejitter = _load_regulator(nwtt["dejitter"], "nwtt.dejitter")
 
-    # traffic starts and ends at a host or a UE, never at a switch
-    known = set(topo.hosts)
-    if topo.transit is not None:
-        known |= set(topo.transit.ues)
     seen_flow_ids: set[str] = set()
-
-    def check_ends(fid: str, src: str, dst: str, p: str) -> None:
-        """Fail unless a flow or source entry's id is new and its two ends are known."""
-        if fid in seen_flow_ids:
-            _fail(f"{p}.flow_id", f"duplicate flow id {fid!r}")
-        seen_flow_ids.add(fid)
-        for ep, label in ((src, "src"), (dst, "dst")):
-            if ep not in known:
-                _fail(f"{p}.{label}", f"{ep!r} is not a host or a UE")
-
     flows: list[FlowEntry] = []
     nwtt_matches: dict[tuple[str, str], str] = {}  # NW-TT matches on (src, dst) only
     for i, fl in enumerate(_expect(obj.get("flows", []), "flows", list)):
@@ -275,7 +270,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
         _known_keys(_expect(fl, p, dict), p, FLOW_KEYS)
         spec = read_flow_spec(fl, p)
         fid, src, dst = spec.flow_id, spec.src, spec.dst
-        check_ends(fid, src, dst, p)
+        check_ends(topo, seen_flow_ids, fid, src, dst, p)
         if topo.is_ue(src):
             earlier = nwtt_matches.setdefault((src, dst), fid)
             if earlier != fid:
@@ -300,7 +295,7 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     for i, src_obj in enumerate(_expect(sim.get("sources", []), "sim.sources", list)):
         p = f"sim.sources[{i}]"
         fid, src, dst = read_endpoints(_expect(src_obj, p, dict), p)
-        check_ends(fid, src, dst, p)
+        check_ends(topo, seen_flow_ids, fid, src, dst, p)
         # an unregistered source on a flow's match would be tagged into its class
         earlier = nwtt_matches.get((src, dst))
         if earlier is not None:

@@ -198,10 +198,9 @@ class _Policer:
 
 @dataclass
 class RunResult:
-    decisions: list
+    decisions: list  # the wire's response to each scenario flow, in scenario order
     report: dict
     trace_rows: _TraceRows
-    state: NetworkState
 
 
 def _schedule(model: SourceModel, rng: random.Random):
@@ -764,13 +763,12 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
         decisions=decisions,
         report=report,
         trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())]),
-        state=state,
     )
 
 
 def _admit_flows(scenario: Scenario, dejitter_mode: str) -> tuple[NetworkState, list]:
     state = NetworkState(
-        scenario.topology.copy(),
+        scenario.topology,
         class_count=scenario.class_count,
         best_effort_class=scenario.best_effort_class,
         default_regulator=scenario.dejitter,
@@ -783,16 +781,7 @@ def _admit_flows(scenario: Scenario, dejitter_mode: str) -> tuple[NetworkState, 
         elif dejitter_mode == "off":
             spec = replace(spec, dejitter=False)
         decision = state.register_flow(spec)
-        decisions.append({
-            "flow_id": spec.flow_id,
-            "accepted": decision.accepted,
-            "reason": decision.reason,
-            "detail": decision.detail,
-            "vlan_id": decision.assignment.vlan_id if decision.accepted else None,
-            "pcp": decision.assignment.priority_class if decision.accepted else None,
-            "e2e_bound_us": decision.assignment.e2e_bound_us if decision.accepted else None,
-            "reconfigured": list(decision.reconfigured),
-        })
+        decisions.append(state.response(spec, decision))
         if not decision.accepted and entry.critical:
             raise AdmissionMissing(
                 f"critical flow {spec.flow_id!r} rejected: {decision.reason} ({decision.detail})"
@@ -882,25 +871,26 @@ def compare_dejitter(scenario: Scenario, *, seed: int | None = None) -> tuple[Ru
 
 
 def dejitter_summary(off: RunResult, on: RunResult) -> dict:
-    """Per-regulated-flow jitter/latency comparison of a paired run."""
+    """Per-regulated-flow jitter/latency comparison of a paired run.
+
+    The regulated flows are those whose `on` decision carries an NW-TT
+    rule: the admitted UE-sourced flows.
+    """
     summary = {"schema_version": 1, "seed": off.report["seed"], "flows": {}}
-    admitted = on.state.flows()
+    regulated = {d["flow_id"] for d in on.decisions if "nwtt_config" in d}
     for fid, report_on in on.report["flows"].items():
         report_off = off.report["flows"][fid]
-        if not report_on["admitted"] or report_on["latency_us"] is None:
+        if fid not in regulated or None in (report_on["latency_us"], report_off["latency_us"]):
             continue
-        if report_off["latency_us"] is None:
-            continue
-        if on.state.topology.is_ue(admitted[fid].spec.src):
-            summary["flows"][fid] = {
-                "jitter_off_us": report_off["jitter_us"],
-                "jitter_on_us": report_on["jitter_us"],
-                "min_latency_off_us": report_off["latency_us"]["min"],
-                "min_latency_on_us": report_on["latency_us"]["min"],
-                "max_latency_off_us": report_off["latency_us"]["max"],
-                "max_latency_on_us": report_on["latency_us"]["max"],
-                "regulator_drops": report_on["drops"].get("regulator", 0),
-            }
+        summary["flows"][fid] = {
+            "jitter_off_us": report_off["jitter_us"],
+            "jitter_on_us": report_on["jitter_us"],
+            "min_latency_off_us": report_off["latency_us"]["min"],
+            "min_latency_on_us": report_on["latency_us"]["min"],
+            "max_latency_off_us": report_off["latency_us"]["max"],
+            "max_latency_on_us": report_on["latency_us"]["max"],
+            "regulator_drops": report_on["drops"].get("regulator", 0),
+        }
     return summary
 
 

@@ -292,6 +292,22 @@ class TestFlowRequests:
             state.handle_flow_request(request)
         assert snapshot(state) == before
 
+    @pytest.mark.parametrize("overrides, reason, detail", [
+        ({}, "InvalidSpec", "flow id 'f1' already registered"),
+        ({"flow_id": "f2", "src": "G", "burst_B": 1_500, "max_pkt_B": 1_500, "dejitter": True},
+         "InvalidSpec", "de-jittering applies to 5G-sourced flows only"),
+    ], ids=["duplicate-id", "host-dejitter"])
+    def test_conflict_with_registry_or_network_is_reject(self, ring, overrides, reason,
+                                                         detail):
+        # a well-formed request the registry or the network cannot take
+        state = NetworkState(ring, default_regulator=RegulatorConfig(5_000, 2_000))
+        assert state.handle_flow_request(self.request())["accepted"]
+        before = snapshot(state)
+        response = state.handle_flow_request(self.request(**overrides))
+        assert (response["accepted"], response["reason"], response["detail"]) == (
+            False, reason, detail)
+        assert snapshot(state) == before
+
     def test_unknown_destination_is_reject_not_error(self, ring):
         state = NetworkState(ring)
         response = state.handle_flow_request(self.request(dst="Z"))

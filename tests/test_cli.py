@@ -4,10 +4,15 @@ from pathlib import Path
 import pytest
 
 from detnet5g.cli import main
+from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
 from test_golden import ue_transit_doc
+from test_sim import canonical_with, tiny_regulator_queue
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 
 def write_json(path: Path, doc) -> str:
@@ -47,6 +52,12 @@ def orange_request(**overrides):
            "critical": True}
     req.update(overrides)
     return req
+
+
+def forced_regulator_without_block(doc):
+    """No `nwtt.dejitter` block, yet `--dejitter on`: the extra `run` options."""
+    del doc["nwtt"]
+    return ["--dejitter", "on"]
 
 
 class TestTrees:
@@ -133,7 +144,11 @@ class TestAdmit:
         # a bad field of a critical entry exits 1, never 2 as a rejected critical flow
         (orange_request(flow_id="o2", burst_B=10),
          "flows[1].burst_B: must be at least max_pkt_B (1250)"),
-    ], ids=["not-an-object", "missing-field", "critical-bad-value"])
+        # the wire rejects these, and `run` fails them as file faults: so does `admit`
+        (orange_request(), "flows[1].flow_id: duplicate flow id 'orange'"),
+        (orange_request(flow_id="o2", dst="Mars"), "flows[1].dst: 'Mars' is not a host or a UE"),
+    ], ids=["not-an-object", "missing-field", "critical-bad-value", "repeated-id",
+            "unknown-endpoint"])
     def test_flow_entry_error_names_file_and_index(self, entry, message, mode, topo_file,
                                                    tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
@@ -145,6 +160,23 @@ class TestAdmit:
                                 "request orange: UE1 -> D rate=12500B/s burst=1250B "
                                 "deadline=100000us\n"
                                 "  ACCEPTED vlan=100 pcp=7 e2e_bound_us=49200\n")
+
+    def test_reconfiguration_named_on_the_accept_line(self, tmp_path, capsys):
+        # the flows of test_admission's reconfiguration test, on its ring
+        topo = canonical_topology()
+        del topo["transit5g"]
+        topo["hosts"] = [{"id": "A_src", "attach": "S1.4"}, {"id": "B_src", "attach": "S1.5"},
+                         {"id": "D", "attach": "S3.3"}, {"id": "E", "attach": "S3.4"}]
+        flows = write_json(tmp_path / "flows.json", flows_doc([
+            {"flow_id": "A", "src": "A_src", "dst": "E", "rate_Bps": 25_000,
+             "burst_B": 5_000, "max_pkt_B": 1_500, "deadline_us": 500_000},
+            {"flow_id": "B", "src": "B_src", "dst": "D", "rate_Bps": 12_500,
+             "burst_B": 1_250, "max_pkt_B": 1_250, "deadline_us": 50_000},
+        ]))
+        assert main(["admit", write_json(tmp_path / "topo.json", topo), flows]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("  ACCEPTED vlan=100 ")
+        assert lines[3].startswith("  ACCEPTED vlan=100 ") and lines[3].endswith(" reconfigured=A")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("critical", "false", "flows[0].critical: must be bool"),
@@ -300,14 +332,17 @@ class TestRun:
         # admission rejected it as an invalid spec, so a non-critical flow vanished
         (lambda doc: doc["flows"][0].update(critical=False, flow_id=""),
          "flows[0].flow_id: must be non-empty"),
+        (forced_regulator_without_block,
+         "error: dejitter forced on but scenario has no nwtt.dejitter block\n"),
     ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
             "source-loop", "host-dejitter", "misspelled-flow-field", "misspelled-source-field",
-            "misspelled-numerology", "misspelled-class-count", "empty-source-id", "empty-flow-id"])
+            "misspelled-numerology", "misspelled-class-count", "empty-source-id", "empty-flow-id",
+            "forced-regulator-without-block"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
-        mutate(doc)
+        options = mutate(doc) or []
         path = write_json(tmp_path / "bad.json", doc)
-        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert main(["run", path, "--out", str(tmp_path / "out"), *options]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
@@ -350,7 +385,8 @@ class TestReport:
         (canonical_scenario(), "off"),
         (canonical_scenario(), "on"),
         (ue_transit_doc(), "scenario"),
-    ], ids=["canonical-off", "canonical-on", "ue-transit"])
+        (canonical_with(tiny_regulator_queue)(), "on"),  # orange drops at the regulator
+    ], ids=["canonical-off", "canonical-on", "ue-transit", "regulator-drops"])
     def test_resummarize_trace(self, doc, dejitter, tmp_path, capsys):
         path = write_json(tmp_path / "scn.json", doc)
         out = tmp_path / "out"
@@ -375,16 +411,19 @@ class TestReport:
         assert "trace.csv: line 3 column latency_us" in err and "'abc'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("row, message", [
-        ("orange,1", "line 3: expected 7 fields"),
-        ("orange,1,25,3.000,4.000,1.000,0,extra", "line 3: expected 7 fields"),
-        (",,,,,,", "line 3 column flow_id: empty"),
-        ("x,0,100,0.000,1.000,1.000,7", "line 3 column dropped: expected 0 or 1, got '7'"),
-    ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped"])
-    def test_malformed_row_exits_one(self, row, message, tmp_path, capsys):
+    @pytest.mark.parametrize("header, row, message", [
+        (TRACE_HEADER, "orange,1", "line 3: expected 7 fields"),
+        (TRACE_HEADER, "orange,1,25,3.000,4.000,1.000,0,extra", "line 3: expected 7 fields"),
+        (TRACE_HEADER, ",,,,,,", "line 3 column flow_id: empty"),
+        (TRACE_HEADER, "x,0,100,0.000,1.000,1.000,7",
+         "line 3 column dropped: expected 0 or 1, got '7'"),
+        ("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,lost", "orange,1,25,3.000,,,1",
+         "unexpected columns ['flow_id', 'seq', 'size_B', 't_send_us', 't_recv_us', "
+         "'latency_us', 'lost']"),
+    ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped", "other-columns"])
+    def test_malformed_row_exits_one(self, header, row, message, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
-        trace.write_text("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,dropped\n"
-                         f"orange,0,25,1.000,2.500,1.500,0\n{row}\n")
+        trace.write_text(f"{header}\norange,0,25,1.000,2.500,1.500,0\n{row}\n")
         assert main(["report", str(trace)]) == 1
         err = capsys.readouterr().err
         assert f"trace.csv: {message}" in err

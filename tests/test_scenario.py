@@ -371,8 +371,30 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
      "nwtt.dejitter.hold_us", "must be non-negative"),
     (lambda doc: doc["nwtt"]["dejitter"].update(queue_cap_pkts=0),
      "nwtt.dejitter.queue_cap_pkts", "must be positive"),
+    (lambda doc: doc["topology"]["links"][0].__setitem__(1, "S2-1"),
+     "topology.links[0][1]", "port id must look like 'S1.1', got 'S2-1'"),
+    (lambda doc: doc["topology"].update(switches=[]),
+     "topology.switches", "at least one switch required"),
+    (lambda doc: doc["topology"]["switches"][1].update(id="S1"),
+     "topology.switches[1].id", "duplicate switch id 'S1'"),
+    (lambda doc: doc["topology"]["links"].append(["S1.4"]),
+     "topology.links[3]", "must be a two-element list of port ids"),
+    (lambda doc: doc["topology"]["hosts"][0].update(attach="S9.1"),
+     "topology.hosts[0].attach", "unknown switch 'S9'"),
+    (lambda doc: doc["topology"]["hosts"][1].update(id="D"),
+     "topology.hosts[1].id", "duplicate node id 'D'"),
+    (lambda doc: doc["topology"]["transit5g"].update(attach="S9.1"),
+     "topology.transit5g.attach", "unknown switch 'S9'"),
+    (lambda doc: doc["sim"]["sources"][1].update(start="maybe"),
+     "sim.sources[1].start", "must be 'on' or 'off'"),
+    (lambda doc: doc["classes"].update(count=1),
+     "classes.count", "need at least two classes"),
+    (lambda doc: doc["classes"].update(best_effort_class=1),
+     "classes.best_effort_class", "class 0 is the best-effort class"),
 ], ids=["one-class", "short-fwd-table", "slot-kind", "empty-pattern", "numerology",
-        "grant-delay", "hold", "queue-cap"])
+        "grant-delay", "hold", "queue-cap", "port-id", "no-switches", "duplicate-switch",
+        "one-ended-link", "host-on-unknown-switch", "duplicate-host", "transit-on-unknown-switch",
+        "onoff-start", "one-class-count", "best-effort-class"])
 def test_record_check_names_its_block(mutate, path, message):
     # the records check nothing: the loader checks each field at its own path
     doc = canonical_scenario()
@@ -404,10 +426,16 @@ def test_record_check_names_its_block(mutate, path, message):
     (lambda doc: doc["nwtt"]["dejitter"].update(hold=1), "nwtt.dejitter.hold"),
     (lambda doc: doc["sim"].update(duration=5), "sim.duration"),
     (lambda doc: doc.update(flow=[]), "flow"),
+    # the keys of the retired poll events do nothing, like any other unknown key
+    (lambda doc: doc["topology"].update(fixed_poll_interval_s=2),
+     "topology.fixed_poll_interval_s"),
+    (lambda doc: doc["topology"].update(fiveg_poll_interval_s=1),
+     "topology.fiveg_poll_interval_s"),
+    (lambda doc: doc["sim"].update(snapshot_schedule=[]), "sim.snapshot_schedule"),
 ], ids=["dejiter", "critcal", "flow-source-ofset", "periodic-start", "onoff-burst",
         "onoff-count", "sim-source-ofset", "numerolgy", "clas-count", "topology-link",
         "host-attatch", "ue-tbs", "classes-cout", "nwtt-dejitte", "regulator-hold",
-        "sim-duration", "scenario-flow"])
+        "sim-duration", "scenario-flow", "fixed-poll", "fiveg-poll", "snapshot-schedule"])
 def test_unknown_field_rejected(mutate, path):
     doc = canonical_scenario()
     mutate(doc)

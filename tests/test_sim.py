@@ -3,16 +3,18 @@ import gc
 import tracemalloc
 import weakref
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from detnet5g import sim
+from detnet5g.admission import NetworkState
 from detnet5g.errors import AdmissionMissing
 from detnet5g.scenario import load_scenario
 from detnet5g.sim import (
     IN_FLIGHT,
     TRACE_COLUMNS,
+    RunResult,
     _admit_flows,
     _build_flow_ctxs,
     _Engine,
@@ -167,20 +169,12 @@ class TestCanonical:
             run(scenario(impossible))
 
 
-def with_retired_poll_keys(doc):
-    # keys of removed poll events: accepted and ignored on load
-    doc["topology"]["fiveg_poll_interval_s"] = 1
-    doc["topology"]["fixed_poll_interval_s"] = 2
-    doc["sim"]["snapshot_schedule"] = [{"t_ms": 10, "kind": "5g"}]
-
-
 class TestDeterminism:
     def test_same_seed_identical_trace(self):
         a = run(scenario(), seed=7)
-        for mutate in (None, with_retired_poll_keys):
-            b = run(scenario(mutate), seed=7)
-            assert list(a.trace_rows) == list(b.trace_rows)
-            assert a.report == b.report
+        b = run(scenario(), seed=7)
+        assert list(a.trace_rows) == list(b.trace_rows)
+        assert a.report == b.report
 
     def test_different_seed_changes_phases(self):
         a = run(scenario(), seed=1)
@@ -301,6 +295,39 @@ class TestDejitter:
         stats = result.report["flows"]["orange"]
         assert stats["drops"].get("regulator", 0) > 0
         assert stats["sent"] == stats["received"] + stats["dropped"] + stats["in_flight"]
+
+
+class TestDecisions:
+    """`run` hands out the wire's response to each scenario flow, and nothing else."""
+
+    @pytest.mark.parametrize("dejitter", ["off", "on"])
+    def test_record_is_the_wire_response(self, dejitter):
+        doc = canonical_scenario()
+        scn = load_scenario(doc)
+        [orange] = run(scn, dejitter=dejitter).decisions
+        regulator = doc["nwtt"]["dejitter"] if dejitter == "on" else None
+        assert orange["nwtt_config"]["regulator"] == regulator
+        state = NetworkState(scn.topology, class_count=scn.class_count,
+                             default_regulator=scn.dejitter)
+        request = {k: v for k, v in doc["flows"][0].items() if k not in ("critical", "source")}
+        assert orange == state.handle_flow_request({**request, "dejitter": dejitter == "on"})
+
+    def test_rejected_record_carries_reason_not_placement(self):
+        def hopeless(doc):
+            doc["flows"][0].update(critical=False, deadline_us=1)
+        [orange] = run(scenario(hopeless)).decisions
+        assert (orange["accepted"], orange["reason"]) == (False, "DeadlineInfeasible")
+        assert orange["detail"] == "flow 'orange': bound at least 15200 us > deadline 1 us"
+        assert not {"vlan_id", "pcp", "e2e_bound_us", "nwtt_config"} & set(orange)
+
+    def test_result_keeps_no_registry(self):
+        assert [f.name for f in fields(RunResult)] == ["decisions", "report", "trace_rows"]
+
+    def test_summary_covers_the_regulated_flows_only(self):
+        # `loop` leaves UE1 through the NW-TT; `down` is a host flow
+        off, on = compare_dejitter(load_scenario(ue_transit_doc()))
+        assert [d["flow_id"] for d in on.decisions if "nwtt_config" in d] == ["loop"]
+        assert list(dejitter_summary(off, on)["flows"]) == ["loop"]
 
 
 class TestFiveGsegment:
