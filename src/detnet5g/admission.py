@@ -34,11 +34,25 @@ copy, so a reject leaves the committed state alone.  A reject's reason and
 detail are those of the first trial that failed with that reason: the
 first violation its warm climb met, as sound a witness as a cold solve's,
 though a cold solve may name another flow or a larger bound.
+
+Some candidates need no trial at all.  A flow's bound at one hop is at
+least its floor: its bound alone at an empty port, the least over the
+fabric's switch profiles.  Any trial's port has at least that blocking
+packet, at least the flow's own burst in its class and at most the link's
+rate left, and the bound only grows with each.  So a candidate whose fixed
+terms plus one floor per hop miss the deadline would fail its round-one
+screen, and it is skipped unbuilt.  The search prunes only once a
+trial has failed with DeadlineInfeasible, which fixes the reject's reason
+and detail, so a pruned trial could only have mattered by succeeding; the
+batch pass, whose failed trials leave no trace, prunes from its first.
+Decisions, details and registries are those of the search without pruning.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .calculus import (
@@ -62,6 +76,7 @@ from .errors import (
 from .nwtt import NwttConfig, NwttRule, RegulatorConfig, regulator_delay_bound
 from .topology import (
     PortId,
+    SwitchProfile,
     Topology,
     VlanTree,
     enumerate_spanning_trees,
@@ -214,11 +229,28 @@ class _SolverState:
         )
 
 
-def _port_state(
-    topo: Topology, port: PortId, classes: dict[int, ClassAggregate]
-) -> PortClassState:
-    profile = topo.profile(port.node)
+def _port_state(profile: SwitchProfile, classes: dict[int, ClassAggregate]) -> PortClassState:
     return PortClassState(profile.link_rate_Bps, classes, profile.fwd_delay_us, DEFAULT_MAX_PKT_B)
+
+
+def _hop_floor_us(profiles: tuple[SwitchProfile, ...], spec: FlowSpec, priority: int) -> float:
+    """Least bound of one class-`priority` hop of `spec` at any switch.
+
+    The flow's `hop_delay_bound` alone at an empty port, the least over the
+    fabric's distinct `profiles`; infinite if it is Unschedulable alone at
+    every one.  Sound for any port of any trial: there the blocking packet
+    is at least the floor's, the class burst at least the flow's own and the
+    residual rate at most the link's, and bounds only grow with each.  A
+    flow that overloads an empty link overloads it in any trial too.
+    """
+    floor = math.inf
+    alone = {priority: ClassAggregate(spec.burst_B, spec.rate_Bps, spec.max_pkt_B)}
+    for profile in profiles:
+        try:
+            floor = min(floor, hop_delay_bound(_port_state(profile, alone), priority))
+        except Unschedulable:
+            continue
+    return floor
 
 
 def _settle(
@@ -271,7 +303,7 @@ def _settle(
                     slot[2] = max(slot[2], pl.spec.max_pkt_B)
                 classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
                 aggregates[port] = classes
-                states[port] = _port_state(topo, port, classes)
+                states[port] = _port_state(topo.profile(port.node), classes)
 
         moved: set[PortId] = set()
         order: dict[PortId, None] = {}  # dirty ports in first-appearance order
@@ -354,7 +386,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
             classes[cls] = ClassAggregate(
                 b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
             )
-            state = states[port] = _port_state(topo, port, classes)
+            state = states[port] = _port_state(topo.profile(port.node), classes)
             delay = delays[port, cls] = hop_delay_bound(state, cls)
             total += delay
             if total > spec.deadline_us:
@@ -471,6 +503,7 @@ class NetworkState:
         self.default_regulator = default_regulator
         self._solver = _SolverState()
         self._routes: dict[tuple[str, str], _Routes] = {}  # filled as pairs are requested
+        self._distinct_profiles: tuple[SwitchProfile, ...] | None = None  # see _profiles
 
     # ------------------------------------------------------------------ helpers
 
@@ -546,7 +579,9 @@ class NetworkState:
         fixed_us = regulator_us + sum(c.delay_bound_us for c in contracts if c is not None)
         return _Terms(ul, dl, regulator, regulator_us, fixed_us)
 
-    def _candidates(self, spec: FlowSpec, terms: _Terms):
+    def _candidates(
+        self, spec: FlowSpec, terms: _Terms, prune: Callable[[], bool] = lambda: False
+    ):
         """Placements of a flow in fixed search order: class descending, tree ascending.
 
         The solve depends on (class, hops) only, so a tree whose path repeats
@@ -555,19 +590,45 @@ class NetworkState:
         lazily (see `_Routes`), so an accept on an early tree costs only the
         paths walked so far, and later requests and batch steps for the pair
         walk no tree again.
+
+        While `prune()` holds, a candidate is also skipped if its e2e bound
+        surely misses the deadline: `terms.fixed_us` plus one `_hop_floor_us`
+        of its class per hop.  Its trial would fail at the round-one screen.
+        The floor is computed once per class, on the first candidate that
+        `prune()` lets it judge, so a search that never prunes computes none.
         """
         pair = (spec.src, spec.dst)
         routes = self._routes.get(pair)
         if routes is None:
             routes = self._routes[pair] = _Routes(self.topology, self.trees, *pair)
+        slack_us = spec.deadline_us - terms.fixed_us
         for priority in range(self.class_count - 1, self.best_effort_class, -1):
+            floor = None
             for tree, hops in routes:
+                if prune():
+                    if floor is None:
+                        floor = _hop_floor_us(self._profiles(), spec, priority)
+                    if len(hops) * floor > slack_us:
+                        continue
                 yield _Placement(spec, priority, tree, hops, terms)
+
+    def _profiles(self) -> tuple[SwitchProfile, ...]:
+        """The fabric's distinct switch profiles, found on first use."""
+        if self._distinct_profiles is None:
+            self._distinct_profiles = tuple(set(self.topology.switches.values()))
+        return self._distinct_profiles
 
     # ------------------------------------------------------------------ operations
 
     def register_flow(self, spec: FlowSpec) -> Decision:
-        """Admit a flow or reject it, leaving the registry untouched on reject."""
+        """Admit a flow or reject it, leaving the registry untouched on reject.
+
+        Once a trial has failed with DeadlineInfeasible, a reject's reason and
+        detail are fixed: that reason outranks the others, and its detail is
+        its first trial's.  From then on a trial matters only if it succeeds,
+        so the search skips every candidate that `_candidates` can rule out
+        by its lower bound.
+        """
         try:
             if spec.flow_id in self._solver.placements:
                 raise InvalidSpec(f"flow id {spec.flow_id!r} already registered")
@@ -578,7 +639,7 @@ class NetworkState:
             return Decision(False, reason=type(exc).__name__, detail=str(exc))
 
         reasons: dict[str, str] = {}  # reason -> detail of its first failed trial
-        for cand in self._candidates(spec, terms):
+        for cand in self._candidates(spec, terms, lambda: "DeadlineInfeasible" in reasons):
             try:
                 solver = _add_flow(self.topology, self._solver, cand)
             except _Infeasible as exc:
@@ -626,13 +687,15 @@ class NetworkState:
 
         None if that fails.  The flows enter one at a time into a state of
         their own, each trial solved warm from the flows placed before it.
+        A failed trial here leaves no trace, so every candidate that
+        `_candidates` can rule out by its lower bound is skipped.
         """
         pending = [(pl.spec, pl.terms) for pl in self._solver.placements.values()]
         pending.append((spec, terms))
         pending.sort(key=lambda entry: (entry[0].deadline_us, entry[0].flow_id))
         solver = _SolverState()
         for entry in pending:
-            for cand in self._candidates(*entry):
+            for cand in self._candidates(*entry, lambda: True):
                 try:
                     solver = _add_flow(self.topology, solver, cand)
                 except _Infeasible:
@@ -730,6 +793,6 @@ class NetworkState:
         """Per-port, per-class backlog bounds implied by the current registry."""
         out: dict[PortId, dict[int, int]] = {}
         for port, classes in self._solver.aggregates.items():
-            state = _port_state(self.topology, port, classes)
+            state = _port_state(self.topology.profile(port.node), classes)
             out[port] = {cls: backlog_bound(state, cls) for cls in classes}
         return out

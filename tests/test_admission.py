@@ -1,6 +1,8 @@
 import copy
+import math
 import random
 import re
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -510,7 +512,7 @@ def reference_round(topo, placements, bursts):
     states = {}
     for port, per_cls in raw.items():
         aggregates[port] = {cls: ClassAggregate(*slot) for cls, slot in per_cls.items()}
-        states[port] = _port_state(topo, port, aggregates[port])
+        states[port] = _port_state(topo.profile(port.node), aggregates[port])
     return aggregates, states
 
 
@@ -821,3 +823,184 @@ class TestRejectsFromTrials:
                 else:
                     reasons.add(decision.reason)
         assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable"} <= reasons
+
+
+def grid_4x4_fast():
+    """The admit-grid fabric's shape and rate: a 4x4 grid at 1.25 MB/s, one host per switch."""
+    topo = grid_topology(4, 4)
+    topo.switches = {sid: SwitchProfile(link_rate_Bps=1_250_000) for sid in topo.switches}
+    return topo
+
+
+def prune_spec(rng, fid, endpoints):
+    """An admit-grid-like request: deadlines of 2-50 ms, some of them missed even alone."""
+    src, dst = rng.sample(endpoints, 2)
+    pkt = rng.choice([300, 1_000, 1_500])
+    return FlowSpec(fid, src, dst, rng.choice([2_000, 10_000, 25_000]),
+                    pkt * rng.randrange(1, 3), pkt, rng.randrange(2_000, 50_001))
+
+
+def counting_search(monkeypatch):
+    """Count `_add_flow` trials by (label, phase), phase "batch" inside `_batch_reassign`,
+    and batch passes under (label, "batch passes").
+
+    Returns the counter and a one-item list holding the label to count under.
+    """
+    trials, label, phase = Counter(), ["built"], ["search"]
+    add_flow, batch = admission._add_flow, NetworkState._batch_reassign
+
+    def counted_add_flow(topo, base, pl):
+        trials[label[0], phase[0]] += 1
+        return add_flow(topo, base, pl)
+
+    def flagged_batch(self, spec, terms):
+        trials[label[0], "batch passes"] += 1
+        phase[0] = "batch"
+        try:
+            return batch(self, spec, terms)
+        finally:
+            phase[0] = "search"
+
+    monkeypatch.setattr(admission, "_add_flow", counted_add_flow)
+    monkeypatch.setattr(NetworkState, "_batch_reassign", flagged_batch)
+    return trials, label
+
+
+class TestLowerBoundPrune:
+    @pytest.mark.parametrize("reconfig", [True, False], ids=["reconfig", "no-reconfig"])
+    @pytest.mark.parametrize("fabric", ["grid", "ring"])
+    def test_same_decisions_as_search_without_prune(self, fabric, reconfig, monkeypatch):
+        """The prune skips only trials whose outcome cannot reach the decision.
+
+        The reference registry's floor is minus infinity, so it prunes no
+        candidate.  The grid's tight deadlines bring rejects that the flow
+        misses even alone; the ring's UE ends give candidates fixed terms.
+        """
+        if fabric == "grid":
+            topo = grid_4x4_fast()
+            endpoints = sorted(topo.hosts)
+        else:
+            topo = ring_topology()
+            topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))
+            endpoints = ["UE1", "UE2", "A", "D", "E", "G"]
+        trials, label = counting_search(monkeypatch)
+        outcomes = set()
+        for seed in range(3):
+            rng = random.Random(seed)
+            state = NetworkState(topo, enable_reconfig=reconfig)
+            ref = NetworkState(topo, trees=state.trees, enable_reconfig=reconfig)
+            live = []
+            for i in range(24):
+                if live and rng.random() < 0.25:
+                    fid = live.pop(rng.randrange(len(live)))
+                    state.remove_flow(fid)
+                    ref.remove_flow(fid)
+                else:
+                    spec = prune_spec(rng, f"f{i}", endpoints)
+                    label[0] = "built"
+                    decision = state.register_flow(spec)
+                    label[0] = "reference"
+                    with monkeypatch.context() as m:
+                        m.setattr(admission, "_hop_floor_us", lambda *_: -math.inf)
+                        expected = ref.register_flow(spec)
+                    assert decision == expected, (seed, i)
+                    if decision.accepted:
+                        live.append(spec.flow_id)
+                        outcomes.add("moved" if decision.reconfigured else "placed")
+                    else:
+                        outcomes.add(decision.reason)
+                assert snapshot(state) == snapshot(ref)
+        assert {"placed", "DeadlineInfeasible"} <= outcomes
+        # not vacuous: the built registry skipped trials in the search and the batch pass
+        assert trials["built", "search"] < trials["reference", "search"]
+        if reconfig:
+            assert trials["built", "batch"] < trials["reference", "batch"]
+            if fabric == "grid":
+                assert "moved" in outcomes
+
+    def test_floor_is_a_lower_bound_at_every_port(self):
+        """For each port and class, over random base aggregates: floor <= the real bound.
+
+        The fabric mixes two profiles: S2's links are ten times faster, but
+        its classes 4 and 5 forward slowly, so which profile bounds a flow
+        alone lower depends on the class and the burst.  A floor that takes
+        the largest instead of the least profile bound fails the same check.
+        """
+        topo = ring_topology(with_transit=False)
+        topo.switches["S2"] = SwitchProfile(
+            link_rate_Bps=1_250_000, fwd_delay_us=(0, 400, 400, 400, 30_000, 30_000, 0, 0))
+        topo.switches["S1"] = topo.switches["S3"] = SwitchProfile(
+            fwd_delay_us=(0, 0, 0, 0, 0, 0, 30, 3_000))
+        topo.hosts.update(A=PortId("S1", 4))
+        state = NetworkState(topo)
+        profiles = state._profiles()
+        assert len(profiles) == 2
+        ports = sorted({port for link in topo.links for port in link} | set(topo.hosts.values()))
+
+        def violations(floor_fn):
+            rng = random.Random(7)
+            found = []
+            for _ in range(40):
+                pkt = rng.choice([100, 1_000, 1_500])
+                # some rates overload only the slow links, some every link
+                new = FlowSpec("new", "A", "D", rng.choice([5_000, 60_000, 200_000, 2_000_000]),
+                               pkt * rng.randrange(1, 4), pkt, 10**9)
+                base = {cls: ClassAggregate(rng.randrange(0, 9_000), rng.randrange(0, 40_000),
+                                            rng.choice([100, 1_500, 9_000]))
+                        for cls in rng.sample(range(1, 8), rng.randrange(0, 4))}
+                for port in ports:
+                    for cls in range(1, state.class_count):
+                        floor = floor_fn(profiles, new, cls)
+                        classes = dict(base)
+                        b, r, m = classes.get(cls, (0, 0, 0))
+                        classes[cls] = ClassAggregate(b + new.burst_B, r + new.rate_Bps,
+                                                      max(m, new.max_pkt_B))
+                        try:
+                            real = hop_delay_bound(
+                                _port_state(topo.profile(port.node), classes), cls)
+                        except Unschedulable:
+                            continue
+                        if floor > real:
+                            found.append((port, cls, floor, real))
+            return found
+
+        assert violations(admission._hop_floor_us) == []
+        assert violations(lambda profiles, new, cls: max(
+            admission._hop_floor_us((p,), new, cls) for p in profiles))
+        # rates above both links give an infinite floor, above the slow one only a finite one
+        fast_only = FlowSpec("x", "A", "D", 200_000, 1_500, 1_500, 10**9)
+        assert admission._hop_floor_us(profiles, fast_only, 7) < math.inf
+        every = FlowSpec("x", "A", "D", 2_000_000, 1_500, 1_500, 10**9)
+        assert admission._hop_floor_us(profiles, every, 7) == math.inf
+
+    def test_reject_missed_alone_costs_one_trial(self, monkeypatch):
+        """A flow that misses its deadline alone on every route: one trial, no batch trial."""
+        topo = grid_4x4_fast()
+        state = NetworkState(topo)
+        for i, (src, dst) in enumerate([("H00", "H33"), ("H03", "H30"), ("H11", "H22"),
+                                        ("H21", "H12"), ("H00", "H22"), ("H31", "H02")]):
+            assert state.register_flow(FlowSpec(f"f{i}", src, dst, 10_000, 300, 300,
+                                                40_000 + 1_000 * i)).accepted
+        before = snapshot(state)
+        trials, _ = counting_search(monkeypatch)
+        # seven hops of at least 1,440 us each, against 5 ms
+        decision = state.register_flow(FlowSpec("x", "H00", "H33", 10_000, 300, 300, 5_000))
+        assert (decision.accepted, decision.reason, decision.detail) == (
+            False, "DeadlineInfeasible", "flow 'x': bound at least 6390 us > deadline 5000 us")
+        # the batch pass ran; x comes first by deadline and every candidate of x is pruned
+        assert trials == {("built", "search"): 1, ("built", "batch passes"): 1}
+        assert snapshot(state) == before
+
+    def test_first_try_accept_computes_no_floor(self, monkeypatch):
+        state = NetworkState(grid_4x4_fast())
+        assert state.register_flow(FlowSpec("f0", "H00", "H33", 10_000, 300, 300,
+                                            40_000)).accepted
+        floors, trials = [], []
+        floor, add_flow = admission._hop_floor_us, admission._add_flow
+        monkeypatch.setattr(admission, "_hop_floor_us",
+                            lambda *args: floors.append(args) or floor(*args))
+        monkeypatch.setattr(admission, "_add_flow",
+                            lambda *args: trials.append(args) or add_flow(*args))
+        assert state.register_flow(FlowSpec("f1", "H03", "H30", 10_000, 300, 300,
+                                            40_000)).accepted
+        assert (len(trials), floors, state._distinct_profiles) == (1, [], None)
