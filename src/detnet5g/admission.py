@@ -73,7 +73,7 @@ from .errors import (
     _known_keys,
     _positive_int,
 )
-from .nwtt import NwttConfig, NwttRule, RegulatorConfig, regulator_delay_bound
+from .nwtt import NwttRule, RegulatorConfig, regulator_delay_bound
 from .topology import (
     PortId,
     SwitchProfile,
@@ -151,9 +151,11 @@ class FlowAssignment:
     """Resolved placement of an admitted flow: its spec and bound components.
 
     `ul` and `dl` are the 5G contracts of a UE source and a UE destination
-    (None for a host end); the e2e bound is the hop bounds plus their delay
-    bounds plus the regulator bound.  The regulator itself is configured in
-    the flow's NW-TT rule (`NetworkState.nwtt_rules`).
+    (None for a host end); `regulator` is the NW-TT regulator of a
+    de-jittered flow (None otherwise).  The e2e bound is the hop bounds plus
+    the contracts' delay bounds plus the regulator bound.  The flow's edges
+    are configured from this record alone: `NetworkState.response` and
+    `NetworkState.nwtt_rule` render it and read nothing else of the flow.
     """
 
     spec: FlowSpec
@@ -163,6 +165,7 @@ class FlowAssignment:
     per_hop_bounds_us: tuple[int, ...]
     ul: TransitContract | None
     dl: TransitContract | None
+    regulator: RegulatorConfig | None
     regulator_bound_us: int
     e2e_bound_us: int
 
@@ -529,6 +532,7 @@ class NetworkState:
             per_hop_bounds_us=hop_bounds,
             ul=terms.ul,
             dl=terms.dl,
+            regulator=terms.regulator,
             regulator_bound_us=terms.regulator_us,
             e2e_bound_us=sum(hop_bounds) + terms.fixed_us,
         )
@@ -737,7 +741,9 @@ class NetworkState:
         An accepted flow's record carries the configuration its edge applies:
         the NW-TT rule of a UE source, or the source host's tagging and
         policing entry; a rejected one carries the reason and its detail.
-        Call it before the registry changes again: it reads the placement.
+        That configuration is rendered from `decision.assignment` alone, so
+        the record is the one handed out at acceptance, whatever the registry
+        has done since.
         """
         response: dict = {
             "schema_version": 1,
@@ -750,16 +756,15 @@ class NetworkState:
             response.update(
                 vlan_id=a.vlan_id, pcp=a.priority_class, e2e_bound_us=a.e2e_bound_us
             )
-            pl = self._solver.placements[spec.flow_id]
-            if self.topology.is_ue(spec.src):
-                response["nwtt_config"] = self._nwtt_rule(spec.flow_id, pl).wire()
+            if self.topology.is_ue(a.spec.src):
+                response["nwtt_config"] = self.nwtt_rule(a).wire()
             else:  # tagging and policing entry for the source host's middleware
                 response["host_config"] = {
-                    "flow_id": spec.flow_id,
-                    "match": {"src": spec.src, "dst": spec.dst},
-                    "vlan_id": pl.tree.vlan_id,
-                    "pcp": pl.priority,
-                    "policer": {"burst_B": spec.burst_B, "rate_Bps": spec.rate_Bps},
+                    "flow_id": a.spec.flow_id,
+                    "match": {"src": a.spec.src, "dst": a.spec.dst},
+                    "vlan_id": a.vlan_id,
+                    "pcp": a.priority_class,
+                    "policer": {"burst_B": a.spec.burst_B, "rate_Bps": a.spec.rate_Bps},
                 }
         else:
             response["reason"] = decision.reason
@@ -767,24 +772,17 @@ class NetworkState:
                 response["detail"] = decision.detail
         return response
 
-    def nwtt_rules(self) -> NwttConfig:
-        """Aggregate NW-TT ruleset over all admitted 5G-sourced flows."""
-        cfg = NwttConfig()
-        for fid, pl in sorted(self._solver.placements.items()):
-            if self.topology.is_ue(pl.spec.src):
-                cfg.add_rule(self._nwtt_rule(fid, pl))
-        return cfg
-
-    def _nwtt_rule(self, flow_id: str, pl: _Placement) -> NwttRule:
-        spec = pl.spec
+    def nwtt_rule(self, assignment: FlowAssignment) -> NwttRule:
+        """The NW-TT rule of an admitted UE-sourced flow, from its assignment alone."""
+        spec = assignment.spec
         return NwttRule(
-            flow_id=flow_id,
+            flow_id=spec.flow_id,
             src=spec.src,
             dst=spec.dst,
             egress=self.topology.transit.attach,
-            vlan_id=pl.tree.vlan_id,
-            pcp=pl.priority,
-            regulator=pl.terms.regulator,
+            vlan_id=assignment.vlan_id,
+            pcp=assignment.priority_class,
+            regulator=assignment.regulator,
         )
 
     # ------------------------------------------------------------------ introspection

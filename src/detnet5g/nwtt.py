@@ -1,12 +1,16 @@
 """Network-side translator: per-flow tagging/routing and de-jittering.
 
-Packets leaving the 5G segment are matched exactly on (source, destination);
-a hit yields the VLAN/priority tag and the egress toward the fabric,
-anything else falls through to best effort.  The optional hold-and-forward
-regulator retains the first packet of a busy period for a configured hold
-time and then releases queued packets strictly one release period apart,
-which absorbs the slot-pattern jitter upstream at the price of added
-latency.
+The translator holds one `NwttRule` per admitted UE-sourced flow, rendered
+from the flow's assignment by `NetworkState.nwtt_rule`.  Packets leaving the
+5G segment are matched exactly on (source, destination) against those rules
+(`classify_and_tag`): a hit yields the VLAN/priority tag, the egress toward
+the fabric and the regulator, anything else falls through to best effort,
+class 0 with no regulator.
+
+The optional hold-and-forward regulator retains the first packet of a busy
+period for a configured hold time and then releases queued packets strictly
+one release period apart, which absorbs the slot-pattern jitter upstream at
+the price of added latency.
 """
 
 from __future__ import annotations
@@ -16,19 +20,6 @@ from dataclasses import asdict, dataclass, field
 
 from .topology import PortId
 from .units import NS_PER_US, ceil_div
-
-
-class BestEffort:
-    """Sentinel decision for unmatched packets: class 0 on the default route."""
-
-    pcp = 0
-    regulator = None
-
-    def __repr__(self) -> str:
-        return "BestEffort"
-
-
-BEST_EFFORT = BestEffort()
 
 
 @dataclass(frozen=True)
@@ -74,23 +65,11 @@ class NwttRule:
         }
 
 
-@dataclass
-class NwttConfig:
-    rules: dict[tuple[str, str], NwttRule] = field(default_factory=dict)
-
-    def add_rule(self, rule: NwttRule) -> None:
-        key = (rule.src, rule.dst)
-        existing = self.rules.get(key)
-        if existing is not None and existing.flow_id != rule.flow_id:
-            raise ValueError(
-                f"match {key} already bound to flow {existing.flow_id!r}"
-            )
-        self.rules[key] = rule
-
-
-def classify_and_tag(cfg: NwttConfig, src: str, dst: str):
-    """Exact-match lookup; unmatched packets are best effort, never an error."""
-    return cfg.rules.get((src, dst), BEST_EFFORT)
+def classify_and_tag(
+    rules: dict[tuple[str, str], NwttRule], src: str, dst: str
+) -> NwttRule | None:
+    """The rule matching (src, dst) exactly; None (best effort) if none does."""
+    return rules.get((src, dst))
 
 
 @dataclass

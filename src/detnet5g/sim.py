@@ -807,7 +807,10 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
     """
     topo = state.topology
     admitted = state.flows()
-    nwtt = state.nwtt_rules()
+    nwtt = {  # the NW-TT's table: one rule per admitted UE-sourced flow
+        (a.spec.src, a.spec.dst): state.nwtt_rule(a)
+        for a in admitted.values() if topo.is_ue(a.spec.src)
+    }
     class_regulators = {}  # the per-class regulator queues, by class
     entries = [(entry.source, admitted[entry.spec.flow_id], entry.critical)
                for entry in scenario.flows if entry.spec.flow_id in admitted]
@@ -823,11 +826,12 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
             ctx.vlan_id, ctx.route = tree.vlan_id, tuple(path_in_tree(topo, tree, src, dst))
         if topo.is_ue(src):  # the NW-TT tags the flow's packets
             rule = classify_and_tag(nwtt, src, dst)
-            ctx.pcp, cfg = rule.pcp, rule.regulator
-            if cfg is not None and cfg.per_class:
-                ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
-            elif cfg is not None:
-                ctx.regulator = (RegulatorState(), cfg)
+            if rule is not None:  # a miss is best effort: class 0, no regulator
+                ctx.pcp, cfg = rule.pcp, rule.regulator
+                if cfg is not None and cfg.per_class:
+                    ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
+                elif cfg is not None:
+                    ctx.regulator = (RegulatorState(), cfg)
         elif assignment is not None:  # the source host tags and polices the flow
             ctx.pcp = assignment.priority_class
             ctx.policer = _Policer(assignment.spec.burst_B, assignment.spec.rate_Bps)

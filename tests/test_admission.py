@@ -318,6 +318,8 @@ class TestFlowRequests:
 
 
 class TestNwttConfig:
+    """The `nwtt_config` record of an accepted UE-sourced flow: its `nwtt_rule`, on the wire."""
+
     def test_admitted_ue_flow(self, ring):
         state = NetworkState(ring)
         cfg = state.handle_flow_request(asdict(spec()))["nwtt_config"]
@@ -338,7 +340,8 @@ class TestNwttConfig:
             "regulator": {"hold_us": 5_000, "release_period_us": 2_000,
                           "queue_cap_pkts": 64, "per_class": True},
         }
-        rule = state.nwtt_rules().rules[("UE1", "D")]
+        rule = state.nwtt_rule(state.flows()["f1"])
+        assert rule.regulator == reg
         assert cfg == {
             "flow_id": rule.flow_id,
             "match": {"src": rule.src, "dst": rule.dst},
@@ -350,10 +353,39 @@ class TestNwttConfig:
 
     def test_two_ue_flows_two_rules(self, ring):
         state = NetworkState(ring)
-        state.register_flow(spec(fid="f1", src="UE1", dst="D"))
-        state.register_flow(spec(fid="f2", src="UE2", dst="G"))
-        rules = state.nwtt_rules().rules
-        assert set(rules) == {("UE1", "D"), ("UE2", "G")}
+        configs = [state.handle_flow_request(asdict(spec(fid=fid, src=src, dst=dst)))["nwtt_config"]
+                   for fid, src, dst in (("f1", "UE1", "D"), ("f2", "UE2", "G"))]
+        assert [c["match"] for c in configs] == [{"src": "UE1", "dst": "D"},
+                                                 {"src": "UE2", "dst": "G"}]
+        assert configs == [state.nwtt_rule(state.flows()[fid]).wire() for fid in ("f1", "f2")]
+
+
+class TestResponse:
+    """`response` renders an accepted flow's record from its `Decision` alone."""
+
+    @staticmethod
+    def moved():
+        """A's request, decision and record; then B, whose batch pass moves A to VLAN 101."""
+        state = NetworkState(reconfig_topology())
+        spec_a = spec(fid="A", src="A_src", dst="E", rate=25_000, burst=5_000, pkt=1_500,
+                      deadline=500_000)
+        decision_a = state.register_flow(spec_a)
+        record = state.response(spec_a, decision_a)
+        assert record["vlan_id"] == record["host_config"]["vlan_id"] == 100
+        b = state.register_flow(spec(fid="B", src="B_src", dst="D", rate=12_500, burst=1_250,
+                                     pkt=1_250, deadline=50_000))
+        assert b.reconfigured == ("A",)
+        assert state.flows()["A"].vlan_id == 101
+        return state, spec_a, decision_a, record
+
+    def test_record_outlives_a_move(self):
+        state, spec_a, decision_a, record = self.moved()
+        assert state.response(spec_a, decision_a) == record
+
+    def test_record_outlives_a_removal(self):
+        state, spec_a, decision_a, record = self.moved()
+        state.remove_flow("A")
+        assert state.response(spec_a, decision_a) == record
 
 
 def make_ops(seed: int, count: int):

@@ -76,7 +76,6 @@ def test_duplicate_nwtt_match_rejected():
                      for fid in ("e1", "e2"))
     assert state.register_flow(first).accepted
     assert not state.register_flow(second).accepted
-    assert state.nwtt_rules().rules[("UE1", "D")].flow_id == "e1"
 
 
 @hole("f")

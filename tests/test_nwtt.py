@@ -1,10 +1,6 @@
 import random
 
-import pytest
-
 from detnet5g.nwtt import (
-    BEST_EFFORT,
-    NwttConfig,
     NwttRule,
     RegulatorConfig,
     RegulatorState,
@@ -23,30 +19,26 @@ def rule(flow_id, src, dst, vlan=100, pcp=7):
                     egress=PortId("S1", 3), vlan_id=vlan, pcp=pcp)
 
 
+def table(*rules):
+    """The translator's rule table: each rule keyed by its (src, dst) match."""
+    return {(r.src, r.dst): r for r in rules}
+
+
 class TestClassify:
     def test_admitted_flow_matches(self):
-        cfg = NwttConfig()
-        cfg.add_rule(rule("f1", "UE1", "D"))
-        hit = classify_and_tag(cfg, "UE1", "D")
+        f1 = rule("f1", "UE1", "D")
+        hit = classify_and_tag(table(f1), "UE1", "D")
+        assert hit is f1
         assert (hit.vlan_id, hit.pcp, hit.egress) == (100, 7, PortId("S1", 3))
 
     def test_unknown_flow_is_best_effort(self):
-        cfg = NwttConfig()
-        cfg.add_rule(rule("f1", "UE1", "D"))
-        assert classify_and_tag(cfg, "UE2", "D") is BEST_EFFORT
+        assert classify_and_tag(table(rule("f1", "UE1", "D")), "UE2", "D") is None
 
     def test_same_dst_distinct_src_rules(self):
-        cfg = NwttConfig()
-        cfg.add_rule(rule("f1", "UE1", "D", vlan=100, pcp=7))
-        cfg.add_rule(rule("f2", "UE2", "D", vlan=101, pcp=6))
-        assert classify_and_tag(cfg, "UE1", "D").flow_id == "f1"
-        assert classify_and_tag(cfg, "UE2", "D").flow_id == "f2"
-
-    def test_conflicting_rule_rejected(self):
-        cfg = NwttConfig()
-        cfg.add_rule(rule("f1", "UE1", "D"))
-        with pytest.raises(ValueError):
-            cfg.add_rule(rule("f2", "UE1", "D"))
+        rules = table(rule("f1", "UE1", "D", vlan=100, pcp=7),
+                      rule("f2", "UE2", "D", vlan=101, pcp=6))
+        assert classify_and_tag(rules, "UE1", "D").flow_id == "f1"
+        assert classify_and_tag(rules, "UE2", "D").flow_id == "f2"
 
 
 class TestRegulatorOffer:

@@ -219,6 +219,23 @@ class TestDeterminism:
             gc.enable()
 
 
+def moved_flow_doc():
+    """Two host flows on the canonical ring; admitting B moves A from VLAN 100 to 101."""
+    doc = canonical_scenario()
+    doc["topology"]["hosts"] = [{"id": host, "attach": port} for host, port in (
+        ("A_src", "S1.4"), ("B_src", "S1.5"), ("D", "S3.3"), ("E", "S3.4"))]
+    doc["flows"] = [
+        {"flow_id": fid, "src": src, "dst": dst, "rate_Bps": rate, "burst_B": burst,
+         "max_pkt_B": pkt, "deadline_us": deadline, "critical": True,
+         "source": {"mode": "periodic", "period_us": period, "pkt_B": pkt}}
+        for fid, src, dst, rate, burst, pkt, deadline, period in (
+            ("A", "A_src", "E", 25_000, 5_000, 1_500, 500_000, 60_000),
+            ("B", "B_src", "D", 12_500, 1_250, 1_250, 50_000, 100_000))
+    ]
+    doc["sim"] = {"duration_ms": 2_000}
+    return doc
+
+
 def treatment(doc, dejitter="scenario"):
     """The admitted state and the flow contexts a run of `doc` would simulate."""
     scn = load_scenario(doc)
@@ -233,7 +250,7 @@ class TestFlowTreatment:
     def test_admitted_ue_flow_follows_its_nwtt_rule(self, dejitter):
         state, flows = treatment(canonical_scenario(), dejitter)
         orange, assignment = flows["orange"], state.flows()["orange"]
-        rule = state.nwtt_rules().rules[("UE1", "D")]
+        rule = state.nwtt_rule(assignment)
         assert orange.assignment == assignment
         assert orange.pcp == rule.pcp == assignment.priority_class > 0
         assert (orange.vlan_id, orange.route) == (assignment.vlan_id, assignment.hop_ports)
@@ -243,6 +260,22 @@ class TestFlowTreatment:
             assert orange.regulator[0].queue == deque()
         else:
             assert orange.regulator is None
+
+    def test_moved_flow_is_simulated_where_the_registry_put_it(self):
+        state, flows = treatment(moved_flow_doc())
+        a, ctx = state.flows()["A"], flows["A"]
+        tree = next(t for t in state.trees if t.vlan_id == 101)
+        assert (a.vlan_id, ctx.vlan_id) == (101, 101)
+        assert ctx.route == a.hop_ports == tuple(path_in_tree(state.topology, tree, "A_src", "E"))
+        result = run(load_scenario(moved_flow_doc()))
+        report = result.report["flows"]["A"]
+        assert (report["vlan_id"], report["pcp"], report["bound_violations"]) == (101, 7, 0)
+        assert result.report["violations"]["total"] == 0
+        # the records stay those handed out at each acceptance: A's names VLAN 100
+        first, second = result.decisions
+        assert (first["flow_id"], first["vlan_id"], first["host_config"]["vlan_id"]) == (
+            "A", 100, 100)
+        assert second["reconfigured"] == ["A"]
 
     def test_extras_take_class_0_on_the_first_tree(self):
         state, flows = treatment(canonical_scenario(), "on")
