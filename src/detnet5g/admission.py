@@ -30,10 +30,12 @@ lowers aggregates: the ports that can depend on it are re-solved, with the
 flows through them restarting from their spec burst after their first such
 hop.  Each round re-bounds the dirty ports only, and a cold solve is the
 same rounds from an empty state with every port dirty.  Trials work on a
-copy, so a reject leaves the committed state alone.  A reject's reason and
-detail are those of the first trial that failed with that reason: the
-first violation its warm climb met, as sound a witness as a cold solve's,
-though a cold solve may name another flow or a larger bound.
+copy, so a reject leaves the committed state alone.  A failed trial raises
+DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
+reject's reason is the first of those classes that any trial raised, by
+name, with the detail of its first trial: the first violation that trial's
+warm climb met, as sound a witness as a cold solve's, though a cold solve
+may name another flow or a larger bound.
 
 Some candidates need no trial at all.  A flow's bound at one hop is at
 least its floor: its bound alone at an empty port, the least over the
@@ -64,6 +66,8 @@ from .calculus import (
     sp_residual_service,  # not called here; benchmarks/tracing.py looks this name up
 )
 from .errors import (
+    BufferExceeded,
+    DeadlineInfeasible,
     InvalidSpec,
     Unreachable,
     UnknownFlow,
@@ -88,6 +92,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_PKT_B = 1500  # largest unannounced frame that can block a higher class
 SOLVER_ITER_CAP = 100
+# what a failed trial raises, in the order that picks a reject's reason
+_TRIAL_FAILURES = (DeadlineInfeasible, BufferExceeded, Unschedulable)
 # the keys a flow request may carry; all but `dejitter` are required
 WIRE_KEYS = frozenset(("flow_id", "src", "dst", "rate_Bps", "burst_B", "max_pkt_B",
                        "deadline_us", "dejitter"))
@@ -199,13 +205,6 @@ class _Placement:
     terms: _Terms
 
 
-class _Infeasible(Exception):
-    def __init__(self, reason: str, detail: str):
-        super().__init__(detail)
-        self.reason = reason
-        self.detail = detail
-
-
 @dataclass
 class _SolverState:
     """Least fixed point of bursts and bounds for one set of placements.
@@ -310,59 +309,52 @@ def _settle(
 
         moved: set[PortId] = set()
         order: dict[PortId, None] = {}  # dirty ports in first-appearance order
-        try:
-            for fid in sorted({fid for port in states for fid in members[port]}):
-                pl = placements[fid]
-                cls = pl.priority
-                last = hop_bounds.get(fid)  # None only for a new flow, whose hops are all dirty
-                bounds = []
-                for i, port in enumerate(pl.hops):
-                    state = states.get(port)
-                    if state is None:
-                        bounds.append(last[i])
-                        continue
-                    order[port] = None
-                    delay = delays.get((port, cls))
-                    if delay is None:
-                        delay = delays[port, cls] = hop_delay_bound(state, cls)
-                    bounds.append(delay)
-                bounds = tuple(bounds)
-                if fid not in fresh and bounds == last:
+        for fid in sorted({fid for port in states for fid in members[port]}):
+            pl = placements[fid]
+            cls = pl.priority
+            last = hop_bounds.get(fid)  # None only for a new flow, whose hops are all dirty
+            bounds = []
+            for i, port in enumerate(pl.hops):
+                state = states.get(port)
+                if state is None:
+                    bounds.append(last[i])
                     continue
-                spec = pl.spec
-                burst = spec.burst_B
-                propagated = [burst]
-                for delay in bounds[:-1]:
-                    burst = propagate_burst(burst, spec.rate_Bps, delay)
-                    propagated.append(burst)
-                old = bursts[fid]
-                if propagated != old:
-                    bursts[fid] = propagated
-                    moved.update(
-                        port for port, b, a in zip(pl.hops, old, propagated) if b != a
-                    )
-                hop_bounds[fid] = bounds
-                total = sum(bounds) + pl.terms.fixed_us
-                if total > spec.deadline_us:
-                    raise _Infeasible(
-                        "DeadlineInfeasible",
-                        f"flow {fid!r}: bound {total} us > deadline {spec.deadline_us} us",
-                    )
-            for port in order:
-                buffer_B = topo.profile(port.node).port_buffer_B
-                backlog = sum(backlog_bound(states[port], cls) for cls in aggregates[port])
-                if backlog > buffer_B:
-                    raise _Infeasible(
-                        "BufferExceeded",
-                        f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
-                    )
-        except Unschedulable as exc:
-            raise _Infeasible("Unschedulable", str(exc)) from exc
+                order[port] = None
+                delay = delays.get((port, cls))
+                if delay is None:
+                    delay = delays[port, cls] = hop_delay_bound(state, cls)
+                bounds.append(delay)
+            bounds = tuple(bounds)
+            if fid not in fresh and bounds == last:
+                continue
+            spec = pl.spec
+            burst = spec.burst_B
+            propagated = [burst]
+            for delay in bounds[:-1]:
+                burst = propagate_burst(burst, spec.rate_Bps, delay)
+                propagated.append(burst)
+            old = bursts[fid]
+            if propagated != old:
+                bursts[fid] = propagated
+                moved.update(
+                    port for port, b, a in zip(pl.hops, old, propagated) if b != a
+                )
+            hop_bounds[fid] = bounds
+            total = sum(bounds) + pl.terms.fixed_us
+            if total > spec.deadline_us:
+                raise DeadlineInfeasible(
+                    f"flow {fid!r}: bound {total} us > deadline {spec.deadline_us} us"
+                )
+        for port in order:
+            buffer_B = topo.profile(port.node).port_buffer_B
+            backlog = sum(backlog_bound(states[port], cls) for cls in aggregates[port])
+            if backlog > buffer_B:
+                raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
 
         if not moved:
             return
         dirty, fresh, states, delays = moved, set(), None, {}
-    raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
+    raise Unschedulable("burst propagation found no fixed point")
 
 
 def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
@@ -382,23 +374,19 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     states: dict[PortId, PortClassState] = {}
     delays: dict[tuple[PortId, int], int] = {}
     total = pl.terms.fixed_us
-    try:
-        for port in pl.hops:
-            classes = dict(base.aggregates.get(port, ()))
-            b, r, m = classes.get(cls, (0, 0, 0))
-            classes[cls] = ClassAggregate(
-                b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
+    for port in pl.hops:
+        classes = dict(base.aggregates.get(port, ()))
+        b, r, m = classes.get(cls, (0, 0, 0))
+        classes[cls] = ClassAggregate(
+            b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
+        )
+        state = states[port] = _port_state(topo.profile(port.node), classes)
+        delay = delays[port, cls] = hop_delay_bound(state, cls)
+        total += delay
+        if total > spec.deadline_us:
+            raise DeadlineInfeasible(
+                f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us"
             )
-            state = states[port] = _port_state(topo.profile(port.node), classes)
-            delay = delays[port, cls] = hop_delay_bound(state, cls)
-            total += delay
-            if total > spec.deadline_us:
-                raise _Infeasible(
-                    "DeadlineInfeasible",
-                    f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us",
-                )
-    except Unschedulable as exc:
-        raise _Infeasible("Unschedulable", str(exc)) from exc
 
     st = base.copy()
     st.placements[fid] = pl
@@ -627,11 +615,14 @@ class NetworkState:
     def register_flow(self, spec: FlowSpec) -> Decision:
         """Admit a flow or reject it, leaving the registry untouched on reject.
 
-        Once a trial has failed with DeadlineInfeasible, a reject's reason and
-        detail are fixed: that reason outranks the others, and its detail is
-        its first trial's.  From then on a trial matters only if it succeeds,
-        so the search skips every candidate that `_candidates` can rule out
-        by its lower bound.
+        A reject's reason is the name of the `errors` class that refused the
+        flow: up front InvalidSpec, Unreachable or Unschedulable, else the
+        first class of `_TRIAL_FAILURES` that a trial raised.  Only the first
+        detail of each class is kept, as a string: an exception would keep
+        its trial's solver state alive through its traceback.  Once a trial
+        has raised DeadlineInfeasible, the reason and detail are fixed, and
+        a trial matters only if it succeeds, so the search skips every
+        candidate that `_candidates` can rule out by its lower bound.
         """
         try:
             if spec.flow_id in self._solver.placements:
@@ -642,12 +633,12 @@ class NetworkState:
         except (InvalidSpec, Unreachable, Unschedulable) as exc:
             return Decision(False, reason=type(exc).__name__, detail=str(exc))
 
-        reasons: dict[str, str] = {}  # reason -> detail of its first failed trial
-        for cand in self._candidates(spec, terms, lambda: "DeadlineInfeasible" in reasons):
+        details: dict[type, str] = {}  # failure class -> detail of its first failed trial
+        for cand in self._candidates(spec, terms, lambda: DeadlineInfeasible in details):
             try:
                 solver = _add_flow(self.topology, self._solver, cand)
-            except _Infeasible as exc:
-                reasons.setdefault(exc.reason, exc.detail)
+            except _TRIAL_FAILURES as exc:
+                details.setdefault(type(exc), str(exc))
                 continue
             self._solver = solver
             assignment = self._assignment(spec.flow_id)
@@ -679,12 +670,10 @@ class NetworkState:
                     True, assignment=self._assignment(spec.flow_id), reconfigured=moved
                 )
 
-        reasons.setdefault("Unschedulable", "no feasible candidate")  # if none was tried
-        reason = next(
-            r for r in ("DeadlineInfeasible", "BufferExceeded", "Unschedulable") if r in reasons
-        )
-        log.info("flow %s rejected: %s", spec.flow_id, reason)
-        return Decision(False, reason=reason, detail=reasons[reason])
+        details.setdefault(Unschedulable, "no feasible candidate")  # if none was tried
+        failure = next(f for f in _TRIAL_FAILURES if f in details)
+        log.info("flow %s rejected: %s", spec.flow_id, failure.__name__)
+        return Decision(False, reason=failure.__name__, detail=details[failure])
 
     def _batch_reassign(self, spec: FlowSpec, terms: _Terms) -> _SolverState | None:
         """Re-place every flow, the new one included, in ascending deadline order.
@@ -702,7 +691,7 @@ class NetworkState:
             for cand in self._candidates(*entry, lambda: True):
                 try:
                     solver = _add_flow(self.topology, solver, cand)
-                except _Infeasible:
+                except _TRIAL_FAILURES:
                     continue
                 break
             else:

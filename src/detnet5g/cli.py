@@ -28,7 +28,7 @@ from .sim import (
     write_report,
     write_trace,
 )
-from .topology import enumerate_spanning_trees
+from .topology import BASE_VLAN, enumerate_spanning_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +53,7 @@ def cmd_trees(args) -> int:
             "schema_version": 1,
             "truncated": truncated,
             "trees": [
-                {"vlan_id": t.vlan_id, "tree_index": t.tree_index,
+                {"vlan_id": t.vlan_id, "tree_index": t.vlan_id - BASE_VLAN,
                  "edges": [[str(a), str(b)] for a, b in t.edges]}
                 for t in trees
             ],
@@ -62,7 +62,7 @@ def cmd_trees(args) -> int:
     else:
         for t in trees:
             edges = " ".join(f"{a}-{b}" for a, b in t.edges)
-            print(f"vlan {t.vlan_id} tree {t.tree_index}: {edges}")
+            print(f"vlan {t.vlan_id} tree {t.vlan_id - BASE_VLAN}: {edges}")
         print(f"{len(trees)} spanning tree(s)" + (" [truncated]" if truncated else ""))
     return EXIT_OK
 

@@ -2,6 +2,9 @@
 
 The checks raise ScenarioInvalid with the offending field path, so that the
 file loaders and the wire path report a bad field the same way.
+
+Admission refuses a flow with these classes too: a reject's reason is the
+name of the class that raised its detail, up front or in a placement trial.
 """
 
 
@@ -19,6 +22,14 @@ class Unreachable(DetnetError):
 
 class Unschedulable(DetnetError):
     """A class or a UE direction lacks the rate a flow needs, or no fixed point exists."""
+
+
+class DeadlineInfeasible(DetnetError):
+    """A flow's e2e bound under a trial placement exceeds its deadline."""
+
+
+class BufferExceeded(DetnetError):
+    """A port's backlog bound under a trial placement exceeds its buffer."""
 
 
 class UnknownFlow(DetnetError):

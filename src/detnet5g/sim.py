@@ -275,7 +275,6 @@ class _Engine:
         self.heap = []
         self.fifo = deque()
         self.counter = 0
-        self.ports: dict[PortId, _Port] = {}  # the ports a packet reached
         self.transit = topo.transit
         self.slot_ns = 0
         self.armed: set[int] = set()  # slots whose tick is on the heap
@@ -296,7 +295,7 @@ class _Engine:
             self.slot_ns = tdd.slot_ns
             self.ul_wait = _slots_to_usable(tdd, UPLINK)
             self.dl_wait = _slots_to_usable(tdd, DOWNLINK)
-        self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route
+        self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route, reached or not
         for ctx in flows.values():
             ctx.ul_queue = ue_ul.get(ctx.source.src)
             ctx.dl_queue = ue_dl.get(ctx.source.dst)
@@ -558,7 +557,6 @@ class _Engine:
         for ctx in self.flows.values():
             ctx.hops = ()
             ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
-        self.ports = {port_id: port for port_id, port in self.all_ports.items() if port.reached}
 
 
 def latency_summary(latencies_ns: list[int]) -> dict:
@@ -700,15 +698,11 @@ class _TraceRows:
         """A window's rows in trace order, `rows_of(k, lo, t_send, t_recv)`
         making those of the k-th flow's slice; the sort keys are freed on
         return, before the rows are used."""
-        keys, rows = [], []
+        keys, rows, n = [], [], len(self.ctxs)
         for k, ctx, lo, hi in window:
             t_send = ctx.t_send[lo:hi]
-            if len(window) > 1:
-                keys += map(add, map(mul, t_send, itertools.repeat(len(self.ctxs))),
-                            itertools.repeat(k))
+            keys += map(add, map(mul, t_send, itertools.repeat(n)), itertools.repeat(k))
             rows += rows_of(k, lo, t_send, ctx.t_recv[lo:hi])
-        if len(window) == 1:  # one flow's slice is in order already
-            return rows
         return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
 
     def __iter__(self):
@@ -734,7 +728,9 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
 
     bounds = state.backlog_bounds()
     port_reports = {}
-    for port, sim_port in sorted(engine.ports.items()):
+    for port, sim_port in sorted(engine.all_ports.items()):
+        if not sim_port.reached:
+            continue
         per_class = {}
         for cls in range(sim_port.profile.class_count):
             occ = sim_port.max_occupancy[cls]

@@ -104,7 +104,6 @@ class VlanTree:
     """One spanning tree of the switch fabric, bound to a VLAN id up to MAX_VLAN."""
 
     vlan_id: int
-    tree_index: int
     edges: tuple[Link, ...]
     # the route table, built by the first path query; outside eq, hash and repr
     _routes: dict[str, _TreeHop] | None = field(default=None, init=False, compare=False,
@@ -123,7 +122,7 @@ class VlanTree:
 @dataclass
 class Topology:
     switches: dict[str, SwitchProfile] = field(default_factory=dict)
-    links: set[Link] = field(default_factory=set)
+    links: set[Link] = field(default_factory=set)  # switch to switch, as the loader checks
     hosts: dict[str, PortId] = field(default_factory=dict)
     transit: TransitNode5G | None = None
 
@@ -143,12 +142,8 @@ class Topology:
         return clone
 
     def switch_links(self) -> list[Link]:
-        """Fabric links (switch-to-switch), sorted canonically."""
-        return sorted(
-            link
-            for link in self.links
-            if link[0].node in self.switches and link[1].node in self.switches
-        )
+        """Fabric links, sorted canonically; every link joins two switches."""
+        return sorted(self.links)
 
     def profile(self, node: str) -> SwitchProfile:
         return self.switches[node]
@@ -169,8 +164,8 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
     """All spanning trees of the switch fabric, in deterministic order.
 
     A depth-first search over edge indices in `switch_links()` order emits
-    trees lexicographically by edge index, with vlan_id = BASE_VLAN +
-    tree_index.  An edge that would close a cycle cuts off every extension
+    trees lexicographically by edge index, the i-th (from 0) with vlan_id =
+    BASE_VLAN + i.  An edge that would close a cycle cuts off every extension
     of its prefix, so the cost grows with the trees emitted, not with
     C(links, switches - 1).  At most `cap` trees are returned, and never
     more than the VLAN ids from BASE_VLAN to MAX_VLAN; the second element
@@ -181,20 +176,6 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
     if not nodes:
         raise Disconnected("no switches")
     edges = topo.switch_links()
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        adj[a.node].append(b.node)
-        adj[b.node].append(a.node)
-    reach = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        for nxt in adj[frontier.pop()]:
-            if nxt not in reach:
-                reach.add(nxt)
-                frontier.append(nxt)
-    if reach != set(nodes):
-        raise Disconnected(f"switch graph not connected: reached {sorted(reach)}")
-
     want = len(nodes) - 1
     # union-find without path compression, so backtracking undoes a union in one step
     parent = {n: n for n in nodes}
@@ -204,6 +185,13 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
             x = parent[x]
         return x
 
+    for a, b in edges:  # join every link once to check connectivity, then start over
+        parent[find(a.node)] = find(b.node)
+    reach = [n for n in nodes if find(n) == find(nodes[0])]
+    if len(reach) < len(nodes):
+        raise Disconnected(f"switch graph not connected: reached {reach}")
+    parent.update(zip(nodes, nodes))
+
     trees: list[VlanTree] = []
     chosen: list[int] = []  # edge indices of the acyclic prefix, ascending
     joined: list[str] = []  # root each chosen edge attached, detached on backtrack
@@ -212,8 +200,7 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
         if len(chosen) == want:
             if len(trees) >= cap:
                 return trees, True
-            trees.append(VlanTree(vlan_id=BASE_VLAN + len(trees), tree_index=len(trees),
-                                  edges=tuple(edges[k] for k in chosen)))
+            trees.append(VlanTree(BASE_VLAN + len(trees), tuple(edges[k] for k in chosen)))
         elif i <= len(edges) - (want - len(chosen)):
             ra, rb = find(edges[i][0].node), find(edges[i][1].node)
             if ra != rb:

@@ -11,14 +11,15 @@ from detnet5g import admission
 from detnet5g.admission import (
     FlowSpec,
     NetworkState,
-    _Infeasible,
     _Placement,
     _port_state,
     _SolverState,
     _Terms,
 )
 from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
-from detnet5g.errors import ScenarioInvalid, UnknownFlow, Unschedulable
+from detnet5g import errors
+from detnet5g.errors import (BufferExceeded, DeadlineInfeasible, ScenarioInvalid, UnknownFlow,
+                             Unschedulable)
 from detnet5g.nwtt import RegulatorConfig
 from detnet5g.topology import PortId, SwitchProfile, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
@@ -445,11 +446,20 @@ class TestStateInvariants:
             assert snapshot(state2) == snapshot(state)
 
 
+# what a failed trial raises, in the order that picks a reject's reason
+TRIAL_FAILURES = (DeadlineInfeasible, BufferExceeded, Unschedulable)
+
+
+def failure(exc):
+    """A failed trial's (reason, detail), as a reject names them."""
+    return type(exc).__name__, str(exc)
+
+
 def full_order_search(state, spec):
     """Undeduplicated reference: every (class desc, tree asc) candidate in turn.
 
     Returns (first feasible placement and its solution, or None; the reasons
-    dict the search collects before that point).
+    dict, failure class name -> first detail, the search collects before that point).
     """
     reasons = {}
     for priority in range(state.class_count - 1, state.best_effort_class, -1):
@@ -458,8 +468,8 @@ def full_order_search(state, spec):
             cand = _Placement(spec, priority, tree, hops, _Terms())
             try:
                 solution = reference_trial(state.topology, state._solver, cand)
-            except _Infeasible as exc:
-                reasons.setdefault(exc.reason, exc.detail)
+            except TRIAL_FAILURES as exc:
+                reasons.setdefault(*failure(exc))
                 continue
             return (cand, solution), reasons
     return None, reasons
@@ -508,8 +518,7 @@ class TestDeduplicatedSearch:
                 if expected is None:
                     outcomes.add("rejected")
                     assert not decision.accepted
-                    reason = next(r for r in ("DeadlineInfeasible", "BufferExceeded",
-                                              "Unschedulable") if r in reasons)
+                    reason = next(f.__name__ for f in TRIAL_FAILURES if f.__name__ in reasons)
                     assert (decision.reason, decision.detail) == (reason, reasons[reason])
                     continue
                 cand, solution = expected
@@ -569,43 +578,35 @@ def reference_solve(topo, placements, start=None):
 
         changed = False
         hop_bounds = {}
-        try:
-            for fid in fids:
-                pl = placements[fid]
-                bounds = []
-                burst = pl.spec.burst_B
-                for i, port in enumerate(pl.hops):
-                    delay = delays.get((port, pl.priority))
-                    if delay is None:
-                        delay = hop_delay_bound(states[port], pl.priority)
-                        delays[port, pl.priority] = delay
-                    bounds.append(delay)
-                    burst = propagate_burst(burst, pl.spec.rate_Bps, delay)
-                    if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
-                        bursts[fid][i + 1] = burst
-                        changed = True
-                hop_bounds[fid] = tuple(bounds)
-                total = sum(bounds) + pl.terms.fixed_us
-                if total > pl.spec.deadline_us:
-                    raise _Infeasible(
-                        "DeadlineInfeasible",
-                        f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us",
-                    )
-            for port, classes in aggregates.items():
-                buffer_B = topo.profile(port.node).port_buffer_B
-                backlog = sum(backlog_bound(states[port], cls) for cls in classes)
-                if backlog > buffer_B:
-                    raise _Infeasible(
-                        "BufferExceeded",
-                        f"port {port}: backlog {backlog} B > buffer {buffer_B} B",
-                    )
-        except Unschedulable as exc:
-            raise _Infeasible("Unschedulable", str(exc)) from exc
+        for fid in fids:
+            pl = placements[fid]
+            bounds = []
+            burst = pl.spec.burst_B
+            for i, port in enumerate(pl.hops):
+                delay = delays.get((port, pl.priority))
+                if delay is None:
+                    delay = hop_delay_bound(states[port], pl.priority)
+                    delays[port, pl.priority] = delay
+                bounds.append(delay)
+                burst = propagate_burst(burst, pl.spec.rate_Bps, delay)
+                if i + 1 < len(pl.hops) and bursts[fid][i + 1] != burst:
+                    bursts[fid][i + 1] = burst
+                    changed = True
+            hop_bounds[fid] = tuple(bounds)
+            total = sum(bounds) + pl.terms.fixed_us
+            if total > pl.spec.deadline_us:
+                raise DeadlineInfeasible(
+                    f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us")
+        for port, classes in aggregates.items():
+            buffer_B = topo.profile(port.node).port_buffer_B
+            backlog = sum(backlog_bound(states[port], cls) for cls in classes)
+            if backlog > buffer_B:
+                raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
 
         if not changed:
             return _SolverState(placements=dict(placements), bursts=bursts,
                                 hop_bounds=hop_bounds, aggregates=aggregates)
-    raise _Infeasible("Unschedulable", "burst propagation found no fixed point")
+    raise Unschedulable("burst propagation found no fixed point")
 
 
 def reference_trial(topo, base, pl):
@@ -621,17 +622,11 @@ def reference_trial(topo, base, pl):
     start = {**base.bursts, spec.flow_id: [spec.burst_B] * len(pl.hops)}
     _, states = reference_round(topo, placements, start)
     total = pl.terms.fixed_us
-    try:
-        for port in pl.hops:
-            total += hop_delay_bound(states[port], pl.priority)
-            if total > spec.deadline_us:
-                raise _Infeasible(
-                    "DeadlineInfeasible",
-                    f"flow {spec.flow_id!r}: bound at least {total} us "
-                    f"> deadline {spec.deadline_us} us",
-                )
-    except Unschedulable as exc:
-        raise _Infeasible("Unschedulable", str(exc)) from exc
+    for port in pl.hops:
+        total += hop_delay_bound(states[port], pl.priority)
+        if total > spec.deadline_us:
+            raise DeadlineInfeasible(f"flow {spec.flow_id!r}: bound at least {total} us "
+                                     f"> deadline {spec.deadline_us} us")
     return reference_solve(topo, placements, start)
 
 
@@ -675,12 +670,12 @@ class TestIncrementalSolver:
         seen = []
         for cap in (1, 2):
             monkeypatch.setattr(admission, "SOLVER_ITER_CAP", cap)
-            with pytest.raises(_Infeasible) as engine:
+            with pytest.raises(TRIAL_FAILURES) as engine:
                 cold_solve(topo, placements)
-            with pytest.raises(_Infeasible) as reference:
+            with pytest.raises(TRIAL_FAILURES) as reference:
                 reference_solve(topo, placements)
-            got = (engine.value.reason, engine.value.detail)
-            assert got == (reference.value.reason, reference.value.detail)
+            got = failure(engine.value)
+            assert got == failure(reference.value)
             seen.append(got)
         assert seen == [
             ("Unschedulable", "burst propagation found no fixed point"),
@@ -729,9 +724,9 @@ class TestIncrementalSolver:
         new = _Placement(FlowSpec("high", "A", "B", 50_000, 1_500, 1_500, 10**9),
                          7, tree, hops, _Terms())
         for trial in (admission._add_flow, reference_trial):
-            with pytest.raises(_Infeasible) as exc:
+            with pytest.raises(TRIAL_FAILURES) as exc:
                 trial(topo, base, new)
-            assert (exc.value.reason, exc.value.detail) == (
+            assert failure(exc.value) == (
                 "Unschedulable", "class 6 rate 100000 B/s exceeds residual 75000 B/s")
         assert base == before
 
@@ -756,7 +751,7 @@ class TestIncrementalSolver:
             before = len(settles)
             try:
                 return add_flow(topo, base, pl)
-            except _Infeasible:
+            except TRIAL_FAILURES:
                 if len(settles) == before:
                     screened.append({**base.placements, pl.spec.flow_id: pl})
                 raise
@@ -776,7 +771,7 @@ class TestIncrementalSolver:
                     live.append(spec.flow_id)
         assert screened  # the screen fired, so the check below is not vacuous
         for placements in screened:
-            with pytest.raises(_Infeasible):
+            with pytest.raises(TRIAL_FAILURES):
                 reference_solve(topo, placements)
 
     @pytest.mark.parametrize("fabric", ["ring", "grid"])
@@ -830,16 +825,39 @@ class TestIncrementalSolver:
 
 class TestRejectsFromTrials:
     @pytest.mark.parametrize("reconfig", [True, False])
-    def test_reject_solves_nothing_cold(self, reconfig):
+    def test_reject_solves_nothing_cold(self, reconfig, monkeypatch):
         """A reject's reason and detail come from the trials the search ran.
 
         The program has no cold solve to fall back on (the tests' `cold_solve`
-        lives in conftest), yet register/remove sequences reach every reason.
+        lives in conftest), yet register/remove sequences reach every reason,
+        and each reason is the name of an `errors` class.  After trials, it is
+        the first of `TRIAL_FAILURES` that the search's trials raised (the
+        batch pass's leave no trace), with the first detail raised with it.
         """
         topo = ring_topology(profile=SwitchProfile(port_buffer_B=8_000))
         topo.hosts.update(A=PortId("S1", 4), E=PortId("S3", 4))
         endpoints = ["UE1", "UE2", "A", "D", "E", "G"]
-        reasons = set()
+        raised, in_batch = [], [False]  # the search's failed trials, as (reason, detail)
+        add_flow, batch = admission._add_flow, NetworkState._batch_reassign
+
+        def recording_add_flow(topo, base, pl):
+            try:
+                return add_flow(topo, base, pl)
+            except TRIAL_FAILURES as exc:
+                if not in_batch[0]:
+                    raised.append(failure(exc))
+                raise
+
+        def flagged_batch(self, spec, terms):
+            in_batch[0] = True
+            try:
+                return batch(self, spec, terms)
+            finally:
+                in_batch[0] = False
+
+        monkeypatch.setattr(admission, "_add_flow", recording_add_flow)
+        monkeypatch.setattr(NetworkState, "_batch_reassign", flagged_batch)
+        reasons, mixed = set(), set()
         for seed in range(4):
             rng = random.Random(seed)
             state = NetworkState(topo, enable_reconfig=reconfig)
@@ -849,12 +867,22 @@ class TestRejectsFromTrials:
                     state.remove_flow(live.pop(rng.randrange(len(live))))
                     continue
                 spec = oracle_spec(rng, f"f{i}", endpoints)
+                raised.clear()
                 decision = state.register_flow(spec)
                 if decision.accepted:
                     live.append(spec.flow_id)
-                else:
-                    reasons.add(decision.reason)
+                    continue
+                reasons.add(decision.reason)
+                if raised:
+                    first = {}
+                    for reason, detail in raised:
+                        first.setdefault(reason, detail)
+                    reason = next(f.__name__ for f in TRIAL_FAILURES if f.__name__ in first)
+                    assert (decision.reason, decision.detail) == (reason, first[reason])
+                    mixed.add(tuple(sorted(first)))
         assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable"} <= reasons
+        assert all(issubclass(getattr(errors, r), errors.DetnetError) for r in reasons)
+        assert ("BufferExceeded", "DeadlineInfeasible") in mixed  # the order is put to use
 
 
 def grid_4x4_fast():

@@ -13,6 +13,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# stderr of a command given the canonical fabric without its S3 links
+SPLIT = "error: Disconnected: switch graph not connected: reached ['S1', 'S2']\n"
 
 
 def write_json(path: Path, doc) -> str:
@@ -458,25 +460,37 @@ class TestUsageAndInput:
             main([topo_file if arg == "TOPO" else arg for arg in argv])
         assert exc.value.code == code
 
-    @pytest.mark.parametrize("argv", [
-        ["report", "DIR"],
-        ["admit", "TOPO", "DIR"],
-        ["report", "BINARY"],
-        ["trees", "BINARY"],
-        ["run", "BINARY"],
-        ["admit", "TOPO", "BINARY"],
+    @pytest.mark.parametrize("argv, message", [
+        (["report", "DIR"], "DIR"),
+        (["admit", "TOPO", "DIR"], "DIR"),
+        (["report", "BINARY"], "BINARY"),
+        (["trees", "BINARY"], "BINARY"),
+        (["run", "BINARY"], "BINARY"),
+        (["admit", "TOPO", "BINARY"], "BINARY"),
+        # S3 has no link: the input reads, yet no VLAN tree spans the fabric
+        (["trees", "SPLIT_TOPO"], SPLIT),
+        (["admit", "SPLIT_TOPO", "FLOWS"], SPLIT),
+        (["run", "SPLIT_SCENARIO"], SPLIT),
     ], ids=["report-dir", "admit-dir", "report-binary", "trees-binary", "run-binary",
-            "admit-binary"])
-    def test_unreadable_input_exits_one(self, argv, topo_file, tmp_path, capsys):
+            "admit-binary", "trees-disconnected", "admit-disconnected", "run-disconnected"])
+    def test_unreadable_input_exits_one(self, argv, message, topo_file, tmp_path, capsys):
+        """Exit 1 with one `error:` line naming the input or its fault; a
+        `message` that names a path placeholder stands for that path."""
+        split = canonical_scenario()
+        split["topology"]["links"] = [["S1.1", "S2.1"]]
         paths = {"TOPO": topo_file, "DIR": tmp_path / "inputs",
-                 "BINARY": tmp_path / "latin1.json"}
+                 "BINARY": tmp_path / "latin1.json",
+                 "SPLIT_TOPO": write_json(tmp_path / "split_topology.json", split["topology"]),
+                 "SPLIT_SCENARIO": write_json(tmp_path / "split.json", split),
+                 "FLOWS": REPO / "scenarios" / "canonical_flows.json"}
         paths["DIR"].mkdir()
         paths["BINARY"].write_bytes(b'{"name": "caf\xe9"}')
-        bad = str(paths[argv[-1]])
         assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert bad in err
+        assert str(paths.get(message, message)) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("env", [False, True], ids=["option", "environment"])

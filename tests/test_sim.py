@@ -9,7 +9,7 @@ import pytest
 
 from detnet5g import sim
 from detnet5g.admission import NetworkState
-from detnet5g.errors import AdmissionMissing
+from detnet5g.errors import AdmissionMissing, ScenarioInvalid
 from detnet5g.scenario import load_scenario
 from detnet5g.sim import (
     IN_FLIGHT,
@@ -328,6 +328,11 @@ class TestDejitter:
         stats = result.report["flows"]["orange"]
         assert stats["drops"].get("regulator", 0) > 0
         assert stats["sent"] == stats["received"] + stats["dropped"] + stats["in_flight"]
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ScenarioInvalid) as exc:
+            run(scenario(), dejitter="bogus")
+        assert str(exc.value) == "dejitter mode must be scenario/on/off, got 'bogus'"
 
 
 class TestDecisions:

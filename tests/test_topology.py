@@ -81,7 +81,7 @@ def reference_spanning_trees(topo, *, base_vlan=100, cap=64):
             continue
         if len(trees) >= cap:
             return trees, True
-        trees.append(VlanTree(vlan_id=base_vlan + len(trees), tree_index=len(trees), edges=subset))
+        trees.append(VlanTree(vlan_id=base_vlan + len(trees), edges=subset))
     return trees, False
 
 
@@ -273,7 +273,7 @@ class TestPathInTree:
         ((PortId("S1", 1), PortId("S2", 1)),),
     ], ids=["no-edges", "misses-S3"])
     def test_tree_missing_a_switch_is_unreachable(self, ring, edges):
-        tree = VlanTree(vlan_id=100, tree_index=0, edges=edges)
+        tree = VlanTree(vlan_id=100, edges=edges)
         for src, dst in (("D", "G"), ("G", "D"), ("UE1", "D"), ("D", "UE2")):
             with pytest.raises(Unreachable):
                 path_in_tree(ring, tree, src, dst)
@@ -354,7 +354,7 @@ class TestPathOracle:
                 if rng.random() < 0.5:
                     k = rng.randrange(len(edges))
                     del edges[k:k + rng.randrange(1, 3)]
-                shuffled = VlanTree(tree.vlan_id, tree.tree_index, tuple(edges))
+                shuffled = VlanTree(tree.vlan_id, tuple(edges))
                 for src, dst in pairs:
                     try:
                         want = reference_path_in_tree(topo, shuffled, src, dst)
@@ -401,7 +401,7 @@ class TestRouteTableLaziness:
         topo = grid_topology(3, 3)
         trees, _ = enumerate_spanning_trees(topo)
         path_in_tree(topo, trees[2], "H00", "H22")
-        twin = VlanTree(trees[2].vlan_id, trees[2].tree_index, trees[2].edges)
+        twin = VlanTree(trees[2].vlan_id, trees[2].edges)
         assert twin == trees[2] and hash(twin) == hash(trees[2])
         assert trees[2]._routes is not None and twin._routes is None
         assert repr(twin) == repr(trees[2])
