@@ -28,8 +28,11 @@ Calculus*), so if the new flow's own bound there already misses its
 deadline, the trial fails before the state is copied.  Removing a flow only
 lowers aggregates: the ports that can depend on it are re-solved, with the
 flows through them restarting from their spec burst after their first such
-hop.  Each round re-bounds the dirty ports only, and a cold solve is the
-same rounds from an empty state with every port dirty.  Trials work on a
+hop.  Each round re-bounds the dirty ports only, each once: one
+`calculus.port_bounds` pass gives every class there its delay bound, which
+the member flows read, and its backlog bound, which the buffer check sums.
+A cold solve is the same rounds from an empty state with every port
+dirty.  Trials work on a
 copy, so a reject leaves the committed state alone.  A failed trial raises
 DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
 reject's reason is the first of those classes that any trial raised, by
@@ -48,6 +51,8 @@ trial has failed with DeadlineInfeasible, which fixes the reject's reason
 and detail, so a pruned trial could only have mattered by succeeding; the
 batch pass, whose failed trials leave no trace, prunes from its first.
 Decisions, details and registries are those of the search without pruning.
+The floor depends only on the flow's envelope and class, so a registry
+keeps each one it computes.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ from dataclasses import dataclass, field
 from .calculus import (
     ClassAggregate,
     PortClassState,
-    backlog_bound,
     hop_delay_bound,
+    port_bounds,
     propagate_burst,
     sp_residual_service,  # not called here; benchmarks/tracing.py looks this name up
 )
@@ -260,34 +265,38 @@ def _settle(
     st: _SolverState,
     dirty: set[PortId],
     fresh: set[str],
-    first_round: tuple[dict[PortId, PortClassState], dict[tuple[PortId, int], int]] | None = None,
+    first_round: tuple[dict[PortId, dict[int, int]], dict[PortId, dict[int, int]]] | None = None,
 ) -> None:
     """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
 
     `st` must lie below its least fixed point: every port outside `dirty`
     holds the aggregates of its flows' current bursts, and every flow
     outside `fresh` holds the bursts its hop bounds propagate.  Each round
-    rebuilds the dirty ports' aggregates, bounds their classes lazily in
-    sorted-flow order into a map of that round's own, re-propagates the
-    flows whose hop bounds moved (and the fresh ones), checks those flows'
-    deadlines, then the dirty ports' buffers in first-appearance order, and
-    marks dirty the ports where a burst moved.  A clean port's bound is the
-    one in the flow's own hop bounds.  That is a from-scratch round
-    restricted to what can change, so the first violation, the round count
-    and the cap are those of a from-scratch solve started from the same
-    bursts.  Bounds only grow, so a violation met on the way is final.
+    rebuilds the dirty ports' aggregates and bounds every class of each
+    such port in one `port_bounds` pass.  Then, in sorted-flow order, it
+    reads each member flow's hop bounds from those, re-propagates the flows
+    whose hop bounds moved (and the fresh ones) and checks their deadlines;
+    then it checks the dirty ports' buffers, in first-appearance order,
+    against each port's backlog sum; and it marks dirty the ports where a
+    burst moved.  A class that `port_bounds` found Unschedulable raises only
+    when a flow in that order reaches it, as a lazy bound would.  A clean
+    port's bound is the one in the flow's own hop bounds.  That is a
+    from-scratch round restricted to what can change, so the first
+    violation, the round count and the cap are those of a from-scratch
+    solve started from the same bursts.  Bounds only grow, so a violation
+    met on the way is final.
 
     A caller that has built round one already passes it as `first_round`:
-    the dirty ports' states, with `st.aggregates` set to match, and a seed
-    of that round's bound map, by (port, class).  Round one then rebuilds
-    none of those states and re-bounds none of those classes.
+    the two maps of `port_bounds` for each dirty port, as (delays by port,
+    backlogs by port), with `st.aggregates` set to match.  Round one then
+    rebuilds and re-bounds none of those ports.
     """
     placements, bursts, hop_bounds = st.placements, st.bursts, st.hop_bounds
     members, aggregates = st.members, st.aggregates
-    states, delays = first_round or (None, {})
+    delays, backlogs = first_round or (None, None)
     for _ in range(SOLVER_ITER_CAP):
-        if states is None:
-            states = {}
+        if delays is None:
+            delays, backlogs = {}, {}
             for port in dirty:
                 crossing = members.get(port)
                 if not crossing:
@@ -305,24 +314,26 @@ def _settle(
                     slot[2] = max(slot[2], pl.spec.max_pkt_B)
                 classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
                 aggregates[port] = classes
-                states[port] = _port_state(topo.profile(port.node), classes)
+                delays[port], backlogs[port] = port_bounds(
+                    _port_state(topo.profile(port.node), classes)
+                )
 
         moved: set[PortId] = set()
         order: dict[PortId, None] = {}  # dirty ports in first-appearance order
-        for fid in sorted({fid for port in states for fid in members[port]}):
+        for fid in sorted({fid for port in delays for fid in members[port]}):
             pl = placements[fid]
             cls = pl.priority
             last = hop_bounds.get(fid)  # None only for a new flow, whose hops are all dirty
             bounds = []
             for i, port in enumerate(pl.hops):
-                state = states.get(port)
-                if state is None:
+                at_port = delays.get(port)
+                if at_port is None:
                     bounds.append(last[i])
                     continue
                 order[port] = None
-                delay = delays.get((port, cls))
-                if delay is None:
-                    delay = delays[port, cls] = hop_delay_bound(state, cls)
+                delay = at_port.get(cls)
+                if delay is None:  # port_bounds found the class Unschedulable: raise why
+                    hop_delay_bound(_port_state(topo.profile(port.node), aggregates[port]), cls)
                 bounds.append(delay)
             bounds = tuple(bounds)
             if fid not in fresh and bounds == last:
@@ -347,13 +358,13 @@ def _settle(
                 )
         for port in order:
             buffer_B = topo.profile(port.node).port_buffer_B
-            backlog = sum(backlog_bound(states[port], cls) for cls in aggregates[port])
+            backlog = sum(backlogs[port].values())
             if backlog > buffer_B:
                 raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
 
         if not moved:
             return
-        dirty, fresh, states, delays = moved, set(), None, {}
+        dirty, fresh, delays = moved, set(), None
     raise Unschedulable("burst propagation found no fixed point")
 
 
@@ -363,16 +374,17 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     Adding a flow only raises aggregates, so `base`'s bursts lie below the
     new fixed point; only the new flow's hops start dirty.  Round one's
     states for those hops are `base`'s aggregates plus the new flow at its
-    spec burst.  The new flow's own bounds over them are screened first:
-    bounds only grow with the aggregates, so if they already miss its
-    deadline (or leave no service) the trial fails without copying `base`.
-    Otherwise the states become round one's, and the bounds seed round
-    one's bound map, so `_settle` evaluates none of them again.
+    spec burst, each bounded by one `port_bounds` pass.  The new flow's own
+    bounds there are screened first: bounds only grow with the aggregates,
+    so if they already miss its deadline (or leave no service) the trial
+    fails without copying `base`.  Otherwise those passes are round one's,
+    and `_settle` bounds none of those ports again.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
-    states: dict[PortId, PortClassState] = {}
-    delays: dict[tuple[PortId, int], int] = {}
+    aggregates: dict[PortId, dict[int, ClassAggregate]] = {}
+    delays: dict[PortId, dict[int, int]] = {}
+    backlogs: dict[PortId, dict[int, int]] = {}
     total = pl.terms.fixed_us
     for port in pl.hops:
         classes = dict(base.aggregates.get(port, ()))
@@ -380,8 +392,12 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
         classes[cls] = ClassAggregate(
             b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
         )
-        state = states[port] = _port_state(topo.profile(port.node), classes)
-        delay = delays[port, cls] = hop_delay_bound(state, cls)
+        aggregates[port] = classes
+        state = _port_state(topo.profile(port.node), classes)
+        delays[port], backlogs[port] = port_bounds(state)
+        delay = delays[port].get(cls)
+        if delay is None:  # port_bounds found the class Unschedulable: raise why
+            hop_delay_bound(state, cls)
         total += delay
         if total > spec.deadline_us:
             raise DeadlineInfeasible(
@@ -393,8 +409,8 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     st.bursts[fid] = [spec.burst_B] * len(pl.hops)
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
-        st.aggregates[port] = states[port].classes
-    _settle(topo, st, set(pl.hops), {fid}, (states, delays))
+    st.aggregates.update(aggregates)
+    _settle(topo, st, set(pl.hops), {fid}, (delays, backlogs))
     return st
 
 
@@ -495,6 +511,7 @@ class NetworkState:
         self._solver = _SolverState()
         self._routes: dict[tuple[str, str], _Routes] = {}  # filled as pairs are requested
         self._distinct_profiles: tuple[SwitchProfile, ...] | None = None  # see _profiles
+        self._floors: dict[tuple[int, int, int, int], float] = {}  # see _hop_floor
 
     # ------------------------------------------------------------------ helpers
 
@@ -584,10 +601,10 @@ class NetworkState:
         walk no tree again.
 
         While `prune()` holds, a candidate is also skipped if its e2e bound
-        surely misses the deadline: `terms.fixed_us` plus one `_hop_floor_us`
-        of its class per hop.  Its trial would fail at the round-one screen.
-        The floor is computed once per class, on the first candidate that
-        `prune()` lets it judge, so a search that never prunes computes none.
+        surely misses the deadline: `terms.fixed_us` plus one `_hop_floor` of
+        its class per hop.  Its trial would fail at the round-one screen.
+        The floor is looked up once per class, on the first candidate that
+        `prune()` lets it judge, so a search that never prunes needs none.
         """
         pair = (spec.src, spec.dst)
         routes = self._routes.get(pair)
@@ -599,10 +616,23 @@ class NetworkState:
             for tree, hops in routes:
                 if prune():
                     if floor is None:
-                        floor = _hop_floor_us(self._profiles(), spec, priority)
+                        floor = self._hop_floor(spec, priority)
                     if len(hops) * floor > slack_us:
                         continue
                 yield _Placement(spec, priority, tree, hops, terms)
+
+    def _hop_floor(self, spec: FlowSpec, priority: int) -> float:
+        """`_hop_floor_us` of `spec` in class `priority`, computed once per envelope.
+
+        The floor reads only the flow's burst, rate and largest packet, the
+        class and the fabric's profiles, which are fixed for this registry's
+        lifetime; so it is kept by (burst, rate, packet, class).
+        """
+        key = (spec.burst_B, spec.rate_Bps, spec.max_pkt_B, priority)
+        floor = self._floors.get(key)
+        if floor is None:
+            floor = self._floors[key] = _hop_floor_us(self._profiles(), spec, priority)
+        return floor
 
     def _profiles(self) -> tuple[SwitchProfile, ...]:
         """The fabric's distinct switch profiles, found on first use."""
@@ -778,8 +808,7 @@ class NetworkState:
 
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:
         """Per-port, per-class backlog bounds implied by the current registry."""
-        out: dict[PortId, dict[int, int]] = {}
-        for port, classes in self._solver.aggregates.items():
-            state = _port_state(self.topology.profile(port.node), classes)
-            out[port] = {cls: backlog_bound(state, cls) for cls in classes}
-        return out
+        return {
+            port: port_bounds(_port_state(self.topology.profile(port.node), classes))[1]
+            for port, classes in self._solver.aggregates.items()
+        }

@@ -14,6 +14,12 @@ b + r*D used to propagate a flow's envelope to the next hop.  A class
 enters the bounds only through its aggregate (burst, rate, largest
 packet), never through the list of flows that make it up.
 
+`hop_delay_bound` and `backlog_bound` bound one class of a port;
+`port_bounds` bounds all of its classes in one pass, which is what the
+admission solver calls once per changed port.  The three share one
+implementation of each formula (`_residual` for (R, T), `_class_bounds`
+for the delay and backlog), so their numbers agree class by class.
+
 All quantities are integers (bytes, bytes/second, microseconds) and every
 division rounds up, so computed bounds never undercut the true worst case.
 """
@@ -83,6 +89,38 @@ class PortClassState(NamedTuple):
         return lmax
 
 
+def _residual(link_rate_Bps: int, rate_hi: int, burst_hi: int, lmax_B: int) -> tuple[int, int]:
+    """(R, T) left by higher classes of total rate `rate_hi` and burst `burst_hi`.
+
+    `lmax_B` is the blocking packet.  Raises Unschedulable when the higher
+    classes claim the whole link.
+    """
+    if rate_hi >= link_rate_Bps:
+        raise Unschedulable(
+            f"higher-priority rate {rate_hi} B/s >= link rate {link_rate_Bps} B/s"
+        )
+    residual = link_rate_Bps - rate_hi
+    return residual, ceil_div((burst_hi + lmax_B) * US_PER_S, residual)
+
+
+def _class_bounds(
+    agg: ClassAggregate, rate_Bps: int, latency_us: int, priority: int, fwd_delay_us: int
+) -> tuple[int, int]:
+    """(D, q) of class `priority`, aggregate `agg`, under residual service (R, T).
+
+    D = T + b_p/R + d_proc and q = b_p + r_p * T.  Raises Unschedulable if
+    the class's rate exceeds R.
+    """
+    if agg.rate_Bps > rate_Bps:
+        raise Unschedulable(
+            f"class {priority} rate {agg.rate_Bps} B/s exceeds residual {rate_Bps} B/s"
+        )
+    return (
+        latency_us + ceil_div(agg.burst_B * US_PER_S, rate_Bps) + fwd_delay_us,
+        agg.burst_B + ceil_div(agg.rate_Bps * latency_us, US_PER_S),
+    )
+
+
 def sp_residual_service(state: PortClassState, priority: int) -> RateLatency:
     """Residual rate-latency service left for `priority` after higher classes.
 
@@ -94,26 +132,17 @@ def sp_residual_service(state: PortClassState, priority: int) -> RateLatency:
         if cls > priority:
             rate_hi += agg.rate_Bps
             burst_hi += agg.burst_B
-    if rate_hi >= state.link_rate_Bps:
-        raise Unschedulable(
-            f"higher-priority rate {rate_hi} B/s >= link rate {state.link_rate_Bps} B/s"
-        )
-    residual = state.link_rate_Bps - rate_hi
-    lmax = state.blocking_pkt_B(priority)
-    latency_us = ceil_div((burst_hi + lmax) * US_PER_S, residual)
-    return RateLatency(residual, latency_us)
+    return RateLatency(
+        *_residual(state.link_rate_Bps, rate_hi, burst_hi, state.blocking_pkt_B(priority))
+    )
 
 
-def _class_service(state: PortClassState, priority: int) -> tuple[ClassAggregate, RateLatency]:
-    """Class aggregate and its residual service; Unschedulable if it cannot keep up."""
-    service = sp_residual_service(state, priority)
-    agg = state.aggregate(priority)
-    if agg.rate_Bps > service.rate_Bps:
-        raise Unschedulable(
-            f"class {priority} rate {agg.rate_Bps} B/s exceeds residual "
-            f"{service.rate_Bps} B/s"
-        )
-    return agg, service
+def _bounds(state: PortClassState, priority: int) -> tuple[int, int]:
+    """(D, q) of one class, from its own residual service."""
+    rate_Bps, latency_us = sp_residual_service(state, priority)
+    return _class_bounds(
+        state.aggregate(priority), rate_Bps, latency_us, priority, state.fwd_delay_us[priority]
+    )
 
 
 def hop_delay_bound(state: PortClassState, priority: int) -> int:
@@ -123,15 +152,46 @@ def hop_delay_bound(state: PortClassState, priority: int) -> int:
     class aggregate burst.  FIFO within the class, so every member flow
     inherits the aggregate bound.
     """
-    agg, service = _class_service(state, priority)
-    queueing_us = ceil_div(agg.burst_B * US_PER_S, service.rate_Bps)
-    return service.latency_us + queueing_us + state.fwd_delay_us[priority]
+    return _bounds(state, priority)[0]
 
 
 def backlog_bound(state: PortClassState, priority: int) -> int:
     """Backlog bound (bytes) for class `priority`: q = b_p + r_p * T."""
-    agg, service = _class_service(state, priority)
-    return agg.burst_B + ceil_div(agg.rate_Bps * service.latency_us, US_PER_S)
+    return _bounds(state, priority)[1]
+
+
+def port_bounds(state: PortClassState) -> tuple[dict[int, int], dict[int, int]]:
+    """Every class's delay bound (us) and backlog bound (B), by class, in one pass.
+
+    Class by class, the two maps hold what `hop_delay_bound` and
+    `backlog_bound` return.  A class for which those raise Unschedulable is
+    in neither map; that is how this marks it, instead of raising.  The
+    pass runs lowest class first: the blocking packet is the largest packet
+    seen so far, and the higher classes' rate and burst are the port's
+    totals less those of the classes seen so far.
+    """
+    classes = state.classes
+    rate_hi = burst_hi = 0
+    for agg in classes.values():
+        rate_hi += agg.rate_Bps
+        burst_hi += agg.burst_B
+    lmax = state.lmax_floor_B
+    delay_us: dict[int, int] = {}
+    backlog_B: dict[int, int] = {}
+    for cls in sorted(classes):
+        agg = classes[cls]
+        rate_hi -= agg.rate_Bps
+        burst_hi -= agg.burst_B
+        try:
+            rate_Bps, latency_us = _residual(state.link_rate_Bps, rate_hi, burst_hi, lmax)
+            delay_us[cls], backlog_B[cls] = _class_bounds(
+                agg, rate_Bps, latency_us, cls, state.fwd_delay_us[cls]
+            )
+        except Unschedulable:
+            pass
+        if agg.max_pkt_B > lmax:
+            lmax = agg.max_pkt_B
+    return delay_us, backlog_B
 
 
 def propagate_burst(burst_B: int, rate_Bps: int, hop_delay_us: int) -> int:

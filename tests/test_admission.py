@@ -16,7 +16,8 @@ from detnet5g.admission import (
     _SolverState,
     _Terms,
 )
-from detnet5g.calculus import ClassAggregate, backlog_bound, hop_delay_bound, propagate_burst
+from detnet5g.calculus import (ClassAggregate, backlog_bound, hop_delay_bound, port_bounds,
+                               propagate_burst)
 from detnet5g import errors
 from detnet5g.errors import (BufferExceeded, DeadlineInfeasible, ScenarioInvalid, UnknownFlow,
                              Unschedulable)
@@ -651,6 +652,49 @@ def oracle_spec(rng, fid, endpoints):
                     rng.choice([30_000, 60_000, 150_000, 1_000_000]))
 
 
+def line_placements():
+    """Three flows in two classes over the same 3 hops of a line (`line_topology`).
+
+    Switch S<k> forwards class 0 in k us: the flows' bounds are those of
+    the default profile, and a `PortClassState` names its hop by that delay.
+    """
+    topo = line_topology()
+    for k in (1, 2, 3):
+        topo.switches[f"S{k}"] = SwitchProfile(fwd_delay_us=(k,) + (0,) * 7)
+    tree = NetworkState(topo).trees[0]
+    hops = tuple(path_in_tree(topo, tree, "A", "B"))
+    assert [port.node for port in hops] == ["S1", "S2", "S3"]
+    placements = {
+        fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, 10**9),
+                        prio, tree, hops, _Terms())
+        for fid, prio, rate, burst in (
+            ("f1", 7, 12_500, 3_000),
+            ("f2", 7, 25_000, 4_500),
+            ("f3", 6, 5_000, 1_500),
+        )
+    }
+    return topo, placements
+
+
+def counted_port_bounds(monkeypatch):
+    """Route `admission.port_bounds` through a recorder; returns the list of the
+    hops (1-3 on `line_placements`) it bounds, in call order."""
+    passes = []
+
+    def recorded(state):
+        passes.append(state.fwd_delay_us[0])
+        return port_bounds(state)
+
+    monkeypatch.setattr(admission, "port_bounds", recorded)
+    return passes
+
+
+def three_rounds(passes):
+    """`passes` cut into rounds of 3, 2 and 1 hops, each sorted: a round bounds
+    its dirty ports in set order."""
+    return [sorted(passes[:3]), sorted(passes[3:5]), sorted(passes[5:])]
+
+
 class TestIncrementalSolver:
     def test_cap_hits_match_reference(self, monkeypatch):
         """Three hops in a line: bursts settle in round 3, f1 misses in round 2."""
@@ -689,29 +733,28 @@ class TestIncrementalSolver:
             reference.bursts, reference.hop_bounds, e2e_bounds(reference))
 
     def test_accepted_add_bounds_nothing_twice(self, monkeypatch):
-        """The round-one screen's bounds are round one's: an accept costs no more calls."""
-        topo = line_topology()
-        tree = NetworkState(topo).trees[0]
-        hops = tuple(path_in_tree(topo, tree, "A", "B"))
-        placements = {
-            fid: _Placement(FlowSpec(fid, "A", "B", rate, burst, 1_500, 10**9),
-                            prio, tree, hops, _Terms())
-            for fid, prio, rate, burst in (
-                ("f1", 7, 12_500, 3_000),
-                ("f2", 7, 25_000, 4_500),
-                ("f3", 6, 5_000, 1_500),
-            )
-        }
+        """The screen's passes are round one's: one `port_bounds` pass per dirty port a round."""
+        topo, placements = line_placements()
         new = placements.pop("f1")
         base = cold_solve(topo, placements)
-        calls = []
-        monkeypatch.setattr(admission, "hop_delay_bound",
-                            lambda *args: calls.append(args) or hop_delay_bound(*args))
+        passes = counted_port_bounds(monkeypatch)
         st = admission._add_flow(topo, base, new)
         reference = reference_solve(topo, {**placements, "f1": new})
         assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
-        # the count of the solve without the screen: 3 rounds over 3 hops, 2 classes
-        assert len(calls) == 12
+        # the 3 screen ports in hop order, then the 2 and the 1 where a burst moved
+        assert passes[:3] == [1, 2, 3]
+        assert three_rounds(passes) == [[1, 2, 3], [2, 3], [3]]
+
+    def test_drop_bounds_each_port_once_a_round(self, monkeypatch):
+        topo, placements = line_placements()
+        base = cold_solve(topo, placements)
+        passes = counted_port_bounds(monkeypatch)
+        st = admission._drop_flow(topo, base, "f1")
+        del placements["f1"]
+        reference = reference_solve(topo, placements)
+        assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
+        # the 3 hops of the removed flow, then the 2 and the 1 where a burst moved
+        assert three_rounds(passes) == [[1, 2, 3], [2, 3], [3]]
 
     def test_rate_overload_in_a_round_is_unschedulable(self):
         """The new flow passes the screen, then starves a lower class in round one."""
@@ -1064,3 +1107,25 @@ class TestLowerBoundPrune:
         assert state.register_flow(FlowSpec("f1", "H03", "H30", 10_000, 300, 300,
                                             40_000)).accepted
         assert (len(trials), floors, state._distinct_profiles) == (1, [], None)
+
+    def test_floor_computed_once_per_envelope(self, monkeypatch):
+        """A second request with the same envelope and class finds its floors kept."""
+        state = NetworkState(grid_4x4_fast())
+        for i, (src, dst) in enumerate([("H00", "H33"), ("H03", "H30"), ("H11", "H22")]):
+            assert state.register_flow(FlowSpec(f"f{i}", src, dst, 10_000, 300, 300,
+                                                40_000)).accepted
+        floors = []
+        floor = admission._hop_floor_us
+        monkeypatch.setattr(admission, "_hop_floor_us",
+                            lambda *args: floors.append(args) or floor(*args))
+        # missed alone on every route, so the search prunes from its first reject on
+        tight = [FlowSpec(fid, "H00", "H33", 10_000, 300, 300, 5_000) for fid in ("x", "y")]
+        assert not state.register_flow(tight[0]).accepted
+        computed = len(floors)
+        assert computed == 7  # one per class the search judged, 7 to 1
+        assert not state.register_flow(tight[1]).accepted
+        assert len(floors) == computed
+        # another envelope is another key
+        assert not state.register_flow(FlowSpec("z", "H00", "H33", 10_000, 600, 300,
+                                                5_000)).accepted
+        assert len(floors) > computed

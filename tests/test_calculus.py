@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from detnet5g.calculus import (
     PortClassState,
     backlog_bound,
     hop_delay_bound,
+    port_bounds,
     propagate_burst,
     sp_residual_service,
 )
@@ -122,6 +124,42 @@ class TestBacklog:
             lmax=1500,
         )
         assert backlog_bound(s, 1) == 1800  # 1250 + 12500 * 44ms
+
+
+class TestPortBounds:
+    def test_matches_per_class_bounds(self):
+        """One pass over a port equals the per-class functions, class by class.
+
+        Random states of 1-5 classes, some where the higher classes or the
+        class itself overload the link; the classes' packets straddle the
+        blocking floor, so the blocking packet of each class matters.
+        """
+        rng = random.Random(29)
+        kinds = Counter()
+        for _ in range(2_000):
+            classes = {
+                cls: ClassAggregate(rng.randrange(0, 20_000), rng.randrange(0, 50_000),
+                                    rng.choice([64, 300, 1_500, 9_000]))
+                for cls in rng.sample(range(1, 8), rng.randrange(1, 6))
+            }
+            s = state(classes, rate=rng.choice([60_000, 125_000, 250_000]),
+                      lmax=rng.choice([0, 1_500]),
+                      fwd=tuple(rng.randrange(0, 500) for _ in range(8)))
+            delays, backlogs = port_bounds(s)
+            assert set(backlogs) == set(delays) <= set(classes)
+            for cls in classes:
+                if cls in delays:
+                    assert delays[cls] == hop_delay_bound(s, cls)
+                    assert backlogs[cls] == backlog_bound(s, cls)
+                    kinds["bounded"] += 1
+                    continue
+                with pytest.raises(Unschedulable) as exc:
+                    hop_delay_bound(s, cls)
+                kinds[str(exc.value).split()[0]] += 1
+            if len(delays) == len(classes):
+                assert sum(backlogs.values()) == sum(backlog_bound(s, cls) for cls in classes)
+        # every outcome occurs often: bounded, higher classes over the link, class over residual
+        assert min(kinds[k] for k in ("bounded", "higher-priority", "class")) > 200, kinds
 
 
 class TestBurstPropagation:
