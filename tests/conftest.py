@@ -40,7 +40,7 @@ def cold_solve(topo, placements) -> _SolverState:
         st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
         for i, port in enumerate(pl.hops):
             st.members.setdefault(port, {})[fid] = i
-    admission._settle(topo, st, set(st.members), set(placements))
+    admission._settle(topo, st, set(st.members))
     return st
 
 

@@ -753,8 +753,61 @@ class TestIncrementalSolver:
         del placements["f1"]
         reference = reference_solve(topo, placements)
         assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
-        # the 3 hops of the removed flow, then the 2 and the 1 where a burst moved
-        assert three_rounds(passes) == [[1, 2, 3], [2, 3], [3]]
+        # a feed-forward line: the worklist bounds each hop once, upstream first
+        assert passes == [1, 2, 3]
+
+    def test_drop_through_a_dependency_cycle(self, monkeypatch):
+        """Three flows on three trees of the ring chain their ports into a cycle.
+
+        a crosses S1.1 then S2.2, b S2.2 then S3.1 and c S3.1 then S1.1, so
+        a burst raised at one of those ports comes back to it.  Removing x,
+        which crosses S1.1 and S2.2, must re-bound a port after a burst there
+        moved, and still reach the survivors' cold solve.
+        """
+        topo = ring_topology(with_transit=False)
+        topo.hosts["A"] = PortId("S1", 4)
+        trees = NetworkState(topo).trees
+
+        def placed(fid, src, dst, route, rate, burst):
+            hops = tuple(PortId.parse(port) for port in route.split())
+            tree = next(t for t in trees if tuple(path_in_tree(topo, t, src, dst)) == hops)
+            return fid, _Placement(FlowSpec(fid, src, dst, rate, burst, 1_500, 10**9),
+                                   7, tree, hops, _Terms())
+
+        placements = dict((
+            placed("a", "A", "D", "S1.1 S2.2 S3.3", 12_500, 3_000),
+            placed("b", "G", "A", "S2.2 S3.1 S1.4", 10_000, 3_000),
+            placed("c", "D", "G", "S3.1 S1.1 S2.3", 15_000, 4_500),
+            placed("x", "A", "D", "S1.1 S2.2 S3.3", 25_000, 4_500),
+        ))
+        assert len({pl.tree.vlan_id for pl in placements.values()}) == 3
+        base = cold_solve(topo, placements)
+        passes = counted_port_bounds(monkeypatch)
+        st = admission._drop_flow(topo, base, "x")
+        bounded = len(passes)
+        del placements["x"]
+        assert st == cold_solve(topo, placements)
+        reference = reference_solve(topo, placements)
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        # the survivors cross six ports, all of them affected: one was bounded twice
+        assert len(st.members) == 6
+        assert bounded > 6
+
+    def test_removal_has_no_iteration_cap(self, monkeypatch):
+        """A removal cannot fail, so `SOLVER_ITER_CAP` does not apply to it.
+
+        Removing f1 from `line_placements` takes three Jacobi rounds; it
+        completes under a cap of one.
+        """
+        topo, placements = line_placements()
+        state = NetworkState(topo)
+        state._solver = cold_solve(topo, placements)
+        del placements["f1"]
+        reference = reference_solve(topo, placements)
+        monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 1)
+        state.remove_flow("f1")
+        st = state._solver
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
 
     def test_rate_overload_in_a_round_is_unschedulable(self):
         """The new flow passes the screen, then starves a lower class in round one."""
