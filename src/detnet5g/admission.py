@@ -9,37 +9,53 @@ deadline and every port's backlog fits its buffer.  Each (src, dst) pair's
 trees are walked once per registry, lazily, and its distinct paths kept.
 Per-hop bounds use the strict-priority calculus with each flow's burst
 propagated hop by hop; because flows sharing a port inflate each other's
-bursts, bounds are solved to a fixed point (the iteration is monotone, so
-deadline/buffer violations detected on the way are final).  If no
-candidate fits, one batch pass re-places all flows in ascending-deadline
-order; failing that, the request is rejected and the registry is left
-untouched.
+bursts, bounds are solved to a fixed point.  If no candidate fits, one
+batch pass re-places all flows in ascending-deadline order; failing that,
+the request is rejected and the registry is left untouched.
 
-The solver state is the registry: it holds the least fixed point of the
-admitted flows (placements, hop bounds, e2e bounds), and the assignments
-handed out are built from it on read.  Rounds of monotone (Kleene)
-iteration started anywhere below a least fixed point reach that same point,
-so a trial never starts from scratch.  Adding a flow only raises
-aggregates: the trial starts from the committed point with the new flow's
-hops dirty.  Its first round is built up front, from the committed
-aggregates plus the new flow at its spec burst, and screens the trial:
-bounds are monotone in the aggregates (Le Boudec & Thiran, *Network
-Calculus*), so if the new flow's own bound there already misses its
-deadline, the trial fails before the state is copied.  Each round
-re-bounds the dirty ports only, each once: one `calculus.port_bounds` pass
-gives every class there its delay bound, which the member flows read, and
-its backlog bound, which the buffer check sums.  A cold solve is the same
-rounds from an empty state with every port dirty.  Removing a flow only
-lowers aggregates, so it cannot fail and needs no rounds: the flows through
-the ports that can depend on it restart from their spec burst after their
-first such hop, and a worklist, upstream first, re-bounds a port only when
-a burst there moved, until none moves.  Trials work on a
-copy, so a reject leaves the committed state alone.  A failed trial raises
+The solver state is the registry: the least fixed point of the admitted
+flows (placements, hop bounds, e2e bounds), from which the assignments
+handed out are built on read.  Bounds are monotone in the bursts (Le
+Boudec & Thiran, *Network Calculus*), and any fair order of monotone
+updates started below a least fixed point reaches it (Cousot & Cousot
+1979).  So every solve is one climb (`_climb`) from a point below: a
+worklist of dirty ports, upstream first, that re-bounds a popped port with
+one `calculus.port_bounds` pass (each class's delay bound, which its flows
+read, and backlog bound, which the buffer check sums) and carries each of
+its flows' bursts one hop on, queueing the next port if it moved.  Bounds
+only grow, so a breach met on the way is final: a deadline is checked when
+a bound of its flow grows, a buffer when its port is re-bounded.  A trial
+adds a flow, with its hops dirty.  Their first round, the committed
+aggregates plus the new flow at its spec burst, screens it: a new flow
+whose own bound there misses its deadline fails before the state is
+copied.  Then every flow at those hops is checked as round one of a
+round-by-round (Jacobi) solve would, so a trial that fails there names
+that solve's witness; a later breach may name another.  A removal cannot
+fail: the flows through the ports that can depend on the removed flow
+restart from their spec burst after their first such hop, and the climb
+starts from those ports.  A cold solve climbs with every port dirty.  A
+trial or cold solve that pops one port more than `SOLVER_ITER_CAP` times
+is Unschedulable, since its bursts may have no fixed point; a removal
+climbs below the old one and has no cap.  Trials work on a copy, so a
+reject leaves the committed state alone.  A failed trial raises
 DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
 reject's reason is the first of those classes that any trial raised, by
-name, with the detail of its first trial: the first violation that trial's
-warm climb met, as sound a witness as a cold solve's, though a cold solve
-may name another flow or a larger bound.
+name, with the detail of its first trial: as sound a witness as a cold
+solve's, though a cold solve may name another flow or a larger bound.
+
+The bounds hold although flows chain ports into cycles, as on most
+fabrics, by the time-stopping argument (Cruz, "A Calculus for Network
+Delay, Part II", IEEE Trans. Inf. Theory 1991; Le Boudec & Thiran, ch. 6;
+Thomas, Le Boudec & Mifdaoui, "On Cyclic Dependencies and Regulators in
+Time-Sensitive Networks", RTSS 2019).  With the rates fixed, a class's
+delay bound is affine in the bursts, D = (sum of higher-class bursts +
+l)/R + b/R + d, and so is propagation, b + r*D; rounding up only adds.
+So the computed burst map is F(x) >= c + A*x, with A >= 0 and c > 0.
+The committed bursts are a post-fixed point, x >= F(x) (the tests'
+`certify` checks it), so A*x <= x - c < x: A's spectral radius is below 1
+(Collatz-Wielandt) and x >= (I - A)^-1 c.  Stop the sources at any time:
+the real bursts y until then are finite and y <= c + A*y, so y <= (I -
+A)^-1 c <= x.  So any finite post-fixed point's bounds hold.
 
 Some candidates need no trial at all.  A flow's bound at one hop is at
 least its floor: its bound alone at an empty port, the least over the
@@ -263,141 +279,166 @@ def _hop_floor_us(profiles: tuple[SwitchProfile, ...], spec: FlowSpec, priority:
 
 
 def _bound_port(
-    topo: Topology, st: _SolverState, port: PortId
+    profile: SwitchProfile, st: _SolverState, port: PortId
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """Rebuild `port`'s class aggregates in `st` from its flows' current bursts.
-
-    Returns the two maps of one `port_bounds` pass over them: every class's
-    delay bound and backlog bound there.
-    """
+    """Rebuild `port`'s class aggregates in `st` from its flows' current bursts, and
+    return one `port_bounds` pass over them under `profile`: each class's delay and backlog."""
     placements, bursts = st.placements, st.bursts
     raw: dict[int, list[int]] = {}
     for fid, i in st.members[port].items():
         pl = placements[fid]
+        spec = pl.spec
         slot = raw.get(pl.priority)
         if slot is None:
-            slot = raw[pl.priority] = [0, 0, 0]
+            raw[pl.priority] = [bursts[fid][i], spec.rate_Bps, spec.max_pkt_B]
+            continue
         slot[0] += bursts[fid][i]
-        slot[1] += pl.spec.rate_Bps
-        slot[2] = max(slot[2], pl.spec.max_pkt_B)
+        slot[1] += spec.rate_Bps
+        if spec.max_pkt_B > slot[2]:
+            slot[2] = spec.max_pkt_B
     classes = {cls: ClassAggregate(*slot) for cls, slot in raw.items()}
     st.aggregates[port] = classes
-    return port_bounds(_port_state(topo.profile(port.node), classes))
+    return port_bounds(_port_state(profile, classes))
 
 
-def _check_deadline(fid: str, pl: _Placement, bounds: tuple[int, ...]) -> None:
-    """Raise DeadlineInfeasible if hop `bounds` plus `pl`'s fixed terms miss its deadline."""
-    total = sum(bounds) + pl.terms.fixed_us
-    if total > pl.spec.deadline_us:
-        raise DeadlineInfeasible(
-            f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us"
+def _missed(fid: str, pl: _Placement, total: int) -> DeadlineInfeasible:
+    """The failure of flow `fid`, whose e2e bound `total` passes its deadline."""
+    return DeadlineInfeasible(f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us")
+
+
+def _check_buffer(port: PortId, profile: SwitchProfile, backlogs: dict[int, int]) -> None:
+    """Raise BufferExceeded if the class `backlogs` of `port` sum past its buffer."""
+    backlog = sum(backlogs.values())
+    if backlog > profile.port_buffer_B:
+        raise BufferExceeded(
+            f"port {port}: backlog {backlog} B > buffer {profile.port_buffer_B} B"
         )
 
 
-def _check_buffers(
-    topo: Topology, ports: Iterable[PortId], backlogs: dict[PortId, dict[int, int]]
-) -> None:
-    """Raise BufferExceeded at the first of `ports` whose backlog sum passes its buffer."""
-    for port in ports:
-        buffer_B = topo.profile(port.node).port_buffer_B
-        backlog = sum(backlogs[port].values())
-        if backlog > buffer_B:
-            raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
-
-
-def _settle(
+def _check_first_round(
     topo: Topology,
     st: _SolverState,
-    dirty: set[PortId],
-    first_round: tuple[dict[PortId, dict[int, int]], dict[PortId, dict[int, int]]] | None = None,
+    delays: dict[PortId, dict[int, int]],
+    backlogs: dict[PortId, dict[int, int]],
 ) -> None:
-    """Run fixpoint rounds on `st` in place, starting from the `dirty` ports.
-
-    Serves a trial (`_add_flow`) and the tests' cold solve.  `st` must lie
-    below its least fixed point: every port outside `dirty` holds the
-    aggregates of its flows' current bursts, and every flow that has hop
-    bounds holds the bursts they propagate; a new flow has none, so it is
-    always propagated.  Each round rebuilds the dirty ports' aggregates and
-    bounds every class of each such port in one `port_bounds` pass (see
-    `_bound_port`).  Then, in sorted-flow order, it reads each member
-    flow's hop bounds from those, re-propagates the flows whose hop bounds
-    moved and checks their deadlines; then it checks the dirty ports'
-    buffers, in first-appearance order, against each port's backlog sum;
-    and it marks dirty the ports where a burst moved.  A class that
-    `port_bounds` found Unschedulable raises only when a flow in that order
-    reaches it, as a lazy bound would.  A clean port's bound is the one in
-    the flow's own hop bounds.  That is a from-scratch round restricted to
-    what can change, so the first violation, the round count and the cap
-    are those of a from-scratch solve started from the same bursts.  Bounds
-    only grow, so a violation met on the way is final.
-
-    A caller that has built round one already passes it as `first_round`:
-    the two maps of `port_bounds` for each dirty port, as (delays by port,
-    backlogs by port), with `st.aggregates` set to match.  Round one then
-    rebuilds and re-bounds none of those ports.
-    """
-    placements, bursts, hop_bounds = st.placements, st.bursts, st.hop_bounds
-    members, aggregates = st.members, st.aggregates
-    delays, backlogs = first_round or (None, None)
-    for _ in range(SOLVER_ITER_CAP):
-        if delays is None:
-            delays, backlogs = {}, {}
-            for port in dirty:
-                delays[port], backlogs[port] = _bound_port(topo, st, port)
-
-        moved: set[PortId] = set()
-        order: dict[PortId, None] = {}  # dirty ports in first-appearance order
-        for fid in sorted({fid for port in delays for fid in members[port]}):
-            pl = placements[fid]
-            cls = pl.priority
-            last = hop_bounds.get(fid)  # None only for a new flow, whose hops are all dirty
-            bounds = []
-            for i, port in enumerate(pl.hops):
-                at_port = delays.get(port)
-                if at_port is None:
-                    bounds.append(last[i])
-                    continue
-                order[port] = None
-                delay = at_port.get(cls)
-                if delay is None:  # port_bounds found the class Unschedulable: raise why
-                    hop_delay_bound(_port_state(topo.profile(port.node), aggregates[port]), cls)
-                bounds.append(delay)
-            bounds = tuple(bounds)
-            if bounds == last:
+    """Check the flows at the ports of `delays` as round one of a Jacobi solve does: in
+    sorted-flow order, raise for a class `port_bounds` left out and check the deadline of
+    a flow whose bounds moved; then check the ports' `backlogs`, in first-appearance order."""
+    placements, hop_bounds, members = st.placements, st.hop_bounds, st.members
+    order: dict[PortId, None] = {}  # the ports in first-appearance order
+    for fid in sorted({fid for port in delays for fid in members[port]}):
+        pl = placements[fid]
+        cls = pl.priority
+        last = hop_bounds.get(fid)  # None only for a new flow, whose hops all have maps
+        moved = last is None
+        total = pl.terms.fixed_us
+        for i, port in enumerate(pl.hops):
+            at_port = delays.get(port)
+            if at_port is None:
+                total += last[i]
                 continue
-            spec = pl.spec
-            burst = spec.burst_B
-            propagated = [burst]
-            for delay in bounds[:-1]:
-                burst = propagate_burst(burst, spec.rate_Bps, delay)
-                propagated.append(burst)
-            old = bursts[fid]
-            if propagated != old:
-                bursts[fid] = propagated
-                moved.update(
-                    port for port, b, a in zip(pl.hops, old, propagated) if b != a
-                )
-            hop_bounds[fid] = bounds
-            _check_deadline(fid, pl, bounds)
-        _check_buffers(topo, order, backlogs)
+            order[port] = None
+            delay = at_port.get(cls)
+            if delay is None:  # port_bounds found the class Unschedulable: raise why
+                hop_delay_bound(_port_state(topo.profile(port.node), st.aggregates[port]), cls)
+            total += delay
+            moved = moved or delay != last[i]
+        if moved and total > pl.spec.deadline_us:
+            raise _missed(fid, pl, total)
+    for port in order:
+        _check_buffer(port, topo.profile(port.node), backlogs[port])
 
-        if not moved:
-            return
-        dirty, delays = moved, None
-    raise Unschedulable("burst propagation found no fixed point")
+
+def _climb(
+    topo: Topology,
+    st: _SolverState,
+    dirty: Iterable[PortId],
+    first_round: tuple[dict[PortId, dict[int, int]], dict[PortId, dict[int, int]]] | None = None,
+    *,
+    capped: bool = True,
+) -> None:
+    """Climb `st` in place from the `dirty` ports to its least fixed point.
+
+    `st` must lie below that point: ports outside `dirty` hold the
+    aggregates of their flows' bursts, and a flow's bursts are those its hop
+    bounds propagate (a new flow has none; its unbounded hops count 0).
+    Ports are popped by the least hop index at which a flow crosses them,
+    then by port.  `first_round` is (delays, backlogs) by port of a
+    `port_bounds` pass at each dirty port, matching `st.aggregates`: it is
+    checked first, and a port reuses its maps until a burst there moves;
+    the climb consumes them.  A `capped` climb raises Unschedulable once a
+    port is popped more than `SOLVER_ITER_CAP` times.  Only burst lists the
+    climb copied are mutated.
+    """
+    placements, bursts, hop_bounds, members = st.placements, st.bursts, st.hop_bounds, st.members
+    reuse, backlogs = first_round or ({}, {})  # reuse: delays of ports no burst moved at
+    if first_round is not None:
+        _check_first_round(topo, st, reuse, backlogs)
+    queued = set(dirty)
+    heap = [(min(members[port].values()), port) for port in queued]  # least hop index first
+    heapq.heapify(heap)
+    pops: dict[PortId, int] = {}  # by port, if capped
+    bounds: dict[str, list[int]] = {}  # hop bounds of the flows the climb has touched
+    slack: dict[str, int] = {}  # and their deadlines less their e2e bounds
+    while heap:
+        port = heapq.heappop(heap)[1]
+        queued.remove(port)
+        if capped:
+            pops[port] = popped = pops.get(port, 0) + 1
+            if popped > SOLVER_ITER_CAP:
+                raise Unschedulable("burst propagation found no fixed point")
+        delays = reuse.pop(port, None) if reuse else None
+        if delays is None:
+            profile = topo.profile(port.node)
+            delays, backlogs = _bound_port(profile, st, port)
+            _check_buffer(port, profile, backlogs)
+        for fid, i in members[port].items():
+            pl = placements[fid]
+            delay = delays.get(pl.priority)
+            if delay is None:  # port_bounds found the class Unschedulable: raise why
+                hop_delay_bound(
+                    _port_state(topo.profile(port.node), st.aggregates[port]), pl.priority
+                )
+            hops = pl.hops
+            flow_bursts = bursts[fid]
+            burst = None  # the burst at the next hop, if it moved
+            if i + 1 < len(hops):
+                burst = propagate_burst(flow_bursts[i], pl.spec.rate_Bps, delay)
+                if burst == flow_bursts[i + 1]:
+                    burst = None
+            flow_bounds = bounds.get(fid)
+            if flow_bounds is None:
+                last = hop_bounds.get(fid)
+                if burst is None and last is not None and last[i] == delay:
+                    continue
+                flow_bounds = bounds[fid] = [0] * len(hops) if last is None else list(last)
+                slack[fid] = pl.spec.deadline_us - pl.terms.fixed_us - sum(flow_bounds)
+                bursts[fid] = flow_bursts = list(flow_bursts)
+            old = flow_bounds[i]
+            if delay != old:
+                flow_bounds[i] = delay
+                slack[fid] = left = slack[fid] + old - delay
+                if left < 0:
+                    raise _missed(fid, pl, pl.spec.deadline_us - left)
+            if burst is not None:
+                flow_bursts[i + 1] = burst
+                nxt = hops[i + 1]
+                if reuse:
+                    reuse.pop(nxt, None)
+                if nxt not in queued:
+                    queued.add(nxt)
+                    heapq.heappush(heap, (min(members[nxt].values()), nxt))
+    for fid, flow_bounds in bounds.items():
+        hop_bounds[fid] = tuple(flow_bounds)
 
 
 def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
-    """`base` plus one flow, solved warm from `base`'s fixed point.
+    """`base` plus one flow, climbed warm from `base`'s fixed point.
 
-    Adding a flow only raises aggregates, so `base`'s bursts lie below the
-    new fixed point; only the new flow's hops start dirty.  Round one's
-    states for those hops are `base`'s aggregates plus the new flow at its
-    spec burst, each bounded by one `port_bounds` pass.  The new flow's own
-    bounds there are screened first: bounds only grow with the aggregates,
-    so if they already miss its deadline (or leave no service) the trial
-    fails without copying `base`.  Otherwise those passes are round one's,
-    and `_settle` bounds none of those ports again.
+    Each new hop's `base` aggregates plus the new flow at its spec burst get
+    one `port_bounds` pass, and the new flow's own bounds there are screened:
+    if they miss its deadline (or leave no service) the trial fails without
+    copying `base`.  Otherwise those passes are the climb's `first_round`.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
@@ -429,30 +470,19 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
     st.aggregates.update(aggregates)
-    _settle(topo, st, set(pl.hops), (delays, backlogs))
+    _climb(topo, st, pl.hops, (delays, backlogs))
     return st
 
 
 def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState:
-    """`base` minus one flow, solved from what the removal cannot affect.
+    """`base` minus one flow, climbed from what the removal cannot affect.
 
     The affected ports are the removed flow's hops, then, transitively, every
-    later hop of a flow that crosses an affected port.  Ports outside that
-    closure keep their bounds.  Each flow through the closure keeps its
-    bursts up to its first affected hop and restarts from its spec burst
-    after it, which lies below the new fixed point.
-
-    The climb back is a port worklist, not `_settle`'s rounds: a removal
-    cannot fail, so it needs neither their barrier nor their order of first
-    violation.  Every closure port starts queued, upstream first: by the
-    least hop index at which a flow crosses it, then by port.  A popped port
-    is re-bounded (see `_bound_port`), each of its flows takes its hop bound
-    there, and its burst at the next hop is propagated one step; if that
-    burst moved, the next port is queued unless it already is.  Each step
-    only raises a burst, and every burst stays at or below the old fixed
-    point, so the worklist empties, at the least fixed point a cold solve
-    reaches (chaotic iteration of monotone updates, Cousot & Cousot 1979).
-    The deadline and buffer checks run once, at that point.
+    later hop of a flow that crosses an affected port; the climb starts from
+    them.  Each flow through them keeps its bursts up to its first affected
+    hop and restarts from its spec burst after it, below the new fixed
+    point.  Every burst stays at or below the old one, so the climb needs no
+    cap, and none of its checks can fail.
     """
     st = base.copy()
     gone = st.placements.pop(flow_id)
@@ -475,45 +505,11 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
     for fid, i in first.items():
         pl = st.placements[fid]
         st.bursts[fid] = st.bursts[fid][: i + 1] + [pl.spec.burst_B] * (len(pl.hops) - i - 1)
-
-    placements, bursts, members = st.placements, st.bursts, st.members
-    bounds = {fid: list(st.hop_bounds[fid]) for fid in first}
-    rank: dict[PortId, int] = {}  # port -> least hop index at which a flow crosses it
-    for port in dirty:
-        crossing = members[port]
-        if crossing:
-            rank[port] = min(crossing.values())
-        else:  # only the removed flow crossed it
-            del members[port], st.aggregates[port]
-    heap = [(i, port) for port, i in rank.items()]
-    heapq.heapify(heap)
-    queued = set(rank)
-    backlogs: dict[PortId, dict[int, int]] = {}
-    while heap:
-        port = heapq.heappop(heap)[1]
-        queued.remove(port)
-        delays, backlogs[port] = _bound_port(topo, st, port)
-        for fid, i in members[port].items():
-            pl = placements[fid]
-            delay = delays.get(pl.priority)
-            if delay is None:  # port_bounds found the class Unschedulable: raise why
-                hop_delay_bound(
-                    _port_state(topo.profile(port.node), st.aggregates[port]), pl.priority
-                )
-            bounds[fid][i] = delay
-            if i + 1 < len(pl.hops):
-                flow_bursts = bursts[fid]
-                burst = propagate_burst(flow_bursts[i], pl.spec.rate_Bps, delay)
-                if burst != flow_bursts[i + 1]:
-                    flow_bursts[i + 1] = burst
-                    nxt = pl.hops[i + 1]
-                    if nxt not in queued:
-                        queued.add(nxt)
-                        heapq.heappush(heap, (rank[nxt], nxt))
-    for fid in sorted(first):
-        st.hop_bounds[fid] = flow_bounds = tuple(bounds[fid])
-        _check_deadline(fid, placements[fid], flow_bounds)
-    _check_buffers(topo, backlogs.keys(), backlogs)
+    for port in gone.hops:
+        if not st.members[port]:  # only the removed flow crossed it
+            del st.members[port], st.aggregates[port]
+            dirty.remove(port)
+    _climb(topo, st, dirty, capped=False)
     return st
 
 

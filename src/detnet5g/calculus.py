@@ -64,7 +64,7 @@ class PortClassState(NamedTuple):
     occupy the link when a higher-class packet arrives.  The rate and the
     forwarding delay table come from a `SwitchProfile`, whose fields the
     topology loader checked.  A named tuple, like `RateLatency`: one is
-    built per dirty port of every solver round.
+    built each time the solver bounds a port.
     """
 
     link_rate_Bps: int

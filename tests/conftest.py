@@ -5,6 +5,7 @@ import pytest
 
 from detnet5g import admission
 from detnet5g.admission import _SolverState
+from detnet5g.calculus import ClassAggregate, PortClassState, port_bounds, propagate_burst
 from detnet5g.errors import Unreachable
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link
 from detnet5g.transit5g import TddConfig, TransitNode5G, UeRecord, transit_contract
@@ -29,10 +30,12 @@ def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
 
 
 def cold_solve(topo, placements) -> _SolverState:
-    """Cold solve: every flow starts at its spec burst and every port is dirty.
+    """Cold solve: `admission._climb` with every flow at its spec burst and every port dirty.
 
-    No admission path solves from scratch; the tests use this as the oracle
-    that the warm trials and removals must agree with.
+    No admission path solves from scratch.  This shares the climb with the
+    warm trials and removals, so it checks their warm starts, not the climb
+    itself; `test_admission.reference_solve` is the independent oracle, and
+    `certify` checks any registry in one pass.
     """
     st = _SolverState()
     for fid, pl in placements.items():
@@ -40,8 +43,61 @@ def cold_solve(topo, placements) -> _SolverState:
         st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
         for i, port in enumerate(pl.hops):
             st.members.setdefault(port, {})[fid] = i
-    admission._settle(topo, st, set(st.members))
+    admission._climb(topo, st, set(st.members))
     return st
+
+
+def certify(topo, st: _SolverState) -> None:
+    """Assert, in one pass over a solved state, that every bound it states holds.
+
+    Shares no solver code (no dirty sets, no worklist, no screen): only the
+    calculus's formulas.  Checks that
+    - each flow's entry burst is its spec burst;
+    - each next burst is at least `propagate_burst` of the stated burst over
+      the stated hop bound;
+    - each hop bound is at least its class's `port_bounds` delay over the
+      aggregates rebuilt from the stated bursts;
+    - every deadline and every buffer holds.
+    The first three make the stated bursts a post-fixed point of the burst
+    map, which is all the bounds need to hold (see the `admission` module
+    docstring); whether it is the least one is `reference_solve`'s to check.
+    """
+    problems = []
+    raw: dict = {}  # port -> class -> [burst, rate, largest packet], from the stated bursts
+    for fid in sorted(st.placements):
+        pl = st.placements[fid]
+        spec = pl.spec
+        bursts, bounds = st.bursts[fid], st.hop_bounds[fid]
+        assert len(bursts) == len(bounds) == len(pl.hops), fid
+        if bursts[0] != spec.burst_B:
+            problems.append(f"{fid}: entry burst {bursts[0]} B != spec {spec.burst_B} B")
+        for i in range(len(pl.hops) - 1):
+            least = propagate_burst(bursts[i], spec.rate_Bps, bounds[i])
+            if bursts[i + 1] < least:
+                problems.append(f"{fid}: burst {bursts[i + 1]} B at hop {i + 1} < {least} B")
+        total = sum(bounds) + pl.terms.fixed_us
+        if total > spec.deadline_us:
+            problems.append(f"{fid}: bound {total} us > deadline {spec.deadline_us} us")
+        for port, burst in zip(pl.hops, bursts):
+            slot = raw.setdefault(port, {}).setdefault(pl.priority, [0, 0, 0])
+            slot[0] += burst
+            slot[1] += spec.rate_Bps
+            slot[2] = max(slot[2], spec.max_pkt_B)
+    delays = {}
+    for port, per_cls in raw.items():
+        profile = topo.profile(port.node)
+        delays[port], backlogs = port_bounds(PortClassState(
+            profile.link_rate_Bps, {cls: ClassAggregate(*slot) for cls, slot in per_cls.items()},
+            profile.fwd_delay_us, admission.DEFAULT_MAX_PKT_B))
+        backlog = sum(backlogs.values())
+        if backlog > profile.port_buffer_B:
+            problems.append(f"{port}: backlog {backlog} B > buffer {profile.port_buffer_B} B")
+    for fid, pl in st.placements.items():
+        for port, bound in zip(pl.hops, st.hop_bounds[fid]):
+            delay = delays[port].get(pl.priority)
+            if delay is None or bound < delay:
+                problems.append(f"{fid}: bound {bound} us at {port} < class delay {delay} us")
+    assert not problems, problems
 
 
 def canonical_aggregates(st: _SolverState) -> dict:

@@ -1,9 +1,11 @@
 import copy
+import heapq
 import math
 import random
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,11 +24,11 @@ from detnet5g import errors
 from detnet5g.errors import (BufferExceeded, DeadlineInfeasible, ScenarioInvalid, UnknownFlow,
                              Unschedulable)
 from detnet5g.nwtt import RegulatorConfig
-from detnet5g.topology import PortId, SwitchProfile, path_in_tree
+from detnet5g.topology import PortId, SwitchProfile, Topology, make_link, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
-from conftest import (aggregates, cold_aggregates, cold_solve, grid_topology, line_topology,
-                      ring_topology, snapshot)
+from conftest import (aggregates, certify, cold_aggregates, cold_solve, grid_topology,
+                      line_topology, ring_topology, snapshot)
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -223,6 +225,7 @@ class TestRemoveFlow:
         state = NetworkState(ring)
         before = snapshot(state)
         state.register_flow(spec())
+        certify(ring, state._solver)
         state.remove_flow("f1")
         assert snapshot(state) == before
 
@@ -230,8 +233,10 @@ class TestRemoveFlow:
         state = NetworkState(ring)
         state.register_flow(spec(fid="f1"))
         state.register_flow(spec(fid="f2", src="UE2"))
+        certify(ring, state._solver)
         with_both = state.flows()["f1"].e2e_bound_us
         state.remove_flow("f2")
+        certify(ring, state._solver)
         assert state.flows()["f1"].e2e_bound_us <= with_both
 
     def test_unknown_flow(self, ring):
@@ -558,13 +563,14 @@ def reference_round(topo, placements, bursts):
     return aggregates, states
 
 
-def reference_solve(topo, placements, start=None):
+def reference_solve(topo, placements, start=None, checks=True):
     """The solve the incremental engine replaced, kept as the reference.
 
     Every round rebuilds every (port, class) aggregate from every flow's
     current bursts and bounds every flow from scratch.  The bursts start at
     `start` where it has the flow, else at the flow's spec burst.  Returns a
-    `_SolverState` with the final bursts, bounds and aggregates.
+    `_SolverState` with the final bursts, bounds and aggregates.  With
+    `checks` off, no deadline or buffer ends the rounds.
     """
     fids = sorted(placements)
     start = start or {}
@@ -595,13 +601,13 @@ def reference_solve(topo, placements, start=None):
                     changed = True
             hop_bounds[fid] = tuple(bounds)
             total = sum(bounds) + pl.terms.fixed_us
-            if total > pl.spec.deadline_us:
+            if checks and total > pl.spec.deadline_us:
                 raise DeadlineInfeasible(
                     f"flow {fid!r}: bound {total} us > deadline {pl.spec.deadline_us} us")
         for port, classes in aggregates.items():
             buffer_B = topo.profile(port.node).port_buffer_B
             backlog = sum(backlog_bound(states[port], cls) for cls in classes)
-            if backlog > buffer_B:
+            if checks and backlog > buffer_B:
                 raise BufferExceeded(f"port {port}: backlog {backlog} B > buffer {buffer_B} B")
 
         if not changed:
@@ -689,15 +695,74 @@ def counted_port_bounds(monkeypatch):
     return passes
 
 
-def three_rounds(passes):
-    """`passes` cut into rounds of 3, 2 and 1 hops, each sorted: a round bounds
-    its dirty ports in set order."""
-    return [sorted(passes[:3]), sorted(passes[3:5]), sorted(passes[5:])]
+def ring5_placements(share):
+    """Five flows on a five-switch ring, each over four ring ports in a row.
+
+    Switch R<k> sends to R<k+1> from port 1 and hosts H<k> at port 3; flow
+    f<k> goes from H<k> to H<k+4>, class 7, burst = packet = 1,500 B, at
+    `share` of the link rate.  Each ring port carries four of the flows, at
+    hop indices 0 to 3, so a burst raised at a port comes back to it around
+    the ring.  Deadlines and buffers are 10**40: no check can end a climb
+    that does not settle, only the cap can.
+    """
+    topo = Topology()
+    profile = SwitchProfile(port_buffer_B=10**40)
+    for k in range(5):
+        topo.switches[f"R{k}"] = profile
+        topo.hosts[f"H{k}"] = PortId(f"R{k}", 3)
+        topo.links.add(make_link(PortId(f"R{k}", 1), PortId(f"R{(k + 1) % 5}", 2)))
+    trees = NetworkState(topo).trees
+    placements = {}
+    for k in range(5):
+        src, dst = f"H{k}", f"H{(k + 4) % 5}"
+        hops = tuple(PortId(f"R{(k + j) % 5}", 1) for j in range(4)) + (topo.hosts[dst],)
+        tree = next(t for t in trees if tuple(path_in_tree(topo, t, src, dst)) == hops)
+        flow = FlowSpec(f"f{k}", src, dst, round(profile.link_rate_Bps * share), 1_500, 1_500,
+                        10**40)
+        placements[flow.flow_id] = _Placement(flow, 7, tree, hops, _Terms())
+    return topo, placements
+
+
+def assert_late_witness(monkeypatch, topo, decision, expected, trials):
+    """`decision` differs from the reference's `expected` in a later-round witness only.
+
+    The climb checks each bound as it grows, so where the reference's first
+    breach comes after its round one, the climb may meet another flow's or
+    another bound's breach first.  Its reject must still be the same, and
+    the flow it names must miss its deadline with a bound no larger than
+    that flow's bound at the reference's fixed point with the checks off.
+    `trials` are the reference search's failed trials, as (base, placement,
+    exception), in order.
+    """
+    assert replace(decision, detail=None) == replace(expected, detail=None)
+    assert decision.reason == "DeadlineInfeasible"
+    base, pl = next((base, pl) for base, pl, exc in trials if isinstance(exc, DeadlineInfeasible))
+    with monkeypatch.context() as m:  # the reference's round one passes
+        m.setattr(admission, "SOLVER_ITER_CAP", 1)
+        with pytest.raises(Unschedulable, match="no fixed point"):
+            reference_trial(topo, base, pl)
+    fid, bound, deadline = re.fullmatch(
+        r"flow '(\w+)': bound (\d+) us > deadline (\d+) us", decision.detail).groups()
+    bound = int(bound)
+    placements = {**base.placements, pl.spec.flow_id: pl}
+    assert bound > int(deadline) == placements[fid].spec.deadline_us
+    start = {**base.bursts, pl.spec.flow_id: [pl.spec.burst_B] * len(pl.hops)}
+    try:
+        unchecked = reference_solve(topo, placements, start, checks=False)
+    except Unschedulable:  # no fixed point: any bound is below it
+        return
+    assert bound <= e2e_bounds(unchecked)[fid]
 
 
 class TestIncrementalSolver:
     def test_cap_hits_match_reference(self, monkeypatch):
-        """Three hops in a line: bursts settle in round 3, f1 misses in round 2."""
+        """Three hops in a line, feed-forward: the climb pops each port once.
+
+        The reference's rounds settle in round 3, so caps of 1 and 2 end
+        them early.  The climb ends under those caps as it does under none:
+        f1 misses its deadline at its final bound, and once f1's deadline
+        is lifted the climb reaches the reference's fixed point.
+        """
         topo = line_topology()
         tree = NetworkState(topo).trees[0]
         hops = tuple(path_in_tree(topo, tree, "A", "B"))
@@ -711,29 +776,27 @@ class TestIncrementalSolver:
                 ("f3", 6, 5_000, 1_500, 10**9),
             )
         }
-        seen = []
-        for cap in (1, 2):
+        lifted = {**placements, "f1": _Placement(
+            FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9), 7, tree, hops, _Terms())}
+        reference = reference_solve(topo, lifted)
+        assert e2e_bounds(reference)["f1"] == 287_280
+        with pytest.raises(TRIAL_FAILURES) as exc:  # the rounds meet f1's breach in round 2
+            reference_solve(topo, placements)
+        assert failure(exc.value) == (
+            "DeadlineInfeasible", "flow 'f1': bound 280800 us > deadline 216000 us")
+        for cap in (1, 2, admission.SOLVER_ITER_CAP):
             monkeypatch.setattr(admission, "SOLVER_ITER_CAP", cap)
-            with pytest.raises(TRIAL_FAILURES) as engine:
+            with pytest.raises(TRIAL_FAILURES) as exc:
                 cold_solve(topo, placements)
-            with pytest.raises(TRIAL_FAILURES) as reference:
-                reference_solve(topo, placements)
-            got = failure(engine.value)
-            assert got == failure(reference.value)
-            seen.append(got)
-        assert seen == [
-            ("Unschedulable", "burst propagation found no fixed point"),
-            ("DeadlineInfeasible", "flow 'f1': bound 280800 us > deadline 216000 us"),
-        ]
-        monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 3)
-        placements["f1"] = _Placement(FlowSpec("f1", "A", "B", 12_500, 3_000, 1_500, 10**9),
-                                      7, tree, hops, _Terms())
-        engine, reference = cold_solve(topo, placements), reference_solve(topo, placements)
-        assert (engine.bursts, engine.hop_bounds, e2e_bounds(engine)) == (
-            reference.bursts, reference.hop_bounds, e2e_bounds(reference))
+            assert failure(exc.value) == (
+                "DeadlineInfeasible", "flow 'f1': bound 287280 us > deadline 216000 us")
+            engine = cold_solve(topo, lifted)
+            assert (engine.bursts, engine.hop_bounds, e2e_bounds(engine)) == (
+                reference.bursts, reference.hop_bounds, e2e_bounds(reference))
 
     def test_accepted_add_bounds_nothing_twice(self, monkeypatch):
-        """The screen's passes are round one's: one `port_bounds` pass per dirty port a round."""
+        """The screen's passes are the climb's first round; a port is re-bounded only
+        after a burst there moved."""
         topo, placements = line_placements()
         new = placements.pop("f1")
         base = cold_solve(topo, placements)
@@ -741,15 +804,17 @@ class TestIncrementalSolver:
         st = admission._add_flow(topo, base, new)
         reference = reference_solve(topo, {**placements, "f1": new})
         assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
-        # the 3 screen ports in hop order, then the 2 and the 1 where a burst moved
-        assert passes[:3] == [1, 2, 3]
-        assert three_rounds(passes) == [[1, 2, 3], [2, 3], [3]]
+        certify(topo, st)
+        # the 3 screen ports in hop order; hop 1 keeps its pass, and hops 2 and 3,
+        # where f1's burst moved, are re-bounded once each, upstream first
+        assert passes == [1, 2, 3, 2, 3]
 
     def test_drop_bounds_each_port_once_a_round(self, monkeypatch):
         topo, placements = line_placements()
         base = cold_solve(topo, placements)
         passes = counted_port_bounds(monkeypatch)
         st = admission._drop_flow(topo, base, "f1")
+        certify(topo, st)
         del placements["f1"]
         reference = reference_solve(topo, placements)
         assert (st.bursts, e2e_bounds(st)) == (reference.bursts, e2e_bounds(reference))
@@ -785,6 +850,7 @@ class TestIncrementalSolver:
         passes = counted_port_bounds(monkeypatch)
         st = admission._drop_flow(topo, base, "x")
         bounded = len(passes)
+        certify(topo, st)
         del placements["x"]
         assert st == cold_solve(topo, placements)
         reference = reference_solve(topo, placements)
@@ -807,7 +873,93 @@ class TestIncrementalSolver:
         monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 1)
         state.remove_flow("f1")
         st = state._solver
+        certify(topo, st)
         assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+
+    def test_climb_diverges_at_the_real_cap(self):
+        """A ring whose bursts have no fixed point: only `SOLVER_ITER_CAP` ends the climb.
+
+        At a fixed point of `ring5_placements`, each ring port would hold one
+        class burst S, with the flow at hop h bringing 1,500 B + h·r·D and
+        D = (1,500 B + S)/C; so S = 6,000 B + 6·(r/C)·(1,500 B + S).  At
+        r/C = 0.8/4 the factor is 1.2, and no finite S solves it.  Four of
+        the flows settle under the climb, though the reference's rounds need
+        more than the cap to settle them; the fifth makes the climb diverge.
+        """
+        topo, placements = ring5_placements(0.8 / 4)
+        with pytest.raises(Unschedulable, match="^burst propagation found no fixed point$"):
+            cold_solve(topo, placements)
+        fifth = placements.pop("f4")
+        base = cold_solve(topo, placements)
+        certify(topo, base)
+        with pytest.raises(Unschedulable, match="^burst propagation found no fixed point$"):
+            reference_solve(topo, placements)
+        with pytest.raises(TRIAL_FAILURES) as exc:
+            admission._add_flow(topo, base, fifth)
+        assert failure(exc.value) == ("Unschedulable", "burst propagation found no fixed point")
+
+    def test_climb_settles_on_a_ring_below_gain_one(self):
+        """The same ring at 0.6/4 of the link rate, a factor of 0.9: the climb
+        reaches the reference's fixed point."""
+        topo, placements = ring5_placements(0.6 / 4)
+        st, reference = cold_solve(topo, placements), reference_solve(topo, placements)
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        certify(topo, st)
+
+    def test_removal_pops_past_the_cap(self, monkeypatch):
+        """A removal on the settling ring pops some port twice, and completes under a
+        cap of one at the survivors' cold solve."""
+        topo, placements = ring5_placements(0.6 / 4)
+        state = NetworkState(topo)
+        state._solver = cold_solve(topo, placements)
+        del placements["f0"]
+        expected = cold_solve(topo, placements)
+        popped = []
+        monkeypatch.setattr(admission, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappush=heapq.heappush,
+            heappop=lambda heap: popped.append(heap[0][1]) or heapq.heappop(heap)))
+        monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 1)
+        state.remove_flow("f0")
+        assert len(popped) > len(set(popped))
+        assert state._solver == expected
+        certify(topo, state._solver)
+
+    def test_certify_fails_broken_climbs(self, monkeypatch):
+        """`certify` passes the climb's states and fails a climb that stops one pop
+        early or one that skips a burst update."""
+        topo, placements = line_placements()
+        new = placements.pop("f1")
+        base = cold_solve(topo, placements)
+        certify(topo, base)
+        pops = []
+
+        def counted_pop(heap):
+            pops.append(None)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(admission, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappush=heapq.heappush, heappop=counted_pop))
+        certify(topo, admission._add_flow(topo, base, new))
+        assert len(pops) == 3
+
+        def stopping_pop(heap):  # empties the heap at the second pop, so no third pop comes
+            item = counted_pop(heap)
+            if len(pops) == 2:
+                heap.clear()
+            return item
+
+        pops.clear()
+        monkeypatch.setattr(admission.heapq, "heappop", stopping_pop)
+        stopped = admission._add_flow(topo, base, new)
+        assert len(pops) == 2
+        with pytest.raises(AssertionError, match=r"'f1: bound \d+ us at S3.2 < class delay"):
+            certify(topo, stopped)
+        monkeypatch.setattr(admission.heapq, "heappop", heapq.heappop)
+        # f1's bursts are never propagated: they stay at its spec burst
+        monkeypatch.setattr(admission, "propagate_burst", lambda burst, rate, delay: (
+            burst if rate == new.spec.rate_Bps else propagate_burst(burst, rate, delay)))
+        with pytest.raises(AssertionError, match=r"'f1: burst 3000 B at hop 1 < \d+ B"):
+            certify(topo, admission._add_flow(topo, base, new))
 
     def test_rate_overload_in_a_round_is_unschedulable(self):
         """The new flow passes the screen, then starves a lower class in round one."""
@@ -826,6 +978,21 @@ class TestIncrementalSolver:
                 "Unschedulable", "class 6 rate 100000 B/s exceeds residual 75000 B/s")
         assert base == before
 
+    def test_cold_solve_names_an_overloaded_class(self):
+        """A cold solve meets an overloaded class at a popped port, and names it
+        as the trial's round one does."""
+        topo = line_topology()
+        tree = NetworkState(topo).trees[0]
+        hops = tuple(path_in_tree(topo, tree, "A", "B"))
+        placements = {fid: _Placement(FlowSpec(fid, "A", "B", rate, 1_500, 1_500, 10**9),
+                                      prio, tree, hops, _Terms())
+                      for fid, prio, rate in (("low", 6, 100_000), ("high", 7, 50_000))}
+        for solve in (cold_solve, reference_solve):
+            with pytest.raises(TRIAL_FAILURES) as exc:
+                solve(topo, placements)
+            assert failure(exc.value) == (
+                "Unschedulable", "class 6 rate 100000 B/s exceeds residual 75000 B/s")
+
     @pytest.mark.parametrize("fabric", ["ring", "grid"])
     def test_screened_rejects_fail_reference_solve(self, fabric, monkeypatch):
         """Every trial `_add_flow` rejects before any fixpoint round is infeasible."""
@@ -836,23 +1003,23 @@ class TestIncrementalSolver:
         else:
             topo = grid_topology()
             endpoints, kwargs = sorted(topo.hosts), {"class_count": 3}
-        settles, screened = [], []
-        settle, add_flow = admission._settle, admission._add_flow
+        climbs, screened = [], []
+        climb, add_flow = admission._climb, admission._add_flow
 
-        def counted_settle(*args):
-            settles.append(None)
-            return settle(*args)
+        def counted_climb(*args, **kwargs):
+            climbs.append(None)
+            return climb(*args, **kwargs)
 
         def recording_add_flow(topo, base, pl):
-            before = len(settles)
+            before = len(climbs)
             try:
                 return add_flow(topo, base, pl)
             except TRIAL_FAILURES:
-                if len(settles) == before:
+                if len(climbs) == before:
                     screened.append({**base.placements, pl.spec.flow_id: pl})
                 raise
 
-        monkeypatch.setattr(admission, "_settle", counted_settle)
+        monkeypatch.setattr(admission, "_climb", counted_climb)
         monkeypatch.setattr(admission, "_add_flow", recording_add_flow)
         for seed in range(6):
             rng = random.Random(seed)
@@ -881,7 +1048,16 @@ class TestIncrementalSolver:
             topo = grid_topology()
             topo.switches = {sid: small_buffers for sid in topo.switches}
             endpoints, kwargs, count = sorted(topo.hosts), {"class_count": 3}, 16
-        outcomes = set()
+        outcomes, late = set(), []
+        trials = []  # the reference search's failed trials: (base, placement, exception)
+
+        def recording_trial(topo, base, pl):
+            try:
+                return reference_trial(topo, base, pl)
+            except TRIAL_FAILURES as exc:
+                trials.append((base, pl, exc))
+                raise
+
         for seed in range(10):
             rng = random.Random(seed)
             reconfig = seed % 2 == 0
@@ -898,10 +1074,14 @@ class TestIncrementalSolver:
                 else:
                     spec = oracle_spec(rng, f"f{i}", endpoints)
                     decision = state.register_flow(spec)
+                    trials.clear()
                     with monkeypatch.context() as m:
                         use_reference_solver(m)
+                        m.setattr(admission, "_add_flow", recording_trial)
                         expected = ref.register_flow(spec)
-                    assert decision == expected, (fabric, seed, i)
+                    if decision != expected:
+                        assert_late_witness(monkeypatch, topo, decision, expected, trials)
+                        late.append((seed, i))
                     if decision.accepted:
                         live.append(spec.flow_id)
                         outcomes.add(("class", decision.assignment.priority_class))
@@ -912,6 +1092,8 @@ class TestIncrementalSolver:
                 assert snapshot(state) == snapshot(ref)
                 assert state._solver.bursts == ref._solver.bursts
                 assert state._solver.hop_bounds == ref._solver.hop_bounds
+                certify(topo, state._solver)
+        assert late == {"ring": [], "grid": [(0, 2)]}[fabric]
         assert {"DeadlineInfeasible", "BufferExceeded", "Unschedulable",
                 "placed", "moved"} <= outcomes
         assert len({o for o in outcomes if o[0] == "class"}) >= 2
@@ -1066,6 +1248,7 @@ class TestLowerBoundPrune:
                     else:
                         outcomes.add(decision.reason)
                 assert snapshot(state) == snapshot(ref)
+                certify(topo, state._solver)
         assert {"placed", "DeadlineInfeasible"} <= outcomes
         # not vacuous: the built registry skipped trials in the search and the batch pass
         assert trials["built", "search"] < trials["reference", "search"]
