@@ -546,7 +546,11 @@ class _Routes:
 
 
 class NetworkState:
-    """Flow registry (the committed `_SolverState`) plus the admission pipeline."""
+    """Flow registry (the committed `_SolverState`) plus the admission pipeline.
+
+    `trees`, when given, is a non-empty list of VLAN trees of `topology`;
+    by default they are enumerated, and a connected fabric has at least one.
+    """
 
     def __init__(
         self,
@@ -563,8 +567,6 @@ class NetworkState:
         if trees is None:
             trees, self.trees_truncated = enumerate_spanning_trees(topology)
         self.trees = list(trees)
-        if not self.trees:
-            raise Unreachable("topology yields no VLAN trees")
         profile_classes = min(p.class_count for p in topology.switches.values())
         self.class_count = profile_classes if class_count is None else min(
             class_count, profile_classes

@@ -156,6 +156,35 @@ def cmd_run(args) -> int:
     return EXIT_VIOLATION if violation_total else EXIT_OK
 
 
+def _row_latency(row: dict, where: str) -> int | None:
+    """A trace row's latency in ns, None if it has no receive time.
+
+    A row's receive time and latency are both empty (dropped or in flight)
+    or both set, and then the packet was not dropped and its latency is
+    its receive time minus its send time, to the nanosecond.
+    """
+    def column(name: str) -> int:
+        try:
+            return parse_us(row[name])
+        except ValueError as exc:
+            raise ScenarioInvalid(f"{where} column {name}: {exc}") from None
+
+    t_send = column("t_send_us")
+    if not row["t_recv_us"] and not row["latency_us"]:
+        return None
+    for name, other in (("t_recv_us", "latency_us"), ("latency_us", "t_recv_us")):
+        if not row[name]:
+            raise ScenarioInvalid(f"{where} column {name}: empty, but {other} is set")
+    if row["dropped"] != "0":
+        raise ScenarioInvalid(f"{where} column dropped: 1, but the packet has a receive time")
+    latency = column("latency_us")
+    if latency != column("t_recv_us") - t_send:
+        raise ScenarioInvalid(
+            f"{where} column latency_us: {row['latency_us']} is not t_recv_us - t_send_us "
+            f"({row['t_recv_us']} - {row['t_send_us']})")
+    return latency
+
+
 def cmd_report(args) -> int:
     flows: dict[str, dict] = {}
     with open_input(args.trace) as fh:
@@ -174,15 +203,13 @@ def cmd_report(args) -> int:
                 raise ScenarioInvalid(
                     f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
                 )
+            latency = _row_latency(row, where)
             stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
             stats["sent"] += 1
             if row["dropped"] == "1":
                 stats["dropped"] += 1
-            elif row["latency_us"]:
-                try:
-                    stats["lat"].append(parse_us(row["latency_us"]))
-                except ValueError as exc:
-                    raise ScenarioInvalid(f"{where} column latency_us: {exc}") from None
+            elif latency is not None:
+                stats["lat"].append(latency)
     doc = {"schema_version": 1, "flows": {}}
     for fid, stats in sorted(flows.items()):
         doc["flows"][fid] = {

@@ -77,7 +77,7 @@ _VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regula
 
 class _Packet:
     __slots__ = (
-        "ctx", "seq", "size_B", "hop_idx", "hop_in", "hop_overruns",
+        "ctx", "seq", "size_B", "hop", "hop_in", "hop_overruns",
         "t_send", "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
     )
 
@@ -85,7 +85,7 @@ class _Packet:
         self.ctx = ctx
         self.seq = len(ctx.t_send)  # the packet's index into its flow's trace columns
         self.size_B = size_B
-        self.hop_idx = 0
+        self.hop = None  # the `_Hop` the packet is at, once it reaches the fabric
         self.hop_in = 0
         self.hop_overruns = 0  # hops over their bound, counted at delivery
         self.t_send = t_send
@@ -115,26 +115,38 @@ class _Port:
         self.reached = False  # has a packet arrived here
 
 
+def _fixed_rank(ahead_ns: int, slot_ns: int):
+    """The rank of an event pushed `ahead_ns` > 0 before its time (see
+    `_Engine`), or None when it is that of the event pushing it."""
+    return 0 if ahead_ns > slot_ns else 2 if ahead_ns < slot_ns else None
+
+
 class _Hop:
     """One hop of a flow's route, resolved once per run: the egress port, the
-    flow's forwarding delay before it (that of the flow's class), the
-    transmission time of the flow's packets there and the flow's bound for
-    the hop (None for an unregistered flow)."""
+    flow's class, its forwarding delay before the port (that of its class),
+    the transmission time of its packets there, the flow's bound for the hop
+    (None for an unregistered flow) and the next hop (None at the last).
+    Both delays are fixed, so are the ranks of the pushes that wait them out
+    (`_fixed_rank`)."""
 
-    __slots__ = ("port", "fwd_ns", "tx_ns", "bound_ns")
+    __slots__ = ("port", "cls", "fwd_ns", "fwd_rank", "tx_ns", "tx_rank", "bound_ns", "next")
 
-    def __init__(self, port: _Port, cls: int, pkt_B: int, bound_us):
+    def __init__(self, port: _Port, cls: int, pkt_B: int, bound_us, slot_ns: int, next_hop):
         self.port = port
+        self.cls = cls
         self.fwd_ns = port.profile.fwd_delay_us[cls] * NS_PER_US
+        self.fwd_rank = _fixed_rank(self.fwd_ns, slot_ns)  # unused when fwd_ns is 0
         self.tx_ns = ceil_div(pkt_B * NS_PER_S, port.profile.link_rate_Bps)
+        self.tx_rank = _fixed_rank(self.tx_ns, slot_ns)
         self.bound_ns = None if bound_us is None else bound_us * NS_PER_US
+        self.next = next_hop
 
 
 class _FlowCtx:
     __slots__ = (
         "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
         "regulator", "t_send", "t_recv", "received", "drops", "max_seq", "reorders",
-        "violations", "hops", "ul_queue", "dl_queue", "limits_ns",
+        "violations", "first_hop", "ul_queue", "dl_queue", "limits_ns",
     )
 
     def __init__(self, source: SourceModel, assignment=None, critical=False):
@@ -148,9 +160,10 @@ class _FlowCtx:
         self.route = ()
         self.policer = None
         self.regulator = None
-        # set by the engine for the length of a run: the route's `_Hop`s and
-        # the UE queues the flow's packets enter (None if not a UE)
-        self.hops = ()
+        # set by the engine for the length of a run: the first of the route's
+        # chained `_Hop`s and the UE queues the flow's packets enter (None if
+        # not a UE)
+        self.first_hop = None
         self.ul_queue = None
         self.dl_queue = None
         # the assignment's bounds in ns, set by the engine (None: unregistered)
@@ -264,6 +277,16 @@ class _Engine:
     initialisation push as 0, a same-time FIFO item as 2.  Without a 5G
     segment there are no ticks and every rank is 0.  Pushes for the current
     time go to `fifo`, which runs after every heap entry of that time.
+
+    A packet's forwarding and transmission at a hop wait out delays fixed
+    per hop, so each `_Hop` carries the rank of those two pushes (or None
+    for the pusher's) and they skip `_push`; a zero forwarding delay goes
+    straight to the FIFO.  Emissions and regulator releases, whose delays
+    vary, go through `_push`, and slot ticks through `_arm`.  Each handler
+    is bound once per engine (`on_*`), and a heap or FIFO entry holds that
+    bound method.  `tests/reference_engine.py` runs the every-slot clock
+    itself, with none of these shortcuts, and the tests compare the two
+    packet by packet.
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -277,6 +300,7 @@ class _Engine:
         self.counter = 0
         self.transit = topo.transit
         self.slot_ns = 0
+        self.grant_slots = 0  # a packet that reaches a UE queue in slot k may go in slot k + this
         self.armed: set[int] = set()  # slots whose tick is on the heap
         # what a slot tick does depends only on its index: the UE rotation
         # repeats every len(UEs) slots and the waits for a usable slot every pattern
@@ -293,6 +317,7 @@ class _Engine:
             self.rotations = [queues[k:] + queues[:k] for k in range(len(queues))]
             tdd = self.transit.tdd
             self.slot_ns = tdd.slot_ns
+            self.grant_slots = tdd.first_grant_slot(0)
             self.ul_wait = _slots_to_usable(tdd, UPLINK)
             self.dl_wait = _slots_to_usable(tdd, DOWNLINK)
         self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route, reached or not
@@ -301,15 +326,24 @@ class _Engine:
             ctx.dl_queue = ue_dl.get(ctx.source.dst)
             pkt_B = ctx.source.params["pkt_B"]
             bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
-            hops = []
-            for i, port_id in enumerate(ctx.route):
+            hop = None
+            for i in reversed(range(len(ctx.route))):
+                port_id = ctx.route[i]
                 port = self.all_ports.get(port_id)
                 if port is None:
                     port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
-                hops.append(_Hop(port, ctx.pcp, pkt_B, None if bounds is None else bounds[i]))
-            ctx.hops = tuple(hops)
+                hop = _Hop(port, ctx.pcp, pkt_B, None if bounds is None else bounds[i],
+                           self.slot_ns, hop)
+            ctx.first_hop = hop
             if ctx.assignment is not None:
                 ctx.limits_ns = _limits_ns(ctx.assignment)
+        # the handlers, bound once: `run` unbinds them, which breaks the cycle
+        # through self
+        self.on_emit = self._handle_emit
+        self.on_slot = self._handle_slot
+        self.on_regrel = self._handle_regrel
+        self.on_portin = self._handle_portin
+        self.on_txdone = self._handle_txdone
 
     # ------------------------------------------------------------- scheduling
 
@@ -318,10 +352,9 @@ class _Engine:
         if not ahead:
             self.fifo.append((handler, payload))
             return
-        slot_ns = self.slot_ns
+        rank = _fixed_rank(ahead, self.slot_ns)
         self.counter += 1
-        rank = 0 if ahead > slot_ns else 2 if ahead < slot_ns else self.rank
-        heappush(self.heap, (t_ns, rank, self.counter, handler, payload))
+        heappush(self.heap, (t_ns, self.rank if rank is None else rank, self.counter, handler, payload))
 
     def _arm(self, wait: list, slot_index: int):
         """Tick the first slot at or after `slot_index` usable in `wait`'s direction."""
@@ -333,7 +366,7 @@ class _Engine:
         if t_ns <= self.end_ns and slot_index not in self.armed:
             self.armed.add(slot_index)
             self.counter += 1
-            heappush(self.heap, (t_ns, 1, self.counter, self._handle_slot, slot_index))
+            heappush(self.heap, (t_ns, 1, self.counter, self.on_slot, slot_index))
 
     # ------------------------------------------------------------- sources
 
@@ -344,7 +377,7 @@ class _Engine:
             self._emit_packet(ctx, size_B)
         t_ns, count = next(schedule)
         if t_ns <= self.end_ns:
-            self._push(t_ns, self._handle_emit, (ctx, schedule, count))
+            self._push(t_ns, self.on_emit, (ctx, schedule, count))
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
         t = self.t
@@ -356,13 +389,13 @@ class _Engine:
         elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
             self._drop(pkt, "policer")
         else:
-            self._arrive_hop(pkt)
+            self._forward(pkt, ctx.first_hop)
 
     # ------------------------------------------------------------- 5G segment
 
     def _enqueue_ue(self, pkt: _Packet, queue: deque, wait: list):
         """Queue a packet at a UE for its first grant slot in `wait`'s direction."""
-        pkt.eligible_slot = self.transit.tdd.first_grant_slot(self.t // self.slot_ns)
+        pkt.eligible_slot = self.t // self.slot_ns + self.grant_slots
         queue.append(pkt)
         if len(queue) == 1:
             self._arm(wait, pkt.eligible_slot)
@@ -383,21 +416,23 @@ class _Engine:
 
     def _drain_ue(self, queue: deque, tbs_B: int, slot_index: int, *, uplink: bool):
         budget = tbs_B
-        while queue and budget > 0:
+        while queue:
             pkt = queue[0]
             if pkt.eligible_slot > slot_index:
                 break
-            take = min(budget, pkt.remaining_B)
-            pkt.remaining_B -= take
-            budget -= take
-            if pkt.remaining_B > 0:
+            if pkt.remaining_B > budget:  # the block ends inside the packet
+                pkt.remaining_B -= budget
+                budget = 0
                 break
+            budget -= pkt.remaining_B
             queue.popleft()
             if uplink:
                 pkt.transit_out = self.t
                 self._nwtt_ingress(pkt)
             else:
                 self._deliver(pkt)
+            if not budget:
+                break
         if queue and budget < tbs_B:  # a drain left a head behind
             self._arm(self.ul_wait if uplink else self.dl_wait,
                       max(slot_index + 1, queue[0].eligible_slot))
@@ -405,13 +440,13 @@ class _Engine:
     def _nwtt_ingress(self, pkt: _Packet):
         regulator = pkt.ctx.regulator
         if regulator is None:
-            self._arrive_hop(pkt)
+            self._forward(pkt, pkt.ctx.first_hop)
             return
         reg, cfg = regulator
         was_idle = reg.next_release_ns is None
         if regulator_offer(reg, cfg, pkt, self.t):
             if was_idle:
-                self._push(reg.next_release_ns, self._handle_regrel, regulator)
+                self._push(reg.next_release_ns, self.on_regrel, regulator)
         else:
             self._drop(pkt, "regulator")
 
@@ -419,23 +454,39 @@ class _Engine:
         reg, cfg = regulator
         for pkt, t_depart in regulator_release(reg, cfg, self.t):
             pkt.reg_out = t_depart
-            self._arrive_hop(pkt)
+            self._forward(pkt, pkt.ctx.first_hop)
         if reg.next_release_ns is not None:
-            self._push(reg.next_release_ns, self._handle_regrel, regulator)
+            self._push(reg.next_release_ns, self.on_regrel, regulator)
 
     # ------------------------------------------------------------- fabric
 
-    def _arrive_hop(self, pkt: _Packet):
-        # per-class forwarding delay happens before the egress queue
+    def _forward(self, pkt: _Packet, hop: _Hop):
+        """Move a packet to `hop`, whose forwarding delay for the packet's
+        class passes before its egress queue."""
+        pkt.hop = hop
         pkt.hop_in = self.t
-        self._push(self.t + pkt.ctx.hops[pkt.hop_idx].fwd_ns, self._handle_portin, pkt)
+        if not hop.fwd_ns:
+            self.fifo.append((self.on_portin, pkt))
+            return
+        rank = hop.fwd_rank
+        self.counter += 1
+        heappush(self.heap, (self.t + hop.fwd_ns, self.rank if rank is None else rank,
+                             self.counter, self.on_portin, pkt))
+
+    def _transmit(self, port: _Port, pkt: _Packet):
+        """Put a packet on the wire at its hop's port."""
+        port.busy = pkt
+        hop = pkt.hop
+        rank = hop.tx_rank
+        self.counter += 1
+        heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
+                             self.counter, self.on_txdone, port))
 
     def _handle_portin(self, pkt: _Packet):
-        ctx = pkt.ctx
-        hop = ctx.hops[pkt.hop_idx]
+        hop = pkt.hop
         port = hop.port
         port.reached = True
-        cls = ctx.pcp
+        cls = hop.cls
         occupancy = port.occupancy[cls] + pkt.size_B
         if occupancy > port.buffer_B:
             self._drop(pkt, port.drop_stage)
@@ -446,30 +497,23 @@ class _Engine:
         if port.busy is None:
             # an idle port's queues are empty (`_handle_txdone` starts the
             # next packet before it returns): send at once
-            port.busy = pkt
-            self._push(self.t + hop.tx_ns, self._handle_txdone, port)
+            self._transmit(port, pkt)
         else:
             port.queues[cls].append(pkt)
             port.queued += 1
 
     def _handle_txdone(self, port: _Port):
         pkt = port.busy
-        ctx = pkt.ctx
-        t = self.t
-        hops = ctx.hops
-        hop = hops[pkt.hop_idx]
-        port.occupancy[ctx.pcp] -= pkt.size_B
-        if hop.bound_ns is not None and t - pkt.hop_in > hop.bound_ns:
+        hop = pkt.hop
+        port.occupancy[hop.cls] -= pkt.size_B
+        if hop.bound_ns is not None and self.t - pkt.hop_in > hop.bound_ns:
             pkt.hop_overruns += 1
-        pkt.hop_idx += 1
-        if pkt.hop_idx < len(hops):
-            # the next hop's per-class forwarding delay, before its egress queue
-            pkt.hop_in = t
-            self._push(t + hops[pkt.hop_idx].fwd_ns, self._handle_portin, pkt)
-        elif ctx.dl_queue is not None:
-            pkt.dl_in = t
+        if hop.next is not None:
+            self._forward(pkt, hop.next)
+        elif pkt.ctx.dl_queue is not None:
+            pkt.dl_in = self.t
             pkt.remaining_B = pkt.size_B
-            self._enqueue_ue(pkt, ctx.dl_queue, self.dl_wait)
+            self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
         else:
             self._deliver(pkt)
         if not port.queued:
@@ -478,11 +522,9 @@ class _Engine:
         # non-preemptive strict priority: highest non-empty class next
         for queue in port.by_priority:
             if queue:
-                pkt = queue.popleft()
-                break
-        port.queued -= 1
-        port.busy = pkt
-        self._push(t + pkt.ctx.hops[pkt.hop_idx].tx_ns, self._handle_txdone, port)
+                port.queued -= 1
+                self._transmit(port, queue.popleft())
+                return
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -532,11 +574,12 @@ class _Engine:
             schedule = _schedule(model, random.Random(f"{seed}:{model.flow_id}"))
             t_ns, count = next(schedule)
             if t_ns <= self.end_ns:
-                self._push(t_ns, self._handle_emit, (ctx, schedule, count))
+                self._push(t_ns, self.on_emit, (ctx, schedule, count))
 
         heap, fifo, end_ns = self.heap, self.fifo, self.end_ns
+        t = self.t
         while True:
-            if fifo and not (heap and heap[0][0] == self.t):
+            if fifo and not (heap and heap[0][0] == t):
                 self.rank = 2
                 while fifo:
                     handler, payload = fifo.popleft()
@@ -548,15 +591,21 @@ class _Engine:
                 break
             self.t = t
             handler(payload)
-        # heap entries hold bound methods of self: clear them so that the
-        # engine is freed by refcount, not later by the cycle collector (the
-        # FIFO is empty here).  The flows outlive the run in its result: drop
-        # their hops, UE queues and regulator queues, which lead to the
-        # packets still queued and from them back to the flows.
+        # heap entries and the `on_*` attributes hold bound methods of self:
+        # clear them so that the engine is freed by refcount, not later by
+        # the cycle collector (the FIFO is empty here).  A packet at a port
+        # leads back to the port through its hop: empty the ports.  The
+        # flows outlive the run in its result: drop their hops, UE queues
+        # and regulator queues, which lead to the ports and to the packets
+        # still queued and from them back to the flows.
         heap.clear()
+        del self.on_emit, self.on_slot, self.on_regrel, self.on_portin, self.on_txdone
+        for port in self.all_ports.values():
+            port.busy = None
+            for queue in port.queues:
+                queue.clear()
         for ctx in self.flows.values():
-            ctx.hops = ()
-            ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
+            ctx.first_hop = ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
 
 
 def latency_summary(latencies_ns: list[int]) -> dict:

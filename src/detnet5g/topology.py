@@ -169,12 +169,11 @@ def enumerate_spanning_trees(topo: Topology, *, cap: int = 64) -> tuple[list[Vla
     of its prefix, so the cost grows with the trees emitted, not with
     C(links, switches - 1).  At most `cap` trees are returned, and never
     more than the VLAN ids from BASE_VLAN to MAX_VLAN; the second element
-    reports whether a further tree exists (truncation).
+    reports whether a further tree exists (truncation).  The fabric has at
+    least one switch, as the loader requires.
     """
     cap = min(cap, MAX_VLAN - BASE_VLAN + 1)
     nodes = sorted(topo.switches)
-    if not nodes:
-        raise Disconnected("no switches")
     edges = topo.switch_links()
     want = len(nodes) - 1
     # union-find without path compression, so backtracking undoes a union in one step

@@ -431,6 +431,36 @@ class TestReport:
         assert f"trace.csv: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row, message", [
+        ("orange,1,25,3.000,4.000,1.000,1",
+         "line 3 column dropped: 1, but the packet has a receive time"),
+        ("orange,1,25,3.000,4.000,,0", "line 3 column latency_us: empty, but t_recv_us is set"),
+        ("orange,1,25,3.000,,1.000,0", "line 3 column t_recv_us: empty, but latency_us is set"),
+        ("orange,1,25,3.000,4.000,99.000,0",
+         "line 3 column latency_us: 99.000 is not t_recv_us - t_send_us (4.000 - 3.000)"),
+        ("orange,1,25,3.000,4.000,0.999,0",
+         "line 3 column latency_us: 0.999 is not t_recv_us - t_send_us (4.000 - 3.000)"),
+        ("orange,1,25,3.000,4.0,1.000,0", "line 3 column t_recv_us: expected microseconds"),
+        ("orange,1,25,,,,1", "line 3 column t_send_us: expected microseconds"),
+    ], ids=["dropped-with-latency", "receive-time-only", "latency-only", "latency-too-long",
+            "latency-short-by-1ns", "bad-receive-time", "no-send-time"])
+    def test_contradictory_row_exits_one(self, row, message, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_HEADER}\norange,0,25,1.000,2.500,1.500,0\n{row}\n")
+        assert main(["report", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert f"trace.csv: {message}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_dropped_and_in_flight_rows_have_no_latency(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_HEADER}\norange,0,25,1.000,2.500,1.500,0\n"
+                         "orange,1,25,3.000,,,1\norange,2,25,5.000,,,0\n")
+        assert main(["report", str(trace)]) == 0
+        flow = json.loads(capsys.readouterr().out)["flows"]["orange"]
+        assert (flow["sent"], flow["received"], flow["dropped"]) == (3, 1, 1)
+        assert flow["latency_us"]["max"] == 1.5
+
     def test_undecodable_row_past_the_first_read_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         rows = "".join(f"orange,{seq},25,1.000,2.500,1.500,0\n" for seq in range(2_000))
