@@ -1,5 +1,8 @@
 """Command-line front end: trees, admit, run, report.
 
+`report` checks each trace row and summarises a flow's send and receive
+times with `sim.packet_summary`, as `run`'s report does.
+
 Exit codes are part of the contract: 0 all checks pass, 1 usage or parse
 error, 2 admission rejected a flow marked critical, 3 a simulated packet
 violated a computed bound.
@@ -19,10 +22,11 @@ from .errors import AdmissionMissing, DetnetError, ScenarioInvalid, _expect, _kn
 from .scenario import (FLOWS_FILE_KEYS, check_ends, load_scenario_file, load_topology_file,
                        open_input, read_json)
 from .sim import (
+    DROPPED,
+    IN_FLIGHT,
     TRACE_COLUMNS,
-    compare_dejitter,
     dejitter_summary,
-    latency_summary,
+    packet_summary,
     parse_us,
     run,
     write_report,
@@ -125,10 +129,8 @@ def _write_run(result, out: Path, scenario_name: str) -> tuple[Path, Path]:
 
 def cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    if args.dejitter == "both":
-        results = list(compare_dejitter(scenario, seed=args.seed))
-    else:
-        results = [run(scenario, seed=args.seed, dejitter=args.dejitter)]
+    modes = ("off", "on") if args.dejitter == "both" else (args.dejitter,)
+    results = [run(scenario, seed=args.seed, dejitter=mode) for mode in modes]
     out = _out_dir(args.out)  # a run that fails leaves no directory behind
     if args.dejitter == "both":
         summary = dejitter_summary(*results)
@@ -156,8 +158,9 @@ def cmd_run(args) -> int:
     return EXIT_VIOLATION if violation_total else EXIT_OK
 
 
-def _row_latency(row: dict, where: str) -> int | None:
-    """A trace row's latency in ns, None if it has no receive time.
+def _row_times(row: dict, where: str) -> tuple[int, int]:
+    """A trace row's send time and its receive time in ns, or `DROPPED` or
+    `IN_FLIGHT` when it has none.
 
     A row's receive time and latency are both empty (dropped or in flight)
     or both set, and then the packet was not dropped and its latency is
@@ -171,22 +174,33 @@ def _row_latency(row: dict, where: str) -> int | None:
 
     t_send = column("t_send_us")
     if not row["t_recv_us"] and not row["latency_us"]:
-        return None
+        return t_send, DROPPED if row["dropped"] == "1" else IN_FLIGHT
     for name, other in (("t_recv_us", "latency_us"), ("latency_us", "t_recv_us")):
         if not row[name]:
             raise ScenarioInvalid(f"{where} column {name}: empty, but {other} is set")
     if row["dropped"] != "0":
         raise ScenarioInvalid(f"{where} column dropped: 1, but the packet has a receive time")
-    latency = column("latency_us")
-    if latency != column("t_recv_us") - t_send:
+    t_recv = column("t_recv_us")
+    if column("latency_us") != t_recv - t_send:
         raise ScenarioInvalid(
             f"{where} column latency_us: {row['latency_us']} is not t_recv_us - t_send_us "
             f"({row['t_recv_us']} - {row['t_send_us']})")
-    return latency
+    return t_send, t_recv
+
+
+def _row_int(row: dict, name: str, least: int, where: str) -> int:
+    """A row's integer column, written in decimal digits, of at least `least`."""
+    text = row[name]
+    try:
+        if text.isascii() and text.isdigit() and int(text) >= least:
+            return int(text)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise ScenarioInvalid(f"{where} column {name}: expected an integer >= {least}, got {text!r}")
 
 
 def cmd_report(args) -> int:
-    flows: dict[str, dict] = {}
+    flows: dict[str, dict[int, tuple[int, int]]] = {}  # flow id -> seq -> (t_send, t_recv)
     with open_input(args.trace) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != list(TRACE_COLUMNS):
@@ -199,25 +213,21 @@ def cmd_report(args) -> int:
                 raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
             if not row["flow_id"]:
                 raise ScenarioInvalid(f"{where} column flow_id: empty")
+            packets = flows.setdefault(row["flow_id"], {})
+            seq = _row_int(row, "seq", 0, where)
+            if seq in packets:
+                raise ScenarioInvalid(
+                    f"{where} column seq: {seq} repeats a packet of flow {row['flow_id']!r}")
+            _row_int(row, "size_B", 1, where)
             if row["dropped"] not in ("0", "1"):
                 raise ScenarioInvalid(
                     f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
                 )
-            latency = _row_latency(row, where)
-            stats = flows.setdefault(row["flow_id"], {"sent": 0, "dropped": 0, "lat": []})
-            stats["sent"] += 1
-            if row["dropped"] == "1":
-                stats["dropped"] += 1
-            elif latency is not None:
-                stats["lat"].append(latency)
-    doc = {"schema_version": 1, "flows": {}}
-    for fid, stats in sorted(flows.items()):
-        doc["flows"][fid] = {
-            "sent": stats["sent"],
-            "received": len(stats["lat"]),
-            "dropped": stats["dropped"],
-            **latency_summary(stats["lat"]),
-        }
+            packets[seq] = _row_times(row, where)
+    doc = {"schema_version": 1, "flows": {
+        fid: packet_summary(*zip(*packets.values()))
+        for fid, packets in sorted(flows.items())
+    }}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -10,7 +10,9 @@ class 0 with no regulator.
 The optional hold-and-forward regulator retains the first packet of a busy
 period for a configured hold time and then releases queued packets strictly
 one release period apart, which absorbs the slot-pattern jitter upstream at
-the price of added latency.
+the price of added latency.  A `RegulatorState` is one queue together with
+its configuration; the simulator calls `regulator_release` once per release,
+at the queue's `next_release_ns`, and each call lets the head go.
 """
 
 from __future__ import annotations
@@ -74,20 +76,23 @@ def classify_and_tag(
 
 @dataclass
 class RegulatorState:
-    """Mutable queue state; times are integer nanoseconds."""
+    """One regulator queue and its configuration; times are integer nanoseconds,
+    `next_release_ns` being the head's release time (None while empty)."""
 
+    cfg: RegulatorConfig
     queue: deque = field(default_factory=deque)
     next_release_ns: int | None = None
     last_release_ns: int | None = None
 
 
-def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arrival_ns: int) -> bool:
+def regulator_offer(state: RegulatorState, packet, t_arrival_ns: int) -> bool:
     """Enqueue a packet; returns False when full.
 
     The first packet of a busy period anchors the release schedule at
     arrival + hold; spacing to the previous busy period's last departure
     is still kept >= the release period.
     """
+    cfg = state.cfg
     if len(state.queue) >= cfg.queue_cap_pkts:
         return False
     state.queue.append(packet)
@@ -99,19 +104,17 @@ def regulator_offer(state: RegulatorState, cfg: RegulatorConfig, packet, t_arriv
     return True
 
 
-def regulator_release(state: RegulatorState, cfg: RegulatorConfig, t_now_ns: int) -> list:
-    """Pop every packet whose scheduled release is due at or before t_now.
+def regulator_release(state: RegulatorState):
+    """Pop and return the head, which departs at `next_release_ns`.
 
-    While the queue stays backlogged consecutive departures are exactly
-    one release period apart; when it drains the busy period ends and the
-    next arrival re-anchors.
+    Call it once per release, at that time, on a non-empty queue.  While
+    the queue stays backlogged consecutive departures are exactly one
+    release period apart; when it drains the busy period ends and the next
+    arrival re-anchors.
     """
-    out = []
-    period_ns = cfg.release_period_us * NS_PER_US
-    while state.queue and state.next_release_ns is not None and state.next_release_ns <= t_now_ns:
-        packet = state.queue.popleft()
-        t_depart = state.next_release_ns
-        out.append((packet, t_depart))
-        state.last_release_ns = t_depart
-        state.next_release_ns = t_depart + period_ns if state.queue else None
-    return out
+    t_depart = state.next_release_ns
+    state.last_release_ns = t_depart
+    packet = state.queue.popleft()
+    state.next_release_ns = (t_depart + state.cfg.release_period_us * NS_PER_US
+                             if state.queue else None)
+    return packet

@@ -27,10 +27,12 @@ reaches an idle egress port goes on the wire at once, without passing
 through its class queue: an idle port's queues are empty, because the end
 of a transmission starts the port's next packet before its handler returns.
 
-The trace keeps two integer columns per flow, send and receive times.
-Its rows are ordered and formatted in windows of about `WINDOW_ROWS` rows
-sent in a range of time (see `_TraceRows`), so writing it holds one
-window, never the whole trace.
+The trace keeps two integer columns per flow, send and receive times, the
+one record of each packet's outcome: `packet_summary` computes a flow's
+counts and latency statistics from them, for the run report and for
+`detnet5g report` alike.  Its rows are ordered and formatted in windows of
+about `WINDOW_ROWS` rows sent in a range of time (see `_TraceRows`), so
+writing it holds one window, never the whole trace.
 """
 
 from __future__ import annotations
@@ -78,17 +80,16 @@ _VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regula
 class _Packet:
     __slots__ = (
         "ctx", "seq", "size_B", "hop", "hop_in", "hop_overruns",
-        "t_send", "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
+        "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
     )
 
-    def __init__(self, ctx, size_B, t_send):
+    def __init__(self, ctx, size_B):
         self.ctx = ctx
         self.seq = len(ctx.t_send)  # the packet's index into its flow's trace columns
         self.size_B = size_B
         self.hop = None  # the `_Hop` the packet is at, once it reaches the fabric
         self.hop_in = 0
         self.hop_overruns = 0  # hops over their bound, counted at delivery
-        self.t_send = t_send
         self.remaining_B = size_B
         self.eligible_slot = None
         self.transit_out = None
@@ -145,7 +146,7 @@ class _Hop:
 class _FlowCtx:
     __slots__ = (
         "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
-        "regulator", "t_send", "t_recv", "received", "drops", "max_seq", "reorders",
+        "regulator", "t_send", "t_recv", "drops", "max_seq", "reorders",
         "violations", "first_hop", "ul_queue", "dl_queue", "limits_ns",
     )
 
@@ -154,7 +155,7 @@ class _FlowCtx:
         self.assignment = assignment  # the admitted flow's FlowAssignment; None if unregistered
         self.critical = critical
         # the flow's treatment, fixed by `_build_flow_ctxs` (None: no policer,
-        # no regulator queue)
+        # no regulator queue; a `RegulatorState` may be shared by a class)
         self.pcp = 0
         self.vlan_id = None
         self.route = ()
@@ -172,15 +173,10 @@ class _FlowCtx:
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
         self.t_recv = array("q")
-        self.received = 0
         self.drops = {}
         self.max_seq = -1  # highest seq delivered so far
         self.reorders = 0
         self.violations = dict.fromkeys(_VIOLATION_KINDS, 0)
-
-    @property
-    def sent(self) -> int:
-        return len(self.t_send)
 
 
 class _Policer:
@@ -381,7 +377,7 @@ class _Engine:
 
     def _emit_packet(self, ctx: _FlowCtx, size_B: int):
         t = self.t
-        pkt = _Packet(ctx, size_B, t)
+        pkt = _Packet(ctx, size_B)
         ctx.t_send.append(t)
         ctx.t_recv.append(IN_FLIGHT)
         if ctx.ul_queue is not None:
@@ -438,25 +434,24 @@ class _Engine:
                       max(slot_index + 1, queue[0].eligible_slot))
 
     def _nwtt_ingress(self, pkt: _Packet):
-        regulator = pkt.ctx.regulator
-        if regulator is None:
+        reg = pkt.ctx.regulator
+        if reg is None:
             self._forward(pkt, pkt.ctx.first_hop)
             return
-        reg, cfg = regulator
         was_idle = reg.next_release_ns is None
-        if regulator_offer(reg, cfg, pkt, self.t):
+        if regulator_offer(reg, pkt, self.t):
             if was_idle:
-                self._push(reg.next_release_ns, self.on_regrel, regulator)
+                self._push(reg.next_release_ns, self.on_regrel, reg)
         else:
             self._drop(pkt, "regulator")
 
-    def _handle_regrel(self, regulator):
-        reg, cfg = regulator
-        for pkt, t_depart in regulator_release(reg, cfg, self.t):
-            pkt.reg_out = t_depart
-            self._forward(pkt, pkt.ctx.first_hop)
+    def _handle_regrel(self, reg):
+        """Release the head, due now: a busy queue has one release event pending."""
+        pkt = regulator_release(reg)
+        pkt.reg_out = self.t
+        self._forward(pkt, pkt.ctx.first_hop)
         if reg.next_release_ns is not None:
-            self._push(reg.next_release_ns, self.on_regrel, regulator)
+            self._push(reg.next_release_ns, self.on_regrel, reg)
 
     # ------------------------------------------------------------- fabric
 
@@ -536,7 +531,6 @@ class _Engine:
     def _deliver(self, pkt: _Packet):
         ctx = pkt.ctx
         ctx.t_recv[pkt.seq] = self.t
-        ctx.received += 1
         if pkt.seq < ctx.max_seq:
             ctx.reorders += 1
         else:
@@ -547,16 +541,17 @@ class _Engine:
     def _check_bounds(self, pkt: _Packet, ctx: _FlowCtx):
         e2e, ul_delay, ul_best, ul_regulated, dl_delay, dl_best = ctx.limits_ns
         v = ctx.violations
-        if self.t - pkt.t_send > e2e:
+        t_send = ctx.t_send[pkt.seq]
+        if self.t - t_send > e2e:
             v["e2e"] += 1
         v["per_hop"] += pkt.hop_overruns
         if pkt.transit_out is not None:
-            transit = pkt.transit_out - pkt.t_send
+            transit = pkt.transit_out - t_send
             if transit > ul_delay:
                 v["transit"] += 1
             if transit < ul_best:
                 v["transit_best"] += 1
-            if pkt.reg_out is not None and pkt.reg_out - pkt.t_send > ul_regulated:
+            if pkt.reg_out is not None and pkt.reg_out - t_send > ul_regulated:
                 v["transit_regulator"] += 1
         if pkt.dl_in is not None:
             transit = self.t - pkt.dl_in
@@ -608,16 +603,20 @@ class _Engine:
             ctx.first_hop = ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
 
 
-def latency_summary(latencies_ns: list[int]) -> dict:
-    """The `latency_us` and `jitter_us` fields of a flow's report entry.
+def packet_summary(t_send, t_recv) -> dict:
+    """The `sent`, `received`, `dropped`, `latency_us` and `jitter_us` fields
+    of a flow's report entry, from its two trace columns: each packet's send
+    time, and its receive time, `IN_FLIGHT` or `DROPPED`.
 
     Works on exact integer nanoseconds, so a summary of a run and one
     re-parsed from its trace agree to the byte.  The p99 is nearest-rank.
     """
-    if not latencies_ns:
-        return {"latency_us": None, "jitter_us": None}
-    lats = sorted(latencies_ns)
+    lats = sorted(r - s for s, r in zip(t_send, t_recv) if r >= 0)
+    counts = {"sent": len(t_send), "received": len(lats), "dropped": t_recv.count(DROPPED)}
+    if not lats:
+        return {**counts, "latency_us": None, "jitter_us": None}
     return {
+        **counts,
         "latency_us": {
             "min": lats[0] / NS_PER_US,
             "mean": round(sum(lats) / len(lats) / NS_PER_US, 3),
@@ -629,7 +628,7 @@ def latency_summary(latencies_ns: list[int]) -> dict:
 
 
 def _flow_report(ctx: _FlowCtx) -> dict:
-    dropped = sum(ctx.drops.values())
+    summary = packet_summary(ctx.t_send, ctx.t_recv)
     a = ctx.assignment
     return {
         "admitted": a is not None,
@@ -637,13 +636,10 @@ def _flow_report(ctx: _FlowCtx) -> dict:
         "pcp": ctx.pcp,
         "vlan_id": ctx.vlan_id,
         "e2e_bound_us": None if a is None else a.e2e_bound_us,
-        "sent": ctx.sent,
-        "received": ctx.received,
-        "dropped": dropped,
-        "in_flight": ctx.sent - ctx.received - dropped,
+        **summary,
+        "in_flight": summary["sent"] - summary["received"] - summary["dropped"],
         "drops": dict(sorted(ctx.drops.items())),
         "reorders": ctx.reorders,
-        **latency_summary([r - s for s, r in zip(ctx.t_send, ctx.t_recv) if r >= 0]),
         "bound_violations": sum(ctx.violations.values()),
         "violations": dict(ctx.violations),
     }
@@ -721,10 +717,10 @@ class _TraceRows:
         """Yield each window as `(k, ctx, lo, hi)` slices: packets lo..hi-1 of
         the k-th flow are the ones it sent in the window."""
         ctxs = self.ctxs
-        total = sum(ctx.sent for ctx in ctxs)
+        total = sum(len(ctx.t_send) for ctx in ctxs)
         if not total:
             return
-        end = max(ctx.t_send[-1] for ctx in ctxs if ctx.sent) + 1
+        end = max(ctx.t_send[-1] for ctx in ctxs if ctx.t_send) + 1
         width = max(1, end * WINDOW_ROWS // total)  # ns
         starts = [0] * len(ctxs)
         t = 0
@@ -847,8 +843,8 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         extra, from UE     0 (no NW-TT rule matches) -        -
         extra, host        0                         -        -
 
-    A regulator is a `(RegulatorState, RegulatorConfig)` pair, one per class
-    under `per_class` and one per flow otherwise.
+    A regulator queue (`RegulatorState`, which holds its configuration) is
+    one per class under `per_class` and one per flow otherwise.
     """
     topo = state.topology
     admitted = state.flows()
@@ -874,9 +870,9 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
             if rule is not None:  # a miss is best effort: class 0, no regulator
                 ctx.pcp, cfg = rule.pcp, rule.regulator
                 if cfg is not None and cfg.per_class:
-                    ctx.regulator = class_regulators.setdefault(ctx.pcp, (RegulatorState(), cfg))
+                    ctx.regulator = class_regulators.setdefault(ctx.pcp, RegulatorState(cfg))
                 elif cfg is not None:
-                    ctx.regulator = (RegulatorState(), cfg)
+                    ctx.regulator = RegulatorState(cfg)
         elif assignment is not None:  # the source host tags and polices the flow
             ctx.pcp = assignment.priority_class
             ctx.policer = _Policer(assignment.spec.burst_B, assignment.spec.rate_Bps)
@@ -910,13 +906,6 @@ def run(scenario: Scenario, *, seed: int | None = None, dejitter: str = "scenari
         scenario.name, run_seed, dejitter, result.report["violations"]["total"],
     )
     return result
-
-
-def compare_dejitter(scenario: Scenario, *, seed: int | None = None) -> tuple[RunResult, RunResult]:
-    """Paired runs with the regulator off and on, same seed."""
-    off = run(scenario, seed=seed, dejitter="off")
-    on = run(scenario, seed=seed, dejitter="on")
-    return off, on
 
 
 def dejitter_summary(off: RunResult, on: RunResult) -> dict:

@@ -142,7 +142,7 @@ class ReferenceEngine:
             if ctx.regulator is not None:
                 key = id(ctx.regulator)
                 if key not in by_pair:
-                    by_pair[key] = _Regulator(ctx.regulator[1])
+                    by_pair[key] = _Regulator(ctx.regulator.cfg)
                 self.regulator_of[fid] = by_pair[key]
         self.ports = {}
         self.max_occupancy = {}

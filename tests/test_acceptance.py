@@ -10,7 +10,7 @@ from pathlib import Path
 from detnet5g.admission import NetworkState
 from detnet5g.cli import main
 from detnet5g.scenario import load_scenario
-from detnet5g.sim import compare_dejitter, dejitter_summary, run
+from detnet5g.sim import dejitter_summary, run
 from detnet5g.topology import PortId, SwitchProfile, Topology, enumerate_spanning_trees, make_link
 from detnet5g.transit5g import (
     DOWNLINK,
@@ -248,7 +248,8 @@ def test_criterion_5_regulator_trades_latency_for_jitter():
     def no_bg(doc):
         doc["sim"]["sources"] = [s for s in doc["sim"]["sources"] if s["flow_id"] != "bg"]
 
-    off, on = compare_dejitter(_canonical(no_bg))
+    scn = _canonical(no_bg)
+    off, on = run(scn, dejitter="off"), run(scn, dejitter="on")
     summary = dejitter_summary(off, on)["flows"]["orange"]
     assert summary["jitter_on_us"] * 5 <= summary["jitter_off_us"]
     assert summary["min_latency_on_us"] > summary["min_latency_off_us"]

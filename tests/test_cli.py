@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,9 @@ from detnet5g.cli import main
 from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
 from test_golden import ue_transit_doc
+from test_reference_engine import random_5g_doc
 from test_sim import canonical_with, tiny_regulator_queue
+from test_sim_order import dense_ue_doc, hops_doc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -383,21 +386,29 @@ class TestRun:
 
 
 class TestReport:
-    @pytest.mark.parametrize("doc, dejitter", [
-        (canonical_scenario(), "off"),
-        (canonical_scenario(), "on"),
-        (ue_transit_doc(), "scenario"),
-        (canonical_with(tiny_regulator_queue)(), "on"),  # orange drops at the regulator
-    ], ids=["canonical-off", "canonical-on", "ue-transit", "regulator-drops"])
-    def test_resummarize_trace(self, doc, dejitter, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, dejitter, seed, code", [
+        (canonical_scenario(), "off", 4, 0),
+        (canonical_scenario(), "on", 4, 0),
+        (ue_transit_doc(), "scenario", 4, 0),
+        (canonical_with(tiny_regulator_queue)(), "on", 4, 0),  # orange drops at the regulator
+        # policer drops (lo), port buffer drops (bulk) and regulated UE traffic
+        (hops_doc(3, 1, "DSUUD", True), "scenario", 4, 0),
+        # hole (a) of ROADMAP item 1 shows as one backlog violation: exit 3
+        (dense_ue_doc(), "scenario", 1, 3),
+        # drops and 36 packets in flight at the end, UE ends both ways
+        (random_5g_doc(random.Random(2)), "scenario", 4, 0),
+    ], ids=["canonical-off", "canonical-on", "ue-transit", "regulator-drops", "hops-drops",
+            "dense-ue", "random-5g"])
+    def test_resummarize_trace(self, doc, dejitter, seed, code, tmp_path, capsys):
         path = write_json(tmp_path / "scn.json", doc)
         out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out), "--seed", "4",
-                     "--dejitter", dejitter]) == 0
+        assert main(["run", path, "--out", str(out), "--seed", str(seed),
+                     "--dejitter", dejitter]) == code
         capsys.readouterr()
-        assert main(["report", str(out / f"scn_{dejitter}_seed4_trace.csv")]) == 0
+        stem = f"scn_{dejitter}_seed{seed}"
+        assert main(["report", str(out / f"{stem}_trace.csv")]) == 0
         summary = json.loads(capsys.readouterr().out)["flows"]
-        report = json.loads((out / f"scn_{dejitter}_seed4_report.json").read_text())["flows"]
+        report = json.loads((out / f"{stem}_report.json").read_text())["flows"]
         assert sorted(summary) == sorted(report)
         keys = ("sent", "received", "dropped", "latency_us", "jitter_us")
         for fid, flow in report.items():
@@ -422,7 +433,25 @@ class TestReport:
         ("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,lost", "orange,1,25,3.000,,,1",
          "unexpected columns ['flow_id', 'seq', 'size_B', 't_send_us', 't_recv_us', "
          "'latency_us', 'lost']"),
-    ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped", "other-columns"])
+        (TRACE_HEADER, "orange,abc,25,3.000,4.000,1.000,0",
+         "line 3 column seq: expected an integer >= 0, got 'abc'"),
+        (TRACE_HEADER, "orange,-5,25,3.000,4.000,1.000,0",
+         "line 3 column seq: expected an integer >= 0, got '-5'"),
+        (TRACE_HEADER, "orange,1.0,25,3.000,4.000,1.000,0",
+         "line 3 column seq: expected an integer >= 0, got '1.0'"),
+        (TRACE_HEADER, f"orange,{'9' * 5_000},25,3.000,4.000,1.000,0",
+         "line 3 column seq: expected an integer >= 0, got '999"),
+        (TRACE_HEADER, "orange,1,0,3.000,4.000,1.000,0",
+         "line 3 column size_B: expected an integer >= 1, got '0'"),
+        (TRACE_HEADER, "orange,1,-5,3.000,4.000,1.000,0",
+         "line 3 column size_B: expected an integer >= 1, got '-5'"),
+        (TRACE_HEADER, "orange,1,,3.000,4.000,1.000,0",
+         "line 3 column size_B: expected an integer >= 1, got ''"),
+        (TRACE_HEADER, "orange,0,25,3.000,4.000,1.000,0",
+         "line 3 column seq: 0 repeats a packet of flow 'orange'"),
+    ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped", "other-columns",
+            "seq-not-a-number", "negative-seq", "fractional-seq", "seq-too-long", "zero-size", "negative-size",
+            "empty-size", "repeated-seq"])
     def test_malformed_row_exits_one(self, header, row, message, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(f"{header}\norange,0,25,1.000,2.500,1.500,0\n{row}\n")
@@ -460,6 +489,14 @@ class TestReport:
         flow = json.loads(capsys.readouterr().out)["flows"]["orange"]
         assert (flow["sent"], flow["received"], flow["dropped"]) == (3, 1, 1)
         assert flow["latency_us"]["max"] == 1.5
+
+    def test_one_seq_in_two_flows_is_two_packets(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_HEADER}\norange,0,25,1.000,2.500,1.500,0\n"
+                         "green,0,25,1.000,,,0\n")
+        assert main(["report", str(trace)]) == 0
+        flows = json.loads(capsys.readouterr().out)["flows"]
+        assert [(f["sent"], f["received"]) for f in flows.values()] == [(1, 0), (1, 1)]
 
     def test_undecodable_row_past_the_first_read_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -43,75 +43,88 @@ class TestClassify:
 
 class TestRegulatorOffer:
     def test_first_packet_anchors(self):
-        cfg = RegulatorConfig(hold_us=10_000, release_period_us=1_000)
-        st = RegulatorState()
-        assert regulator_offer(st, cfg, "p0", 0)
+        st = RegulatorState(RegulatorConfig(hold_us=10_000, release_period_us=1_000))
+        assert regulator_offer(st, "p0", 0)
         assert st.next_release_ns == 10_000 * US
 
     def test_full_queue_drops(self):
-        cfg = RegulatorConfig(hold_us=0, release_period_us=1_000, queue_cap_pkts=2)
-        st = RegulatorState()
-        assert regulator_offer(st, cfg, "p0", 0)
-        assert regulator_offer(st, cfg, "p1", 1)
-        assert not regulator_offer(st, cfg, "p2", 2)
+        st = RegulatorState(RegulatorConfig(hold_us=0, release_period_us=1_000,
+                                            queue_cap_pkts=2))
+        assert regulator_offer(st, "p0", 0)
+        assert regulator_offer(st, "p1", 1)
+        assert not regulator_offer(st, "p2", 2)
         assert list(st.queue) == ["p0", "p1"]
 
     def test_busy_period_arrival_keeps_schedule(self):
-        cfg = RegulatorConfig(hold_us=10_000, release_period_us=1_000)
-        st = RegulatorState()
-        regulator_offer(st, cfg, "p0", 0)
-        regulator_offer(st, cfg, "p1", 100 * US)
+        st = RegulatorState(RegulatorConfig(hold_us=10_000, release_period_us=1_000))
+        regulator_offer(st, "p0", 0)
+        regulator_offer(st, "p1", 100 * US)
         assert st.next_release_ns == 10_000 * US
+
+
+def release_until(st, t_now):
+    """Release, one call at each `next_release_ns`, every packet due by
+    `t_now`; returns the (packet, departure time) pairs."""
+    out = []
+    while st.next_release_ns is not None and st.next_release_ns <= t_now:
+        t_depart = st.next_release_ns
+        out.append((regulator_release(st), t_depart))
+    return out
 
 
 class TestRegulatorRelease:
     def test_periodic_releases(self):
-        cfg = RegulatorConfig(hold_us=10_000, release_period_us=1_000)
-        st = RegulatorState()
+        st = RegulatorState(RegulatorConfig(hold_us=10_000, release_period_us=1_000))
         for i, t in enumerate((0, 100 * US, 200 * US)):
-            regulator_offer(st, cfg, f"p{i}", t)
-        out = regulator_release(st, cfg, 20_000 * US)
+            regulator_offer(st, f"p{i}", t)
+        out = release_until(st, 20_000 * US)
         assert [(p, t // US) for p, t in out] == [
             ("p0", 10_000), ("p1", 11_000), ("p2", 12_000)]
 
     def test_single_packet_departs_after_hold(self):
-        cfg = RegulatorConfig(hold_us=7_000, release_period_us=1_000)
-        st = RegulatorState()
-        regulator_offer(st, cfg, "p0", 5 * US)
-        out = regulator_release(st, cfg, 1_000_000 * US)
+        st = RegulatorState(RegulatorConfig(hold_us=7_000, release_period_us=1_000))
+        regulator_offer(st, "p0", 5 * US)
+        out = release_until(st, 1_000_000 * US)
         assert out == [("p0", (7_005) * US)]
 
     def test_slow_arrivals_re_anchor(self):
-        cfg = RegulatorConfig(hold_us=3_000, release_period_us=1_000)
-        st = RegulatorState()
+        st = RegulatorState(RegulatorConfig(hold_us=3_000, release_period_us=1_000))
         departures = []
         for i, t in enumerate((0, 10_000 * US, 25_000 * US)):
-            regulator_release(st, cfg, t)
-            regulator_offer(st, cfg, f"p{i}", t)
-        departures = regulator_release(st, cfg, 100_000 * US)
+            release_until(st, t)
+            regulator_offer(st, f"p{i}", t)
+        departures = release_until(st, 100_000 * US)
         # queue drained between arrivals, so each restarts its own hold
         assert [t // US for _, t in departures] == [28_000]
 
     def test_released_only_when_due(self):
-        cfg = RegulatorConfig(hold_us=5_000, release_period_us=2_000)
-        st = RegulatorState()
-        regulator_offer(st, cfg, "p0", 0)
-        regulator_offer(st, cfg, "p1", 0)
-        assert regulator_release(st, cfg, 4_999 * US) == []
-        assert [t // US for _, t in regulator_release(st, cfg, 5_000 * US)] == [5_000]
-        assert [t // US for _, t in regulator_release(st, cfg, 8_000 * US)] == [7_000]
+        st = RegulatorState(RegulatorConfig(hold_us=5_000, release_period_us=2_000))
+        regulator_offer(st, "p0", 0)
+        regulator_offer(st, "p1", 0)
+        assert release_until(st, 4_999 * US) == []
+        assert [t // US for _, t in release_until(st, 5_000 * US)] == [5_000]
+        assert [t // US for _, t in release_until(st, 8_000 * US)] == [7_000]
+
+    def test_each_release_pops_the_head_and_sets_the_next(self):
+        st = RegulatorState(RegulatorConfig(hold_us=5_000, release_period_us=2_000))
+        regulator_offer(st, "p0", 0)
+        regulator_offer(st, "p1", 0)
+        assert regulator_release(st) == "p0"
+        assert (st.last_release_ns, st.next_release_ns) == (5_000 * US, 7_000 * US)
+        assert regulator_release(st) == "p1"
+        assert (st.last_release_ns, st.next_release_ns) == (7_000 * US, None)
 
 
 def drive_regulator(cfg, arrivals):
     """Replay arrivals through the regulator, collecting all departures."""
-    st = RegulatorState()
+    st = RegulatorState(cfg)
     departures = []
     dropped = 0
     for t, pkt in arrivals:
-        departures += regulator_release(st, cfg, t)
-        if not regulator_offer(st, cfg, pkt, t):
+        departures += release_until(st, t)
+        if not regulator_offer(st, pkt, t):
             dropped += 1
-    departures += regulator_release(st, cfg, 1 << 62)
+    departures += release_until(st, 1 << 62)
     return departures, dropped
 
 

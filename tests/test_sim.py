@@ -19,7 +19,6 @@ from detnet5g.sim import (
     _build_flow_ctxs,
     _Engine,
     _Packet,
-    compare_dejitter,
     dejitter_summary,
     parse_us,
     run,
@@ -127,9 +126,9 @@ class TestCanonical:
             if ctx.assignment is not None:
                 ctx.assignment = replace(ctx.assignment, per_hop_bounds_us=(0,) * len(ctx.route))
         _Engine(state.topology, flows, scn.duration_ms, scn.seed).run()
-        assert any(ctx.assignment and ctx.sent > ctx.received for ctx in flows.values())
+        assert any(ctx.assignment and len(ctx.t_send) > delivered(ctx) for ctx in flows.values())
         for fid, ctx in flows.items():
-            expected = ctx.received * len(ctx.route) if ctx.assignment else 0
+            expected = delivered(ctx) * len(ctx.route) if ctx.assignment else 0
             assert ctx.violations["per_hop"] == expected, fid
 
     def test_transit_checked_against_the_assignments_own_contract(self):
@@ -143,8 +142,8 @@ class TestCanonical:
         orange.assignment = replace(
             orange.assignment, ul=replace(orange.assignment.ul, delay_bound_us=0))
         _Engine(state.topology, flows, scn.duration_ms, scn.seed).run()
-        assert orange.received > 0
-        assert orange.violations["transit"] == orange.received
+        assert delivered(orange) > 0
+        assert orange.violations["transit"] == delivered(orange)
 
     def test_reorder_is_a_lower_seq_delivered_after_a_higher_one(self):
         scn = scenario()
@@ -154,7 +153,7 @@ class TestCanonical:
         ctx = flows["orange"]
         packets = []
         for _ in range(2):
-            packets.append(_Packet(ctx, 100, 0))
+            packets.append(_Packet(ctx, 100))
             ctx.t_send.append(0)
             ctx.t_recv.append(IN_FLIGHT)
         engine.t = 5_000
@@ -236,6 +235,11 @@ def moved_flow_doc():
     return doc
 
 
+def delivered(ctx) -> int:
+    """The packets of a flow delivered so far, read from its trace column."""
+    return sum(t >= 0 for t in ctx.t_recv)
+
+
 def treatment(doc, dejitter="scenario"):
     """The admitted state and the flow contexts a run of `doc` would simulate."""
     scn = load_scenario(doc)
@@ -256,8 +260,8 @@ class TestFlowTreatment:
         assert (orange.vlan_id, orange.route) == (assignment.vlan_id, assignment.hop_ports)
         assert orange.policer is None
         if dejitter == "on":
-            assert orange.regulator[1] == rule.regulator is not None
-            assert orange.regulator[0].queue == deque()
+            assert orange.regulator.cfg == rule.regulator is not None
+            assert orange.regulator.queue == deque()
         else:
             assert orange.regulator is None
 
@@ -302,20 +306,21 @@ class TestFlowTreatment:
         orange, orange2 = flows["orange"], flows["orange2"]
         assert orange.pcp == orange2.pcp > 0
         assert orange.regulator is orange2.regulator is not None
-        assert orange.regulator[1].per_class
+        assert orange.regulator.cfg.per_class
         assert flows["green"].regulator is None
 
 
 class TestDejitter:
     def test_regulator_collapses_jitter_and_adds_latency(self):
-        off, on = compare_dejitter(scenario(without_background))
+        scn = scenario(without_background)
+        off, on = run(scn, dejitter="off"), run(scn, dejitter="on")
         summary = dejitter_summary(off, on)["flows"]["orange"]
         assert summary["jitter_on_us"] * 5 <= summary["jitter_off_us"]
         assert summary["min_latency_on_us"] > summary["min_latency_off_us"]
         assert on.report["violations"]["total"] == 0
 
     def test_inter_departure_spacing_visible_at_sink(self):
-        _, on = compare_dejitter(scenario(without_background))
+        on = run(scenario(without_background), dejitter="on")
         orange = on.report["flows"]["orange"]
         assert orange["jitter_us"] == 0.0  # steady backlog, perfectly paced
 
@@ -363,7 +368,8 @@ class TestDecisions:
 
     def test_summary_covers_the_regulated_flows_only(self):
         # `loop` leaves UE1 through the NW-TT; `down` is a host flow
-        off, on = compare_dejitter(load_scenario(ue_transit_doc()))
+        scn = load_scenario(ue_transit_doc())
+        off, on = run(scn, dejitter="off"), run(scn, dejitter="on")
         assert [d["flow_id"] for d in on.decisions if "nwtt_config" in d] == ["loop"]
         assert list(dejitter_summary(off, on)["flows"]) == ["loop"]
 

@@ -278,7 +278,7 @@ class TestLazySlotClock:
 
         class RegulatorProbe(_Engine):
             def run(self):
-                regs = [ctx.regulator[0] for ctx in self.flows.values() if ctx.regulator]
+                regs = [ctx.regulator for ctx in self.flows.values() if ctx.regulator]
                 super().run()
                 regulated.append(sum(len(reg.queue) for reg in regs))
 
