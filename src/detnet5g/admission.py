@@ -26,14 +26,15 @@ its flows' bursts one hop on, queueing the next port if it moved.  Bounds
 only grow, so a breach met on the way is final: a deadline is checked when
 a bound of its flow grows, a buffer when its port is re-bounded.  A trial
 adds a flow, with its hops dirty.  Their first round, the committed
-aggregates plus the new flow at its spec burst, screens it: a new flow
-whose own bound there misses its deadline fails before the state is
-copied.  Then every flow at those hops is checked as round one of a
-round-by-round (Jacobi) solve would, so a trial that fails there names
-that solve's witness; a later breach may name another.  A removal cannot
-fail: the flows through the ports that can depend on the removed flow
-restart from their spec burst after their first such hop, and the climb
-starts from those ports.  A cold solve climbs with every port dirty.  A
+aggregates plus the new flow at its spec burst, is checked in full
+before the state is copied: the new flow's own bound there screens it,
+then every flow at those hops is checked as round one of a
+round-by-round (Jacobi) solve would, then those hops' buffers.  So a
+trial that fails there copies nothing and names that solve's witness;
+a later breach may name another.  The climb starts from those checked
+round-one passes.  A removal cannot fail: the flows through the ports
+that can depend on the removed flow restart from their spec burst after
+their first such hop, and the climb starts from those ports.  A cold solve climbs with every port dirty.  A
 trial or cold solve that pops one port more than `SOLVER_ITER_CAP` times
 is Unschedulable, since its bursts may have no fixed point; a removal
 climbs below the old one and has no cap.  Trials work on a copy, so a
@@ -315,45 +316,11 @@ def _check_buffer(port: PortId, profile: SwitchProfile, backlogs: dict[int, int]
         )
 
 
-def _check_first_round(
-    topo: Topology,
-    st: _SolverState,
-    delays: dict[PortId, dict[int, int]],
-    backlogs: dict[PortId, dict[int, int]],
-) -> None:
-    """Check the flows at the ports of `delays` as round one of a Jacobi solve does: in
-    sorted-flow order, raise for a class `port_bounds` left out and check the deadline of
-    a flow whose bounds moved; then check the ports' `backlogs`, in first-appearance order."""
-    placements, hop_bounds, members = st.placements, st.hop_bounds, st.members
-    order: dict[PortId, None] = {}  # the ports in first-appearance order
-    for fid in sorted({fid for port in delays for fid in members[port]}):
-        pl = placements[fid]
-        cls = pl.priority
-        last = hop_bounds.get(fid)  # None only for a new flow, whose hops all have maps
-        moved = last is None
-        total = pl.terms.fixed_us
-        for i, port in enumerate(pl.hops):
-            at_port = delays.get(port)
-            if at_port is None:
-                total += last[i]
-                continue
-            order[port] = None
-            delay = at_port.get(cls)
-            if delay is None:  # port_bounds found the class Unschedulable: raise why
-                hop_delay_bound(_port_state(topo.profile(port.node), st.aggregates[port]), cls)
-            total += delay
-            moved = moved or delay != last[i]
-        if moved and total > pl.spec.deadline_us:
-            raise _missed(fid, pl, total)
-    for port in order:
-        _check_buffer(port, topo.profile(port.node), backlogs[port])
-
-
 def _climb(
     topo: Topology,
     st: _SolverState,
     dirty: Iterable[PortId],
-    first_round: tuple[dict[PortId, dict[int, int]], dict[PortId, dict[int, int]]] | None = None,
+    reuse: dict[PortId, dict[int, int]] | None = None,
     *,
     capped: bool = True,
 ) -> None:
@@ -363,17 +330,14 @@ def _climb(
     aggregates of their flows' bursts, and a flow's bursts are those its hop
     bounds propagate (a new flow has none; its unbounded hops count 0).
     Ports are popped by the least hop index at which a flow crosses them,
-    then by port.  `first_round` is (delays, backlogs) by port of a
-    `port_bounds` pass at each dirty port, matching `st.aggregates`: it is
-    checked first, and a port reuses its maps until a burst there moves;
-    the climb consumes them.  A `capped` climb raises Unschedulable once a
-    port is popped more than `SOLVER_ITER_CAP` times.  Only burst lists the
-    climb copied are mutated.
+    then by port.  `reuse` holds the delays by port of a `port_bounds`
+    pass at dirty ports, matching `st.aggregates`, whose classes and
+    buffers the caller has checked: a port reuses its map until a burst
+    there moves, and the climb consumes them.  A `capped` climb raises
+    Unschedulable once a port is popped more than `SOLVER_ITER_CAP` times.
+    Only burst lists the climb copied are mutated.
     """
     placements, bursts, hop_bounds, members = st.placements, st.bursts, st.hop_bounds, st.members
-    reuse, backlogs = first_round or ({}, {})  # reuse: delays of ports no burst moved at
-    if first_round is not None:
-        _check_first_round(topo, st, reuse, backlogs)
     queued = set(dirty)
     heap = [(min(members[port].values()), port) for port in queued]  # least hop index first
     heapq.heapify(heap)
@@ -435,10 +399,16 @@ def _climb(
 def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
     """`base` plus one flow, climbed warm from `base`'s fixed point.
 
-    Each new hop's `base` aggregates plus the new flow at its spec burst get
-    one `port_bounds` pass, and the new flow's own bounds there are screened:
-    if they miss its deadline (or leave no service) the trial fails without
-    copying `base`.  Otherwise those passes are the climb's `first_round`.
+    Round one gives each new hop's `base` aggregates plus the new flow at
+    its spec burst one `port_bounds` pass, and checks it before `base` is
+    copied.  First the new flow's own bounds there are screened: if they
+    miss its deadline (or leave no service) the trial fails.  Then every
+    flow at those hops, in sorted order, is checked as round one of a
+    round-by-round (Jacobi) solve would: a class the pass left out raises
+    why, and a flow whose bounds moved must meet its deadline with them
+    and its `base` bounds elsewhere.  Last the new hops' backlogs meet
+    their buffers, in the order the flows first reach them.  A trial that
+    passes climbs from those delays.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
@@ -463,6 +433,30 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
             raise DeadlineInfeasible(
                 f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us"
             )
+    placements, hop_bounds = base.placements, base.hop_bounds
+    order: dict[PortId, None] = {}  # the new hops in first-appearance order
+    for f in sorted({fid}.union(*(base.members.get(port, ()) for port in pl.hops))):
+        peer = pl if f == fid else placements[f]
+        last = hop_bounds.get(f)  # None only for the new flow, which passed its screen
+        moved = last is None
+        total = peer.terms.fixed_us
+        for i, port in enumerate(peer.hops):
+            at_port = delays.get(port)
+            if at_port is None:
+                total += last[i]
+                continue
+            order[port] = None
+            delay = at_port.get(peer.priority)
+            if delay is None:  # port_bounds found the class Unschedulable: raise why
+                hop_delay_bound(
+                    _port_state(topo.profile(port.node), aggregates[port]), peer.priority
+                )
+            total += delay
+            moved = moved or delay != last[i]
+        if moved and total > peer.spec.deadline_us:
+            raise _missed(f, peer, total)
+    for port in order:
+        _check_buffer(port, topo.profile(port.node), backlogs[port])
 
     st = base.copy()
     st.placements[fid] = pl
@@ -470,7 +464,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
     st.aggregates.update(aggregates)
-    _climb(topo, st, pl.hops, (delays, backlogs))
+    _climb(topo, st, pl.hops, delays)
     return st
 
 

@@ -129,8 +129,9 @@ def _write_run(result, out: Path, scenario_name: str) -> tuple[Path, Path]:
 
 def cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
-    modes = ("off", "on") if args.dejitter == "both" else (args.dejitter,)
-    results = [run(scenario, seed=args.seed, dejitter=mode) for mode in modes]
+    # `on` runs first, as it refuses a scenario with no regulator; results read (off, on)
+    modes = ("on", "off") if args.dejitter == "both" else (args.dejitter,)
+    results = [run(scenario, seed=args.seed, dejitter=mode) for mode in modes][::-1]
     out = _out_dir(args.out)  # a run that fails leaves no directory behind
     if args.dejitter == "both":
         summary = dejitter_summary(*results)

@@ -5,8 +5,9 @@ slot pattern, a numerology, and per-UE transport block sizes.  A burst of
 B bytes needs n = ceil(B / tbs) usable slots; a packet arriving during
 slot k may first be served in slot k + 1 + grant_delay.  Worst and best
 case latencies come from sweeping the arrival slot over one pattern
-period: the worst case takes the arrival just after a slot start, the
-best case just before the slot ends.
+period: the worst case drains the whole burst from an arrival just after
+a slot start, the best case a lone packet in one block from an arrival
+just before the slot ends.
 
 This module holds the arithmetic, capacity and sweep; admission
 (`NetworkState._terms`) checks a flow against the capacity before it asks
@@ -122,26 +123,29 @@ def dl_capacity(tdd: TddConfig, ue: UeRecord) -> int:
 def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple[int, int]:
     """(worst, best) latency in ns over all arrival slot offsets.
 
-    For arrival slot k the n-th usable slot at index >= first_grant_slot(k) is
-    found by counting through the per-period usable slot list; the burst
-    completes at that slot's end boundary.  Worst case measures from the
-    slot start (supremum within the slot), best case from the slot end.
-    The direction must have at least one usable slot.
+    For arrival slot k the usable slots at index >= first_grant_slot(k) are
+    counted through the per-period usable slot list.  The whole burst ends
+    with the n-th of them; worst case measures from slot k's start
+    (supremum within the slot).  A lone packet in one block ends with the
+    first; best case measures from slot k's end.  The direction must have
+    at least one usable slot.
     """
     usable = tdd.usable_slots(direction)
     n = ceil_div(burst_B, tbs_B)
     period = len(tdd.pattern)
     per_period = len(usable)
+
+    def slot_index(j: int) -> int:  # the index of usable slot j, counted from 0 at slot 0
+        wraps, within = divmod(j, per_period)
+        return wraps * period + usable[within]
+
     worst = 0
     best = None
     for k in range(period):
         wraps, offset = divmod(tdd.first_grant_slot(k), period)
-        pos = bisect_left(usable, offset)
-        nth = pos + n - 1
-        extra_wraps, within = divmod(nth, per_period)
-        end_slot = (wraps + extra_wraps) * period + usable[within]
-        worst = max(worst, (end_slot + 1 - k) * tdd.slot_ns)
-        span = (end_slot - k) * tdd.slot_ns
+        first = wraps * per_period + bisect_left(usable, offset)
+        worst = max(worst, (slot_index(first + n - 1) + 1 - k) * tdd.slot_ns)
+        span = (slot_index(first) - k) * tdd.slot_ns
         best = span if best is None else min(best, span)
     return worst, best
 
@@ -151,8 +155,9 @@ def transit_contract(
 ) -> TransitContract:
     """Delay bound and best case the 5G segment reports for one flow.
 
-    One arrival sweep gives both cases; the best case is the infimum, so
-    simulated latencies always fall inside [best_case_us, delay_bound_us].
+    One arrival sweep gives both: the worst for the whole burst, the best
+    for a lone packet in one transport block, the least any packet needs.
+    So simulated latencies always fall inside [best_case_us, delay_bound_us].
     The flow must fit: a known UE, a positive burst, and a direction with a
     usable slot and room for `rate_Bps`, which the sweep does not read.
     """

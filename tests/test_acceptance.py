@@ -191,7 +191,9 @@ def test_criterion_3_tdd_oracle_equivalence():
                 case = (pattern, gd, n, direction)
                 contract = transit_contract(node, "u", direction, burst, 1)
                 assert contract.delay_bound_us == ceil_div(expected[0], 1_000), case
-                assert contract.best_case_us == expected[1] // 1_000, case
+                # a lone packet drains in one block, whatever the burst
+                best = sweep_oracle(tdd, direction, tbs, 1)[1]
+                assert contract.best_case_us == best // 1_000, case
             cases += 1
 
     for length in range(1, 6):

@@ -809,6 +809,37 @@ class TestIncrementalSolver:
         # where f1's burst moved, are re-bounded once each, upstream first
         assert passes == [1, 2, 3, 2, 3]
 
+    def test_round_one_failure_copies_nothing(self, monkeypatch):
+        """A new flow that passes its own screen but pushes a peer past its deadline in
+        round one fails before the state is copied; an accepted add copies it once."""
+        topo = line_topology()
+        tree = NetworkState(topo).trees[0]
+        hops = tuple(path_in_tree(topo, tree, "A", "B"))
+        low = FlowSpec("low", "A", "B", 12_500, 1_500, 1_500, 10**9)
+        alone = sum(cold_solve(topo, {"low": _Placement(low, 6, tree, hops, _Terms())})
+                    .hop_bounds["low"])
+        high = _Placement(FlowSpec("high", "A", "B", 12_500, 1_500, 1_500, 10**9),
+                          7, tree, hops, _Terms())
+        copies = []
+        copy_state = _SolverState.copy
+
+        def counted_copy(st):
+            copies.append(None)
+            return copy_state(st)
+
+        for deadline, copied in ((alone, 0), (10**9, 1)):  # low meets `alone` exactly
+            base = cold_solve(topo, {"low": _Placement(
+                replace(low, deadline_us=deadline), 6, tree, hops, _Terms())})
+            copies.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_SolverState, "copy", counted_copy)
+                if copied:
+                    certify(topo, admission._add_flow(topo, base, high))
+                else:
+                    with pytest.raises(DeadlineInfeasible, match=r"^flow 'low': bound \d+ us"):
+                        admission._add_flow(topo, base, high)
+            assert len(copies) == copied
+
     def test_drop_bounds_each_port_once_a_round(self, monkeypatch):
         topo, placements = line_placements()
         base = cold_solve(topo, placements)

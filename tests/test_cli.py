@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from detnet5g import sim
 from detnet5g.cli import main
 from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
@@ -285,6 +286,26 @@ class TestRun:
         orange = summary["flows"]["orange"]
         assert orange["jitter_on_us"] * 5 <= orange["jitter_off_us"]
         assert orange["min_latency_on_us"] > orange["min_latency_off_us"]
+
+    def test_dejitter_both_without_block_simulates_nothing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        doc = canonical_scenario()
+        del doc["nwtt"]
+        path = write_json(tmp_path / "no_block.json", doc)
+        runs = []
+        engine_run = sim._Engine.run
+
+        def counted_run(engine):
+            runs.append(None)
+            return engine_run(engine)
+
+        monkeypatch.setattr(sim._Engine, "run", counted_run)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--dejitter", "both"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dejitter forced on but scenario has no nwtt.dejitter block" in captured.err
+        assert runs == []
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_scenario_exits_one(self, tmp_path, capsys):
         doc = canonical_scenario()

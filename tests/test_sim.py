@@ -412,6 +412,25 @@ class TestFiveGsegment:
         assert stats["violations"]["transit"] == 0
         assert stats["violations"]["transit_best"] == 0
 
+    @pytest.mark.parametrize("mutate, fid, received", [
+        (lambda doc: doc["flows"][0].update(  # two UL blocks at tbs_ul_B 1500
+            burst_B=3_000, max_pkt_B=100, deadline_us=1_000_000,
+            source={"mode": "periodic", "period_us": 10_000, "pkt_B": 100}), "orange", 199),
+        (lambda doc: doc["flows"].append({  # two DL blocks at tbs_dl_B 3000
+            "flow_id": "down", "src": "G", "dst": "UE2", "rate_Bps": 12_500,
+            "burst_B": 6_000, "max_pkt_B": 100, "deadline_us": 1_000_000, "critical": True,
+            "source": {"mode": "periodic", "period_us": 9_900, "pkt_B": 100}}), "down", 202),
+    ], ids=["uplink", "downlink"])
+    def test_best_case_is_one_block(self, mutate, fid, received):
+        # the flow's burst takes two transport blocks, but each lone 100 B
+        # packet drains in one: none beats the best case
+        def two_block_burst(doc):
+            doc["sim"]["duration_ms"] = 2_000
+            mutate(doc)
+        flow = run(scenario(two_block_burst), dejitter="off").report["flows"][fid]
+        assert flow["received"] == received
+        assert flow["violations"]["transit_best"] == 0
+
     def test_dl_delay_and_both_best_cases_are_checked(self, monkeypatch):
         # a zero DL delay bound makes every delivered DL packet overrun it, and
         # best cases past any latency of the run make every delivered packet
