@@ -1,12 +1,13 @@
 """Central network manager: flow registry and joint routing + scheduling.
 
 A flow request carries a traffic spec (rate, burst, max packet, deadline).
-Admission tries candidate placements — priority class descending, then
-VLAN tree ascending, skipping a tree whose path repeats an earlier tree's,
-since the solve depends on (class, path) only — and accepts the first one
-under which the new flow AND every already-admitted flow still meet their
-deadline and every port's backlog fits its buffer.  Each (src, dst) pair's
-trees are walked once per registry, lazily, and its distinct paths kept.
+Admission tries candidate placements in one loop, `NetworkState._first_fit`
+— priority class descending, then VLAN tree ascending, skipping a tree
+whose path repeats an earlier tree's, since the solve depends on (class,
+path) only — and accepts the first one under which the new flow AND every
+already-admitted flow still meet their deadline and every port's backlog
+fits its buffer.  Each (src, dst) pair's trees are walked once per
+registry, lazily, and its distinct paths kept.
 Per-hop bounds use the strict-priority calculus with each flow's burst
 propagated hop by hop; because flows sharing a port inflate each other's
 bursts, bounds are solved to a fixed point.  If no candidate fits, one
@@ -58,19 +59,10 @@ The committed bursts are a post-fixed point, x >= F(x) (the tests'
 the real bursts y until then are finite and y <= c + A*y, so y <= (I -
 A)^-1 c <= x.  So any finite post-fixed point's bounds hold.
 
-Some candidates need no trial at all.  A flow's bound at one hop is at
-least its floor: its bound alone at an empty port, the least over the
-fabric's switch profiles.  Any trial's port has at least that blocking
-packet, at least the flow's own burst in its class and at most the link's
-rate left, and the bound only grows with each.  So a candidate whose fixed
-terms plus one floor per hop miss the deadline would fail its round-one
-screen, and it is skipped unbuilt.  The search prunes only once a
-trial has failed with DeadlineInfeasible, which fixes the reject's reason
-and detail, so a pruned trial could only have mattered by succeeding; the
-batch pass, whose failed trials leave no trace, prunes from its first.
-Decisions, details and registries are those of the search without pruning.
-The floor depends only on the flow's envelope and class, so a registry
-keeps each one it computes.
+Some candidates need no trial at all: one whose fixed terms plus the
+flow's least bound alone at an empty port, once per hop, miss the deadline
+is skipped unbuilt.  `NetworkState._first_fit` states when, and why that
+keeps every decision, detail and registry.
 """
 
 from __future__ import annotations
@@ -78,7 +70,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .calculus import (
@@ -578,12 +570,6 @@ class NetworkState:
     def flows(self) -> dict[str, FlowAssignment]:
         return {fid: self._assignment(fid) for fid in sorted(self._solver.placements)}
 
-    def _placement(self, flow_id: str) -> _Placement:
-        try:
-            return self._solver.placements[flow_id]
-        except KeyError:
-            raise UnknownFlow(flow_id) from None
-
     def _assignment(self, flow_id: str) -> FlowAssignment:
         st = self._solver
         pl = st.placements[flow_id]
@@ -648,9 +634,7 @@ class NetworkState:
         fixed_us = regulator_us + sum(c.delay_bound_us for c in contracts if c is not None)
         return _Terms(ul, dl, regulator, regulator_us, fixed_us)
 
-    def _candidates(
-        self, spec: FlowSpec, terms: _Terms, prune: Callable[[], bool] = lambda: False
-    ):
+    def _candidates(self, spec: FlowSpec, terms: _Terms):
         """Placements of a flow in fixed search order: class descending, tree ascending.
 
         The solve depends on (class, hops) only, so a tree whose path repeats
@@ -659,27 +643,51 @@ class NetworkState:
         lazily (see `_Routes`), so an accept on an early tree costs only the
         paths walked so far, and later requests and batch steps for the pair
         walk no tree again.
-
-        While `prune()` holds, a candidate is also skipped if its e2e bound
-        surely misses the deadline: `terms.fixed_us` plus one `_hop_floor` of
-        its class per hop.  Its trial would fail at the round-one screen.
-        The floor is looked up once per class, on the first candidate that
-        `prune()` lets it judge, so a search that never prunes needs none.
         """
         pair = (spec.src, spec.dst)
         routes = self._routes.get(pair)
         if routes is None:
             routes = self._routes[pair] = _Routes(self.topology, self.trees, *pair)
-        slack_us = spec.deadline_us - terms.fixed_us
         for priority in range(self.class_count - 1, self.best_effort_class, -1):
-            floor = None
             for tree, hops in routes:
-                if prune():
-                    if floor is None:
-                        floor = self._hop_floor(spec, priority)
-                    if len(hops) * floor > slack_us:
-                        continue
                 yield _Placement(spec, priority, tree, hops, terms)
+
+    def _first_fit(
+        self,
+        base: _SolverState,
+        spec: FlowSpec,
+        terms: _Terms,
+        details: dict[type, str] | None = None,
+    ) -> _SolverState | None:
+        """`base` plus the flow at its first candidate whose trial succeeds, or None.
+
+        The one loop that tries candidates: `_add_flow` on each of
+        `_candidates` in search order.  If `details` is given, it keeps the
+        detail of each failure class's first failed trial.
+
+        The prune rule: a candidate whose `terms.fixed_us` plus one
+        `_hop_floor` of its class per hop misses the deadline is skipped
+        unbuilt, since no hop's bound is below the floor and its trial would
+        fail at the round-one screen.  A skipped trial could only have
+        mattered by succeeding once DeadlineInfeasible is in `details`, which
+        fixes a reject's reason and detail, or when no `details` is kept (the
+        batch pass); only then does the loop skip.  So decisions, details and
+        registries are those of a loop that skips nothing.  The floor is
+        computed on the first candidate of a class that is judged; later
+        ones find it kept.
+        """
+        slack_us = spec.deadline_us - terms.fixed_us
+        for cand in self._candidates(spec, terms):
+            if (details is None or DeadlineInfeasible in details) and (
+                len(cand.hops) * self._hop_floor(spec, cand.priority) > slack_us
+            ):
+                continue
+            try:
+                return _add_flow(self.topology, base, cand)
+            except _TRIAL_FAILURES as exc:
+                if details is not None:
+                    details.setdefault(type(exc), str(exc))
+        return None
 
     def _hop_floor(self, spec: FlowSpec, priority: int) -> float:
         """`_hop_floor_us` of `spec` in class `priority`, computed once per envelope.
@@ -707,12 +715,10 @@ class NetworkState:
 
         A reject's reason is the name of the `errors` class that refused the
         flow: up front InvalidSpec, Unreachable or Unschedulable, else the
-        first class of `_TRIAL_FAILURES` that a trial raised.  Only the first
-        detail of each class is kept, as a string: an exception would keep
-        its trial's solver state alive through its traceback.  Once a trial
-        has raised DeadlineInfeasible, the reason and detail are fixed, and
-        a trial matters only if it succeeds, so the search skips every
-        candidate that `_candidates` can rule out by its lower bound.
+        first class of `_TRIAL_FAILURES` that a search trial raised.  Only the
+        first detail of each class is kept, as a string: an exception would
+        keep its trial's solver state alive through its traceback.  Which
+        candidates the search skips is `_first_fit`'s to say.
         """
         try:
             if spec.flow_id in self._solver.placements:
@@ -724,67 +730,47 @@ class NetworkState:
             return Decision(False, reason=type(exc).__name__, detail=str(exc))
 
         details: dict[type, str] = {}  # failure class -> detail of its first failed trial
-        for cand in self._candidates(spec, terms, lambda: DeadlineInfeasible in details):
-            try:
-                solver = _add_flow(self.topology, self._solver, cand)
-            except _TRIAL_FAILURES as exc:
-                details.setdefault(type(exc), str(exc))
-                continue
-            self._solver = solver
-            assignment = self._assignment(spec.flow_id)
-            log.info(
-                "flow %s accepted: vlan %d class %d e2e %d us",
-                spec.flow_id,
-                cand.tree.vlan_id,
-                cand.priority,
-                assignment.e2e_bound_us,
-            )
-            return Decision(True, assignment=assignment, reconfigured=())
-
-        if self.enable_reconfig and self._solver.placements:
+        solver = self._first_fit(self._solver, spec, terms, details)
+        moved: tuple[str, ...] = ()
+        if solver is None and self.enable_reconfig and self._solver.placements:
             solver = self._batch_reassign(spec, terms)
             if solver is not None:
-                before = self._solver.placements
                 placements = solver.placements
-                moved = tuple(
-                    sorted(
-                        fid
-                        for fid, pl in before.items()
-                        if (placements[fid].priority, placements[fid].tree.vlan_id)
-                        != (pl.priority, pl.tree.vlan_id)
-                    )
-                )
-                self._solver = solver
-                log.info("flow %s accepted after reconfiguring %s", spec.flow_id, moved)
-                return Decision(
-                    True, assignment=self._assignment(spec.flow_id), reconfigured=moved
-                )
-
-        details.setdefault(Unschedulable, "no feasible candidate")  # if none was tried
-        failure = next(f for f in _TRIAL_FAILURES if f in details)
-        log.info("flow %s rejected: %s", spec.flow_id, failure.__name__)
-        return Decision(False, reason=failure.__name__, detail=details[failure])
+                moved = tuple(sorted(
+                    fid for fid, pl in self._solver.placements.items()
+                    if (placements[fid].priority, placements[fid].tree.vlan_id)
+                    != (pl.priority, pl.tree.vlan_id)
+                ))
+        if solver is None:
+            details.setdefault(Unschedulable, "no feasible candidate")  # if none was tried
+            failure = next(f for f in _TRIAL_FAILURES if f in details)
+            log.info("flow %s rejected: %s", spec.flow_id, failure.__name__)
+            return Decision(False, reason=failure.__name__, detail=details[failure])
+        self._solver = solver
+        assignment = self._assignment(spec.flow_id)
+        log.info(
+            "flow %s accepted: vlan %d class %d e2e %d us, reconfigured %s",
+            spec.flow_id,
+            assignment.vlan_id,
+            assignment.priority_class,
+            assignment.e2e_bound_us,
+            moved,
+        )
+        return Decision(True, assignment=assignment, reconfigured=moved)
 
     def _batch_reassign(self, spec: FlowSpec, terms: _Terms) -> _SolverState | None:
         """Re-place every flow, the new one included, in ascending deadline order.
 
         None if that fails.  The flows enter one at a time into a state of
-        their own, each trial solved warm from the flows placed before it.
-        A failed trial here leaves no trace, so every candidate that
-        `_candidates` can rule out by its lower bound is skipped.
+        their own, each by `_first_fit` from the flows placed before it.
         """
         pending = [(pl.spec, pl.terms) for pl in self._solver.placements.values()]
         pending.append((spec, terms))
         pending.sort(key=lambda entry: (entry[0].deadline_us, entry[0].flow_id))
         solver = _SolverState()
         for entry in pending:
-            for cand in self._candidates(*entry, lambda: True):
-                try:
-                    solver = _add_flow(self.topology, solver, cand)
-                except _TRIAL_FAILURES:
-                    continue
-                break
-            else:
+            solver = self._first_fit(solver, *entry)
+            if solver is None:
                 return None
         return solver
 
@@ -794,7 +780,8 @@ class NetworkState:
         Only what the flow's removal can affect is re-solved (see
         `_drop_flow`); removing the last flow just empties the state.
         """
-        self._placement(flow_id)
+        if flow_id not in self._solver.placements:
+            raise UnknownFlow(flow_id)
         # one canonical flow: 0.5 us emptied here, 4 us through _drop_flow (2-vCPU Xeon VM)
         if len(self._solver.placements) == 1:
             self._solver = _SolverState()

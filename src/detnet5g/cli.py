@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_VIOLATION = 3
+# the longest trace field `report` reads: the most a C long holds on every platform
+TRACE_FIELD_LIMIT = 2**31 - 1
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -83,9 +85,8 @@ def cmd_admit(args) -> int:
     if state.trees_truncated:
         print(f"note: VLAN tree enumeration stopped at its cap of {len(state.trees)} trees; "
               "placements use only those", file=sys.stderr)
-    responses = []
+    requests, responses = [], []
     seen: set[str] = set()
-    critical_rejected = False
     for i, item in enumerate(flows):
         where = f"{args.flows}: flows[{i}]"
         _expect(item, where, dict)
@@ -94,36 +95,44 @@ def cmd_admit(args) -> int:
         # a repeated id or an unknown end is a fault of the file, not a reject
         check_ends(topo, seen, *read_endpoints(request, where), where)
         response = state.handle_flow_request(request, where)
-        if not args.json:
+        response["critical"] = critical
+        requests.append(request)
+        responses.append(response)
+    # printed once every entry has passed its checks, so a bad entry prints nothing
+    if args.json:
+        print(json.dumps({"schema_version": 1, "decisions": responses},
+                         indent=2, sort_keys=True))
+    else:
+        for request, response in zip(requests, responses):
             print(f"request {request['flow_id']}: {request['src']} -> {request['dst']} "
                   f"rate={request['rate_Bps']}B/s burst={request['burst_B']}B "
                   f"deadline={request['deadline_us']}us")
-        response["critical"] = critical
-        responses.append(response)
-        if response["accepted"]:
-            if not args.json:
+            if response["accepted"]:
                 extra = ""
                 if response["reconfigured"]:
                     extra = f" reconfigured={','.join(response['reconfigured'])}"
                 print(f"  ACCEPTED vlan={response['vlan_id']} pcp={response['pcp']} "
                       f"e2e_bound_us={response['e2e_bound_us']}{extra}")
-        else:
-            critical_rejected = critical_rejected or critical
-            if not args.json:
-                detail = response.get("detail", "")
-                print(f"  REJECTED {response['reason']}: {detail}")
-    if args.json:
-        print(json.dumps({"schema_version": 1, "decisions": responses},
-                         indent=2, sort_keys=True))
+            else:
+                print(f"  REJECTED {response['reason']}: {response.get('detail', '')}")
+    critical_rejected = any(r["critical"] and not r["accepted"] for r in responses)
     return EXIT_REJECTED if critical_rejected else EXIT_OK
+
+
+def _write(write, path: Path, data) -> None:
+    """`write(path, data)`; a file that cannot be written raises ScenarioInvalid."""
+    try:
+        write(path, data)
+    except OSError as exc:
+        raise ScenarioInvalid(f"cannot write {path}: {exc}") from None
 
 
 def _write_run(result, out: Path, scenario_name: str) -> tuple[Path, Path]:
     stem = f"{scenario_name}_{result.report['dejitter']}_seed{result.report['seed']}"
     trace_path = out / f"{stem}_trace.csv"
     report_path = out / f"{stem}_report.json"
-    write_trace(trace_path, result.trace_rows)
-    write_report(report_path, result.report)
+    _write(write_trace, trace_path, result.trace_rows)
+    _write(write_report, report_path, result.report)
     return trace_path, report_path
 
 
@@ -133,11 +142,12 @@ def cmd_run(args) -> int:
     modes = ("on", "off") if args.dejitter == "both" else (args.dejitter,)
     results = [run(scenario, seed=args.seed, dejitter=mode) for mode in modes][::-1]
     out = _out_dir(args.out)  # a run that fails leaves no directory behind
+    lines = []  # printed once every file is written, so a write error prints nothing
     if args.dejitter == "both":
         summary = dejitter_summary(*results)
         summary_path = out / f"{scenario.name}_seed{summary['seed']}_dejitter_summary.json"
-        write_report(summary_path, summary)
-        print(f"wrote {summary_path}")
+        _write(write_report, summary_path, summary)
+        lines.append(f"wrote {summary_path}")
 
     violation_total = 0
     for result in results:
@@ -145,17 +155,17 @@ def cmd_run(args) -> int:
         violations = result.report["violations"]["total"]
         mode = result.report["dejitter"]
         violation_total += violations
-        print(f"wrote {trace_path}")
-        print(f"wrote {report_path}")
+        lines += [f"wrote {trace_path}", f"wrote {report_path}"]
         for fid, flow in sorted(result.report["flows"].items()):
             lat = flow["latency_us"]
             shown = f"max={lat['max']}us jitter={flow['jitter_us']}us" if lat else "no packets received"
             bound = flow["e2e_bound_us"]
             bound_txt = f" bound={bound}us" if bound is not None else ""
-            print(f"  [{mode}] {fid}: sent={flow['sent']} "
-                  f"received={flow['received']} dropped={flow['dropped']} "
-                  f"{shown}{bound_txt} violations={flow['bound_violations']}")
-        print(f"  [{mode}] total bound violations: {violations}")
+            lines.append(f"  [{mode}] {fid}: sent={flow['sent']} "
+                         f"received={flow['received']} dropped={flow['dropped']} "
+                         f"{shown}{bound_txt} violations={flow['bound_violations']}")
+        lines.append(f"  [{mode}] total bound violations: {violations}")
+    print("\n".join(lines))
     return EXIT_VIOLATION if violation_total else EXIT_OK
 
 
@@ -200,31 +210,45 @@ def _row_int(row: dict, name: str, least: int, where: str) -> int:
     raise ScenarioInvalid(f"{where} column {name}: expected an integer >= {least}, got {text!r}")
 
 
+def _trace_packets(reader: csv.DictReader, path: str) -> dict[str, dict[int, tuple[int, int]]]:
+    """Flow id -> seq -> (t_send, t_recv) of a trace's checked rows."""
+    if reader.fieldnames != list(TRACE_COLUMNS):
+        raise ScenarioInvalid(f"{path}: unexpected columns {reader.fieldnames}")
+    flows: dict[str, dict[int, tuple[int, int]]] = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        # a short row fills the missing columns with None, a long one
+        # puts the surplus under the key None
+        if None in row or None in row.values():
+            raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
+        if not row["flow_id"]:
+            raise ScenarioInvalid(f"{where} column flow_id: empty")
+        packets = flows.setdefault(row["flow_id"], {})
+        seq = _row_int(row, "seq", 0, where)
+        if seq in packets:
+            raise ScenarioInvalid(
+                f"{where} column seq: {seq} repeats a packet of flow {row['flow_id']!r}")
+        _row_int(row, "size_B", 1, where)
+        if row["dropped"] not in ("0", "1"):
+            raise ScenarioInvalid(
+                f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
+            )
+        packets[seq] = _row_times(row, where)
+    return flows
+
+
 def cmd_report(args) -> int:
-    flows: dict[str, dict[int, tuple[int, int]]] = {}  # flow id -> seq -> (t_send, t_recv)
-    with open_input(args.trace) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(TRACE_COLUMNS):
-            raise ScenarioInvalid(f"{args.trace}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            where = f"{args.trace}: line {reader.line_num}"
-            # a short row fills the missing columns with None, a long one
-            # puts the surplus under the key None
-            if None in row or None in row.values():
-                raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
-            if not row["flow_id"]:
-                raise ScenarioInvalid(f"{where} column flow_id: empty")
-            packets = flows.setdefault(row["flow_id"], {})
-            seq = _row_int(row, "seq", 0, where)
-            if seq in packets:
-                raise ScenarioInvalid(
-                    f"{where} column seq: {seq} repeats a packet of flow {row['flow_id']!r}")
-            _row_int(row, "size_B", 1, where)
-            if row["dropped"] not in ("0", "1"):
-                raise ScenarioInvalid(
-                    f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
-                )
-            packets[seq] = _row_times(row, where)
+    # a flow id is as long as the scenario made it: lift the csv module's
+    # field limit (131,072 characters) while the trace is read
+    limit = csv.field_size_limit(TRACE_FIELD_LIMIT)
+    try:
+        with open_input(args.trace) as fh:
+            reader = csv.DictReader(fh)
+            flows = _trace_packets(reader, args.trace)
+    except csv.Error as exc:  # the DictReader's own count lags the failed line's
+        raise ScenarioInvalid(f"{args.trace}: line {reader.reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     doc = {"schema_version": 1, "flows": {
         fid: packet_summary(*zip(*packets.values()))
         for fid, packets in sorted(flows.items())

@@ -342,6 +342,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioInvalid(f"{path}: arrays or objects nested too deeply") from None
 
 
 def load_scenario_file(path) -> Scenario:

@@ -1,10 +1,11 @@
+import csv
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from detnet5g import sim
+from detnet5g import cli, sim
 from detnet5g.cli import main
 from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
@@ -58,6 +59,14 @@ def orange_request(**overrides):
            "critical": True}
     req.update(overrides)
     return req
+
+
+def long_flow_id(doc):
+    """Orange's id 140,000 characters long, over 200 ms (a 14 MB trace) in which
+    every source sends, the background one starting on."""
+    doc["flows"][0]["flow_id"] = "o" * 140_000
+    doc["sim"]["duration_ms"] = 200
+    doc["sim"]["sources"][1]["start"] = "on"
 
 
 def forced_regulator_without_block(doc):
@@ -153,19 +162,17 @@ class TestAdmit:
         # the wire rejects these, and `run` fails them as file faults: so does `admit`
         (orange_request(), "flows[1].flow_id: duplicate flow id 'orange'"),
         (orange_request(flow_id="o2", dst="Mars"), "flows[1].dst: 'Mars' is not a host or a UE"),
+        (orange_request(flow_id="x2", rate_Bps=-5), "flows[1].rate_Bps: must be positive"),
     ], ids=["not-an-object", "missing-field", "critical-bad-value", "repeated-id",
-            "unknown-endpoint"])
+            "unknown-endpoint", "negative-rate"])
     def test_flow_entry_error_names_file_and_index(self, entry, message, mode, topo_file,
                                                    tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
         assert main(["admit", topo_file, flows, *mode]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {flows}: {message}\n"
-        # nothing of the bad entry reaches stdout, only the request before it
-        assert captured.out == ("" if mode else
-                                "request orange: UE1 -> D rate=12500B/s burst=1250B "
-                                "deadline=100000us\n"
-                                "  ACCEPTED vlan=100 pcp=7 e2e_bound_us=49200\n")
+        # in either mode, the decision on the good entry before it is not printed either
+        assert captured.out == ""
 
     def test_reconfiguration_named_on_the_accept_line(self, tmp_path, capsys):
         # the flows of test_admission's reconfiguration test, on its ring
@@ -405,6 +412,22 @@ class TestRun:
         assert main(["run", scenario_file, "--seed", "2"]) == 0
         assert (out / "scenario_scenario_seed2_trace.csv").exists()
 
+    @pytest.mark.parametrize("mode, name", [
+        ([], "scenario_scenario_seed1_trace.csv"),
+        # the summary and the `off` run's files are written before this one fails
+        (["--dejitter", "both"], "scenario_on_seed1_report.json"),
+    ], ids=["trace", "last-report"])
+    def test_unwritable_output_file_exits_one(self, mode, name, scenario_file, tmp_path,
+                                              capsys):
+        out = tmp_path / "out"
+        blocked = out / name
+        blocked.mkdir(parents=True)
+        assert main(["run", scenario_file, "--out", str(out), *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {blocked}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestReport:
     @pytest.mark.parametrize("doc, dejitter, seed, code", [
@@ -418,8 +441,10 @@ class TestReport:
         (dense_ue_doc(), "scenario", 1, 3),
         # drops and 36 packets in flight at the end, UE ends both ways
         (random_5g_doc(random.Random(2)), "scenario", 4, 0),
+        # a flow id past the csv module's default field limit of 131,072 characters
+        (canonical_with(long_flow_id)(), "scenario", 1, 0),
     ], ids=["canonical-off", "canonical-on", "ue-transit", "regulator-drops", "hops-drops",
-            "dense-ue", "random-5g"])
+            "dense-ue", "random-5g", "long-flow-id"])
     def test_resummarize_trace(self, doc, dejitter, seed, code, tmp_path, capsys):
         path = write_json(tmp_path / "scn.json", doc)
         out = tmp_path / "out"
@@ -427,7 +452,9 @@ class TestReport:
                      "--dejitter", dejitter]) == code
         capsys.readouterr()
         stem = f"scn_{dejitter}_seed{seed}"
+        limit = csv.field_size_limit()
         assert main(["report", str(out / f"{stem}_trace.csv")]) == 0
+        assert csv.field_size_limit() == limit  # `report` lifts it only while it reads
         summary = json.loads(capsys.readouterr().out)["flows"]
         report = json.loads((out / f"{stem}_report.json").read_text())["flows"]
         assert sorted(summary) == sorted(report)
@@ -531,6 +558,19 @@ class TestReport:
     def test_missing_file_exits_one(self):
         assert main(["report", "/nonexistent/trace.csv"]) == 1
 
+    def test_csv_error_names_its_line(self, tmp_path, capsys, monkeypatch):
+        """A row the csv module refuses exits 1 naming its line: here a field past a
+        lowered limit."""
+        monkeypatch.setattr(cli, "TRACE_FIELD_LIMIT", 100)
+        trace = tmp_path / "trace.csv"
+        row = ",0,25,1.000,2.500,1.500,0\n"
+        trace.write_text(f"{TRACE_HEADER}\norange{row}{'o' * 200}{row}")
+        assert main(["report", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {trace}: line 3: "
+                                "field larger than field limit (100)\n")
+
 
 class TestUsageAndInput:
     @pytest.mark.parametrize("argv, code", [
@@ -559,8 +599,13 @@ class TestUsageAndInput:
         (["trees", "SPLIT_TOPO"], SPLIT),
         (["admit", "SPLIT_TOPO", "FLOWS"], SPLIT),
         (["run", "SPLIT_SCENARIO"], SPLIT),
+        # 200,000 nested arrays: past the JSON decoder's recursion limit
+        (["trees", "DEEP"], "DEEP"),
+        (["run", "DEEP"], "DEEP"),
+        (["admit", "TOPO", "DEEP"], "DEEP"),
     ], ids=["report-dir", "admit-dir", "report-binary", "trees-binary", "run-binary",
-            "admit-binary", "trees-disconnected", "admit-disconnected", "run-disconnected"])
+            "admit-binary", "trees-disconnected", "admit-disconnected", "run-disconnected",
+            "trees-deep", "run-deep", "admit-deep"])
     def test_unreadable_input_exits_one(self, argv, message, topo_file, tmp_path, capsys):
         """Exit 1 with one `error:` line naming the input or its fault; a
         `message` that names a path placeholder stands for that path."""
@@ -570,8 +615,10 @@ class TestUsageAndInput:
                  "BINARY": tmp_path / "latin1.json",
                  "SPLIT_TOPO": write_json(tmp_path / "split_topology.json", split["topology"]),
                  "SPLIT_SCENARIO": write_json(tmp_path / "split.json", split),
-                 "FLOWS": REPO / "scenarios" / "canonical_flows.json"}
+                 "FLOWS": REPO / "scenarios" / "canonical_flows.json",
+                 "DEEP": tmp_path / "deep.json"}
         paths["DIR"].mkdir()
+        paths["DEEP"].write_text("[" * 200_000 + "]" * 200_000)
         paths["BINARY"].write_bytes(b'{"name": "caf\xe9"}')
         assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
         captured = capsys.readouterr()
