@@ -4,8 +4,8 @@
 times with `sim.packet_summary`, as `run`'s report does.
 
 Exit codes are part of the contract: 0 all checks pass, 1 usage or parse
-error, 2 admission rejected a flow marked critical, 3 a simulated packet
-violated a computed bound.
+error or stdout closed early, 2 admission rejected a flow marked critical,
+3 a simulated packet violated a computed bound.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def cmd_report(args) -> int:
     # field limit (131,072 characters) while the trace is read
     limit = csv.field_size_limit(TRACE_FIELD_LIMIT)
     try:
-        with open_input(args.trace) as fh:
+        with open_input(args.trace, newline="") as fh:  # a quoted flow id may hold \r or \n
             reader = csv.DictReader(fh)
             flows = _trace_packets(reader, args.trace)
     except csv.Error as exc:  # the DictReader's own count lags the failed line's
@@ -314,7 +314,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader stopped reading (`report TRACE | head`): send what
+        # is left, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except AdmissionMissing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED

@@ -321,14 +321,14 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
 
 
 @contextmanager
-def open_input(path):
-    """An input file open for reading text.
+def open_input(path, newline=None):
+    """An input file open for reading text, with `open`'s `newline`.
 
     A file that cannot be opened, read or decoded raises ScenarioInvalid,
     also when the error comes while the caller is reading it.
     """
     try:
-        with open(path) as fh:
+        with open(path, newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"cannot read {path}: {exc}") from exc

@@ -240,16 +240,6 @@ def _schedule(model: SourceModel, rng: random.Random):
         start += on_ns + off_ns
 
 
-def _slots_to_usable(tdd, direction) -> list:
-    """Slots from each pattern phase to the first slot at or after it usable
-    in `direction` (0: the slot itself; None: never)."""
-    n = len(tdd.pattern)
-    usable = [tdd.slot_usable(k, direction) for k in range(n)]
-    if not any(usable):
-        return [None] * n
-    return [next(d for d in range(n) if usable[(phase + d) % n]) for phase in range(n)]
-
-
 def _limits_ns(a) -> tuple:
     """An assignment's bounds in ns: (e2e, UL delay, UL best case, UL delay plus
     regulator, DL delay, DL best case); a missing contract's entries are None."""
@@ -301,8 +291,8 @@ class _Engine:
         # what a slot tick does depends only on its index: the UE rotation
         # repeats every len(UEs) slots and the waits for a usable slot every pattern
         self.rotations: list[list[tuple]] = []
-        self.ul_wait: list = []
-        self.dl_wait: list = []
+        self.ul_wait: tuple = ()
+        self.dl_wait: tuple = ()
         ue_ul, ue_dl = {}, {}
         if self.transit is not None:
             ues = self.transit.ues
@@ -314,8 +304,8 @@ class _Engine:
             tdd = self.transit.tdd
             self.slot_ns = tdd.slot_ns
             self.grant_slots = tdd.first_grant_slot(0)
-            self.ul_wait = _slots_to_usable(tdd, UPLINK)
-            self.dl_wait = _slots_to_usable(tdd, DOWNLINK)
+            self.ul_wait = tdd.staircase(UPLINK).wait
+            self.dl_wait = tdd.staircase(DOWNLINK).wait
         self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route, reached or not
         for ctx in flows.values():
             ctx.ul_queue = ue_ul.get(ctx.source.src)
@@ -352,7 +342,7 @@ class _Engine:
         self.counter += 1
         heappush(self.heap, (t_ns, self.rank if rank is None else rank, self.counter, handler, payload))
 
-    def _arm(self, wait: list, slot_index: int):
+    def _arm(self, wait: tuple, slot_index: int):
         """Tick the first slot at or after `slot_index` usable in `wait`'s direction."""
         slots_ahead = wait[slot_index % len(wait)]
         if slots_ahead is None:
@@ -389,7 +379,7 @@ class _Engine:
 
     # ------------------------------------------------------------- 5G segment
 
-    def _enqueue_ue(self, pkt: _Packet, queue: deque, wait: list):
+    def _enqueue_ue(self, pkt: _Packet, queue: deque, wait: tuple):
         """Queue a packet at a UE for its first grant slot in `wait`'s direction."""
         pkt.eligible_slot = self.t // self.slot_ns + self.grant_slots
         queue.append(pkt)
@@ -690,10 +680,14 @@ def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
 
 
 def _csv_field(text: str) -> str:
-    """`text` as the csv module writes it in a row: quoted only if it must be."""
+    """`text` as the csv module writes it in a row: quoted only if it must be.
+
+    The writer keeps its default terminator, so that a `\\r` or `\\n` in
+    `text` is quoted too; the terminator and the empty field are cut off.
+    """
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow((text, ""))
-    return buf.getvalue()[:-1]
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
 class _TraceRows:

@@ -9,19 +9,26 @@ period: the worst case drains the whole burst from an arrival just after
 a slot start, the best case a lone packet in one block from an arrival
 just before the slot ends.
 
+That sweep reads neither the burst nor the TBS, so it runs once per
+pattern and direction: a `Staircase`, built on first use and kept on the
+`TddConfig`, holds the usable slots, each slot's wait for the next usable
+one, the best case, and the worst case for each count of blocks up to one
+period's worth.  A contract is then a lookup, the capacity reads the
+usable slot count, and the simulator's slot clock reads the waits.
+
 This module holds the arithmetic, capacity and sweep; admission
 (`NetworkState._terms`) checks a flow against the capacity before it asks
 for the flow's contract.
 
-Internally everything is integer nanoseconds (a mu=4 slot is 62.5 us);
-reported bounds are microseconds, rounded up for the worst case and down
-for the best case so both stay conservative.
+A staircase counts slots and everything else is integer nanoseconds (a
+mu=4 slot is 62.5 us); reported bounds are microseconds, rounded up for
+the worst case and down for the best case so both stay conservative.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .units import NS_PER_S, ceil_div, ns_to_us_ceil, ns_to_us_floor
@@ -32,6 +39,27 @@ if TYPE_CHECKING:  # topology imports this module
 SLOT_KINDS = "DUSF"
 UPLINK = "ul"
 DOWNLINK = "dl"
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """One direction of a TDD pattern, swept once over its arrival slots; all in slots.
+
+    `usable` lists the pattern's usable slots, and `wait[k]` counts the
+    slots from pattern slot k to the first usable slot at or after it
+    (None if there is none).  `best` is the least span, over arrival slots
+    k, from slot k's end to the end of the first usable slot at or after
+    k's first grant slot.  `worst[r]` is the most span from slot k's start
+    to the end of the (r + 1)-th such usable slot.  The usable slots repeat
+    every period, so with n - 1 = q * len(usable) + r an n-block burst's
+    worst case is q * len(pattern) + worst[r].  With no usable slot, `best`
+    is None and `worst` empty.
+    """
+
+    usable: tuple[int, ...]
+    wait: tuple[int | None, ...]
+    best: int | None
+    worst: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -49,6 +77,9 @@ class TddConfig:
     grant_delay_slots: int = 0
     s_slot_usable_ul: bool = False
     s_slot_usable_dl: bool = True
+    # direction -> its Staircase, swept on first use; outside eq, hash and repr
+    _stairs: dict[str, Staircase] = field(default_factory=dict, init=False, compare=False,
+                                          repr=False)
 
     @property
     def slot_ns(self) -> int:
@@ -64,17 +95,19 @@ class TddConfig:
             return kind == "U" or (kind == "S" and self.s_slot_usable_ul)
         return kind == "D" or (kind == "S" and self.s_slot_usable_dl)
 
-    def usable_slots(self, direction: str) -> tuple[int, ...]:
-        return tuple(
-            i for i, kind in enumerate(self.pattern) if self.usable(kind, direction)
-        )
-
     def slot_usable(self, index: int, direction: str) -> bool:
         return self.usable(self.pattern[index % len(self.pattern)], direction)
 
     def first_grant_slot(self, arrival_slot: int) -> int:
         """Earliest slot that may carry a packet arriving during `arrival_slot`."""
         return arrival_slot + 1 + self.grant_delay_slots
+
+    def staircase(self, direction: str) -> Staircase:
+        """The pattern's staircase in `direction`, swept on first use and kept on the config."""
+        stair = self._stairs.get(direction)
+        if stair is None:
+            stair = self._stairs[direction] = _sweep(self, direction)
+        return stair
 
 
 @dataclass(frozen=True)
@@ -104,11 +137,8 @@ class TransitContract:
 
 
 def _capacity_Bps(tdd: TddConfig, tbs_B: int, direction: str) -> int:
-    usable = len(tdd.usable_slots(direction))
-    if usable == 0:
-        return 0
     # floor keeps the admission test rate <= capacity conservative
-    return usable * tbs_B * NS_PER_S // tdd.period_ns
+    return len(tdd.staircase(direction).usable) * tbs_B * NS_PER_S // tdd.period_ns
 
 
 def ul_capacity(tdd: TddConfig, ue: UeRecord) -> int:
@@ -120,34 +150,33 @@ def dl_capacity(tdd: TddConfig, ue: UeRecord) -> int:
     return _capacity_Bps(tdd, ue.tbs_dl_B, DOWNLINK)
 
 
-def _sweep_ns(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int) -> tuple[int, int]:
-    """(worst, best) latency in ns over all arrival slot offsets.
+def _sweep(tdd: TddConfig, direction: str) -> Staircase:
+    """`direction`'s staircase, from one pass over the arrival slots of a period.
 
     For arrival slot k the usable slots at index >= first_grant_slot(k) are
-    counted through the per-period usable slot list.  The whole burst ends
-    with the n-th of them; worst case measures from slot k's start
-    (supremum within the slot).  A lone packet in one block ends with the
-    first; best case measures from slot k's end.  The direction must have
-    at least one usable slot.
+    counted through the per-period usable slot list.
     """
-    usable = tdd.usable_slots(direction)
-    n = ceil_div(burst_B, tbs_B)
     period = len(tdd.pattern)
+    usable = tuple(i for i, kind in enumerate(tdd.pattern) if tdd.usable(kind, direction))
+    if not usable:
+        return Staircase(usable, (None,) * period, None, ())
     per_period = len(usable)
 
     def slot_index(j: int) -> int:  # the index of usable slot j, counted from 0 at slot 0
         wraps, within = divmod(j, per_period)
         return wraps * period + usable[within]
 
-    worst = 0
+    wait = tuple(slot_index(bisect_left(usable, k)) - k for k in range(period))
+    worst = [0] * per_period
     best = None
     for k in range(period):
         wraps, offset = divmod(tdd.first_grant_slot(k), period)
         first = wraps * per_period + bisect_left(usable, offset)
-        worst = max(worst, (slot_index(first + n - 1) + 1 - k) * tdd.slot_ns)
-        span = (slot_index(first) - k) * tdd.slot_ns
+        for r in range(per_period):
+            worst[r] = max(worst[r], slot_index(first + r) + 1 - k)
+        span = slot_index(first) - k
         best = span if best is None else min(best, span)
-    return worst, best
+    return Staircase(usable, wait, best, tuple(worst))
 
 
 def transit_contract(
@@ -155,15 +184,20 @@ def transit_contract(
 ) -> TransitContract:
     """Delay bound and best case the 5G segment reports for one flow.
 
-    One arrival sweep gives both: the worst for the whole burst, the best
-    for a lone packet in one transport block, the least any packet needs.
-    So simulated latencies always fall inside [best_case_us, delay_bound_us].
-    The flow must fit: a known UE, a positive burst, and a direction with a
-    usable slot and room for `rate_Bps`, which the sweep does not read.
+    The direction's staircase gives both: the worst for the whole burst,
+    the best for a lone packet in one transport block, the least any packet
+    needs.  So simulated latencies always fall inside [best_case_us,
+    delay_bound_us].  The flow must fit: a known UE, a positive burst, and a
+    direction with a usable slot and room for `rate_Bps`, which the
+    contract does not read.
     """
     ue = node.ues[ue_id]
+    tdd = node.tdd
+    stair = tdd.staircase(direction)
     tbs = ue.tbs_ul_B if direction == UPLINK else ue.tbs_dl_B
-    worst_ns, best_ns = _sweep_ns(node.tdd, direction, tbs, burst_B)
+    periods, r = divmod(ceil_div(burst_B, tbs) - 1, len(stair.usable))
+    slot_ns = tdd.slot_ns
     return TransitContract(
-        delay_bound_us=ns_to_us_ceil(worst_ns), best_case_us=ns_to_us_floor(best_ns)
+        delay_bound_us=ns_to_us_ceil((periods * len(tdd.pattern) + stair.worst[r]) * slot_ns),
+        best_case_us=ns_to_us_floor(stair.best * slot_ns),
     )

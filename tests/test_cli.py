@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,15 @@ def long_flow_id(doc):
     """Orange's id 140,000 characters long, over 200 ms (a 14 MB trace) in which
     every source sends, the background one starting on."""
     doc["flows"][0]["flow_id"] = "o" * 140_000
+    doc["sim"]["duration_ms"] = 200
+    doc["sim"]["sources"][1]["start"] = "on"
+
+
+def line_break_flow_ids(doc):
+    """Orange's id holds a `\\r` and green's a `\\r\\n`, over 200 ms in which every
+    source sends, the background one starting on."""
+    doc["flows"][0]["flow_id"] = "a\rb"
+    doc["sim"]["sources"][0]["flow_id"] = "c\r\nd"
     doc["sim"]["duration_ms"] = 200
     doc["sim"]["sources"][1]["start"] = "on"
 
@@ -443,8 +455,10 @@ class TestReport:
         (random_5g_doc(random.Random(2)), "scenario", 4, 0),
         # a flow id past the csv module's default field limit of 131,072 characters
         (canonical_with(long_flow_id)(), "scenario", 1, 0),
+        # flow ids the trace quotes, as they hold line breaks
+        (canonical_with(line_break_flow_ids)(), "scenario", 1, 0),
     ], ids=["canonical-off", "canonical-on", "ue-transit", "regulator-drops", "hops-drops",
-            "dense-ue", "random-5g", "long-flow-id"])
+            "dense-ue", "random-5g", "long-flow-id", "line-break-flow-ids"])
     def test_resummarize_trace(self, doc, dejitter, seed, code, tmp_path, capsys):
         path = write_json(tmp_path / "scn.json", doc)
         out = tmp_path / "out"
@@ -570,6 +584,24 @@ class TestReport:
         assert captured.out == ""
         assert captured.err == (f"error: {trace}: line 3: "
                                 "field larger than field limit (100)\n")
+
+
+    def test_reader_closing_early_exits_one_without_traceback(self, tmp_path):
+        """`report TRACE | head -c 300`: the CLI in its own process, its stdout a
+        pipe whose reader stops after 300 bytes of a summary far longer."""
+        path = write_json(tmp_path / "scn.json", canonical_with(long_flow_id)())
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        command = [sys.executable, "-m", "detnet5g.cli"]
+        subprocess.run([*command, "run", path, "--out", str(out)], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        report = subprocess.Popen([*command, "report", str(out / "scn_scenario_seed1_trace.csv")],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(report.stdout.read(300)) == 300
+        report.stdout.close()
+        err = report.stderr.read()
+        assert report.wait() == 1
+        assert err == b""
 
 
 class TestUsageAndInput:
