@@ -36,12 +36,11 @@ SIM_KEYS = frozenset(("duration_ms", "seed", "sources"))
 FLOW_KEYS = WIRE_KEYS | {"critical", "source"}
 # per source mode: the keys it requires, and every key it may carry
 SOURCE_KEYS = {
-    mode: (required, frozenset((*required, *optional, "mode", "offset_us", "seed")))
+    mode: (required, frozenset((*required, *optional, "mode", "offset_us")))
     for mode, required, optional in (
         ("periodic", ("period_us", "pkt_B"), ("count",)),
-        ("burst_periodic", ("period_us", "pkt_B", "count"), ()),
         ("greedy_token_bucket", ("pkt_B", "burst_B", "rate_Bps"), ()),
-        ("onoff_background", ("pkt_B", "rate_Bps", "on_ms", "off_ms"), ("start",)),
+        ("onoff_background", ("pkt_B", "rate_Bps", "on_ms", "off_ms"), ()),
     )
 }
 SOURCE_MODES = tuple(SOURCE_KEYS)
@@ -56,7 +55,6 @@ class SourceModel:
     dst: str
     mode: str
     params: dict
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,9 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         _expect(fwd, f"{p}.fwd_delay_us", list)
         for k, delay in enumerate(fwd):
             _non_negative_int(delay, f"{p}.fwd_delay_us[{k}]")
-        if len(fwd) < class_count:
-            _fail(f"{p}.fwd_delay_us", f"must have an entry for each of the {class_count} classes")
+        if len(fwd) != class_count:
+            _fail(f"{p}.fwd_delay_us",
+                  f"must have one entry for each of the {class_count} classes, not {len(fwd)}")
         topo.switches[sid] = SwitchProfile(
             link_rate_Bps=_positive_int(sw.get("link_rate_Bps"), f"{p}.link_rate_Bps"),
             fwd_delay_us=tuple(fwd),
@@ -212,7 +211,7 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
     mode = _expect(obj.get("mode"), f"{path}.mode", str)
     if mode not in SOURCE_MODES:
         _fail(f"{path}.mode", f"must be one of {SOURCE_MODES}")
-    params = {k: v for k, v in obj.items() if k not in ("mode", "seed")}
+    params = {k: v for k, v in obj.items() if k != "mode"}
     required, known = SOURCE_KEYS[mode]
     _known_keys(obj, path, known)
     for key in required:
@@ -221,11 +220,7 @@ def _load_source(obj, path: str, *, flow_id: str, src: str, dst: str) -> SourceM
         _positive_int(obj["count"], f"{path}.count")
     if "offset_us" in obj:  # a source never sends before the run starts at t = 0
         _non_negative_int(obj["offset_us"], f"{path}.offset_us")
-    if mode == "onoff_background" and obj.get("start", "on") not in ("on", "off"):
-        _fail(f"{path}.start", "must be 'on' or 'off'")
-    seed = _expect(obj["seed"], f"{path}.seed", int) if "seed" in obj else None
-    return SourceModel(flow_id=flow_id, src=src, dst=dst, mode=mode,
-                       params=params, seed=seed)
+    return SourceModel(flow_id=flow_id, src=src, dst=dst, mode=mode, params=params)
 
 
 def check_ends(topo: Topology, seen: set[str], fid: str, src: str, dst: str, path: str) -> None:

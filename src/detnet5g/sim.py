@@ -216,7 +216,7 @@ def _schedule(model: SourceModel, rng: random.Random):
     """Yield `(t_ns, packet_count)` for each emission of a source, in time order."""
     params = model.params
     offset = params.get("offset_us")
-    if model.mode in ("periodic", "burst_periodic"):
+    if model.mode == "periodic":
         start = rng.randrange(params["period_us"]) if offset is None else offset
         count = params.get("count", 1)
         for t in itertools.count(start * NS_PER_US, params["period_us"] * NS_PER_US):
@@ -232,8 +232,6 @@ def _schedule(model: SourceModel, rng: random.Random):
     # moves to the next window's start
     on_ns = params["on_ms"] * 1_000_000
     off_ns = params["off_ms"] * 1_000_000
-    if params.get("start", "on") == "off":
-        start += off_ns
     while True:
         for t in range(start, start + on_ns, interval):
             yield t, 1
@@ -555,8 +553,7 @@ class _Engine:
     def run(self):
         for ctx in self.flows.values():
             model = ctx.source
-            seed = self.seed if model.seed is None else model.seed
-            schedule = _schedule(model, random.Random(f"{seed}:{model.flow_id}"))
+            schedule = _schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
             t_ns, count = next(schedule)
             if t_ns <= self.end_ns:
                 self._push(t_ns, self.on_emit, (ctx, schedule, count))

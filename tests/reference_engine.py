@@ -159,8 +159,7 @@ class ReferenceEngine:
             self.push(0, self.tick, 0)
         for flow in self.flows.values():
             model = flow.source
-            seed = self.seed if model.seed is None else model.seed
-            schedule = sim._schedule(model, random.Random(f"{seed}:{model.flow_id}"))
+            schedule = sim._schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
             t, count = next(schedule)
             if t <= self.end_ns:
                 self.push(t, self.emit, flow, schedule, count)

@@ -100,7 +100,7 @@ def random_scenario_doc(rng) -> dict:
             source = {"mode": "greedy_token_bucket", "pkt_B": pkt,
                       "burst_B": burst, "rate_Bps": rate}
         else:
-            source = {"mode": "burst_periodic", "period_us": period_us,
+            source = {"mode": "periodic", "period_us": period_us,
                       "pkt_B": pkt, "count": count}
         doc["flows"].append({
             "flow_id": f"f{i}", "src": src, "dst": dst, "rate_Bps": rate,
@@ -229,7 +229,8 @@ def test_criterion_4_background_preserves_critical_flow():
     def bg_always_on(doc):
         for s in doc["sim"]["sources"]:
             if s["flow_id"] == "bg":
-                s["on_ms"], s["off_ms"], s["start"] = 10_000, 1, "on"
+                s["on_ms"], s["off_ms"] = 10_000, 1
+                del s["offset_us"]
 
     quiet = run(_canonical(no_bg))
     noisy = run(_canonical(bg_always_on))

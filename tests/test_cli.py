@@ -69,7 +69,7 @@ def long_flow_id(doc):
     every source sends, the background one starting on."""
     doc["flows"][0]["flow_id"] = "o" * 140_000
     doc["sim"]["duration_ms"] = 200
-    doc["sim"]["sources"][1]["start"] = "on"
+    del doc["sim"]["sources"][1]["offset_us"]
 
 
 def line_break_flow_ids(doc):
@@ -78,7 +78,7 @@ def line_break_flow_ids(doc):
     doc["flows"][0]["flow_id"] = "a\rb"
     doc["sim"]["sources"][0]["flow_id"] = "c\r\nd"
     doc["sim"]["duration_ms"] = 200
-    doc["sim"]["sources"][1]["start"] = "on"
+    del doc["sim"]["sources"][1]["offset_us"]
 
 
 def forced_regulator_without_block(doc):
@@ -595,12 +595,13 @@ class TestReport:
         command = [sys.executable, "-m", "detnet5g.cli"]
         subprocess.run([*command, "run", path, "--out", str(out)], env=env, check=True,
                        stdout=subprocess.DEVNULL)
-        report = subprocess.Popen([*command, "report", str(out / "scn_scenario_seed1_trace.csv")],
-                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert len(report.stdout.read(300)) == 300
-        report.stdout.close()
-        err = report.stderr.read()
-        assert report.wait() == 1
+        # the context closes both pipes, so no file is left open on a failure either
+        with subprocess.Popen([*command, "report", str(out / "scn_scenario_seed1_trace.csv")],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as report:
+            assert len(report.stdout.read(300)) == 300
+            report.stdout.close()
+            err = report.stderr.read()
+            assert report.wait() == 1
         assert err == b""
 
 

@@ -220,8 +220,6 @@ BOOL, INT, DICT, LIST = "must be bool", "must be an integer", "must be dict", "m
     (("classes", "count"), None, INT),
     (("classes", "best_effort_class"), None, INT),
     (("sim", "seed"), None, INT),
-    (("sim", "sources", 0, "seed"), None, INT),
-    (("flows", 0, "source", "seed"), None, INT),
     (("nwtt", "dejitter"), None, DICT),
     (("topology", "transit5g"), None, DICT),
     (("topology", "hosts"), None, LIST),
@@ -231,9 +229,8 @@ BOOL, INT, DICT, LIST = "must be bool", "must be an integer", "must be dict", "m
 ], ids=["critical", "dejitter", "dejitter-int", "per-class", "s-slot-ul", "s-slot-dl",
         "critical-null", "dejitter-null", "per-class-null", "s-slot-ul-null", "s-slot-dl-null",
         "numerology-null", "grant-delay-null", "class-count-null", "queue-cap-null",
-        "classes-count-null", "best-effort-null", "sim-seed-null", "source-seed-null",
-        "flow-source-seed-null", "regulator-null", "transit-null", "hosts-null", "ues-null",
-        "flows-null", "sources-null"])
+        "classes-count-null", "best-effort-null", "sim-seed-null", "regulator-null",
+        "transit-null", "hosts-null", "ues-null", "flows-null", "sources-null"])
 def test_flag_must_be_boolean(where, value, message):
     # a flag, or an optional field whose value has the wrong type
     doc = canonical_scenario()
@@ -358,7 +355,10 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
     (lambda doc: doc["topology"]["switches"][0].update(class_count=1, fwd_delay_us=[0]),
      "topology.switches[0].class_count", "must be at least 2"),
     (lambda doc: doc["topology"]["switches"][0].update(fwd_delay_us=[0] * 3),
-     "topology.switches[0].fwd_delay_us", "must have an entry for each of the 8 classes"),
+     "topology.switches[0].fwd_delay_us", "must have one entry for each of the 8 classes, not 3"),
+    # extra entries are an error too, never silently ignored
+    (lambda doc: doc["topology"]["switches"][0].update(class_count=4),
+     "topology.switches[0].fwd_delay_us", "must have one entry for each of the 4 classes, not 8"),
     (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern="DX"),
      "topology.transit5g.tdd_pattern", "unknown slot kinds ['X']"),
     (lambda doc: doc["topology"]["transit5g"].update(tdd_pattern=""),
@@ -385,16 +385,19 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
      "topology.hosts[1].id", "duplicate node id 'D'"),
     (lambda doc: doc["topology"]["transit5g"].update(attach="S9.1"),
      "topology.transit5g.attach", "unknown switch 'S9'"),
-    (lambda doc: doc["sim"]["sources"][1].update(start="maybe"),
-     "sim.sources[1].start", "must be 'on' or 'off'"),
+    # `periodic` with `count` is the one spelling of a periodic burst
+    (lambda doc: doc["sim"]["sources"][0].update(mode="burst_periodic", count=2),
+     "sim.sources[0].mode",
+     "must be one of ('periodic', 'greedy_token_bucket', 'onoff_background')"),
     (lambda doc: doc["classes"].update(count=1),
      "classes.count", "need at least two classes"),
     (lambda doc: doc["classes"].update(best_effort_class=1),
      "classes.best_effort_class", "class 0 is the best-effort class"),
-], ids=["one-class", "short-fwd-table", "slot-kind", "empty-pattern", "numerology",
-        "grant-delay", "hold", "queue-cap", "port-id", "no-switches", "duplicate-switch",
-        "one-ended-link", "host-on-unknown-switch", "duplicate-host", "transit-on-unknown-switch",
-        "onoff-start", "one-class-count", "best-effort-class"])
+], ids=["one-class", "short-fwd-table", "long-fwd-table", "slot-kind", "empty-pattern",
+        "numerology", "grant-delay", "hold", "queue-cap", "port-id", "no-switches",
+        "duplicate-switch", "one-ended-link", "host-on-unknown-switch", "duplicate-host",
+        "transit-on-unknown-switch", "burst-periodic-mode", "one-class-count",
+        "best-effort-class"])
 def test_record_check_names_its_block(mutate, path, message):
     # the records check nothing: the loader checks each field at its own path
     doc = canonical_scenario()
@@ -407,8 +410,12 @@ def test_record_check_names_its_block(mutate, path, message):
     (lambda doc: doc["flows"][0].update(dejiter=True), "flows[0].dejiter"),
     (lambda doc: doc["flows"][0].update(critcal=True), "flows[0].critcal"),
     (lambda doc: doc["flows"][0]["source"].update(ofset_us=5), "flows[0].source.ofset_us"),
-    # `start` is read by on/off sources only, `burst_B` by greedy ones only
+    # no source reads `start` or `seed` (a phase is `offset_us`), and only greedy
+    # ones read `burst_B`
     (lambda doc: doc["flows"][0]["source"].update(start="off"), "flows[0].source.start"),
+    (lambda doc: doc["sim"]["sources"][1].update(start="off"), "sim.sources[1].start"),
+    (lambda doc: doc["sim"]["sources"][0].update(seed=1), "sim.sources[0].seed"),
+    (lambda doc: doc["flows"][0]["source"].update(seed=1), "flows[0].source.seed"),
     (lambda doc: doc["sim"]["sources"][1].update(burst_B=1500), "sim.sources[1].burst_B"),
     (lambda doc: doc["sim"]["sources"][1].update(count=2), "sim.sources[1].count"),
     (lambda doc: doc["sim"]["sources"][0].update(ofset_us=5), "sim.sources[0].ofset_us"),
@@ -432,7 +439,8 @@ def test_record_check_names_its_block(mutate, path, message):
     (lambda doc: doc["topology"].update(fiveg_poll_interval_s=1),
      "topology.fiveg_poll_interval_s"),
     (lambda doc: doc["sim"].update(snapshot_schedule=[]), "sim.snapshot_schedule"),
-], ids=["dejiter", "critcal", "flow-source-ofset", "periodic-start", "onoff-burst",
+], ids=["dejiter", "critcal", "flow-source-ofset", "periodic-start", "onoff-start",
+        "source-seed", "flow-source-seed", "onoff-burst",
         "onoff-count", "sim-source-ofset", "numerolgy", "clas-count", "topology-link",
         "host-attatch", "ue-tbs", "classes-cout", "nwtt-dejitte", "regulator-hold",
         "sim-duration", "scenario-flow", "fixed-poll", "fiveg-poll", "snapshot-schedule"])
@@ -447,13 +455,11 @@ def test_every_source_mode_accepts_its_own_fields():
     doc = canonical_scenario()
     doc["sim"]["sources"] = [
         {"flow_id": "p", "src": "D", "dst": "G", "mode": "periodic", "period_us": 1_000,
-         "pkt_B": 100, "count": 2, "offset_us": 0, "seed": 1},
-        {"flow_id": "b", "src": "G", "dst": "D", "mode": "burst_periodic", "period_us": 1_000,
-         "pkt_B": 100, "count": 2, "offset_us": 0, "seed": 1},
+         "pkt_B": 100, "count": 2, "offset_us": 0},
         {"flow_id": "g", "src": "UE2", "dst": "D", "mode": "greedy_token_bucket",
-         "pkt_B": 100, "burst_B": 300, "rate_Bps": 1_000, "offset_us": 0, "seed": 1},
+         "pkt_B": 100, "burst_B": 300, "rate_Bps": 1_000, "offset_us": 0},
         {"flow_id": "o", "src": "D", "dst": "UE2", "mode": "onoff_background", "pkt_B": 100,
-         "rate_Bps": 1_000, "on_ms": 1, "off_ms": 1, "start": "off", "offset_us": 0, "seed": 1},
+         "rate_Bps": 1_000, "on_ms": 1, "off_ms": 1, "offset_us": 0},
     ]
     assert [s.mode for s in load_scenario(doc).extra_sources] == list(SOURCE_MODES)
 

@@ -192,7 +192,7 @@ class TestDeterminism:
         timing = {"period_us": 2_000, "offset_us": 500, "pkt_B": 100}
         doc["sim"]["sources"] = [
             {"flow_id": "p2", "src": "A", "dst": "B", "mode": "periodic", **timing},
-            {"flow_id": "burst", "src": "B", "dst": "A", "mode": "burst_periodic",
+            {"flow_id": "burst", "src": "B", "dst": "A", "mode": "periodic",
              "count": 3, **timing},
             {"flow_id": "p1", "src": "A", "dst": "B", "mode": "periodic", **timing},
         ]
@@ -500,7 +500,8 @@ class TestSourceSchedules:
         ]
 
     def test_onoff_starting_off(self):
-        assert send_times_us({**self.ONOFF, "start": "off"}) == [
+        # an offset of `off_ms` starts the source with an off period
+        assert send_times_us({**self.ONOFF, "offset_us": 2_000}) == [
             2_000, 3_000, 4_000, 7_000, 8_000, 9_000, 12_000,
         ]
 
@@ -508,7 +509,7 @@ class TestSourceSchedules:
         assert send_times_us({**self.ONOFF, "offset_us": 500}) == [
             500, 1_500, 2_500, 5_500, 6_500, 7_500, 10_500, 11_500,
         ]
-        assert send_times_us({**self.ONOFF, "start": "off", "offset_us": 500}) == [
+        assert send_times_us({**self.ONOFF, "offset_us": 2_500}) == [
             2_500, 3_500, 4_500, 7_500, 8_500, 9_500,
         ]
 
@@ -517,13 +518,10 @@ class TestSourceSchedules:
                   "offset_us": 500}
         assert send_times_us(greedy) == [500] * 3 + [5_500, 10_500]
 
-    def test_burst_periodic(self):
-        burst = {"mode": "burst_periodic", "count": 2, **self.PERIODIC}
-        assert send_times_us(burst) == [1_000] * 2 + [6_000] * 2 + [11_000] * 2
-
     def test_periodic_with_count(self):
-        periodic = {"mode": "periodic", "count": 3, **self.PERIODIC}
-        assert send_times_us(periodic) == [1_000] * 3 + [6_000] * 3 + [11_000] * 3
+        for count in (2, 3):
+            periodic = {"mode": "periodic", "count": count, **self.PERIODIC}
+            assert send_times_us(periodic) == [1_000] * count + [6_000] * count + [11_000] * count
 
 
 def odd_ids(doc):
