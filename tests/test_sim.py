@@ -518,10 +518,14 @@ class TestSourceSchedules:
                   "offset_us": 500}
         assert send_times_us(greedy) == [500] * 3 + [5_500, 10_500]
 
+    def test_burst_periodic(self):
+        # a burst of packets each period is a periodic source with a count
+        burst = {"mode": "periodic", "count": 2, **self.PERIODIC}
+        assert send_times_us(burst) == [1_000] * 2 + [6_000] * 2 + [11_000] * 2
+
     def test_periodic_with_count(self):
-        for count in (2, 3):
-            periodic = {"mode": "periodic", "count": count, **self.PERIODIC}
-            assert send_times_us(periodic) == [1_000] * count + [6_000] * count + [11_000] * count
+        periodic = {"mode": "periodic", "count": 3, **self.PERIODIC}
+        assert send_times_us(periodic) == [1_000] * 3 + [6_000] * 3 + [11_000] * 3
 
 
 def odd_ids(doc):
