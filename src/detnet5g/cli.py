@@ -1,7 +1,8 @@
 """Command-line front end: trees, admit, run, report.
 
-`report` checks each trace row and summarises a flow's send and receive
-times with `sim.packet_summary`, as `run`'s report does.
+`report` reads a trace with `sim.read_trace`, which checks each row, and
+summarises a flow's send and receive times with `sim.packet_summary`, as
+`run`'s report does: the trace format is `sim`'s alone.
 
 Exit codes are part of the contract: 0 all checks pass, 1 usage or parse
 error or stdout closed early, 2 admission rejected a flow marked critical,
@@ -11,7 +12,6 @@ error or stdout closed early, 2 admission rejected a flow marked critical,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,26 +20,14 @@ from pathlib import Path
 from .admission import NetworkState, read_endpoints
 from .errors import AdmissionMissing, DetnetError, ScenarioInvalid, _expect, _known_keys
 from .scenario import (FLOWS_FILE_KEYS, check_ends, load_scenario_file, load_topology_file,
-                       open_input, read_json)
-from .sim import (
-    DROPPED,
-    IN_FLIGHT,
-    TRACE_COLUMNS,
-    dejitter_summary,
-    packet_summary,
-    parse_us,
-    run,
-    write_report,
-    write_trace,
-)
+                       read_json)
+from .sim import dejitter_summary, packet_summary, read_trace, run, write_report, write_trace
 from .topology import BASE_VLAN, enumerate_spanning_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REJECTED = 2
 EXIT_VIOLATION = 3
-# the longest trace field `report` reads: the most a C long holds on every platform
-TRACE_FIELD_LIMIT = 2**31 - 1
 
 
 def _out_dir(arg: str | None) -> Path:
@@ -169,89 +157,9 @@ def cmd_run(args) -> int:
     return EXIT_VIOLATION if violation_total else EXIT_OK
 
 
-def _row_times(row: dict, where: str) -> tuple[int, int]:
-    """A trace row's send time and its receive time in ns, or `DROPPED` or
-    `IN_FLIGHT` when it has none.
-
-    A row's receive time and latency are both empty (dropped or in flight)
-    or both set, and then the packet was not dropped and its latency is
-    its receive time minus its send time, to the nanosecond.
-    """
-    def column(name: str) -> int:
-        try:
-            return parse_us(row[name])
-        except ValueError as exc:
-            raise ScenarioInvalid(f"{where} column {name}: {exc}") from None
-
-    t_send = column("t_send_us")
-    if not row["t_recv_us"] and not row["latency_us"]:
-        return t_send, DROPPED if row["dropped"] == "1" else IN_FLIGHT
-    for name, other in (("t_recv_us", "latency_us"), ("latency_us", "t_recv_us")):
-        if not row[name]:
-            raise ScenarioInvalid(f"{where} column {name}: empty, but {other} is set")
-    if row["dropped"] != "0":
-        raise ScenarioInvalid(f"{where} column dropped: 1, but the packet has a receive time")
-    t_recv = column("t_recv_us")
-    if column("latency_us") != t_recv - t_send:
-        raise ScenarioInvalid(
-            f"{where} column latency_us: {row['latency_us']} is not t_recv_us - t_send_us "
-            f"({row['t_recv_us']} - {row['t_send_us']})")
-    return t_send, t_recv
-
-
-def _row_int(row: dict, name: str, least: int, where: str) -> int:
-    """A row's integer column, written in decimal digits, of at least `least`."""
-    text = row[name]
-    try:
-        if text.isascii() and text.isdigit() and int(text) >= least:
-            return int(text)
-    except ValueError:  # more digits than `int` converts
-        pass
-    raise ScenarioInvalid(f"{where} column {name}: expected an integer >= {least}, got {text!r}")
-
-
-def _trace_packets(reader: csv.DictReader, path: str) -> dict[str, dict[int, tuple[int, int]]]:
-    """Flow id -> seq -> (t_send, t_recv) of a trace's checked rows."""
-    if reader.fieldnames != list(TRACE_COLUMNS):
-        raise ScenarioInvalid(f"{path}: unexpected columns {reader.fieldnames}")
-    flows: dict[str, dict[int, tuple[int, int]]] = {}
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        # a short row fills the missing columns with None, a long one
-        # puts the surplus under the key None
-        if None in row or None in row.values():
-            raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
-        if not row["flow_id"]:
-            raise ScenarioInvalid(f"{where} column flow_id: empty")
-        packets = flows.setdefault(row["flow_id"], {})
-        seq = _row_int(row, "seq", 0, where)
-        if seq in packets:
-            raise ScenarioInvalid(
-                f"{where} column seq: {seq} repeats a packet of flow {row['flow_id']!r}")
-        _row_int(row, "size_B", 1, where)
-        if row["dropped"] not in ("0", "1"):
-            raise ScenarioInvalid(
-                f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
-            )
-        packets[seq] = _row_times(row, where)
-    return flows
-
-
 def cmd_report(args) -> int:
-    # a flow id is as long as the scenario made it: lift the csv module's
-    # field limit (131,072 characters) while the trace is read
-    limit = csv.field_size_limit(TRACE_FIELD_LIMIT)
-    try:
-        with open_input(args.trace, newline="") as fh:  # a quoted flow id may hold \r or \n
-            reader = csv.DictReader(fh)
-            flows = _trace_packets(reader, args.trace)
-    except csv.Error as exc:  # the DictReader's own count lags the failed line's
-        raise ScenarioInvalid(f"{args.trace}: line {reader.reader.line_num}: {exc}") from None
-    finally:
-        csv.field_size_limit(limit)
     doc = {"schema_version": 1, "flows": {
-        fid: packet_summary(*zip(*packets.values()))
-        for fid, packets in sorted(flows.items())
+        fid: packet_summary(*columns) for fid, columns in sorted(read_trace(args.trace).items())
     }}
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK

@@ -133,6 +133,8 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
             if end.node not in topo.switches:
                 _fail(p, f"unknown switch {end.node!r}")
             claim(end, p)
+        if a.node == b.node:  # no spanning tree holds a switch's link to itself
+            _fail(p, f"links two ports of switch {a.node!r}")
         topo.links.add(make_link(a, b))
 
     for i, host in enumerate(_expect(obj.get("hosts", []), f"{path}.hosts", list)):

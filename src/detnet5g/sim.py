@@ -30,9 +30,11 @@ of a transmission starts the port's next packet before its handler returns.
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
 counts and latency statistics from them, for the run report and for
-`detnet5g report` alike.  Its rows are ordered and formatted in windows of
+`detnet5g report` alike.  This module alone knows the trace's file format:
+`write_trace` writes it, its rows ordered and formatted in windows of
 about `WINDOW_ROWS` rows sent in a range of time (see `_TraceRows`), so
-writing it holds one window, never the whole trace.
+that writing holds one window, never the whole trace, and `read_trace`
+checks each row and reads the two columns back.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from operator import add, floordiv, mod, mul, sub
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
 from .nwtt import RegulatorState, classify_and_tag, regulator_offer, regulator_release
-from .scenario import Scenario, SourceModel
+from .scenario import Scenario, SourceModel, open_input
 from .topology import PortId, Topology, path_in_tree
 from .transit5g import (
     DOWNLINK,
@@ -72,6 +74,9 @@ DROPPED = -2
 
 # the trace's rows per window, about: `write_trace` holds one window at a time
 WINDOW_ROWS = 512
+
+# the longest trace field `read_trace` reads: the most a C long holds on every platform
+TRACE_FIELD_LIMIT = 2**31 - 1
 
 # the bound checks a delivered packet of an admitted flow can fail
 _VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regulator")
@@ -639,34 +644,28 @@ def _format_us(ns: int) -> str:
 def parse_us(text: str) -> int:
     """Inverse of the trace's microsecond format: '12.345' -> 12345 ns."""
     whole, dot, frac = text.partition(".")
-    if not (dot and whole.isdigit() and len(frac) == 3 and frac.isdigit()):
+    if not (text.isascii() and dot and whole.isdigit() and len(frac) == 3 and frac.isdigit()):
         raise ValueError(f"expected microseconds with three decimals, got {text!r}")
     return int(whole) * NS_PER_US + int(frac)
 
 
-def _row_tuples(source: SourceModel, lo: int, t_send, t_recv) -> list:
-    """The trace rows of a flow's packets from seq `lo` on, sent at `t_send`
-    and received at `t_recv` (ns), formatted a value at a time."""
-    fid, size_B = source.flow_id, source.params["pkt_B"]
-    return [
-        (fid, seq, size_B, _format_us(s),
-         *((_format_us(r), _format_us(r - s)) if r >= 0 else ("", "")), int(r == DROPPED))
-        for seq, s, r in zip(itertools.count(lo), t_send, t_recv)
-    ]
-
-
 def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
-    """The CSV lines of `_row_tuples`, `fid_csv` being the flow id as a CSV
+    """The CSV lines of a flow's packets from seq `lo` on, sent at `t_send`
+    and received at `t_recv` (ns), `fid_csv` being the flow id as a CSV
     field with `%` escaped.  While every packet of the slice is delivered,
     they are formatted a column at a time with one %-format per line, and
     each distinct latency is formatted once."""
+    head = f"{fid_csv},%d,{source.params['pkt_B']},"
     if min(t_recv) < 0:  # dropped or in flight: no receive time, no latency
-        fmt = fid_csv + ",%d,%d,%s,%s,%s,%d\r\n"
-        return [fmt % row[1:] for row in _row_tuples(source, lo, t_send, t_recv)]
+        fmt = head + "%s,%s,%s,%d\r\n"
+        return [fmt % (seq, _format_us(s),
+                       *((_format_us(r), _format_us(r - s)) if r >= 0 else ("", "")),
+                       r == DROPPED)
+                for seq, s, r in zip(itertools.count(lo), t_send, t_recv)]
     latencies = list(map(sub, t_recv, t_send))
     distinct = set(latencies)
     latency_text = dict(zip(distinct, map(_format_us, distinct)))
-    fmt = f"{fid_csv},%d,{source.params['pkt_B']},%d.%03d,%d.%03d,%s,0\r\n"
+    fmt = head + "%d.%03d,%d.%03d,%s,0\r\n"
     us = itertools.repeat(NS_PER_US)
     return map(fmt.__mod__, zip(
         itertools.count(lo),
@@ -696,9 +695,9 @@ class _TraceRows:
     the range adapts so that a window holds about `WINDOW_ROWS` rows.
     Each slice is formatted column by column, then the window's rows are
     put in order by a stable sort on `t_send * n_flows + flow_index`, the
-    flows being in flow_id order.  Iterating yields the rows as tuples and
-    `text` yields them as CSV, so neither holds more than a window of rows.
-    Both can be repeated any number of times.
+    flows being in flow_id order.  `text` yields the rows as CSV, so it
+    never holds more than a window of rows, and can be repeated any number
+    of times.
     """
 
     def __init__(self, ctxs: list):
@@ -730,28 +729,23 @@ class _TraceRows:
                 width *= 2
             starts, t = stops, stop
 
-    def _in_order(self, window: list, rows_of) -> list:
-        """A window's rows in trace order, `rows_of(k, lo, t_send, t_recv)`
-        making those of the k-th flow's slice; the sort keys are freed on
-        return, before the rows are used."""
+    def _in_order(self, window: list, heads: list) -> list:
+        """A window's CSV lines in trace order, `heads[k]` being the k-th
+        flow's `_row_lines` source and CSV flow id; the sort keys are freed
+        on return, before the lines are used."""
         keys, rows, n = [], [], len(self.ctxs)
         for k, ctx, lo, hi in window:
             t_send = ctx.t_send[lo:hi]
             keys += map(add, map(mul, t_send, itertools.repeat(n)), itertools.repeat(k))
-            rows += rows_of(k, lo, t_send, ctx.t_recv[lo:hi])
+            rows += _row_lines(*heads[k], lo, t_send, ctx.t_recv[lo:hi])
         return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
-
-    def __iter__(self):
-        sources = [ctx.source for ctx in self.ctxs]
-        for window in self._windows():
-            yield from self._in_order(window, lambda k, *slice_: _row_tuples(sources[k], *slice_))
 
     def text(self):
         """Yield the CSV text of the rows, without the header, a window at a time."""
         heads = [(ctx.source, _csv_field(ctx.source.flow_id).replace("%", "%%"))
                  for ctx in self.ctxs]
         for window in self._windows():
-            yield "".join(self._in_order(window, lambda k, *slice_: _row_lines(*heads[k], *slice_)))
+            yield "".join(self._in_order(window, heads))
 
 
 def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
@@ -929,6 +923,95 @@ def write_trace(path, rows: _TraceRows) -> None:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for text in rows.text():
             fh.write(text)
+
+
+def _row_times(row: dict, where: str) -> tuple[int, int]:
+    """A trace row's send time and its receive time in ns, or `DROPPED` or
+    `IN_FLIGHT` when it has none.
+
+    A row's receive time and latency are both empty (dropped or in flight)
+    or both set, and then the packet was not dropped and its latency is
+    its receive time minus its send time, to the nanosecond.
+    """
+    def column(name: str) -> int:
+        try:
+            return parse_us(row[name])
+        except ValueError as exc:
+            raise ScenarioInvalid(f"{where} column {name}: {exc}") from None
+
+    t_send = column("t_send_us")
+    if not row["t_recv_us"] and not row["latency_us"]:
+        return t_send, DROPPED if row["dropped"] == "1" else IN_FLIGHT
+    for name, other in (("t_recv_us", "latency_us"), ("latency_us", "t_recv_us")):
+        if not row[name]:
+            raise ScenarioInvalid(f"{where} column {name}: empty, but {other} is set")
+    if row["dropped"] != "0":
+        raise ScenarioInvalid(f"{where} column dropped: 1, but the packet has a receive time")
+    t_recv = column("t_recv_us")
+    if column("latency_us") != t_recv - t_send:
+        raise ScenarioInvalid(
+            f"{where} column latency_us: {row['latency_us']} is not t_recv_us - t_send_us "
+            f"({row['t_recv_us']} - {row['t_send_us']})")
+    return t_send, t_recv
+
+
+def _row_int(row: dict, name: str, least: int, where: str) -> int:
+    """A row's integer column, written in decimal digits, of at least `least`."""
+    text = row[name]
+    try:
+        if text.isascii() and text.isdigit() and int(text) >= least:
+            return int(text)
+    except ValueError:  # more digits than `int` converts
+        pass
+    raise ScenarioInvalid(f"{where} column {name}: expected an integer >= {least}, got {text!r}")
+
+
+def _trace_packets(reader: csv.DictReader, path) -> dict[str, dict[int, tuple[int, int]]]:
+    """Flow id -> seq -> (t_send, t_recv) of a trace's checked rows."""
+    if reader.fieldnames != list(TRACE_COLUMNS):
+        raise ScenarioInvalid(f"{path}: unexpected columns {reader.fieldnames}")
+    flows: dict[str, dict[int, tuple[int, int]]] = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        # a short row fills the missing columns with None, a long one
+        # puts the surplus under the key None
+        if None in row or None in row.values():
+            raise ScenarioInvalid(f"{where}: expected {len(TRACE_COLUMNS)} fields")
+        if not row["flow_id"]:
+            raise ScenarioInvalid(f"{where} column flow_id: empty")
+        packets = flows.setdefault(row["flow_id"], {})
+        seq = _row_int(row, "seq", 0, where)
+        if seq in packets:
+            raise ScenarioInvalid(
+                f"{where} column seq: {seq} repeats a packet of flow {row['flow_id']!r}")
+        _row_int(row, "size_B", 1, where)
+        if row["dropped"] not in ("0", "1"):
+            raise ScenarioInvalid(
+                f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
+            )
+        packets[seq] = _row_times(row, where)
+    return flows
+
+
+def read_trace(path) -> dict[str, tuple[tuple, tuple]]:
+    """Flow id -> `(t_send, t_recv)` of a trace file written by `write_trace`:
+    the two columns a run holds per flow, in seq order, each row checked.
+
+    A file that cannot be read or holds a malformed row raises ScenarioInvalid.
+    """
+    # a flow id is as long as the scenario made it: lift the csv module's
+    # field limit (131,072 characters) while the trace is read
+    limit = csv.field_size_limit(TRACE_FIELD_LIMIT)
+    try:
+        with open_input(path, newline="") as fh:  # a quoted flow id may hold \r or \n
+            reader = csv.DictReader(fh)
+            flows = _trace_packets(reader, path)
+    except csv.Error as exc:  # the DictReader's own count lags the failed line's
+        raise ScenarioInvalid(f"{path}: line {reader.reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
+    return {fid: tuple(zip(*map(packets.__getitem__, sorted(packets))))
+            for fid, packets in flows.items()}
 
 
 def write_report(path, report: dict) -> None:

@@ -95,9 +95,6 @@ class TddConfig:
             return kind == "U" or (kind == "S" and self.s_slot_usable_ul)
         return kind == "D" or (kind == "S" and self.s_slot_usable_dl)
 
-    def slot_usable(self, index: int, direction: str) -> bool:
-        return self.usable(self.pattern[index % len(self.pattern)], direction)
-
     def first_grant_slot(self, arrival_slot: int) -> int:
         """Earliest slot that may carry a packet arriving during `arrival_slot`."""
         return arrival_slot + 1 + self.grant_delay_slots

@@ -46,6 +46,16 @@ from detnet5g.units import NS_PER_S, NS_PER_US, ceil_div
 DROPPED = "dropped"  # a packet's outcome when it was dropped; None while in flight
 
 
+def slot_usable(tdd, index: int, direction: str) -> bool:
+    """Whether slot `index` of `tdd`'s repeating pattern carries `direction`'s
+    traffic: a U or D slot its own direction's, an S slot the directions its
+    flags allow."""
+    kind = tdd.pattern[index % len(tdd.pattern)]
+    if kind == "S":
+        return tdd.s_slot_usable_ul if direction == UPLINK else tdd.s_slot_usable_dl
+    return kind == ("U" if direction == UPLINK else "D")
+
+
 @dataclass
 class FlowOutcome:
     sends: list = field(default_factory=list)  # per seq: send time (ns)
@@ -211,12 +221,12 @@ class ReferenceEngine:
             k = slot % len(self.ues)
             rotation = self.ues[k:] + self.ues[:k]
             ues = self.topo.transit.ues
-            if tdd.slot_usable(slot, UPLINK):
+            if slot_usable(tdd, slot, UPLINK):
                 for ue in rotation:
                     for pkt in self.drain(self.ul_queue[ue], ues[ue].tbs_ul_B, slot):
                         pkt.transit_out = self.now
                         self.nwtt_ingress(pkt)
-            if tdd.slot_usable(slot, DOWNLINK):
+            if slot_usable(tdd, slot, DOWNLINK):
                 for ue in rotation:
                     for pkt in self.drain(self.dl_queue[ue], ues[ue].tbs_dl_B, slot):
                         self.deliver(pkt)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from detnet5g import cli, sim
+from detnet5g import sim
 from detnet5g.cli import main
 from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
@@ -511,9 +511,13 @@ class TestReport:
          "line 3 column size_B: expected an integer >= 1, got ''"),
         (TRACE_HEADER, "orange,0,25,3.000,4.000,1.000,0",
          "line 3 column seq: 0 repeats a packet of flow 'orange'"),
+        # Arabic-Indic digits: `str.isdigit` accepts them, the trace never holds them
+        (TRACE_HEADER, "orange,1,25,\u0661.\u0660\u0660\u0660,,,1",
+         "line 3 column t_send_us: expected microseconds with three decimals, "
+         "got '\u0661.\u0660\u0660\u0660'"),
     ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped", "other-columns",
             "seq-not-a-number", "negative-seq", "fractional-seq", "seq-too-long", "zero-size", "negative-size",
-            "empty-size", "repeated-seq"])
+            "empty-size", "repeated-seq", "non-ascii-send-time"])
     def test_malformed_row_exits_one(self, header, row, message, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(f"{header}\norange,0,25,1.000,2.500,1.500,0\n{row}\n")
@@ -575,7 +579,7 @@ class TestReport:
     def test_csv_error_names_its_line(self, tmp_path, capsys, monkeypatch):
         """A row the csv module refuses exits 1 naming its line: here a field past a
         lowered limit."""
-        monkeypatch.setattr(cli, "TRACE_FIELD_LIMIT", 100)
+        monkeypatch.setattr(sim, "TRACE_FIELD_LIMIT", 100)
         trace = tmp_path / "trace.csv"
         row = ",0,25,1.000,2.500,1.500,0\n"
         trace.write_text(f"{TRACE_HEADER}\norange{row}{'o' * 200}{row}")

@@ -61,6 +61,15 @@ def test_self_link_rejected_by_port_claim():
         load_topology(doc)
 
 
+def test_link_between_two_ports_of_one_switch_rejected():
+    # no VLAN tree could ever use it: a tree's edges join two switches
+    doc = canonical_topology()
+    doc["links"].append(["S1.4", "S1.5"])
+    with pytest.raises(ScenarioInvalid,
+                       match=r"^topology\.links\[3\]: links two ports of switch 'S1'$"):
+        load_topology(doc)
+
+
 def test_port_reuse_rejected():
     doc = canonical_topology()
     doc["links"].append(["S1.1", "S3.4"])  # S1.1 already linked to S2.1

@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import tracemalloc
 import weakref
 from collections import deque
@@ -21,6 +22,7 @@ from detnet5g.sim import (
     _Packet,
     dejitter_summary,
     parse_us,
+    read_trace,
     run,
     write_trace,
 )
@@ -35,6 +37,16 @@ def scenario(mutate=None):
     if mutate:
         mutate(doc)
     return load_scenario(doc)
+
+
+def trace_text(result) -> str:
+    """The CSV text of a run's trace rows, the header left out."""
+    return "".join(result.trace_rows.text())
+
+
+def trace_rows(result) -> list:
+    """A run's trace rows as the csv module reads them back."""
+    return list(csv.reader(io.StringIO(trace_text(result), newline="")))
 
 
 def without_background(doc):
@@ -172,19 +184,19 @@ class TestDeterminism:
     def test_same_seed_identical_trace(self):
         a = run(scenario(), seed=7)
         b = run(scenario(), seed=7)
-        assert list(a.trace_rows) == list(b.trace_rows)
+        assert trace_text(a) == trace_text(b)
         assert a.report == b.report
 
     def test_different_seed_changes_phases(self):
         a = run(scenario(), seed=1)
         b = run(scenario(), seed=2)
-        assert list(a.trace_rows) != list(b.trace_rows)
+        assert trace_text(a) != trace_text(b)
 
     def test_disabled_regulator_equals_off_run(self):
         # 'scenario' mode with dejitter flags false is the off-run identity
         a = run(scenario(without_background), dejitter="scenario")
         b = run(scenario(without_background), dejitter="off")
-        assert list(a.trace_rows) == list(b.trace_rows)
+        assert trace_text(a) == trace_text(b)
 
     def test_rows_tied_on_send_time_are_ordered_by_flow_then_seq(self):
         doc = single_switch_doc()
@@ -196,8 +208,8 @@ class TestDeterminism:
              "count": 3, **timing},
             {"flow_id": "p1", "src": "A", "dst": "B", "mode": "periodic", **timing},
         ]
-        rows = list(run(load_scenario(doc)).trace_rows)
-        assert rows == sorted(rows, key=lambda row: (parse_us(row[3]), row[0], row[1]))
+        rows = trace_rows(run(load_scenario(doc)))
+        assert rows == sorted(rows, key=lambda row: (parse_us(row[3]), row[0], int(row[1])))
         senders = {}
         for row in rows:
             senders.setdefault(row[3], set()).add(row[0])
@@ -487,7 +499,7 @@ def send_times_us(source: dict) -> list[float]:
     doc["sim"] = {"duration_ms": 12, "sources": [
         {"flow_id": "src", "src": "A", "dst": "B", "pkt_B": 1_000, **source},
     ]}
-    return [float(row[3]) for row in run(load_scenario(doc)).trace_rows]
+    return [float(row[3]) for row in trace_rows(run(load_scenario(doc)))]
 
 
 class TestSourceSchedules:
@@ -569,9 +581,47 @@ def canonical_with(mutate):
     return make
 
 
+# every trace writer case, each under three window sizes
+TRACE_WINDOWS = pytest.mark.parametrize("window_rows", [1, 5, sim.WINDOW_ROWS])
+TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
+    (canonical_with(odd_ids), "scenario",
+     lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r["flows"])),
+    (lambda: hops_doc(3, 1, "DSUUD", True), "scenario",
+     lambda r: r["flows"]["lo"]["drops"]["policer"] and r["flows"]["bulk"]["drops"]),
+    (canonical_with(tiny_regulator_queue), "on",
+     lambda r: r["flows"]["orange"]["drops"]["regulator"] > 0),
+    (canonical_scenario, "scenario",
+     lambda r: any(f["in_flight"] for f in r["flows"].values())),
+    (canonical_with(same_ns_senders), "scenario",
+     lambda r: r["flows"]["tick00"]["sent"] == 401),
+    (canonical_with(silent_source), "scenario", lambda r: r["flows"]["late"]["sent"] == 0),
+    (canonical_with(no_packets), "scenario",
+     lambda r: not any(f["sent"] for f in r["flows"].values())),
+], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
+        "same-ns-senders", "silent-flow", "no-packets"])
+
+
 class TestTraceWriter:
     """`write_trace` formats whole columns a window at a time; its bytes must be
-    what the csv module writes for the rows that iterating the trace yields."""
+    what the csv module writes for rows made from each flow's send and
+    receive columns a packet at a time, and `read_trace` must read those
+    columns back."""
+
+    @staticmethod
+    def reference_rows(result) -> list:
+        """The trace's rows, each made from its flow's columns by itself and
+        sorted by (t_send, flow_id, seq)."""
+        def us(ns: int) -> str:
+            return "%d.%03d" % divmod(ns, 1_000)
+
+        rows = []
+        for ctx in result.trace_rows.ctxs:
+            fid, size_B = ctx.source.flow_id, ctx.source.params["pkt_B"]
+            for seq, (s, r) in enumerate(zip(ctx.t_send, ctx.t_recv)):
+                received = (us(r), us(r - s)) if r >= 0 else ("", "")
+                rows.append((s, fid, seq, size_B, us(s), *received, int(r == sim.DROPPED)))
+        rows.sort(key=lambda row: row[:3])
+        return [row[1:] for row in rows]
 
     @staticmethod
     def reference_trace(path, rows: list):
@@ -580,34 +630,41 @@ class TestTraceWriter:
             writer.writerow(TRACE_COLUMNS)
             writer.writerows(rows)
 
-    @pytest.mark.parametrize("window_rows", [1, 5, sim.WINDOW_ROWS])
-    @pytest.mark.parametrize("make_doc, dejitter, check", [
-        (canonical_with(odd_ids), "scenario",
-         lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r["flows"])),
-        (lambda: hops_doc(3, 1, "DSUUD", True), "scenario",
-         lambda r: r["flows"]["lo"]["drops"]["policer"] and r["flows"]["bulk"]["drops"]),
-        (canonical_with(tiny_regulator_queue), "on",
-         lambda r: r["flows"]["orange"]["drops"]["regulator"] > 0),
-        (canonical_scenario, "scenario",
-         lambda r: any(f["in_flight"] for f in r["flows"].values())),
-        (canonical_with(same_ns_senders), "scenario",
-         lambda r: r["flows"]["tick00"]["sent"] == 401),
-        (canonical_with(silent_source), "scenario", lambda r: r["flows"]["late"]["sent"] == 0),
-        (canonical_with(no_packets), "scenario",
-         lambda r: not any(f["sent"] for f in r["flows"].values())),
-    ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
-            "same-ns-senders", "silent-flow", "no-packets"])
+    @TRACE_WINDOWS
+    @TRACE_CASES
     def test_bytes_equal_csv_module_rows(self, make_doc, dejitter, check, window_rows,
                                          tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "WINDOW_ROWS", window_rows)
         result = run(load_scenario(make_doc()), dejitter=dejitter)
         assert check(result.report)
-        rows = list(result.trace_rows)
-        assert rows == sorted(rows, key=lambda row: (parse_us(row[3]), row[0], row[1]))
+        rows = self.reference_rows(result)
         assert len(rows) == sum(flow["sent"] for flow in result.report["flows"].values())
         write_trace(tmp_path / "trace.csv", result.trace_rows)
         self.reference_trace(tmp_path / "reference.csv", rows)
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @TRACE_WINDOWS
+    @TRACE_CASES
+    def test_read_trace_returns_each_flows_columns(self, make_doc, dejitter, check, window_rows,
+                                                   tmp_path, monkeypatch):
+        # receive times `DROPPED` and `IN_FLIGHT` included: a silent flow has no rows
+        monkeypatch.setattr(sim, "WINDOW_ROWS", window_rows)
+        result = run(load_scenario(make_doc()), dejitter=dejitter)
+        assert check(result.report)
+        write_trace(tmp_path / "trace.csv", result.trace_rows)
+        assert read_trace(tmp_path / "trace.csv") == {
+            ctx.source.flow_id: (tuple(ctx.t_send), tuple(ctx.t_recv))
+            for ctx in result.trace_rows.ctxs if ctx.t_send
+        }
+
+    def test_read_trace_puts_each_flows_rows_in_seq_order(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n"
+                        "orange,1,25,3.000,,,1\n"
+                        "green,0,25,2.000,,,0\n"
+                        "orange,0,25,1.000,2.500,1.500,0\n")
+        assert read_trace(path) == {"orange": ((1_000, 3_000), (2_500, sim.DROPPED)),
+                                    "green": ((2_000,), (IN_FLIGHT,))}
 
     def test_write_trace_holds_a_window_not_the_trace(self, tmp_path):
         # 60 s of canonical: about 39k rows and 2 MB of CSV

@@ -21,6 +21,7 @@ from detnet5g.transit5g import (
 from detnet5g.units import ceil_div
 
 from conftest import canonical_scenario, worst_case_us
+from reference_engine import slot_usable
 
 
 def sweep_oracle(tdd: TddConfig, direction: str, tbs_B: int, burst_B: int):
@@ -55,7 +56,7 @@ def next_usable_oracle(tdd: TddConfig, direction: str) -> list:
     """Slots from each pattern slot to the first usable one at or after it, found
     by testing `slot_usable` slot by slot (None: no slot is usable)."""
     period = len(tdd.pattern)
-    return [next((d for d in range(period) if tdd.slot_usable(k + d, direction)), None)
+    return [next((d for d in range(period) if slot_usable(tdd, k + d, direction)), None)
             for k in range(period)]
 
 
