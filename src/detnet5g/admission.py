@@ -33,17 +33,23 @@ then every flow at those hops is checked as round one of a
 round-by-round (Jacobi) solve would, then those hops' buffers.  So a
 trial that fails there copies nothing and names that solve's witness;
 a later breach may name another.  The climb starts from those checked
-round-one passes.  A removal cannot fail: the flows through the ports
-that can depend on the removed flow restart from their spec burst after
-their first such hop, and the climb starts from those ports.  A cold solve climbs with every port dirty.  A
-trial or cold solve that pops one port more than `SOLVER_ITER_CAP` times
-is Unschedulable, since its bursts may have no fixed point; a removal
-climbs below the old one and has no cap.  Trials work on a copy, so a
-reject leaves the committed state alone.  A failed trial raises
-DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
-reject's reason is the first of those classes that any trial raised, by
-name, with the detail of its first trial: as sound a witness as a cold
-solve's, though a cold solve may name another flow or a larger bound.
+round-one passes.  A removal cannot fail: it lowers the least fixed
+point, so it climbs the ports that can depend on the removed flow in
+dependency order, one strongly connected component after another (Tarjan
+1972).  A port outside any cycle is bounded once, from final inputs, and
+keeps its old bursts until then; a cycle's bursts from within restart
+from their spec bursts and climb, with final inputs, to its least fixed
+point.  Solving component by component in that order gives the least
+fixed point of the whole (Cousot & Cousot).  A cold solve climbs with
+every port dirty.  A trial or cold solve that pops one port more than
+`SOLVER_ITER_CAP` times is Unschedulable, since its bursts may have no
+fixed point; a removal stays below the old one and has no cap.  Trials
+work on a copy, so a reject leaves the committed state alone.  A failed
+trial raises DeadlineInfeasible, BufferExceeded or Unschedulable (see
+`errors`), and a reject's reason is the first of those classes that any
+trial raised, by name, with the detail of its first trial: as sound a
+witness as a cold solve's, though a cold solve may name another flow or
+a larger bound.
 
 The bounds hold although flows chain ports into cycles, as on most
 fabrics, by the time-stopping argument (Cruz, "A Calculus for Network
@@ -315,6 +321,7 @@ def _climb(
     reuse: dict[PortId, dict[int, int]] | None = None,
     *,
     capped: bool = True,
+    rank: dict[PortId, int] | None = None,
 ) -> None:
     """Climb `st` in place from the `dirty` ports to its least fixed point.
 
@@ -322,16 +329,26 @@ def _climb(
     aggregates of their flows' bursts, and a flow's bursts are those its hop
     bounds propagate (a new flow has none; its unbounded hops count 0).
     Ports are popped by the least hop index at which a flow crosses them,
-    then by port.  `reuse` holds the delays by port of a `port_bounds`
-    pass at dirty ports, matching `st.aggregates`, whose classes and
-    buffers the caller has checked: a port reuses its map until a burst
-    there moves, and the climb consumes them.  A `capped` climb raises
+    then by port; with `rank`, by rank first.  `rank`, a removal's (see
+    `_drop_flow`), ranks every port the climb may pop so that each port
+    of a cycle shares one rank and every other edge leads to a higher
+    one.  It relaxes the precondition: a burst may lie above the point
+    where it enters a port from a port of lower rank, never on an edge
+    within a cycle.  Popped in rank order, a port outside a cycle
+    is bounded once its inputs have settled, so its bounds are final, and
+    a cycle climbs from below with final inputs.  `reuse` holds the
+    delays by port of a `port_bounds` pass at dirty ports, matching
+    `st.aggregates`, whose classes and buffers the caller has checked: a
+    port reuses its map until a burst there moves, and the climb consumes
+    them.  A `capped` climb raises
     Unschedulable once a port is popped more than `SOLVER_ITER_CAP` times.
     Only burst lists the climb copied are mutated.
     """
     placements, bursts, hop_bounds, members = st.placements, st.bursts, st.hop_bounds, st.members
     queued = set(dirty)
     heap = [(min(members[port].values()), port) for port in queued]  # least hop index first
+    if rank is not None:
+        heap = [((rank[port], key), port) for key, port in heap]
     heapq.heapify(heap)
     pops: dict[PortId, int] = {}  # by port, if capped
     bounds: dict[str, list[int]] = {}  # hop bounds of the flows the climb has touched
@@ -383,7 +400,8 @@ def _climb(
                     reuse.pop(nxt, None)
                 if nxt not in queued:
                     queued.add(nxt)
-                    heapq.heappush(heap, (min(members[nxt].values()), nxt))
+                    key = min(members[nxt].values())
+                    heapq.heappush(heap, (key if rank is None else (rank[nxt], key), nxt))
     for fid, flow_bounds in bounds.items():
         hop_bounds[fid] = tuple(flow_bounds)
 
@@ -460,42 +478,102 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     return st
 
 
+def _dependency_ranks(
+    st: _SolverState, roots: Iterable[PortId]
+) -> tuple[dict[PortId, int], list[list[PortId]]]:
+    """Rank the ports that `roots` reach by their strongly connected component.
+
+    An edge leads from a port to the next hop of each flow that crosses it.
+    One iterative Tarjan DFS (SIAM J. Comput. 1972) ranks every reached
+    port by its component, upstream first: an edge never leads to a lower
+    rank, and leads to the same rank only inside a cycle.  Also returns the
+    components of more than one port, the cycles.  The walk iterates only
+    `members` dicts and hop tuples, so neither result depends on hash order.
+    """
+    placements, members = st.placements, st.members
+    order: dict[PortId, int] = {}  # port -> DFS visit index
+    low: dict[PortId, int] = {}  # least visit index the port reaches on the stack
+    rank: dict[PortId, int] = {}  # set once the port's component is complete
+    stack: list[PortId] = []
+    cycles: list[list[PortId]] = []
+    components = 0  # complete so far; they complete downstream first
+    for root in roots:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        walk = [(root, iter(members[root].items()))]
+        while walk:
+            port, edges = walk[-1]
+            for fid, i in edges:
+                hops = placements[fid].hops
+                if i + 1 == len(hops):
+                    continue
+                nxt = hops[i + 1]
+                if nxt not in order:
+                    order[nxt] = low[nxt] = len(order)
+                    stack.append(nxt)
+                    walk.append((nxt, iter(members[nxt].items())))
+                    break
+                if nxt not in rank and order[nxt] < low[port]:  # on the stack
+                    low[port] = order[nxt]
+            else:
+                walk.pop()
+                if walk and low[port] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[port]
+                if low[port] == order[port]:  # the first port of a component: pop it
+                    component = [stack.pop()]
+                    while component[-1] != port:
+                        component.append(stack.pop())
+                    components += 1
+                    for member in component:
+                        rank[member] = -components
+                    if len(component) > 1:
+                        cycles.append(component)
+    return rank, cycles
+
+
 def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState:
-    """`base` minus one flow, climbed from what the removal cannot affect.
+    """`base` minus one flow, climbed component by component in dependency order.
 
     The affected ports are the removed flow's hops, then, transitively, every
-    later hop of a flow that crosses an affected port; the climb starts from
-    them.  Each flow through them keeps its bursts up to its first affected
-    hop and restarts from its spec burst after it, below the new fixed
-    point.  Every burst stays at or below the old one, so the climb needs no
+    next hop of a flow that crosses an affected port.  `_dependency_ranks`
+    ranks them upstream first.  Every burst stays as it is, at or above the
+    new fixed point, except one that enters a port of a cycle from a port of
+    the same cycle: that restarts from its flow's spec burst, below it.  The
+    climb starts from the removed flow's surviving hops and every port of a
+    cycle and pops by rank: a port outside any cycle is bounded once its
+    inputs are final, so its bound is final too and can only fall, and a
+    cycle climbs from below to its least fixed point with its inputs
+    final.  So the result is the least fixed point of the survivors.  No
+    burst or bound passes its old value on the way, so the climb needs no
     cap, and none of its checks can fail.
     """
     st = base.copy()
     gone = st.placements.pop(flow_id)
     del st.bursts[flow_id], st.hop_bounds[flow_id]
+    placements, bursts, members = st.placements, st.bursts, st.members
     for port in gone.hops:
-        st.members[port] = {f: i for f, i in st.members[port].items() if f != flow_id}
-    first: dict[str, int] = {}  # flow -> index of its first affected hop
-    dirty = set(gone.hops)
-    work = list(gone.hops)
-    while work:
-        for fid, i in st.members[work.pop()].items():
-            j = first.get(fid)
-            if j is not None and j <= i:
-                continue
-            first[fid] = i
-            for port in st.placements[fid].hops[i + 1 : j]:
-                if port not in dirty:
-                    dirty.add(port)
-                    work.append(port)
-    for fid, i in first.items():
-        pl = st.placements[fid]
-        st.bursts[fid] = st.bursts[fid][: i + 1] + [pl.spec.burst_B] * (len(pl.hops) - i - 1)
+        members[port] = {f: i for f, i in members[port].items() if f != flow_id}
+    rank, cycles = _dependency_ranks(st, gone.hops)
+    dirty = []
+    reset: dict[str, list[int]] = {}  # the burst lists copied from `base` to restart
+    for cycle in cycles:
+        dirty += cycle
+        for port in cycle:
+            for fid, i in members[port].items():
+                pl = placements[fid]
+                if i + 1 < len(pl.hops) and rank[pl.hops[i + 1]] == rank[port]:
+                    flow_bursts = reset.get(fid)
+                    if flow_bursts is None:
+                        flow_bursts = bursts[fid] = reset[fid] = list(bursts[fid])
+                    flow_bursts[i + 1] = pl.spec.burst_B
     for port in gone.hops:
-        if not st.members[port]:  # only the removed flow crossed it
-            del st.members[port], st.aggregates[port]
-            dirty.remove(port)
-    _climb(topo, st, dirty, capped=False)
+        if members[port]:
+            dirty.append(port)
+        else:  # only the removed flow crossed it
+            del members[port], st.aggregates[port]
+    _climb(topo, st, dirty, capped=False, rank=rank)
     return st
 
 

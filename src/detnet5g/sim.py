@@ -967,7 +967,8 @@ def _row_int(row: dict, name: str, least: int, where: str) -> int:
 
 
 def _trace_packets(reader: csv.DictReader, path) -> dict[str, dict[int, tuple[int, int]]]:
-    """Flow id -> seq -> (t_send, t_recv) of a trace's checked rows."""
+    """Flow id -> seq -> (t_send, t_recv) of a trace's checked rows, each
+    flow's seqs exactly 0 to its row count less one."""
     if reader.fieldnames != list(TRACE_COLUMNS):
         raise ScenarioInvalid(f"{path}: unexpected columns {reader.fieldnames}")
     flows: dict[str, dict[int, tuple[int, int]]] = {}
@@ -990,6 +991,10 @@ def _trace_packets(reader: csv.DictReader, path) -> dict[str, dict[int, tuple[in
                 f"{where} column dropped: expected 0 or 1, got {row['dropped']!r}"
             )
         packets[seq] = _row_times(row, where)
+    for fid, packets in flows.items():
+        if max(packets) != len(packets) - 1:  # distinct seqs, so one below the max is missing
+            missing = next(seq for seq in range(len(packets)) if seq not in packets)
+            raise ScenarioInvalid(f"{path}: flow {fid!r} has no row for seq {missing}")
     return flows
 
 
@@ -997,7 +1002,10 @@ def read_trace(path) -> dict[str, tuple[tuple, tuple]]:
     """Flow id -> `(t_send, t_recv)` of a trace file written by `write_trace`:
     the two columns a run holds per flow, in seq order, each row checked.
 
-    A file that cannot be read or holds a malformed row raises ScenarioInvalid.
+    A file that cannot be read, holds a malformed row or lacks a row below
+    a flow's last seq raises ScenarioInvalid.  Lost rows past a flow's
+    last seq cannot be told from the trace alone: the flow reads back as
+    if it had sent fewer packets.
     """
     # a flow id is as long as the scenario made it: lift the csv module's
     # field limit (131,072 characters) while the trace is read

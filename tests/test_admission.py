@@ -1,10 +1,12 @@
 import copy
 import heapq
+import importlib
 import math
 import random
 import re
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +26,7 @@ from detnet5g import errors
 from detnet5g.errors import (BufferExceeded, DeadlineInfeasible, ScenarioInvalid, UnknownFlow,
                              Unschedulable)
 from detnet5g.nwtt import RegulatorConfig
+from detnet5g.scenario import load_topology
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
@@ -723,6 +726,42 @@ def ring5_placements(share):
     return topo, placements
 
 
+def ring_cycle_placements(tail=False):
+    """Three flows on three trees of the ring chain their ports into a cycle, and x.
+
+    a crosses S1.1 then S2.2, b S2.2 then S3.1 and c S3.1 then S1.1, so a
+    burst raised at one of those ports comes back to it; x crosses S1.1 and
+    S2.2 as a does.  With `tail`, switches P1 and P2 hang in a line off
+    S1.5, t leaves the cycle at S3.1 for S1.5, P1.2 and P2.2, and u, from
+    A, joins it at S1.5.
+    """
+    topo = ring_topology(with_transit=False)
+    topo.hosts["A"] = PortId("S1", 4)
+    if tail:
+        topo.switches.update(P1=SwitchProfile(), P2=SwitchProfile())
+        topo.links |= {make_link(PortId("S1", 5), PortId("P1", 1)),
+                       make_link(PortId("P1", 2), PortId("P2", 1))}
+        topo.hosts["E"] = PortId("P2", 2)
+    trees = NetworkState(topo).trees
+
+    def placed(fid, src, dst, route, rate, burst):
+        hops = tuple(PortId.parse(port) for port in route.split())
+        tree = next(t for t in trees if tuple(path_in_tree(topo, t, src, dst)) == hops)
+        return fid, _Placement(FlowSpec(fid, src, dst, rate, burst, 1_500, 10**9),
+                               7, tree, hops, _Terms())
+
+    flows = [
+        ("a", "A", "D", "S1.1 S2.2 S3.3", 12_500, 3_000),
+        ("b", "G", "A", "S2.2 S3.1 S1.4", 10_000, 3_000),
+        ("c", "D", "G", "S3.1 S1.1 S2.3", 15_000, 4_500),
+        ("x", "A", "D", "S1.1 S2.2 S3.3", 25_000, 4_500),
+    ]
+    if tail:
+        flows += [("t", "D", "E", "S3.1 S1.5 P1.2 P2.2", 5_000, 1_500),
+                  ("u", "A", "E", "S1.5 P1.2 P2.2", 5_000, 1_500)]
+    return topo, dict(placed(*flow) for flow in flows)
+
+
 def assert_late_witness(monkeypatch, topo, decision, expected, trials):
     """`decision` differs from the reference's `expected` in a later-round witness only.
 
@@ -853,29 +892,9 @@ class TestIncrementalSolver:
         assert passes == [1, 2, 3]
 
     def test_drop_through_a_dependency_cycle(self, monkeypatch):
-        """Three flows on three trees of the ring chain their ports into a cycle.
-
-        a crosses S1.1 then S2.2, b S2.2 then S3.1 and c S3.1 then S1.1, so
-        a burst raised at one of those ports comes back to it.  Removing x,
-        which crosses S1.1 and S2.2, must re-bound a port after a burst there
-        moved, and still reach the survivors' cold solve.
-        """
-        topo = ring_topology(with_transit=False)
-        topo.hosts["A"] = PortId("S1", 4)
-        trees = NetworkState(topo).trees
-
-        def placed(fid, src, dst, route, rate, burst):
-            hops = tuple(PortId.parse(port) for port in route.split())
-            tree = next(t for t in trees if tuple(path_in_tree(topo, t, src, dst)) == hops)
-            return fid, _Placement(FlowSpec(fid, src, dst, rate, burst, 1_500, 10**9),
-                                   7, tree, hops, _Terms())
-
-        placements = dict((
-            placed("a", "A", "D", "S1.1 S2.2 S3.3", 12_500, 3_000),
-            placed("b", "G", "A", "S2.2 S3.1 S1.4", 10_000, 3_000),
-            placed("c", "D", "G", "S3.1 S1.1 S2.3", 15_000, 4_500),
-            placed("x", "A", "D", "S1.1 S2.2 S3.3", 25_000, 4_500),
-        ))
+        """Removing x from `ring_cycle_placements` must re-bound a port after a
+        burst there moved, and still reach the survivors' cold solve."""
+        topo, placements = ring_cycle_placements()
         assert len({pl.tree.vlan_id for pl in placements.values()}) == 3
         base = cold_solve(topo, placements)
         passes = counted_port_bounds(monkeypatch)
@@ -889,6 +908,96 @@ class TestIncrementalSolver:
         # the survivors cross six ports, all of them affected: one was bounded twice
         assert len(st.members) == 6
         assert bounded > 6
+
+    def test_drop_restarts_a_cycle_below_its_fixed_point(self):
+        """A cycle's bursts restart from below: climbed down from the old bursts
+        instead, this ring stops above the survivors' least fixed point, since
+        rounding up gives its burst map more than one fixed point."""
+        topo, placements = ring_cycle_placements()
+        for fid, rate, burst, pkt in (("a", 28_391, 1_500, 500), ("b", 13_851, 1_000, 500),
+                                      ("c", 29_746, 1_500, 500), ("x", 21_128, 100, 100)):
+            pl = placements[fid]
+            placements[fid] = replace(pl, spec=replace(
+                pl.spec, rate_Bps=rate, burst_B=burst, max_pkt_B=pkt))
+        base = cold_solve(topo, placements)
+        st = admission._drop_flow(topo, base, "x")
+        certify(topo, st)
+        gone = placements.pop("x")
+        reference = reference_solve(topo, placements)
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        # the same ranked climb over the same ports, every old burst kept
+        kept = _SolverState(placements, {f: base.bursts[f] for f in placements},
+                            {f: base.hop_bounds[f] for f in placements},
+                            {port: {f: i for f, i in members.items() if f != "x"}
+                             for port, members in base.members.items()}, dict(base.aggregates))
+        rank, _ = admission._dependency_ranks(kept, gone.hops)
+        admission._climb(topo, kept, rank, capped=False, rank=rank)
+        certify(topo, kept)
+        assert kept.bursts != st.bursts
+        assert all(k >= b for f in st.bursts for k, b in zip(kept.bursts[f], st.bursts[f]))
+
+    def test_drop_bounds_a_tail_once_after_its_cycle(self, monkeypatch):
+        """The ports downstream of the cycle are bounded once each, after the cycle's
+        last pop: their inputs are final by then.
+
+        Popped by least hop index alone, S1.5, where u enters at hop 0, would
+        come before S2.2 and S3.1 and be bounded before the cycle settles and
+        again after.
+        """
+        topo, placements = ring_cycle_placements(tail=True)
+        base = cold_solve(topo, placements)
+        passes = []
+        bound_port = admission._bound_port
+        monkeypatch.setattr(admission, "_bound_port", lambda profile, st, port: (
+            passes.append(str(port)) or bound_port(profile, st, port)))
+        st = admission._drop_flow(topo, base, "x")
+        dropped = list(passes)
+        certify(topo, st)
+        del placements["x"]
+        assert st == cold_solve(topo, placements)
+        reference = reference_solve(topo, placements)
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        cycle = {"S1.1", "S2.2", "S3.1"}
+        last = max(k for k, port in enumerate(dropped) if port in cycle)
+        assert set(dropped[:last + 1]) == cycle and last + 1 > len(cycle)
+        tail = dropped[last + 1:]
+        assert sorted(tail) == ["P1.2", "P2.2", "S1.4", "S1.5", "S2.3", "S3.3"]
+        assert [port for port in tail if port in ("S1.5", "P1.2", "P2.2")] == [
+            "S1.5", "P1.2", "P2.2"]
+
+    def test_removals_at_scale_match_a_cold_solve(self, monkeypatch):
+        """CI's `admit` recipe of 200 random host pairs on a 6x6 grid, with seeded
+        removals mixed in: after each removal the registry passes `certify` and
+        equals a cold solve of its placements.  Most closures hold a cycle."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        topo = load_topology(workloads.grid_topology_doc(
+            6, 6, link_rate_Bps=1_250_000, buffer_B=65_536, hosts_per_switch=1, ue_count=1))
+        hosts = sorted(topo.hosts)
+        rng, picks = random.Random(1), random.Random(2)
+        requests = [{"flow_id": f"f{i}", **dict(zip(("src", "dst"), rng.sample(hosts, 2))),
+                     "rate_Bps": 10_000, "burst_B": 1_500, "max_pkt_B": 1_500,
+                     "deadline_us": rng.randint(5_000, 100_000)} for i in range(200)]
+        cycles = []  # the largest cycle of each removal's closure
+        ranks = admission._dependency_ranks
+
+        def recorded(st, roots):
+            rank, found = ranks(st, roots)
+            cycles.append(max(map(len, found), default=0))
+            return rank, found
+
+        monkeypatch.setattr(admission, "_dependency_ranks", recorded)
+        state = NetworkState(topo)
+        live = []
+        for request in requests:
+            if state.handle_flow_request(request)["accepted"]:
+                live.append(request["flow_id"])
+            if live and picks.random() < 0.3:
+                state.remove_flow(live.pop(picks.randrange(len(live))))
+                certify(topo, state._solver)
+                assert state._solver == cold_solve(topo, state._solver.placements)
+        assert len(cycles) > 50 and sum(map(bool, cycles)) > len(cycles) / 2
+        assert max(cycles) > 40
 
     def test_removal_has_no_iteration_cap(self, monkeypatch):
         """A removal cannot fail, so `SOLVER_ITER_CAP` does not apply to it.

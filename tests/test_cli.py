@@ -476,6 +476,26 @@ class TestReport:
         for fid, flow in report.items():
             assert {k: summary[fid][k] for k in keys} == {k: flow[k] for k in keys}, fid
 
+    def test_lost_rows_exit_one_unless_they_were_last(self, tmp_path, capsys):
+        """A flow's rows read back only as seqs 0 to n-1: a lost row below its last
+        seq exits 1 naming it, and a lost last row reads as one packet fewer."""
+        path = write_json(tmp_path / "scn.json", canonical_scenario())
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "scn_scenario_seed1_trace.csv").read_text().splitlines(True)
+        orange = [k for k, row in enumerate(rows) if row.startswith("orange,")]
+        trace = tmp_path / "lost.csv"
+        for lost, code, sent in ((orange[5], 1, None), (orange[-1], 0, len(orange) - 1)):
+            trace.write_text("".join(rows[:lost] + rows[lost + 1:]))
+            capsys.readouterr()
+            assert main(["report", str(trace)]) == code
+            captured = capsys.readouterr()
+            if sent is None:
+                assert rows[lost].startswith("orange,5,")
+                assert captured.err == f"error: {trace}: flow 'orange' has no row for seq 5\n"
+                assert captured.out == ""
+            else:
+                assert json.loads(captured.out)["flows"]["orange"]["sent"] == sent
+
     def test_malformed_latency_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("flow_id,seq,size_B,t_send_us,t_recv_us,latency_us,dropped\n"
@@ -511,13 +531,14 @@ class TestReport:
          "line 3 column size_B: expected an integer >= 1, got ''"),
         (TRACE_HEADER, "orange,0,25,3.000,4.000,1.000,0",
          "line 3 column seq: 0 repeats a packet of flow 'orange'"),
+        (TRACE_HEADER, "orange,2,25,3.000,4.000,1.000,0", "flow 'orange' has no row for seq 1"),
         # Arabic-Indic digits: `str.isdigit` accepts them, the trace never holds them
         (TRACE_HEADER, "orange,1,25,\u0661.\u0660\u0660\u0660,,,1",
          "line 3 column t_send_us: expected microseconds with three decimals, "
          "got '\u0661.\u0660\u0660\u0660'"),
     ], ids=["short-row", "long-row", "empty-flow-id", "bad-dropped", "other-columns",
             "seq-not-a-number", "negative-seq", "fractional-seq", "seq-too-long", "zero-size", "negative-size",
-            "empty-size", "repeated-seq", "non-ascii-send-time"])
+            "empty-size", "repeated-seq", "missing-seq", "non-ascii-send-time"])
     def test_malformed_row_exits_one(self, header, row, message, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text(f"{header}\norange,0,25,1.000,2.500,1.500,0\n{row}\n")
