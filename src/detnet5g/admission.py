@@ -320,7 +320,6 @@ def _climb(
     dirty: Iterable[PortId],
     reuse: dict[PortId, dict[int, int]] | None = None,
     *,
-    capped: bool = True,
     rank: dict[PortId, int] | None = None,
 ) -> None:
     """Climb `st` in place from the `dirty` ports to its least fixed point.
@@ -340,9 +339,9 @@ def _climb(
     delays by port of a `port_bounds` pass at dirty ports, matching
     `st.aggregates`, whose classes and buffers the caller has checked: a
     port reuses its map until a burst there moves, and the climb consumes
-    them.  A `capped` climb raises
-    Unschedulable once a port is popped more than `SOLVER_ITER_CAP` times.
-    Only burst lists the climb copied are mutated.
+    them.  A climb without `rank` raises Unschedulable once a port is
+    popped more than `SOLVER_ITER_CAP` times; a removal's cannot fail, so
+    it has no cap.  Only burst lists the climb copied are mutated.
     """
     placements, bursts, hop_bounds, members = st.placements, st.bursts, st.hop_bounds, st.members
     queued = set(dirty)
@@ -350,13 +349,13 @@ def _climb(
     if rank is not None:
         heap = [((rank[port], key), port) for key, port in heap]
     heapq.heapify(heap)
-    pops: dict[PortId, int] = {}  # by port, if capped
+    pops: dict[PortId, int] = {}  # by port, counted without `rank`
     bounds: dict[str, list[int]] = {}  # hop bounds of the flows the climb has touched
     slack: dict[str, int] = {}  # and their deadlines less their e2e bounds
     while heap:
         port = heapq.heappop(heap)[1]
         queued.remove(port)
-        if capped:
+        if rank is None:
             pops[port] = popped = pops.get(port, 0) + 1
             if popped > SOLVER_ITER_CAP:
                 raise Unschedulable("burst propagation found no fixed point")
@@ -573,7 +572,7 @@ def _drop_flow(topo: Topology, base: _SolverState, flow_id: str) -> _SolverState
             dirty.append(port)
         else:  # only the removed flow crossed it
             del members[port], st.aggregates[port]
-    _climb(topo, st, dirty, capped=False, rank=rank)
+    _climb(topo, st, dirty, rank=rank)
     return st
 
 

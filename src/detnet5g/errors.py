@@ -80,6 +80,13 @@ def _non_negative_int(obj, path: str) -> int:
     return value
 
 
+def _int_in(obj, path: str, lo: int, hi: int) -> int:
+    value = _expect(obj, path, int)
+    if not lo <= value <= hi:
+        _fail(path, f"must be in {lo}..{hi}")
+    return value
+
+
 def _known_keys(obj: dict, path: str, keys: frozenset) -> None:
     """Fail on a key not in `keys` or an unsupported `schema_version`; `path` is "" at the top."""
     version = obj.get("schema_version", SCHEMA_VERSION)  # `true` and `1.0` equal 1, yet fail

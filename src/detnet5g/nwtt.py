@@ -10,9 +10,9 @@ class 0 with no regulator.
 The optional hold-and-forward regulator retains the first packet of a busy
 period for a configured hold time and then releases queued packets strictly
 one release period apart, which absorbs the slot-pattern jitter upstream at
-the price of added latency.  A `RegulatorState` is one queue together with
-its configuration; the simulator calls `regulator_release` once per release,
-at the queue's `next_release_ns`, and each call lets the head go.
+the price of added latency.  Each de-jittered flow has its own queue, a
+`RegulatorState` holding its configuration; the simulator calls
+`regulator_release` once per release, at `next_release_ns`, to let the head go.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class RegulatorConfig:
     hold_us: int
     release_period_us: int
     queue_cap_pkts: int = 64
-    per_class: bool = False
 
 
 def regulator_delay_bound(cfg: RegulatorConfig, burst_B: int, max_pkt_B: int) -> int:

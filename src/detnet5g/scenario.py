@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .admission import DEFAULT_MAX_PKT_B, WIRE_KEYS, FlowSpec, read_endpoints, read_flow_spec
-from .errors import (ScenarioInvalid, _expect, _fail, _known_keys, _non_negative_int,
+from .errors import (ScenarioInvalid, _expect, _fail, _int_in, _known_keys, _non_negative_int,
                      _positive_int)
 from .nwtt import RegulatorConfig
 from .topology import PortId, SwitchProfile, Topology, make_link
@@ -100,9 +100,8 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         sid = _expect(sw.get("id"), f"{p}.id", str)
         if sid in topo.switches:
             _fail(f"{p}.id", f"duplicate switch id {sid!r}")
-        class_count = _expect(sw.get("class_count", 8), f"{p}.class_count", int)
-        if class_count < 2:
-            _fail(f"{p}.class_count", "must be at least 2")
+        # a class travels as the 3-bit 802.1Q PCP; check before the default table
+        class_count = _int_in(sw.get("class_count", 8), f"{p}.class_count", 2, 8)
         fwd = sw.get("fwd_delay_us", [0] * class_count)
         _expect(fwd, f"{p}.fwd_delay_us", list)
         for k, delay in enumerate(fwd):
@@ -161,9 +160,7 @@ def load_topology(obj: dict, path: str = "topology") -> Topology:
         bad = sorted(set(pattern) - set(SLOT_KINDS))
         if bad:
             _fail(f"{p}.tdd_pattern", f"unknown slot kinds {bad}")
-        numerology = _expect(t5g.get("numerology", 1), f"{p}.numerology", int)
-        if not 0 <= numerology <= 4:
-            _fail(f"{p}.numerology", "must be in 0..4")
+        numerology = _int_in(t5g.get("numerology", 1), f"{p}.numerology", 0, 4)
         grant_delay = _non_negative_int(t5g.get("grant_delay_slots", 0), f"{p}.grant_delay_slots")
         tdd = TddConfig(
             pattern=pattern,
@@ -200,11 +197,13 @@ def _load_regulator(obj, path: str) -> RegulatorConfig:
     _known_keys(obj, path, REGULATOR_KEYS)
     hold_us = _non_negative_int(obj.get("hold_us"), f"{path}.hold_us")
     release_period_us = _positive_int(obj.get("release_period_us"), f"{path}.release_period_us")
+    if _expect(obj.get("per_class", False), f"{path}.per_class", bool):
+        _fail(f"{path}.per_class",
+              "must be false: each de-jittered flow has its own regulator queue")
     return RegulatorConfig(
         hold_us=hold_us,
         release_period_us=release_period_us,
         queue_cap_pkts=_positive_int(obj.get("queue_cap_pkts", 64), f"{path}.queue_cap_pkts"),
-        per_class=_expect(obj.get("per_class", False), f"{path}.per_class", bool),
     )
 
 
@@ -245,10 +244,8 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
     classes = obj.get("classes", {})
     _expect(classes, "classes", dict)
     _known_keys(classes, "classes", CLASSES_KEYS)
-    class_count = _expect(classes.get("count", 8), "classes.count", int)
+    class_count = _int_in(classes.get("count", 8), "classes.count", 2, 8)
     best_effort = _expect(classes.get("best_effort_class", 0), "classes.best_effort_class", int)
-    if class_count < 2:
-        _fail("classes.count", "need at least two classes")
     if best_effort != 0:
         _fail("classes.best_effort_class", "class 0 is the best-effort class")
 
@@ -341,6 +338,8 @@ def read_json(path):
         raise ScenarioInvalid(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ScenarioInvalid(f"{path}: arrays or objects nested too deeply") from None
+    except ValueError:  # the rest: an integer past Python's int-conversion digit limit
+        raise ScenarioInvalid(f"{path}: an integer has too many digits") from None
 
 
 def load_scenario_file(path) -> Scenario:

@@ -160,7 +160,7 @@ class _FlowCtx:
         self.assignment = assignment  # the admitted flow's FlowAssignment; None if unregistered
         self.critical = critical
         # the flow's treatment, fixed by `_build_flow_ctxs` (None: no policer,
-        # no regulator queue; a `RegulatorState` may be shared by a class)
+        # no regulator queue; a `RegulatorState` is the flow's own)
         self.pcp = 0
         self.vlan_id = None
         self.route = ()
@@ -761,7 +761,7 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
     for port, sim_port in sorted(engine.all_ports.items()):
         if not sim_port.reached:
             continue
-        per_class = {}
+        classes = {}
         for cls in range(sim_port.profile.class_count):
             occ = sim_port.max_occupancy[cls]
             bound = bounds.get(port, {}).get(cls)
@@ -770,9 +770,9 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
             ok = bound is None or occ <= bound
             if not ok:
                 total["backlog"] += 1
-            per_class[str(cls)] = {"max_occupancy_B": occ, "bound_B": bound, "ok": ok}
-        if per_class:
-            port_reports[str(port)] = per_class
+            classes[str(cls)] = {"max_occupancy_B": occ, "bound_B": bound, "ok": ok}
+        if classes:
+            port_reports[str(port)] = classes
 
     report = {
         "schema_version": 1,
@@ -823,13 +823,10 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
     extra takes the first tree's; the rest depends on the kind of flow:
 
         kind               class                     policer  regulator
-        admitted, from UE  its NW-TT rule's          -        its rule's, if any
+        admitted, from UE  its NW-TT rule's          -        its own, if the rule has one
         admitted, host     its priority_class        TSpec    -
         extra, from UE     0 (no NW-TT rule matches) -        -
         extra, host        0                         -        -
-
-    A regulator queue (`RegulatorState`, which holds its configuration) is
-    one per class under `per_class` and one per flow otherwise.
     """
     topo = state.topology
     admitted = state.flows()
@@ -837,7 +834,6 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         (a.spec.src, a.spec.dst): state.nwtt_rule(a)
         for a in admitted.values() if topo.is_ue(a.spec.src)
     }
-    class_regulators = {}  # the per-class regulator queues, by class
     entries = [(entry.source, admitted[entry.spec.flow_id], entry.critical)
                for entry in scenario.flows if entry.spec.flow_id in admitted]
     entries += [(model, None, False) for model in scenario.extra_sources]
@@ -853,11 +849,9 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
         if topo.is_ue(src):  # the NW-TT tags the flow's packets
             rule = classify_and_tag(nwtt, src, dst)
             if rule is not None:  # a miss is best effort: class 0, no regulator
-                ctx.pcp, cfg = rule.pcp, rule.regulator
-                if cfg is not None and cfg.per_class:
-                    ctx.regulator = class_regulators.setdefault(ctx.pcp, RegulatorState(cfg))
-                elif cfg is not None:
-                    ctx.regulator = RegulatorState(cfg)
+                ctx.pcp = rule.pcp
+                if rule.regulator is not None:
+                    ctx.regulator = RegulatorState(rule.regulator)
         elif assignment is not None:  # the source host tags and polices the flow
             ctx.pcp = assignment.priority_class
             ctx.policer = _Policer(assignment.spec.burst_B, assignment.spec.rate_Bps)

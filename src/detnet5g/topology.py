@@ -35,7 +35,7 @@ class PortId(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "PortId":
         node, _, port = text.rpartition(".")
-        if not node or not port.isdigit():
+        if not node or not (port.isascii() and port.isdigit()):
             raise ValueError(f"port id must look like 'S1.1', got {text!r}")
         return cls(node, int(port))
 
@@ -52,7 +52,7 @@ def make_link(a: PortId, b: PortId) -> Link:
 class SwitchProfile:
     """Known per-device properties the controller relies on.
 
-    As loaded: a positive rate and buffer, at least two classes, and a
+    As loaded: a positive rate and buffer, two to eight classes, and a
     non-negative forwarding delay for each class.
     """
 

@@ -146,14 +146,9 @@ class ReferenceEngine:
         self.pushes = itertools.count()
         self.now = 0
         self.flows = {fid: _Flow(ctx, topo) for fid, ctx in ctxs.items()}
-        self.regulator_of = {}  # flow id -> its regulator queue, shared under per_class
-        by_pair = {}
-        for fid, ctx in ctxs.items():
-            if ctx.regulator is not None:
-                key = id(ctx.regulator)
-                if key not in by_pair:
-                    by_pair[key] = _Regulator(ctx.regulator.cfg)
-                self.regulator_of[fid] = by_pair[key]
+        self.regulator_of = {  # flow id -> its regulator queue
+            fid: _Regulator(ctx.regulator.cfg) for fid, ctx in ctxs.items()
+            if ctx.regulator is not None}
         self.ports = {}
         self.max_occupancy = {}
         transit = topo.transit

@@ -338,7 +338,7 @@ class TestNwttConfig:
         assert cfg["pcp"] == 7
 
     def test_dejittered_flow_config_is_its_nwtt_rule(self, ring):
-        reg = RegulatorConfig(hold_us=5_000, release_period_us=2_000, per_class=True)
+        reg = RegulatorConfig(hold_us=5_000, release_period_us=2_000)
         state = NetworkState(ring, default_regulator=reg)
         cfg = state.handle_flow_request(asdict(spec(dejitter=True)))["nwtt_config"]
         assert cfg == {
@@ -348,7 +348,7 @@ class TestNwttConfig:
             "vlan_id": 100,
             "pcp": 7,
             "regulator": {"hold_us": 5_000, "release_period_us": 2_000,
-                          "queue_cap_pkts": 64, "per_class": True},
+                          "queue_cap_pkts": 64},
         }
         rule = state.nwtt_rule(state.flows()["f1"])
         assert rule.regulator == reg
@@ -931,7 +931,7 @@ class TestIncrementalSolver:
                             {port: {f: i for f, i in members.items() if f != "x"}
                              for port, members in base.members.items()}, dict(base.aggregates))
         rank, _ = admission._dependency_ranks(kept, gone.hops)
-        admission._climb(topo, kept, rank, capped=False, rank=rank)
+        admission._climb(topo, kept, rank, rank=rank)
         certify(topo, kept)
         assert kept.bursts != st.bursts
         assert all(k >= b for f in st.bursts for k, b in zip(kept.bursts[f], st.bursts[f]))

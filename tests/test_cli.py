@@ -379,10 +379,14 @@ class TestRun:
          "flows[0].flow_id: must be non-empty"),
         (forced_regulator_without_block,
          "error: dejitter forced on but scenario has no nwtt.dejitter block\n"),
+        # two de-jittered flows sharing one queue broke their regulator bounds (exit 3)
+        (lambda doc: doc["nwtt"]["dejitter"].update(per_class=True),
+         "nwtt.dejitter.per_class: must be false: "
+         "each de-jittered flow has its own regulator queue"),
     ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
             "source-loop", "host-dejitter", "misspelled-flow-field", "misspelled-source-field",
             "misspelled-numerology", "misspelled-class-count", "empty-source-id", "empty-flow-id",
-            "forced-regulator-without-block"])
+            "forced-regulator-without-block", "shared-regulator-queue"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         options = mutate(doc) or []
@@ -661,9 +665,14 @@ class TestUsageAndInput:
         (["trees", "DEEP"], "DEEP"),
         (["run", "DEEP"], "DEEP"),
         (["admit", "TOPO", "DEEP"], "DEEP"),
+        # an integer of 5,000 digits: past Python's int-conversion limit
+        (["trees", "BIG_INT"], "BIG_INT"),
+        (["run", "BIG_INT"], "BIG_INT"),
+        (["admit", "TOPO", "BIG_INT"], "BIG_INT"),
     ], ids=["report-dir", "admit-dir", "report-binary", "trees-binary", "run-binary",
             "admit-binary", "trees-disconnected", "admit-disconnected", "run-disconnected",
-            "trees-deep", "run-deep", "admit-deep"])
+            "trees-deep", "run-deep", "admit-deep", "trees-big-int", "run-big-int",
+            "admit-big-int"])
     def test_unreadable_input_exits_one(self, argv, message, topo_file, tmp_path, capsys):
         """Exit 1 with one `error:` line naming the input or its fault; a
         `message` that names a path placeholder stands for that path."""
@@ -674,9 +683,10 @@ class TestUsageAndInput:
                  "SPLIT_TOPO": write_json(tmp_path / "split_topology.json", split["topology"]),
                  "SPLIT_SCENARIO": write_json(tmp_path / "split.json", split),
                  "FLOWS": REPO / "scenarios" / "canonical_flows.json",
-                 "DEEP": tmp_path / "deep.json"}
+                 "DEEP": tmp_path / "deep.json", "BIG_INT": tmp_path / "big_int.json"}
         paths["DIR"].mkdir()
         paths["DEEP"].write_text("[" * 200_000 + "]" * 200_000)
+        paths["BIG_INT"].write_text('{"flows": [' + "9" * 5_000 + "]}")
         paths["BINARY"].write_bytes(b'{"name": "caf\xe9"}')
         assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
         captured = capsys.readouterr()

@@ -4,8 +4,7 @@ Refactors of the bound math or of the simulator must leave these bytes
 unchanged; comparing two runs of the same code (acceptance criterion 8)
 cannot show that.  The digests cover the canonical scenario at seed 1 with
 the regulator off and on, a variant whose flows cross the 5G segment
-uplink-to-downlink (UE1 -> UE2) and downlink only (G -> UE2), a
-per-class regulator queue shared by two flows, and the
+uplink-to-downlink (UE1 -> UE2) and downlink only (G -> UE2), and the
 `detnet5g admit --json` output for the bundled topology and flow files.
 
 A change whose purpose is to change a bound updates these digests and
@@ -39,10 +38,6 @@ GOLDEN = {
         "c5c91eda7c177bb162ab6a7fd61f21d6eb002a8fab15f5a5a5732796bdeb9c69",
     "ue-transit.report":
         "480bed720038f411e02540898e58996fd01e84bb47dc6668b13b923bdac68208",
-    "canonical-per-class.trace":
-        "719cc41e759ec631fbae27fe3476f64ec6df9049c2204d63485e6e08e7dc33c4",
-    "canonical-per-class.report":
-        "30817371bcef27088601d87ec0754dfefd05b8048ef07ff58cebc073e20e6923",
     "admit.json":
         "0c720818ba1378d905761727092cb7d9418a32494d288a1f3dcbfd8a1ce76f89",
 }
@@ -69,20 +64,6 @@ def ue_transit_doc() -> dict:
     return doc
 
 
-def per_class_doc() -> dict:
-    """Canonical with a per-class regulator and a copy of orange sent from UE2.
-
-    Run with dejitter on, the two flows share one regulator queue (hole
-    1(d) in ROADMAP.md: the bounds do not hold); the digests pin the bytes
-    only.
-    """
-    doc = canonical_scenario()
-    doc["nwtt"]["dejitter"]["per_class"] = True
-    orange2 = dict(doc["flows"][0], flow_id="orange2", src="UE2")
-    doc["flows"].append(orange2)
-    return doc
-
-
 def run_digests(name: str, doc: dict, dejitter: str, tmp_path: Path) -> dict:
     result = run(load_scenario(doc), seed=1, dejitter=dejitter)
     trace, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
@@ -99,7 +80,6 @@ def test_canonical_outputs_are_byte_identical(tmp_path, capsys):
     digests.update(run_digests("canonical-off", canonical_scenario(), "off", tmp_path))
     digests.update(run_digests("canonical-on", canonical_scenario(), "on", tmp_path))
     digests.update(run_digests("ue-transit", ue_transit_doc(), "scenario", tmp_path))
-    digests.update(run_digests("canonical-per-class", per_class_doc(), "on", tmp_path))
     capsys.readouterr()
     scenarios = REPO / "scenarios"
     assert main(["admit", str(scenarios / "canonical_topology.json"),

@@ -4,10 +4,10 @@ Each case runs a scenario through both and compares every packet's send
 time and outcome (receive time, dropped or in flight), the drops by stage
 and the bound violations of each flow, and the largest occupancy of each
 (port, class).  The families: the canonical scenario with the regulator
-off and on, the goldens' per-class and UE-to-UE variants, the same-time
+off and on, the goldens' UE-to-UE variant, the same-time
 tie and cross-hop families of `test_sim_order.py`, its dense UE grid,
 `random_scenario_doc` draws, and draws of that fabric with a 5G segment
-added (UE ends both ways, both regulator modes, greedy sources and
+added (UE ends both ways, de-jittered flows, greedy sources and
 unregistered UE sources).
 """
 
@@ -20,7 +20,7 @@ from detnet5g.scenario import load_scenario
 import reference_engine
 from conftest import canonical_scenario
 from test_acceptance import random_scenario_doc
-from test_golden import per_class_doc, ue_transit_doc
+from test_golden import ue_transit_doc
 from test_sim_order import HOP_CASES, TIE_CASES, case_id, dense_ue_doc, hop_case_id, hops_doc, tie_doc
 
 
@@ -32,10 +32,9 @@ def assert_agrees(doc, **run_args):
 @pytest.mark.parametrize("doc, dejitter", [
     (canonical_scenario, "off"),
     (canonical_scenario, "on"),
-    (per_class_doc, "on"),
     (ue_transit_doc, "scenario"),
     (dense_ue_doc, "scenario"),
-], ids=["canonical-off", "canonical-on", "canonical-per-class", "ue-transit", "dense-ue"])
+], ids=["canonical-off", "canonical-on", "ue-transit", "dense-ue"])
 def test_named_scenarios(doc, dejitter):
     assert_agrees(doc(), seed=1, dejitter=dejitter)
 
@@ -75,8 +74,8 @@ def random_5g_doc(rng) -> dict:
     }
     doc["nwtt"] = {"dejitter": {"hold_us": rng.choice([0, 1_000, 3_000]),
                                 "release_period_us": rng.choice([500, 1_000, 2_000]),
-                                "queue_cap_pkts": rng.choice([4, 64]),
-                                "per_class": rng.random() < 0.5}}
+                                "queue_cap_pkts": rng.choice([4, 64])}}
+    rng.random()  # drew the retired shared-queue mode: kept, so later draws stay the same
     pairs = set()
     for i in range(rng.randrange(2, 6)):
         ue, host = rng.choice(ues), rng.choice(hosts)

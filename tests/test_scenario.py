@@ -362,7 +362,13 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
 
 @pytest.mark.parametrize("mutate, path, message", [
     (lambda doc: doc["topology"]["switches"][0].update(class_count=1, fwd_delay_us=[0]),
-     "topology.switches[0].class_count", "must be at least 2"),
+     "topology.switches[0].class_count", "must be in 2..8"),
+    # a class travels as the 3-bit 802.1Q PCP
+    (lambda doc: doc["topology"]["switches"][0].update(class_count=9, fwd_delay_us=[0] * 9),
+     "topology.switches[0].class_count", "must be in 2..8"),
+    # checked before the default forwarding-delay table is built
+    (lambda doc: doc["topology"]["switches"][0].update(class_count=10**20),
+     "topology.switches[0].class_count", "must be in 2..8"),
     (lambda doc: doc["topology"]["switches"][0].update(fwd_delay_us=[0] * 3),
      "topology.switches[0].fwd_delay_us", "must have one entry for each of the 8 classes, not 3"),
     # extra entries are an error too, never silently ignored
@@ -382,6 +388,11 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
      "nwtt.dejitter.queue_cap_pkts", "must be positive"),
     (lambda doc: doc["topology"]["links"][0].__setitem__(1, "S2-1"),
      "topology.links[0][1]", "port id must look like 'S1.1', got 'S2-1'"),
+    # a port number is ASCII digits: `int` would read these as 1 and fail on them
+    (lambda doc: doc["topology"]["links"][0].__setitem__(1, "S2.\u0661"),
+     "topology.links[0][1]", "port id must look like 'S1.1', got 'S2.\u0661'"),
+    (lambda doc: doc["topology"]["links"][0].__setitem__(1, "S2.\u00b2"),
+     "topology.links[0][1]", "port id must look like 'S1.1', got 'S2.\u00b2'"),
     (lambda doc: doc["topology"].update(switches=[]),
      "topology.switches", "at least one switch required"),
     (lambda doc: doc["topology"]["switches"][1].update(id="S1"),
@@ -399,14 +410,20 @@ def test_ue_id_must_be_a_new_node_id(ue_id):
      "sim.sources[0].mode",
      "must be one of ('periodic', 'greedy_token_bucket', 'onoff_background')"),
     (lambda doc: doc["classes"].update(count=1),
-     "classes.count", "need at least two classes"),
+     "classes.count", "must be in 2..8"),
+    (lambda doc: doc["classes"].update(count=9),
+     "classes.count", "must be in 2..8"),
+    # a queue shared by a class voids the single-flow regulator bound
+    (lambda doc: doc["nwtt"]["dejitter"].update(per_class=True),
+     "nwtt.dejitter.per_class", "must be false: each de-jittered flow has its own regulator queue"),
     (lambda doc: doc["classes"].update(best_effort_class=1),
      "classes.best_effort_class", "class 0 is the best-effort class"),
-], ids=["one-class", "short-fwd-table", "long-fwd-table", "slot-kind", "empty-pattern",
-        "numerology", "grant-delay", "hold", "queue-cap", "port-id", "no-switches",
+], ids=["one-class", "nine-classes", "huge-class-count", "short-fwd-table", "long-fwd-table",
+        "slot-kind", "empty-pattern", "numerology", "grant-delay", "hold", "queue-cap",
+        "port-id", "port-id-arabic-indic-digit", "port-id-superscript-digit", "no-switches",
         "duplicate-switch", "one-ended-link", "host-on-unknown-switch", "duplicate-host",
         "transit-on-unknown-switch", "burst-periodic-mode", "one-class-count",
-        "best-effort-class"])
+        "nine-class-count", "per-class-regulator", "best-effort-class"])
 def test_record_check_names_its_block(mutate, path, message):
     # the records check nothing: the loader checks each field at its own path
     doc = canonical_scenario()

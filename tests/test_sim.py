@@ -28,7 +28,7 @@ from detnet5g.sim import (
 )
 from detnet5g.topology import path_in_tree
 from conftest import canonical_scenario
-from test_golden import per_class_doc, ue_transit_doc
+from test_golden import ue_transit_doc
 from test_sim_order import hops_doc
 
 
@@ -313,12 +313,15 @@ class TestFlowTreatment:
         assert (policer.burst_B, policer.rate_Bps) == (1_500, 12_500)
         assert down.regulator is None
 
-    def test_per_class_flows_share_one_regulator(self):
-        _, flows = treatment(per_class_doc(), "on")
+    def test_each_dejittered_flow_has_its_own_regulator(self):
+        # its regulator bound is that of a flow alone in its queue
+        doc = canonical_scenario()
+        doc["flows"].append(dict(doc["flows"][0], flow_id="orange2", src="UE2"))
+        _, flows = treatment(doc, "on")
         orange, orange2 = flows["orange"], flows["orange2"]
         assert orange.pcp == orange2.pcp > 0
-        assert orange.regulator is orange2.regulator is not None
-        assert orange.regulator.cfg.per_class
+        assert orange.regulator is not orange2.regulator
+        assert orange.regulator.cfg == orange2.regulator.cfg is not None
         assert flows["green"].regulator is None
 
 
@@ -361,6 +364,8 @@ class TestDecisions:
         scn = load_scenario(doc)
         [orange] = run(scn, dejitter=dejitter).decisions
         regulator = doc["nwtt"]["dejitter"] if dejitter == "on" else None
+        if regulator is not None:  # the wire carries no `per_class`: each queue is per flow
+            regulator = {k: v for k, v in regulator.items() if k != "per_class"}
         assert orange["nwtt_config"]["regulator"] == regulator
         state = NetworkState(scn.topology, class_count=scn.class_count,
                              default_regulator=scn.dejitter)
