@@ -26,14 +26,14 @@ read, and backlog bound, which the buffer check sums) and carries each of
 its flows' bursts one hop on, queueing the next port if it moved.  Bounds
 only grow, so a breach met on the way is final: a deadline is checked when
 a bound of its flow grows, a buffer when its port is re-bounded.  A trial
-adds a flow, with its hops dirty.  Their first round, the committed
-aggregates plus the new flow at its spec burst, is checked in full
-before the state is copied: the new flow's own bound there screens it,
-then every flow at those hops is checked as round one of a
-round-by-round (Jacobi) solve would, then those hops' buffers.  So a
-trial that fails there copies nothing and names that solve's witness;
-a later breach may name another.  The climb starts from those checked
-round-one passes.  A removal cannot fail: it lowers the least fixed
+adds a flow, with its hops dirty.  Its round one bounds each new hop
+once, in path order, with the new flow at the burst the hops before
+carry it to, and is checked in full before the state is copied: the new
+flow's own bound screens it, then every flow at those hops, then those
+hops' buffers.  All of round one lies below the new least fixed point,
+so a trial that fails there copies nothing and names round one's
+witness; a later breach may name another.  The climb starts from the
+carried bursts and those checked passes.  A removal cannot fail: it lowers the least fixed
 point, so it climbs the ports that can depend on the removed flow in
 dependency order, one strongly connected component after another (Tarjan
 1972).  A port outside any cycle is bounded once, from final inputs, and
@@ -67,7 +67,8 @@ A)^-1 c <= x.  So any finite post-fixed point's bounds hold.
 
 Some candidates need no trial at all: one whose fixed terms plus the
 flow's least bound alone at an empty port, once per hop, miss the deadline
-is skipped unbuilt.  `NetworkState._first_fit` states when, and why that
+is skipped unbuilt, and a reject whose candidates are all ruled out so
+starts no batch pass.  `NetworkState._first_fit` states when, and why that
 keeps every decision, detail and registry.
 """
 
@@ -326,7 +327,8 @@ def _climb(
 
     `st` must lie below that point: ports outside `dirty` hold the
     aggregates of their flows' bursts, and a flow's bursts are those its hop
-    bounds propagate (a new flow has none; its unbounded hops count 0).
+    bounds propagate (a new flow's are those its round-one delays carry; it
+    has no hop bounds yet, and its unbounded hops count 0).
     Ports are popped by the least hop index at which a flow crosses them,
     then by port; with `rank`, by rank first.  `rank`, a removal's (see
     `_drop_flow`), ranks every port the climb may pop so that each port
@@ -408,29 +410,35 @@ def _climb(
 def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverState:
     """`base` plus one flow, climbed warm from `base`'s fixed point.
 
-    Round one gives each new hop's `base` aggregates plus the new flow at
-    its spec burst one `port_bounds` pass, and checks it before `base` is
-    copied.  First the new flow's own bounds there are screened: if they
-    miss its deadline (or leave no service) the trial fails.  Then every
-    flow at those hops, in sorted order, is checked as round one of a
-    round-by-round (Jacobi) solve would: a class the pass left out raises
-    why, and a flow whose bounds moved must meet its deadline with them
-    and its `base` bounds elsewhere.  Last the new hops' backlogs meet
-    their buffers, in the order the flows first reach them.  A trial that
-    passes climbs from those delays.
+    Round one walks the new hops in path order, giving each one
+    `port_bounds` pass over its `base` aggregates plus the new flow at its
+    carried burst (its spec burst at hop 0, then `propagate_burst` over the
+    previous hop's delay), and is checked before `base` is copied.  First
+    the new flow's own bounds are screened: once their partial sum misses
+    its deadline (or a hop leaves no service) the trial fails.  Then every
+    flow at those hops, in sorted order, is checked with those passes: a
+    class a pass left out raises why, and a flow whose bounds moved must
+    meet its deadline with them and its `base` bounds elsewhere.  Last the
+    new hops' backlogs meet their buffers, in the order the flows first
+    reach them.  All of round one lies at or below the new least fixed
+    point, so a breach found there is final, and the carried bursts x
+    satisfy x <= F(x), so a trial that passes climbs from them and those
+    passes to that point, bounding a new hop again only once a peer's
+    burst there moves.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
     aggregates: dict[PortId, dict[int, ClassAggregate]] = {}
     delays: dict[PortId, dict[int, int]] = {}
     backlogs: dict[PortId, dict[int, int]] = {}
+    carried: list[int] = []  # the new flow's burst at each hop
+    burst = spec.burst_B
     total = pl.terms.fixed_us
     for port in pl.hops:
+        carried.append(burst)
         classes = dict(base.aggregates.get(port, ()))
         b, r, m = classes.get(cls, (0, 0, 0))
-        classes[cls] = ClassAggregate(
-            b + spec.burst_B, r + spec.rate_Bps, max(m, spec.max_pkt_B)
-        )
+        classes[cls] = ClassAggregate(b + burst, r + spec.rate_Bps, max(m, spec.max_pkt_B))
         aggregates[port] = classes
         state = _port_state(topo.profile(port.node), classes)
         delays[port], backlogs[port] = port_bounds(state)
@@ -442,6 +450,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
             raise DeadlineInfeasible(
                 f"flow {fid!r}: bound at least {total} us > deadline {spec.deadline_us} us"
             )
+        burst = propagate_burst(burst, spec.rate_Bps, delay)
     placements, hop_bounds = base.placements, base.hop_bounds
     order: dict[PortId, None] = {}  # the new hops in first-appearance order
     for f in sorted({fid}.union(*(base.members.get(port, ()) for port in pl.hops))):
@@ -469,7 +478,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
 
     st = base.copy()
     st.placements[fid] = pl
-    st.bursts[fid] = [spec.burst_B] * len(pl.hops)
+    st.bursts[fid] = carried
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
     st.aggregates.update(aggregates)
@@ -742,9 +751,7 @@ class NetworkState:
         `_candidates` in search order.  If `details` is given, it keeps the
         detail of each failure class's first failed trial.
 
-        The prune rule: a candidate whose `terms.fixed_us` plus one
-        `_hop_floor` of its class per hop misses the deadline is skipped
-        unbuilt, since no hop's bound is below the floor and its trial would
+        The prune rule (`_pruned`) skips a candidate unbuilt whose trial would
         fail at the round-one screen.  A skipped trial could only have
         mattered by succeeding once DeadlineInfeasible is in `details`, which
         fixes a reject's reason and detail, or when no `details` is kept (the
@@ -753,11 +760,8 @@ class NetworkState:
         computed on the first candidate of a class that is judged; later
         ones find it kept.
         """
-        slack_us = spec.deadline_us - terms.fixed_us
         for cand in self._candidates(spec, terms):
-            if (details is None or DeadlineInfeasible in details) and (
-                len(cand.hops) * self._hop_floor(spec, cand.priority) > slack_us
-            ):
+            if (details is None or DeadlineInfeasible in details) and self._pruned(cand):
                 continue
             try:
                 return _add_flow(self.topology, base, cand)
@@ -765,6 +769,13 @@ class NetworkState:
                 if details is not None:
                     details.setdefault(type(exc), str(exc))
         return None
+
+    def _pruned(self, cand: _Placement) -> bool:
+        """Whether `cand` misses its deadline with each hop at its class's `_hop_floor`:
+        no round-one bound is below the floor, so its trial would fail the screen."""
+        spec = cand.spec
+        floor = self._hop_floor(spec, cand.priority)
+        return len(cand.hops) * floor > spec.deadline_us - cand.terms.fixed_us
 
     def _hop_floor(self, spec: FlowSpec, priority: int) -> float:
         """`_hop_floor_us` of `spec` in class `priority`, computed once per envelope.
@@ -795,7 +806,8 @@ class NetworkState:
         first class of `_TRIAL_FAILURES` that a search trial raised.  Only the
         first detail of each class is kept, as a string: an exception would
         keep its trial's solver state alive through its traceback.  Which
-        candidates the search skips is `_first_fit`'s to say.
+        candidates the search skips is `_first_fit`'s to say; the batch pass
+        is not started when `_pruned` rules out every candidate of the flow.
         """
         try:
             if spec.flow_id in self._solver.placements:
@@ -809,7 +821,8 @@ class NetworkState:
         details: dict[type, str] = {}  # failure class -> detail of its first failed trial
         solver = self._first_fit(self._solver, spec, terms, details)
         moved: tuple[str, ...] = ()
-        if solver is None and self.enable_reconfig and self._solver.placements:
+        if (solver is None and self.enable_reconfig and self._solver.placements
+                and not all(map(self._pruned, self._candidates(spec, terms)))):
             solver = self._batch_reassign(spec, terms)
             if solver is not None:
                 placements = solver.placements

@@ -1,17 +1,20 @@
 import csv
 import gc
+import importlib
 import io
+import random
 import tracemalloc
 import weakref
 from collections import deque
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from detnet5g import sim
-from detnet5g.admission import NetworkState
+from detnet5g.admission import NetworkState, _dependency_ranks
 from detnet5g.errors import AdmissionMissing, ScenarioInvalid
-from detnet5g.scenario import load_scenario
+from detnet5g.scenario import load_scenario, load_topology
 from detnet5g.sim import (
     IN_FLIGHT,
     TRACE_COLUMNS,
@@ -27,7 +30,7 @@ from detnet5g.sim import (
     write_trace,
 )
 from detnet5g.topology import path_in_tree
-from conftest import canonical_scenario
+from conftest import canonical_scenario, certify
 from test_golden import ue_transit_doc
 from test_sim_order import hops_doc
 
@@ -494,6 +497,49 @@ class TestWorkConservation:
         moved = stats["received"] * 1_000
         # the 125 kB/s link must be busy essentially the whole second
         assert moved >= 125_000 * 0.95
+
+
+class TestScaleRegistry:
+    def test_scale_probe_registry_meets_its_bounds(self, monkeypatch):
+        """A registry of scale-probe size, its flows chaining ports into cycles,
+        simulated with every source greedy from t = 0: no bound is broken.
+
+        The registry is admission's scale-probe recipe on a 6x6 grid: 2 hosts
+        per switch, 12.5 MB/s links, 1 MiB buffers, 200 requests of 10 kB/s
+        with burst = packet = 1,500 B, and the batch pass off.  The run
+        re-admits the accepted flows in order, so it places them as the
+        registry did.
+        """
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        topology = workloads.grid_topology_doc(6, 6, link_rate_Bps=12_500_000, buffer_B=1 << 20,
+                                               hosts_per_switch=2, ue_count=1)
+        state = NetworkState(load_topology(topology), enable_reconfig=False)
+        hosts = sorted(state.topology.hosts)
+        rng = random.Random(1)
+        flows = []
+        for i in range(200):
+            request = {"flow_id": f"f{i}", **dict(zip(("src", "dst"), rng.sample(hosts, 2))),
+                       "rate_Bps": 10_000, "burst_B": 1_500, "max_pkt_B": 1_500,
+                       "deadline_us": rng.randint(5_000, 100_000)}
+            if state.handle_flow_request(request)["accepted"]:
+                flows.append({**request, "critical": True, "source": {
+                    "mode": "greedy_token_bucket", "pkt_B": 1_500, "burst_B": 1_500,
+                    "rate_Bps": 10_000, "offset_us": 0}})
+        assert len(flows) == 191
+        _, cycles = _dependency_ranks(state._solver, sorted(state._solver.members))
+        assert max(map(len, cycles)) > 40
+        result = run(load_scenario({
+            "schema_version": 1,
+            "topology": topology,
+            "classes": {"count": 8, "best_effort_class": 0},
+            "flows": flows,
+            "sim": {"duration_ms": 2_000, "seed": 1, "sources": []},
+        }))
+        assert {ctx.source.flow_id: ctx.assignment
+                for ctx in result.trace_rows.ctxs} == state.flows()
+        assert result.report["violations"]["total"] == 0
+        certify(state.topology, state._solver)
 
 
 def send_times_us(source: dict) -> list[float]:
