@@ -26,30 +26,31 @@ read, and backlog bound, which the buffer check sums) and carries each of
 its flows' bursts one hop on, queueing the next port if it moved.  Bounds
 only grow, so a breach met on the way is final: a deadline is checked when
 a bound of its flow grows, a buffer when its port is re-bounded.  A trial
-adds a flow, with its hops dirty.  Its round one bounds each new hop
-once, in path order, with the new flow at the burst the hops before
-carry it to, and is checked in full before the state is copied: the new
-flow's own bound screens it, then every flow at those hops, then those
-hops' buffers.  All of round one lies below the new least fixed point,
-so a trial that fails there copies nothing and names round one's
-witness; a later breach may name another.  The climb starts from the
-carried bursts and those checked passes.  A removal cannot fail: it lowers the least fixed
-point, so it climbs the ports that can depend on the removed flow in
-dependency order, one strongly connected component after another (Tarjan
-1972).  A port outside any cycle is bounded once, from final inputs, and
-keeps its old bursts until then; a cycle's bursts from within restart
-from their spec bursts and climb, with final inputs, to its least fixed
-point.  Solving component by component in that order gives the least
+adds a flow.  Its round one bounds each new hop once, in path order, with
+the new flow at the burst the hops before carry it to, and is checked in
+full before the state is copied: the new flow's own bound screens it, then
+every flow at those hops, then those hops' buffers.  All of round one lies
+below the new least fixed point, so a trial that fails there copies
+nothing and names round one's witness; a later breach may name another.
+The new flow keeps its carried bursts and round-one bounds, and the climb
+starts from those checked passes at the new hops where a peer's bound
+moved: at any other, no burst moves.  A removal cannot fail: it lowers the
+least fixed point, so it climbs the ports that can depend on the removed
+flow in dependency order, one strongly connected component after another
+(Tarjan 1972).  A port outside any cycle is bounded once, from final
+inputs, and keeps its old bursts until then; a cycle's bursts from within
+restart from their spec bursts and climb, with final inputs, to its least
+fixed point.  Solving component by component in that order gives the least
 fixed point of the whole (Cousot & Cousot).  A cold solve climbs with
-every port dirty.  A trial or cold solve that pops one port more than
-`SOLVER_ITER_CAP` times is Unschedulable, since its bursts may have no
-fixed point; a removal stays below the old one and has no cap.  Trials
-work on a copy, so a reject leaves the committed state alone.  A failed
-trial raises DeadlineInfeasible, BufferExceeded or Unschedulable (see
-`errors`), and a reject's reason is the first of those classes that any
-trial raised, by name, with the detail of its first trial: as sound a
-witness as a cold solve's, though a cold solve may name another flow or
-a larger bound.
+every port dirty from the spec bursts and zero bounds.  A trial or cold
+solve that pops one port more than `SOLVER_ITER_CAP` times is
+Unschedulable, since its bursts may have no fixed point; a removal stays
+below the old one and has no cap.  Trials work on a copy, so a reject
+leaves the committed state alone.  A failed trial raises
+DeadlineInfeasible, BufferExceeded or Unschedulable (see `errors`), and a
+reject's reason is the first of those classes that any trial raised, by
+name, with the detail of its first trial: as sound a witness as a cold
+solve's, though a cold solve may name another flow or a larger bound.
 
 The bounds hold although flows chain ports into cycles, as on most
 fabrics, by the time-stopping argument (Cruz, "A Calculus for Network
@@ -325,25 +326,26 @@ def _climb(
 ) -> None:
     """Climb `st` in place from the `dirty` ports to its least fixed point.
 
-    `st` must lie below that point: ports outside `dirty` hold the
-    aggregates of their flows' bursts, and a flow's bursts are those its hop
-    bounds propagate (a new flow's are those its round-one delays carry; it
-    has no hop bounds yet, and its unbounded hops count 0).
+    `st` must lie below that point, every flow with a bound at each hop.
+    Outside `dirty`, a port must hold the aggregates of its flows' bursts,
+    and each of those flows its class's delay there as its bound and the
+    burst that delay carries at its next hop.  A trial's new flow holds its
+    round-one delays and the bursts they carry, a cold solve's flows zero
+    bounds and their spec bursts, and a removal's survivors their old ones.
     Ports are popped by the least hop index at which a flow crosses them,
     then by port; with `rank`, by rank first.  `rank`, a removal's (see
-    `_drop_flow`), ranks every port the climb may pop so that each port
-    of a cycle shares one rank and every other edge leads to a higher
-    one.  It relaxes the precondition: a burst may lie above the point
-    where it enters a port from a port of lower rank, never on an edge
-    within a cycle.  Popped in rank order, a port outside a cycle
-    is bounded once its inputs have settled, so its bounds are final, and
-    a cycle climbs from below with final inputs.  `reuse` holds the
-    delays by port of a `port_bounds` pass at dirty ports, matching
-    `st.aggregates`, whose classes and buffers the caller has checked: a
-    port reuses its map until a burst there moves, and the climb consumes
-    them.  A climb without `rank` raises Unschedulable once a port is
-    popped more than `SOLVER_ITER_CAP` times; a removal's cannot fail, so
-    it has no cap.  Only burst lists the climb copied are mutated.
+    `_drop_flow`), ranks every port the climb may pop so that each port of a
+    cycle shares one rank and every other edge leads to a higher one.  It
+    relaxes the precondition: a burst may lie above the point where it
+    enters a port from a port of lower rank, never on an edge within a
+    cycle.  Popped in rank order, a port outside a cycle is bounded once its
+    inputs have settled, so its bounds are final, and a cycle climbs from
+    below with final inputs.  `reuse` holds the delays by port of a
+    `port_bounds` pass over `st.aggregates`, whose classes and buffers the
+    caller has checked: a popped port reuses its map unless a burst there
+    has moved.  A climb without `rank` raises Unschedulable once a port is
+    popped more than `SOLVER_ITER_CAP` times; a removal's cannot fail, so it
+    has no cap.  Only burst lists the climb copied are mutated.
     """
     placements, bursts, hop_bounds, members = st.placements, st.bursts, st.hop_bounds, st.members
     queued = set(dirty)
@@ -382,10 +384,9 @@ def _climb(
                     burst = None
             flow_bounds = bounds.get(fid)
             if flow_bounds is None:
-                last = hop_bounds.get(fid)
-                if burst is None and last is not None and last[i] == delay:
+                if burst is None and hop_bounds[fid][i] == delay:
                     continue
-                flow_bounds = bounds[fid] = [0] * len(hops) if last is None else list(last)
+                flow_bounds = bounds[fid] = list(hop_bounds[fid])
                 slack[fid] = pl.spec.deadline_us - pl.terms.fixed_us - sum(flow_bounds)
                 bursts[fid] = flow_bursts = list(flow_bursts)
             old = flow_bounds[i]
@@ -422,9 +423,9 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     new hops' backlogs meet their buffers, in the order the flows first
     reach them.  All of round one lies at or below the new least fixed
     point, so a breach found there is final, and the carried bursts x
-    satisfy x <= F(x), so a trial that passes climbs from them and those
-    passes to that point, bounding a new hop again only once a peer's
-    burst there moves.
+    satisfy x <= F(x).  A passing trial keeps the new flow's carried bursts
+    and round-one bounds, and climbs to that point from those passes at the
+    new hops where a peer's bound moved: no other new hop moves a burst.
     """
     spec, cls = pl.spec, pl.priority
     fid = spec.flow_id
@@ -453,6 +454,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
         burst = propagate_burst(burst, spec.rate_Bps, delay)
     placements, hop_bounds = base.placements, base.hop_bounds
     order: dict[PortId, None] = {}  # the new hops in first-appearance order
+    dirty: set[PortId] = set()  # the new hops where a peer's bound moved
     for f in sorted({fid}.union(*(base.members.get(port, ()) for port in pl.hops))):
         peer = pl if f == fid else placements[f]
         last = hop_bounds.get(f)  # None only for the new flow, which passed its screen
@@ -470,7 +472,9 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
                     _port_state(topo.profile(port.node), aggregates[port]), peer.priority
                 )
             total += delay
-            moved = moved or delay != last[i]
+            if last is not None and delay != last[i]:
+                moved = True
+                dirty.add(port)
         if moved and total > peer.spec.deadline_us:
             raise _missed(f, peer, total)
     for port in order:
@@ -479,10 +483,11 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
     st = base.copy()
     st.placements[fid] = pl
     st.bursts[fid] = carried
+    st.hop_bounds[fid] = tuple(delays[port][cls] for port in pl.hops)
     for i, port in enumerate(pl.hops):
         st.members[port] = {**st.members.get(port, {}), fid: i}
     st.aggregates.update(aggregates)
-    _climb(topo, st, pl.hops, delays)
+    _climb(topo, st, dirty, delays)
     return st
 
 

@@ -30,7 +30,8 @@ def worst_case_us(tdd, ue, direction, burst_B, rate_Bps=1) -> int:
 
 
 def cold_solve(topo, placements) -> _SolverState:
-    """Cold solve: `admission._climb` with every flow at its spec burst and every port dirty.
+    """Cold solve: `admission._climb` with every flow at its spec burst, every hop
+    bound 0 and every port dirty.
 
     No admission path solves from scratch.  This shares the climb with the
     warm trials and removals, so it checks their warm starts, not the climb
@@ -41,6 +42,7 @@ def cold_solve(topo, placements) -> _SolverState:
     for fid, pl in placements.items():
         st.placements[fid] = pl
         st.bursts[fid] = [pl.spec.burst_B] * len(pl.hops)
+        st.hop_bounds[fid] = (0,) * len(pl.hops)  # the delays that leave the spec bursts be
         for i, port in enumerate(pl.hops):
             st.members.setdefault(port, {})[fid] = i
     admission._climb(topo, st, set(st.members))

@@ -703,6 +703,20 @@ def counted_port_bounds(monkeypatch):
     return passes
 
 
+def recorded_pops(monkeypatch):
+    """Route `admission.heapq`'s pops through a recorder; returns the list of the
+    ports that climbs pop, in pop order."""
+    popped = []
+
+    def recorded(heap):
+        popped.append(heap[0][1])
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(admission, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=recorded))
+    return popped
+
+
 def ring5_placements(share):
     """Five flows on a five-switch ring, each over four ring ports in a row.
 
@@ -854,16 +868,101 @@ class TestIncrementalSolver:
         assert passes == [1, 2, 3, 2, 3]
 
     def test_add_to_an_empty_registry_bounds_each_hop_once(self, monkeypatch):
-        """Round one carries the new flow's burst along its path, so with no peer
-        whose burst could move, the climb reuses every round-one pass."""
+        """Round one carries the new flow's burst along its path and the trial keeps
+        its round-one bounds, so with no peer whose bound could move, the climb
+        pops no port."""
         topo, placements = line_placements()
         new = placements["f1"]
         passes = counted_port_bounds(monkeypatch)
+        popped = recorded_pops(monkeypatch)
         st = admission._add_flow(topo, _SolverState(), new)
         reference = reference_solve(topo, {"f1": new})
         assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
         certify(topo, st)
         assert passes == [1, 2, 3]
+        assert popped == []
+
+    def test_add_below_every_peer_pops_nothing(self, monkeypatch):
+        """A new flow in a lower class than every peer, with a largest packet no larger
+        than theirs, moves no peer's bound: the climb pops no port, and the trial
+        still reaches the reference's fixed point."""
+        topo, placements = line_placements()
+        new = placements.pop("f3")  # class 6 under f1 and f2, all with 1,500 B packets
+        base = cold_solve(topo, placements)
+        popped = recorded_pops(monkeypatch)
+        st = admission._add_flow(topo, base, new)
+        assert popped == []
+        assert {fid: st.hop_bounds[fid] for fid in placements} == base.hop_bounds
+        reference = reference_solve(topo, {**placements, "f3": new})
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        certify(topo, st)
+
+    def test_add_starts_the_climb_where_a_peer_moved(self, monkeypatch):
+        """A peer that shares only the new flow's middle hop: the climb starts there
+        and goes on to the peer's next hop, and never pops the new flow's first or
+        last hop."""
+        topo = line_topology()
+        topo.hosts.update(C=PortId("S2", 3), D=PortId("S3", 3))
+        tree = NetworkState(topo).trees[0]
+
+        def placed(fid, src, dst, rate, burst):
+            return _Placement(FlowSpec(fid, src, dst, rate, burst, 1_500, 10**9), 7, tree,
+                              tuple(path_in_tree(topo, tree, src, dst)), _Terms())
+
+        peer, new = placed("peer", "C", "D", 25_000, 4_500), placed("new", "A", "B", 12_500, 3_000)
+        assert [str(port) for port in new.hops] == ["S1.1", "S2.2", "S3.2"]
+        assert [str(port) for port in peer.hops] == ["S2.2", "S3.3"]
+        base = cold_solve(topo, {"peer": peer})
+        popped = recorded_pops(monkeypatch)
+        st = admission._add_flow(topo, base, new)
+        assert [str(port) for port in popped] == ["S2.2", "S3.3"]
+        reference = reference_solve(topo, {"peer": peer, "new": new})
+        assert (st.bursts, st.hop_bounds) == (reference.bursts, reference.hop_bounds)
+        certify(topo, st)
+
+    def test_climb_names_a_breach_past_round_one(self, monkeypatch):
+        """A reject whose first breach the climb meets at a port off the new flow's path.
+
+        n, from A to C, raises p's bound at S1.1, the one hop they share, so
+        p's burst at S2.2 grows there, and v, which crosses S2.2 and S3.2 and
+        meets its deadline exactly, misses it.  Round one checks only the
+        flows at n's hops, so it passes, as the reference's round one does:
+        the witness is a later round's, which `assert_late_witness` checks.
+        """
+        topo = line_topology()
+        topo.hosts["C"] = PortId("S2", 3)
+        state = NetworkState(topo, class_count=2, enable_reconfig=False)  # class 1 only
+        ref = NetworkState(topo, trees=state.trees, class_count=2, enable_reconfig=False)
+        for flow in (spec("p", "A", "B", rate=25_000, burst=4_500, pkt=1_500, deadline=10**9),
+                     spec("v", "C", "B", burst=1_500, pkt=1_500, deadline=160_080)):
+            assert state.register_flow(flow).accepted
+            with monkeypatch.context() as m:
+                use_reference_solver(m)
+                assert ref.register_flow(flow).accepted
+        assert state.flows()["v"].e2e_bound_us == 160_080
+        new = spec("n", "A", "C", burst=3_000, pkt=1_500, deadline=10**9)
+        before = snapshot(state)
+        popped = recorded_pops(monkeypatch)
+        decision = state.register_flow(new)
+        assert (decision.reason, decision.detail) == (
+            "DeadlineInfeasible", "flow 'v': bound 164880 us > deadline 160080 us")
+        assert [str(port) for port in popped] == ["S1.1", "S2.2"]
+        assert snapshot(state) == before
+        certify(topo, state._solver)
+        trials = []  # the reference search's failed trials: (base, placement, exception)
+
+        def recording_trial(topo, base, pl):
+            try:
+                return reference_trial(topo, base, pl)
+            except TRIAL_FAILURES as exc:
+                trials.append((base, pl, exc))
+                raise
+
+        with monkeypatch.context() as m:
+            use_reference_solver(m)
+            m.setattr(admission, "_add_flow", recording_trial)
+            expected = ref.register_flow(new)
+        assert_late_witness(monkeypatch, topo, decision, expected, trials)
 
     def test_round_one_failure_copies_nothing(self, monkeypatch):
         """A new flow that passes its own screen but pushes a peer past its deadline in
@@ -1071,10 +1170,7 @@ class TestIncrementalSolver:
         state._solver = cold_solve(topo, placements)
         del placements["f0"]
         expected = cold_solve(topo, placements)
-        popped = []
-        monkeypatch.setattr(admission, "heapq", SimpleNamespace(
-            heapify=heapq.heapify, heappush=heapq.heappush,
-            heappop=lambda heap: popped.append(heap[0][1]) or heapq.heappop(heap)))
+        popped = recorded_pops(monkeypatch)
         monkeypatch.setattr(admission, "SOLVER_ITER_CAP", 1)
         state.remove_flow("f0")
         assert len(popped) > len(set(popped))
