@@ -2,7 +2,9 @@
 
 `report` reads a trace with `sim.read_trace`, which checks each row, and
 summarises a flow's send and receive times with `sim.packet_summary`, as
-`run`'s report does: the trace format is `sim`'s alone.
+`run`'s report does: the trace format is `sim`'s alone.  Every file the
+CLI reads or writes is UTF-8; stdout keeps the locale's encoding, with
+what it cannot encode backslash-escaped.
 
 Exit codes are part of the contract: 0 all checks pass, 1 usage or parse
 error or stdout closed early, 2 admission rejected a flow marked critical,
@@ -219,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a flow id the locale cannot encode prints escaped, not as a traceback
+    sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -316,13 +316,13 @@ def load_scenario(obj: dict, *, name: str = "scenario") -> Scenario:
 
 @contextmanager
 def open_input(path, newline=None):
-    """An input file open for reading text, with `open`'s `newline`.
+    """An input file open for reading UTF-8 text, with `open`'s `newline`.
 
     A file that cannot be opened, read or decoded raises ScenarioInvalid,
     also when the error comes while the caller is reading it.
     """
     try:
-        with open(path, newline=newline) as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid(f"cannot read {path}: {exc}") from exc

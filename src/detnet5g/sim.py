@@ -14,11 +14,12 @@ the run report carries the violation counts (all zero for a sound
 pipeline).
 
 Internal time is integer nanoseconds, and a (scenario, seed) pair always
-produces byte-identical traces.  Events run in time order; simultaneous
-ones run in the order of a slot clock that ticks at every slot boundary
-and schedules each next tick at the end of the current one: an event
-scheduled before that moment runs before the tick, one scheduled after it
-runs after the tick, and events on the same side run in scheduling order.
+produces byte-identical traces: every file read or written is UTF-8,
+whatever the locale.  Events run in time order; simultaneous ones run in
+the order of a slot clock that ticks at every slot boundary and schedules
+each next tick at the end of the current one: an event scheduled before
+that moment runs before the tick, one scheduled after it runs after the
+tick, and events on the same side run in scheduling order.
 An event scheduled for the time it is scheduled at joins a FIFO that runs
 after every other event of that time.  The clock itself is lazy: a slot is
 ticked only when a UE queue can drain in it, which leaves the order
@@ -151,8 +152,8 @@ class _Hop:
 class _FlowCtx:
     __slots__ = (
         "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
-        "regulator", "t_send", "t_recv", "drops", "max_seq", "reorders",
-        "violations", "first_hop", "ul_queue", "dl_queue", "limits_ns",
+        "regulator", "t_send", "t_recv", "drops", "violations", "first_hop",
+        "ul_queue", "dl_queue", "limits_ns",
     )
 
     def __init__(self, source: SourceModel, assignment=None, critical=False):
@@ -179,8 +180,6 @@ class _FlowCtx:
         self.t_send = array("q")
         self.t_recv = array("q")
         self.drops = {}
-        self.max_seq = -1  # highest seq delivered so far
-        self.reorders = 0
         self.violations = dict.fromkeys(_VIOLATION_KINDS, 0)
 
 
@@ -524,10 +523,6 @@ class _Engine:
     def _deliver(self, pkt: _Packet):
         ctx = pkt.ctx
         ctx.t_recv[pkt.seq] = self.t
-        if pkt.seq < ctx.max_seq:
-            ctx.reorders += 1
-        else:
-            ctx.max_seq = pkt.seq
         if ctx.limits_ns is not None:
             self._check_bounds(pkt, ctx)
 
@@ -631,7 +626,6 @@ def _flow_report(ctx: _FlowCtx) -> dict:
         **summary,
         "in_flight": summary["sent"] - summary["received"] - summary["dropped"],
         "drops": dict(sorted(ctx.drops.items())),
-        "reorders": ctx.reorders,
         "bound_violations": sum(ctx.violations.values()),
         "violations": dict(ctx.violations),
     }
@@ -913,7 +907,7 @@ def dejitter_summary(off: RunResult, on: RunResult) -> dict:
 
 def write_trace(path, rows: _TraceRows) -> None:
     """Write a run's trace rows as CSV, one window of rows at a time."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for text in rows.text():
             fh.write(text)
@@ -1017,6 +1011,6 @@ def read_trace(path) -> dict[str, tuple[tuple, tuple]]:
 
 
 def write_report(path, report: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

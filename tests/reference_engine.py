@@ -26,9 +26,8 @@ It reads the input as `sim` does (`sim._schedule` for the emissions,
 `sim._admit_flows` and `sim._build_flow_ctxs` for each flow's treatment)
 and shares no engine, port, hop, packet, policer or regulator code.
 `simulate` returns, per flow, each packet's send time and outcome, the
-drops by stage, the deliveries out of sequence and the bound violations,
-and the largest occupancy of each (port, class): what `compare` checks
-against `sim.run`.
+drops by stage and the bound violations, and the largest occupancy of
+each (port, class): what `compare` checks against `sim.run`.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class FlowOutcome:
     outcomes: list = field(default_factory=list)  # per seq: receive time (ns), DROPPED or None
     drops: dict = field(default_factory=dict)  # by stage
     violations: dict = field(default_factory=dict)  # by kind, admitted flows only
-    reorders: int = 0  # deliveries of a packet sent before one delivered earlier
 
 
 @dataclass
@@ -108,7 +106,6 @@ class _Flow:
             self.bucket_rate = spec.rate_Bps
             self.bucket_at = 0
         self.out = FlowOutcome()
-        self.highest_delivered = -1  # seq
         if ctx.assignment is not None:
             self.out.violations = dict.fromkeys(sim._VIOLATION_KINDS, 0)
 
@@ -335,9 +332,6 @@ class ReferenceEngine:
     def deliver(self, pkt):
         flow = pkt.flow
         flow.out.outcomes[pkt.seq] = self.now
-        if pkt.seq < flow.highest_delivered:
-            flow.out.reorders += 1
-        flow.highest_delivered = max(flow.highest_delivered, pkt.seq)
         a = flow.assignment
         if a is None:
             return
@@ -374,8 +368,7 @@ def engine_outcome(result) -> Outcome:
     """The same view of a `sim.run` result, read from its report and from the
     send and receive times (ns) its trace is written from."""
     flows = {fid: FlowOutcome(drops=entry["drops"],
-                              violations=entry["violations"] if entry["admitted"] else {},
-                              reorders=entry["reorders"])
+                              violations=entry["violations"] if entry["admitted"] else {})
              for fid, entry in result.report["flows"].items()}
     for ctx in result.trace_rows.ctxs:
         out = flows[ctx.source.flow_id]
@@ -403,7 +396,7 @@ def differences(engine: Outcome, reference: Outcome, limit: int = 5) -> list[str
                    for seq, a, b in zip(itertools.count(), zip(ours.sends, ours.outcomes),
                                         zip(ref.sends, ref.outcomes)) if a != b]
         diffs += packets[:limit]
-        for what in ("drops", "violations", "reorders"):
+        for what in ("drops", "violations"):
             if getattr(ours, what) != getattr(ref, what):
                 diffs.append(f"{fid} {what}: engine {getattr(ours, what)}, "
                              f"reference {getattr(ref, what)}")

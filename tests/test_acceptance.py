@@ -26,6 +26,7 @@ from detnet5g.units import ceil_div
 
 from conftest import aggregates, canonical_scenario, cold_aggregates, ring_topology, snapshot
 from test_admission import apply_op, make_ops
+from test_sim import reordered_flows
 from test_topology import count_spanning_trees_oracle, switch_graph
 from test_transit5g import sweep_oracle
 
@@ -161,7 +162,7 @@ def test_criterion_2_bound_soundness_randomized():
             for fid in admitted:
                 stats = result.report["flows"][fid]
                 assert stats["dropped"] == 0, (doc, seed, fid)
-                assert stats["reorders"] == 0, (doc, seed, fid)
+            assert reordered_flows(result) == [], (doc, seed)
             runs += 1
     elapsed = time.monotonic() - started
     assert elapsed < 120.0

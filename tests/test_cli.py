@@ -634,6 +634,55 @@ class TestReport:
         assert err == b""
 
 
+# a locale whose encoding is ASCII: no coercion to C.UTF-8 and no UTF-8 mode
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def cli_process(args, env) -> subprocess.CompletedProcess:
+    """The CLI run in its own process with `env` over this one's environment,
+    its stdout and stderr captured as bytes; PYTHONIOENCODING is left out, as it
+    would set stdout's encoding whatever the locale."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    return subprocess.run([sys.executable, "-m", "detnet5g.cli", *args], capture_output=True,
+                          env={**base, "PYTHONPATH": str(REPO / "src"), **env})
+
+
+class TestAsciiLocale:
+    """Every file is UTF-8 and stdout escapes what its encoding cannot hold, so
+    a non-ASCII flow id runs under an ASCII locale as under a UTF-8 one."""
+
+    def test_run_and_report_read_and_write_utf8(self, tmp_path):
+        doc = canonical_scenario()
+        doc["flows"][0]["flow_id"] = "orangé"
+        doc["sim"]["duration_ms"] = 200
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        outputs = []
+        for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+            done = cli_process(["run", str(path), "--out", str(tmp_path / name)], env)
+            assert (done.returncode, done.stderr) == (0, b""), done.stderr.decode()
+            outputs.append([(tmp_path / name / f"scn_scenario_seed1_{kind}").read_bytes()
+                            for kind in ("trace.csv", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert b"\r\norang\xc3\xa9,0," in outputs[1][0]
+        assert b"  [scenario] orang\\xe9: sent=" in done.stdout
+
+        trace = tmp_path / "ascii" / "scn_scenario_seed1_trace.csv"
+        done = cli_process(["report", str(trace)], ASCII_LOCALE)
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr.decode()
+        assert "orangé" in json.loads(done.stdout)["flows"]
+
+    def test_admit_text_escapes_a_non_ascii_id(self, tmp_path, topo_file):
+        # the file escapes the id (`\u00e91`): only stdout meets the `é`
+        flows = write_json(tmp_path / "flows.json", flows_doc([
+            {"flow_id": "é1", "src": "G", "dst": "D", "rate_Bps": 1_000, "burst_B": 1_500,
+             "max_pkt_B": 1_500, "deadline_us": 100_000}]))
+        done = cli_process(["admit", topo_file, flows], ASCII_LOCALE)
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr.decode()
+        assert done.stdout.startswith(b"request \\xe91: G -> D rate=1000B/s ")
+        assert b"  ACCEPTED vlan=" in done.stdout
+
+
 class TestUsageAndInput:
     @pytest.mark.parametrize("argv, code", [
         (["bogus"], 1),

@@ -29,15 +29,15 @@ GOLDEN = {
     "canonical-off.trace":
         "25ff53f96826fb562453a92c6d9e562aea32743a0176b95ce68baafe7d62f15f",
     "canonical-off.report":
-        "24787ed8a51d5c4c4ed8d9b8e8ddfe25f13cac4eb5c96564b3e1758436050e97",
+        "70fd0c36b7e3b8ba5f6e108347550b62694d2be7ac04102f9332990dff3c30ef",
     "canonical-on.trace":
         "97ec2f7714e6b89f975bb83d070b2b03d388c9662cd0e4054f9ac077411b419f",
     "canonical-on.report":
-        "f622fb40d8d6ad33734191912e2fdff225edf150d8411b81aa671139c011a15a",
+        "f0aef488370f27eb7e9f78a5b2985aca51bc8ae21b5eb6df0ef9adf61ab10cff",
     "ue-transit.trace":
         "c5c91eda7c177bb162ab6a7fd61f21d6eb002a8fab15f5a5a5732796bdeb9c69",
     "ue-transit.report":
-        "480bed720038f411e02540898e58996fd01e84bb47dc6668b13b923bdac68208",
+        "5fcd88c65f2eb89ed2389e8c68d00452bdcd1cd68e3c0c5f9d7e132e123d56b9",
     "admit.json":
         "0c720818ba1378d905761727092cb7d9418a32494d288a1f3dcbfd8a1ce76f89",
 }

@@ -13,6 +13,10 @@ classes: a busy inter-switch egress whose best-effort buffer overflows, a
 policed host flow and UE traffic both ways.  Its digests were recorded
 before the engine sent packets on idle ports without queueing them, so they
 pin the order of next-hop arrivals and strict-priority picks across hops.
+
+When the report lost its `reorders` key, both families' digests were
+derived again from the earlier code's own outputs, each report with that
+key deleted, so they still pin the order recorded first.
 """
 
 import gc
