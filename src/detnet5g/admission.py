@@ -142,10 +142,17 @@ class FlowSpec:
 
 
 def read_endpoints(obj: dict, path: str) -> tuple[str, str, str]:
-    """(flow_id, src, dst) of a flow request or source entry: a non-empty id, two distinct ends."""
+    """(flow_id, src, dst) of a flow request or source entry: a non-empty id
+    that UTF-8 can encode, two distinct ends.  The id seeds the flow's source
+    and names it in the trace, and neither takes a lone surrogate, which a
+    JSON string may hold (`"\\ud800"`)."""
     fid = _expect(obj.get("flow_id"), f"{path}.flow_id", str)
     if not fid:
         _fail(f"{path}.flow_id", "must be non-empty")
+    try:
+        fid.encode()
+    except UnicodeEncodeError:
+        _fail(f"{path}.flow_id", "must not hold a lone surrogate: UTF-8 cannot encode it")
     src = _expect(obj.get("src"), f"{path}.src", str)
     dst = _expect(obj.get("dst"), f"{path}.dst", str)
     if dst == src:

@@ -27,6 +27,10 @@ unchanged because a tick that drains nothing does nothing.  A packet that
 reaches an idle egress port goes on the wire at once, without passing
 through its class queue: an idle port's queues are empty, because the end
 of a transmission starts the port's next packet before its handler returns.
+A packet that finishes a transmission and moves to a hop without
+forwarding delay arrives there within that transmission's event, after
+the port's next packet starts, when the FIFO is empty and no other event
+has the current time: the arrival would run next from the FIFO anyway.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
@@ -151,13 +155,14 @@ class _Hop:
 
 class _FlowCtx:
     __slots__ = (
-        "source", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
+        "source", "pkt_B", "assignment", "critical", "pcp", "vlan_id", "route", "policer",
         "regulator", "t_send", "t_recv", "drops", "violations", "first_hop",
-        "ul_queue", "dl_queue", "limits_ns",
+        "ul_queue", "dl_queue", "limits_ns", "schedule", "count",
     )
 
     def __init__(self, source: SourceModel, assignment=None, critical=False):
         self.source = source
+        self.pkt_B = source.params["pkt_B"]
         self.assignment = assignment  # the admitted flow's FlowAssignment; None if unregistered
         self.critical = critical
         # the flow's treatment, fixed by `_build_flow_ctxs` (None: no policer,
@@ -175,6 +180,10 @@ class _FlowCtx:
         self.dl_queue = None
         # the assignment's bounds in ns, set by the engine (None: unregistered)
         self.limits_ns = None
+        # the flow's `_schedule` and the packet count of its next emission,
+        # set by the engine: an emission event's payload is the flow itself
+        self.schedule = None
+        self.count = 0
         # the flow's trace, indexed by seq: send time, and delivery time,
         # IN_FLIGHT or DROPPED (ns)
         self.t_send = array("q")
@@ -272,9 +281,18 @@ class _Engine:
     straight to the FIFO.  Emissions and regulator releases, whose delays
     vary, go through `_push`, and slot ticks through `_arm`.  Each handler
     is bound once per engine (`on_*`), and a heap or FIFO entry holds that
-    bound method.  `tests/reference_engine.py` runs the every-slot clock
-    itself, with none of these shortcuts, and the tests compare the two
-    packet by packet.
+    bound method; an emission's payload is its `_FlowCtx`.
+
+    `_handle_txdone` saves a hop's second event.  A packet it moves to a
+    hop without forwarding delay would join the FIFO; when the FIFO is
+    empty and no heap entry has the current time, the loop would run that
+    arrival next, at rank 2, so the handler runs it itself, last, at rank
+    2, after the push of the port's next transmission, which comes before
+    the arrival's own pushes as it would from the FIFO.  A delayed arrival
+    is pushed before the next transmission: the two can share a (time,
+    rank), and push order breaks the tie.  `tests/reference_engine.py`
+    runs the every-slot clock itself, with none of these shortcuts, and
+    the tests compare the two packet by packet.
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -312,7 +330,6 @@ class _Engine:
         for ctx in flows.values():
             ctx.ul_queue = ue_ul.get(ctx.source.src)
             ctx.dl_queue = ue_dl.get(ctx.source.dst)
-            pkt_B = ctx.source.params["pkt_B"]
             bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
             hop = None
             for i in reversed(range(len(ctx.route))):
@@ -320,7 +337,7 @@ class _Engine:
                 port = self.all_ports.get(port_id)
                 if port is None:
                     port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
-                hop = _Hop(port, ctx.pcp, pkt_B, None if bounds is None else bounds[i],
+                hop = _Hop(port, ctx.pcp, ctx.pkt_B, None if bounds is None else bounds[i],
                            self.slot_ns, hop)
             ctx.first_hop = hop
             if ctx.assignment is not None:
@@ -358,26 +375,23 @@ class _Engine:
 
     # ------------------------------------------------------------- sources
 
-    def _handle_emit(self, emission):
-        ctx, schedule, count = emission
-        size_B = ctx.source.params["pkt_B"]
-        for _ in range(count):
-            self._emit_packet(ctx, size_B)
-        t_ns, count = next(schedule)
-        if t_ns <= self.end_ns:
-            self._push(t_ns, self.on_emit, (ctx, schedule, count))
-
-    def _emit_packet(self, ctx: _FlowCtx, size_B: int):
+    def _handle_emit(self, ctx: _FlowCtx):
+        """Send the emission's `ctx.count` packets, then schedule the next one."""
         t = self.t
-        pkt = _Packet(ctx, size_B)
-        ctx.t_send.append(t)
-        ctx.t_recv.append(IN_FLIGHT)
-        if ctx.ul_queue is not None:
-            self._enqueue_ue(pkt, ctx.ul_queue, self.ul_wait)
-        elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
-            self._drop(pkt, "policer")
-        else:
-            self._forward(pkt, ctx.first_hop)
+        size_B = ctx.pkt_B
+        for _ in range(ctx.count):
+            pkt = _Packet(ctx, size_B)
+            ctx.t_send.append(t)
+            ctx.t_recv.append(IN_FLIGHT)
+            if ctx.ul_queue is not None:
+                self._enqueue_ue(pkt, ctx.ul_queue, self.ul_wait)
+            elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
+                self._drop(pkt, "policer")
+            else:
+                self._forward(pkt, ctx.first_hop)
+        t_ns, ctx.count = next(ctx.schedule)
+        if t_ns <= self.end_ns:
+            self._push(t_ns, self.on_emit, ctx)
 
     # ------------------------------------------------------------- 5G segment
 
@@ -460,15 +474,6 @@ class _Engine:
         heappush(self.heap, (self.t + hop.fwd_ns, self.rank if rank is None else rank,
                              self.counter, self.on_portin, pkt))
 
-    def _transmit(self, port: _Port, pkt: _Packet):
-        """Put a packet on the wire at its hop's port."""
-        port.busy = pkt
-        hop = pkt.hop
-        rank = hop.tx_rank
-        self.counter += 1
-        heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
-                             self.counter, self.on_txdone, port))
-
     def _handle_portin(self, pkt: _Packet):
         hop = pkt.hop
         port = hop.port
@@ -484,34 +489,58 @@ class _Engine:
         if port.busy is None:
             # an idle port's queues are empty (`_handle_txdone` starts the
             # next packet before it returns): send at once
-            self._transmit(port, pkt)
+            port.busy = pkt
+            rank = hop.tx_rank
+            self.counter += 1
+            heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
+                                 self.counter, self.on_txdone, port))
         else:
             port.queues[cls].append(pkt)
             port.queued += 1
 
     def _handle_txdone(self, port: _Port):
+        """End a transmission: move the packet on, start the port's next one,
+        then run the packet's arrival if the FIFO would run it next (see
+        `_Engine`)."""
+        t = self.t
         pkt = port.busy
         hop = pkt.hop
         port.occupancy[hop.cls] -= pkt.size_B
-        if hop.bound_ns is not None and self.t - pkt.hop_in > hop.bound_ns:
+        if hop.bound_ns is not None and t - pkt.hop_in > hop.bound_ns:
             pkt.hop_overruns += 1
-        if hop.next is not None:
-            self._forward(pkt, hop.next)
+        arrives = False
+        nxt = hop.next
+        if nxt is not None:
+            if nxt.fwd_ns or self.fifo or (self.heap and self.heap[0][0] == t):
+                # a delayed arrival is pushed before the port's next
+                # transmission, which may share its (time, rank)
+                self._forward(pkt, nxt)
+            else:
+                pkt.hop = nxt
+                pkt.hop_in = t
+                arrives = True
         elif pkt.ctx.dl_queue is not None:
-            pkt.dl_in = self.t
+            pkt.dl_in = t
             pkt.remaining_B = pkt.size_B
             self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
         else:
             self._deliver(pkt)
         if not port.queued:
             port.busy = None
-            return
-        # non-preemptive strict priority: highest non-empty class next
-        for queue in port.by_priority:
-            if queue:
-                port.queued -= 1
-                self._transmit(port, queue.popleft())
-                return
+        else:
+            # non-preemptive strict priority: highest non-empty class next
+            for queue in port.by_priority:
+                if queue:
+                    port.queued -= 1
+                    port.busy = head = queue.popleft()
+                    rank = head.hop.tx_rank
+                    self.counter += 1
+                    heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
+                                         self.counter, self.on_txdone, port))
+                    break
+        if arrives:  # what the FIFO would run next, at its rank
+            self.rank = 2
+            self._handle_portin(pkt)
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -553,10 +582,10 @@ class _Engine:
     def run(self):
         for ctx in self.flows.values():
             model = ctx.source
-            schedule = _schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
-            t_ns, count = next(schedule)
+            ctx.schedule = _schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
+            t_ns, ctx.count = next(ctx.schedule)
             if t_ns <= self.end_ns:
-                self._push(t_ns, self.on_emit, (ctx, schedule, count))
+                self._push(t_ns, self.on_emit, ctx)
 
         heap, fifo, end_ns = self.heap, self.fifo, self.end_ns
         t = self.t
@@ -587,7 +616,7 @@ class _Engine:
             for queue in port.queues:
                 queue.clear()
         for ctx in self.flows.values():
-            ctx.first_hop = ctx.ul_queue = ctx.dl_queue = ctx.regulator = None
+            ctx.first_hop = ctx.ul_queue = ctx.dl_queue = ctx.regulator = ctx.schedule = None
 
 
 def packet_summary(t_send, t_recv) -> dict:

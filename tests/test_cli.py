@@ -175,8 +175,11 @@ class TestAdmit:
         (orange_request(), "flows[1].flow_id: duplicate flow id 'orange'"),
         (orange_request(flow_id="o2", dst="Mars"), "flows[1].dst: 'Mars' is not a host or a UE"),
         (orange_request(flow_id="x2", rate_Bps=-5), "flows[1].rate_Bps: must be positive"),
+        # JSON allows a lone surrogate; `admit` used to accept the flow, `run` to crash on it
+        (orange_request(flow_id="x\ud800"),
+         "flows[1].flow_id: must not hold a lone surrogate: UTF-8 cannot encode it"),
     ], ids=["not-an-object", "missing-field", "critical-bad-value", "repeated-id",
-            "unknown-endpoint", "negative-rate"])
+            "unknown-endpoint", "negative-rate", "surrogate-id"])
     def test_flow_entry_error_names_file_and_index(self, entry, message, mode, topo_file,
                                                    tmp_path, capsys):
         flows = write_json(tmp_path / "flows.json", flows_doc([orange_request(), entry]))
@@ -377,6 +380,12 @@ class TestRun:
         # admission rejected it as an invalid spec, so a non-critical flow vanished
         (lambda doc: doc["flows"][0].update(critical=False, flow_id=""),
          "flows[0].flow_id: must be non-empty"),
+        # a lone surrogate, which JSON allows, ended the run in a UnicodeEncodeError
+        # traceback: the source's seed string cannot be encoded, nor can the trace
+        (lambda doc: doc["flows"][0].update(flow_id="x\ud800"),
+         "flows[0].flow_id: must not hold a lone surrogate"),
+        (lambda doc: doc["sim"]["sources"][0].update(flow_id="y\udfff"),
+         "sim.sources[0].flow_id: must not hold a lone surrogate"),
         (forced_regulator_without_block,
          "error: dejitter forced on but scenario has no nwtt.dejitter block\n"),
         # two de-jittered flows sharing one queue broke their regulator bounds (exit 3)
@@ -386,7 +395,8 @@ class TestRun:
     ], ids=["string-count", "duplicate-ue", "oversized-flow-packet", "oversized-extra-packet",
             "source-loop", "host-dejitter", "misspelled-flow-field", "misspelled-source-field",
             "misspelled-numerology", "misspelled-class-count", "empty-source-id", "empty-flow-id",
-            "forced-regulator-without-block", "shared-regulator-queue"])
+            "surrogate-flow-id", "surrogate-source-id", "forced-regulator-without-block",
+            "shared-regulator-queue"])
     def test_invalid_field_exits_one_before_running(self, mutate, message, tmp_path, capsys):
         doc = canonical_scenario()
         options = mutate(doc) or []

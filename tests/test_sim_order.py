@@ -17,12 +17,19 @@ pin the order of next-hop arrivals and strict-priority picks across hops.
 When the report lost its `reorders` key, both families' digests were
 derived again from the earlier code's own outputs, each report with that
 key deleted, so they still pin the order recorded first.
+
+The one-event hop tests count the items that pass the same-time FIFO
+(`CountingEngine`): a transmission that ends runs its packet's arrival at
+a next hop without forwarding delay itself when the FIFO would run it
+next.  Each of their runs must equal the reference engine's packet by
+packet.
 """
 
 import gc
 import hashlib
 import itertools
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -41,6 +48,7 @@ from detnet5g.sim import (
     write_report,
     write_trace,
 )
+import reference_engine
 from conftest import canonical_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -186,14 +194,28 @@ def test_order_across_hops_is_unchanged(case, tmp_path):
     assert result_digest(result, tmp_path) == HOP_DIGESTS[hop_case_id(case)]
 
 
+class CountingFifo(deque):
+    """The same-time FIFO, counting the items that join it."""
+
+    def __init__(self):
+        super().__init__()
+        self.joined = 0
+
+    def append(self, item):
+        self.joined += 1
+        super().append(item)
+
+
 class CountingEngine(_Engine):
-    """Counts slot ticks; with `eager`, ticks every slot as a non-lazy clock would."""
+    """Counts slot ticks and FIFO items; with `eager`, ticks every slot as a
+    non-lazy clock would."""
 
     eager = False
 
     def __init__(self, *args):
         super().__init__(*args)
         self.ticks = 0
+        self.fifo = CountingFifo()
 
     def run(self):
         if self.eager and self.transit is not None and self.transit.ues:
@@ -212,11 +234,11 @@ class EagerEngine(CountingEngine):
 
 
 def engine_run(scn, engine_cls):
-    """`sim.run` with its engine swapped for `engine_cls`; returns (result, ticks)."""
+    """`sim.run` with its engine swapped for `engine_cls`; returns (result, engine)."""
     state, decisions = _admit_flows(scn, "scenario")
     engine = engine_cls(state.topology, _build_flow_ctxs(scn, state), scn.duration_ms, scn.seed)
     engine.run()
-    return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine.ticks
+    return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine
 
 
 def dense_ue_doc() -> dict:
@@ -262,16 +284,17 @@ class TestLazySlotClock:
     def test_canonical_ticks_only_its_uplink_slots(self):
         # 4 s of DDDSU at 0.5 ms slots: 8,000 slots, 1,600 of them U slots,
         # and the UE queues are rarely empty at one
-        result, ticks = engine_run(load_scenario(canonical_scenario()), CountingEngine)
-        assert ticks == 1_600
+        result, engine = engine_run(load_scenario(canonical_scenario()), CountingEngine)
+        assert engine.ticks == 1_600
         assert result.report == run(load_scenario(canonical_scenario())).report
 
     @pytest.mark.parametrize("doc", [canonical_scenario, dense_ue_doc], ids=["canonical", "dense-ue"])
     def test_ticking_every_slot_changes_nothing(self, doc, tmp_path):
         scn = load_scenario(doc())
-        lazy, lazy_ticks = engine_run(scn, CountingEngine)
-        eager, eager_ticks = engine_run(scn, EagerEngine)
-        assert eager_ticks == scn.duration_ms * 2 > lazy_ticks  # numerology 1: 2 slots per ms
+        lazy, lazy_engine = engine_run(scn, CountingEngine)
+        eager, eager_engine = engine_run(scn, EagerEngine)
+        # numerology 1: 2 slots per ms
+        assert eager_engine.ticks == scn.duration_ms * 2 > lazy_engine.ticks
         assert result_digest(lazy, tmp_path) == result_digest(eager, tmp_path)
 
     @pytest.mark.parametrize("dejitter", ["scenario", "on"])
@@ -298,3 +321,74 @@ class TestLazySlotClock:
         assert any(flow["in_flight"] for flow in result.report["flows"].values())
         assert (regulated[0] > 0) == (dejitter == "on")
         assert left == []
+
+
+def fabric_doc(switches, links, hosts, sources, fwd_us=None) -> dict:
+    """Switches with 1 B/us links and 4,000 B buffers, hosts attached as
+    given and unregistered periodic 100 B sources, from offset 10 us;
+    `fwd_us` maps a switch to its forwarding delay (0 for the others)."""
+    fwd_us = fwd_us or {}
+    return {
+        "schema_version": 1,
+        "topology": {
+            "switches": [{"id": s, "link_rate_Bps": 1_000_000,
+                          "fwd_delay_us": [fwd_us.get(s, 0)] * 8, "port_buffer_B": 4_000}
+                         for s in switches],
+            "links": links,
+            "hosts": [{"id": h, "attach": port} for h, port in hosts.items()],
+        },
+        "sim": {"duration_ms": 10, "seed": 1, "sources": [
+            {"flow_id": f"{src}{dst}", "src": src, "dst": dst, "mode": "periodic",
+             "period_us": 1_000_000, "pkt_B": 100, "offset_us": 10, "count": count}
+            for src, dst, count in sources]},
+    }
+
+
+def counted_run(doc):
+    """`sim.run` of `doc` with a `CountingEngine`, checked packet by packet
+    against the reference engine; returns (result, engine)."""
+    scn = load_scenario(doc)
+    result, engine = engine_run(scn, CountingEngine)
+    diffs = reference_engine.differences(reference_engine.engine_outcome(result),
+                                         reference_engine.simulate(scn))
+    assert not diffs, "engine and reference differ:\n" + "\n".join(diffs)
+    return result, engine
+
+
+class TestOneEventHop:
+    """A finished transmission runs its packet's arrival at a next hop without
+    forwarding delay itself, when the FIFO would run that arrival next."""
+
+    def test_lone_packet_crosses_idle_hops_with_one_fifo_item(self):
+        # A -> B over S0.1, S1.1 and S2.3: only the emission's arrival at
+        # S0.1 passes the FIFO, the two hop arrivals run in their txdones
+        result, engine = counted_run(fabric_doc(
+            ["S0", "S1", "S2"], [["S0.1", "S1.2"], ["S1.1", "S2.2"]],
+            {"A": "S0.3", "B": "S2.3"}, [("A", "B", 1)]))
+        assert engine.fifo.joined == 1
+        assert result.report["flows"]["AB"]["received"] == 1
+
+    def test_transmissions_ending_together_keep_the_fifo(self):
+        # A -> C and B -> C end their first hops in one nanosecond and meet at
+        # S2.3: at the first txdone the second is on the heap at that time,
+        # at the second the first arrival waits in the FIFO, so both hop
+        # arrivals take the FIFO, as the emissions' arrivals do
+        result, engine = counted_run(fabric_doc(
+            ["S0", "S1", "S2"], [["S0.1", "S2.1"], ["S1.1", "S2.2"]],
+            {"A": "S0.3", "B": "S1.3", "C": "S2.3"}, [("A", "C", 1), ("B", "C", 1)]))
+        assert engine.fifo.joined == 4
+        flows = result.report["flows"]
+        assert flows["AC"]["latency_us"]["max"] == 200.0  # first through S2.3
+        assert flows["BC"]["latency_us"]["max"] == 300.0
+
+    def test_delayed_arrival_is_pushed_before_the_next_transmission(self):
+        # two packets queue at S0.1; when the first leaves, its arrival at
+        # S1.3 after S1's 100 us forwarding delay and the second's txdone
+        # 100 us on share a (time, rank), so push order decides: the first
+        # packet goes on the wire at S1.3 before the second is forwarded,
+        # and S1.3 never holds both
+        result, engine = counted_run(fabric_doc(
+            ["S0", "S1"], [["S0.1", "S1.1"]], {"A": "S0.3", "B": "S1.3"},
+            [("A", "B", 2)], fwd_us={"S1": 100}))
+        assert result.report["ports"]["S1.3"]["0"]["max_occupancy_B"] == 100
+        assert result.report["flows"]["AB"]["received"] == 2
