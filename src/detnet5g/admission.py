@@ -80,6 +80,7 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .calculus import (
     ClassAggregate,
@@ -372,7 +373,7 @@ def _climb(
                 raise Unschedulable("burst propagation found no fixed point")
         delays = reuse.pop(port, None) if reuse else None
         if delays is None:
-            profile = topo.profile(port.node)
+            profile = topo.switches[port.node]
             delays, backlogs = _bound_port(profile, st, port)
             _check_buffer(port, profile, backlogs)
         for fid, i in members[port].items():
@@ -380,7 +381,7 @@ def _climb(
             delay = delays.get(pl.priority)
             if delay is None:  # port_bounds found the class Unschedulable: raise why
                 hop_delay_bound(
-                    _port_state(topo.profile(port.node), st.aggregates[port]), pl.priority
+                    _port_state(topo.switches[port.node], st.aggregates[port]), pl.priority
                 )
             hops = pl.hops
             flow_bursts = bursts[fid]
@@ -448,7 +449,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
         b, r, m = classes.get(cls, (0, 0, 0))
         classes[cls] = ClassAggregate(b + burst, r + spec.rate_Bps, max(m, spec.max_pkt_B))
         aggregates[port] = classes
-        state = _port_state(topo.profile(port.node), classes)
+        state = _port_state(topo.switches[port.node], classes)
         delays[port], backlogs[port] = port_bounds(state)
         delay = delays[port].get(cls)
         if delay is None:  # port_bounds found the class Unschedulable: raise why
@@ -476,7 +477,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
             delay = at_port.get(peer.priority)
             if delay is None:  # port_bounds found the class Unschedulable: raise why
                 hop_delay_bound(
-                    _port_state(topo.profile(port.node), aggregates[port]), peer.priority
+                    _port_state(topo.switches[port.node], aggregates[port]), peer.priority
                 )
             total += delay
             if last is not None and delay != last[i]:
@@ -485,7 +486,7 @@ def _add_flow(topo: Topology, base: _SolverState, pl: _Placement) -> _SolverStat
         if moved and total > peer.spec.deadline_us:
             raise _missed(f, peer, total)
     for port in order:
-        _check_buffer(port, topo.profile(port.node), backlogs[port])
+        _check_buffer(port, topo.switches[port.node], backlogs[port])
 
     st = base.copy()
     st.placements[fid] = pl
@@ -660,7 +661,6 @@ class NetworkState:
         self.default_regulator = default_regulator
         self._solver = _SolverState()
         self._routes: dict[tuple[str, str], _Routes] = {}  # filled as pairs are requested
-        self._distinct_profiles: tuple[SwitchProfile, ...] | None = None  # see _profiles
         self._floors: dict[tuple[int, int, int, int], float] = {}  # see _hop_floor
 
     # ------------------------------------------------------------------ helpers
@@ -799,14 +799,13 @@ class NetworkState:
         key = (spec.burst_B, spec.rate_Bps, spec.max_pkt_B, priority)
         floor = self._floors.get(key)
         if floor is None:
-            floor = self._floors[key] = _hop_floor_us(self._profiles(), spec, priority)
+            floor = self._floors[key] = _hop_floor_us(self._profiles, spec, priority)
         return floor
 
+    @cached_property
     def _profiles(self) -> tuple[SwitchProfile, ...]:
         """The fabric's distinct switch profiles, found on first use."""
-        if self._distinct_profiles is None:
-            self._distinct_profiles = tuple(set(self.topology.switches.values()))
-        return self._distinct_profiles
+        return tuple(set(self.topology.switches.values()))
 
     # ------------------------------------------------------------------ operations
 
@@ -958,6 +957,6 @@ class NetworkState:
     def backlog_bounds(self) -> dict[PortId, dict[int, int]]:
         """Per-port, per-class backlog bounds implied by the current registry."""
         return {
-            port: port_bounds(_port_state(self.topology.profile(port.node), classes))[1]
+            port: port_bounds(_port_state(self.topology.switches[port.node], classes))[1]
             for port, classes in self._solver.aggregates.items()
         }

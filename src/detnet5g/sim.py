@@ -55,7 +55,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from operator import add, floordiv, mod, mul, sub
+from operator import floordiv, mod, sub
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
@@ -263,7 +263,8 @@ def _limits_ns(a) -> tuple:
 
 
 class _Engine:
-    """The event loop.  Heap entries are `(t, rank, seq, handler, payload)`.
+    """The event loop.  Heap entries are `(t, rank, seq, handler, payload)`,
+    `seq` being drawn from `counter` so that push order breaks a tie.
 
     `rank` places an event against the slot tick at its time (rank 1) as
     if the clock ticked every slot and pushed each next tick at the end of
@@ -303,7 +304,7 @@ class _Engine:
         self.rank = 0  # of the event running now
         self.heap = []
         self.fifo = deque()
-        self.counter = 0
+        self.counter = itertools.count()
         self.transit = topo.transit
         self.slot_ns = 0
         self.grant_slots = 0  # a packet that reaches a UE queue in slot k may go in slot k + this
@@ -336,7 +337,7 @@ class _Engine:
                 port_id = ctx.route[i]
                 port = self.all_ports.get(port_id)
                 if port is None:
-                    port = self.all_ports[port_id] = _Port(port_id, topo.profile(port_id.node))
+                    port = self.all_ports[port_id] = _Port(port_id, topo.switches[port_id.node])
                 hop = _Hop(port, ctx.pcp, ctx.pkt_B, None if bounds is None else bounds[i],
                            self.slot_ns, hop)
             ctx.first_hop = hop
@@ -358,8 +359,8 @@ class _Engine:
             self.fifo.append((handler, payload))
             return
         rank = _fixed_rank(ahead, self.slot_ns)
-        self.counter += 1
-        heappush(self.heap, (t_ns, self.rank if rank is None else rank, self.counter, handler, payload))
+        heappush(self.heap, (t_ns, self.rank if rank is None else rank, next(self.counter),
+                             handler, payload))
 
     def _arm(self, wait: tuple, slot_index: int):
         """Tick the first slot at or after `slot_index` usable in `wait`'s direction."""
@@ -370,8 +371,7 @@ class _Engine:
         t_ns = (slot_index + 1) * self.slot_ns  # a slot's tick is at its end
         if t_ns <= self.end_ns and slot_index not in self.armed:
             self.armed.add(slot_index)
-            self.counter += 1
-            heappush(self.heap, (t_ns, 1, self.counter, self.on_slot, slot_index))
+            heappush(self.heap, (t_ns, 1, next(self.counter), self.on_slot, slot_index))
 
     # ------------------------------------------------------------- sources
 
@@ -470,9 +470,8 @@ class _Engine:
             self.fifo.append((self.on_portin, pkt))
             return
         rank = hop.fwd_rank
-        self.counter += 1
         heappush(self.heap, (self.t + hop.fwd_ns, self.rank if rank is None else rank,
-                             self.counter, self.on_portin, pkt))
+                             next(self.counter), self.on_portin, pkt))
 
     def _handle_portin(self, pkt: _Packet):
         hop = pkt.hop
@@ -491,9 +490,8 @@ class _Engine:
             # next packet before it returns): send at once
             port.busy = pkt
             rank = hop.tx_rank
-            self.counter += 1
             heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
-                                 self.counter, self.on_txdone, port))
+                                 next(self.counter), self.on_txdone, port))
         else:
             port.queues[cls].append(pkt)
             port.queued += 1
@@ -534,9 +532,8 @@ class _Engine:
                     port.queued -= 1
                     port.busy = head = queue.popleft()
                     rank = head.hop.tx_rank
-                    self.counter += 1
                     heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
-                                         self.counter, self.on_txdone, port))
+                                         next(self.counter), self.on_txdone, port))
                     break
         if arrives:  # what the FIFO would run next, at its rank
             self.rank = 2
@@ -676,8 +673,8 @@ def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
     """The CSV lines of a flow's packets from seq `lo` on, sent at `t_send`
     and received at `t_recv` (ns), `fid_csv` being the flow id as a CSV
     field with `%` escaped.  While every packet of the slice is delivered,
-    they are formatted a column at a time with one %-format per line, and
-    each distinct latency is formatted once."""
+    they are formatted a column at a time with one %-format per line, each
+    time (send, receive and latency) as its `divmod` by `NS_PER_US`."""
     head = f"{fid_csv},%d,{source.params['pkt_B']},"
     if min(t_recv) < 0:  # dropped or in flight: no receive time, no latency
         fmt = head + "%s,%s,%s,%d\r\n"
@@ -686,15 +683,13 @@ def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
                        r == DROPPED)
                 for seq, s, r in zip(itertools.count(lo), t_send, t_recv)]
     latencies = list(map(sub, t_recv, t_send))
-    distinct = set(latencies)
-    latency_text = dict(zip(distinct, map(_format_us, distinct)))
-    fmt = head + "%d.%03d,%d.%03d,%s,0\r\n"
+    fmt = head + "%d.%03d,%d.%03d,%d.%03d,0\r\n"
     us = itertools.repeat(NS_PER_US)
     return map(fmt.__mod__, zip(
         itertools.count(lo),
         map(floordiv, t_send, us), map(mod, t_send, us),
         map(floordiv, t_recv, us), map(mod, t_recv, us),
-        map(latency_text.__getitem__, latencies),
+        map(floordiv, latencies, us), map(mod, latencies, us),
     ))
 
 
@@ -717,10 +712,11 @@ class _TraceRows:
     `bisect` on the flow's send times, which never decrease with seq, and
     the range adapts so that a window holds about `WINDOW_ROWS` rows.
     Each slice is formatted column by column, then the window's rows are
-    put in order by a stable sort on `t_send * n_flows + flow_index`, the
-    flows being in flow_id order.  `text` yields the rows as CSV, so it
-    never holds more than a window of rows, and can be repeated any number
-    of times.
+    put in order by a stable sort on `t_send` alone: the rows are appended
+    flow by flow in flow_id order, each flow's in seq order, so rows sent
+    in the same nanosecond keep (flow_id, seq) order.  `text` yields the
+    rows as CSV, so it never holds more than a window of rows, and can be
+    repeated any number of times.
     """
 
     def __init__(self, ctxs: list):
@@ -756,10 +752,10 @@ class _TraceRows:
         """A window's CSV lines in trace order, `heads[k]` being the k-th
         flow's `_row_lines` source and CSV flow id; the sort keys are freed
         on return, before the lines are used."""
-        keys, rows, n = [], [], len(self.ctxs)
+        keys, rows = [], []
         for k, ctx, lo, hi in window:
             t_send = ctx.t_send[lo:hi]
-            keys += map(add, map(mul, t_send, itertools.repeat(n)), itertools.repeat(k))
+            keys += t_send
             rows += _row_lines(*heads[k], lo, t_send, ctx.t_recv[lo:hi])
         return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
 
@@ -914,12 +910,15 @@ def dejitter_summary(off: RunResult, on: RunResult) -> dict:
     """Per-regulated-flow jitter/latency comparison of a paired run.
 
     The regulated flows are those whose `on` decision carries an NW-TT
-    rule: the admitted UE-sourced flows.
+    rule: the admitted UE-sourced flows.  Only those the `off` run admitted
+    too are compared: a flow admitted under one mode only is left out, as
+    is one that received no packet in one run or both.
     """
     summary = {"schema_version": 1, "seed": off.report["seed"], "flows": {}}
-    regulated = {d["flow_id"] for d in on.decisions if "nwtt_config" in d}
+    flows_off = off.report["flows"]
+    regulated = {d["flow_id"] for d in on.decisions if "nwtt_config" in d} & flows_off.keys()
     for fid, report_on in on.report["flows"].items():
-        report_off = off.report["flows"][fid]
+        report_off = flows_off.get(fid)
         if fid not in regulated or None in (report_on["latency_us"], report_off["latency_us"]):
             continue
         summary["flows"][fid] = {

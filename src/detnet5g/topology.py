@@ -9,13 +9,15 @@ switches, expressed as the ordered egress ports it queues at.
 Each tree answers path queries from its route table: every switch's parent,
 the egress port on each side of the link to that parent, and its depth.  A
 path is the climb from both attachment switches to their lowest common
-ancestor.  The table is built by the tree's first path query, not when the
-tree is enumerated, and trees shared between callers share it.
+ancestor.  The table is a `cached_property` of the tree: built by its first
+path query, not when the tree is enumerated, and shared by every caller
+that holds the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import Disconnected, Unreachable
@@ -105,18 +107,11 @@ class VlanTree:
 
     vlan_id: int
     edges: tuple[Link, ...]
-    # the route table, built by the first path query; outside eq, hash and repr
-    _routes: dict[str, _TreeHop] | None = field(default=None, init=False, compare=False,
-                                                 repr=False)
 
-    @property
+    @cached_property
     def routes(self) -> dict[str, _TreeHop]:
-        """Route table by switch, built on first use and kept on the tree."""
-        routes = self._routes
-        if routes is None:
-            routes = _build_routes(self.edges)
-            object.__setattr__(self, "_routes", routes)  # a cache, not a field value
-        return routes
+        """Route table by switch, built on first use; outside eq, hash and repr."""
+        return _build_routes(self.edges)
 
 
 @dataclass
@@ -144,9 +139,6 @@ class Topology:
     def switch_links(self) -> list[Link]:
         """Fabric links, sorted canonically; every link joins two switches."""
         return sorted(self.links)
-
-    def profile(self, node: str) -> SwitchProfile:
-        return self.switches[node]
 
     def attachment(self, node_id: str) -> PortId:
         """The switch port a host or UE hangs off; a packet for it leaves there."""

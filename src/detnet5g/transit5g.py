@@ -10,10 +10,11 @@ a slot start, the best case a lone packet in one block from an arrival
 just before the slot ends.
 
 That sweep reads neither the burst nor the TBS, so it runs once per
-pattern and direction: a `Staircase`, built on first use and kept on the
-`TddConfig`, holds the usable slots, each slot's wait for the next usable
-one, the best case, and the worst case for each count of blocks up to one
-period's worth.  A contract is then a lookup, the capacity reads the
+pattern and direction: a `Staircase` holds the usable slots, each slot's
+wait for the next usable one, the best case, and the worst case for each
+count of blocks up to one period's worth.  Both directions' staircases
+are swept on the first use of either and kept in a `cached_property` of
+the `TddConfig`.  A contract is then a lookup, the capacity reads the
 usable slot count, and the simulator's slot clock reads the waits.
 
 This module holds the arithmetic, capacity and sweep; admission
@@ -28,7 +29,8 @@ the worst case and down for the best case so both stay conservative.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .units import NS_PER_S, ceil_div, ns_to_us_ceil, ns_to_us_floor
@@ -77,9 +79,6 @@ class TddConfig:
     grant_delay_slots: int = 0
     s_slot_usable_ul: bool = False
     s_slot_usable_dl: bool = True
-    # direction -> its Staircase, swept on first use; outside eq, hash and repr
-    _stairs: dict[str, Staircase] = field(default_factory=dict, init=False, compare=False,
-                                          repr=False)
 
     @property
     def slot_ns(self) -> int:
@@ -99,12 +98,14 @@ class TddConfig:
         """Earliest slot that may carry a packet arriving during `arrival_slot`."""
         return arrival_slot + 1 + self.grant_delay_slots
 
+    @cached_property
+    def _staircases(self) -> dict[str, Staircase]:
+        """Both directions' staircases, swept on first use; outside eq, hash and repr."""
+        return {direction: _sweep(self, direction) for direction in (UPLINK, DOWNLINK)}
+
     def staircase(self, direction: str) -> Staircase:
-        """The pattern's staircase in `direction`, swept on first use and kept on the config."""
-        stair = self._stairs.get(direction)
-        if stair is None:
-            stair = self._stairs[direction] = _sweep(self, direction)
-        return stair
+        """The pattern's staircase in `direction`."""
+        return self._staircases[direction]
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def certify(topo, st: _SolverState) -> None:
             slot[2] = max(slot[2], spec.max_pkt_B)
     delays = {}
     for port, per_cls in raw.items():
-        profile = topo.profile(port.node)
+        profile = topo.switches[port.node]
         delays[port], backlogs = port_bounds(PortClassState(
             profile.link_rate_Bps, {cls: ClassAggregate(*slot) for cls, slot in per_cls.items()},
             profile.fwd_delay_us, admission.DEFAULT_MAX_PKT_B))

@@ -272,12 +272,12 @@ class ReferenceEngine:
         for the flow's class passes before it enters the egress queue."""
         port_id = pkt.flow.route[pkt.hop]
         pkt.hop_in = self.now
-        delay_ns = self.topo.profile(port_id.node).fwd_delay_us[pkt.flow.cls] * NS_PER_US
+        delay_ns = self.topo.switches[port_id.node].fwd_delay_us[pkt.flow.cls] * NS_PER_US
         self.push(self.now + delay_ns, self.enter_port, pkt)
 
     def port(self, port_id) -> _Port:
         if port_id not in self.ports:
-            self.ports[port_id] = _Port(str(port_id), self.topo.profile(port_id.node))
+            self.ports[port_id] = _Port(str(port_id), self.topo.switches[port_id.node])
         return self.ports[port_id]
 
     def enter_port(self, pkt):

@@ -14,7 +14,7 @@ from detnet5g.sim import TRACE_COLUMNS
 from conftest import canonical_scenario, canonical_topology
 from test_golden import ue_transit_doc
 from test_reference_engine import random_5g_doc
-from test_sim import canonical_with, tiny_regulator_queue
+from test_sim import canonical_with, split_admission, tiny_regulator_queue
 from test_sim_order import dense_ue_doc, hops_doc
 
 REPO = Path(__file__).resolve().parents[1]
@@ -308,6 +308,18 @@ class TestRun:
         orange = summary["flows"]["orange"]
         assert orange["jitter_on_us"] * 5 <= orange["jitter_off_us"]
         assert orange["min_latency_on_us"] > orange["min_latency_off_us"]
+
+    def test_dejitter_both_summarises_runs_that_admit_apart(self, tmp_path, capsys):
+        doc = canonical_scenario()
+        split_admission(doc)
+        path = write_json(tmp_path / "split.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--dejitter", "both"]) == 0
+        captured = capsys.readouterr()
+        assert "[off] a: sent=" in captured.out and "[on] b: sent=" in captured.out
+        assert "[off] b:" not in captured.out and "[on] a:" not in captured.out
+        summary = json.loads((out / "split_seed1_dejitter_summary.json").read_text())
+        assert list(summary["flows"]) == ["orange"]
 
     def test_dejitter_both_without_block_simulates_nothing(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -347,6 +347,19 @@ class TestDejitter:
         assert stats["drops"].get("regulator", 0) > 0
         assert stats["sent"] == stats["received"] + stats["dropped"] + stats["in_flight"]
 
+    def test_summary_leaves_out_a_regulated_flow_the_off_run_rejected(self):
+        # `b` is regulated with the regulator on; off, `a` is admitted first and
+        # the ports the two share have no room left for `b`
+        def b_from_ue(doc):
+            doc["flows"] = [periodic_flow("a", "UE2", 60_000, 100, 80_000, 2_000),
+                            periodic_flow("b", "UE1", 70_000, 1_500, 200_000, 30_000)]
+            doc["sim"]["duration_ms"] = 200
+        scn = scenario(b_from_ue)
+        off, on = run(scn, dejitter="off"), run(scn, dejitter="on")
+        assert [d["flow_id"] for d in on.decisions if "nwtt_config" in d] == ["b"]
+        assert "b" not in off.report["flows"]
+        assert dejitter_summary(off, on)["flows"] == {}
+
     def test_unknown_mode_raises(self):
         with pytest.raises(ScenarioInvalid) as exc:
             run(scenario(), dejitter="bogus")
@@ -609,6 +622,35 @@ def same_ns_senders(doc):
         for i in range(12)]
 
 
+def same_ns_bursts(doc):
+    """Four sources, listed against flow_id order, that each send 3 packets at
+    t = 0 and every 10 ms after: 12 rows in each such ns, which the trace
+    puts in flow_id order, each flow's in seq order."""
+    doc["sim"]["duration_ms"] = 100
+    doc["sim"]["sources"] += [
+        {"flow_id": f"burst{i}", "src": "G" if i % 2 else "D", "dst": "D" if i % 2 else "G",
+         "mode": "periodic", "period_us": 10_000, "pkt_B": 100, "count": 3, "offset_us": 0}
+        for i in reversed(range(4))]
+
+
+def periodic_flow(flow_id, src, rate_Bps, max_pkt_B, deadline_us, period_us) -> dict:
+    """A non-critical flow from `src` to D with a 1,500 B burst that sends one
+    `max_pkt_B` packet every `period_us`."""
+    return {"flow_id": flow_id, "src": src, "dst": "D", "rate_Bps": rate_Bps, "burst_B": 1_500,
+            "max_pkt_B": max_pkt_B, "deadline_us": deadline_us,
+            "source": {"mode": "periodic", "period_us": period_us, "pkt_B": max_pkt_B}}
+
+
+def split_admission(doc):
+    """Flows `a` and `b` that the two dejitter modes admit apart, for 200 ms.
+    With the regulator on, its delay puts `a` past its deadline and `b` is
+    admitted; with it off, `a` is admitted, and S3.3 cannot carry orange,
+    `a` and `b` together."""
+    doc["flows"] += [periodic_flow("a", "UE2", 60_000, 100, 80_000, 2_000),
+                     periodic_flow("b", "G", 55_000, 1_500, 200_000, 30_000)]
+    doc["sim"]["duration_ms"] = 200
+
+
 def silent_source(doc):
     doc["sim"]["sources"].append({"flow_id": "late", "src": "G", "dst": "D", "mode": "periodic",
                                   "period_us": 1_000, "pkt_B": 100, "offset_us": 10**9})
@@ -640,11 +682,13 @@ TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
      lambda r: any(f["in_flight"] for f in r["flows"].values())),
     (canonical_with(same_ns_senders), "scenario",
      lambda r: r["flows"]["tick00"]["sent"] == 401),
+    (canonical_with(same_ns_bursts), "scenario",
+     lambda r: all(r["flows"][f"burst{i}"]["sent"] == 33 for i in range(4))),
     (canonical_with(silent_source), "scenario", lambda r: r["flows"]["late"]["sent"] == 0),
     (canonical_with(no_packets), "scenario",
      lambda r: not any(f["sent"] for f in r["flows"].values())),
 ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
-        "same-ns-senders", "silent-flow", "no-packets"])
+        "same-ns-senders", "same-ns-bursts", "silent-flow", "no-packets"])
 
 
 class TestTraceWriter:
