@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # a flow id the locale cannot encode prints escaped, not as a traceback
-    sys.stdout.reconfigure(errors="backslashreplace")
+    if hasattr(sys.stdout, "reconfigure"):  # a stream in its place may have none
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,18 +19,19 @@ whatever the locale.  Events run in time order; simultaneous ones run in
 the order of a slot clock that ticks at every slot boundary and schedules
 each next tick at the end of the current one: an event scheduled before
 that moment runs before the tick, one scheduled after it runs after the
-tick, and events on the same side run in scheduling order.
-An event scheduled for the time it is scheduled at joins a FIFO that runs
-after every other event of that time.  The clock itself is lazy: a slot is
-ticked only when a UE queue can drain in it, which leaves the order
-unchanged because a tick that drains nothing does nothing.  A packet that
-reaches an idle egress port goes on the wire at once, without passing
-through its class queue: an idle port's queues are empty, because the end
-of a transmission starts the port's next packet before its handler returns.
-A packet that finishes a transmission and moves to a hop without
-forwarding delay arrives there within that transmission's event, after
-the port's next packet starts, when the FIFO is empty and no other event
-has the current time: the arrival would run next from the FIFO anyway.
+tick, and events on the same side run in scheduling order.  An event
+scheduled for the time it is scheduled at joins a FIFO that runs after
+every other event of that time.  A sentinel event one nanosecond past the
+duration ends the run: no event past the end runs.  The clock itself is
+lazy: a slot is ticked only when a UE queue can drain in it, which leaves
+the order unchanged because a tick that drains nothing does nothing.  A
+packet that reaches an idle egress port goes on the wire at once, without
+passing through its class queue: an idle port's queues are empty, because
+the end of a transmission starts the port's next packet before its handler
+returns.  A packet that finishes a transmission and moves to a hop without
+forwarding delay arrives there within that transmission's event, after the
+port's next packet starts, when the FIFO is empty and no other event has
+the current time: the arrival would run next from the FIFO anyway.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
@@ -49,6 +50,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import random
 from array import array
 from bisect import bisect_left
@@ -89,22 +91,14 @@ _VIOLATION_KINDS = ("e2e", "per_hop", "transit", "transit_best", "transit_regula
 
 class _Packet:
     __slots__ = (
-        "ctx", "seq", "size_B", "hop", "hop_in", "hop_overruns",
+        "ctx", "seq", "hop", "hop_in", "hop_overruns",
         "remaining_B", "eligible_slot", "transit_out", "reg_out", "dl_in",
     )
 
-    def __init__(self, ctx, size_B):
+    def __init__(self, ctx, seq):
         self.ctx = ctx
-        self.seq = len(ctx.t_send)  # the packet's index into its flow's trace columns
-        self.size_B = size_B
-        self.hop = None  # the `_Hop` the packet is at, once it reaches the fabric
-        self.hop_in = 0
+        self.seq = seq  # the packet's index into its flow's trace columns
         self.hop_overruns = 0  # hops over their bound, counted at delivery
-        self.remaining_B = size_B
-        self.eligible_slot = None
-        self.transit_out = None
-        self.reg_out = None
-        self.dl_in = None
 
 
 class _Port:
@@ -136,7 +130,7 @@ class _Hop:
     """One hop of a flow's route, resolved once per run: the egress port, the
     flow's class, its forwarding delay before the port (that of its class),
     the transmission time of its packets there, the flow's bound for the hop
-    (None for an unregistered flow) and the next hop (None at the last).
+    (infinite for an unregistered flow) and the next hop (None at the last).
     Both delays are fixed, so are the ranks of the pushes that wait them out
     (`_fixed_rank`)."""
 
@@ -149,7 +143,7 @@ class _Hop:
         self.fwd_rank = _fixed_rank(self.fwd_ns, slot_ns)  # unused when fwd_ns is 0
         self.tx_ns = ceil_div(pkt_B * NS_PER_S, port.profile.link_rate_Bps)
         self.tx_rank = _fixed_rank(self.tx_ns, slot_ns)
-        self.bound_ns = None if bound_us is None else bound_us * NS_PER_US
+        self.bound_ns = bound_us * NS_PER_US
         self.next = next_hop
 
 
@@ -294,6 +288,16 @@ class _Engine:
     rank), and push order breaks the tie.  `tests/reference_engine.py`
     runs the every-slot clock itself, with none of these shortcuts, and
     the tests compare the two packet by packet.
+
+    `run` pushes one sentinel, `(end_ns + 1, -1, -1, None, None)`, ahead of
+    every other entry of its time, and the loop stops at its None handler:
+    no push checks the end, and the heap is never empty inside the loop.  A
+    `_Packet` holds its own state, its size being its flow's `pkt_B`, and
+    each stage sets the fields it uses: `hop` and `hop_in` by `_forward`,
+    `eligible_slot` and `remaining_B` by `_enqueue_ue`, and `transit_out`,
+    `reg_out` and `dl_in` at the uplink drain, the regulator release and the
+    downlink enqueue; `_deliver` checks the times its flow's UE queues and
+    regulator, fixed for the run, have set.
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -331,15 +335,15 @@ class _Engine:
         for ctx in flows.values():
             ctx.ul_queue = ue_ul.get(ctx.source.src)
             ctx.dl_queue = ue_dl.get(ctx.source.dst)
-            bounds = None if ctx.assignment is None else ctx.assignment.per_hop_bounds_us
+            bounds = ([math.inf] * len(ctx.route) if ctx.assignment is None
+                      else ctx.assignment.per_hop_bounds_us)
             hop = None
             for i in reversed(range(len(ctx.route))):
                 port_id = ctx.route[i]
                 port = self.all_ports.get(port_id)
                 if port is None:
                     port = self.all_ports[port_id] = _Port(port_id, topo.switches[port_id.node])
-                hop = _Hop(port, ctx.pcp, ctx.pkt_B, None if bounds is None else bounds[i],
-                           self.slot_ns, hop)
+                hop = _Hop(port, ctx.pcp, ctx.pkt_B, bounds[i], self.slot_ns, hop)
             ctx.first_hop = hop
             if ctx.assignment is not None:
                 ctx.limits_ns = _limits_ns(ctx.assignment)
@@ -369,7 +373,7 @@ class _Engine:
             return
         slot_index += slots_ahead
         t_ns = (slot_index + 1) * self.slot_ns  # a slot's tick is at its end
-        if t_ns <= self.end_ns and slot_index not in self.armed:
+        if slot_index not in self.armed:
             self.armed.add(slot_index)
             heappush(self.heap, (t_ns, 1, next(self.counter), self.on_slot, slot_index))
 
@@ -378,26 +382,25 @@ class _Engine:
     def _handle_emit(self, ctx: _FlowCtx):
         """Send the emission's `ctx.count` packets, then schedule the next one."""
         t = self.t
-        size_B = ctx.pkt_B
         for _ in range(ctx.count):
-            pkt = _Packet(ctx, size_B)
+            pkt = _Packet(ctx, len(ctx.t_send))
             ctx.t_send.append(t)
             ctx.t_recv.append(IN_FLIGHT)
             if ctx.ul_queue is not None:
                 self._enqueue_ue(pkt, ctx.ul_queue, self.ul_wait)
-            elif ctx.policer is not None and not ctx.policer.allow(size_B, t):
+            elif ctx.policer is not None and not ctx.policer.allow(ctx.pkt_B, t):
                 self._drop(pkt, "policer")
             else:
                 self._forward(pkt, ctx.first_hop)
         t_ns, ctx.count = next(ctx.schedule)
-        if t_ns <= self.end_ns:
-            self._push(t_ns, self.on_emit, ctx)
+        self._push(t_ns, self.on_emit, ctx)
 
     # ------------------------------------------------------------- 5G segment
 
     def _enqueue_ue(self, pkt: _Packet, queue: deque, wait: tuple):
         """Queue a packet at a UE for its first grant slot in `wait`'s direction."""
         pkt.eligible_slot = self.t // self.slot_ns + self.grant_slots
+        pkt.remaining_B = pkt.ctx.pkt_B
         queue.append(pkt)
         if len(queue) == 1:
             self._arm(wait, pkt.eligible_slot)
@@ -478,7 +481,7 @@ class _Engine:
         port = hop.port
         port.reached = True
         cls = hop.cls
-        occupancy = port.occupancy[cls] + pkt.size_B
+        occupancy = port.occupancy[cls] + pkt.ctx.pkt_B
         if occupancy > port.buffer_B:
             self._drop(pkt, port.drop_stage)
             return
@@ -503,13 +506,13 @@ class _Engine:
         t = self.t
         pkt = port.busy
         hop = pkt.hop
-        port.occupancy[hop.cls] -= pkt.size_B
-        if hop.bound_ns is not None and t - pkt.hop_in > hop.bound_ns:
+        port.occupancy[hop.cls] -= pkt.ctx.pkt_B
+        if t - pkt.hop_in > hop.bound_ns:
             pkt.hop_overruns += 1
         arrives = False
         nxt = hop.next
         if nxt is not None:
-            if nxt.fwd_ns or self.fifo or (self.heap and self.heap[0][0] == t):
+            if nxt.fwd_ns or self.fifo or self.heap[0][0] == t:
                 # a delayed arrival is pushed before the port's next
                 # transmission, which may share its (time, rank)
                 self._forward(pkt, nxt)
@@ -519,7 +522,6 @@ class _Engine:
                 arrives = True
         elif pkt.ctx.dl_queue is not None:
             pkt.dl_in = t
-            pkt.remaining_B = pkt.size_B
             self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
         else:
             self._deliver(pkt)
@@ -549,25 +551,24 @@ class _Engine:
     def _deliver(self, pkt: _Packet):
         ctx = pkt.ctx
         ctx.t_recv[pkt.seq] = self.t
-        if ctx.limits_ns is not None:
-            self._check_bounds(pkt, ctx)
-
-    def _check_bounds(self, pkt: _Packet, ctx: _FlowCtx):
+        if ctx.limits_ns is None:
+            return
         e2e, ul_delay, ul_best, ul_regulated, dl_delay, dl_best = ctx.limits_ns
         v = ctx.violations
         t_send = ctx.t_send[pkt.seq]
         if self.t - t_send > e2e:
             v["e2e"] += 1
-        v["per_hop"] += pkt.hop_overruns
-        if pkt.transit_out is not None:
+        if pkt.hop_overruns:
+            v["per_hop"] += pkt.hop_overruns
+        if ctx.ul_queue is not None:
             transit = pkt.transit_out - t_send
             if transit > ul_delay:
                 v["transit"] += 1
             if transit < ul_best:
                 v["transit_best"] += 1
-            if pkt.reg_out is not None and pkt.reg_out - t_send > ul_regulated:
+            if ctx.regulator is not None and pkt.reg_out - t_send > ul_regulated:
                 v["transit_regulator"] += 1
-        if pkt.dl_in is not None:
+        if ctx.dl_queue is not None:
             transit = self.t - pkt.dl_in
             if transit > dl_delay:
                 v["transit"] += 1
@@ -581,21 +582,18 @@ class _Engine:
             model = ctx.source
             ctx.schedule = _schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
             t_ns, ctx.count = next(ctx.schedule)
-            if t_ns <= self.end_ns:
-                self._push(t_ns, self.on_emit, ctx)
-
-        heap, fifo, end_ns = self.heap, self.fifo, self.end_ns
+            self._push(t_ns, self.on_emit, ctx)
+        heap, fifo = self.heap, self.fifo
+        heappush(heap, (self.end_ns + 1, -1, -1, None, None))
         t = self.t
         while True:
-            if fifo and not (heap and heap[0][0] == t):
+            if fifo and heap[0][0] != t:
                 self.rank = 2
                 while fifo:
                     handler, payload = fifo.popleft()
                     handler(payload)
-            if not heap:
-                break
             t, self.rank, _, handler, payload = heappop(heap)
-            if t > end_ns:
+            if handler is None:
                 break
             self.t = t
             handler(payload)

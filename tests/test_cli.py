@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import random
@@ -129,6 +131,14 @@ class TestTrees:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["trees"]) == 3
         assert doc["truncated"] is False
+
+    def test_stdout_redirected_to_a_string(self, topo_file):
+        # a caller embedding the CLI may put any text stream in stdout's
+        # place, also one without `reconfigure`
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["trees", topo_file]) == 0
+        assert "3 spanning tree(s)" in out.getvalue()
+        assert "vlan 100" in out.getvalue() and "vlan 102" in out.getvalue()
 
 
 class TestAdmit:
