@@ -28,10 +28,13 @@ the order unchanged because a tick that drains nothing does nothing.  A
 packet that reaches an idle egress port goes on the wire at once, without
 passing through its class queue: an idle port's queues are empty, because
 the end of a transmission starts the port's next packet before its handler
-returns.  A packet that finishes a transmission and moves to a hop without
-forwarding delay arrives there within that transmission's event, after the
-port's next packet starts, when the FIFO is empty and no other event has
-the current time: the arrival would run next from the FIFO anyway.
+returns.  An event that a handler schedules as its last act runs in place,
+within that handler, when the FIFO is empty and the event's time is below
+every other pending event's: the loop would run it next anyway.  That
+covers a packet's arrival at a next hop without forwarding delay, due at
+the end of its transmission, and the end of a transmission that starts on
+an idle port, so a packet that meets no other event on its way crosses
+every idle hop within one event.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
@@ -46,6 +49,7 @@ checks each row and reads the two columns back.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -276,18 +280,33 @@ class _Engine:
     straight to the FIFO.  Emissions and regulator releases, whose delays
     vary, go through `_push`, and slot ticks through `_arm`.  Each handler
     is bound once per engine (`on_*`), and a heap or FIFO entry holds that
-    bound method; an emission's payload is its `_FlowCtx`.
+    bound method (or partial); an emission's payload is its `_FlowCtx`.
 
-    `_handle_txdone` saves a hop's second event.  A packet it moves to a
-    hop without forwarding delay would join the FIFO; when the FIFO is
-    empty and no heap entry has the current time, the loop would run that
-    arrival next, at rank 2, so the handler runs it itself, last, at rank
-    2, after the push of the port's next transmission, which comes before
-    the arrival's own pushes as it would from the FIFO.  A delayed arrival
-    is pushed before the next transmission: the two can share a (time,
-    rank), and push order breaks the tie.  `tests/reference_engine.py`
-    runs the every-slot clock itself, with none of these shortcuts, and
-    the tests compare the two packet by packet.
+    One rule saves most of a hop's events.  An event that a handler
+    schedules as its last act runs in place when `not self.fifo and when <
+    self.heap[0][0]`: the loop would pop it next.  The handler sets `t` and
+    `rank` to the event's and runs it, drawing nothing from `counter`.
+    Both fabric events, an arrival at a hop (`on_portin`, whose payload is
+    the packet) and a transmission end (`on_txdone`, whose payload is the
+    port), run in `_handle_hops`, and each can schedule the other last:
+
+    - a transmission end schedules its packet's arrival at a next hop
+      without forwarding delay for now (`when == t`, so no heap entry may
+      have the current time); it would run from the FIFO at rank 2, after
+      the push of the port's next transmission;
+    - an arrival at an idle port schedules the end of the transmission it
+      starts, at the rank that end would be pushed with.
+
+    `_handle_hops` runs the chain these make (arrival, transmission end,
+    next arrival, ...) as a loop, not by recursion, so a packet that no
+    other event comes between crosses its whole route within one event,
+    however long the route.  The main loop compares the heap with `self.t`,
+    which a handler may have moved.  A delayed arrival is pushed before
+    the next transmission: the two can share a (time, rank), and push
+    order breaks the tie.
+    `tests/reference_engine.py` runs the every-slot clock itself, with
+    none of these shortcuts, and the tests compare the two packet by
+    packet.
 
     `run` pushes one sentinel, `(end_ns + 1, -1, -1, None, None)`, ahead of
     every other entry of its time, and the loop stops at its None handler:
@@ -352,8 +371,8 @@ class _Engine:
         self.on_emit = self._handle_emit
         self.on_slot = self._handle_slot
         self.on_regrel = self._handle_regrel
-        self.on_portin = self._handle_portin
-        self.on_txdone = self._handle_txdone
+        self.on_portin = functools.partial(self._handle_hops, None)  # payload: the packet
+        self.on_txdone = self._handle_hops  # payload: the port
 
     # ------------------------------------------------------------- scheduling
 
@@ -476,70 +495,78 @@ class _Engine:
         heappush(self.heap, (self.t + hop.fwd_ns, self.rank if rank is None else rank,
                              next(self.counter), self.on_portin, pkt))
 
-    def _handle_portin(self, pkt: _Packet):
-        hop = pkt.hop
-        port = hop.port
-        port.reached = True
-        cls = hop.cls
-        occupancy = port.occupancy[cls] + pkt.ctx.pkt_B
-        if occupancy > port.buffer_B:
-            self._drop(pkt, port.drop_stage)
-            return
-        port.occupancy[cls] = occupancy
-        if occupancy > port.max_occupancy[cls]:
-            port.max_occupancy[cls] = occupancy
-        if port.busy is None:
-            # an idle port's queues are empty (`_handle_txdone` starts the
-            # next packet before it returns): send at once
-            port.busy = pkt
-            rank = hop.tx_rank
-            heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
-                                 next(self.counter), self.on_txdone, port))
-        else:
-            port.queues[cls].append(pkt)
-            port.queued += 1
-
-    def _handle_txdone(self, port: _Port):
-        """End a transmission: move the packet on, start the port's next one,
-        then run the packet's arrival if the FIFO would run it next (see
-        `_Engine`)."""
-        t = self.t
-        pkt = port.busy
-        hop = pkt.hop
-        port.occupancy[hop.cls] -= pkt.ctx.pkt_B
-        if t - pkt.hop_in > hop.bound_ns:
-            pkt.hop_overruns += 1
-        arrives = False
-        nxt = hop.next
-        if nxt is not None:
-            if nxt.fwd_ns or self.fifo or self.heap[0][0] == t:
-                # a delayed arrival is pushed before the port's next
-                # transmission, which may share its (time, rank)
-                self._forward(pkt, nxt)
+    def _handle_hops(self, port: _Port, pkt: _Packet | None = None):
+        """Run a packet's arrival at its hop (`pkt`), or the end of `port`'s
+        transmission, and then each arrival and transmission end that
+        follows while the rule of `_Engine` runs it in place."""
+        while True:
+            if pkt is not None:  # an arrival
+                hop = pkt.hop
+                port = hop.port
+                port.reached = True
+                cls = hop.cls
+                occupancy = port.occupancy[cls] + pkt.ctx.pkt_B
+                if occupancy > port.buffer_B:
+                    self._drop(pkt, port.drop_stage)
+                    return
+                port.occupancy[cls] = occupancy
+                if occupancy > port.max_occupancy[cls]:
+                    port.max_occupancy[cls] = occupancy
+                if port.busy is not None:
+                    port.queues[cls].append(pkt)
+                    port.queued += 1
+                    return
+                # an idle port's queues are empty (a transmission end starts
+                # the port's next packet): send at once
+                port.busy = pkt
+                t = self.t + hop.tx_ns
+                rank = hop.tx_rank
+                if rank is None:
+                    rank = self.rank
+                if self.fifo or t >= self.heap[0][0]:
+                    heappush(self.heap, (t, rank, next(self.counter), self.on_txdone, port))
+                    return
+                self.t = t
+                self.rank = rank
+            # the end of port's transmission: move the packet on, then start
+            # the port's next one
+            t = self.t
+            pkt = port.busy
+            hop = pkt.hop
+            port.occupancy[hop.cls] -= pkt.ctx.pkt_B
+            if t - pkt.hop_in > hop.bound_ns:
+                pkt.hop_overruns += 1
+            arrives = False
+            nxt = hop.next
+            if nxt is not None:
+                if nxt.fwd_ns or self.fifo or self.heap[0][0] == t:
+                    # a delayed arrival is pushed before the port's next
+                    # transmission, which may share its (time, rank)
+                    self._forward(pkt, nxt)
+                else:
+                    pkt.hop = nxt
+                    pkt.hop_in = t
+                    arrives = True
+            elif pkt.ctx.dl_queue is not None:
+                pkt.dl_in = t
+                self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
             else:
-                pkt.hop = nxt
-                pkt.hop_in = t
-                arrives = True
-        elif pkt.ctx.dl_queue is not None:
-            pkt.dl_in = t
-            self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
-        else:
-            self._deliver(pkt)
-        if not port.queued:
-            port.busy = None
-        else:
-            # non-preemptive strict priority: highest non-empty class next
-            for queue in port.by_priority:
-                if queue:
-                    port.queued -= 1
-                    port.busy = head = queue.popleft()
-                    rank = head.hop.tx_rank
-                    heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
-                                         next(self.counter), self.on_txdone, port))
-                    break
-        if arrives:  # what the FIFO would run next, at its rank
-            self.rank = 2
-            self._handle_portin(pkt)
+                self._deliver(pkt)
+            if not port.queued:
+                port.busy = None
+            else:
+                # non-preemptive strict priority: highest non-empty class next
+                for queue in port.by_priority:
+                    if queue:
+                        port.queued -= 1
+                        port.busy = head = queue.popleft()
+                        rank = head.hop.tx_rank
+                        heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
+                                             next(self.counter), self.on_txdone, port))
+                        break
+            if not arrives:
+                return
+            self.rank = 2  # what the FIFO would run next, at its rank
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -585,13 +612,14 @@ class _Engine:
             self._push(t_ns, self.on_emit, ctx)
         heap, fifo = self.heap, self.fifo
         heappush(heap, (self.end_ns + 1, -1, -1, None, None))
-        t = self.t
         while True:
-            if fifo and heap[0][0] != t:
+            # one FIFO item at a time: one that runs a transmission end in
+            # place moves `self.t`, and may leave items of that later time
+            if fifo and heap[0][0] != self.t:
                 self.rank = 2
-                while fifo:
-                    handler, payload = fifo.popleft()
-                    handler(payload)
+                handler, payload = fifo.popleft()
+                handler(payload)
+                continue
             t, self.rank, _, handler, payload = heappop(heap)
             if handler is None:
                 break

@@ -29,6 +29,7 @@ from detnet5g.sim import (
     write_trace,
 )
 from detnet5g.topology import path_in_tree
+import reference_engine
 from conftest import canonical_scenario, certify
 from test_golden import ue_transit_doc
 from test_sim_order import hops_doc
@@ -510,7 +511,8 @@ class TestWorkConservation:
 class TestScaleRegistry:
     def test_scale_probe_registry_meets_its_bounds(self, monkeypatch):
         """A registry of scale-probe size, its flows chaining ports into cycles,
-        simulated with every source greedy from t = 0: no bound is broken.
+        simulated with every source greedy from t = 0: no bound is broken,
+        and every packet's send and receive times are the reference engine's.
 
         The registry is admission's scale-probe recipe on a 6x6 grid: 2 hosts
         per switch, 12.5 MB/s links, 1 MiB buffers, 200 requests of 10 kB/s
@@ -537,16 +539,20 @@ class TestScaleRegistry:
         assert len(flows) == 191
         _, cycles = _dependency_ranks(state._solver, sorted(state._solver.members))
         assert max(map(len, cycles)) > 40
-        result = run(load_scenario({
+        scn = load_scenario({
             "schema_version": 1,
             "topology": topology,
             "classes": {"count": 8, "best_effort_class": 0},
             "flows": flows,
             "sim": {"duration_ms": 2_000, "seed": 1, "sources": []},
-        }))
+        })
+        result = run(scn)
         assert {ctx.source.flow_id: ctx.assignment
                 for ctx in result.trace_rows.ctxs} == state.flows()
         assert result.report["violations"]["total"] == 0
+        diffs = reference_engine.differences(reference_engine.engine_outcome(result),
+                                             reference_engine.simulate(scn))
+        assert not diffs, "engine and reference differ:\n" + "\n".join(diffs)
         certify(state.topology, state._solver)
 
 

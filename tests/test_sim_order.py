@@ -18,17 +18,22 @@ When the report lost its `reorders` key, both families' digests were
 derived again from the earlier code's own outputs, each report with that
 key deleted, so they still pin the order recorded first.
 
-The one-event hop tests count the items that pass the same-time FIFO
-(`CountingEngine`): a transmission that ends runs its packet's arrival at
-a next hop without forwarding delay itself when the FIFO would run it
-next.  Each of their runs must equal the reference engine's packet by
-packet.
+The one-event hop tests pin the engine's one shortcut rule: an event that
+a handler schedules as its last act runs in place when the FIFO is empty
+and its time is below every heap entry's.  The transmission end that an
+arrival at an idle port starts, and a next-hop arrival without forwarding
+delay, which is due now, are such events, so a lone packet crosses its
+route within one event.  The tests count the items that join the FIFO
+(`CountingEngine`) and the heap pushes, each of which draws one number
+from the engine's `counter`, and each of their runs must equal the
+reference engine's packet by packet.
 """
 
 import gc
 import hashlib
 import itertools
 import json
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -344,29 +349,103 @@ def fabric_doc(switches, links, hosts, sources, fwd_us=None) -> dict:
     }
 
 
-def counted_run(doc):
-    """`sim.run` of `doc` with a `CountingEngine`, checked packet by packet
-    against the reference engine; returns (result, engine)."""
+def counted_run(doc, engine_cls=CountingEngine):
+    """`sim.run` of `doc` with `engine_cls`, checked packet by packet against
+    the reference engine; returns (result, engine)."""
     scn = load_scenario(doc)
-    result, engine = engine_run(scn, CountingEngine)
+    result, engine = engine_run(scn, engine_cls)
     diffs = reference_engine.differences(reference_engine.engine_outcome(result),
                                          reference_engine.simulate(scn))
     assert not diffs, "engine and reference differ:\n" + "\n".join(diffs)
     return result, engine
 
 
+def heap_pushes(engine) -> int:
+    """The entries a finished run pushed onto its heap, the sentinel aside."""
+    return next(engine.counter)
+
+
 class TestOneEventHop:
-    """A finished transmission runs its packet's arrival at a next hop without
-    forwarding delay itself, when the FIFO would run that arrival next."""
+    """An event that a handler schedules as its last act runs in place when
+    `not fifo and when < heap[0][0]`: a next-hop arrival without forwarding
+    delay, and the end of a transmission started on an idle port."""
 
     def test_lone_packet_crosses_idle_hops_with_one_fifo_item(self):
         # A -> B over S0.1, S1.1 and S2.3: only the emission's arrival at
-        # S0.1 passes the FIFO, the two hop arrivals run in their txdones
+        # S0.1 passes the FIFO, the two hop arrivals run in their txdones,
+        # and the three txdones in the arrivals: the heap holds only the
+        # emission and the next one, due past the end
         result, engine = counted_run(fabric_doc(
             ["S0", "S1", "S2"], [["S0.1", "S1.2"], ["S1.1", "S2.2"]],
             {"A": "S0.3", "B": "S2.3"}, [("A", "B", 1)]))
         assert engine.fifo.joined == 1
+        assert heap_pushes(engine) == 2
         assert result.report["flows"]["AB"]["received"] == 1
+
+    def test_long_route_runs_in_a_loop(self):
+        # a line of more switches than the interpreter's recursion limit
+        # (1,000 by default): the packet crosses every idle hop in one FIFO
+        # item, which must not nest a call per hop
+        n = sys.getrecursionlimit() + 1
+        doc = fabric_doc([f"S{i}" for i in range(n)],
+                         [[f"S{i}.1", f"S{i + 1}.2"] for i in range(n - 1)],
+                         {"A": "S0.3", "B": f"S{n - 1}.3"}, [("A", "B", 1)])
+        doc["sim"]["duration_ms"] = n // 10 + 1  # 100 us a hop
+        result, _ = counted_run(doc)
+        assert result.report["flows"]["AB"]["latency_us"]["max"] == n * 100.0
+
+    def test_transmission_ending_at_a_heap_entrys_time_is_pushed(self):
+        # AB's transmission at S0.2 ends at 110 us, when CB's emission is
+        # due: the inequality is strict, so it is pushed and runs after the
+        # emission; CB's transmission then ends in place at 210 us
+        doc = fabric_doc(["S0"], [], {"A": "S0.1", "B": "S0.2", "C": "S0.3"},
+                         [("A", "B", 1), ("C", "B", 1)])
+        doc["sim"]["sources"][1]["offset_us"] = 110
+        result, engine = counted_run(doc)
+        assert heap_pushes(engine) == 5  # four emissions and AB's transmission
+        flows = result.report["flows"]
+        assert flows["AB"]["latency_us"]["max"] == flows["CB"]["latency_us"]["max"] == 100.0
+
+    def test_transmission_started_with_a_fifo_item_waiting_is_pushed(self):
+        # both emissions' arrivals join the FIFO at 10 us: AB's transmission
+        # starts while AC's arrival waits, so it is pushed, and AC's 50 B
+        # transmission, ending before it, runs in place
+        doc = fabric_doc(["S0"], [], {"A": "S0.1", "B": "S0.2", "C": "S0.3"},
+                         [("A", "B", 1), ("A", "C", 1)])
+        doc["sim"]["sources"][1]["pkt_B"] = 50
+        result, engine = counted_run(doc)
+        assert engine.fifo.joined == 2
+        assert heap_pushes(engine) == 5  # four emissions and AB's transmission
+        flows = result.report["flows"]
+        assert (flows["AB"]["latency_us"]["max"], flows["AC"]["latency_us"]["max"]) == (100.0, 50.0)
+
+    def test_one_slot_transmission_keeps_the_pushers_rank(self):
+        # 500 B take one 500 us slot on the wire (tx_rank None), so a
+        # transmission end run in place takes the rank of the event that
+        # started it, seen at delivery: 2 for AB's FIFO item at S0.4, and 0
+        # for AD's arrival at S1.3, which S1's 600 us forwarding delay pushed
+        # more than a slot ahead
+        delivered = []
+
+        class DeliveryProbe(CountingEngine):
+            def _deliver(self, pkt):
+                delivered.append((pkt.ctx.source.flow_id, self.t, self.rank))
+                super()._deliver(pkt)
+
+        doc = fabric_doc(["S0", "S1"], [["S0.1", "S1.1"]],
+                         {"A": "S0.3", "B": "S0.4", "D": "S1.3"},
+                         [("A", "B", 1), ("A", "D", 1)], fwd_us={"S1": 600})
+        doc["topology"]["transit5g"] = {
+            "tdd_pattern": "DDDSU", "numerology": 1, "attach": "S0.5",
+            "ues": [{"id": "UE1", "tbs_ul_B": 1_500, "tbs_dl_B": 1_500}]}
+        for source in doc["sim"]["sources"]:
+            source["pkt_B"] = 500
+        doc["sim"]["sources"][1]["offset_us"] = 2_000
+        result, engine = counted_run(doc, DeliveryProbe)
+        assert engine.slot_ns == 500_000
+        assert delivered == [("AB", 510_000, 2), ("AD", 3_600_000, 0)]
+        # four emissions and AD's arrival at S1.3; every transmission ends in place
+        assert heap_pushes(engine) == 5
 
     def test_transmissions_ending_together_keep_the_fifo(self):
         # A -> C and B -> C end their first hops in one nanosecond and meet at
