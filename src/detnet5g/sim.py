@@ -36,6 +36,33 @@ the end of its transmission, and the end of a transmission that starts on
 an idle port, so a packet that meets no other event on its way crosses
 every idle hop within one event.
 
+A run simulates each state once.  The hyperperiod H is the least common
+multiple of every source's cycle (a periodic source's period, a greedy
+source's packet interval, an on/off source's on plus off time) and, with a
+5G segment, of the slot length times the least common multiple of the TDD
+pattern's length and the UE count: every emission, every usable slot and
+the UE rotation repeat with it.  At checkpoints on multiples of H, each
+ahead of every other event of its time, the engine takes a snapshot of all
+that decides what follows, every time and slot index taken relative to the
+checkpoint: the pending events in pop order, each port's packets, queues
+and occupancy, the UE queues and the slots whose tick is pending, each
+regulator's queue and release times, each policer's bucket and each flow's
+next emission count; a packet is recorded by its flow, its seq less the
+flow's sends so far and every field it holds.  A checkpoint at 2^j H
+compares its snapshot with the one taken at (2^j - 1) H.  When they are
+equal, the run from there is the last hyperperiod's shifted by H: the engine
+copies that hyperperiod's sends and fates into each flow's trace for every
+whole hyperperiod left before the end, adds its drops and violations as
+often, moves every time, slot index and seq in the state on by as many
+hyperperiods and simulates the rest.  The outputs are those of simulating
+every event, to the byte, because the engine's future depends only on what
+the snapshot holds, and a repeated hyperperiod leaves the largest
+occupancies and the set of ports reached as they were.  A checkpoint is
+pushed only if the comparison it leads to leaves a whole hyperperiod to
+skip: a run shorter than 2H, such as the canonical scenario's (H = 198 s),
+takes none, and a run whose state never repeats takes O(log(duration / H))
+snapshots.
+
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
 counts and latency statistics from them, for the run report and for
@@ -60,7 +87,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import floordiv, mod, sub
 
 from .admission import NetworkState
@@ -103,6 +130,10 @@ class _Packet:
         self.ctx = ctx
         self.seq = seq  # the packet's index into its flow's trace columns
         self.hop_overruns = 0  # hops over their bound, counted at delivery
+
+
+# the times a `_Packet` may hold, set as it crosses the stages that set them
+_PACKET_TIMES = ("hop_in", "transit_out", "reg_out", "dl_in")
 
 
 class _Port:
@@ -233,7 +264,7 @@ def _schedule(model: SourceModel, rng: random.Random):
         for t in itertools.count(start * NS_PER_US, params["period_us"] * NS_PER_US):
             yield t, count
     start = (offset or 0) * NS_PER_US
-    interval = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
+    interval = _interval_ns(params)
     if model.mode == "greedy_token_bucket":
         yield start, max(1, params["burst_B"] // params["pkt_B"])
         for t in itertools.count(start + interval, interval):
@@ -247,6 +278,39 @@ def _schedule(model: SourceModel, rng: random.Random):
         for t in range(start, start + on_ns, interval):
             yield t, 1
         start += on_ns + off_ns
+
+
+def _interval_ns(params: dict) -> int:
+    """A greedy or on/off source's spacing of single-packet emissions."""
+    return ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
+
+
+def _cycle_ns(model: SourceModel) -> int:
+    """The span after which `_schedule`'s emissions of a source repeat: a
+    periodic source's period, a greedy source's packet interval (once its
+    burst is out) and an on/off source's on plus off time."""
+    params = model.params
+    if model.mode == "periodic":
+        return params["period_us"] * NS_PER_US
+    if model.mode == "greedy_token_bucket":
+        return _interval_ns(params)
+    return (params["on_ms"] + params["off_ms"]) * 1_000_000
+
+
+def _shifted(schedule, shift_ns: int):
+    """`schedule`'s emissions, each `shift_ns` later."""
+    for t_ns, count in schedule:
+        yield t_ns + shift_ns, count
+
+
+def _fate(t_recv, seq: int, per_period: int) -> tuple:
+    """The first of `t_recv[seq]`, `t_recv[seq - per_period]`, ... that is
+    not IN_FLIGHT, and how many steps back it is."""
+    lag = 0
+    while t_recv[seq] == IN_FLIGHT:
+        seq -= per_period
+        lag += 1
+    return t_recv[seq], lag
 
 
 def _limits_ns(a) -> tuple:
@@ -317,6 +381,21 @@ class _Engine:
     `reg_out` and `dl_in` at the uplink drain, the regulator release and the
     downlink enqueue; `_deliver` checks the times its flow's UE queues and
     regulator, fixed for the run, have set.
+
+    A checkpoint is a heap entry `(k * period_ns, -1, -1, on_checkpoint, k)`:
+    like the sentinel it runs ahead of every other entry of its time and
+    draws nothing from `counter`, and the FIFO is empty when it runs, since
+    FIFO items run before the heap moves on to a later time.  Checkpoints
+    fall at 0, H, 2H, 3H, 4H, 7H, 8H, ...: the one at (2^j - 1) H keeps its
+    snapshot in `snapshot` for the one at 2^j H to compare, so no more than
+    two snapshots are held.  On a match `_jump` settles the packets in
+    flight: such a packet has the fate of the packet one hyperperiod's worth
+    of its flow's packets before it, one hyperperiod later, so following
+    that chain back to a packet with a fate (`_fate`) gives its fate and its
+    lag j in hyperperiods, and after n skipped hyperperiods it is still in
+    flight if j > n; the copies of the last hyperperiod's packets
+    (`_copy_window`) follow the same rule.  The sentinel stays where it is,
+    and each flow's schedule yields shifted times from then on (`_shifted`).
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -366,8 +445,15 @@ class _Engine:
             ctx.first_hop = hop
             if ctx.assignment is not None:
                 ctx.limits_ns = _limits_ns(ctx.assignment)
+        # the hyperperiod: every source's emissions, the UE rotation and the
+        # usable slots repeat with it
+        slot_cycle = 1 if self.transit is None else self.slot_ns * math.lcm(
+            len(self.transit.tdd.pattern), len(self.transit.ues) or 1)
+        self.period_ns = math.lcm(slot_cycle, *(_cycle_ns(ctx.source) for ctx in flows.values()))
+        self.snapshot = None  # the last checkpoint's, kept for the next one to compare
         # the handlers, bound once: `run` unbinds them, which breaks the cycle
         # through self
+        self.on_checkpoint = self._handle_checkpoint
         self.on_emit = self._handle_emit
         self.on_slot = self._handle_slot
         self.on_regrel = self._handle_regrel
@@ -602,6 +688,163 @@ class _Engine:
             if transit < dl_best:
                 v["transit_best"] += 1
 
+    # ------------------------------------------------------------- hyperperiods
+
+    def _checkpoint_at(self, index: int):
+        """Push the checkpoint at `index` hyperperiods if the comparison it
+        leads to, at the first power of two at or past `index`, leaves a whole
+        hyperperiod to skip."""
+        compare = 1 << (max(index, 1) - 1).bit_length()
+        if (compare + 1) * self.period_ns <= self.end_ns + 1:
+            heappush(self.heap, (index * self.period_ns, -1, -1, self.on_checkpoint, index))
+
+    def _handle_checkpoint(self, index: int):
+        """Compare the state with the one a hyperperiod earlier, if kept, and
+        jump when they are equal; else keep it if the next checkpoint
+        compares, and push that one."""
+        earlier = self.snapshot
+        now = self._snapshot()
+        self.snapshot = None
+        if earlier is not None and earlier[0] == now[0]:
+            self._jump(earlier, now)
+        elif not (index + 1) & index:  # index + 1 is a power of two: it compares
+            self.snapshot = now
+            self._checkpoint_at(index + 1)
+        else:
+            self._checkpoint_at(2 * index - 1)
+
+    def _snapshot(self):
+        """The engine's state at a checkpoint, every time and slot index
+        relative to it, as `(state, counts, packets)`: `state` holds all that
+        decides what follows, `counts` each flow's sends, drops and
+        violations so far, and `packets` every packet in `state`.
+
+        A packet is identified by its flow and its seq less the flow's sends
+        so far; a flow, port or regulator that an event is for by identity."""
+        t = self.t
+        slot = t // self.slot_ns if self.slot_ns else 0
+        packets = []
+
+        def rel(value, origin):
+            return None if value is None else value - origin
+
+        def packet(pkt):
+            packets.append(pkt)
+            ctx = pkt.ctx
+            return (ctx, pkt.seq - len(ctx.t_send), ctx.t_send[pkt.seq] - t,
+                    getattr(pkt, "hop", None), pkt.hop_overruns, getattr(pkt, "remaining_B", None),
+                    rel(getattr(pkt, "eligible_slot", None), slot),
+                    *[rel(getattr(pkt, name, None), t) for name in _PACKET_TIMES])
+
+        heap = []
+        for when, rank, _, handler, payload in sorted(self.heap):
+            if handler is None:  # the end sentinel
+                continue
+            if handler is self.on_portin:
+                payload = packet(payload)
+            elif handler is self.on_slot:
+                payload -= slot
+            else:
+                payload = id(payload)
+            heap.append((when - t, rank, handler, payload))
+        ports = [(port.busy and packet(port.busy), [list(map(packet, q)) for q in port.queues],
+                  port.queued, port.occupancy[:]) for port in self.all_ports.values()]
+        ues = [(list(map(packet, ul)), list(map(packet, dl)))
+               for ul, _, dl, _ in (self.rotations[0] if self.rotations else ())]
+        flows = []
+        for ctx in self.flows.values():
+            pol, reg = ctx.policer, ctx.regulator
+            flows.append((ctx.count, pol and (pol.tokens, pol.carry, pol.last_ns - t),
+                          reg and (list(map(packet, reg.queue)), rel(reg.next_release_ns, t),
+                                   rel(reg.last_release_ns, t))))
+        state = (heap, ports, ues, sorted(s - slot for s in self.armed), flows)
+        counts = [(len(ctx.t_send), dict(ctx.drops), dict(ctx.violations))
+                  for ctx in self.flows.values()]
+        return state, counts, packets
+
+    def _jump(self, earlier, now):
+        """The state recurs one hyperperiod H after `earlier`'s, so from here
+        the run repeats the last H, the window, each time H later.  Skip the
+        n whole periods that end by the run's end: each flow's trace takes
+        the window's sends and fates n more times, its drops and violations
+        grow by n times the window's, and every time, slot index and seq in
+        the state moves n periods on.
+
+        A packet still in flight here has the fate of the packet a period's
+        worth of its flow's packets before it, H later: following that chain
+        back to a packet with a fate gives the fate and the lag j, in
+        periods.  The packet is settled if j <= n, and the window's packet
+        copied k periods on is in flight after the jump while j + k > n."""
+        _, before, _ = earlier
+        _, counts, packets = now
+        period = self.period_ns
+        n = (self.end_ns + 1 - self.t) // period
+        shift = n * period
+        slots = shift // self.slot_ns if self.slot_ns else 0
+        per_period = {}
+        for ctx, (first, drops_before, violations_before), (sent, drops, violations) in zip(
+                self.flows.values(), before, counts):
+            per_period[ctx] = sent - first
+            for stage, count in drops.items():
+                ctx.drops[stage] = count + n * (count - drops_before.get(stage, 0))
+            for kind, count in violations.items():
+                ctx.violations[kind] = count + n * (count - violations_before[kind])
+            if sent > first:
+                self._copy_window(ctx, first, sent - first, n)
+        # every chain is read before any fate is written: a written fate
+        # would end a later packet's chain early, with too small a lag
+        settling = [(pkt, *_fate(pkt.ctx.t_recv, pkt.seq, per_period[pkt.ctx]))
+                    for pkt in packets]
+        for pkt, fate, lag in settling:
+            ctx = pkt.ctx
+            if lag <= n:
+                ctx.t_recv[pkt.seq] = fate if fate == DROPPED else fate + lag * period
+            pkt.seq += n * per_period[ctx]
+            for name in _PACKET_TIMES:
+                value = getattr(pkt, name, None)
+                if value is not None:
+                    setattr(pkt, name, value + shift)
+            if hasattr(pkt, "eligible_slot"):
+                pkt.eligible_slot += slots
+        heap = self.heap  # the end sentinel stays
+        for i, (when, rank, seq, handler, payload) in enumerate(heap):
+            if handler is not None:
+                heap[i] = (when + shift, rank, seq, handler,
+                           payload + slots if handler is self.on_slot else payload)
+        heapify(heap)
+        self.armed = {s + slots for s in self.armed}
+        for ctx in self.flows.values():
+            ctx.schedule = _shifted(ctx.schedule, shift)
+            if ctx.policer is not None:
+                ctx.policer.last_ns += shift
+            reg = ctx.regulator
+            if reg is not None:
+                if reg.next_release_ns is not None:
+                    reg.next_release_ns += shift
+                if reg.last_release_ns is not None:
+                    reg.last_release_ns += shift
+        self.t += shift
+
+    def _copy_window(self, ctx: _FlowCtx, first: int, per_period: int, copies: int):
+        """Append `copies` periods to a flow's trace, each a copy of its
+        `per_period` packets from seq `first` on, shifted by one more period."""
+        period = self.period_ns
+        t_send, t_recv = ctx.t_send, ctx.t_recv
+        sends = t_send[first:first + per_period]
+        fates = [_fate(t_recv, seq, per_period) for seq in range(first, first + per_period)]
+        lags = [lag for _, lag in fates]
+        # each packet's fate at the window's own period (DROPPED stays)
+        fates = [fate if fate == DROPPED else fate + lag * period for fate, lag in fates]
+        settled = copies - max(lags)  # the copies up to this one have every fate
+        for k in range(1, copies + 1):
+            shift = k * period
+            t_send.extend([s + shift for s in sends])
+            if k <= settled:
+                t_recv.extend([fate if fate == DROPPED else fate + shift for fate in fates])
+            else:
+                t_recv.extend([IN_FLIGHT if lag + k > copies else fate if fate == DROPPED
+                               else fate + shift for fate, lag in zip(fates, lags)])
+
     # ------------------------------------------------------------- main loop
 
     def run(self):
@@ -612,6 +855,7 @@ class _Engine:
             self._push(t_ns, self.on_emit, ctx)
         heap, fifo = self.heap, self.fifo
         heappush(heap, (self.end_ns + 1, -1, -1, None, None))
+        self._checkpoint_at(0)
         while True:
             # one FIFO item at a time: one that runs a transmission end in
             # place moves `self.t`, and may leave items of that later time
@@ -625,15 +869,17 @@ class _Engine:
                 break
             self.t = t
             handler(payload)
-        # heap entries and the `on_*` attributes hold bound methods of self:
-        # clear them so that the engine is freed by refcount, not later by
-        # the cycle collector (the FIFO is empty here).  A packet at a port
+        # heap entries, a kept snapshot's and the `on_*` attributes hold
+        # bound methods of self: clear them so that the engine is freed by
+        # refcount, not later by the cycle collector (the FIFO is empty here).  A packet at a port
         # leads back to the port through its hop: empty the ports.  The
         # flows outlive the run in its result: drop their hops, UE queues
         # and regulator queues, which lead to the ports and to the packets
         # still queued and from them back to the flows.
         heap.clear()
-        del self.on_emit, self.on_slot, self.on_regrel, self.on_portin, self.on_txdone
+        self.snapshot = None
+        del self.on_checkpoint, self.on_emit, self.on_slot, self.on_regrel, self.on_portin
+        del self.on_txdone
         for port in self.all_ports.values():
             port.busy = None
             for queue in port.queues:

@@ -53,6 +53,7 @@ from detnet5g.sim import (
     write_report,
     write_trace,
 )
+from detnet5g.units import NS_PER_S
 import reference_engine
 from conftest import canonical_scenario
 
@@ -237,11 +238,17 @@ class CountingEngine(_Engine):
 class EagerEngine(CountingEngine):
     eager = True
 
+    def _checkpoint_at(self, index):
+        """Take no checkpoint: a jump over repeated hyperperiods skips their ticks."""
 
-def engine_run(scn, engine_cls):
-    """`sim.run` with its engine swapped for `engine_cls`; returns (result, engine)."""
+
+def engine_run(scn, engine_cls, end_ns=None):
+    """`sim.run` with its engine swapped for `engine_cls`, ending at `end_ns`
+    if given; returns (result, engine)."""
     state, decisions = _admit_flows(scn, "scenario")
     engine = engine_cls(state.topology, _build_flow_ctxs(scn, state), scn.duration_ms, scn.seed)
+    if end_ns is not None:
+        engine.end_ns = end_ns
     engine.run()
     return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine
 
@@ -291,11 +298,17 @@ class TestLazySlotClock:
         # and the UE queues are rarely empty at one
         result, engine = engine_run(load_scenario(canonical_scenario()), CountingEngine)
         assert engine.ticks == 1_600
+        # its hyperperiod, lcm(2 ms, 9.9 ms, 2 s, 5 ms) = 198 s, leaves no
+        # room for a comparison in 4 s: the run takes no checkpoint
+        assert engine.period_ns == 198 * NS_PER_S
+        assert heap_pushes(engine) == 7_345
         assert result.report == run(load_scenario(canonical_scenario())).report
 
     @pytest.mark.parametrize("doc", [canonical_scenario, dense_ue_doc], ids=["canonical", "dense-ue"])
     def test_ticking_every_slot_changes_nothing(self, doc, tmp_path):
         scn = load_scenario(doc())
+        # the lazy run of dense-ue jumps over repeated hyperperiods (300 ms),
+        # the eager one simulates them all
         lazy, lazy_engine = engine_run(scn, CountingEngine)
         eager, eager_engine = engine_run(scn, EagerEngine)
         # numerology 1: 2 slots per ms
@@ -325,6 +338,23 @@ class TestLazySlotClock:
             gc.enable()
         assert any(flow["in_flight"] for flow in result.report["flows"].values())
         assert (regulated[0] > 0) == (dejitter == "on")
+        assert left == []
+
+    def test_run_keeping_a_snapshot_frees_its_engine_by_refcount(self):
+        # a 25 ms run of a 10 ms hyperperiod whose source starts at 15 ms:
+        # the snapshots at 0 and 10 ms differ, and the second is kept, though
+        # 25 ms leave no room for the checkpoint at 20 ms that would use it;
+        # the snapshot's heap records hold bound methods of the engine
+        doc = fabric_doc(["S0"], [], {"A": "S0.1", "B": "S0.2"}, [("A", "B", 1)])
+        doc["sim"]["sources"][0].update(period_us=10_000, offset_us=15_000)
+        doc["sim"]["duration_ms"] = 25
+        gc.collect()
+        gc.disable()
+        try:
+            run(load_scenario(doc))
+            left = [obj for obj in gc.get_objects() if isinstance(obj, (_Engine, _Hop, _Port))]
+        finally:
+            gc.enable()
         assert left == []
 
 
