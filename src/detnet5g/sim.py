@@ -68,9 +68,11 @@ one record of each packet's outcome: `packet_summary` computes a flow's
 counts and latency statistics from them, for the run report and for
 `detnet5g report` alike.  This module alone knows the trace's file format:
 `write_trace` writes it, its rows ordered and formatted in windows of
-about `WINDOW_ROWS` rows sent in a range of time (see `_TraceRows`), so
-that writing holds one window, never the whole trace, and `read_trace`
-checks each row and reads the two columns back.
+about `WINDOW_ROWS` rows sent in a range of time, except the periods a
+jump copied with every fate settled, which it writes in blocks of whole
+microseconds from one %-format (see `_TraceRows`).  So writing holds one
+window or one block of the repeated period, never the whole trace, and
+`read_trace` checks each row and reads the two columns back.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
-from operator import floordiv, mod, sub
+from operator import add, floordiv, mod, sub
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
@@ -254,6 +256,19 @@ class RunResult:
     trace_rows: _TraceRows
 
 
+@dataclass(frozen=True)
+class _Repeat:
+    """The periods a run's jump copied into the trace: from `start_ns` on,
+    `settled` periods of `period_ns` in which every packet has a fate, each
+    the one before shifted by a period.  `flows` maps each flow id to its
+    first copied seq and its packets per period."""
+
+    start_ns: int
+    period_ns: int
+    settled: int
+    flows: dict
+
+
 def _schedule(model: SourceModel, rng: random.Random):
     """Yield `(t_ns, packet_count)` for each emission of a source, in time order."""
     params = model.params
@@ -396,6 +411,7 @@ class _Engine:
     flight if j > n; the copies of the last hyperperiod's packets
     (`_copy_window`) follow the same rule.  The sentinel stays where it is,
     and each flow's schedule yields shifted times from then on (`_shifted`).
+    `repeat` records the copied periods for the trace writer (`_Repeat`).
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -451,6 +467,7 @@ class _Engine:
             len(self.transit.tdd.pattern), len(self.transit.ues) or 1)
         self.period_ns = math.lcm(slot_cycle, *(_cycle_ns(ctx.source) for ctx in flows.values()))
         self.snapshot = None  # the last checkpoint's, kept for the next one to compare
+        self.repeat = None  # the periods `_jump` copied, if it ran and copied a packet
         # the handlers, bound once: `run` unbinds them, which breaks the cycle
         # through self
         self.on_checkpoint = self._handle_checkpoint
@@ -782,15 +799,20 @@ class _Engine:
         shift = n * period
         slots = shift // self.slot_ns if self.slot_ns else 0
         per_period = {}
+        settled = n
+        copied = {}
         for ctx, (first, drops_before, violations_before), (sent, drops, violations) in zip(
                 self.flows.values(), before, counts):
             per_period[ctx] = sent - first
+            copied[ctx.source.flow_id] = (sent, sent - first)
             for stage, count in drops.items():
                 ctx.drops[stage] = count + n * (count - drops_before.get(stage, 0))
             for kind, count in violations.items():
                 ctx.violations[kind] = count + n * (count - violations_before[kind])
             if sent > first:
-                self._copy_window(ctx, first, sent - first, n)
+                settled = min(settled, self._copy_window(ctx, first, sent - first, n))
+        if any(per_period.values()):
+            self.repeat = _Repeat(self.t, period, settled, copied)
         # every chain is read before any fate is written: a written fate
         # would end a later packet's chain early, with too small a lag
         settling = [(pkt, *_fate(pkt.ctx.t_recv, pkt.seq, per_period[pkt.ctx]))
@@ -825,9 +847,10 @@ class _Engine:
                     reg.last_release_ns += shift
         self.t += shift
 
-    def _copy_window(self, ctx: _FlowCtx, first: int, per_period: int, copies: int):
+    def _copy_window(self, ctx: _FlowCtx, first: int, per_period: int, copies: int) -> int:
         """Append `copies` periods to a flow's trace, each a copy of its
-        `per_period` packets from seq `first` on, shifted by one more period."""
+        `per_period` packets from seq `first` on, shifted by one more period;
+        return how many copies, from the first, have every fate."""
         period = self.period_ns
         t_send, t_recv = ctx.t_send, ctx.t_recv
         sends = t_send[first:first + per_period]
@@ -844,6 +867,7 @@ class _Engine:
             else:
                 t_recv.extend([IN_FLIGHT if lag + k > copies else fate if fate == DROPPED
                                else fate + shift for fate, lag in zip(fates, lags)])
+        return max(settled, 0)
 
     # ------------------------------------------------------------- main loop
 
@@ -896,7 +920,9 @@ def packet_summary(t_send, t_recv) -> dict:
     Works on exact integer nanoseconds, so a summary of a run and one
     re-parsed from its trace agree to the byte.  The p99 is nearest-rank.
     """
-    lats = sorted(r - s for s, r in zip(t_send, t_recv) if r >= 0)
+    # a packet not delivered has a receive time below 0, so a negative difference
+    lats = sorted(map(sub, t_recv, t_send))
+    del lats[:bisect_left(lats, 0)]
     counts = {"sent": len(t_send), "received": len(lats), "dropped": t_recv.count(DROPPED)}
     if not lats:
         return {**counts, "latency_us": None, "jitter_us": None}
@@ -986,28 +1012,37 @@ class _TraceRows:
     Each slice is formatted column by column, then the window's rows are
     put in order by a stable sort on `t_send` alone: the rows are appended
     flow by flow in flow_id order, each flow's in seq order, so rows sent
-    in the same nanosecond keep (flow_id, seq) order.  `text` yields the
-    rows as CSV, so it never holds more than a window of rows, and can be
-    repeated any number of times.
+    in the same nanosecond keep (flow_id, seq) order.
+
+    The settled periods a run's jump copied (`repeat`) are written a block
+    at a time instead, a block being the fewest periods whose span is a
+    whole microsecond.  Each block's rows are the first block's, in the
+    same order, shifted by whole microseconds and by whole periods' worth
+    of seqs, so the first block's rows make one %-format in which each
+    row's seq and whole microseconds sent and received are the only
+    fields, and every block is that format applied to the first block's
+    values plus as many shifts.  `text` yields the rows as CSV, so it
+    never holds more than a window or a block of rows, and can be repeated
+    any number of times.
     """
 
-    def __init__(self, ctxs: list):
+    def __init__(self, ctxs: list, repeat: _Repeat | None = None):
         self.ctxs = ctxs  # in flow_id order
+        self.repeat = repeat
 
-    def _windows(self):
-        """Yield each window as `(k, ctx, lo, hi)` slices: packets lo..hi-1 of
-        the k-th flow are the ones it sent in the window."""
+    def _windows(self, t: int, end: int):
+        """Yield each window of the packets sent in [t, end) as `(k, ctx, lo,
+        hi)` slices: packets lo..hi-1 of the k-th flow are the ones it sent
+        in the window."""
         ctxs = self.ctxs
-        total = sum(len(ctx.t_send) for ctx in ctxs)
+        starts = [bisect_left(ctx.t_send, t) for ctx in ctxs]
+        total = sum(bisect_left(ctx.t_send, end) for ctx in ctxs) - sum(starts)
         if not total:
             return
-        end = max(ctx.t_send[-1] for ctx in ctxs if ctx.t_send) + 1
-        width = max(1, end * WINDOW_ROWS // total)  # ns
-        starts = [0] * len(ctxs)
-        t = 0
+        width = max(1, (end - t) * WINDOW_ROWS // total)  # ns
         while t < end:
             while True:
-                stop = t + width
+                stop = min(t + width, end)
                 stops = [bisect_left(ctx.t_send, stop, lo) for ctx, lo in zip(ctxs, starts)]
                 rows = sum(stops) - sum(starts)
                 if rows <= 2 * WINDOW_ROWS or width == 1:
@@ -1031,11 +1066,62 @@ class _TraceRows:
             rows += _row_lines(*heads[k], lo, t_send, ctx.t_recv[lo:hi])
         return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
 
+    def blocks(self) -> tuple:
+        """`(start_ns, periods, count)`: `text` writes the `count` blocks of
+        `periods` repeated periods each from `start_ns` on from one template,
+        `periods` being the fewest whose span is a whole microsecond."""
+        rep = self.repeat
+        if rep is None:
+            return 0, 0, 0
+        periods = NS_PER_US // math.gcd(rep.period_ns, NS_PER_US)
+        return rep.start_ns, periods, rep.settled // periods
+
+    def _template(self, heads: list, periods: int) -> tuple:
+        """`(fmt, values, shift)` of the first block of `periods` repeated
+        periods: `fmt % values` is its rows' CSV text, and the next block's
+        values are `values` plus `shift`."""
+        rep = self.repeat
+        span_us = periods * rep.period_ns // NS_PER_US
+        keys, rows = [], []
+        for (source, fid_csv), ctx in zip(heads, self.ctxs):
+            lo, per_period = rep.flows[ctx.source.flow_id]
+            hi = lo + periods * per_period
+            head = f"{fid_csv},%d,{source.params['pkt_B']},%d."
+            dropped_shift = (periods * per_period, span_us)
+            delivered_shift = (*dropped_shift, span_us)
+            t_send = ctx.t_send[lo:hi]
+            keys += t_send
+            for seq, s, r in zip(range(lo, hi), t_send, ctx.t_recv[lo:hi]):
+                sent_us, sent_ns = divmod(s, NS_PER_US)
+                if r < 0:  # dropped: a settled period holds no packet in flight
+                    rows.append((f"{head}{sent_ns:03d},,,1\r\n", (seq, sent_us), dropped_shift))
+                    continue
+                recv_us, recv_ns = divmod(r, NS_PER_US)
+                rows.append((f"{head}{sent_ns:03d},%d.{recv_ns:03d},{_format_us(r - s)},0\r\n",
+                             (seq, sent_us, recv_us), delivered_shift))
+        rows = list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+        fmt = "".join(row[0] for row in rows)
+        values = tuple(itertools.chain.from_iterable(row[1] for row in rows))
+        shift = tuple(itertools.chain.from_iterable(row[2] for row in rows))
+        return fmt, values, shift
+
     def text(self):
-        """Yield the CSV text of the rows, without the header, a window at a time."""
+        """Yield the CSV text of the rows, without the header, a window or a
+        block at a time: the windows before the blocks, the blocks, and the
+        windows after them."""
         heads = [(ctx.source, _csv_field(ctx.source.flow_id).replace("%", "%%"))
                  for ctx in self.ctxs]
-        for window in self._windows():
+        start, periods, count = self.blocks()
+        for window in self._windows(0, start):
+            yield "".join(self._in_order(window, heads))
+        if count:
+            fmt, values, shift = self._template(heads, periods)
+            for _ in range(count):
+                yield fmt % values
+                values = tuple(map(add, values, shift))
+            start += count * periods * self.repeat.period_ns
+        end = max((ctx.t_send[-1] + 1 for ctx in self.ctxs if ctx.t_send), default=0)
+        for window in self._windows(start, end):
             yield "".join(self._in_order(window, heads))
 
 
@@ -1079,7 +1165,7 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
     return RunResult(
         decisions=decisions,
         report=report,
-        trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())]),
+        trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())], engine.repeat),
     )
 
 

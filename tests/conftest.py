@@ -18,6 +18,18 @@ def canonical_scenario() -> dict:
     return json.loads((SCENARIOS / "canonical.json").read_text())
 
 
+def reordered_flows(result) -> list:
+    """The flows of a run whose delivered packets' receive times, read from
+    its trace columns, decrease somewhere along seq: none while each flow
+    keeps one route and one class through FIFO queues."""
+    flows = []
+    for ctx in result.trace_rows.ctxs:
+        times = [t for t in ctx.t_recv if t >= 0]
+        if times != sorted(times):
+            flows.append(ctx.source.flow_id)
+    return flows
+
+
 def canonical_topology() -> dict:
     """The bundled demo topology, a fresh copy that the caller may change."""
     return json.loads((SCENARIOS / "canonical_topology.json").read_text())

@@ -24,9 +24,10 @@ from detnet5g.transit5g import (
 )
 from detnet5g.units import ceil_div
 
-from conftest import aggregates, canonical_scenario, cold_aggregates, ring_topology, snapshot
+from conftest import (
+    aggregates, canonical_scenario, cold_aggregates, reordered_flows, ring_topology, snapshot,
+)
 from test_admission import apply_op, make_ops
-from test_sim import reordered_flows
 from test_topology import count_spanning_trees_oracle, switch_graph
 from test_transit5g import sweep_oracle
 

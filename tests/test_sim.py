@@ -5,6 +5,7 @@ import io
 import random
 import tracemalloc
 import weakref
+from array import array
 from collections import deque
 from dataclasses import fields, replace
 from pathlib import Path
@@ -30,8 +31,9 @@ from detnet5g.sim import (
 )
 from detnet5g.topology import path_in_tree
 import reference_engine
-from conftest import canonical_scenario, certify
+from conftest import canonical_scenario, certify, reordered_flows
 from test_golden import ue_transit_doc
+from test_reference_engine import end_doc, hyperperiod_doc
 from test_sim_order import hops_doc
 
 
@@ -50,18 +52,6 @@ def trace_text(result) -> str:
 def trace_rows(result) -> list:
     """A run's trace rows as the csv module reads them back."""
     return list(csv.reader(io.StringIO(trace_text(result), newline="")))
-
-
-def reordered_flows(result) -> list:
-    """The flows of a run whose delivered packets' receive times, read from
-    its trace columns, decrease somewhere along seq: none while each flow
-    keeps one route and one class through FIFO queues."""
-    flows = []
-    for ctx in result.trace_rows.ctxs:
-        times = [t for t in ctx.t_recv if t >= 0]
-        if times != sorted(times):
-            flows.append(ctx.source.flow_id)
-    return flows
 
 
 def without_background(doc):
@@ -667,6 +657,55 @@ def no_packets(doc):
         source["offset_us"] = 10**9
 
 
+def repeating(doc, duration_ms=200):
+    """The canonical scenario without `bg` and with green every 10 ms, so
+    every source and the UE slots repeat with H = 10 ms."""
+    doc["sim"]["sources"] = [dict(doc["sim"]["sources"][0], period_us=10_000)]
+    doc["sim"]["duration_ms"] = duration_ms
+
+
+def repeating_odd_ids(doc):
+    """`odd_ids` on a repeating run, green's copy from D standing in for `bg`."""
+    repeating(doc)
+    doc["sim"]["sources"].append(dict(doc["sim"]["sources"][0], src="D"))
+    odd_ids(doc)
+
+
+def repeating_same_ns_bursts(doc):
+    """`same_ns_bursts` on a repeating run: 12 rows in one ns of each period."""
+    same_ns_bursts(doc)
+    doc["sim"]["sources"] = [source for source in doc["sim"]["sources"] if source["flow_id"] != "bg"]
+    doc["sim"]["sources"][0]["period_us"] = 10_000
+
+
+def sub_us_period_doc(duration_ms):
+    """UE1 on a numerology-4 (62.5 us) `DDDSU` pattern, from `end_doc`, and
+    two greedy sources of 100 B packets, UE1 -> B every 312.5 us and A -> C
+    every 156.25 us: the hyperperiod is 312.5 us, so two periods make the
+    least span of whole microseconds."""
+    doc = end_doc(duration_ms, [])
+    doc["topology"]["transit5g"].update(numerology=4, tdd_pattern="DDDSU")
+    doc["sim"]["sources"] = [
+        {"flow_id": fid, "src": src, "dst": dst, "mode": "greedy_token_bucket", "pkt_B": 100,
+         "burst_B": 100, "rate_Bps": rate_Bps}
+        for fid, src, dst, rate_Bps in (("up", "UE1", "B", 320_000), ("host", "A", "C", 640_000))]
+    return doc
+
+
+def copied_blocks(result):
+    """The blocks of repeated periods the trace writes from one template, or
+    None if the run did not jump."""
+    rows = result.trace_rows
+    return None if rows.repeat is None else rows.blocks()[2]
+
+
+def unsettled_copies(result) -> bool:
+    """Whether the last periods the run's jump copied hold packets in flight."""
+    rep = result.trace_rows.repeat
+    end_ns = result.report["duration_ms"] * 1_000_000
+    return rep.settled < (end_ns + 1 - rep.start_ns) // rep.period_ns
+
+
 def canonical_with(mutate):
     def make() -> dict:
         doc = canonical_scenario()
@@ -679,22 +718,40 @@ def canonical_with(mutate):
 TRACE_WINDOWS = pytest.mark.parametrize("window_rows", [1, 5, sim.WINDOW_ROWS])
 TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
     (canonical_with(odd_ids), "scenario",
-     lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r["flows"])),
+     lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r.report["flows"])),
     (lambda: hops_doc(3, 1, "DSUUD", True), "scenario",
-     lambda r: r["flows"]["lo"]["drops"]["policer"] and r["flows"]["bulk"]["drops"]),
+     lambda r: r.report["flows"]["lo"]["drops"]["policer"] and r.report["flows"]["bulk"]["drops"]),
     (canonical_with(tiny_regulator_queue), "on",
-     lambda r: r["flows"]["orange"]["drops"]["regulator"] > 0),
+     lambda r: r.report["flows"]["orange"]["drops"]["regulator"] > 0),
     (canonical_scenario, "scenario",
-     lambda r: any(f["in_flight"] for f in r["flows"].values())),
+     lambda r: any(f["in_flight"] for f in r.report["flows"].values())),
     (canonical_with(same_ns_senders), "scenario",
-     lambda r: r["flows"]["tick00"]["sent"] == 401),
+     lambda r: r.report["flows"]["tick00"]["sent"] == 401),
     (canonical_with(same_ns_bursts), "scenario",
-     lambda r: all(r["flows"][f"burst{i}"]["sent"] == 33 for i in range(4))),
-    (canonical_with(silent_source), "scenario", lambda r: r["flows"]["late"]["sent"] == 0),
+     lambda r: all(r.report["flows"][f"burst{i}"]["sent"] == 33 for i in range(4))),
+    (canonical_with(silent_source), "scenario", lambda r: r.report["flows"]["late"]["sent"] == 0),
     (canonical_with(no_packets), "scenario",
-     lambda r: not any(f["sent"] for f in r["flows"].values())),
+     lambda r: not any(f["sent"] for f in r.report["flows"].values())),
+    # runs that jump: every case but the last writes a block from its template
+    (lambda: hyperperiod_doc(random.Random(10)), "scenario",
+     lambda r: copied_blocks(r) >= 1 and unsettled_copies(r)
+     and all(r.report["flows"][f]["drops"] for f in ("bg", "greedy"))
+     and any(f["in_flight"] for f in r.report["flows"].values())),
+    (lambda: sub_us_period_doc(3), "scenario",
+     lambda r: r.trace_rows.repeat.period_ns == 312_500 and copied_blocks(r) >= 1),
+    (canonical_with(repeating_odd_ids), "scenario",
+     lambda r: {"o,range", 'q"x', "p%d", "grün %s"} <= set(r.report["flows"])
+     and copied_blocks(r) >= 1),
+    (canonical_with(repeating_same_ns_bursts), "scenario",
+     lambda r: all(r.report["flows"][f"burst{i}"]["sent"] == 33 for i in range(4))
+     and copied_blocks(r) >= 1),
+    # one period copied, in which a packet is in flight: fewer than two settle
+    (lambda: sub_us_period_doc(1), "scenario",
+     lambda r: r.trace_rows.repeat.settled < 2 and copied_blocks(r) == 0),
 ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
-        "same-ns-senders", "same-ns-bursts", "silent-flow", "no-packets"])
+        "same-ns-senders", "same-ns-bursts", "silent-flow", "no-packets",
+        "jumped-drops-and-in-flight", "jumped-sub-us-period", "jumped-odd-ids",
+        "jumped-same-ns-bursts", "jumped-no-block"])
 
 
 class TestTraceWriter:
@@ -732,7 +789,7 @@ class TestTraceWriter:
                                          tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "WINDOW_ROWS", window_rows)
         result = run(load_scenario(make_doc()), dejitter=dejitter)
-        assert check(result.report)
+        assert check(result)
         rows = self.reference_rows(result)
         assert len(rows) == sum(flow["sent"] for flow in result.report["flows"].values())
         write_trace(tmp_path / "trace.csv", result.trace_rows)
@@ -746,7 +803,7 @@ class TestTraceWriter:
         # receive times `DROPPED` and `IN_FLIGHT` included: a silent flow has no rows
         monkeypatch.setattr(sim, "WINDOW_ROWS", window_rows)
         result = run(load_scenario(make_doc()), dejitter=dejitter)
-        assert check(result.report)
+        assert check(result)
         write_trace(tmp_path / "trace.csv", result.trace_rows)
         assert read_trace(tmp_path / "trace.csv") == {
             ctx.source.flow_id: (tuple(ctx.t_send), tuple(ctx.t_recv))
@@ -775,3 +832,40 @@ class TestTraceWriter:
         size = path.stat().st_size
         assert size > 2_000_000
         assert peak < size / 4
+
+    def test_write_trace_holds_a_block_not_the_repeated_trace(self, tmp_path):
+        # 60 s of a run that repeats every 10 ms: about 36k rows and 1.9 MB
+        # of CSV, nearly all of them in blocks written from one template
+        result = run(scenario(lambda doc: repeating(doc, 60_000)))
+        assert copied_blocks(result) >= 1
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace(path, result.trace_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_800_000
+        assert peak < size / 4
+
+
+class TestPacketSummary:
+    def test_equals_its_definition(self):
+        # send time 0, a zero latency and receive times DROPPED and IN_FLIGHT,
+        # from both a run's columns and `read_trace`'s tuples
+        t_send = [0, 0, 5, 7, 7, 9, 12, 3_000, 3_000, 4_001]
+        t_recv = [0, sim.DROPPED, 5, IN_FLIGHT, 1_007, sim.DROPPED, 2_500, IN_FLIGHT, 3_000, 4_500]
+        # latencies 0, 0, 1_000, 2_488, 0 and 499 ns
+        want = {"sent": 10, "received": 6, "dropped": 2, "jitter_us": 2.488,
+                "latency_us": {"min": 0.0, "mean": round(3_987 / 6 / 1_000, 3),
+                               "max": 2.488, "p99": 2.488}}
+        assert sim.packet_summary(array("q", t_send), array("q", t_recv)) == want
+        assert sim.packet_summary(tuple(t_send), tuple(t_recv)) == want
+
+    @pytest.mark.parametrize("t_recv", [[], [IN_FLIGHT], [sim.DROPPED, IN_FLIGHT]])
+    def test_no_delivery_has_no_latency(self, t_recv):
+        t_send = [0] * len(t_recv)
+        summary = sim.packet_summary(array("q", t_send), array("q", t_recv))
+        assert summary == {"sent": len(t_recv), "received": 0, "dropped": t_recv.count(sim.DROPPED),
+                           "latency_us": None, "jitter_us": None}
