@@ -28,13 +28,7 @@ the order unchanged because a tick that drains nothing does nothing.  A
 packet that reaches an idle egress port goes on the wire at once, without
 passing through its class queue: an idle port's queues are empty, because
 the end of a transmission starts the port's next packet before its handler
-returns.  An event that a handler schedules as its last act runs in place,
-within that handler, when the FIFO is empty and the event's time is below
-every other pending event's: the loop would run it next anyway.  That
-covers a packet's arrival at a next hop without forwarding delay, due at
-the end of its transmission, and the end of a transmission that starts on
-an idle port, so a packet that meets no other event on its way crosses
-every idle hop within one event.
+returns.
 
 A run simulates each state once.  The hyperperiod H is the least common
 multiple of every source's cycle (a periodic source's period, a greedy
@@ -52,12 +46,14 @@ flow's sends so far and every field it holds.  A checkpoint at 2^j H
 compares its snapshot with the one taken at (2^j - 1) H.  When they are
 equal, the run from there is the last hyperperiod's shifted by H: the engine
 copies that hyperperiod's sends and fates into each flow's trace for every
-whole hyperperiod left before the end, adds its drops and violations as
-often, moves every time, slot index and seq in the state on by as many
-hyperperiods and simulates the rest.  The outputs are those of simulating
-every event, to the byte, because the engine's future depends only on what
-the snapshot holds, and a repeated hyperperiod leaves the largest
-occupancies and the set of ports reached as they were.  A checkpoint is
+whole hyperperiod left before the end, n of them, adds its drops and
+violations as often, moves each seq in the state on by n hyperperiods'
+worth of its flow's packets and simulates the rest from where it is, with
+the end n H nearer and every time it writes to the trace n H later.  The
+outputs are those of simulating every event, to the byte, because the
+engine's future depends only on what the snapshot holds, and a repeated
+hyperperiod leaves the largest occupancies and the set of ports reached as
+they were.  A checkpoint is
 pushed only if the comparison it leads to leaves a whole hyperperiod to
 skip: a run shorter than 2H, such as the canonical scenario's (H = 198 s),
 takes none, and a run whose state never repeats takes O(log(duration / H))
@@ -78,7 +74,6 @@ window or one block of the repeated period, never the whole trace, and
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -312,12 +307,6 @@ def _cycle_ns(model: SourceModel) -> int:
     return (params["on_ms"] + params["off_ms"]) * 1_000_000
 
 
-def _shifted(schedule, shift_ns: int):
-    """`schedule`'s emissions, each `shift_ns` later."""
-    for t_ns, count in schedule:
-        yield t_ns + shift_ns, count
-
-
 def _fate(t_recv, seq: int, per_period: int) -> tuple:
     """The first of `t_recv[seq]`, `t_recv[seq - per_period]`, ... that is
     not IN_FLIGHT, and how many steps back it is."""
@@ -359,30 +348,11 @@ class _Engine:
     straight to the FIFO.  Emissions and regulator releases, whose delays
     vary, go through `_push`, and slot ticks through `_arm`.  Each handler
     is bound once per engine (`on_*`), and a heap or FIFO entry holds that
-    bound method (or partial); an emission's payload is its `_FlowCtx`.
-
-    One rule saves most of a hop's events.  An event that a handler
-    schedules as its last act runs in place when `not self.fifo and when <
-    self.heap[0][0]`: the loop would pop it next.  The handler sets `t` and
-    `rank` to the event's and runs it, drawing nothing from `counter`.
-    Both fabric events, an arrival at a hop (`on_portin`, whose payload is
-    the packet) and a transmission end (`on_txdone`, whose payload is the
-    port), run in `_handle_hops`, and each can schedule the other last:
-
-    - a transmission end schedules its packet's arrival at a next hop
-      without forwarding delay for now (`when == t`, so no heap entry may
-      have the current time); it would run from the FIFO at rank 2, after
-      the push of the port's next transmission;
-    - an arrival at an idle port schedules the end of the transmission it
-      starts, at the rank that end would be pushed with.
-
-    `_handle_hops` runs the chain these make (arrival, transmission end,
-    next arrival, ...) as a loop, not by recursion, so a packet that no
-    other event comes between crosses its whole route within one event,
-    however long the route.  The main loop compares the heap with `self.t`,
-    which a handler may have moved.  A delayed arrival is pushed before
-    the next transmission: the two can share a (time, rank), and push
-    order breaks the tie.
+    bound method; an emission's payload is its `_FlowCtx`, an arrival's at
+    a hop (`on_portin`) its packet and a transmission end's (`on_txdone`)
+    its port.  A transmission end forwards its packet before it starts the
+    port's next one: a delayed arrival and the next transmission's end can
+    share a (time, rank), and push order breaks the tie.
     `tests/reference_engine.py` runs the every-slot clock itself, with
     none of these shortcuts, and the tests compare the two packet by
     packet.
@@ -409,9 +379,13 @@ class _Engine:
     that chain back to a packet with a fate (`_fate`) gives its fate and its
     lag j in hyperperiods, and after n skipped hyperperiods it is still in
     flight if j > n; the copies of the last hyperperiod's packets
-    (`_copy_window`) follow the same rule.  The sentinel stays where it is,
-    and each flow's schedule yields shifted times from then on (`_shifted`).
-    `repeat` records the copied periods for the trace writer (`_Repeat`).
+    (`_copy_window`) follow the same rule.  The engine then goes on from the
+    checkpoint's time with the sentinel `shift` = n H earlier: `_handle_emit`
+    and `_deliver` add `shift` to each time they write to the trace, and
+    subtract it from each send time they read back, and no other time, slot
+    index or schedule moves.  No checkpoint follows a jump, so `_snapshot`
+    sees a nonzero `shift` only when called after one.  `repeat` records
+    the copied periods for the trace writer (`_Repeat`).
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -468,14 +442,15 @@ class _Engine:
         self.period_ns = math.lcm(slot_cycle, *(_cycle_ns(ctx.source) for ctx in flows.values()))
         self.snapshot = None  # the last checkpoint's, kept for the next one to compare
         self.repeat = None  # the periods `_jump` copied, if it ran and copied a packet
+        self.shift = 0  # what `_jump` skipped: a trace time less this is an engine time
         # the handlers, bound once: `run` unbinds them, which breaks the cycle
         # through self
         self.on_checkpoint = self._handle_checkpoint
         self.on_emit = self._handle_emit
         self.on_slot = self._handle_slot
         self.on_regrel = self._handle_regrel
-        self.on_portin = functools.partial(self._handle_hops, None)  # payload: the packet
-        self.on_txdone = self._handle_hops  # payload: the port
+        self.on_portin = self._handle_portin
+        self.on_txdone = self._handle_txdone
 
     # ------------------------------------------------------------- scheduling
 
@@ -506,7 +481,7 @@ class _Engine:
         t = self.t
         for _ in range(ctx.count):
             pkt = _Packet(ctx, len(ctx.t_send))
-            ctx.t_send.append(t)
+            ctx.t_send.append(t + self.shift)
             ctx.t_recv.append(IN_FLIGHT)
             if ctx.ul_queue is not None:
                 self._enqueue_ue(pkt, ctx.ul_queue, self.ul_wait)
@@ -598,78 +573,56 @@ class _Engine:
         heappush(self.heap, (self.t + hop.fwd_ns, self.rank if rank is None else rank,
                              next(self.counter), self.on_portin, pkt))
 
-    def _handle_hops(self, port: _Port, pkt: _Packet | None = None):
-        """Run a packet's arrival at its hop (`pkt`), or the end of `port`'s
-        transmission, and then each arrival and transmission end that
-        follows while the rule of `_Engine` runs it in place."""
-        while True:
-            if pkt is not None:  # an arrival
-                hop = pkt.hop
-                port = hop.port
-                port.reached = True
-                cls = hop.cls
-                occupancy = port.occupancy[cls] + pkt.ctx.pkt_B
-                if occupancy > port.buffer_B:
-                    self._drop(pkt, port.drop_stage)
-                    return
-                port.occupancy[cls] = occupancy
-                if occupancy > port.max_occupancy[cls]:
-                    port.max_occupancy[cls] = occupancy
-                if port.busy is not None:
-                    port.queues[cls].append(pkt)
-                    port.queued += 1
-                    return
-                # an idle port's queues are empty (a transmission end starts
-                # the port's next packet): send at once
-                port.busy = pkt
-                t = self.t + hop.tx_ns
-                rank = hop.tx_rank
-                if rank is None:
-                    rank = self.rank
-                if self.fifo or t >= self.heap[0][0]:
-                    heappush(self.heap, (t, rank, next(self.counter), self.on_txdone, port))
-                    return
-                self.t = t
-                self.rank = rank
-            # the end of port's transmission: move the packet on, then start
-            # the port's next one
-            t = self.t
-            pkt = port.busy
-            hop = pkt.hop
-            port.occupancy[hop.cls] -= pkt.ctx.pkt_B
-            if t - pkt.hop_in > hop.bound_ns:
-                pkt.hop_overruns += 1
-            arrives = False
-            nxt = hop.next
-            if nxt is not None:
-                if nxt.fwd_ns or self.fifo or self.heap[0][0] == t:
-                    # a delayed arrival is pushed before the port's next
-                    # transmission, which may share its (time, rank)
-                    self._forward(pkt, nxt)
-                else:
-                    pkt.hop = nxt
-                    pkt.hop_in = t
-                    arrives = True
-            elif pkt.ctx.dl_queue is not None:
-                pkt.dl_in = t
-                self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
-            else:
-                self._deliver(pkt)
-            if not port.queued:
-                port.busy = None
-            else:
-                # non-preemptive strict priority: highest non-empty class next
-                for queue in port.by_priority:
-                    if queue:
-                        port.queued -= 1
-                        port.busy = head = queue.popleft()
-                        rank = head.hop.tx_rank
-                        heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
-                                             next(self.counter), self.on_txdone, port))
-                        break
-            if not arrives:
+    def _handle_portin(self, pkt: _Packet):
+        hop = pkt.hop
+        port = hop.port
+        port.reached = True
+        cls = hop.cls
+        occupancy = port.occupancy[cls] + pkt.ctx.pkt_B
+        if occupancy > port.buffer_B:
+            self._drop(pkt, port.drop_stage)
+            return
+        port.occupancy[cls] = occupancy
+        if occupancy > port.max_occupancy[cls]:
+            port.max_occupancy[cls] = occupancy
+        if port.busy is None:
+            # an idle port's queues are empty (`_handle_txdone` starts the
+            # next packet before it returns): send at once
+            port.busy = pkt
+            rank = hop.tx_rank
+            heappush(self.heap, (self.t + hop.tx_ns, self.rank if rank is None else rank,
+                                 next(self.counter), self.on_txdone, port))
+        else:
+            port.queues[cls].append(pkt)
+            port.queued += 1
+
+    def _handle_txdone(self, port: _Port):
+        """End a transmission: move the packet on, then start the port's next one."""
+        t = self.t
+        pkt = port.busy
+        hop = pkt.hop
+        port.occupancy[hop.cls] -= pkt.ctx.pkt_B
+        if t - pkt.hop_in > hop.bound_ns:
+            pkt.hop_overruns += 1
+        if hop.next is not None:
+            self._forward(pkt, hop.next)
+        elif pkt.ctx.dl_queue is not None:
+            pkt.dl_in = t
+            self._enqueue_ue(pkt, pkt.ctx.dl_queue, self.dl_wait)
+        else:
+            self._deliver(pkt)
+        if not port.queued:
+            port.busy = None
+            return
+        # non-preemptive strict priority: highest non-empty class next
+        for queue in port.by_priority:
+            if queue:
+                port.queued -= 1
+                port.busy = head = queue.popleft()
+                rank = head.hop.tx_rank
+                heappush(self.heap, (t + head.hop.tx_ns, self.rank if rank is None else rank,
+                                     next(self.counter), self.on_txdone, port))
                 return
-            self.rank = 2  # what the FIFO would run next, at its rank
 
     # ------------------------------------------------------------- bookkeeping
 
@@ -680,13 +633,14 @@ class _Engine:
 
     def _deliver(self, pkt: _Packet):
         ctx = pkt.ctx
-        ctx.t_recv[pkt.seq] = self.t
+        t = self.t
+        ctx.t_recv[pkt.seq] = t + self.shift
         if ctx.limits_ns is None:
             return
         e2e, ul_delay, ul_best, ul_regulated, dl_delay, dl_best = ctx.limits_ns
         v = ctx.violations
-        t_send = ctx.t_send[pkt.seq]
-        if self.t - t_send > e2e:
+        t_send = ctx.t_send[pkt.seq] - self.shift
+        if t - t_send > e2e:
             v["e2e"] += 1
         if pkt.hop_overruns:
             v["per_hop"] += pkt.hop_overruns
@@ -699,7 +653,7 @@ class _Engine:
             if ctx.regulator is not None and pkt.reg_out - t_send > ul_regulated:
                 v["transit_regulator"] += 1
         if ctx.dl_queue is not None:
-            transit = self.t - pkt.dl_in
+            transit = t - pkt.dl_in
             if transit > dl_delay:
                 v["transit"] += 1
             if transit < dl_best:
@@ -748,7 +702,7 @@ class _Engine:
         def packet(pkt):
             packets.append(pkt)
             ctx = pkt.ctx
-            return (ctx, pkt.seq - len(ctx.t_send), ctx.t_send[pkt.seq] - t,
+            return (ctx, pkt.seq - len(ctx.t_send), ctx.t_send[pkt.seq] - self.shift - t,
                     getattr(pkt, "hop", None), pkt.hop_overruns, getattr(pkt, "remaining_B", None),
                     rel(getattr(pkt, "eligible_slot", None), slot),
                     *[rel(getattr(pkt, name, None), t) for name in _PACKET_TIMES])
@@ -784,8 +738,10 @@ class _Engine:
         the run repeats the last H, the window, each time H later.  Skip the
         n whole periods that end by the run's end: each flow's trace takes
         the window's sends and fates n more times, its drops and violations
-        grow by n times the window's, and every time, slot index and seq in
-        the state moves n periods on.
+        grow by n times the window's, and each packet's seq moves on by n
+        periods' worth of its flow's packets.  The engine goes on from here
+        with `shift` = n H: its end moves n H earlier, and its trace times
+        stay n H later than its own.  Nothing else in the state moves.
 
         A packet still in flight here has the fate of the packet a period's
         worth of its flow's packets before it, H later: following that chain
@@ -796,8 +752,6 @@ class _Engine:
         _, counts, packets = now
         period = self.period_ns
         n = (self.end_ns + 1 - self.t) // period
-        shift = n * period
-        slots = shift // self.slot_ns if self.slot_ns else 0
         per_period = {}
         settled = n
         copied = {}
@@ -822,30 +776,11 @@ class _Engine:
             if lag <= n:
                 ctx.t_recv[pkt.seq] = fate if fate == DROPPED else fate + lag * period
             pkt.seq += n * per_period[ctx]
-            for name in _PACKET_TIMES:
-                value = getattr(pkt, name, None)
-                if value is not None:
-                    setattr(pkt, name, value + shift)
-            if hasattr(pkt, "eligible_slot"):
-                pkt.eligible_slot += slots
-        heap = self.heap  # the end sentinel stays
-        for i, (when, rank, seq, handler, payload) in enumerate(heap):
-            if handler is not None:
-                heap[i] = (when + shift, rank, seq, handler,
-                           payload + slots if handler is self.on_slot else payload)
+        self.shift = n * period
+        heap = self.heap
+        end = next(i for i, entry in enumerate(heap) if entry[3] is None)
+        heap[end] = (self.end_ns + 1 - self.shift, -1, -1, None, None)
         heapify(heap)
-        self.armed = {s + slots for s in self.armed}
-        for ctx in self.flows.values():
-            ctx.schedule = _shifted(ctx.schedule, shift)
-            if ctx.policer is not None:
-                ctx.policer.last_ns += shift
-            reg = ctx.regulator
-            if reg is not None:
-                if reg.next_release_ns is not None:
-                    reg.next_release_ns += shift
-                if reg.last_release_ns is not None:
-                    reg.last_release_ns += shift
-        self.t += shift
 
     def _copy_window(self, ctx: _FlowCtx, first: int, per_period: int, copies: int) -> int:
         """Append `copies` periods to a flow's trace, each a copy of its
@@ -880,14 +815,13 @@ class _Engine:
         heap, fifo = self.heap, self.fifo
         heappush(heap, (self.end_ns + 1, -1, -1, None, None))
         self._checkpoint_at(0)
+        t = self.t
         while True:
-            # one FIFO item at a time: one that runs a transmission end in
-            # place moves `self.t`, and may leave items of that later time
-            if fifo and heap[0][0] != self.t:
+            if fifo and heap[0][0] != t:
                 self.rank = 2
-                handler, payload = fifo.popleft()
-                handler(payload)
-                continue
+                while fifo:
+                    handler, payload = fifo.popleft()
+                    handler(payload)
             t, self.rank, _, handler, payload = heappop(heap)
             if handler is None:
                 break

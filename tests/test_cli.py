@@ -1,7 +1,11 @@
 import contextlib
+import copy
 import csv
+import functools
 import io
 import json
+import math
+import operator
 import os
 import random
 import subprocess
@@ -791,3 +795,88 @@ class TestUsageAndInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {taken}: ")
         assert err.count("\n") == 1
+
+
+# what each field becomes in turn in the single-field mutation tests:
+# deleted, or each of the values
+DELETED = object()
+MUTANT_VALUES = [None, True, False, -1, 0, 1, 2**63, 10**30, 1.5, -0.5, math.nan, math.inf, "",
+                 "x", "\ud800", "S1.99", "UE1", [], {}, [1], [[]]]
+
+
+def field_paths(node, path=()):
+    """The path of every field below `node`, containers included, as key and
+    index tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from field_paths(child, path + (key,))
+
+
+def field_mutants(doc):
+    """`(label, mutant)` for each field of `doc` deleted or set to each
+    `MUTANT_VALUES` entry, one field at a time."""
+    for *head, last in field_paths(doc):
+        for value in (DELETED, *MUTANT_VALUES):
+            mutant = copy.deepcopy(doc)
+            parent = functools.reduce(operator.getitem, head, mutant)
+            if value is DELETED:
+                del parent[last]
+            else:
+                parent[last] = value
+            yield f"{(*head, last)} = {'<deleted>' if value is DELETED else repr(value)}", mutant
+
+
+class TestSingleFieldMutations:
+    """Each request file and trace that one field's change makes of a valid
+    one: the command exits 0, 1 or 2, and no exception escapes `main`."""
+
+    def test_admit_request_file(self, topo_file, tmp_path, capsys):
+        doc = json.loads((REPO / "scenarios" / "canonical_flows.json").read_text())
+        path = tmp_path / "flows.json"
+        runs = 0
+        for label, mutant in field_mutants(doc):
+            path.write_text(json.dumps(mutant))
+            for mode in ([], ["--json"]):
+                assert main(["admit", topo_file, str(path), *mode]) in (0, 1, 2), label
+                capsys.readouterr()
+                runs += 1
+        assert runs == 2 * 20 * (1 + len(MUTANT_VALUES))
+
+    def test_report_trace(self, tmp_path, capsys):
+        doc = canonical_scenario()
+        doc["sim"]["duration_ms"] = 100
+        out = tmp_path / "out"
+        assert main(["run", write_json(tmp_path / "scn.json", doc), "--out", str(out)]) == 0
+        lines = (out / "scn_scenario_seed1_trace.csv").read_bytes().split(b"\r\n")[:-1]
+        trace = tmp_path / "trace.csv"
+        cases = {}
+        # the header, the first and last rows and one between: each field
+        # deleted or set to a value it must not hold
+        for i in (0, 1, len(lines) // 2, len(lines) - 1):
+            for column in range(len(TRACE_COLUMNS)):
+                for value in (None, b"", b"x", b"-1", b"1.5", b"9" * 30):
+                    fields = lines[i].split(b",")
+                    if value is None:
+                        del fields[column]
+                    else:
+                        fields[column] = value
+                    cases[f"line {i} field {column} = {value!r}"] = b"".join(
+                        line + b"\r\n" for line in lines[:i] + [b",".join(fields)] + lines[i + 1:])
+        whole = b"".join(line + b"\r\n" for line in lines)
+        cases.update({
+            "binary": bytes(range(256)) * 4,
+            "empty": b"",
+            "header only": lines[0] + b"\r\n",
+            "NUL": whole.replace(b",", b"\0", 20),
+            "unterminated quote": whole + b'"orange,0,25\r\n',
+            "LF only": whole.replace(b"\r\n", b"\n"),
+        })
+        assert len(cases) == 4 * 7 * 6 + 6
+        for label, data in cases.items():
+            trace.write_bytes(data)
+            assert main(["report", str(trace)]) in (0, 1, 2), label
+            capsys.readouterr()
+        for path in (tmp_path, tmp_path / "missing.csv"):  # a directory, no file
+            assert main(["report", str(path)]) == 1

@@ -5,7 +5,7 @@ handed out does not hold.  Each case asserts what a sound system would give
 and is marked strict xfail with its hole's letter, so a run that still shows
 the hole passes tier-1 and a fix turns the case into a strict XPASS, which
 fails it: the PR that closes a hole deletes that hole's marks.  Never widen
-a mark.  Hole (b) has no case yet: its recipe does not give a full topology.
+a mark.
 """
 
 import pytest
@@ -57,6 +57,42 @@ def test_ue_entry_burst_ignores_tdd_clumping():
         "sim": {"duration_ms": 2_000},
     }
     assert violations(doc) == 0
+
+
+def ue1_downlinks(*flows):
+    """Hosts A (S1.1) and B (S1.2) sending to UE1 over one 1 MB/s switch, the
+    5G block at S1.3 on a `DU` pattern of 1 ms slots carrying 200 B a slot
+    each way; each flow of `flows`, `(src, rate_Bps)`, is critical, sends
+    one 200 B packet at a time from a greedy source at its rate and has a
+    10 s deadline."""
+    return {
+        "topology": {
+            "switches": [switch("S1", 1_000_000)], "links": [],
+            "hosts": [{"id": "A", "attach": "S1.1"}, {"id": "B", "attach": "S1.2"}],
+            "transit5g": {"tdd_pattern": "DU", "numerology": 0, "attach": "S1.3",
+                          "ues": [{"id": "UE1", "tbs_ul_B": 200, "tbs_dl_B": 200}]},
+        },
+        "flows": [{"flow_id": src, "src": src, "dst": "UE1", "rate_Bps": rate_Bps,
+                   "burst_B": 200, "max_pkt_B": 200, "deadline_us": 10_000_000,
+                   "critical": True,
+                   "source": {"mode": "greedy_token_bucket", "pkt_B": 200, "burst_B": 200,
+                              "rate_Bps": rate_Bps}}
+                  for src, rate_Bps in flows],
+        "sim": {"duration_ms": 2_000},
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_each_ue1_downlink_alone_holds_its_bounds(seed):
+    for flow in (("A", 20_000), ("B", 50_000)):
+        assert violations(ue1_downlinks(flow), seed) == 0
+
+
+@hole("b")
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shared_ue_queue_ignores_peer_bursts(seed):
+    """A -> UE1 at 20 kB/s and B -> UE1 at 50 kB/s share UE1's downlink queue."""
+    assert violations(ue1_downlinks(("A", 20_000), ("B", 50_000)), seed) == 0
 
 
 @hole("c")

@@ -148,9 +148,10 @@ def end_doc(duration_ms, sources, flows=(), hold_us=0) -> dict:
 
 class JumpProbe(sim._Engine):
     """The engine, counting its snapshots and state comparisons, the
-    hyperperiods its jump skipped and the time it landed at, and keeping
-    what the state held at the checkpoint that jumped (`at_jump`, see
-    `jump_features`)."""
+    hyperperiods its jump skipped and the time it landed at in trace time
+    (the engine goes on from the checkpoint, its trace times `shift`
+    later), and keeping what the state held at the checkpoint that jumped
+    (`at_jump`, see `jump_features`)."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -166,10 +167,9 @@ class JumpProbe(sim._Engine):
 
     def _jump(self, earlier, now):
         self.at_jump = jump_features(self, earlier, now)
-        start = self.t
         super()._jump(earlier, now)
-        self.landed = self.t
-        self.skipped = (self.t - start) // self.period_ns
+        self.landed = self.t + self.shift
+        self.skipped = self.shift // self.period_ns
 
 
 def jump_features(engine, earlier, now) -> set:
@@ -386,6 +386,28 @@ def test_snapshot_holds_every_field_that_decides_the_future():
         "regulator next release", "regulator last release", "port queued", "port occupancy",
         "packet hop_in", "packet hop_overruns", "packet remaining_B", "packet eligible_slot",
         "packet transit_out", "armed slot", "heap entry time"}
+
+
+def test_jump_leaves_the_state_that_matched():
+    # the jump moves only the trace: right after it, the state's snapshot,
+    # taken with send times read back less `shift`, is the one that matched,
+    # packets in flight across the jump included
+    jumps = []
+
+    class StateProbe(JumpProbe):
+        def _jump(self, earlier, now):
+            super()._jump(earlier, now)
+            jumps.append((sim._Engine._snapshot(self)[0], now[0], earlier[0], len(now[2])))
+
+    carried = 0
+    for seed in HYPERPERIOD_SEEDS:
+        _, engine = engine_run(load_scenario(hyperperiod_doc(random.Random(seed))), StateProbe)
+        (state, now, earlier, packets), = jumps
+        jumps.clear()
+        assert engine.shift == engine.skipped * engine.period_ns > 0
+        assert state == now == earlier
+        carried += packets > 0
+    assert carried == len(HYPERPERIOD_SEEDS)  # every draw jumps with packets in flight
 
 
 def test_hyperperiod_draws_cover_the_checkpoint_states():

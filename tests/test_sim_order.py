@@ -18,15 +18,12 @@ When the report lost its `reorders` key, both families' digests were
 derived again from the earlier code's own outputs, each report with that
 key deleted, so they still pin the order recorded first.
 
-The one-event hop tests pin the engine's one shortcut rule: an event that
-a handler schedules as its last act runs in place when the FIFO is empty
-and its time is below every heap entry's.  The transmission end that an
-arrival at an idle port starts, and a next-hop arrival without forwarding
-delay, which is due now, are such events, so a lone packet crosses its
-route within one event.  The tests count the items that join the FIFO
-(`CountingEngine`) and the heap pushes, each of which draws one number
-from the engine's `counter`, and each of their runs must equal the
-reference engine's packet by packet.
+The one-event hop tests pin a hop's cost: each stage of it is one plain
+event.  An arrival without forwarding delay joins the FIFO, one after a
+delay is pushed, and every transmission end is pushed.  The tests count
+the items that join the FIFO (`CountingEngine`) and the heap pushes, each
+of which draws one number from the engine's `counter`, and each of their
+runs must equal the reference engine's packet by packet.
 """
 
 import gc
@@ -301,7 +298,7 @@ class TestLazySlotClock:
         # its hyperperiod, lcm(2 ms, 9.9 ms, 2 s, 5 ms) = 198 s, leaves no
         # room for a comparison in 4 s: the run takes no checkpoint
         assert engine.period_ns == 198 * NS_PER_S
-        assert heap_pushes(engine) == 7_345
+        assert heap_pushes(engine) == 9_496
         assert result.report == run(load_scenario(canonical_scenario())).report
 
     @pytest.mark.parametrize("doc", [canonical_scenario, dense_ue_doc], ids=["canonical", "dense-ue"])
@@ -396,65 +393,68 @@ def heap_pushes(engine) -> int:
 
 
 class TestOneEventHop:
-    """An event that a handler schedules as its last act runs in place when
-    `not fifo and when < heap[0][0]`: a next-hop arrival without forwarding
-    delay, and the end of a transmission started on an idle port."""
+    """Each stage of a hop is one plain event: an arrival at the hop, from
+    the FIFO without forwarding delay or pushed after one, and the end of
+    the transmission it starts there, always pushed."""
 
-    def test_lone_packet_crosses_idle_hops_with_one_fifo_item(self):
-        # A -> B over S0.1, S1.1 and S2.3: only the emission's arrival at
-        # S0.1 passes the FIFO, the two hop arrivals run in their txdones,
-        # and the three txdones in the arrivals: the heap holds only the
-        # emission and the next one, due past the end
+    def test_lone_packet_takes_a_fifo_item_per_hop(self):
+        # A -> B over S0.1, S1.1 and S2.3: each of the three arrivals joins
+        # the FIFO, and the heap holds the emission, the next one, due past
+        # the end, and the three transmission ends
         result, engine = counted_run(fabric_doc(
             ["S0", "S1", "S2"], [["S0.1", "S1.2"], ["S1.1", "S2.2"]],
             {"A": "S0.3", "B": "S2.3"}, [("A", "B", 1)]))
-        assert engine.fifo.joined == 1
-        assert heap_pushes(engine) == 2
+        assert engine.fifo.joined == 3
+        assert heap_pushes(engine) == 5
         assert result.report["flows"]["AB"]["received"] == 1
 
     def test_long_route_runs_in_a_loop(self):
         # a line of more switches than the interpreter's recursion limit
-        # (1,000 by default): the packet crosses every idle hop in one FIFO
-        # item, which must not nest a call per hop
+        # (1,000 by default): each hop's arrival and transmission end run
+        # from the main loop, which must not nest a call per hop
         n = sys.getrecursionlimit() + 1
         doc = fabric_doc([f"S{i}" for i in range(n)],
                          [[f"S{i}.1", f"S{i + 1}.2"] for i in range(n - 1)],
                          {"A": "S0.3", "B": f"S{n - 1}.3"}, [("A", "B", 1)])
         doc["sim"]["duration_ms"] = n // 10 + 1  # 100 us a hop
-        result, _ = counted_run(doc)
+        result, engine = counted_run(doc)
         assert result.report["flows"]["AB"]["latency_us"]["max"] == n * 100.0
+        # an arrival and a transmission end a hop, and two emissions
+        assert engine.fifo.joined == n
+        assert heap_pushes(engine) == n + 2
 
     def test_transmission_ending_at_a_heap_entrys_time_is_pushed(self):
         # AB's transmission at S0.2 ends at 110 us, when CB's emission is
-        # due: the inequality is strict, so it is pushed and runs after the
-        # emission; CB's transmission then ends in place at 210 us
+        # due: the emission, pushed first, runs first, and its arrival joins
+        # the FIFO, which runs after AB's transmission end; CB's
+        # transmission then ends at 210 us
         doc = fabric_doc(["S0"], [], {"A": "S0.1", "B": "S0.2", "C": "S0.3"},
                          [("A", "B", 1), ("C", "B", 1)])
         doc["sim"]["sources"][1]["offset_us"] = 110
         result, engine = counted_run(doc)
-        assert heap_pushes(engine) == 5  # four emissions and AB's transmission
+        assert heap_pushes(engine) == 6  # four emissions and two transmissions
         flows = result.report["flows"]
         assert flows["AB"]["latency_us"]["max"] == flows["CB"]["latency_us"]["max"] == 100.0
 
     def test_transmission_started_with_a_fifo_item_waiting_is_pushed(self):
         # both emissions' arrivals join the FIFO at 10 us: AB's transmission
-        # starts while AC's arrival waits, so it is pushed, and AC's 50 B
-        # transmission, ending before it, runs in place
+        # starts while AC's arrival waits, and AC's 50 B transmission ends
+        # before it
         doc = fabric_doc(["S0"], [], {"A": "S0.1", "B": "S0.2", "C": "S0.3"},
                          [("A", "B", 1), ("A", "C", 1)])
         doc["sim"]["sources"][1]["pkt_B"] = 50
         result, engine = counted_run(doc)
         assert engine.fifo.joined == 2
-        assert heap_pushes(engine) == 5  # four emissions and AB's transmission
+        assert heap_pushes(engine) == 6  # four emissions and two transmissions
         flows = result.report["flows"]
         assert (flows["AB"]["latency_us"]["max"], flows["AC"]["latency_us"]["max"]) == (100.0, 50.0)
 
     def test_one_slot_transmission_keeps_the_pushers_rank(self):
         # 500 B take one 500 us slot on the wire (tx_rank None), so a
-        # transmission end run in place takes the rank of the event that
-        # started it, seen at delivery: 2 for AB's FIFO item at S0.4, and 0
-        # for AD's arrival at S1.3, which S1's 600 us forwarding delay pushed
-        # more than a slot ahead
+        # transmission end takes the rank of the event that started it,
+        # seen at delivery: 2 for AB's FIFO item at S0.4, and 0 for AD's
+        # arrival at S1.3, which S1's 600 us forwarding delay pushed more
+        # than a slot ahead
         delivered = []
 
         class DeliveryProbe(CountingEngine):
@@ -474,18 +474,18 @@ class TestOneEventHop:
         result, engine = counted_run(doc, DeliveryProbe)
         assert engine.slot_ns == 500_000
         assert delivered == [("AB", 510_000, 2), ("AD", 3_600_000, 0)]
-        # four emissions and AD's arrival at S1.3; every transmission ends in place
-        assert heap_pushes(engine) == 5
+        # four emissions, three transmissions and AD's arrival at S1.3
+        assert heap_pushes(engine) == 8
 
     def test_transmissions_ending_together_keep_the_fifo(self):
         # A -> C and B -> C end their first hops in one nanosecond and meet at
-        # S2.3: at the first txdone the second is on the heap at that time,
-        # at the second the first arrival waits in the FIFO, so both hop
-        # arrivals take the FIFO, as the emissions' arrivals do
+        # S2.3: both hop arrivals join the FIFO, as the emissions' arrivals
+        # do, and run after both transmission ends
         result, engine = counted_run(fabric_doc(
             ["S0", "S1", "S2"], [["S0.1", "S2.1"], ["S1.1", "S2.2"]],
             {"A": "S0.3", "B": "S1.3", "C": "S2.3"}, [("A", "C", 1), ("B", "C", 1)]))
         assert engine.fifo.joined == 4
+        assert heap_pushes(engine) == 8  # four emissions and four transmissions
         flows = result.report["flows"]
         assert flows["AC"]["latency_us"]["max"] == 200.0  # first through S2.3
         assert flows["BC"]["latency_us"]["max"] == 300.0
@@ -500,4 +500,6 @@ class TestOneEventHop:
             ["S0", "S1"], [["S0.1", "S1.1"]], {"A": "S0.3", "B": "S1.3"},
             [("A", "B", 2)], fwd_us={"S1": 100}))
         assert result.report["ports"]["S1.3"]["0"]["max_occupancy_B"] == 100
+        # two emissions, and each packet's two transmissions and delayed arrival
+        assert (engine.fifo.joined, heap_pushes(engine)) == (2, 8)
         assert result.report["flows"]["AB"]["received"] == 2
