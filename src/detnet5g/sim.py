@@ -44,20 +44,22 @@ regulator's queue and release times, each policer's bucket and each flow's
 next emission count; a packet is recorded by its flow, its seq less the
 flow's sends so far and every field it holds.  A checkpoint at 2^j H
 compares its snapshot with the one taken at (2^j - 1) H.  When they are
-equal, the run from there is the last hyperperiod's shifted by H: the engine
-copies that hyperperiod's sends and fates into each flow's trace for every
-whole hyperperiod left before the end, n of them, adds its drops and
-violations as often, moves each seq in the state on by n hyperperiods'
-worth of its flow's packets and simulates the rest from where it is, with
-the end n H nearer and every time it writes to the trace n H later.  The
-outputs are those of simulating every event, to the byte, because the
+equal, the run from there is the last hyperperiod's shifted by H, and one
+forward rule settles it: each packet in flight takes the fate of the packet
+a hyperperiod's worth of its flow's packets before it, a hyperperiod later.
+The engine settles the packets in flight so, copies the now settled
+hyperperiod's sends and fates into each flow's trace for every whole
+hyperperiod left before the end, n of them, adds its drops and violations
+as often, moves each packet in the state on by n hyperperiods' worth of its
+flow's packets, back in flight, and simulates the rest from where it is,
+with the end n H nearer and every time it writes to the trace n H later.
+The outputs are those of simulating every event, to the byte, because the
 engine's future depends only on what the snapshot holds, and a repeated
 hyperperiod leaves the largest occupancies and the set of ports reached as
-they were.  A checkpoint is
-pushed only if the comparison it leads to leaves a whole hyperperiod to
-skip: a run shorter than 2H, such as the canonical scenario's (H = 198 s),
-takes none, and a run whose state never repeats takes O(log(duration / H))
-snapshots.
+they were.  A checkpoint is pushed only if the comparison it leads to
+leaves a whole hyperperiod to skip: a run shorter than 2H, such as the
+canonical scenario's (H = 198 s), takes none, and a run whose state never
+repeats takes O(log(duration / H)) snapshots.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
@@ -85,7 +87,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heappush
-from operator import add, floordiv, mod, sub
+from operator import add, attrgetter, floordiv, mod, sub
 
 from .admission import NetworkState
 from .errors import AdmissionMissing, ScenarioInvalid
@@ -307,16 +309,6 @@ def _cycle_ns(model: SourceModel) -> int:
     return (params["on_ms"] + params["off_ms"]) * 1_000_000
 
 
-def _fate(t_recv, seq: int, per_period: int) -> tuple:
-    """The first of `t_recv[seq]`, `t_recv[seq - per_period]`, ... that is
-    not IN_FLIGHT, and how many steps back it is."""
-    lag = 0
-    while t_recv[seq] == IN_FLIGHT:
-        seq -= per_period
-        lag += 1
-    return t_recv[seq], lag
-
-
 def _limits_ns(a) -> tuple:
     """An assignment's bounds in ns: (e2e, UL delay, UL best case, UL delay plus
     regulator, DL delay, DL best case); a missing contract's entries are None."""
@@ -369,23 +361,27 @@ class _Engine:
 
     A checkpoint is a heap entry `(k * period_ns, -1, -1, on_checkpoint, k)`:
     like the sentinel it runs ahead of every other entry of its time and
-    draws nothing from `counter`, and the FIFO is empty when it runs, since
-    FIFO items run before the heap moves on to a later time.  Checkpoints
-    fall at 0, H, 2H, 3H, 4H, 7H, 8H, ...: the one at (2^j - 1) H keeps its
-    snapshot in `snapshot` for the one at 2^j H to compare, so no more than
-    two snapshots are held.  On a match `_jump` settles the packets in
-    flight: such a packet has the fate of the packet one hyperperiod's worth
-    of its flow's packets before it, one hyperperiod later, so following
-    that chain back to a packet with a fate (`_fate`) gives its fate and its
-    lag j in hyperperiods, and after n skipped hyperperiods it is still in
-    flight if j > n; the copies of the last hyperperiod's packets
-    (`_copy_window`) follow the same rule.  The engine then goes on from the
-    checkpoint's time with the sentinel `shift` = n H earlier: `_handle_emit`
-    and `_deliver` add `shift` to each time they write to the trace, and
-    subtract it from each send time they read back, and no other time, slot
-    index or schedule moves.  No checkpoint follows a jump, so `_snapshot`
-    sees a nonzero `shift` only when called after one.  `repeat` records
-    the copied periods for the trace writer (`_Repeat`).
+    draws nothing from `counter`.  Past t = 0 the FIFO is empty when it
+    runs, since FIFO items run before the heap moves on to a later time; at
+    t = 0 the FIFO holds run initialisation's emissions due at 0, which
+    `_snapshot` does not read.  That costs no false match: each such flow's
+    emission due at H is on the heap at H, so the snapshots at 0 and H
+    differ, and such a run jumps at 2H at the earliest.  Checkpoints fall at
+    0, H, 2H, 3H, 4H, 7H, 8H, ...: the one at (2^j - 1) H keeps its snapshot
+    in `snapshot` for the one at 2^j H to compare, so no more than two
+    snapshots are held.  On a match `_jump` settles the packets in flight by
+    one forward rule: such a packet has the fate of the packet one
+    hyperperiod's worth of its flow's packets before it, one hyperperiod
+    later, and in ascending seq that fate is settled before it is read.  It
+    then copies the settled hyperperiod, and puts the packets in the state,
+    moved on by the skipped hyperperiods, back in flight.  The engine then
+    goes on from the checkpoint's time with the sentinel `shift` = n H
+    earlier: `_handle_emit` and `_deliver` add `shift` to each time they
+    write to the trace, and subtract it from each send time they read back,
+    and no other time, slot index or schedule moves.  No checkpoint follows a
+    jump, so `_snapshot` sees a nonzero `shift` only when called after
+    one.  `repeat` records the copied periods for the trace writer
+    (`_Repeat`).
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -738,71 +734,56 @@ class _Engine:
         the run repeats the last H, the window, each time H later.  Skip the
         n whole periods that end by the run's end: each flow's trace takes
         the window's sends and fates n more times, its drops and violations
-        grow by n times the window's, and each packet's seq moves on by n
-        periods' worth of its flow's packets.  The engine goes on from here
-        with `shift` = n H: its end moves n H earlier, and its trace times
-        stay n H later than its own.  Nothing else in the state moves.
+        grow by n times the window's, and each packet in the state moves on
+        by n periods' worth of its flow's packets.  The engine goes on from
+        here with `shift` = n H: its end moves n H earlier, and its trace
+        times stay n H later than its own.  Nothing else in the state moves.
 
-        A packet still in flight here has the fate of the packet a period's
-        worth of its flow's packets before it, H later: following that chain
-        back to a packet with a fate gives the fate and the lag j, in
-        periods.  The packet is settled if j <= n, and the window's packet
-        copied k periods on is in flight after the jump while j + k > n."""
+        One forward rule settles the jump: a packet in flight here has the
+        fate of the packet a period's worth of its flow's packets before it,
+        H later.  In ascending seq each packet reads a fate already settled,
+        so the window then has every fate and each copy is a plain shift.
+        The packets in flight n periods on are the ones in flight here,
+        moved on: they go back in flight, for the simulated rest to settle,
+        and the copies before the first of them have every fate."""
         _, before, _ = earlier
         _, counts, packets = now
         period = self.period_ns
         n = (self.end_ns + 1 - self.t) // period
-        per_period = {}
-        settled = n
-        copied = {}
+        window = {}  # each flow's first copied seq and packets per period
         for ctx, (first, drops_before, violations_before), (sent, drops, violations) in zip(
                 self.flows.values(), before, counts):
-            per_period[ctx] = sent - first
-            copied[ctx.source.flow_id] = (sent, sent - first)
+            window[ctx] = sent, sent - first
             for stage, count in drops.items():
                 ctx.drops[stage] = count + n * (count - drops_before.get(stage, 0))
             for kind, count in violations.items():
                 ctx.violations[kind] = count + n * (count - violations_before[kind])
-            if sent > first:
-                settled = min(settled, self._copy_window(ctx, first, sent - first, n))
-        if any(per_period.values()):
-            self.repeat = _Repeat(self.t, period, settled, copied)
-        # every chain is read before any fate is written: a written fate
-        # would end a later packet's chain early, with too small a lag
-        settling = [(pkt, *_fate(pkt.ctx.t_recv, pkt.seq, per_period[pkt.ctx]))
-                    for pkt in packets]
-        for pkt, fate, lag in settling:
-            ctx = pkt.ctx
-            if lag <= n:
-                ctx.t_recv[pkt.seq] = fate if fate == DROPPED else fate + lag * period
-            pkt.seq += n * per_period[ctx]
+        packets.sort(key=attrgetter("seq"))
+        for pkt in packets:
+            t_recv = pkt.ctx.t_recv
+            fate = t_recv[pkt.seq - window[pkt.ctx][1]]
+            t_recv[pkt.seq] = fate if fate == DROPPED else fate + period
+        for ctx, (sent, per_period) in window.items():
+            sends = ctx.t_send[sent - per_period:sent]
+            fates = ctx.t_recv[sent - per_period:sent]
+            for shift in range(period, (n + 1) * period, period):
+                ctx.t_send.extend([s + shift for s in sends])
+                ctx.t_recv.extend([fate if fate == DROPPED else fate + shift for fate in fates])
+        settled = n
+        for pkt in packets:
+            sent, per_period = window[pkt.ctx]
+            pkt.seq += n * per_period
+            pkt.ctx.t_recv[pkt.seq] = IN_FLIGHT
+            settled = min(settled, (pkt.seq - sent) // per_period)
+        if any(per_period for _, per_period in window.values()):
+            # `settled` < 0: a packet moved on to before the copies, so none has every fate
+            self.repeat = _Repeat(self.t, period, max(settled, 0),
+                                  {ctx.source.flow_id: w for ctx, w in window.items()})
         self.shift = n * period
         heap = self.heap
         end = next(i for i, entry in enumerate(heap) if entry[3] is None)
         heap[end] = (self.end_ns + 1 - self.shift, -1, -1, None, None)
         heapify(heap)
-
-    def _copy_window(self, ctx: _FlowCtx, first: int, per_period: int, copies: int) -> int:
-        """Append `copies` periods to a flow's trace, each a copy of its
-        `per_period` packets from seq `first` on, shifted by one more period;
-        return how many copies, from the first, have every fate."""
-        period = self.period_ns
-        t_send, t_recv = ctx.t_send, ctx.t_recv
-        sends = t_send[first:first + per_period]
-        fates = [_fate(t_recv, seq, per_period) for seq in range(first, first + per_period)]
-        lags = [lag for _, lag in fates]
-        # each packet's fate at the window's own period (DROPPED stays)
-        fates = [fate if fate == DROPPED else fate + lag * period for fate, lag in fates]
-        settled = copies - max(lags)  # the copies up to this one have every fate
-        for k in range(1, copies + 1):
-            shift = k * period
-            t_send.extend([s + shift for s in sends])
-            if k <= settled:
-                t_recv.extend([fate if fate == DROPPED else fate + shift for fate in fates])
-            else:
-                t_recv.extend([IN_FLIGHT if lag + k > copies else fate if fate == DROPPED
-                               else fate + shift for fate, lag in zip(fates, lags)])
-        return max(settled, 0)
 
     # ------------------------------------------------------------- main loop
 

@@ -146,6 +146,20 @@ def end_doc(duration_ms, sources, flows=(), hold_us=0) -> dict:
     }
 
 
+def lag_doc(duration_ms) -> dict:
+    """`end_doc` with UE1 on a `DDDDDDDDDU` pattern whose U slot carries one
+    100 B packet, and a greedy UE1 -> B source that sends a 300 B burst at 0
+    and a 100 B packet every 10 ms after: UE1's queue keeps three packets,
+    each in flight about three hyperperiods (10 ms)."""
+    doc = end_doc(duration_ms, [])
+    doc["topology"]["transit5g"]["tdd_pattern"] = "DDDDDDDDDU"
+    doc["topology"]["transit5g"]["ues"][0]["tbs_ul_B"] = 100
+    doc["sim"]["sources"].append({"flow_id": "up", "src": "UE1", "dst": "B",
+                                  "mode": "greedy_token_bucket", "pkt_B": 100,
+                                  "burst_B": 300, "rate_Bps": 10_000})
+    return doc
+
+
 class JumpProbe(sim._Engine):
     """The engine, counting its snapshots and state comparisons, the
     hyperperiods its jump skipped and the time it landed at in trace time
@@ -196,12 +210,12 @@ def jump_features(engine, earlier, now) -> set:
     return features
 
 
-def probe_run(doc, end_ns=None):
-    """`doc` run by a `JumpProbe` and by the reference, both ending at
-    `end_ns` if given; asserts that they agree packet by packet and
-    returns `(result, probe)`."""
+def probe_run(doc, end_ns=None, probe=JumpProbe):
+    """`doc` run by `probe`, a `JumpProbe` class, and by the reference, both
+    ending at `end_ns` if given; asserts that they agree packet by packet
+    and returns `(result, probe)`."""
     scn = load_scenario(doc)
-    result, engine = engine_run(scn, JumpProbe, end_ns)
+    result, engine = engine_run(scn, probe, end_ns)
     state, _ = sim._admit_flows(scn, "scenario")
     reference = reference_engine.ReferenceEngine(
         state.topology, sim._build_flow_ctxs(scn, state), scn.duration_ms, scn.seed)
@@ -314,6 +328,37 @@ def test_growing_ue_queue_never_repeats(duration_ms):
     assert engine.landed is None
     assert 1 <= engine.comparisons <= 1 + math.log2(duration_ms * 1_000_000 / engine.period_ns)
     assert engine.snapshots == 2 * engine.comparisons - 1
+
+
+class StateProbe(JumpProbe):
+    """A `JumpProbe` keeping the state of each snapshot by its checkpoint's
+    index, in hyperperiods."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.states = {}
+
+    def _snapshot(self):
+        snapshot = super()._snapshot()
+        self.states[self.t // self.period_ns] = snapshot[0]
+        return snapshot
+
+
+def test_state_repeating_every_third_hyperperiod_never_jumps():
+    # with a 6 ms hold, the regulator's busy periods repeat every third 5 ms
+    # hyperperiod, from 3H on: a checkpoint compares only with the one a
+    # hyperperiod before, so none of the five comparisons matches and the
+    # run simulates every event.  Comparing k hyperperiods back would jump
+    doc = hyperperiod_doc(random.Random(2))
+    doc["nwtt"]["dejitter"]["hold_us"] = 6_000
+    _, engine = probe_run(doc, probe=StateProbe)
+    assert (engine.period_ns, engine.end_ns) == (5_000_000, 123_000_000)
+    assert engine.landed is None
+    assert (engine.comparisons, engine.snapshots) == (5, 9)
+    states = engine.states
+    assert sorted(states) == [0, 1, 2, 3, 4, 7, 8, 15, 16]
+    assert {(i, j) for i in states for j in states if i < j and states[i] == states[j]} == {
+        (i, j) for i in states for j in states if 3 <= i < j and (j - i) % 3 == 0}
 
 
 def test_run_shorter_than_two_hyperperiods_takes_no_snapshot():
@@ -495,13 +540,7 @@ def test_packets_in_flight_for_periods_settle_with_their_lag(duration_ms):
     # From 30 ms on the state recurs, so the jump at 40 ms skips one to four
     # periods, and each packet in flight there settles in the period its lag
     # puts it in, or stays in flight
-    doc = end_doc(duration_ms, [])
-    doc["topology"]["transit5g"]["tdd_pattern"] = "DDDDDDDDDU"
-    doc["topology"]["transit5g"]["ues"][0]["tbs_ul_B"] = 100
-    doc["sim"]["sources"].append({"flow_id": "up", "src": "UE1", "dst": "B",
-                                  "mode": "greedy_token_bucket", "pkt_B": 100,
-                                  "burst_B": 300, "rate_Bps": 10_000})
-    result, engine = probe_run(doc)
+    result, engine = probe_run(lag_doc(duration_ms))
     skipped = (duration_ms - 40) // 10
     assert (engine.landed, engine.skipped) == ((40 + 10 * skipped) * 1_000_000, skipped)
     ctx, = result.trace_rows.ctxs

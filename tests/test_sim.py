@@ -33,7 +33,7 @@ from detnet5g.topology import path_in_tree
 import reference_engine
 from conftest import canonical_scenario, certify, reordered_flows
 from test_golden import ue_transit_doc
-from test_reference_engine import end_doc, hyperperiod_doc
+from test_reference_engine import end_doc, hyperperiod_doc, lag_doc
 from test_sim_order import hops_doc
 
 
@@ -732,7 +732,7 @@ TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
     (canonical_with(silent_source), "scenario", lambda r: r.report["flows"]["late"]["sent"] == 0),
     (canonical_with(no_packets), "scenario",
      lambda r: not any(f["sent"] for f in r.report["flows"].values())),
-    # runs that jump: every case but the last writes a block from its template
+    # runs that jump: every case but the last two writes a block from its template
     (lambda: hyperperiod_doc(random.Random(10)), "scenario",
      lambda r: copied_blocks(r) >= 1 and unsettled_copies(r)
      and all(r.report["flows"][f]["drops"] for f in ("bg", "greedy"))
@@ -748,10 +748,13 @@ TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
     # one period copied, in which a packet is in flight: fewer than two settle
     (lambda: sub_us_period_doc(1), "scenario",
      lambda r: r.trace_rows.repeat.settled < 2 and copied_blocks(r) == 0),
+    # one period copied, and packets in flight three periods: none settles
+    (lambda: lag_doc(55), "scenario",
+     lambda r: r.trace_rows.repeat.settled == 0 and r.report["flows"]["up"]["in_flight"] == 3),
 ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
         "same-ns-senders", "same-ns-bursts", "silent-flow", "no-packets",
         "jumped-drops-and-in-flight", "jumped-sub-us-period", "jumped-odd-ids",
-        "jumped-same-ns-bursts", "jumped-no-block"])
+        "jumped-same-ns-bursts", "jumped-no-block", "jumped-lag-past-the-end"])
 
 
 class TestTraceWriter:
