@@ -644,7 +644,6 @@ class NetworkState:
         trees: list[VlanTree] | None = None,
         class_count: int | None = None,
         best_effort_class: int = 0,
-        enable_reconfig: bool = True,
         default_regulator: RegulatorConfig | None = None,
     ):
         self.topology = topology
@@ -657,7 +656,6 @@ class NetworkState:
             class_count, profile_classes
         )
         self.best_effort_class = best_effort_class
-        self.enable_reconfig = enable_reconfig
         self.default_regulator = default_regulator
         self._solver = _SolverState()
         self._routes: dict[tuple[str, str], _Routes] = {}  # filled as pairs are requested
@@ -832,7 +830,7 @@ class NetworkState:
         details: dict[type, str] = {}  # failure class -> detail of its first failed trial
         solver = self._first_fit(self._solver, spec, terms, details)
         moved: tuple[str, ...] = ()
-        if (solver is None and self.enable_reconfig and self._solver.placements
+        if (solver is None and self._solver.placements
                 and not all(map(self._pruned, self._candidates(spec, terms)))):
             solver = self._batch_reassign(spec, terms)
             if solver is not None:

@@ -30,36 +30,39 @@ passing through its class queue: an idle port's queues are empty, because
 the end of a transmission starts the port's next packet before its handler
 returns.
 
-A run simulates each state once.  The hyperperiod H is the least common
-multiple of every source's cycle (a periodic source's period, a greedy
-source's packet interval, an on/off source's on plus off time) and, with a
-5G segment, of the slot length times the least common multiple of the TDD
-pattern's length and the UE count: every emission, every usable slot and
-the UE rotation repeat with it.  At checkpoints on multiples of H, each
-ahead of every other event of its time, the engine takes a snapshot of all
-that decides what follows, every time and slot index taken relative to the
-checkpoint: the pending events in pop order, each port's packets, queues
-and occupancy, the UE queues and the slots whose tick is pending, each
-regulator's queue and release times, each policer's bucket and each flow's
-next emission count; a packet is recorded by its flow, its seq less the
-flow's sends so far and every field it holds.  A checkpoint at 2^j H
-compares its snapshot with the one taken at (2^j - 1) H.  When they are
-equal, the run from there is the last hyperperiod's shifted by H, and one
-forward rule settles it: each packet in flight takes the fate of the packet
-a hyperperiod's worth of its flow's packets before it, a hyperperiod later.
-The engine settles the packets in flight so, copies the now settled
-hyperperiod's sends and fates into each flow's trace for every whole
-hyperperiod left before the end, n of them, adds its drops and violations
-as often, moves each packet in the state on by n hyperperiods' worth of its
-flow's packets, back in flight, and simulates the rest from where it is,
-with the end n H nearer and every time it writes to the trace n H later.
-The outputs are those of simulating every event, to the byte, because the
-engine's future depends only on what the snapshot holds, and a repeated
-hyperperiod leaves the largest occupancies and the set of ports reached as
-they were.  A checkpoint is pushed only if the comparison it leads to
-leaves a whole hyperperiod to skip: a run shorter than 2H, such as the
-canonical scenario's (H = 198 s), takes none, and a run whose state never
-repeats takes O(log(duration / H)) snapshots.
+A run simulates each state once.  One timing record per source
+(`_timing`) gives both its emissions and its cycle (a periodic source's
+period, a greedy source's packet interval, an on/off source's on plus off
+time), and the hyperperiod H is the least common multiple of every cycle
+and, with a 5G segment, of the slot length times the least common
+multiple of the TDD pattern's length and the UE count: every emission,
+every usable slot and the UE rotation repeat with it.  At checkpoints on
+multiples of H, each ahead of every other event of its time, the engine
+takes a snapshot of all that decides what follows, every time and slot
+index taken relative to the checkpoint: the pending events in pop order,
+each port's packets, queues and occupancy, the UE queues and the slots
+whose tick is pending, each regulator's queue and release times, each
+policer's one token count and the time it was last filled, and each
+flow's next emission count; a packet is recorded by its flow, its seq
+less the flow's sends so far and every field it holds.  A
+checkpoint at 2^j H compares its snapshot with the one taken at
+(2^j - 1) H.  When they are equal, the run from there is the last
+hyperperiod's shifted by H, and one forward rule settles it: each packet
+in flight takes the fate of the packet a hyperperiod's worth of its flow's
+packets before it, a hyperperiod later.  The engine settles the packets in
+flight so, copies the now settled hyperperiod's sends and fates into each
+flow's trace for every whole hyperperiod left before the end, n of them,
+adds its drops and violations as often, moves each packet in the state on
+by n hyperperiods' worth of its flow's packets, back in flight, and
+simulates the rest from where it is, with the end n H nearer (one more
+sentinel, pushed n H earlier, ends the run) and every time it writes to
+the trace n H later.  The outputs are those of simulating every event, to
+the byte, because the engine's future depends only on what the snapshot
+holds, and a repeated hyperperiod leaves the largest occupancies and the
+set of ports reached as they were.  A checkpoint is pushed only if the
+comparison it leads to leaves a whole hyperperiod to skip: a run shorter
+than 2H, such as the canonical scenario's (H = 198 s), takes none, and a
+run whose state never repeats takes O(log(duration / H)) snapshots.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
@@ -86,7 +89,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from operator import add, attrgetter, floordiv, mod, sub
 
 from .admission import NetworkState
@@ -221,29 +224,25 @@ class _FlowCtx:
 
 
 class _Policer:
-    """Exact-integer token bucket; drops non-conforming packets."""
+    """Exact-integer token bucket, full at t = 0; drops non-conforming
+    packets.  `tokens` and its `cap` count B × `NS_PER_S`, so that a rate in
+    B/s times a time in ns adds no fraction to carry."""
 
-    __slots__ = ("burst_B", "rate_Bps", "tokens", "carry", "last_ns")
+    __slots__ = ("cap", "rate_Bps", "tokens", "last_ns")
 
     def __init__(self, burst_B, rate_Bps):
-        self.burst_B = burst_B
+        self.cap = self.tokens = burst_B * NS_PER_S
         self.rate_Bps = rate_Bps
-        self.tokens = burst_B
-        self.carry = 0
         self.last_ns = 0
 
     def allow(self, size_B: int, t_ns: int) -> bool:
-        grown = self.rate_Bps * (t_ns - self.last_ns) + self.carry
-        add, self.carry = divmod(grown, NS_PER_S)
-        self.tokens += add
-        if self.tokens >= self.burst_B:
-            self.tokens = self.burst_B
-            self.carry = 0
+        tokens = self.tokens + self.rate_Bps * (t_ns - self.last_ns)
+        if tokens > self.cap:
+            tokens = self.cap
         self.last_ns = t_ns
-        if size_B <= self.tokens:
-            self.tokens -= size_B
-            return True
-        return False
+        conforms = size_B * NS_PER_S <= tokens
+        self.tokens = tokens - size_B * NS_PER_S if conforms else tokens
+        return conforms
 
 
 @dataclass
@@ -266,47 +265,41 @@ class _Repeat:
     flows: dict
 
 
-def _schedule(model: SourceModel, rng: random.Random):
-    """Yield `(t_ns, packet_count)` for each emission of a source, in time order."""
+def _timing(model: SourceModel, rng: random.Random) -> tuple:
+    """A source's timing record `(start, first, count, cycle, offsets)` in
+    ns: `first` packets at `start`, then `count` packets at each later
+    `start + k * cycle + offset`, k >= 0, offset in `offsets` (0 first).
+
+    Periodic: `count` packets (1 unless given) each period, from `offset_us`
+    or else a phase drawn from `rng`.  Greedy: its burst, then a packet each
+    interval at its rate.  On/off: a packet each interval through each
+    on-window, an emission at or past a window's end moving to the next
+    one's start.  These two start at `offset_us`, or at 0."""
     params = model.params
     offset = params.get("offset_us")
     if model.mode == "periodic":
-        start = rng.randrange(params["period_us"]) if offset is None else offset
+        period = params["period_us"]
         count = params.get("count", 1)
-        for t in itertools.count(start * NS_PER_US, params["period_us"] * NS_PER_US):
-            yield t, count
+        start = rng.randrange(period) if offset is None else offset
+        return start * NS_PER_US, count, count, period * NS_PER_US, (0,)
     start = (offset or 0) * NS_PER_US
-    interval = _interval_ns(params)
+    interval = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
     if model.mode == "greedy_token_bucket":
-        yield start, max(1, params["burst_B"] // params["pkt_B"])
-        for t in itertools.count(start + interval, interval):
-            yield t, 1
-    # onoff_background: paced emissions inside each on-window, all windows
-    # shifted by the offset; one that would fall at or past a window's end
-    # moves to the next window's start
+        return start, max(1, params["burst_B"] // params["pkt_B"]), 1, interval, (0,)
     on_ns = params["on_ms"] * 1_000_000
-    off_ns = params["off_ms"] * 1_000_000
-    while True:
-        for t in range(start, start + on_ns, interval):
-            yield t, 1
-        start += on_ns + off_ns
+    return start, 1, 1, on_ns + params["off_ms"] * 1_000_000, range(0, on_ns, interval)
 
 
-def _interval_ns(params: dict) -> int:
-    """A greedy or on/off source's spacing of single-packet emissions."""
-    return ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
-
-
-def _cycle_ns(model: SourceModel) -> int:
-    """The span after which `_schedule`'s emissions of a source repeat: a
-    periodic source's period, a greedy source's packet interval (once its
-    burst is out) and an on/off source's on plus off time."""
-    params = model.params
-    if model.mode == "periodic":
-        return params["period_us"] * NS_PER_US
-    if model.mode == "greedy_token_bucket":
-        return _interval_ns(params)
-    return (params["on_ms"] + params["off_ms"]) * 1_000_000
+def _schedule(timing: tuple):
+    """Yield `(t_ns, packet_count)` for each emission of a `_timing` record,
+    in time order."""
+    start, first, count, cycle, offsets = timing
+    yield start, first
+    for offset in offsets[1:]:
+        yield start + offset, count
+    for t in itertools.count(start + cycle, cycle):
+        for offset in offsets:
+            yield t + offset, count
 
 
 def _limits_ns(a) -> tuple:
@@ -349,15 +342,19 @@ class _Engine:
     none of these shortcuts, and the tests compare the two packet by
     packet.
 
-    `run` pushes one sentinel, `(end_ns + 1, -1, -1, None, None)`, ahead of
-    every other entry of its time, and the loop stops at its None handler:
-    no push checks the end, and the heap is never empty inside the loop.  A
-    `_Packet` holds its own state, its size being its flow's `pkt_B`, and
-    each stage sets the fields it uses: `hop` and `hop_in` by `_forward`,
-    `eligible_slot` and `remaining_B` by `_enqueue_ue`, and `transit_out`,
-    `reg_out` and `dl_in` at the uplink drain, the regulator release and the
-    downlink enqueue; `_deliver` checks the times its flow's UE queues and
-    regulator, fixed for the run, have set.
+    One pass of `__init__` gives each flow its timing record, from its own
+    seeded `random.Random`, and its schedule, and makes `period_ns` the lcm
+    of the records' cycles and the slot cycle.  `run` pushes each flow's
+    first emission in flow order, then a sentinel `(end_ns + 1, -1, -1,
+    None, None)`, ahead of every other entry of its time; the loop stops at
+    the first None handler: no push checks the end, and the heap is never
+    empty inside the loop.  A `_Packet` holds its own state, its size being
+    its flow's `pkt_B`, and each stage sets the fields it uses: `hop` and
+    `hop_in` by `_forward`, `eligible_slot` and `remaining_B` by
+    `_enqueue_ue`, and `transit_out`, `reg_out` and `dl_in` at the uplink
+    drain, the regulator release and the downlink enqueue; `_deliver`
+    checks the times its flow's UE queues and regulator, fixed for the run,
+    have set.
 
     A checkpoint is a heap entry `(k * period_ns, -1, -1, on_checkpoint, k)`:
     like the sentinel it runs ahead of every other entry of its time and
@@ -375,18 +372,18 @@ class _Engine:
     later, and in ascending seq that fate is settled before it is read.  It
     then copies the settled hyperperiod, and puts the packets in the state,
     moved on by the skipped hyperperiods, back in flight.  The engine then
-    goes on from the checkpoint's time with the sentinel `shift` = n H
-    earlier: `_handle_emit` and `_deliver` add `shift` to each time they
-    write to the trace, and subtract it from each send time they read back,
-    and no other time, slot index or schedule moves.  No checkpoint follows a
-    jump, so `_snapshot` sees a nonzero `shift` only when called after
-    one.  `repeat` records the copied periods for the trace writer
-    (`_Repeat`).
+    goes on from the checkpoint's time with its end `shift` = n H earlier: a
+    second sentinel, pushed that much before the first, pops ahead of it,
+    so the first is never reached.  `_handle_emit` and `_deliver` add
+    `shift` to each time they write to the trace, and subtract it from each
+    send time they read back, and no other time, slot index or schedule
+    moves.  No checkpoint follows a jump, so `_snapshot` sees a nonzero
+    `shift` only when called after one.  `repeat` records the copied
+    periods for the trace writer (`_Repeat`).
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
         self.flows = flows
-        self.seed = seed
         self.end_ns = duration_ms * 1_000_000
         self.t = 0
         self.rank = 0  # of the event running now
@@ -415,8 +412,15 @@ class _Engine:
             self.grant_slots = tdd.first_grant_slot(0)
             self.ul_wait = tdd.staircase(UPLINK).wait
             self.dl_wait = tdd.staircase(DOWNLINK).wait
+        # the hyperperiod: every source's emissions, the UE rotation and the
+        # usable slots repeat with it
+        self.period_ns = 1 if self.transit is None else self.slot_ns * math.lcm(
+            len(self.transit.tdd.pattern), len(self.transit.ues) or 1)
         self.all_ports: dict[PortId, _Port] = {}  # every port on a flow's route, reached or not
         for ctx in flows.values():
+            timing = _timing(ctx.source, random.Random(f"{seed}:{ctx.source.flow_id}"))
+            ctx.schedule = _schedule(timing)
+            self.period_ns = math.lcm(self.period_ns, timing[3])
             ctx.ul_queue = ue_ul.get(ctx.source.src)
             ctx.dl_queue = ue_dl.get(ctx.source.dst)
             bounds = ([math.inf] * len(ctx.route) if ctx.assignment is None
@@ -431,11 +435,6 @@ class _Engine:
             ctx.first_hop = hop
             if ctx.assignment is not None:
                 ctx.limits_ns = _limits_ns(ctx.assignment)
-        # the hyperperiod: every source's emissions, the UE rotation and the
-        # usable slots repeat with it
-        slot_cycle = 1 if self.transit is None else self.slot_ns * math.lcm(
-            len(self.transit.tdd.pattern), len(self.transit.ues) or 1)
-        self.period_ns = math.lcm(slot_cycle, *(_cycle_ns(ctx.source) for ctx in flows.values()))
         self.snapshot = None  # the last checkpoint's, kept for the next one to compare
         self.repeat = None  # the periods `_jump` copied, if it ran and copied a packet
         self.shift = 0  # what `_jump` skipped: a trace time less this is an engine time
@@ -721,7 +720,7 @@ class _Engine:
         flows = []
         for ctx in self.flows.values():
             pol, reg = ctx.policer, ctx.regulator
-            flows.append((ctx.count, pol and (pol.tokens, pol.carry, pol.last_ns - t),
+            flows.append((ctx.count, pol and (pol.tokens, pol.last_ns - t),
                           reg and (list(map(packet, reg.queue)), rel(reg.next_release_ns, t),
                                    rel(reg.last_release_ns, t))))
         state = (heap, ports, ues, sorted(s - slot for s in self.armed), flows)
@@ -736,8 +735,9 @@ class _Engine:
         the window's sends and fates n more times, its drops and violations
         grow by n times the window's, and each packet in the state moves on
         by n periods' worth of its flow's packets.  The engine goes on from
-        here with `shift` = n H: its end moves n H earlier, and its trace
-        times stay n H later than its own.  Nothing else in the state moves.
+        here with `shift` = n H: a sentinel pushed n H before the old one
+        ends it, and its trace times stay n H later than its own.  Nothing
+        else in the state moves.
 
         One forward rule settles the jump: a packet in flight here has the
         fate of the packet a period's worth of its flow's packets before it,
@@ -780,17 +780,13 @@ class _Engine:
             self.repeat = _Repeat(self.t, period, max(settled, 0),
                                   {ctx.source.flow_id: w for ctx, w in window.items()})
         self.shift = n * period
-        heap = self.heap
-        end = next(i for i, entry in enumerate(heap) if entry[3] is None)
-        heap[end] = (self.end_ns + 1 - self.shift, -1, -1, None, None)
-        heapify(heap)
+        # the new end pops ahead of the old one, which is never reached
+        heappush(self.heap, (self.end_ns + 1 - self.shift, -1, -1, None, None))
 
     # ------------------------------------------------------------- main loop
 
     def run(self):
         for ctx in self.flows.values():
-            model = ctx.source
-            ctx.schedule = _schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
             t_ns, ctx.count = next(ctx.schedule)
             self._push(t_ns, self.on_emit, ctx)
         heap, fifo = self.heap, self.fifo
@@ -882,13 +878,12 @@ def parse_us(text: str) -> int:
     return int(whole) * NS_PER_US + int(frac)
 
 
-def _row_lines(source: SourceModel, fid_csv: str, lo: int, t_send, t_recv):
+def _row_lines(head: str, lo: int, t_send, t_recv):
     """The CSV lines of a flow's packets from seq `lo` on, sent at `t_send`
-    and received at `t_recv` (ns), `fid_csv` being the flow id as a CSV
-    field with `%` escaped.  While every packet of the slice is delivered,
+    and received at `t_recv` (ns), `head` being the flow's row head (see
+    `_TraceRows.text`).  While every packet of the slice is delivered,
     they are formatted a column at a time with one %-format per line, each
     time (send, receive and latency) as its `divmod` by `NS_PER_US`."""
-    head = f"{fid_csv},%d,{source.params['pkt_B']},"
     if min(t_recv) < 0:  # dropped or in flight: no receive time, no latency
         fmt = head + "%s,%s,%s,%d\r\n"
         return [fmt % (seq, _format_us(s),
@@ -972,13 +967,13 @@ class _TraceRows:
 
     def _in_order(self, window: list, heads: list) -> list:
         """A window's CSV lines in trace order, `heads[k]` being the k-th
-        flow's `_row_lines` source and CSV flow id; the sort keys are freed
-        on return, before the lines are used."""
+        flow's row head; the sort keys are freed on return, before the lines
+        are used."""
         keys, rows = [], []
         for k, ctx, lo, hi in window:
             t_send = ctx.t_send[lo:hi]
             keys += t_send
-            rows += _row_lines(*heads[k], lo, t_send, ctx.t_recv[lo:hi])
+            rows += _row_lines(heads[k], lo, t_send, ctx.t_recv[lo:hi])
         return list(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
 
     def blocks(self) -> tuple:
@@ -998,10 +993,10 @@ class _TraceRows:
         rep = self.repeat
         span_us = periods * rep.period_ns // NS_PER_US
         keys, rows = [], []
-        for (source, fid_csv), ctx in zip(heads, self.ctxs):
+        for head, ctx in zip(heads, self.ctxs):
             lo, per_period = rep.flows[ctx.source.flow_id]
             hi = lo + periods * per_period
-            head = f"{fid_csv},%d,{source.params['pkt_B']},%d."
+            head += "%d."
             dropped_shift = (periods * per_period, span_us)
             delivered_shift = (*dropped_shift, span_us)
             t_send = ctx.t_send[lo:hi]
@@ -1023,8 +1018,10 @@ class _TraceRows:
     def text(self):
         """Yield the CSV text of the rows, without the header, a window or a
         block at a time: the windows before the blocks, the blocks, and the
-        windows after them."""
-        heads = [(ctx.source, _csv_field(ctx.source.flow_id).replace("%", "%%"))
+        windows after them.  Each flow's rows start with its row head, its
+        flow id as a CSV field with `%` escaped, a `%d` for the seq and its
+        packet size: `"<flow_id>,%d,<pkt_B>,"`."""
+        heads = [f"{_csv_field(ctx.source.flow_id).replace('%', '%%')},%d,{ctx.pkt_B},"
                  for ctx in self.ctxs]
         start, periods, count = self.blocks()
         for window in self._windows(0, start):

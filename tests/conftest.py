@@ -144,6 +144,14 @@ def snapshot(state) -> dict:
     return {"flows": state.flows(), "aggregates": aggregates(state)}
 
 
+def first_fit_only(*states):
+    """Turn each state's batch re-place pass off: a `_batch_reassign` of its
+    own that places nothing shadows the class's, so a request that first fit
+    rejects is rejected."""
+    for state in states:
+        state._batch_reassign = lambda spec, terms: None
+
+
 def reference_path_in_tree(topo, tree, src, dst) -> list[PortId]:
     """The earlier `path_in_tree`, kept as the oracle: a BFS from the source
     switch over the tree's adjacency, rebuilt on every call."""

@@ -22,8 +22,9 @@ the UEs (uplink first, then downlink), the NW-TT's hold-and-forward
 regulator queues, per-class forwarding delays and non-preemptive
 strict-priority egress ports with a per-class buffer.
 
-It reads the input as `sim` does (`sim._schedule` for the emissions,
-`sim._admit_flows` and `sim._build_flow_ctxs` for each flow's treatment)
+It reads the input as `sim` does (`sim._timing`, each source's timing
+record, and `sim._schedule` for the emissions; `sim._admit_flows` and
+`sim._build_flow_ctxs` for each flow's treatment)
 and shares no engine, port, hop, packet, policer or regulator code.
 `simulate` returns, per flow, each packet's send time and outcome, the
 drops by stage and the bound violations, and the largest occupancy of
@@ -161,7 +162,8 @@ class ReferenceEngine:
             self.push(0, self.tick, 0)
         for flow in self.flows.values():
             model = flow.source
-            schedule = sim._schedule(model, random.Random(f"{self.seed}:{model.flow_id}"))
+            schedule = sim._schedule(
+                sim._timing(model, random.Random(f"{self.seed}:{model.flow_id}")))
             t, count = next(schedule)
             if t <= self.end_ns:
                 self.push(t, self.emit, flow, schedule, count)

@@ -30,8 +30,8 @@ from detnet5g.scenario import load_topology
 from detnet5g.topology import PortId, SwitchProfile, Topology, make_link, path_in_tree
 from detnet5g.transit5g import DOWNLINK, TddConfig, transit_contract
 
-from conftest import (aggregates, certify, cold_aggregates, cold_solve, grid_topology,
-                      line_topology, ring_topology, snapshot)
+from conftest import (aggregates, certify, cold_aggregates, cold_solve, first_fit_only,
+                      grid_topology, line_topology, ring_topology, snapshot)
 
 
 def spec(fid="f1", src="UE1", dst="D", rate=12_500, burst=1_250, pkt=1_250,
@@ -184,7 +184,8 @@ class TestRegisterFlow:
 
     def test_reject_when_reconfiguration_disabled(self):
         topo = reconfig_topology()
-        state = NetworkState(topo, enable_reconfig=False)
+        state = NetworkState(topo)
+        first_fit_only(state)
         state.register_flow(spec(fid="A", src="A_src", dst="E", rate=25_000,
                                  burst=5_000, pkt=1_500, deadline=500_000))
         before = snapshot(state)
@@ -492,7 +493,8 @@ class TestDeduplicatedSearch:
         for seed in range(3):
             rng = random.Random(seed)
             # two classes keep the full-order reference (2 x 64 solves) cheap
-            state = NetworkState(topo, class_count=3, enable_reconfig=False)
+            state = NetworkState(topo, class_count=3)
+            first_fit_only(state)
             assert len(state.trees) == 64
             live = []
             for i in range(14):
@@ -931,8 +933,9 @@ class TestIncrementalSolver:
         """
         topo = line_topology()
         topo.hosts["C"] = PortId("S2", 3)
-        state = NetworkState(topo, class_count=2, enable_reconfig=False)  # class 1 only
-        ref = NetworkState(topo, trees=state.trees, class_count=2, enable_reconfig=False)
+        state = NetworkState(topo, class_count=2)  # class 1 only
+        ref = NetworkState(topo, trees=state.trees, class_count=2)
+        first_fit_only(state, ref)
         for flow in (spec("p", "A", "B", rate=25_000, burst=4_500, pkt=1_500, deadline=10**9),
                      spec("v", "C", "B", burst=1_500, pkt=1_500, deadline=160_080)):
             assert state.register_flow(flow).accepted
@@ -1276,7 +1279,9 @@ class TestIncrementalSolver:
         monkeypatch.setattr(admission, "_add_flow", recording_add_flow)
         for seed in range(6):
             rng = random.Random(seed)
-            state = NetworkState(topo, enable_reconfig=seed % 2 == 0, **kwargs)
+            state = NetworkState(topo, **kwargs)
+            if seed % 2:
+                first_fit_only(state)
             live = []
             for i in range(16):
                 if live and rng.random() < 0.3:
@@ -1314,8 +1319,10 @@ class TestIncrementalSolver:
         for seed in range(10):
             rng = random.Random(seed)
             reconfig = seed % 2 == 0
-            state = NetworkState(topo, enable_reconfig=reconfig, **kwargs)
-            ref = NetworkState(topo, trees=state.trees, enable_reconfig=reconfig, **kwargs)
+            state = NetworkState(topo, **kwargs)
+            ref = NetworkState(topo, trees=state.trees, **kwargs)
+            if not reconfig:
+                first_fit_only(state, ref)
             live = []
             for i in range(count):
                 if live and rng.random() < 0.3:
@@ -1391,7 +1398,9 @@ class TestRejectsFromTrials:
         reasons, mixed = set(), set()
         for seed in range(4):
             rng = random.Random(seed)
-            state = NetworkState(topo, enable_reconfig=reconfig)
+            state = NetworkState(topo)
+            if not reconfig:
+                first_fit_only(state)
             live = []
             for i in range(24):
                 if live and rng.random() < 0.2:
@@ -1478,8 +1487,10 @@ class TestLowerBoundPrune:
         outcomes = set()
         for seed in range(3):
             rng = random.Random(seed)
-            state = NetworkState(topo, enable_reconfig=reconfig)
-            ref = NetworkState(topo, trees=state.trees, enable_reconfig=reconfig)
+            state = NetworkState(topo)
+            ref = NetworkState(topo, trees=state.trees)
+            if not reconfig:
+                first_fit_only(state, ref)
             live = []
             for i in range(24):
                 if live and rng.random() < 0.25:

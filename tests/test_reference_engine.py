@@ -13,6 +13,7 @@ runs whose state recurs a hyperperiod later, which the engine skips but
 the reference simulates event by event.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -367,46 +368,201 @@ def test_run_shorter_than_two_hyperperiods_takes_no_snapshot():
     assert engine.snapshots == 0
 
 
+STATE, CONFIG, RECORD = "state", "configuration", "record"
+FIXED, KEPT = (CONFIG, None, None), (RECORD, None, None)  # the rows of the other two kinds
+
+
+def state(change=None, why=None) -> tuple:
+    """A state row: `change` names the `state_changes` change that moves the
+    field, or `why` says how a snapshot holds it without one."""
+    return STATE, change, why
+
+
+# Every field of the engine, by kind.  State decides what follows, so a
+# snapshot must hold it; configuration is fixed for the run; a record is
+# what the run writes out or keeps between checkpoints, and no event reads
+# it to decide what to do.  A field with no row here, or a row for a field
+# no class holds, fails `test_every_engine_field_has_a_kind`.
+ENGINE_FIELDS = {
+    "_Packet.ctx": state("packet flow"),
+    "_Packet.seq": state("packet seq"),
+    "_Packet.hop": state("packet hop"),
+    "_Packet.hop_in": state("packet hop_in"),
+    "_Packet.hop_overruns": state("packet hop_overruns"),
+    "_Packet.remaining_B": state("packet remaining_B"),
+    "_Packet.eligible_slot": state("packet eligible_slot"),
+    "_Packet.transit_out": state("packet transit_out"),
+    "_Packet.reg_out": state("packet reg_out"),
+    "_Packet.dl_in": state("packet dl_in"),
+    "_Port.profile": FIXED,
+    "_Port.buffer_B": FIXED,
+    "_Port.drop_stage": FIXED,
+    "_Port.queues": state("port queue"),
+    "_Port.by_priority": state(why="the deques of `queues`, highest class first"),
+    "_Port.queued": state("port queued"),
+    "_Port.occupancy": state("port occupancy"),
+    # a maximum: a repeated hyperperiod cannot raise it
+    "_Port.max_occupancy": KEPT,
+    "_Port.busy": state("port busy"),
+    # a repeated hyperperiod reaches the ports the one it repeats reached
+    "_Port.reached": KEPT,
+    "_Hop.port": FIXED,
+    "_Hop.cls": FIXED,
+    "_Hop.fwd_ns": FIXED,
+    "_Hop.fwd_rank": FIXED,
+    "_Hop.tx_ns": FIXED,
+    "_Hop.tx_rank": FIXED,
+    "_Hop.bound_ns": FIXED,
+    "_Hop.next": FIXED,
+    "_FlowCtx.source": FIXED,
+    "_FlowCtx.pkt_B": FIXED,
+    "_FlowCtx.assignment": FIXED,
+    "_FlowCtx.critical": FIXED,
+    "_FlowCtx.pcp": FIXED,
+    "_FlowCtx.vlan_id": FIXED,
+    "_FlowCtx.route": FIXED,
+    "_FlowCtx.policer": FIXED,  # its fields are `_Policer`'s
+    "_FlowCtx.regulator": FIXED,  # its fields are `RegulatorState`'s
+    # the trace, but `_deliver` reads back the send time of a packet in the state
+    "_FlowCtx.t_send": state("packet send time"),
+    "_FlowCtx.t_recv": KEPT,
+    "_FlowCtx.drops": KEPT,
+    "_FlowCtx.violations": KEPT,
+    "_FlowCtx.first_hop": FIXED,
+    "_FlowCtx.ul_queue": FIXED,  # a deque of `_Engine.rotations`
+    "_FlowCtx.dl_queue": FIXED,  # a deque of `_Engine.rotations`
+    "_FlowCtx.limits_ns": FIXED,
+    "_FlowCtx.schedule": state(why="H and `count` fix it: its next emission is on the heap, "
+                               "and H is a multiple of its timing record's cycle"),
+    "_FlowCtx.count": state("emission count"),
+    "_Policer.cap": FIXED,
+    "_Policer.rate_Bps": FIXED,
+    "_Policer.tokens": state("policer tokens"),
+    "_Policer.last_ns": state("policer last_ns"),
+    "RegulatorState.cfg": FIXED,
+    "RegulatorState.queue": state("regulator queue"),
+    "RegulatorState.next_release_ns": state("regulator next release"),
+    "RegulatorState.last_release_ns": state("regulator last release"),
+    "_Engine.flows": FIXED,
+    "_Engine.end_ns": FIXED,
+    "_Engine.t": state(why="a snapshot takes every time and slot index relative to it"),
+    "_Engine.rank": state(why="-1 at every checkpoint, whose heap entry ranks -1"),
+    "_Engine.heap": state("heap entry time"),
+    "_Engine.fifo": state(why="empty at every checkpoint past t = 0; at 0 it holds the "
+                          "emissions due then, and each such flow's next emission is on "
+                          "the heap at H, so the snapshots at 0 and H differ"),
+    "_Engine.counter": state(why="only the order of its draws breaks a tie, and a snapshot "
+                             "lists the heap in that order, sorted"),
+    "_Engine.transit": FIXED,
+    "_Engine.slot_ns": FIXED,
+    "_Engine.grant_slots": FIXED,
+    "_Engine.armed": state("armed slot"),
+    "_Engine.rotations": state("UE queue"),  # the UE queues, whose packets are state
+    "_Engine.ul_wait": FIXED,
+    "_Engine.dl_wait": FIXED,
+    "_Engine.all_ports": FIXED,  # its fields are `_Port`'s
+    "_Engine.period_ns": FIXED,
+    "_Engine.snapshot": KEPT,  # the last checkpoint's, for the next
+    "_Engine.repeat": KEPT,  # the periods the jump copied
+    "_Engine.shift": state(why="0 at every checkpoint: no checkpoint follows a jump"),
+    "_Engine.on_checkpoint": FIXED,
+    "_Engine.on_emit": FIXED,
+    "_Engine.on_slot": FIXED,
+    "_Engine.on_regrel": FIXED,
+    "_Engine.on_portin": FIXED,
+    "_Engine.on_txdone": FIXED,
+}
+
+
+def engine_field_names() -> set:
+    """`class.field` for every `__slots__` entry of the engine's classes,
+    every `RegulatorState` field and every attribute an `_Engine` holds
+    after `__init__`."""
+    names = {f"{cls.__name__}.{slot}"
+             for cls in (sim._Packet, sim._Port, sim._Hop, sim._FlowCtx, sim._Policer)
+             for slot in cls.__slots__}
+    names |= {f"RegulatorState.{f.name}" for f in dataclasses.fields(sim.RegulatorState)}
+    scn = load_scenario(hyperperiod_doc(random.Random(0)))
+    state, _ = sim._admit_flows(scn, "scenario")
+    engine = sim._Engine(state.topology, sim._build_flow_ctxs(scn, state), scn.duration_ms,
+                         scn.seed)
+    return names | {f"_Engine.{name}" for name in vars(engine)}
+
+
+def test_every_engine_field_has_a_kind():
+    names = engine_field_names()
+    assert sorted(names - ENGINE_FIELDS.keys()) == [], "fields without a kind"
+    assert sorted(ENGINE_FIELDS.keys() - names) == [], "rows for fields no class holds"
+    for name, (kind, change, why) in ENGINE_FIELDS.items():
+        assert kind in (STATE, CONFIG, RECORD), name
+        # a state row names its change or says why a snapshot holds it without one
+        assert (change is None) != (why is None) if kind == STATE else change is why is None, name
+
+
 def state_changes(engine) -> list:
     """`(name, change, undo)` for each field of the engine's state that a
     snapshot must hold, wherever the state has one: each change moves one
-    field by one (or arms one more slot), and its undo restores it."""
+    field by one (or arms one more slot, takes a packet off a queue, or
+    puts a packet in another flow or off its hop), and its undo restores it."""
     changes = []
 
-    def bump(name, obj, attr):
+    def swap(name, obj, attr, value):
+        was = getattr(obj, attr, None)
+        if was is not None:
+            changes.append((name, lambda: setattr(obj, attr, value),
+                            lambda: setattr(obj, attr, was)))
+
+    def bump(name, obj, attr, step=1):
         value = getattr(obj, attr, None)
         if value is not None:
-            changes.append((name, lambda: setattr(obj, attr, value + 1),
-                            lambda: setattr(obj, attr, value)))
+            swap(name, obj, attr, value + step)
+
+    def put(name, items, i, value):
+        was = items[i]
+        changes.append((name, lambda: items.__setitem__(i, value),
+                        lambda: items.__setitem__(i, was)))
+
+    def shorten(name, queue):
+        if queue:
+            changes.append((name, queue.pop, lambda pkt=queue[-1]: queue.append(pkt)))
 
     packets = []
     for ctx in engine.flows.values():
         bump("emission count", ctx, "count")
-        for attr in ("tokens", "carry", "last_ns"):
+        for attr in ("tokens", "last_ns"):
             bump(f"policer {attr}", ctx.policer, attr)
         reg = ctx.regulator
         if reg is not None:
             bump("regulator next release", reg, "next_release_ns")
             bump("regulator last release", reg, "last_release_ns")
+            shorten("regulator queue", reg.queue)
             packets += reg.queue
     for port in engine.all_ports.values():
         bump("port queued", port, "queued")
-        occupancy = port.occupancy
-        changes.append(("port occupancy", lambda occ=occupancy: occ.__setitem__(0, occ[0] + 1),
-                        lambda occ=occupancy, was=occupancy[0]: occ.__setitem__(0, was)))
+        put("port occupancy", port.occupancy, 0, port.occupancy[0] + 1)
+        swap("port busy", port, "busy", None)
+        for queue in port.queues:
+            shorten("port queue", queue)
         packets += [pkt for pkt in (port.busy, *itertools.chain(*port.queues)) if pkt]
     for ul_queue, _, dl_queue, _ in engine.rotations[0] if engine.rotations else ():
+        shorten("UE queue", ul_queue)
+        shorten("UE queue", dl_queue)
         packets += ul_queue + dl_queue
     for pkt in packets:
+        # the stand-in flow has the packet's trace, so only the flow's identity changes
+        stand_in = sim._FlowCtx(pkt.ctx.source)
+        stand_in.t_send = pkt.ctx.t_send
+        swap("packet flow", pkt, "ctx", stand_in)
+        bump("packet seq", pkt, "seq", -1)  # seq + 1 may not be sent yet
+        swap("packet hop", pkt, "hop", None)
         for attr in ("hop_in", "hop_overruns", "remaining_B", "eligible_slot", "transit_out",
                      "reg_out", "dl_in"):
             bump(f"packet {attr}", pkt, attr)
+        put("packet send time", pkt.ctx.t_send, pkt.seq, pkt.ctx.t_send[pkt.seq] + 1)
     changes.append(("armed slot", lambda: engine.armed.add(-1), lambda: engine.armed.discard(-1)))
     heap = engine.heap
     i = max(range(len(heap)), key=lambda k: heap[k][0] if heap[k][3] else -1)
-    entry = heap[i]
-    changes.append(("heap entry time", lambda: heap.__setitem__(i, (entry[0] + 1, *entry[1:])),
-                    lambda: heap.__setitem__(i, entry)))
+    put("heap entry time", heap, i, (heap[i][0] + 1, *heap[i][1:]))
     return changes
 
 
@@ -421,16 +577,20 @@ def test_snapshot_holds_every_field_that_decides_the_future():
                 change()
                 (seen if self._snapshot()[0] != now[0] else missed).add(name)
                 undo()
+            assert self._snapshot()[0] == now[0]  # every undo restored its field
             super()._jump(earlier, now)
 
-    for seed in HYPERPERIOD_SEEDS:
+    # draw 23 jumps with a packet the regulator released in the fabric (`reg_out`)
+    for seed in [*HYPERPERIOD_SEEDS, 23]:
         engine_run(load_scenario(hyperperiod_doc(random.Random(seed))), ChangeProbe)
     assert not missed
     assert seen >= {
-        "emission count", "policer tokens", "policer carry", "policer last_ns",
+        "emission count", "policer tokens", "policer last_ns",
         "regulator next release", "regulator last release", "port queued", "port occupancy",
         "packet hop_in", "packet hop_overruns", "packet remaining_B", "packet eligible_slot",
         "packet transit_out", "armed slot", "heap entry time"}
+    # every state field that no row says a snapshot holds implicitly
+    assert seen >= {change for _, change, _ in ENGINE_FIELDS.values() if change}
 
 
 def test_jump_leaves_the_state_that_matched():

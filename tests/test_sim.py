@@ -2,6 +2,7 @@ import csv
 import gc
 import importlib
 import io
+import itertools
 import random
 import tracemalloc
 import weakref
@@ -15,7 +16,7 @@ import pytest
 from detnet5g import sim
 from detnet5g.admission import NetworkState, _dependency_ranks
 from detnet5g.errors import AdmissionMissing, ScenarioInvalid
-from detnet5g.scenario import load_scenario, load_topology
+from detnet5g.scenario import SourceModel, load_scenario, load_topology
 from detnet5g.sim import (
     IN_FLIGHT,
     TRACE_COLUMNS,
@@ -30,10 +31,11 @@ from detnet5g.sim import (
     write_trace,
 )
 from detnet5g.topology import path_in_tree
+from detnet5g.units import NS_PER_S, ceil_div
 import reference_engine
-from conftest import canonical_scenario, certify, reordered_flows
+from conftest import canonical_scenario, certify, first_fit_only, reordered_flows
 from test_golden import ue_transit_doc
-from test_reference_engine import end_doc, hyperperiod_doc, lag_doc
+from test_reference_engine import HYPERPERIOD_SEEDS, end_doc, hyperperiod_doc, lag_doc
 from test_sim_order import hops_doc
 
 
@@ -299,7 +301,7 @@ class TestFlowTreatment:
         assert down.pcp == assignment.priority_class > 0
         assert (down.vlan_id, down.route) == (assignment.vlan_id, assignment.hop_ports)
         policer = down.policer
-        assert (policer.burst_B, policer.rate_Bps) == (1_500, 12_500)
+        assert (policer.cap, policer.rate_Bps) == (1_500 * NS_PER_S, 12_500)
         assert down.regulator is None
 
     def test_each_dejittered_flow_has_its_own_regulator(self):
@@ -514,7 +516,8 @@ class TestScaleRegistry:
         workloads = importlib.import_module("workloads")
         topology = workloads.grid_topology_doc(6, 6, link_rate_Bps=12_500_000, buffer_B=1 << 20,
                                                hosts_per_switch=2, ue_count=1)
-        state = NetworkState(load_topology(topology), enable_reconfig=False)
+        state = NetworkState(load_topology(topology))
+        first_fit_only(state)
         hosts = sorted(state.topology.hosts)
         rng = random.Random(1)
         flows = []
@@ -593,6 +596,81 @@ class TestSourceSchedules:
     def test_periodic_with_count(self):
         periodic = {"mode": "periodic", "count": 3, **self.PERIODIC}
         assert send_times_us(periodic) == [1_000] * 3 + [6_000] * 3 + [11_000] * 3
+
+
+def spec_timing(model: SourceModel) -> tuple:
+    """`(first, count, cycle_ns, per_cycle)` of a source, as its mode defines
+    them: the packets of its first emission and of each later one, the span
+    after which its emissions repeat, and its emissions in each span."""
+    params = model.params
+    if model.mode == "periodic":
+        count = params.get("count", 1)
+        return count, count, params["period_us"] * 1_000, 1
+    interval_ns = ceil_div(params["pkt_B"] * NS_PER_S, params["rate_Bps"])
+    if model.mode == "greedy_token_bucket":
+        return params["burst_B"] // params["pkt_B"], 1, interval_ns, 1
+    on_ns = params["on_ms"] * 1_000_000
+    return 1, 1, on_ns + params["off_ms"] * 1_000_000, ceil_div(on_ns, interval_ns)
+
+
+def drawn_sources(rng) -> list:
+    """A source of each mode, its settings drawn by `rng`: periodic without
+    an offset, and with one and a count above 1; greedy with a burst of
+    several packets; on/off with an on-time that is no whole number of
+    packet intervals, and with an offset too."""
+    pkt_B = rng.choice([100, 300, 1_500])
+    rate_Bps = rng.choice([70_000, 330_000, 1_100_000])  # intervals of no whole microsecond
+    period_us = rng.randrange(100, 20_000)
+    onoff = {"pkt_B": pkt_B, "rate_Bps": rate_Bps, "on_ms": rng.randrange(1, 8),
+             "off_ms": rng.randrange(1, 8)}
+    settings = [
+        ("periodic", {"period_us": period_us, "pkt_B": pkt_B}),
+        ("periodic", {"period_us": period_us, "pkt_B": pkt_B, "count": rng.randrange(2, 5),
+                      "offset_us": rng.randrange(50_000)}),
+        ("greedy_token_bucket", {"pkt_B": pkt_B, "rate_Bps": rate_Bps,
+                                 "burst_B": pkt_B * rng.randrange(2, 5) + rng.randrange(pkt_B)}),
+        ("onoff_background", onoff),
+        ("onoff_background", {**onoff, "offset_us": rng.randrange(50_000)}),
+    ]
+    return [SourceModel(f"s{i}", "A", "B", mode, params)
+            for i, (mode, params) in enumerate(settings)]
+
+
+class TestTimingRecord:
+    """Each source's emissions and the hyperperiod come from one timing record."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_emissions_repeat_each_cycle(self, seed):
+        for model in drawn_sources(random.Random(seed)):
+            first, count, cycle_ns, per_cycle = spec_timing(model)
+            timing = sim._timing(model, random.Random(f"{seed}:{model.flow_id}"))
+            emissions = list(itertools.islice(sim._schedule(timing), 1 + 3 * per_cycle))
+            start = emissions[0][0]
+            assert emissions[0] == (start, first), model
+            offset = model.params.get("offset_us")
+            if offset is not None:
+                assert start == offset * 1_000, model
+            elif model.mode == "periodic":  # a phase drawn inside the first period
+                assert 0 <= start < cycle_ns, model
+            else:
+                assert start == 0, model
+            # every later emission recurs a cycle later, with its count
+            for (t, n), later in zip(emissions[1:], emissions[1 + per_cycle:]):
+                assert n == count and later == (t + cycle_ns, n), model
+            if model.mode == "onoff_background":
+                on_ns = model.params["on_ms"] * 1_000_000
+                assert on_ns % ceil_div(model.params["pkt_B"] * NS_PER_S,
+                                        model.params["rate_Bps"]), model
+                assert all((t - start) % cycle_ns < on_ns for t, _ in emissions), model
+
+    def test_hyperperiod_is_a_multiple_of_every_cycle(self):
+        for seed in HYPERPERIOD_SEEDS:
+            doc = hyperperiod_doc(random.Random(seed))
+            scn = load_scenario(doc)
+            state, flows = treatment(doc)
+            engine = _Engine(state.topology, flows, scn.duration_ms, scn.seed)
+            for ctx in flows.values():
+                assert engine.period_ns % spec_timing(ctx.source)[2] == 0, (seed, ctx.source)
 
 
 def odd_ids(doc):
