@@ -30,13 +30,19 @@ passing through its class queue: an idle port's queues are empty, because
 the end of a transmission starts the port's next packet before its handler
 returns.
 
-A run simulates each state once.  One timing record per source
-(`_timing`) gives both its emissions and its cycle (a periodic source's
-period, a greedy source's packet interval, an on/off source's on plus off
-time), and the hyperperiod H is the least common multiple of every cycle
-and, with a 5G segment, of the slot length times the least common
-multiple of the TDD pattern's length and the UE count: every emission,
-every usable slot and the UE rotation repeat with it.  At checkpoints on
+A run simulates each state once.  It splits the flows into components
+that share no queue (`_components`): no egress port, no UE's uplink queue
+and no UE's downlink queue; policers and regulators are each flow's own.
+Each component runs in an engine of its own, whose events touch only its
+own flows, ports and UE queues, and whose ties break in the order they
+would over all flows, so the outputs are those of one engine over every
+flow.  One timing record per source (`_timing`) gives both its emissions
+and its cycle (a periodic source's period, a greedy source's packet
+interval, an on/off source's on plus off time), and a component's
+hyperperiod H is the least common multiple of its flows' cycles and,
+with a 5G segment, of the slot length times the least common multiple of
+the TDD pattern's length and the UE count: every emission, every usable
+slot and the UE rotation repeat with it.  At checkpoints on
 multiples of H, each ahead of every other event of its time, the engine
 takes a snapshot of all that decides what follows, every time and slot
 index taken relative to the checkpoint: the pending events in pop order,
@@ -61,17 +67,20 @@ the byte, because the engine's future depends only on what the snapshot
 holds, and a repeated hyperperiod leaves the largest occupancies and the
 set of ports reached as they were.  A checkpoint is pushed only if the
 comparison it leads to leaves a whole hyperperiod to skip: a run shorter
-than 2H, such as the canonical scenario's (H = 198 s), takes none, and a
-run whose state never repeats takes O(log(duration / H)) snapshots.
+than 2H takes none, and a run whose state never repeats takes
+O(log(duration / H)) snapshots.  In the canonical scenario, `orange`
+shares no queue with `green` and `bg`: its component (H = 10 ms) jumps at
+20 ms, while theirs (H = 198 s) takes no snapshot.
 
 The trace keeps two integer columns per flow, send and receive times, the
 one record of each packet's outcome: `packet_summary` computes a flow's
 counts and latency statistics from them, for the run report and for
 `detnet5g report` alike.  This module alone knows the trace's file format:
 `write_trace` writes it, its rows ordered and formatted in windows of
-about `WINDOW_ROWS` rows sent in a range of time, except the periods a
-jump copied with every fate settled, which it writes in blocks of whole
-microseconds from one %-format (see `_TraceRows`).  So writing holds one
+about `WINDOW_ROWS` rows sent in a range of time, except where every
+component's jump copied periods with every fate settled, which it writes
+in blocks of whole microseconds from one %-format (see `_TraceRows` and
+`_combined_repeat`).  So writing holds one
 window or one block of the repeated period, never the whole trace, and
 `read_trace` checks each row and reads the two columns back.
 """
@@ -254,10 +263,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class _Repeat:
-    """The periods a run's jump copied into the trace: from `start_ns` on,
+    """The periods a component's jump copied into the trace, or those in
+    which every component repeats (`_combined_repeat`): from `start_ns` on,
     `settled` periods of `period_ns` in which every packet has a fate, each
     the one before shifted by a period.  `flows` maps each flow id to its
-    first copied seq and its packets per period."""
+    first seq sent from `start_ns` on and its packets per period."""
 
     start_ns: int
     period_ns: int
@@ -342,9 +352,13 @@ class _Engine:
     none of these shortcuts, and the tests compare the two packet by
     packet.
 
-    One pass of `__init__` gives each flow its timing record, from its own
-    seeded `random.Random`, and its schedule, and makes `period_ns` the lcm
-    of the records' cycles and the slot cycle.  `run` pushes each flow's
+    An engine runs the flows of one component (`_components`) and holds
+    only their ports, but every UE's queues: the slot cycle and the drain
+    order between UEs are the ones over all flows, and the queues of UEs
+    its flows do not use stay empty.  One pass of `__init__` gives each
+    flow its timing record, from its own seeded `random.Random`, and its
+    schedule, and makes `period_ns`, the component's H, the lcm of the
+    records' cycles and the slot cycle.  `run` pushes each flow's
     first emission in flow order, then a sentinel `(end_ns + 1, -1, -1,
     None, None)`, ahead of every other entry of its time; the loop stops at
     the first None handler: no push checks the end, and the heap is never
@@ -378,8 +392,9 @@ class _Engine:
     `shift` to each time they write to the trace, and subtract it from each
     send time they read back, and no other time, slot index or schedule
     moves.  No checkpoint follows a jump, so `_snapshot` sees a nonzero
-    `shift` only when called after one.  `repeat` records the copied
-    periods for the trace writer (`_Repeat`).
+    `shift` only when called after one.  `repeat` records the jump and the
+    periods it copied (`_Repeat`), which `_combined_repeat` merges with the
+    other components' for the trace writer.
     """
 
     def __init__(self, topo: Topology, flows: dict, duration_ms: int, seed: int):
@@ -436,7 +451,7 @@ class _Engine:
             if ctx.assignment is not None:
                 ctx.limits_ns = _limits_ns(ctx.assignment)
         self.snapshot = None  # the last checkpoint's, kept for the next one to compare
-        self.repeat = None  # the periods `_jump` copied, if it ran and copied a packet
+        self.repeat = None  # the periods `_jump` copied, if it ran
         self.shift = 0  # what `_jump` skipped: a trace time less this is an engine time
         # the handlers, bound once: `run` unbinds them, which breaks the cycle
         # through self
@@ -775,10 +790,9 @@ class _Engine:
             pkt.seq += n * per_period
             pkt.ctx.t_recv[pkt.seq] = IN_FLIGHT
             settled = min(settled, (pkt.seq - sent) // per_period)
-        if any(per_period for _, per_period in window.values()):
-            # `settled` < 0: a packet moved on to before the copies, so none has every fate
-            self.repeat = _Repeat(self.t, period, max(settled, 0),
-                                  {ctx.source.flow_id: w for ctx, w in window.items()})
+        # `settled` < 0: a packet moved on to before the copies, so none has every fate
+        self.repeat = _Repeat(self.t, period, max(settled, 0),
+                              {ctx.source.flow_id: w for ctx, w in window.items()})
         self.shift = n * period
         # the new end pops ahead of the old one, which is never reached
         heappush(self.heap, (self.end_ns + 1 - self.shift, -1, -1, None, None))
@@ -1037,17 +1051,48 @@ class _TraceRows:
             yield "".join(self._in_order(window, heads))
 
 
-def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> RunResult:
+def _combined_repeat(engines: list) -> _Repeat | None:
+    """The periods in which every component's run repeats, as one
+    `_Repeat`, or None unless every engine whose flows sent a packet jumped.
+
+    It starts at the latest start of the jumped engines' repeats and its
+    period is the lcm of theirs; it settles the whole periods that lie in
+    the settled ones of every repeat.  A flow's first seq is the first it
+    sent from that start on, and its packets per period are its engine's
+    times the engine's periods in one."""
+    reps = [engine.repeat for engine in engines
+            if any(ctx.t_send for ctx in engine.flows.values())]
+    if not reps or any(rep is None for rep in reps):
+        return None
+    start = max(rep.start_ns for rep in reps)
+    period = math.lcm(*(rep.period_ns for rep in reps))
+    settled = min((rep.start_ns + rep.settled * rep.period_ns - start) // period for rep in reps)
+    flows = {}
+    for engine in engines:
+        rep = engine.repeat
+        for fid, ctx in engine.flows.items():
+            # an engine whose flows sent no packet sends none per period
+            per_period = rep.flows[fid][1] * (period // rep.period_ns) if ctx.t_send else 0
+            flows[fid] = bisect_left(ctx.t_send, start), per_period
+    return _Repeat(start, period, max(settled, 0), flows)
+
+
+def _build_result(scenario, state, engines, decisions, seed, dejitter_mode) -> RunResult:
+    ctxs = sorted(itertools.chain.from_iterable(engine.flows.items() for engine in engines))
     flow_reports = {}
     total = dict.fromkeys(_VIOLATION_KINDS + ("backlog",), 0)
-    for fid, ctx in sorted(engine.flows.items()):
+    for fid, ctx in ctxs:
         flow_reports[fid] = _flow_report(ctx)
         for key, count in ctx.violations.items():
             total[key] += count
 
+    # the engines' ports are disjoint: a port two flows share puts them in one component
+    all_ports = {}
+    for engine in engines:
+        all_ports.update(engine.all_ports)
     bounds = state.backlog_bounds()
     port_reports = {}
-    for port, sim_port in sorted(engine.all_ports.items()):
+    for port, sim_port in sorted(all_ports.items()):
         if not sim_port.reached:
             continue
         classes = {}
@@ -1077,7 +1122,7 @@ def _build_result(scenario, state, engine, decisions, seed, dejitter_mode) -> Ru
     return RunResult(
         decisions=decisions,
         report=report,
-        trace_rows=_TraceRows([ctx for _, ctx in sorted(engine.flows.items())], engine.repeat),
+        trace_rows=_TraceRows([ctx for _, ctx in ctxs], _combined_repeat(engines)),
     )
 
 
@@ -1147,8 +1192,41 @@ def _build_flow_ctxs(scenario: Scenario, state: NetworkState) -> dict:
     return flows
 
 
+def _components(flows: dict, transit) -> list[dict]:
+    """The flows split into components that share no queue, each a dict
+    in flow order, the components in the order of their first flows.
+
+    Two flows fall in one component when they share an egress port on
+    their routes, a UE's uplink queue (the same UE as source) or a UE's
+    downlink queue (the same UE as destination): a union-find over the
+    flows, each queue joining its first flow's set."""
+    ues = () if transit is None else transit.ues
+    parent = list(range(len(flows)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}  # each queue's first flow
+    for i, ctx in enumerate(flows.values()):
+        queues = list(ctx.route)
+        if ctx.source.src in ues:
+            queues.append((UPLINK, ctx.source.src))
+        if ctx.source.dst in ues:
+            queues.append((DOWNLINK, ctx.source.dst))
+        for queue in queues:
+            parent[root(i)] = root(first.setdefault(queue, i))
+    components: dict[int, dict] = {}
+    for i, (fid, ctx) in enumerate(flows.items()):
+        components.setdefault(root(i), {})[fid] = ctx
+    return list(components.values())
+
+
 def run(scenario: Scenario, *, seed: int | None = None, dejitter: str = "scenario") -> RunResult:
-    """Admit the scenario's flows, simulate, and report.
+    """Admit the scenario's flows, simulate each component of them in an
+    engine of its own, and report.
 
     `dejitter` forces the regulator for all 5G-sourced registered flows
     ("on"), disables it ("off"), or honors per-flow flags ("scenario").
@@ -1161,9 +1239,16 @@ def run(scenario: Scenario, *, seed: int | None = None, dejitter: str = "scenari
     run_seed = scenario.seed if seed is None else seed
     state, decisions = _admit_flows(scenario, dejitter)
     flows = _build_flow_ctxs(scenario, state)
-    engine = _Engine(state.topology, flows, scenario.duration_ms, run_seed)
-    engine.run()
-    result = _build_result(scenario, state, engine, decisions, run_seed, dejitter)
+    engines = []
+    for k, part in enumerate(_components(flows, state.topology.transit)):
+        engine = _Engine(state.topology, part, scenario.duration_ms, run_seed)
+        engine.run()
+        engines.append(engine)
+        rep = engine.repeat
+        log.info("run %s component %d: %d flow(s), hyperperiod %d ns, %s", scenario.name, k,
+                 len(part), engine.period_ns,
+                 "no jump" if rep is None else f"jumped at {rep.start_ns} ns")
+    result = _build_result(scenario, state, engines, decisions, run_seed, dejitter)
     for fid, ctx in sorted(flows.items()):
         lost = ctx.drops.get("regulator", 0)
         if lost:

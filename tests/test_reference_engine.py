@@ -10,13 +10,20 @@ tie and cross-hop families of `test_sim_order.py`, its dense UE grid,
 added (UE ends both ways, de-jittered flows, greedy sources and
 unregistered UE sources), events at the run's end or just past it, and
 runs whose state recurs a hyperperiod later, which the engine skips but
-the reference simulates event by event.
+the reference simulates event by event.  `sim.run` runs each component of
+flows that share no queue in an engine of its own: the last tests check
+the split and that it gives the outputs of one engine over every flow.
 """
 
 import dataclasses
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +165,36 @@ def lag_doc(duration_ms) -> dict:
     doc["sim"]["sources"].append({"flow_id": "up", "src": "UE1", "dst": "B",
                                   "mode": "greedy_token_bucket", "pkt_B": 100,
                                   "burst_B": 300, "rate_Bps": 10_000})
+    return doc
+
+
+def two_part_doc(duration_ms, up_count=1) -> dict:
+    """`end_doc` with two components that share no queue: `ab` (A -> B,
+    every 10 ms from 1 ms) and `up` (UE1 -> C, `up_count` packets every
+    4 ms from 3.5 ms).  Their hyperperiods are 10 ms and 4 ms (UE1's `DU`
+    pattern repeats every 2 ms), and they jump at 10 and 8 ms."""
+    doc = end_doc(duration_ms, [("ab", "A", "B", 1_000), ("up", "UE1", "C", 3_500)])
+    doc["sim"]["sources"][1].update(period_us=4_000, count=up_count)
+    return doc
+
+
+def stalled_two_part_doc(duration_ms) -> dict:
+    """`two_part_doc` with UE1's uplink carrying 100 B a U slot, 200 B every
+    4 ms, against the 300 B `up` sends: UE1's queue grows, so `up`'s
+    component never jumps, while `ab`'s does."""
+    doc = two_part_doc(duration_ms, up_count=3)
+    doc["topology"]["transit5g"]["ues"][0]["tbs_ul_B"] = 100
+    return doc
+
+
+def lagged_two_part_doc(duration_ms) -> dict:
+    """`lag_doc`, whose packets stay in flight three of its 10 ms
+    hyperperiods, with `ab` (A -> C, every 4 ms from 1 ms) added: its
+    component's hyperperiod is 20 ms (with the 10 ms pattern), and it
+    settles more of its copied periods than `up`'s."""
+    doc = lag_doc(duration_ms)
+    doc["sim"]["sources"].append({"flow_id": "ab", "src": "A", "dst": "C", "mode": "periodic",
+                                  "period_us": 4_000, "pkt_B": 100, "offset_us": 1_000})
     return doc
 
 
@@ -363,9 +400,47 @@ def test_state_repeating_every_third_hyperperiod_never_jumps():
 
 
 def test_run_shorter_than_two_hyperperiods_takes_no_snapshot():
-    # the canonical scenario's hyperperiod is 198 s, its run 4 s
+    # one engine over all of the canonical scenario's flows has a hyperperiod
+    # of lcm(2 ms, 9.9 ms, 2 s, 5 ms) = 198 s, and the run lasts 4 s
     _, engine = engine_run(load_scenario(canonical_scenario()), JumpProbe)
     assert engine.snapshots == 0
+
+
+def component_engines(doc, monkeypatch) -> tuple:
+    """`sim.run` of `doc` with each component's engine a `JumpProbe`:
+    returns (result, engines)."""
+    engines = []
+
+    class Probe(JumpProbe):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(sim, "_Engine", Probe)
+    return sim.run(load_scenario(doc)), engines
+
+
+def test_canonical_orange_jumps_on_its_own_hyperperiod(monkeypatch):
+    # orange (UE1 -> D, every 2 ms) shares no queue with green and bg: its
+    # engine's hyperperiod is lcm(2 ms, 5 ms of UE slots) = 10 ms, and it
+    # jumps at 20 ms over the 398 periods left of 4 s, while green and bg's
+    # engine (H = 198 s) takes no snapshot
+    _, (orange, rest) = component_engines(canonical_scenario(), monkeypatch)
+    assert (list(orange.flows), orange.period_ns) == (["orange"], 10_000_000)
+    assert (orange.landed, orange.skipped) == (4_000_000_000, 398)
+    assert (list(rest.flows), rest.period_ns) == (["green", "bg"], 198_000_000_000)
+    assert rest.snapshots == 0
+
+
+@pytest.mark.parametrize("doc, parts", [
+    (two_part_doc(95), [(["ab"], 10_000_000, 8), (["up"], 4_000_000, 21)]),
+    (stalled_two_part_doc(95), [(["ab"], 10_000_000, 8), (["up"], 4_000_000, 0)]),
+    (lagged_two_part_doc(200), [(["up"], 10_000_000, 16), (["ab"], 20_000_000, 9)]),
+], ids=["two-periods", "one-part-stalled", "two-settled"])
+def test_each_component_jumps_on_its_own_hyperperiod(doc, parts, monkeypatch):
+    # `parts`: each component's flows, hyperperiod and skipped periods
+    _, engines = component_engines(doc, monkeypatch)
+    assert [(list(e.flows), e.period_ns, e.skipped) for e in engines] == parts
 
 
 STATE, CONFIG, RECORD = "state", "configuration", "record"
@@ -797,3 +872,82 @@ def test_jump_lands_next_to_the_end(case, plus_case, delta_us):
     _, engine = probe_run(end_doc(duration_ms, sources, flows, hold_us), end_ns)
     assert engine.period_ns == period_ns
     assert engine.skipped and end_ns - engine.landed < period_ns
+
+
+def canonical_for(duration_ms) -> dict:
+    doc = canonical_scenario()
+    doc["sim"]["duration_ms"] = duration_ms
+    return doc
+
+
+# `sim.run` splits the flows into components, each in an engine of its own;
+# one engine over every flow must give the same outputs to the byte
+SPLIT_CASES = {
+    "canonical-4s": lambda: canonical_for(4_000),
+    "canonical-20s": lambda: canonical_for(20_000),
+    **{f"hyperperiod-{seed}": lambda seed=seed: hyperperiod_doc(random.Random(seed))
+       for seed in HYPERPERIOD_SEEDS},
+    **{f"random-5g-{seed}": lambda seed=seed: random_5g_doc(random.Random(seed))
+       for seed in range(20)},
+    "dense-ue": dense_ue_doc,
+    "two-periods": lambda: two_part_doc(95),
+    "two-settled": lambda: lagged_two_part_doc(200),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_components_equal_one_engine_over_every_flow(case):
+    scn = load_scenario(SPLIT_CASES[case]())
+    one, _ = engine_run(scn, sim._Engine)
+    split = sim.run(scn)
+    assert "".join(split.trace_rows.text()) == "".join(one.trace_rows.text())
+    assert json.dumps(split.report, sort_keys=True) == json.dumps(one.report, sort_keys=True)
+    assert split.decisions == one.decisions
+
+
+def components(sources, clear_routes=False) -> list:
+    """The flow ids of each component of `end_doc`'s unregistered `sources`
+    `(flow_id, src, dst)`, with UE2 added beside UE1; `clear_routes` empties
+    every route first, so that only the UE queues join flows."""
+    doc = end_doc(10, [(*source, 0) for source in sources])
+    doc["topology"]["transit5g"]["ues"].append({"id": "UE2", "tbs_ul_B": 1_500, "tbs_dl_B": 1_500})
+    scn = load_scenario(doc)
+    state, _ = sim._admit_flows(scn, "scenario")
+    flows = sim._build_flow_ctxs(scn, state)
+    if clear_routes:
+        for ctx in flows.values():
+            ctx.route = ()
+    return [list(part) for part in sim._components(flows, state.topology.transit)]
+
+
+# `end_doc`'s one switch S1 has A, B and C at ports 1 to 3 and the 5G
+# segment at port 4: every flow to a UE leaves S1 there
+@pytest.mark.parametrize("sources, clear_routes, parts", [
+    ([("x", "A", "B"), ("y", "C", "B")], False, [["x", "y"]]),  # egress port S1.2
+    ([("x", "UE1", "B"), ("y", "UE1", "C")], False, [["x", "y"]]),  # UE1's uplink queue
+    ([("x", "A", "UE1"), ("y", "B", "UE1")], False, [["x", "y"]]),  # S1.4, UE1's downlink queue
+    ([("x", "A", "UE1"), ("y", "B", "UE1")], True, [["x", "y"]]),  # UE1's downlink queue alone
+    ([("x", "A", "UE1"), ("y", "B", "UE2")], True, [["x"], ["y"]]),  # two downlink queues
+    ([("x", "A", "B"), ("y", "B", "A")], False, [["x"], ["y"]]),  # only switch S1
+    ([("x", "UE1", "B"), ("y", "UE2", "C")], False, [["x"], ["y"]]),  # only the 5G segment
+    ([("x", "UE1", "B"), ("y", "A", "UE1")], False, [["x"], ["y"]]),  # UL and DL queues apart
+], ids=["egress-port", "uplink", "downlink", "downlink-queue", "two-ues-down", "switch",
+        "5g-segment", "ul-and-dl"])
+def test_components_share_a_queue(sources, clear_routes, parts):
+    assert components(sources, clear_routes) == parts
+
+
+# b and d join through e, which shares UE1's uplink queue with b and S1.1 with d
+ORDER_SOURCES = [("a", "A", "B"), ("b", "UE1", "C"), ("c", "C", "B"), ("d", "UE2", "A"),
+                 ("e", "UE1", "A")]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_components_come_in_flow_order(hash_seed):
+    code = ("import json, test_reference_engine as t; "
+            f"print(json.dumps(t.components({ORDER_SOURCES!r})))")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        [str(Path(sim.__file__).parents[1]), str(Path(__file__).parent)]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == [["a", "c"], ["b", "d", "e"]]

@@ -35,7 +35,10 @@ from detnet5g.units import NS_PER_S, ceil_div
 import reference_engine
 from conftest import canonical_scenario, certify, first_fit_only, reordered_flows
 from test_golden import ue_transit_doc
-from test_reference_engine import HYPERPERIOD_SEEDS, end_doc, hyperperiod_doc, lag_doc
+from test_reference_engine import (
+    HYPERPERIOD_SEEDS, end_doc, hyperperiod_doc, lag_doc, lagged_two_part_doc,
+    stalled_two_part_doc, two_part_doc,
+)
 from test_sim_order import hops_doc
 
 
@@ -810,7 +813,8 @@ TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
     (canonical_with(silent_source), "scenario", lambda r: r.report["flows"]["late"]["sent"] == 0),
     (canonical_with(no_packets), "scenario",
      lambda r: not any(f["sent"] for f in r.report["flows"].values())),
-    # runs that jump: every case but the last two writes a block from its template
+    # runs that jump: every case but the two after `jumped-same-ns-bursts`
+    # writes a block from its template
     (lambda: hyperperiod_doc(random.Random(10)), "scenario",
      lambda r: copied_blocks(r) >= 1 and unsettled_copies(r)
      and all(r.report["flows"][f]["drops"] for f in ("bg", "greedy"))
@@ -829,10 +833,25 @@ TRACE_CASES = pytest.mark.parametrize("make_doc, dejitter, check", [
     # one period copied, and packets in flight three periods: none settles
     (lambda: lag_doc(55), "scenario",
      lambda r: r.trace_rows.repeat.settled == 0 and r.report["flows"]["up"]["in_flight"] == 3),
+    # two components that jump on 10 and 4 ms, at 10 and 8 ms: their
+    # repeats combine from 10 ms on, every 20 ms, which is not a whole
+    # number of `up`'s periods past its start
+    (lambda: two_part_doc(95), "scenario",
+     lambda r: (r.trace_rows.repeat.start_ns, r.trace_rows.repeat.period_ns) == (
+         10_000_000, 20_000_000) and copied_blocks(r) >= 1),
+    # two components that jump on 10 and 20 ms: `up`'s, whose packets stay
+    # in flight three periods, settles 13 periods from 40 ms (to 170 ms), and
+    # `ab`'s 9 from 20 ms (to the end), so 6 combined periods settle
+    (lambda: lagged_two_part_doc(200), "scenario",
+     lambda r: r.trace_rows.repeat.settled == 6 and copied_blocks(r) >= 1),
+    # `ab`'s component jumps, `up`'s queue grows and never repeats: no template
+    (lambda: stalled_two_part_doc(95), "scenario",
+     lambda r: copied_blocks(r) is None and r.report["flows"]["up"]["in_flight"] > 3),
 ], ids=["odd-ids", "policer-and-port-drops", "regulator-drops", "in-flight",
         "same-ns-senders", "same-ns-bursts", "silent-flow", "no-packets",
         "jumped-drops-and-in-flight", "jumped-sub-us-period", "jumped-odd-ids",
-        "jumped-same-ns-bursts", "jumped-no-block", "jumped-lag-past-the-end"])
+        "jumped-same-ns-bursts", "jumped-no-block", "jumped-lag-past-the-end",
+        "jumped-two-periods", "jumped-two-settled", "one-component-jumped"])
 
 
 class TestTraceWriter:

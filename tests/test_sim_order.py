@@ -247,7 +247,7 @@ def engine_run(scn, engine_cls, end_ns=None):
     if end_ns is not None:
         engine.end_ns = end_ns
     engine.run()
-    return _build_result(scn, state, engine, decisions, scn.seed, "scenario"), engine
+    return _build_result(scn, state, [engine], decisions, scn.seed, "scenario"), engine
 
 
 def dense_ue_doc() -> dict:
@@ -295,8 +295,9 @@ class TestLazySlotClock:
         # and the UE queues are rarely empty at one
         result, engine = engine_run(load_scenario(canonical_scenario()), CountingEngine)
         assert engine.ticks == 1_600
-        # its hyperperiod, lcm(2 ms, 9.9 ms, 2 s, 5 ms) = 198 s, leaves no
-        # room for a comparison in 4 s: the run takes no checkpoint
+        # one engine over all its flows has a hyperperiod of lcm(2 ms,
+        # 9.9 ms, 2 s, 5 ms) = 198 s, which leaves no room for a comparison
+        # in 4 s: the run takes no checkpoint
         assert engine.period_ns == 198 * NS_PER_S
         assert heap_pushes(engine) == 9_496
         assert result.report == run(load_scenario(canonical_scenario())).report
